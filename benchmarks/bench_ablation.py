@@ -1,4 +1,4 @@
-"""Ablations of the design choices DESIGN.md calls out (not paper figures)."""
+"""Ablations of the TensorDIMM design choices (not paper figures)."""
 
 from repro.bench import ablation
 

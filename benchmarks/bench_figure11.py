@@ -34,7 +34,7 @@ def bench_figure11_bandwidth_utilization(once):
     )
     assert result.values[("CPU", "GATHER", 96)] > 0.5 * result.cpu_peak
 
-    # Reproduction note (EXPERIMENTS.md): a faithful 150 MHz pair-per-cycle
+    # Reproduction note (NmpCore.accumulate_mean): a faithful 150 MHz pair-per-cycle
     # ALU leaves AVERAGE partly compute-bound, unlike the paper's GPU-based
     # emulation — it still beats the CPU by a wide margin.
     assert (

@@ -1,7 +1,7 @@
 """Benchmark-suite configuration.
 
 Every benchmark regenerates one of the paper's tables or figures (see
-DESIGN.md's experiment index) and asserts its qualitative shape — who wins,
+``python -m repro list``) and asserts its qualitative shape — who wins,
 by roughly what factor, where the crossovers fall.  Run with::
 
     pytest benchmarks/ --benchmark-only

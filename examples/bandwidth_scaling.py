@@ -8,8 +8,8 @@ Runs the DDR4 simulator underneath both memory systems:
 * the conventional CPU memory system, where all DIMMs time-multiplex
   8 channels (bandwidth is capped regardless of DIMM count).
 
-This is the slow, high-fidelity path (a few minutes of simulation); pass
-``--quick`` for a trimmed sweep.
+This is the slow, high-fidelity path (about half a minute of simulation
+on a 2-CPU host); pass ``--quick`` for a trimmed sweep.
 
 Run:  python examples/bandwidth_scaling.py [--quick]
 """

@@ -21,8 +21,9 @@ Quickstart::
     )
     pooled = node.read_tensor(out)   # (32, 256) mean-pooled embeddings
 
-See DESIGN.md for the system inventory and EXPERIMENTS.md for the
-paper-vs-measured record of every figure and table.
+``python -m repro list`` names every figure and table the package
+regenerates; :mod:`repro.bench.paper_data` holds the numbers the paper
+states, for comparison.
 """
 
 from .config import (

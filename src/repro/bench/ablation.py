@@ -1,4 +1,4 @@
-"""Ablation studies for the design choices DESIGN.md calls out.
+"""Ablation studies for the TensorDIMM design choices.
 
 These are not paper figures; they probe *why* the design works:
 
@@ -22,11 +22,9 @@ import numpy as np
 from ..config import CPU_PEAK_BANDWIDTH, DIMM_PEAK_BANDWIDTH, NMP_QUEUE_DELAY_S
 from ..core.nmp_core import required_queue_bytes
 from ..dram.cache import CacheHierarchy
-from ..dram.command import Request
 from ..dram.controller import MemoryController
-from ..dram.system import DramSystem
 from ..dram.timing import DDR4_3200
-from ..dram.trace import gather_trace, streaming_trace
+from ..dram.trace import gather_buffer, streaming_buffer
 from ..workloads.distributions import UniformSampler, ZipfianSampler
 
 
@@ -57,8 +55,7 @@ def address_mapping(
 
     def dimm_seconds(trace) -> float:
         controller = MemoryController(DDR4_3200)
-        for record in trace:
-            controller.enqueue(Request(addr=record.addr, is_write=record.is_write))
+        controller.enqueue_batch(trace)
         controller.run_to_completion()
         return controller.elapsed_seconds()
 
@@ -66,7 +63,7 @@ def address_mapping(
 
     # Interleaved: per-DIMM slice of every row (row_words/N words each).
     slice_words = max(1, row_words // node_dimms)
-    per_dimm = gather_trace(0, slice_words, rows, table_rows * slice_words * 64)
+    per_dimm = gather_buffer(0, slice_words, rows, table_rows * slice_words * 64)
     interleaved_seconds = dimm_seconds(per_dimm)
 
     # Whole-row: rows hash to DIMMs; the busiest DIMM sets the pace.
@@ -75,7 +72,7 @@ def address_mapping(
         buckets.setdefault(int(row) % node_dimms, []).append(int(row))
     worst = 0.0
     for dimm_rows in buckets.values():
-        trace = gather_trace(0, row_words, np.array(dimm_rows), table_rows * row_words * 64)
+        trace = gather_buffer(0, row_words, np.array(dimm_rows), table_rows * row_words * 64)
         worst = max(worst, dimm_seconds(trace))
     return MappingAblation(
         interleaved=total_bytes / interleaved_seconds,
@@ -102,8 +99,7 @@ def scheduler(batch: int = 256, table_rows: int = 8192) -> SchedulerAblation:
 
     def bandwidth(window: int) -> float:
         controller = MemoryController(DDR4_3200, window=window)
-        for record in gather_trace(0, 4, rows, table_rows * 4 * 64):
-            controller.enqueue(Request(addr=record.addr, is_write=record.is_write))
+        controller.enqueue_batch(gather_buffer(0, 4, rows, table_rows * 4 * 64))
         stats = controller.run_to_completion()
         return stats.bandwidth(DDR4_3200)
 
@@ -170,8 +166,7 @@ def page_policy(num_words: int = 6000) -> PagePolicyAblation:
     """
     def bandwidth(policy: str) -> float:
         controller = MemoryController(DDR4_3200, row_policy=policy)
-        for record in streaming_trace(0, num_words):
-            controller.enqueue(Request(addr=record.addr, is_write=record.is_write))
+        controller.enqueue_batch(streaming_buffer(0, num_words))
         stats = controller.run_to_completion()
         return stats.bandwidth(DDR4_3200)
 

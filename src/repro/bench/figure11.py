@@ -20,7 +20,7 @@ from ..core.address_map import EmbeddingLayout
 from ..core.isa import average, gather, reduce
 from ..core.tensornode import TensorNode
 from ..dram.system import DramSystem
-from ..dram.trace import average_trace, gather_trace, reduce_trace
+from ..dram.trace import average_buffer, gather_buffer, reduce_buffer
 from .harness import Table, geomean
 
 OPS = ("GATHER", "REDUCE", "AVERAGE")
@@ -99,19 +99,16 @@ def _cpu_bandwidth(channels: int, op: str, batch: int, embedding_dim: int) -> fl
     out_base = table_words * word
     if op == "GATHER":
         idx = rng.integers(0, TABLE_ROWS, lookups)
-        system.enqueue_trace(gather_trace(0, row_words, idx, out_base))
+        trace = gather_buffer(0, row_words, idx, out_base)
     elif op == "REDUCE":
         words = lookups * row_words
-        system.enqueue_trace(
-            reduce_trace(0, words * word, 2 * words * word, words)
-        )
+        trace = reduce_buffer(0, words * word, 2 * words * word, words)
     elif op == "AVERAGE":
         out_words = lookups * row_words
-        system.enqueue_trace(
-            average_trace(0, AVERAGE_NUM, out_words * AVERAGE_NUM * word, out_words)
-        )
+        trace = average_buffer(0, AVERAGE_NUM, out_words * AVERAGE_NUM * word, out_words)
     else:
         raise ValueError(f"unknown op {op!r}")
+    system.enqueue_trace(trace)
     return system.run().bandwidth
 
 

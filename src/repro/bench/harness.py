@@ -53,7 +53,7 @@ class Table:
 
 
 def compare_line(label: str, measured: float, paper: float, unit: str = "") -> str:
-    """One `measured vs paper` comparison line for EXPERIMENTS.md."""
+    """One `measured vs paper` comparison line."""
     ratio = measured / paper if paper else float("inf")
     return (
         f"{label}: measured {measured:,.3g}{unit} vs paper {paper:,.3g}{unit} "

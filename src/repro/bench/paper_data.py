@@ -3,7 +3,7 @@
 Everything here is transcribed from the TensorDIMM paper's text (exact
 figures were not released as data files, so only the quantities the text
 states explicitly are recorded).  The bench harness prints measured values
-next to these and EXPERIMENTS.md records both.
+next to these (:func:`repro.bench.harness.compare_line`).
 """
 
 #: Fig. 11 / Section 6.1 — max effective bandwidth, 32 DIMMs each side.

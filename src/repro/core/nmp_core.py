@@ -116,7 +116,7 @@ class VectorAlu:
         an N-way accumulation costs ceil(N/2) cycles of input consumption
         plus one divide cycle per output word.  Note this still leaves
         AVERAGE partly compute-bound at full DRAM bandwidth — a property
-        the paper's GPU-based emulation cannot expose (see EXPERIMENTS.md).
+        the paper's GPU-based emulation cannot expose.
         """
         groups = np.asarray(groups, dtype=np.float32)
         if groups.ndim != 3:

@@ -8,14 +8,14 @@ Public surface:
 * :class:`~repro.dram.controller.MemoryController` — one channel, FR-FCFS
 * :class:`~repro.dram.system.DramSystem` — multi-channel system
 * :class:`~repro.dram.storage.WordStorage` — functional 64 B-word store
-* :mod:`~repro.dram.trace` — trace records and generators
+* :mod:`~repro.dram.trace` — columnar trace builders
 * :class:`~repro.dram.cache.Cache` / ``CacheHierarchy`` — CPU-gather ablation
 * :mod:`~repro.dram.memo` — cross-layer timing memoization
   (:data:`~repro.dram.memo.TIMING_MEMO`, :func:`~repro.dram.memo.timing_memo_stats`)
 """
 
 from .cache import Cache, CacheHierarchy, CacheStats
-from .command import Command, Request, TraceBuffer, TraceRequest
+from .command import Command, Request, TraceBuffer
 from .controller import ControllerConfig, ControllerStats, MemoryController
 from .memo import TIMING_MEMO, TimingMemo, timing_memo_stats
 from .mapping import (
@@ -54,6 +54,5 @@ __all__ = [
     "TimingMemo",
     "TraceBuffer",
     "timing_memo_stats",
-    "TraceRequest",
     "WordStorage",
 ]

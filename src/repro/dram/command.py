@@ -81,15 +81,6 @@ class Request:
         return self.completion - self.arrival
 
 
-@dataclass
-class TraceRequest:
-    """A (cycle, address, is_write) record for trace-driven simulation."""
-
-    cycle: int
-    addr: int
-    is_write: bool
-
-
 @dataclass(frozen=True)
 class TraceDescriptor:
     """A compact, hashable symbolic description of an instruction's trace.
@@ -128,21 +119,31 @@ class TraceDescriptor:
         return self.index_digest is not None
 
 
+def _frozen(column: np.ndarray) -> np.ndarray:
+    """A contiguous read-only view of ``column`` (the caller's array stays
+    writable)."""
+    view = np.ascontiguousarray(column).view()
+    view.flags.writeable = False
+    return view
+
+
 class TraceBuffer:
     """A columnar memory trace: parallel numpy arrays instead of objects.
 
-    The hot path of the simulator moves whole instruction traces around —
-    tens of thousands of 64 B transactions per TensorISA instruction — and
-    a ``list[TraceRequest]`` costs one Python object plus one append per
-    word.  ``TraceBuffer`` stores the same records as three parallel arrays
-    (``addr`` int64 byte addresses, ``is_write`` bool, ``cycle`` int64
-    arrival cycles) so trace generation, address decoding, and enqueueing
-    can all run as single numpy operations.
+    The simulator's only trace type.  The hot path moves whole instruction
+    traces around — tens of thousands of 64 B transactions per TensorISA
+    instruction — so a trace is three parallel arrays (``addr`` int64 byte
+    addresses, ``is_write`` bool, ``cycle`` int64 arrival cycles), and
+    trace generation, address decoding, and enqueueing each run as a few
+    whole-array numpy operations.  Record ``i`` is
+    ``(cycle[i], addr[i], is_write[i])``; ``len``, :attr:`reads` and
+    :attr:`writes` count a trace's records without visiting them.
 
-    The buffer is a sequence of :class:`TraceRequest`-shaped records:
-    iterating or indexing yields ``TraceRequest`` objects, so every legacy
-    consumer (``summarize``, scalar ``enqueue`` loops, tests) keeps working
-    unchanged.
+    A trace must not change once built: :meth:`digest` is cached on the
+    buffer and keys the timing memo.  The columns are therefore read-only
+    views.  The constructor does not copy arrays that already have the
+    column dtype, so do not write to such an input after handing it over;
+    build a new buffer instead.
     """
 
     __slots__ = ("addr", "is_write", "cycle", "_digest")
@@ -156,16 +157,15 @@ class TraceBuffer:
 
     def __init__(self, addr, is_write, cycle=None):
         TraceBuffer.constructions += 1
-        self.addr = np.ascontiguousarray(addr, dtype=np.int64)
-        if self.addr.ndim != 1:
+        addr = np.ascontiguousarray(addr, dtype=np.int64)
+        if addr.ndim != 1:
             raise ValueError("addr must be a 1-D array")
-        n = self.addr.shape[0]
+        n = addr.shape[0]
         is_write = np.asarray(is_write, dtype=bool)
         if is_write.ndim == 0:
             is_write = np.broadcast_to(is_write, (n,)).copy()
         if is_write.shape != (n,):
             raise ValueError("is_write must match addr length")
-        self.is_write = np.ascontiguousarray(is_write)
         if cycle is None:
             cycle = np.zeros(n, dtype=np.int64)
         else:
@@ -174,7 +174,9 @@ class TraceBuffer:
                 cycle = np.broadcast_to(cycle, (n,)).copy()
             if cycle.shape != (n,):
                 raise ValueError("cycle must match addr length")
-        self.cycle = np.ascontiguousarray(cycle)
+        self.addr = _frozen(addr)
+        self.is_write = _frozen(is_write)
+        self.cycle = _frozen(cycle)
         self._digest: bytes | None = None
 
     def digest(self) -> bytes:
@@ -183,8 +185,8 @@ class TraceBuffer:
         Two buffers with equal digests replay identically through equally
         configured controllers, so ``(ControllerConfig, digest)`` keys the
         cross-layer timing memo (:mod:`repro.dram.memo`).  The digest is
-        computed once and cached on the buffer — traces are treated as
-        immutable once handed to the timing model."""
+        computed once and cached on the buffer (see the class docstring for
+        why a buffer never changes)."""
         if self._digest is None:
             TraceBuffer.digests_computed += 1
             h = hashlib.blake2b(digest_size=16)
@@ -195,24 +197,9 @@ class TraceBuffer:
             self._digest = h.digest()
         return self._digest
 
-    # -- construction helpers -------------------------------------------------
-
-    @classmethod
-    def from_records(cls, records) -> "TraceBuffer":
-        """Build a buffer from any iterable of :class:`TraceRequest`."""
-        records = list(records)
-        return cls(
-            addr=np.fromiter((r.addr for r in records), dtype=np.int64, count=len(records)),
-            is_write=np.fromiter(
-                (r.is_write for r in records), dtype=bool, count=len(records)
-            ),
-            cycle=np.fromiter((r.cycle for r in records), dtype=np.int64, count=len(records)),
-        )
-
     @classmethod
     def concat(cls, buffers) -> "TraceBuffer":
         """Concatenate several buffers in order."""
-        buffers = [b if isinstance(b, TraceBuffer) else cls.from_records(b) for b in buffers]
         if not buffers:
             return cls(np.empty(0, dtype=np.int64), np.empty(0, dtype=bool))
         return cls(
@@ -221,25 +208,8 @@ class TraceBuffer:
             cycle=np.concatenate([b.cycle for b in buffers]),
         )
 
-    # -- sequence protocol ----------------------------------------------------
-
     def __len__(self) -> int:
         return self.addr.shape[0]
-
-    def __iter__(self):
-        for addr, is_write, cycle in zip(
-            self.addr.tolist(), self.is_write.tolist(), self.cycle.tolist()
-        ):
-            yield TraceRequest(cycle=cycle, addr=addr, is_write=is_write)
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return TraceBuffer(self.addr[i], self.is_write[i], self.cycle[i])
-        return TraceRequest(
-            cycle=int(self.cycle[i]), addr=int(self.addr[i]), is_write=bool(self.is_write[i])
-        )
-
-    # -- summaries ------------------------------------------------------------
 
     @property
     def writes(self) -> int:

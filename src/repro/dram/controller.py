@@ -58,12 +58,12 @@ ties *relative* to each other within one controller, a worker-side replay
 is bit-identical to draining the original controller in-process.
 """
 
-import os
 from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
+from ..env import read_env
 from .bank import Rank
 from .command import Request, TraceBuffer, reserve_seq_block
 from .mapping import AddressMapping, DramOrganization
@@ -83,7 +83,7 @@ STREAK_ABSORB_CAP = 16384
 
 def fast_drain_default() -> bool:
     """The environment-resolved fast-path default (see ``REPRO_FAST_DRAIN``)."""
-    return os.environ.get(FAST_DRAIN_ENV_VAR, "1").lower() not in ("0", "off", "false")
+    return read_env(FAST_DRAIN_ENV_VAR, True)
 
 
 @dataclass
@@ -533,7 +533,7 @@ class MemoryController:
         backlog = self._write_backlog if request.is_write else self._read_backlog
         backlog.append_chunk(chunk)
 
-    def enqueue_batch(self, trace, arrival=None) -> None:
+    def enqueue_batch(self, trace: TraceBuffer, arrival=None) -> None:
         """Decode and queue a whole columnar trace in one vectorized pass.
 
         ``trace`` is a :class:`TraceBuffer` (its ``cycle`` column provides
@@ -546,8 +546,6 @@ class MemoryController:
         are only materialized later, at admission time (and never for
         records the streak compiler retires straight from the backlog).
         """
-        if not isinstance(trace, TraceBuffer):
-            trace = TraceBuffer.from_records(trace)
         n = len(trace)
         if n == 0:
             return

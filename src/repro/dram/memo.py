@@ -54,11 +54,11 @@ bit-identical to the trace-built pipeline — it is the kill switch the
 descriptor parity tests run both sides of.
 """
 
-import os
 import sys
 from collections import OrderedDict
 from dataclasses import replace
 
+from ..env import read_env
 from .controller import ControllerConfig, ControllerStats
 
 #: Kill switch: set to ``0`` / ``off`` / ``false`` to disable the
@@ -69,18 +69,14 @@ TIMING_CACHE_ENV_VAR = "REPRO_TIMING_CACHE"
 INSTR_MEMO_ENV_VAR = "REPRO_INSTR_MEMO"
 
 
-def _env_enabled(var: str) -> bool:
-    return os.environ.get(var, "1").lower() not in ("0", "off", "false")
-
-
 def timing_cache_default() -> bool:
     """The environment-resolved cache default (see ``REPRO_TIMING_CACHE``)."""
-    return _env_enabled(TIMING_CACHE_ENV_VAR)
+    return read_env(TIMING_CACHE_ENV_VAR, True)
 
 
 def instr_memo_default() -> bool:
     """The environment-resolved default of the instruction-level memo."""
-    return _env_enabled(INSTR_MEMO_ENV_VAR)
+    return read_env(INSTR_MEMO_ENV_VAR, True)
 
 
 def _entry_nbytes(key, stats: ControllerStats) -> int:
@@ -120,7 +116,7 @@ class _LruStatsCache:
 
     @property
     def enabled(self) -> bool:
-        return _env_enabled(self.env_var)
+        return read_env(self.env_var, True)
 
     def __len__(self) -> int:
         return len(self._entries)

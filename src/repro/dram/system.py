@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .command import Request, TraceBuffer, TraceRequest
+from .command import TraceBuffer
 from .controller import ControllerStats, MemoryController
 from .mapping import AddressMapping, DramOrganization
 from .memo import TIMING_MEMO
@@ -85,7 +85,7 @@ class DramSystem:
         # Columnar mirror of each channel's backlog, appended in enqueue
         # order.  The parallel run ships these buffers to the workers
         # directly instead of re-walking the controllers' entry objects;
-        # kept consistent by enqueue/enqueue_trace and cleared by run().
+        # kept consistent by enqueue_trace and cleared by run().
         self._pending_traces: list[list[TraceBuffer]] = [[] for _ in range(channels)]
 
     @property
@@ -103,31 +103,25 @@ class DramSystem:
         local = (block // self.num_channels) * 64 + (addr % 64)
         return channel, local
 
-    def enqueue(self, addr: int, is_write: bool, cycle: int = 0) -> None:
-        """Queue a 64 B transaction at system address ``addr``."""
-        channel, local = self.route(addr)
-        self.controllers[channel].enqueue(
-            Request(addr=local, is_write=is_write, arrival=cycle)
-        )
-        self._pending_traces[channel].append(
-            TraceBuffer(np.array([local]), np.array([is_write]), np.array([cycle]))
-        )
+    def enqueue_trace(self, trace: TraceBuffer) -> None:
+        """Queue a columnar trace of system addresses.
 
-    def enqueue_trace(self, trace) -> None:
-        """Queue a trace: a :class:`TraceBuffer` (fast, columnar) or any
-        iterable of :class:`TraceRequest` records.
-
-        The columnar path routes every record with vectorized arithmetic and
-        hands each channel its requests as one batch; per-channel request
-        order matches the scalar path, so the resulting statistics are
-        bit-identical.
+        Every record is routed with vectorized arithmetic and each channel
+        receives its share as one batch, in trace order.  Addresses are
+        checked against the system capacity before any channel is touched,
+        so a bad trace leaves every controller as it was.
         """
-        if not isinstance(trace, TraceBuffer):
-            for record in trace:
-                self.enqueue(record.addr, record.is_write, record.cycle)
+        if not len(trace):
             return
+        addr = trace.addr
+        if addr.min() < 0 or addr.max() >= self.capacity_bytes:
+            bad = addr[(addr < 0) | (addr >= self.capacity_bytes)][0]
+            raise ValueError(
+                f"address {int(bad):#x} outside system capacity "
+                f"{self.capacity_bytes:#x}"
+            )
         # route(): channel = block % C, local = (block // C) * 64 + offset
-        block, offset = np.divmod(trace.addr, 64)
+        block, offset = np.divmod(addr, 64)
         local_block, channel_ids = np.divmod(block, self.num_channels)
         local = local_block * 64 + offset
         for channel in range(self.num_channels):
@@ -157,8 +151,8 @@ class DramSystem:
         byte-identical to a previously drained one adopts the cached stats
         without simulating.  The memo only applies when the system's
         columnar backlog mirror matches the controller (i.e. every request
-        entered through :meth:`enqueue` / :meth:`enqueue_trace`); a
-        directly fed controller always drains for real.
+        entered through :meth:`enqueue_trace`); a directly fed controller
+        always drains for real.
         """
         from ..parallel import min_task_records, resolve_jobs
 
@@ -203,7 +197,7 @@ class DramSystem:
     def _channel_trace(self, channel: int) -> TraceBuffer:
         """This channel's backlog as one columnar trace, in enqueue order.
 
-        The cheap path concatenates the buffers the enqueue methods already
+        The cheap path concatenates the buffers :meth:`enqueue_trace` already
         demuxed; if the mirror disagrees with the controller (someone fed
         the controller directly), fall back to exporting its backlog.
         """

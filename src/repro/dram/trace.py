@@ -1,94 +1,28 @@
-"""Memory-trace records and generators.
+"""Memory-trace builders.
 
 The paper hooks a tracing function into the DL framework and feeds the
 resulting read/write streams to Ramulator (Section 5).  This module plays
 the same role: it turns tensor-operation descriptions into 64 B transaction
 streams, either for a conventional channel-interleaved memory system or for
 a single TensorDIMM's local controller.
-"""
 
-from dataclasses import dataclass
-from typing import Iterable, Iterator
+Every builder returns a :class:`~repro.dram.command.TraceBuffer`, the one
+trace representation, built in a handful of whole-array operations; feed
+it to :meth:`repro.dram.system.DramSystem.enqueue_trace` or
+:meth:`repro.dram.controller.MemoryController.enqueue_batch`.
+"""
 
 import numpy as np
 
-from .command import TraceBuffer, TraceRequest
+from .command import TraceBuffer
 
 WORD_BYTES = 64
-
-
-def streaming_trace(
-    base_addr: int, num_words: int, is_write: bool = False, start_cycle: int = 0
-) -> Iterator[TraceRequest]:
-    """Sequential 64 B accesses over [base, base + num_words * 64)."""
-    for i in range(num_words):
-        yield TraceRequest(start_cycle, base_addr + i * WORD_BYTES, is_write)
-
-
-def strided_trace(
-    base_addr: int, num_words: int, stride_words: int, is_write: bool = False
-) -> Iterator[TraceRequest]:
-    """Accesses separated by a fixed stride (in 64 B words)."""
-    for i in range(num_words):
-        yield TraceRequest(0, base_addr + i * stride_words * WORD_BYTES, is_write)
-
-
-def gather_trace(
-    table_base: int,
-    row_words: int,
-    rows: np.ndarray,
-    output_base: int,
-) -> Iterator[TraceRequest]:
-    """Embedding-gather traffic: read each looked-up row, write it out.
-
-    Models the GATHER semantics of Fig. 9(a) on a flat address space: each
-    gathered embedding is ``row_words`` consecutive 64 B words read from the
-    table and written to a dense output tensor.
-    """
-    out = 0
-    for row in np.asarray(rows).reshape(-1):
-        src = table_base + int(row) * row_words * WORD_BYTES
-        for w in range(row_words):
-            yield TraceRequest(0, src + w * WORD_BYTES, False)
-        for w in range(row_words):
-            yield TraceRequest(0, output_base + (out + w) * WORD_BYTES, True)
-        out += row_words
-
-
-def reduce_trace(
-    input1_base: int, input2_base: int, output_base: int, num_words: int
-) -> Iterator[TraceRequest]:
-    """Element-wise binary reduction traffic (Fig. 9b): 2 reads + 1 write."""
-    for i in range(num_words):
-        offset = i * WORD_BYTES
-        yield TraceRequest(0, input1_base + offset, False)
-        yield TraceRequest(0, input2_base + offset, False)
-        yield TraceRequest(0, output_base + offset, True)
-
-
-def average_trace(
-    input_base: int, average_num: int, output_base: int, num_outputs: int
-) -> Iterator[TraceRequest]:
-    """N-ary average traffic (Fig. 9c): N reads + 1 write per output word."""
-    for i in range(num_outputs):
-        for j in range(average_num):
-            yield TraceRequest(
-                0, input_base + (i * average_num + j) * WORD_BYTES, False
-            )
-        yield TraceRequest(0, output_base + i * WORD_BYTES, True)
-
-
-# -- columnar builders --------------------------------------------------------
-#
-# The generator forms above remain for incremental consumers; these build the
-# same streams as :class:`TraceBuffer` columns in a handful of whole-array
-# operations, which is what the batched controller paths want.
 
 
 def streaming_buffer(
     base_addr: int, num_words: int, is_write: bool = False, start_cycle: int = 0
 ) -> TraceBuffer:
-    """Columnar :func:`streaming_trace`."""
+    """Sequential 64 B accesses over [base, base + num_words * 64)."""
     addrs = base_addr + np.arange(num_words, dtype=np.int64) * WORD_BYTES
     return TraceBuffer(addrs, bool(is_write), start_cycle)
 
@@ -96,7 +30,7 @@ def streaming_buffer(
 def strided_buffer(
     base_addr: int, num_words: int, stride_words: int, is_write: bool = False
 ) -> TraceBuffer:
-    """Columnar :func:`strided_trace`."""
+    """Accesses separated by a fixed stride (in 64 B words)."""
     addrs = base_addr + np.arange(num_words, dtype=np.int64) * stride_words * WORD_BYTES
     return TraceBuffer(addrs, bool(is_write))
 
@@ -107,7 +41,13 @@ def gather_buffer(
     rows: np.ndarray,
     output_base: int,
 ) -> TraceBuffer:
-    """Columnar :func:`gather_trace` (same record order)."""
+    """Embedding-gather traffic: read each looked-up row, write it out.
+
+    Models the GATHER semantics of Fig. 9(a) on a flat address space: each
+    gathered embedding is ``row_words`` consecutive 64 B words read from the
+    table, then written to the next ``row_words`` words of a dense output
+    tensor.
+    """
     rows = np.asarray(rows, dtype=np.int64).reshape(-1)
     offsets = np.arange(row_words, dtype=np.int64) * WORD_BYTES
     src = (table_base + rows * row_words * WORD_BYTES)[:, None] + offsets
@@ -120,7 +60,9 @@ def gather_buffer(
 def reduce_buffer(
     input1_base: int, input2_base: int, output_base: int, num_words: int
 ) -> TraceBuffer:
-    """Columnar :func:`reduce_trace` (same record order)."""
+    """Element-wise binary reduction traffic (Fig. 9b).
+
+    Per word: read input 1, read input 2, write the output."""
     offsets = np.arange(num_words, dtype=np.int64)[:, None] * WORD_BYTES
     bases = np.array([input1_base, input2_base, output_base], dtype=np.int64)
     addrs = (bases + offsets).reshape(-1)
@@ -131,38 +73,12 @@ def reduce_buffer(
 def average_buffer(
     input_base: int, average_num: int, output_base: int, num_outputs: int
 ) -> TraceBuffer:
-    """Columnar :func:`average_trace` (same record order)."""
+    """N-ary average traffic (Fig. 9c).
+
+    Per output word: ``average_num`` contiguous input reads, then one write."""
     i = np.arange(num_outputs, dtype=np.int64)
     reads = input_base + ((i * average_num)[:, None] + np.arange(average_num, dtype=np.int64)) * WORD_BYTES
     writes = (output_base + i * WORD_BYTES)[:, None]
     addrs = np.concatenate([reads, writes], axis=1).reshape(-1)
     is_write = np.tile(np.append(np.zeros(average_num, dtype=bool), True), num_outputs)
     return TraceBuffer(addrs, is_write)
-
-
-@dataclass
-class TraceStats:
-    """Summary of a trace (used by tests and the bench harness)."""
-
-    reads: int
-    writes: int
-
-    @property
-    def total(self) -> int:
-        return self.reads + self.writes
-
-    @property
-    def bytes(self) -> int:
-        return self.total * WORD_BYTES
-
-
-def summarize(trace: Iterable[TraceRequest]) -> TraceStats:
-    if isinstance(trace, TraceBuffer):
-        return TraceStats(reads=trace.reads, writes=trace.writes)
-    reads = writes = 0
-    for record in trace:
-        if record.is_write:
-            writes += 1
-        else:
-            reads += 1
-    return TraceStats(reads=reads, writes=writes)

@@ -51,6 +51,7 @@ import numpy as np
 from .dram.command import TraceBuffer, TraceDescriptor
 from .dram.controller import ControllerConfig, ControllerStats, MemoryController
 from .dram.memo import INSTR_MEMO, TIMING_MEMO
+from .env import read_env
 
 #: Environment variable consulted when no explicit ``jobs=`` is given.
 JOBS_ENV_VAR = "REPRO_JOBS"
@@ -66,13 +67,7 @@ _MIN_RECORDS_ENV_VAR = "REPRO_PARALLEL_MIN_RECORDS"
 
 def min_task_records() -> int:
     """The effective tiny-trace fallback threshold (env-overridable)."""
-    raw = os.environ.get(_MIN_RECORDS_ENV_VAR)
-    if raw is None:
-        return MIN_TASK_RECORDS
-    try:
-        return int(raw)
-    except ValueError:
-        return MIN_TASK_RECORDS
+    return read_env(_MIN_RECORDS_ENV_VAR, MIN_TASK_RECORDS)
 
 
 #: Set in worker processes so nested fan-out degrades to sequential.
@@ -89,13 +84,7 @@ def resolve_jobs(jobs: int | None = None) -> int:
     if os.environ.get(_WORKER_ENV_VAR):
         return 1
     if jobs is None:
-        raw = os.environ.get(JOBS_ENV_VAR)
-        if raw is None:
-            return 1
-        try:
-            jobs = int(raw)
-        except ValueError:
-            return 1
+        jobs = read_env(JOBS_ENV_VAR, 1)
     if jobs < 1:
         jobs = os.cpu_count() or 1
     return jobs

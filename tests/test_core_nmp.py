@@ -237,9 +237,7 @@ class TestAverageExecution:
 class TestTraceGeneration:
     def _trace_counts(self, core, instr):
         trace = core.trace(instr)
-        reads = sum(1 for r in trace if not r.is_write)
-        writes = sum(1 for r in trace if r.is_write)
-        return reads, writes
+        return trace.reads, trace.writes
 
     def test_gather_trace_matches_stats(self):
         core = make_core()
@@ -266,8 +264,7 @@ class TestTraceGeneration:
 
     def test_trace_addresses_are_64B_aligned(self):
         core = make_core(node_dim=2)
-        for record in core.trace(reduce(0, 20, 40, 10)):
-            assert record.addr % 64 == 0
+        assert (core.trace(reduce(0, 20, 40, 10)).addr % 64 == 0).all()
 
 
 class TestTimingModel:

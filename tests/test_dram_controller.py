@@ -5,18 +5,11 @@ import pytest
 from repro.dram.command import Request
 from repro.dram.controller import MemoryController
 from repro.dram.timing import DDR4_2400, DDR4_3200
-from repro.dram.trace import reduce_trace, streaming_trace
+from repro.dram.trace import reduce_buffer, streaming_buffer
 
 
 def make_controller(**kwargs):
     return MemoryController(DDR4_3200, **kwargs)
-
-
-def load_trace(controller, trace):
-    for record in trace:
-        controller.enqueue(
-            Request(addr=record.addr, is_write=record.is_write, arrival=record.cycle)
-        )
 
 
 class TestBasicOperation:
@@ -79,25 +72,25 @@ class TestBasicOperation:
 class TestBandwidth:
     def test_streaming_reads_near_peak(self):
         mc = make_controller(refresh_enabled=False)
-        load_trace(mc, streaming_trace(0, 8000))
+        mc.enqueue_batch(streaming_buffer(0, 8000))
         stats = mc.run_to_completion()
         assert stats.bandwidth(DDR4_3200) > 0.97 * DDR4_3200.peak_bandwidth
 
     def test_streaming_with_refresh_still_above_90_percent(self):
         mc = make_controller(refresh_enabled=True)
-        load_trace(mc, streaming_trace(0, 8000))
+        mc.enqueue_batch(streaming_buffer(0, 8000))
         stats = mc.run_to_completion()
         assert stats.bandwidth(DDR4_3200) > 0.90 * DDR4_3200.peak_bandwidth
 
     def test_bandwidth_never_exceeds_peak(self):
         mc = make_controller(refresh_enabled=False)
-        load_trace(mc, streaming_trace(0, 2000))
+        mc.enqueue_batch(streaming_buffer(0, 2000))
         stats = mc.run_to_completion()
         assert stats.bandwidth(DDR4_3200) <= DDR4_3200.peak_bandwidth
 
     def test_reduce_traffic_sustains_high_bandwidth(self):
         mc = make_controller()
-        load_trace(mc, reduce_trace(0, 1 << 22, 1 << 23, 3000))
+        mc.enqueue_batch(reduce_buffer(0, 1 << 22, 1 << 23, 3000))
         stats = mc.run_to_completion()
         assert stats.bandwidth(DDR4_3200) > 0.7 * DDR4_3200.peak_bandwidth
 
@@ -115,14 +108,14 @@ class TestBandwidth:
         results = {}
         for timing in (DDR4_2400, DDR4_3200):
             mc = MemoryController(timing, refresh_enabled=False)
-            load_trace(mc, streaming_trace(0, 4000))
+            mc.enqueue_batch(streaming_buffer(0, 4000))
             stats = mc.run_to_completion()
             results[timing.name] = stats.bandwidth(timing)
         assert results["DDR4-3200"] > results["DDR4-2400"]
 
     def test_data_bus_cycles_match_access_count(self):
         mc = make_controller(refresh_enabled=False)
-        load_trace(mc, streaming_trace(0, 500))
+        mc.enqueue_batch(streaming_buffer(0, 500))
         stats = mc.run_to_completion()
         assert stats.data_bus_cycles == 500 * DDR4_3200.burst_cycles
 
@@ -140,14 +133,14 @@ class TestWriteHandling:
 
     def test_write_only_stream(self):
         mc = make_controller(refresh_enabled=False)
-        load_trace(mc, streaming_trace(0, 1000, is_write=True))
+        mc.enqueue_batch(streaming_buffer(0, 1000, is_write=True))
         stats = mc.run_to_completion()
         assert stats.writes == 1000
         assert stats.bandwidth(DDR4_3200) > 0.9 * DDR4_3200.peak_bandwidth
 
     def test_mixed_bandwidth_lower_than_pure_read(self):
         pure = make_controller(refresh_enabled=False)
-        load_trace(pure, streaming_trace(0, 2000))
+        pure.enqueue_batch(streaming_buffer(0, 2000))
         pure_bw = pure.run_to_completion().bandwidth(DDR4_3200)
 
         mixed = make_controller(refresh_enabled=False)
@@ -189,14 +182,14 @@ class TestArrivalTimes:
 class TestRefresh:
     def test_refreshes_occur_on_long_runs(self):
         mc = make_controller(refresh_enabled=True)
-        load_trace(mc, streaming_trace(0, 30_000))
+        mc.enqueue_batch(streaming_buffer(0, 30_000))
         stats = mc.run_to_completion()
         expected = stats.finish_cycle // DDR4_3200.refi
         assert stats.refreshes >= expected
 
     def test_no_refresh_when_disabled(self):
         mc = make_controller(refresh_enabled=False)
-        load_trace(mc, streaming_trace(0, 30_000))
+        mc.enqueue_batch(streaming_buffer(0, 30_000))
         stats = mc.run_to_completion()
         assert stats.refreshes == 0
 
@@ -208,7 +201,7 @@ class TestRowPolicy:
 
     def test_closed_page_has_no_row_hits_on_streaming(self):
         mc = make_controller(row_policy="closed", refresh_enabled=False)
-        load_trace(mc, streaming_trace(0, 500))
+        mc.enqueue_batch(streaming_buffer(0, 500))
         stats = mc.run_to_completion()
         assert stats.row_hits == 0
         assert stats.row_misses == 500
@@ -216,14 +209,14 @@ class TestRowPolicy:
     def test_closed_page_slower_for_streaming(self):
         def bandwidth(policy):
             mc = make_controller(row_policy=policy, refresh_enabled=False)
-            load_trace(mc, streaming_trace(0, 2000))
+            mc.enqueue_batch(streaming_buffer(0, 2000))
             return mc.run_to_completion().bandwidth(DDR4_3200)
 
         assert bandwidth("open") > 1.5 * bandwidth("closed")
 
     def test_closed_page_still_functionally_complete(self):
         mc = make_controller(row_policy="closed")
-        load_trace(mc, reduce_trace(0, 1 << 20, 1 << 21, 300))
+        mc.enqueue_batch(reduce_buffer(0, 1 << 20, 1 << 21, 300))
         stats = mc.run_to_completion()
         assert stats.accesses == 900
 
@@ -231,19 +224,19 @@ class TestRowPolicy:
 class TestStats:
     def test_row_hit_rate_bounds(self):
         mc = make_controller()
-        load_trace(mc, streaming_trace(0, 1000))
+        mc.enqueue_batch(streaming_buffer(0, 1000))
         stats = mc.run_to_completion()
         assert 0.0 <= stats.row_hit_rate <= 1.0
 
     def test_hit_miss_conflict_partition(self):
         mc = make_controller()
-        load_trace(mc, streaming_trace(0, 1000))
+        mc.enqueue_batch(streaming_buffer(0, 1000))
         stats = mc.run_to_completion()
         assert stats.row_hits + stats.row_misses + stats.row_conflicts == stats.accesses
 
     def test_total_bytes(self):
         mc = make_controller()
-        load_trace(mc, streaming_trace(0, 100))
+        mc.enqueue_batch(streaming_buffer(0, 100))
         stats = mc.run_to_completion()
         assert stats.total_bytes == 6400
 

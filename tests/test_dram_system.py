@@ -1,10 +1,12 @@
 """Tests for the multi-channel DRAM system."""
 
+import numpy as np
 import pytest
 
+from repro.dram.command import TraceBuffer
 from repro.dram.system import DramSystem
 from repro.dram.timing import DDR4_3200
-from repro.dram.trace import streaming_trace
+from repro.dram.trace import streaming_buffer
 
 
 class TestRouting:
@@ -34,6 +36,29 @@ class TestRouting:
             DramSystem(channels=0)
 
 
+class TestEnqueueTraceValidation:
+    @pytest.mark.parametrize("offset", [192, None])
+    def test_bad_address_leaves_every_channel_untouched(self, offset):
+        system = DramSystem(channels=8)
+        bad = system.capacity_bytes + offset if offset is not None else -64
+        trace = TraceBuffer(np.array([0, 64, 128, bad]), np.zeros(4, dtype=bool))
+        with pytest.raises(ValueError, match=f"address {bad:#x} outside system"):
+            system.enqueue_trace(trace)
+        assert [c.pending for c in system.controllers] == [0] * 8
+        assert system._pending_traces == [[] for _ in range(8)]
+
+    def test_last_valid_address_accepted(self):
+        system = DramSystem(channels=2)
+        last = system.capacity_bytes - 64
+        system.enqueue_trace(TraceBuffer(np.array([0, last]), np.zeros(2, dtype=bool)))
+        assert [c.pending for c in system.controllers] == [1, 1]
+
+    def test_empty_trace_is_a_no_op(self):
+        system = DramSystem(channels=2)
+        system.enqueue_trace(TraceBuffer(np.empty(0, dtype=np.int64), np.empty(0, dtype=bool)))
+        assert system.run().total_bytes == 0
+
+
 class TestAggregates:
     def test_peak_bandwidth_scales_with_channels(self):
         assert DramSystem(channels=8).peak_bandwidth == pytest.approx(
@@ -46,7 +71,7 @@ class TestAggregates:
 
     def test_streaming_uses_all_channels(self):
         system = DramSystem(channels=4, refresh_enabled=False)
-        system.enqueue_trace(streaming_trace(0, 8000))
+        system.enqueue_trace(streaming_buffer(0, 8000))
         stats = system.run()
         for channel in stats.channel_stats:
             assert channel.accesses == 2000
@@ -55,13 +80,13 @@ class TestAggregates:
         results = {}
         for channels in (1, 4):
             system = DramSystem(channels=channels, refresh_enabled=False)
-            system.enqueue_trace(streaming_trace(0, channels * 4000))
+            system.enqueue_trace(streaming_buffer(0, channels * 4000))
             results[channels] = system.run().bandwidth
         assert results[4] > 3.5 * results[1]
 
     def test_total_bytes_aggregated(self):
         system = DramSystem(channels=2)
-        system.enqueue_trace(streaming_trace(0, 100))
+        system.enqueue_trace(streaming_buffer(0, 100))
         stats = system.run()
         assert stats.total_bytes == 6400
 
@@ -73,12 +98,12 @@ class TestAggregates:
 
     def test_row_hit_rate_reported(self):
         system = DramSystem(channels=2)
-        system.enqueue_trace(streaming_trace(0, 2000))
+        system.enqueue_trace(streaming_buffer(0, 2000))
         stats = system.run()
         assert stats.row_hit_rate > 0.9
 
     def test_mean_read_latency_positive(self):
         system = DramSystem(channels=2)
-        system.enqueue_trace(streaming_trace(0, 200))
+        system.enqueue_trace(streaming_buffer(0, 200))
         stats = system.run()
         assert stats.mean_read_latency_cycles > 0

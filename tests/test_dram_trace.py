@@ -1,78 +1,73 @@
-"""Tests for the memory-trace generators."""
+"""Tests for the columnar memory-trace builders."""
 
 import numpy as np
 
 from repro.dram.trace import (
-    average_trace,
-    gather_trace,
-    reduce_trace,
-    streaming_trace,
-    strided_trace,
-    summarize,
+    WORD_BYTES,
+    average_buffer,
+    gather_buffer,
+    reduce_buffer,
+    streaming_buffer,
+    strided_buffer,
 )
 
 
 class TestStreaming:
     def test_count(self):
-        assert summarize(streaming_trace(0, 100)).total == 100
+        assert len(streaming_buffer(0, 100)) == 100
 
     def test_addresses_sequential(self):
-        records = list(streaming_trace(128, 4))
-        assert [r.addr for r in records] == [128, 192, 256, 320]
+        assert streaming_buffer(128, 4).addr.tolist() == [128, 192, 256, 320]
 
     def test_reads_by_default(self):
-        assert summarize(streaming_trace(0, 10)).writes == 0
+        assert streaming_buffer(0, 10).writes == 0
 
     def test_write_flag(self):
-        assert summarize(streaming_trace(0, 10, is_write=True)).writes == 10
+        assert streaming_buffer(0, 10, is_write=True).writes == 10
 
     def test_start_cycle(self):
-        records = list(streaming_trace(0, 2, start_cycle=50))
-        assert all(r.cycle == 50 for r in records)
+        assert streaming_buffer(0, 2, start_cycle=50).cycle.tolist() == [50, 50]
 
 
 class TestStrided:
     def test_stride_spacing(self):
-        records = list(strided_trace(0, 3, stride_words=4))
-        assert [r.addr for r in records] == [0, 256, 512]
+        assert strided_buffer(0, 3, stride_words=4).addr.tolist() == [0, 256, 512]
 
 
 class TestGather:
     def test_read_write_balance(self):
         rows = np.array([5, 2, 9])
-        stats = summarize(gather_trace(0, 8, rows, 1 << 20))
-        assert stats.reads == 24
-        assert stats.writes == 24
+        buf = gather_buffer(0, 8, rows, 1 << 20)
+        assert buf.reads == 24
+        assert buf.writes == 24
 
     def test_reads_hit_looked_up_rows(self):
-        rows = np.array([3])
-        reads = [r for r in gather_trace(0, 2, rows, 1 << 20) if not r.is_write]
-        assert [r.addr for r in reads] == [3 * 2 * 64, 3 * 2 * 64 + 64]
+        buf = gather_buffer(0, 2, np.array([3]), 1 << 20)
+        reads = buf.addr[~buf.is_write]
+        assert reads.tolist() == [3 * 2 * 64, 3 * 2 * 64 + 64]
 
     def test_writes_pack_output(self):
-        rows = np.array([7, 1])
-        writes = [r for r in gather_trace(0, 2, rows, 1 << 20) if r.is_write]
+        buf = gather_buffer(0, 2, np.array([7, 1]), 1 << 20)
         base = 1 << 20
-        assert [r.addr for r in writes] == [base, base + 64, base + 128, base + 192]
+        assert buf.addr[buf.is_write].tolist() == [base, base + 64, base + 128, base + 192]
 
 
 class TestReduce:
     def test_three_streams(self):
-        stats = summarize(reduce_trace(0, 1 << 10, 1 << 11, 16))
-        assert stats.reads == 32
-        assert stats.writes == 16
+        buf = reduce_buffer(0, 1 << 10, 1 << 11, 16)
+        assert buf.reads == 32
+        assert buf.writes == 16
 
     def test_byte_accounting(self):
-        stats = summarize(reduce_trace(0, 1 << 10, 1 << 11, 16))
-        assert stats.bytes == 48 * 64
+        assert len(reduce_buffer(0, 1 << 10, 1 << 11, 16)) * WORD_BYTES == 48 * 64
 
 
 class TestAverage:
     def test_n_reads_per_output(self):
-        stats = summarize(average_trace(0, 25, 1 << 20, 8))
-        assert stats.reads == 200
-        assert stats.writes == 8
+        buf = average_buffer(0, 25, 1 << 20, 8)
+        assert buf.reads == 200
+        assert buf.writes == 8
 
     def test_inputs_contiguous_by_group(self):
-        reads = [r for r in average_trace(0, 2, 1 << 20, 2) if not r.is_write]
-        assert [r.addr for r in reads] == [0, 64, 128, 192]
+        buf = average_buffer(0, 2, 1 << 20, 2)
+        assert buf.addr[~buf.is_write].tolist() == [0, 64, 128, 192]

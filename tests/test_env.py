@@ -1,0 +1,76 @@
+"""Tests for the strict ``REPRO_*`` environment parser."""
+
+import pytest
+
+from repro import parallel
+from repro.dram import controller, memo
+from repro.env import read_env
+
+#: Every variable the package reads, with the function that parses it.
+READERS = {
+    "REPRO_JOBS": parallel.resolve_jobs,
+    "REPRO_PARALLEL_MIN_RECORDS": parallel.min_task_records,
+    "REPRO_TIMING_CACHE": memo.timing_cache_default,
+    "REPRO_INSTR_MEMO": memo.instr_memo_default,
+    "REPRO_FAST_DRAIN": controller.fast_drain_default,
+}
+
+
+class TestReadEnv:
+    def test_unset_or_empty_gives_default(self, monkeypatch):
+        monkeypatch.delenv("REPRO_TEST_VAR", raising=False)
+        assert read_env("REPRO_TEST_VAR", 7) == 7
+        monkeypatch.setenv("REPRO_TEST_VAR", "")
+        assert read_env("REPRO_TEST_VAR", True) is True
+
+    @pytest.mark.parametrize(
+        "raw,expected",
+        [("1", True), ("on", True), ("TRUE", True),
+         ("0", False), ("off", False), ("False", False)],
+    )
+    def test_switch_spellings(self, monkeypatch, raw, expected):
+        monkeypatch.setenv("REPRO_TEST_VAR", raw)
+        assert read_env("REPRO_TEST_VAR", not expected) is expected
+
+    @pytest.mark.parametrize("raw,expected", [("0", 0), ("1", 1), ("4096", 4096), (" 4 ", 4)])
+    def test_integers(self, monkeypatch, raw, expected):
+        monkeypatch.setenv("REPRO_TEST_VAR", raw)
+        assert read_env("REPRO_TEST_VAR", 3) == expected
+
+    @pytest.mark.parametrize("raw,default", [("nope", True), ("2", False), ("abc", 1), ("1.5", 1)])
+    def test_bad_value_names_the_variable(self, monkeypatch, raw, default):
+        monkeypatch.setenv("REPRO_TEST_VAR", raw)
+        with pytest.raises(ValueError, match=f"REPRO_TEST_VAR={raw!r}"):
+            read_env("REPRO_TEST_VAR", default)
+
+
+class TestPackageVariables:
+    @pytest.mark.parametrize("name", sorted(READERS))
+    def test_rejects_garbage(self, monkeypatch, name):
+        monkeypatch.setenv(name, "abc")
+        with pytest.raises(ValueError, match=name):
+            READERS[name]()
+
+    @pytest.mark.parametrize(
+        "name,raw,expected",
+        [
+            ("REPRO_JOBS", "1", 1),
+            ("REPRO_JOBS", "4", 4),
+            ("REPRO_PARALLEL_MIN_RECORDS", "0", 0),
+            ("REPRO_PARALLEL_MIN_RECORDS", "4096", 4096),
+            ("REPRO_TIMING_CACHE", "0", False),
+            ("REPRO_TIMING_CACHE", "off", False),
+            ("REPRO_INSTR_MEMO", "1", True),
+            ("REPRO_INSTR_MEMO", "false", False),
+            ("REPRO_FAST_DRAIN", "0", False),
+            ("REPRO_FAST_DRAIN", "1", True),
+        ],
+    )
+    def test_accepts_the_values_in_use(self, monkeypatch, name, raw, expected):
+        monkeypatch.setenv(name, raw)
+        assert READERS[name]() == expected
+
+    def test_memo_enabled_reads_the_switch(self, monkeypatch):
+        monkeypatch.setenv(memo.TIMING_CACHE_ENV_VAR, "maybe")
+        with pytest.raises(ValueError, match=memo.TIMING_CACHE_ENV_VAR):
+            memo.TIMING_MEMO.enabled

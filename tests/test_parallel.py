@@ -16,7 +16,7 @@ from repro.core.tensornode import TensorNode
 from repro.dram.controller import MemoryController
 from repro.dram.system import DramSystem
 from repro.dram.timing import DDR4_3200
-from repro.dram.trace import streaming_buffer, streaming_trace
+from repro.dram.trace import streaming_buffer
 from repro.models.model_zoo import YOUTUBE
 from repro.service import ServicePolicy, compare_designs
 from repro.service.simulator import _GrowArray
@@ -45,9 +45,10 @@ class TestResolveJobs:
 
         assert parallel.resolve_jobs(0) == (os.cpu_count() or 1)
 
-    def test_garbage_env_ignored(self, monkeypatch):
+    def test_garbage_env_rejected(self, monkeypatch):
         monkeypatch.setenv(parallel.JOBS_ENV_VAR, "many")
-        assert parallel.resolve_jobs() == 1
+        with pytest.raises(ValueError, match="REPRO_JOBS"):
+            parallel.resolve_jobs()
 
     def test_workers_never_nest(self, monkeypatch):
         monkeypatch.setenv(parallel._WORKER_ENV_VAR, "1")
@@ -85,7 +86,7 @@ class TestReplayTraces:
 class TestDramSystemParallel:
     def _run(self, jobs, channels=4, words=6000):
         system = DramSystem(channels=channels, refresh_enabled=False)
-        system.enqueue_trace(streaming_trace(0, words))
+        system.enqueue_trace(streaming_buffer(0, words))
         return system.run(jobs=jobs)
 
     @pytest.mark.parametrize("jobs", [2, 4])
@@ -105,7 +106,7 @@ class TestDramSystemParallel:
 
     def test_controllers_drained_after_parallel_run(self, force_pool):
         system = DramSystem(channels=2, refresh_enabled=False)
-        system.enqueue_trace(streaming_trace(0, 2000))
+        system.enqueue_trace(streaming_buffer(0, 2000))
         stats = system.run(jobs=2)
         for controller, channel in zip(system.controllers, stats.channel_stats):
             assert controller.pending == 0
@@ -214,7 +215,7 @@ class TestExplicitSequentialWins:
 
     def test_dram_system(self, no_pool):
         system = DramSystem(channels=2, refresh_enabled=False)
-        system.enqueue_trace(streaming_trace(0, 400))
+        system.enqueue_trace(streaming_buffer(0, 400))
         assert system.run(jobs=1).total_bytes == 400 * 64
 
     def test_broadcast_timed_batch(self, no_pool):

@@ -16,7 +16,10 @@ import pytest
 from repro.core.isa import average, gather, reduce, update
 from repro.core.nmp_core import NmpCore
 from repro.core.tensordimm import TensorDimm
-from repro.dram.command import Request, TraceBuffer, TraceRequest
+from repro.bench import ablation
+from repro.bench.figure11 import AVERAGE_NUM, LOOKUPS_PER_SAMPLE, TABLE_ROWS
+from repro.core.address_map import EmbeddingLayout
+from repro.dram.command import Request, TraceBuffer
 from repro.dram.controller import MemoryController
 from repro.dram.mapping import (
     BANK_INTERLEAVED_ORDER,
@@ -30,15 +33,22 @@ from repro.dram.system import DramSystem
 from repro.dram.timing import DDR4_3200
 from repro.dram.trace import (
     average_buffer,
-    average_trace,
     gather_buffer,
-    gather_trace,
     reduce_buffer,
-    reduce_trace,
     streaming_buffer,
-    streaming_trace,
     strided_buffer,
+)
+
+from trace_oracles import (
+    Record,
+    average_trace,
+    enqueue_records,
+    gather_trace,
+    records,
+    reduce_trace,
+    streaming_trace,
     strided_trace,
+    to_buffer,
 )
 
 
@@ -62,15 +72,14 @@ OPCODE_CASES = {
 def run_scalar_scan(trace, **kw):
     """Reference path: per-record enqueue + the original scan scheduler."""
     mc = MemoryController(DDR4_3200, scheduler="scan", **kw)
-    for record in trace:
-        mc.enqueue(Request(addr=record.addr, is_write=record.is_write, arrival=record.cycle))
+    enqueue_records(mc, trace)
     return mc.run_to_completion()
 
 
 def run_batch_indexed(trace, **kw):
     """Fast path: one columnar enqueue + the indexed scheduler."""
     mc = MemoryController(DDR4_3200, scheduler="indexed", **kw)
-    mc.enqueue_batch(trace if isinstance(trace, TraceBuffer) else TraceBuffer.from_records(trace))
+    mc.enqueue_batch(trace if isinstance(trace, TraceBuffer) else to_buffer(trace))
     return mc.run_to_completion()
 
 
@@ -122,68 +131,149 @@ class TestWindowParity:
     def build_records(self, seed=43, n=600):
         rng = np.random.default_rng(seed)
         addrs = (rng.integers(0, 1 << 20, size=n) * 64).tolist()
-        return [TraceRequest(0, a, bool(i % 2)) for i, a in enumerate(addrs)]
+        return [Record(0, a, bool(i % 2)) for i, a in enumerate(addrs)]
 
     @pytest.mark.parametrize("window", [1, 8, 16])
     def test_small_window_matches_scan(self, window):
-        records = self.build_records()
-        golden = run_scalar_scan(records, window=window)
-        fast = run_batch_indexed(records, window=window)
+        trace = self.build_records()
+        golden = run_scalar_scan(trace, window=window)
+        fast = run_batch_indexed(trace, window=window)
         assert fast == golden
 
     def test_window_below_write_high(self):
-        records = self.build_records(seed=47)
+        trace = self.build_records(seed=47)
         kw = {"window": 8, "write_high_watermark": 32, "write_low_watermark": 4}
-        assert run_batch_indexed(records, **kw) == run_scalar_scan(records, **kw)
+        assert run_batch_indexed(trace, **kw) == run_scalar_scan(trace, **kw)
 
 
 class TestSyntheticTrafficParity:
     """Patterns that force ACT/PRE churn, write drains, and arrivals."""
 
     def test_streaming_mixed_reads_writes(self):
-        records = [
-            TraceRequest(0, (i // 3) * 64, i % 4 == 0) for i in range(1200)
+        trace = [
+            Record(0, (i // 3) * 64, i % 4 == 0) for i in range(1200)
         ]
-        assert run_batch_indexed(records) == run_scalar_scan(records)
+        assert run_batch_indexed(trace) == run_scalar_scan(trace)
 
     def test_random_rows_multi_rank(self):
         rng = np.random.default_rng(23)
         org = DramOrganization(ranks=4)
         addrs = (rng.integers(0, org.capacity_bytes // 64, size=800) * 64).tolist()
-        records = [TraceRequest(0, a, bool(i % 5 == 0)) for i, a in enumerate(addrs)]
+        trace = [Record(0, a, bool(i % 5 == 0)) for i, a in enumerate(addrs)]
         mapping = AddressMapping(org, order=RANK_INTERLEAVED_ORDER)
-        golden = run_scalar_scan(records, organization=org, mapping=mapping)
-        fast = run_batch_indexed(records, organization=org, mapping=mapping)
+        golden = run_scalar_scan(trace, organization=org, mapping=mapping)
+        fast = run_batch_indexed(trace, organization=org, mapping=mapping)
         assert fast == golden
 
     def test_paced_arrivals(self):
-        records = [TraceRequest(i * 37, (i % 64) * 64, i % 3 == 0) for i in range(500)]
-        assert run_batch_indexed(records) == run_scalar_scan(records)
+        trace = [Record(i * 37, (i % 64) * 64, i % 3 == 0) for i in range(500)]
+        assert run_batch_indexed(trace) == run_scalar_scan(trace)
 
     def test_single_bank_row_conflicts(self):
         org = DramOrganization()
         row_stride = org.banks * org.columns * 64
-        records = [TraceRequest(0, (i % 7) * row_stride, False) for i in range(300)]
-        assert run_batch_indexed(records) == run_scalar_scan(records)
+        trace = [Record(0, (i % 7) * row_stride, False) for i in range(300)]
+        assert run_batch_indexed(trace) == run_scalar_scan(trace)
 
 
 class TestDramSystemParity:
-    def test_columnar_enqueue_trace_matches_scalar(self):
-        def build(records):
-            return records
+    """``DramSystem.enqueue_trace`` against per-record routing: every record
+    sent through :meth:`DramSystem.route` and queued one ``Request`` at a
+    time on its channel's controller."""
 
-        records = list(streaming_trace(0, 4000)) + list(
-            reduce_trace(1 << 20, 1 << 21, 1 << 22, 500)
-        )
-        scalar = DramSystem(channels=4)
-        scalar.enqueue_trace(iter(records))
-        golden = scalar.run()
-        fast = DramSystem(channels=4)
-        fast.enqueue_trace(TraceBuffer.from_records(records))
+    @staticmethod
+    def _routed_scalar(system, trace):
+        for r in records(trace):
+            channel, local = system.route(r.addr)
+            system.controllers[channel].enqueue(
+                Request(addr=local, is_write=r.is_write, arrival=r.cycle)
+            )
+        return system.run()
+
+    @staticmethod
+    def _figure11_cpu_trace(op, batch=2):
+        # The Fig. 11 CPU-baseline shapes (figure11._cpu_bandwidth).
+        rng = np.random.default_rng(batch)
+        lookups = batch * LOOKUPS_PER_SAMPLE
+        row_words = EmbeddingLayout(1, 1, 512).chunks
+        if op == "GATHER":
+            idx = rng.integers(0, TABLE_ROWS, lookups)
+            return gather_buffer(0, row_words, idx, TABLE_ROWS * row_words * 64)
+        words = lookups * row_words
+        if op == "REDUCE":
+            return reduce_buffer(0, words * 64, 2 * words * 64, words)
+        return average_buffer(0, AVERAGE_NUM, words * AVERAGE_NUM * 64, words)
+
+    @pytest.mark.parametrize("op", ["GATHER", "REDUCE", "AVERAGE"])
+    def test_figure11_cpu_matches_per_record_routing(self, op):
+        trace = self._figure11_cpu_trace(op)
+        golden = self._routed_scalar(DramSystem(channels=8), trace)
+        fast = DramSystem(channels=8)
+        fast.enqueue_trace(trace)
         result = fast.run()
         assert result.channel_stats == golden.channel_stats
         assert result.total_bytes == golden.total_bytes
         assert result.elapsed_seconds == golden.elapsed_seconds
+
+
+def _scalar_bandwidth(trace, **kw):
+    mc = MemoryController(DDR4_3200, **kw)
+    enqueue_records(mc, trace)
+    return mc.run_to_completion().bandwidth(DDR4_3200)
+
+
+def _scalar_seconds(trace):
+    mc = MemoryController(DDR4_3200)
+    enqueue_records(mc, trace)
+    mc.run_to_completion()
+    return mc.elapsed_seconds()
+
+
+class TestAblationParity:
+    """The ablation studies against the per-record loops they replaced."""
+
+    def test_scheduler(self):
+        batch, table_rows = 32, 1024
+        rows = np.random.default_rng(11).integers(0, table_rows, batch)
+        trace = list(gather_trace(0, 4, rows, table_rows * 4 * 64))
+        expected = ablation.SchedulerAblation(
+            fr_fcfs=_scalar_bandwidth(trace, window=32),
+            fcfs=_scalar_bandwidth(trace, window=1),
+        )
+        assert ablation.scheduler(batch=batch, table_rows=table_rows) == expected
+
+    def test_page_policy(self):
+        trace = list(streaming_trace(0, 600))
+        expected = ablation.PagePolicyAblation(
+            open_page=_scalar_bandwidth(trace, row_policy="open"),
+            closed_page=_scalar_bandwidth(trace, row_policy="closed"),
+        )
+        assert ablation.page_policy(num_words=600) == expected
+
+    def test_address_mapping(self):
+        node_dimms, batch, row_words, table_rows = 4, 8, 8, 512
+        rows = np.random.default_rng(7).integers(0, table_rows, batch)
+        total_bytes = batch * row_words * 64 * 2
+        slice_words = max(1, row_words // node_dimms)
+        interleaved = _scalar_seconds(
+            gather_trace(0, slice_words, rows, table_rows * slice_words * 64)
+        )
+        buckets = {}
+        for row in rows:
+            buckets.setdefault(int(row) % node_dimms, []).append(int(row))
+        worst = max(
+            _scalar_seconds(
+                gather_trace(0, row_words, np.array(r), table_rows * row_words * 64)
+            )
+            for r in buckets.values()
+        )
+        expected = ablation.MappingAblation(
+            interleaved=total_bytes / interleaved, whole_row=total_bytes / worst
+        )
+        got = ablation.address_mapping(
+            node_dimms=node_dimms, batch=batch, row_words=row_words, table_rows=table_rows
+        )
+        assert got == expected
 
 
 class TestControllerReset:
@@ -212,25 +302,41 @@ class TestControllerReset:
 
 
 class TestTraceBuffer:
-    def test_iteration_matches_records(self):
+    def test_columns_hold_records(self):
         buf = TraceBuffer(
             np.array([0, 64, 128]), np.array([False, True, False]), np.array([0, 5, 9])
         )
-        records = list(buf)
-        assert [r.addr for r in records] == [0, 64, 128]
-        assert [r.is_write for r in records] == [False, True, False]
-        assert [r.cycle for r in records] == [0, 5, 9]
+        assert buf.addr.tolist() == [0, 64, 128]
+        assert buf.is_write.tolist() == [False, True, False]
+        assert buf.cycle.tolist() == [0, 5, 9]
         assert len(buf) == 3 and buf.reads == 2 and buf.writes == 1
 
-    def test_round_trip_from_records(self):
-        records = [TraceRequest(i, i * 64, i % 2 == 0) for i in range(10)]
-        buf = TraceBuffer.from_records(records)
-        assert list(buf) == records
+    def test_oracle_records_round_trip(self):
+        trace = [Record(i, i * 64, i % 2 == 0) for i in range(10)]
+        assert records(to_buffer(trace)) == trace
 
     def test_slice_and_concat(self):
         buf = TraceBuffer(np.arange(6) * 64, np.zeros(6, dtype=bool))
-        joined = TraceBuffer.concat([buf[:3], buf[3:]])
+        halves = [
+            TraceBuffer(buf.addr[s], buf.is_write[s], buf.cycle[s])
+            for s in (slice(0, 3), slice(3, 6))
+        ]
+        joined = TraceBuffer.concat(halves)
         assert joined.addr.tolist() == buf.addr.tolist()
+
+    @pytest.mark.parametrize("column", ["addr", "is_write", "cycle"])
+    def test_columns_are_read_only(self, column):
+        buf = TraceBuffer(np.arange(4) * 64, np.zeros(4, dtype=bool))
+        digest = buf.digest()
+        with pytest.raises(ValueError):
+            getattr(buf, column)[0] = 1
+        assert buf.digest() == digest
+
+    def test_input_arrays_stay_writable(self):
+        addr = np.arange(4, dtype=np.int64) * 64
+        TraceBuffer(addr, np.zeros(4, dtype=bool))
+        addr[0] = 64
+        assert addr[0] == 64
 
 
 class TestColumnarBuilders:
@@ -247,7 +353,7 @@ class TestColumnarBuilders:
         ],
     )
     def test_matches_generator(self, buffer_fn, trace_fn, args):
-        assert list(buffer_fn(*args)) == list(trace_fn(*args))
+        assert records(buffer_fn(*args)) == list(trace_fn(*args))
 
 
 class TestDimmBatchExecution:

@@ -2,10 +2,9 @@
 
 import pytest
 
-from repro.dram.command import Request
 from repro.dram.controller import MemoryController
 from repro.dram.timing import DDR4_3200
-from repro.dram.trace import streaming_trace
+from repro.dram.trace import streaming_buffer
 from repro.power.dram_power import DimmPowerModel, DramDevicePower
 from repro.power.nmp_area import (
     nmp_core_total,
@@ -63,8 +62,7 @@ class TestDimmPower:
 
     def test_power_from_stats(self):
         mc = MemoryController(DDR4_3200)
-        for record in streaming_trace(0, 4000):
-            mc.enqueue(Request(addr=record.addr, is_write=record.is_write))
+        mc.enqueue_batch(streaming_buffer(0, 4000))
         stats = mc.run_to_completion()
         power = DimmPowerModel().power_from_stats(stats)
         assert DimmPowerModel().idle_w() < power < 25.0

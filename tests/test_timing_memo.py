@@ -19,7 +19,7 @@ import pytest
 from repro.core.isa import gather, reduce
 from repro.core.tensordimm import TensorDimm
 from repro.core.tensornode import TensorNode
-from repro.dram.command import TraceBuffer, TraceRequest
+from repro.dram.command import TraceBuffer
 from repro.dram.controller import MemoryController
 from repro.dram.memo import (
     INSTR_MEMO,

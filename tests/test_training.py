@@ -86,10 +86,8 @@ class TestNmpUpdate:
         core = self.make_core()
         core.storage.write_indices(900, np.array([1, 3], dtype=np.int32))
         trace = core.trace(update(100, 900, 0, 2, words_per_slice=2))
-        reads = sum(1 for r in trace if not r.is_write)
-        writes = sum(1 for r in trace if r.is_write)
-        assert writes == 4  # one write per touched table word
-        assert reads == 1 + 4 + 4  # index word + gradients + table reads
+        assert trace.writes == 4  # one write per touched table word
+        assert trace.reads == 1 + 4 + 4  # index word + gradients + table reads
 
 
 class TestRuntimeBackward:

@@ -1,0 +1,103 @@
+"""Per-record trace oracles for the tests.
+
+The package has one trace type, the columnar
+:class:`~repro.dram.command.TraceBuffer`.  The generators here build the
+same traffic as the builders in :mod:`repro.dram.trace`, one record at a
+time, as a reference: the builder-equivalence tests compare every builder
+against its generator, and the parity tests feed the records one by one
+through ``MemoryController.enqueue(Request)`` to pin what the batched
+paths compute.
+"""
+
+from typing import Iterable, Iterator, NamedTuple
+
+import numpy as np
+
+from repro.dram.command import Request, TraceBuffer
+
+WORD_BYTES = 64
+
+
+class Record(NamedTuple):
+    """One (cycle, address, is_write) trace record."""
+
+    cycle: int
+    addr: int
+    is_write: bool
+
+
+def streaming_trace(
+    base_addr: int, num_words: int, is_write: bool = False, start_cycle: int = 0
+) -> Iterator[Record]:
+    for i in range(num_words):
+        yield Record(start_cycle, base_addr + i * WORD_BYTES, is_write)
+
+
+def strided_trace(
+    base_addr: int, num_words: int, stride_words: int, is_write: bool = False
+) -> Iterator[Record]:
+    for i in range(num_words):
+        yield Record(0, base_addr + i * stride_words * WORD_BYTES, is_write)
+
+
+def gather_trace(
+    table_base: int, row_words: int, rows: np.ndarray, output_base: int
+) -> Iterator[Record]:
+    out = 0
+    for row in np.asarray(rows).reshape(-1):
+        src = table_base + int(row) * row_words * WORD_BYTES
+        for w in range(row_words):
+            yield Record(0, src + w * WORD_BYTES, False)
+        for w in range(row_words):
+            yield Record(0, output_base + (out + w) * WORD_BYTES, True)
+        out += row_words
+
+
+def reduce_trace(
+    input1_base: int, input2_base: int, output_base: int, num_words: int
+) -> Iterator[Record]:
+    for i in range(num_words):
+        offset = i * WORD_BYTES
+        yield Record(0, input1_base + offset, False)
+        yield Record(0, input2_base + offset, False)
+        yield Record(0, output_base + offset, True)
+
+
+def average_trace(
+    input_base: int, average_num: int, output_base: int, num_outputs: int
+) -> Iterator[Record]:
+    for i in range(num_outputs):
+        for j in range(average_num):
+            yield Record(0, input_base + (i * average_num + j) * WORD_BYTES, False)
+        yield Record(0, output_base + i * WORD_BYTES, True)
+
+
+def records(trace: TraceBuffer) -> list[Record]:
+    """The records of a columnar trace, in order."""
+    return [
+        Record(cycle, addr, is_write)
+        for cycle, addr, is_write in zip(
+            trace.cycle.tolist(), trace.addr.tolist(), trace.is_write.tolist()
+        )
+    ]
+
+
+def to_buffer(trace: Iterable[Record]) -> TraceBuffer:
+    """The columnar form of a record sequence."""
+    trace = list(trace)
+    return TraceBuffer(
+        [r.addr for r in trace],
+        np.array([r.is_write for r in trace], dtype=bool),
+        [r.cycle for r in trace],
+    )
+
+
+def enqueue_records(controller, trace) -> None:
+    """Queue a trace one ``Request`` at a time (the scalar reference path).
+
+    ``trace`` is a :class:`TraceBuffer` or any record sequence.
+    """
+    if isinstance(trace, TraceBuffer):
+        trace = records(trace)
+    for r in trace:
+        controller.enqueue(Request(addr=r.addr, is_write=r.is_write, arrival=r.cycle))
