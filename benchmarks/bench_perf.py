@@ -34,9 +34,9 @@ Two families of entries:
 * ``drain_hot_row`` — the streak-compiler microbenchmark: a single-bank
   row-hit read stream driven straight through
   ``MemoryController.run_to_completion`` (no trace generation, no
-  functional execution, no memoization), measured with the fast path
-  forced on and forced off.  This is the isolated cost of the drain loop
-  itself.
+  functional execution, no memoization), measured with the fast path on
+  and with ``REPRO_REFERENCE=1``.  This is the isolated cost of the drain
+  loop itself.
 * ``gather_cold`` / ``reduce_cold`` / ``node_gather_cold`` — **memo-cold**
   honesty entries: unique indices (or shapes) per instruction and both
   memo levels disabled, so every instruction pays trace expansion plus a
@@ -55,8 +55,8 @@ for continuity.  The ``node_*`` entries likewise carry a ``warm`` dict:
 repeated-instruction broadcast throughput on a warm instruction memo.
 
 ``--smoke`` shrinks every workload and skips the JSON write — CI uses it
-to prove the benchmark path stays runnable (once with the streak fast
-path forced on, once forced off, so a parity break fails the build).
+to prove the benchmark path stays runnable (once by default, once with
+``REPRO_REFERENCE=1``, so a parity break fails the build).
 """
 
 import argparse
@@ -77,13 +77,10 @@ from repro.core.tensordimm import TensorDimm
 from repro.core.tensornode import TensorNode
 from repro.dram.command import TraceBuffer
 from repro.dram.controller import MemoryController
-from repro.dram.memo import (
-    INSTR_MEMO,
-    INSTR_MEMO_ENV_VAR,
-    TIMING_CACHE_ENV_VAR,
-    TIMING_MEMO,
-)
+from repro.dram import memo
+from repro.dram.memo import INSTR_MEMO, TIMING_MEMO
 from repro.dram.timing import DDR4_3200
+from repro.env import REFERENCE_ENV_VAR
 from repro.parallel import get_executor, parallel_map, resolve_jobs
 
 #: Measured with the per-record trace engine and O(window) rescan scheduler
@@ -118,23 +115,40 @@ def _memo_dicts() -> tuple[dict, dict]:
     )
 
 
+class _NullMemo:
+    """A memo level that never hits and stores nothing."""
+
+    def lookup(self, config, key):
+        return None
+
+    def store(self, config, key, stats):
+        pass
+
+
 @contextmanager
 def _caches_disabled():
-    """Both memo levels forced off (the cold-path measurement harness)."""
-    saved = {
-        var: os.environ.get(var)
-        for var in (TIMING_CACHE_ENV_VAR, INSTR_MEMO_ENV_VAR)
-    }
-    os.environ[TIMING_CACHE_ENV_VAR] = "0"
-    os.environ[INSTR_MEMO_ENV_VAR] = "0"
+    """Both memo levels swapped for null memos (the cold-path measurement
+    harness; the streak fast path stays on)."""
+    saved = memo.TIMING_MEMO, memo.INSTR_MEMO
+    memo.TIMING_MEMO = memo.INSTR_MEMO = _NullMemo()
     try:
         yield
     finally:
-        for var, value in saved.items():
-            if value is None:
-                os.environ.pop(var, None)
-            else:
-                os.environ[var] = value
+        memo.TIMING_MEMO, memo.INSTR_MEMO = saved
+
+
+@contextmanager
+def _reference_mode():
+    """``REPRO_REFERENCE=1`` for the duration of the block."""
+    saved = os.environ.get(REFERENCE_ENV_VAR)
+    os.environ[REFERENCE_ENV_VAR] = "1"
+    try:
+        yield
+    finally:
+        if saved is None:
+            os.environ.pop(REFERENCE_ENV_VAR, None)
+        else:
+            os.environ[REFERENCE_ENV_VAR] = saved
 
 
 def bench_gather(lookups=2000, wps=4, seed=7):
@@ -248,20 +262,20 @@ def _cold_entry(name, fn, smoke: bool, **kwargs) -> dict:
     }
 
 
-def bench_drain_hot_row(fast_drain: bool, n=150_000):
+def bench_drain_hot_row(n=150_000):
     """Isolated controller drain: a single-bank row-hit read stream.
 
     No trace generation, no functional execution, no memoization — just
     ``enqueue_batch`` + ``run_to_completion`` on a pre-built columnar
-    trace, with the streak fast path forced on or off.  Returns the
-    drained request count, the wall time, and the final stats (the caller
-    asserts on/off bit-identity before recording the entry).
+    trace; the streak fast path is on unless ``REPRO_REFERENCE=1``.
+    Returns the drained request count, the wall time, and the final stats
+    (the caller asserts on/off bit-identity before recording the entry).
     """
     # Default NMP-local mapping: bankgroup bits 0-1, bank 2-3, column_hi
     # 4-10 — cycling bits 4-10 walks the columns of bank 0, row 0.
     addrs = ((np.arange(n, dtype=np.int64) % 128) << 4) * 64
     trace = TraceBuffer(addrs, np.zeros(n, dtype=bool))
-    mc = MemoryController(DDR4_3200, fast_drain=fast_drain)
+    mc = MemoryController(DDR4_3200)
     mc.enqueue_batch(trace)
     t0 = time.perf_counter()
     stats = mc.run_to_completion()
@@ -270,9 +284,10 @@ def bench_drain_hot_row(fast_drain: bool, n=150_000):
 
 def _drain_hot_row_entry(smoke: bool) -> dict:
     n = 5_000 if smoke else 150_000
-    bench_drain_hot_row(True, n=n)  # warmup
-    count_on, on_seconds, stats_on = bench_drain_hot_row(True, n=n)
-    count_off, off_seconds, stats_off = bench_drain_hot_row(False, n=n)
+    bench_drain_hot_row(n=n)  # warmup
+    count_on, on_seconds, stats_on = bench_drain_hot_row(n=n)
+    with _reference_mode():
+        count_off, off_seconds, stats_off = bench_drain_hot_row(n=n)
     assert count_on == count_off == n
     assert stats_on == stats_off, (
         "drain_hot_row: fast-path stats diverged from the per-command loop"

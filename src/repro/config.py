@@ -59,6 +59,11 @@ NMP_ALU_CLOCK_HZ = 150e6
 #: SRAM queue sizing rule: bandwidth-delay product with a 20 ns estimate.
 NMP_QUEUE_DELAY_S = 20e-9
 
+#: Fraction of per-DIMM peak DRAM bandwidth sustained by streaming NMP ops.
+#: Calibrated against this repo's cycle-level controller (~24.3 of
+#: 25.6 GB/s with refresh on); used by the analytic timing models.
+NMP_STREAM_EFFICIENCY = 0.948
+
 
 @dataclass(frozen=True)
 class TensorNodeConfig:

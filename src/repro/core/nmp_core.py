@@ -174,7 +174,7 @@ class NmpExecStats:
 
 
 def trace_records(instr: Instruction) -> int:
-    """Number of 64 B transactions :meth:`NmpCore.trace` will emit.
+    """Number of 64 B transactions in the instruction's trace.
 
     Computable from the instruction alone (no storage access), so the
     parallel engine can decide whether a trace is worth shipping to a
@@ -197,11 +197,11 @@ def expand(descriptor: TraceDescriptor, indices: np.ndarray | None = None) -> Tr
 
     Pure module-level inverse of :meth:`NmpCore.describe`: given the
     descriptor and — for GATHER/UPDATE — the instruction's index array,
-    rebuilds the columnar trace array-identically to
-    :meth:`NmpCore.trace` (the golden reference; the fuzz parity suite
-    pins the equivalence across every opcode and shape).  Workers of the
-    parallel engine call this to expand shipped descriptors locally, so
-    IPC payloads stay O(count) instead of O(trace records).
+    rebuilds the instruction's columnar trace (the fuzz parity suite pins
+    it against a per-instruction reference generator across every opcode
+    and shape).  :func:`repro.dram.memo.drain` calls this on an
+    instruction-memo miss, in worker processes too, so IPC payloads stay
+    O(count) instead of O(trace records).
     """
     word = ACCESS_GRANULARITY
     opcode = Opcode(descriptor.opcode)
@@ -266,7 +266,7 @@ def expand(descriptor: TraceDescriptor, indices: np.ndarray | None = None) -> Tr
 
 
 class NmpCore:
-    """One TensorDIMM's near-memory core: decode + execute + trace."""
+    """One TensorDIMM's near-memory core: decode + execute + describe."""
 
     def __init__(self, dimm_id: int, node_dim: int, storage: WordStorage):
         if not 0 <= dimm_id < node_dim:
@@ -278,7 +278,7 @@ class NmpCore:
         self.queue_a = SramQueue(required_queue_bytes())
         self.queue_b = SramQueue(required_queue_bytes())
         self.queue_out = SramQueue(required_queue_bytes())
-        # One-slot index-buffer cache: trace() and execute() of the same
+        # One-slot index-buffer cache: describe() and execute() of the same
         # instruction both read the replicated index buffer; the second read
         # is served from here as long as the storage has not been written.
         self._index_cache: tuple[tuple[int, int], int, np.ndarray] | None = None
@@ -320,7 +320,7 @@ class NmpCore:
         """Read ``count`` int32 lookup indices from the replicated buffer.
 
         Cached per (base, count) until the backing storage is written, so
-        tracing and then executing the same instruction reads DRAM once.
+        describing and then executing the same instruction reads DRAM once.
         """
         key = (instr.index_base, instr.count)
         cached = self._index_cache
@@ -471,7 +471,7 @@ class NmpCore:
         return None
 
     def describe(self, instr: Instruction) -> TraceDescriptor:
-        """Symbolic descriptor of the trace :meth:`trace` would build.
+        """Symbolic descriptor of the instruction's DRAM trace.
 
         Cheap by construction: no trace arrays are materialized and
         nothing O(records) is hashed — O(1) for REDUCE/AVERAGE, O(index
@@ -528,81 +528,4 @@ class NmpCore:
                 ),
                 index_digest=self._index_digest(instr),
             )
-        raise ValueError(f"unknown opcode {instr.opcode}")
-
-    # -- trace generation ---------------------------------------------------------
-
-    def trace(self, instr: Instruction) -> TraceBuffer:
-        """DIMM-local DRAM transactions this instruction generates, in
-        program order, as a columnar 64 B byte-address trace for the timing
-        model.  Addresses are built with whole-array arithmetic; the record
-        order is identical to the original per-word expansion.
-
-        This is the golden reference for the symbolic pipeline:
-        ``expand(describe(instr), instruction_indices(instr))`` must be
-        array-identical to ``trace(instr)`` (pinned by the fuzz parity
-        suite), and the timed paths only build traces through it when the
-        instruction memo misses or is disabled.
-        """
-        word = ACCESS_GRANULARITY
-        if instr.opcode == Opcode.GATHER:
-            rows = self._read_index_buffer(instr).astype(np.int64)
-            wps = instr.words_per_slice
-            table_local = self._local_base(instr.table_base)
-            out_local = self._local_base(instr.output_base)
-            index_words = -(-instr.count // ELEMS_PER_WORD)
-            idx_addrs = instr.index_base + np.arange(index_words, dtype=np.int64)
-            # Per row: wps source reads then wps destination writes.
-            offsets = np.arange(wps, dtype=np.int64)
-            src = (table_local + rows * wps)[:, None] + offsets
-            dst = (out_local + np.arange(len(rows), dtype=np.int64) * wps)[:, None] + offsets
-            body = np.concatenate([src, dst], axis=1).reshape(-1)
-            addrs = np.concatenate([idx_addrs, body])
-            is_write = np.concatenate(
-                [
-                    np.zeros(index_words, dtype=bool),
-                    np.tile(np.repeat([False, True], wps), len(rows)),
-                ]
-            )
-            return TraceBuffer(addrs * word, is_write)
-        if instr.opcode == Opcode.REDUCE:
-            in1 = self._local_base(instr.input_base)
-            in2 = self._local_base(instr.aux)
-            out = self._local_base(instr.output_base)
-            i = np.arange(instr.count, dtype=np.int64)[:, None]
-            addrs = (np.array([in1, in2, out], dtype=np.int64) + i).reshape(-1)
-            is_write = np.tile(np.array([False, False, True]), instr.count)
-            return TraceBuffer(addrs * word, is_write)
-        if instr.opcode == Opcode.AVERAGE:
-            src = self._local_base(instr.input_base)
-            out = self._local_base(instr.output_base)
-            wps = instr.words_per_slice
-            group = instr.average_num
-            i = np.arange(instr.count, dtype=np.int64)
-            row, k = i // wps, i % wps
-            # Per output word: its group's reads, then one write.
-            reads = src + ((row * group)[:, None] + np.arange(group, dtype=np.int64)) * wps + k[:, None]
-            addrs = np.concatenate([reads, (out + i)[:, None]], axis=1).reshape(-1)
-            is_write = np.tile(np.append(np.zeros(group, dtype=bool), True), instr.count)
-            return TraceBuffer(addrs * word, is_write)
-        if instr.opcode == Opcode.UPDATE:
-            rows = self._read_index_buffer(instr).astype(np.int64)
-            wps = instr.words_per_slice
-            grad_local = self._local_base(instr.input_base)
-            table_local = self._local_base(instr.output_base)
-            index_words = -(-instr.count // ELEMS_PER_WORD)
-            idx_addrs = instr.index_base + np.arange(index_words, dtype=np.int64)
-            offsets = np.arange(wps, dtype=np.int64)
-            # Per (row, word): gradient read, table read, table write.
-            grad = (grad_local + np.arange(len(rows), dtype=np.int64) * wps)[:, None] + offsets
-            target = (table_local + rows * wps)[:, None] + offsets
-            body = np.stack([grad, target, target], axis=2).reshape(-1)
-            addrs = np.concatenate([idx_addrs, body])
-            is_write = np.concatenate(
-                [
-                    np.zeros(index_words, dtype=bool),
-                    np.tile(np.array([False, False, True]), len(rows) * wps),
-                ]
-            )
-            return TraceBuffer(addrs * word, is_write)
         raise ValueError(f"unknown opcode {instr.opcode}")

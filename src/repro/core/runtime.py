@@ -20,15 +20,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..config import ELEMS_PER_WORD
+from ..config import ELEMS_PER_WORD, NMP_STREAM_EFFICIENCY
 from .address_map import EmbeddingLayout
 from .isa import Instruction, ReduceOp, average, gather, reduce, update
 from .tensornode import NodeExecStats, TensorNode
-
-#: Fraction of per-DIMM peak DRAM bandwidth sustained by streaming NMP ops.
-#: Calibrated against this repo's cycle-level controller (~24.3 of
-#: 25.6 GB/s with refresh on); used by the analytic timing mode.
-DEFAULT_STREAM_EFFICIENCY = 0.948
 
 
 @dataclass
@@ -57,7 +52,7 @@ class TensorDimmRuntime:
         self,
         node: TensorNode,
         timing_mode: str = "analytic",
-        stream_efficiency: float = DEFAULT_STREAM_EFFICIENCY,
+        stream_efficiency: float = NMP_STREAM_EFFICIENCY,
         jobs: int | None = None,
     ):
         if timing_mode not in ("analytic", "cycle", "off"):

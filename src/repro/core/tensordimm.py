@@ -19,11 +19,11 @@ import numpy as np
 from ..config import ACCESS_GRANULARITY
 from ..dram.controller import ControllerConfig, ControllerStats, MemoryController
 from ..dram.mapping import AddressMapping, DramOrganization
-from ..dram.memo import INSTR_MEMO, TIMING_MEMO
+from ..dram.memo import drain
 from ..dram.storage import WordStorage
 from ..dram.timing import DDR4_3200, DramTiming
 from .isa import Instruction
-from .nmp_core import NmpCore, NmpExecStats, expand
+from .nmp_core import NmpCore, NmpExecStats
 
 
 @dataclass
@@ -59,12 +59,7 @@ class TensorDimm:
         self.organization = organization or DramOrganization(ranks=1)
         self.storage = WordStorage(capacity_words)
         self.nmp = NmpCore(dimm_id, node_dim, self.storage)
-        # Cycle-level controllers are reused across instructions (reset
-        # between runs), keyed by the refresh flag since it bakes into the
-        # controller's timing.  Construction is the dominant per-instruction
-        # cost for short traces, so amortizing it matters for sweeps.
-        self._controllers: dict[bool, MemoryController] = {}
-        self._configs: dict[bool, "ControllerConfig"] = {}
+        self._configs: dict[bool, ControllerConfig] = {}
 
     @property
     def capacity_words(self) -> int:
@@ -90,33 +85,21 @@ class TensorDimm:
         """Execute this DIMM's slice of a broadcast instruction (functional)."""
         return self.nmp.execute(instr)
 
-    def _timed_controller(self, refresh_enabled: bool) -> MemoryController:
-        """The reusable NMP-local cycle-level controller, reset for a run."""
-        controller = self._controllers.get(refresh_enabled)
-        if controller is None:
-            controller = MemoryController(
+    def timed_controller_config(self, refresh_enabled: bool = True) -> ControllerConfig:
+        """Configuration of the NMP-local memory controller.
+
+        What :func:`~repro.dram.memo.drain` builds (once per process) and
+        keys its memos by.  Cached: configs are frozen, so one snapshot per
+        refresh setting serves the DIMM's whole lifetime.
+        """
+        config = self._configs.get(refresh_enabled)
+        if config is None:
+            config = MemoryController(
                 self.timing,
                 organization=self.organization,
                 mapping=AddressMapping(self.organization),
                 refresh_enabled=refresh_enabled,
-            )
-            self._controllers[refresh_enabled] = controller
-        else:
-            controller.reset()
-        return controller
-
-    def timed_controller_config(self, refresh_enabled: bool = True):
-        """Picklable snapshot of the NMP-local controller's configuration.
-
-        Handed to worker processes by :meth:`TensorNode.broadcast_timed` so
-        they can rebuild (once, cached per worker) the exact controller the
-        in-process path would have used, and used as the timing-memo key by
-        :meth:`execute_timed`.  Cached — configs are frozen, so one snapshot
-        per refresh setting serves the DIMM's whole lifetime.
-        """
-        config = self._configs.get(refresh_enabled)
-        if config is None:
-            config = self._timed_controller(refresh_enabled).snapshot_config()
+            ).snapshot_config()
             self._configs[refresh_enabled] = config
         return config
 
@@ -126,50 +109,21 @@ class TensorDimm:
         """Execute functionally *and* replay the DRAM traffic cycle-level.
 
         The NMP-local memory controller translates the instruction into
-        RAS/CAS-level commands (Section 4.2); here the generated transaction
-        trace is run through the FR-FCFS controller to obtain the
-        instruction's DRAM service time on this DIMM.  The whole columnar
-        trace is enqueued in one batch, and the controller is a reused
-        (reset) instance, so back-to-back instructions pay no setup.
-
-        The drain is memoized through the two process-wide cache levels of
-        :mod:`repro.dram.memo`.  The instruction-level memo is consulted
-        first with a symbolic :class:`~repro.dram.command.TraceDescriptor`
-        — a hit (e.g. the repeated REDUCE / AVERAGE instructions the
-        runtime's combine chains replay, or a GATHER re-issued with the
-        same index contents) skips trace construction *and* bulk-array
-        hashing entirely.  On a miss the trace is expanded from the
-        descriptor, the trace-level memo gets a shot, and the cycle-level
-        drain runs only if both levels miss; the resulting
-        :class:`ControllerStats` are bit-identical at every level by
-        construction (``REPRO_INSTR_MEMO=0`` forces the trace-built
-        pipeline, which the descriptor parity tests compare against).
+        RAS/CAS-level commands (Section 4.2); here the instruction's
+        transaction trace is drained through the FR-FCFS controller to
+        obtain its DRAM service time on this DIMM.  The instruction is
+        described symbolically (:meth:`NmpCore.describe`) and handed to
+        :func:`~repro.dram.memo.drain`, whose memos answer a repeated
+        instruction without building its trace.
         """
-        config = self.timed_controller_config(refresh_enabled)
-        descriptor = None
-        dram_stats = None
-        if INSTR_MEMO.enabled:
-            # Describe (and, below, expand) before execute(): the trace is
-            # defined against pre-execution storage contents, exactly like
-            # the trace-then-execute order of the classic path.
-            descriptor = self.nmp.describe(instr)
-            dram_stats = INSTR_MEMO.lookup(config, descriptor)
-        if dram_stats is None:
-            if descriptor is not None:
-                trace = expand(descriptor, self.nmp.instruction_indices(instr))
-            else:
-                trace = self.nmp.trace(instr)
-            stats = self.execute(instr)
-            dram_stats = TIMING_MEMO.lookup(config, trace)
-            if dram_stats is None:
-                controller = self._timed_controller(refresh_enabled)
-                controller.enqueue_batch(trace)
-                dram_stats = controller.run_to_completion()
-                TIMING_MEMO.store(config, trace, dram_stats)
-            if descriptor is not None:
-                INSTR_MEMO.store(config, descriptor, dram_stats)
-        else:
-            stats = self.execute(instr)
+        # Describe before execute(): the trace is defined against the
+        # storage contents before the instruction runs.
+        dram_stats = drain(
+            self.timed_controller_config(refresh_enabled),
+            descriptor=self.nmp.describe(instr),
+            indices=self.nmp.instruction_indices(instr),
+        )
+        stats = self.execute(instr)
         dram_seconds = self.timing.cycles_to_seconds(dram_stats.finish_cycle)
         alu_seconds = stats.alu_seconds(self.nmp.alu.clock_hz)
         return TimedExecution(
@@ -183,9 +137,8 @@ class TensorDimm:
     ) -> list[TimedExecution]:
         """Run a sequence of instructions through the cycle-level model.
 
-        Each instruction still gets a fresh (reset) controller state —
-        identical timing to calling :meth:`execute_timed` per instruction —
-        but construction, mapping, and decode costs are amortized.
+        Each instruction drains on a fresh (reset) controller — identical
+        timing to calling :meth:`execute_timed` per instruction.
         """
         return [self.execute_timed(instr, refresh_enabled) for instr in instrs]
 

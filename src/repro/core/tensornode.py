@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..config import ACCESS_GRANULARITY, ELEMS_PER_WORD
-from ..dram.controller import ControllerStats
 from ..dram.mapping import DramOrganization
 from ..dram.timing import DDR4_3200, DramTiming
 from ..interconnect.link import NVLINK2_GPU, Link
@@ -238,104 +237,42 @@ class TensorNode:
     ) -> list[NodeExecStats]:
         """Fan the (instruction x simulated-DIMM) grid over worker processes.
 
+        Each (instruction, DIMM) drain is described symbolically and handed
+        to a :class:`repro.parallel.DrainBatch`, which answers it from the
+        instruction memo, shares it with an identical descriptor already in
+        flight (the rank-interleaved layout gives every DIMM the same local
+        stream), or ships ``(config, descriptor[, indices])`` to a worker.
         The functional execution (which mutates each DIMM's storage) stays
-        in this process and runs *while* the workers replay the DRAM traces
-        cycle-level.  Per-DIMM operation order is exactly the sequential
-        path's — trace, then execute, instruction by instruction — so
-        functional state, exec stats, and DRAM stats are all bit-identical.
-
-        Work is deduplicated *symbolically* before anything is built: each
-        (instruction, DIMM) pair is described as a compact
-        :class:`~repro.dram.command.TraceDescriptor`, the instruction-level
-        memo is consulted first (a hit skips trace construction, hashing,
-        and IPC entirely), and a descriptor already in flight in this batch
-        (the rank-interleaved layout gives every DIMM an identical local
-        stream) shares the same worker result instead of being shipped
-        again.  Misses cross the IPC boundary as ``(config, descriptor[,
-        indices])`` — O(count) bytes — and the worker expands the trace
-        locally (:func:`repro.parallel.replay_descriptor`).  With the
-        instruction memo disabled (``REPRO_INSTR_MEMO=0``) the classic
-        trace-shipping path runs instead, deduplicated by content digest
-        through the trace-level memo.
+        in this process and runs while the workers drain.  Per-DIMM
+        operation order is the sequential path's — describe, then execute,
+        instruction by instruction — so functional state, exec stats and
+        DRAM stats are all bit-identical.
         """
-        from dataclasses import replace
+        from ..parallel import DrainBatch
 
-        from ..dram.memo import INSTR_MEMO, TIMING_MEMO
-        from ..parallel import get_executor, replay_descriptor, replay_trace
-
-        executor = get_executor(jobs)
-        use_descriptors = INSTR_MEMO.enabled
+        batch = DrainBatch(jobs)
         configs = [
             dimm.timed_controller_config(refresh_enabled)
             for dimm in self.dimms[:limit]
         ]
-        plans = []
-        inflight = {}
+        executed = []
         for instr in instrs:
             self.instructions_executed += 1
-            futures = []
-            for i in range(limit):
-                nmp = self.dimms[i].nmp
-                config = configs[i]
-                if use_descriptors:
-                    descriptor = nmp.describe(instr)
-                    cached = INSTR_MEMO.lookup(config, descriptor)
-                    if cached is not None:
-                        futures.append(cached)
-                        continue
-                    key = (config, descriptor)
-                    future = inflight.get(key)
-                    if future is None:
-                        future = executor.submit(
-                            replay_descriptor,
-                            config,
-                            descriptor,
-                            nmp.instruction_indices(instr),
-                        )
-                        inflight[key] = future
-                    futures.append((future, config, descriptor))
-                    continue
-                trace = nmp.trace(instr)
-                cached = TIMING_MEMO.lookup(config, trace)
-                if cached is not None:
-                    futures.append(cached)
-                    continue
-                key = (config, trace.digest())
-                future = inflight.get(key)
-                if future is None:
-                    future = executor.submit(
-                        replay_trace, config, trace.addr, trace.is_write, trace.cycle
-                    )
-                    inflight[key] = future
-                futures.append((future, config, trace))
-            # Functional execution overlaps with the workers' cycle replay.
-            per_dimm = [dimm.execute(instr) for dimm in self.dimms]
-            plans.append((futures, per_dimm))
+            for dimm, config in zip(self.dimms, configs):
+                batch.submit(
+                    config,
+                    descriptor=dimm.nmp.describe(instr),
+                    indices=dimm.nmp.instruction_indices(instr),
+                )
+            executed.append([dimm.execute(instr) for dimm in self.dimms])
+        drained = batch.results()
         results = []
-        stored = set()  # store each shared worker result once, not per DIMM
-        for futures, per_dimm in plans:
-            dram_per_dimm = []
-            for item in futures:
-                if isinstance(item, ControllerStats):
-                    dram_per_dimm.append(item)
-                    continue
-                future, config, key = item
-                stats = future.result()
-                memo_key = (config, key) if use_descriptors else (config, key.digest())
-                if memo_key not in stored:
-                    stored.add(memo_key)
-                    if use_descriptors:
-                        INSTR_MEMO.store(config, key, stats)
-                    else:
-                        TIMING_MEMO.store(config, key, stats)
-                # Each DIMM gets its own stats object even when the worker
-                # result is shared (deduplicated identical traces).
-                dram_per_dimm.append(replace(stats))
+        for k, per_dimm in enumerate(executed):
+            dram_per_dimm = drained[k * len(configs) : (k + 1) * len(configs)]
             seconds = 0.0
-            for i, dram_stats in enumerate(dram_per_dimm):
-                dimm = self.dimms[i]
+            for dimm, exec_stats, dram_stats in zip(self.dimms, per_dimm, dram_per_dimm):
                 dram_seconds = dimm.timing.cycles_to_seconds(dram_stats.finish_cycle)
-                alu_seconds = per_dimm[i].alu_seconds(dimm.nmp.alu.clock_hz)
+                alu_seconds = exec_stats.alu_seconds(dimm.nmp.alu.clock_hz)
                 seconds = max(seconds, dram_seconds, alu_seconds)
             results.append(
                 NodeExecStats(

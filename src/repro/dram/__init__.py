@@ -10,7 +10,8 @@ Public surface:
 * :class:`~repro.dram.storage.WordStorage` — functional 64 B-word store
 * :mod:`~repro.dram.trace` — columnar trace builders
 * :class:`~repro.dram.cache.Cache` / ``CacheHierarchy`` — CPU-gather ablation
-* :mod:`~repro.dram.memo` — cross-layer timing memoization
+* :mod:`~repro.dram.memo` — the drain entry point
+  (:func:`~repro.dram.memo.drain`) and its cross-layer timing memos
   (:data:`~repro.dram.memo.TIMING_MEMO`, :func:`~repro.dram.memo.timing_memo_stats`)
 """
 

@@ -43,19 +43,15 @@ per-bank candidate state proves such a run has no competing candidate, the
 whole run — including backlog records that were never materialized — is
 issued in closed form with vectorized arithmetic, advancing the clock, bus
 state, and statistics once for N commands.  The fast path is bit-identical
-to the per-command loop (and to ``scheduler="scan"``); ``REPRO_FAST_DRAIN=0``
-or ``fast_drain=False`` disables it.  See PERF.md for the invariants and
-fallback triggers.
+to the per-command loop (and to ``scheduler="scan"``); ``REPRO_REFERENCE=1``
+disables it.  See PERF.md for the invariants and fallback triggers.
 
-For the process-pool execution engine (:mod:`repro.parallel`) a controller
-can describe itself as a :class:`ControllerConfig` — a frozen, picklable,
-hashable snapshot of everything its constructor needs — and export its
-undrained request backlog as a columnar trace
-(:meth:`MemoryController.export_pending`).  A worker process rebuilds the
-controller once per distinct config, replays shipped traces against it, and
-returns the :class:`ControllerStats`; because sequence numbers only break
-ties *relative* to each other within one controller, a worker-side replay
-is bit-identical to draining the original controller in-process.
+A controller can describe itself as a :class:`ControllerConfig` — a frozen,
+picklable, hashable snapshot of everything its constructor needs — which
+keys the timing memos and lets :func:`repro.dram.memo.drain` rebuild the
+controller once per process, worker processes included.  Because sequence
+numbers only break ties *relative* to each other within one controller, a
+drain on a rebuilt controller is bit-identical to draining the original.
 """
 
 from collections import deque
@@ -63,27 +59,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..env import read_env
+from ..env import reference_mode
 from .bank import Rank
 from .command import Request, TraceBuffer, reserve_seq_block
 from .mapping import AddressMapping, DramOrganization
 from .timing import DramTiming
 
-#: Kill switch for the streak-compiled drain fast path.  The fast path is
-#: bit-identical to the per-command loop (the parity matrix proves it), so
-#: this exists for benchmarking and for bisecting suspected divergence:
-#: ``REPRO_FAST_DRAIN=0`` forces every drain through the per-command loop.
-FAST_DRAIN_ENV_VAR = "REPRO_FAST_DRAIN"
-
 #: Upper bound on backlog records absorbed into one streak.  Bounds the
 #: numpy work a single (possibly failing) streak attempt can do; a longer
 #: run simply compiles as several back-to-back streaks.
 STREAK_ABSORB_CAP = 16384
-
-
-def fast_drain_default() -> bool:
-    """The environment-resolved fast-path default (see ``REPRO_FAST_DRAIN``)."""
-    return read_env(FAST_DRAIN_ENV_VAR, True)
 
 
 @dataclass
@@ -142,9 +127,9 @@ class ControllerConfig:
     ``timing`` is the controller's *effective* timing (refresh scaling
     already applied), so :meth:`build` always passes
     ``refresh_enabled=True`` and reconstructs identical behaviour.  The
-    dataclass is frozen and hashable so worker processes can key a
-    controller cache by it — one construction per distinct configuration
-    per worker, no matter how many traces are replayed.
+    dataclass is frozen and hashable, so it keys the timing memos and
+    :func:`repro.dram.memo.drain`'s controller cache — one construction
+    per distinct configuration per process, however many traces drain.
     """
 
     timing: DramTiming
@@ -155,7 +140,6 @@ class ControllerConfig:
     write_low_watermark: int
     row_policy: str
     scheduler: str
-    fast_drain: bool | None = None
 
     def build(self) -> "MemoryController":
         """Construct a fresh controller equivalent to the snapshot source."""
@@ -169,7 +153,6 @@ class ControllerConfig:
             refresh_enabled=True,  # self.timing is already refresh-scaled
             row_policy=self.row_policy,
             scheduler=self.scheduler,
-            fast_drain=self.fast_drain,
         )
 
 
@@ -430,7 +413,6 @@ class MemoryController:
         refresh_enabled: bool = True,
         row_policy: str = "open",
         scheduler: str = "indexed",
-        fast_drain: bool | None = None,
     ):
         if row_policy not in ("open", "closed"):
             raise ValueError(f"unknown row policy {row_policy!r}")
@@ -450,7 +432,6 @@ class MemoryController:
         self.window = window
         self.row_policy = row_policy
         self.scheduler = scheduler
-        self.fast_drain = fast_drain  # None = follow $REPRO_FAST_DRAIN
         self.write_high = write_high_watermark
         self.write_low = write_low_watermark
         # Scalar timing snapshots for the per-step hot path.
@@ -600,53 +581,15 @@ class MemoryController:
             write_low_watermark=self.write_low,
             row_policy=self.row_policy,
             scheduler=self.scheduler,
-            fast_drain=self.fast_drain,
-        )
-
-    def export_pending(self) -> TraceBuffer:
-        """Export the undrained backlog as a columnar trace, in enqueue order.
-
-        The returned buffer replays bit-identically through a fresh
-        controller built from :meth:`snapshot_config`: entries are emitted
-        in sequence-number order (the order they entered this controller),
-        and ``enqueue_batch`` hands a replaying controller fresh consecutive
-        sequence numbers, which preserves every FR-FCFS age tie-break.
-        Only valid before a run has started admitting entries.
-        """
-        if self._read_q or self._write_q:
-            raise RuntimeError(
-                "cannot export from a partially drained controller"
-            )
-        addr_parts, write_parts, cycle_parts, seq_parts = [], [], [], []
-        for backlog in (self._read_backlog, self._write_backlog):
-            for chunk in backlog.chunks:
-                chunk.ensure_arrays()
-                sl = slice(chunk.start, chunk.n)
-                addr_parts.append(chunk.addr[sl])
-                cycle_parts.append(chunk.arrival[sl])
-                seq_parts.append(chunk.seq[sl])
-                write_parts.append(
-                    np.full(chunk.n - chunk.start, backlog.is_write, dtype=bool)
-                )
-        if not addr_parts:
-            return TraceBuffer(np.empty(0, dtype=np.int64), np.empty(0, dtype=bool))
-        # Both backlogs are seq-sorted FIFOs; sorting the concatenation by
-        # sequence number recovers global enqueue order.
-        order = np.argsort(np.concatenate(seq_parts), kind="stable")
-        return TraceBuffer(
-            np.concatenate(addr_parts)[order],
-            np.concatenate(write_parts)[order],
-            np.concatenate(cycle_parts)[order],
         )
 
     def adopt_run(self, stats: ControllerStats) -> None:
-        """Adopt the result of an externally replayed drain.
+        """Adopt the result of a drain that ran elsewhere.
 
-        Used by the parallel engine after a worker process drained this
-        controller's exported trace: leaves the controller in the same
-        observable state as if :meth:`run_to_completion` had returned
-        ``stats`` itself — empty queues, final statistics, clock at the
-        finish cycle.
+        Used after a memo hit or a worker-side drain of this controller's
+        backlog: leaves the controller in the same observable state as if
+        :meth:`run_to_completion` had returned ``stats`` itself — empty
+        queues, final statistics, clock at the finish cycle.
         """
         self.reset()
         self.stats = stats
@@ -802,8 +745,7 @@ class MemoryController:
         act_base = [0] * (n_ranks * bg_count)
         col_base = [0] * (n_ranks * bg_count)
 
-        fast_drain = self.fast_drain if self.fast_drain is not None else fast_drain_default()
-        fast_drain = fast_drain and not closed_policy
+        streaks = not closed_policy and not reference_mode()
         streak_cooldown = 0
 
         now = self._now
@@ -1069,7 +1011,7 @@ class MemoryController:
             # active window is a same-rank row-hit run with no competing
             # candidate, the upcoming commands issue in sequence order at a
             # fixed cadence — compile the run and retire it in one step.
-            if fast_drain and streak_cooldown == 0 and len(queue) > 1:
+            if streaks and streak_cooldown == 0 and len(queue) > 1:
                 streak = self._attempt_streak(
                     is_write_q,
                     queue,

@@ -1,82 +1,47 @@
-"""Cross-layer timing memoization for the cycle-level DRAM core.
+"""Cross-layer timing memoization and the one drain entry point.
 
 A FR-FCFS drain is a pure function of ``(ControllerConfig, trace)``:
 sequence numbers only break ties *relative* to each other, so two equally
 configured controllers draining byte-identical traces produce bit-identical
-:class:`~repro.dram.controller.ControllerStats` (the invariant the parity
-and parallel-determinism suites already pin).  This module caches that
-function at **two levels**:
+:class:`~repro.dram.controller.ControllerStats`.  :func:`drain` is the only
+place in the package that drains a trace for a timing result, and the only
+consumer of the two memo levels that cache that function:
 
-* :data:`TIMING_MEMO` — the trace-level memo, keyed by
-  ``(ControllerConfig, TraceBuffer.digest())``.  The digest is a content
-  hash over the trace's address/direction/arrival columns, so the cache is
-  *content-addressed* and needs no invalidation: a changed trace simply
-  hashes to a different key.  This layer serves any consumer that already
-  holds a materialized trace (``DramSystem.run`` backlogs, worker-side
-  replays).
 * :data:`INSTR_MEMO` — the instruction-level memo, keyed by
   ``(ControllerConfig, TraceDescriptor)``.  A
-  :class:`~repro.dram.command.TraceDescriptor` is a symbolic stand-in for
-  the trace (opcode, count, local bases, index-content digest — see
-  :meth:`~repro.core.nmp_core.NmpCore.describe`), computable in O(index
-  bytes) or O(1) without building the trace at all.  A hit here —
-  ``TensorDimm.execute_timed(_batch)``, ``TensorNode.broadcast_timed*``,
-  the runtime's combine chains — performs **zero** trace materialization
-  and **zero** bulk-array hashing; a miss falls through to the trace
-  level (and, in the parallel engine, ships the descriptor instead of the
-  columnar trace, collapsing IPC payloads from O(records) to O(count)).
+  :class:`~repro.dram.command.TraceDescriptor` stands for an NMP
+  instruction's trace symbolically (see
+  :meth:`~repro.core.nmp_core.NmpCore.describe`); a hit builds no trace
+  and hashes no bulk array.
+* :data:`TIMING_MEMO` — the trace-level memo, keyed by
+  ``(ControllerConfig, TraceBuffer.digest())``, a content hash, so the
+  cache needs no invalidation.
 
-Both levels are LRU (a hit refreshes recency) and bounded twice over: by
-entry count and by an approximate resident-byte cap; evictions and
-resident bytes are surfaced through :func:`timing_memo_stats` /
-:func:`instr_memo_stats` for the benchmark sweeps.
+Lookup order: the instruction memo, then
+:func:`~repro.core.nmp_core.expand` of the descriptor, then the trace memo,
+then a real drain; a miss is stored at every level it passed.  Both levels
+are LRU and bounded by entry count and by an approximate resident-byte
+cap; hits hand back a fresh copy of the stored stats.
 
-Hits hand back a fresh ``dataclasses.replace`` copy, never the stored
-object, so callers may mutate their stats freely.
+Two soundness rules:
 
-Two soundness boundaries, enforced at the consumer sites:
+* **pristine controllers only** — a warm controller's next drain continues
+  from its clock/bank/stats state and is not a pure function of its
+  pending trace, so callers hand :func:`drain` only pristine controllers.
+* **adopt semantics** — a result for a caller's controller is adopted
+  with ``adopt_run``, hit or miss: stats and clock match a real drain, and
+  every bank is left closed.
 
-* **pristine controllers only** — a warm controller's next drain
-  continues from its accumulated clock/bank/stats state and is *not* a
-  pure function of the pending trace, so ``DramSystem.run`` gates memo
-  participation (lookup *and* store) on ``MemoryController.pristine``;
-  the TensorDimm and worker-replay paths always reset first.
-* **adopt semantics** — a hit is adopted via ``adopt_run``: observable
-  stats and clock match a real drain exactly, but bank-state warmth
-  (open rows) is not carried over — the same contract the parallel
-  engine's worker replays have always had.
-
-``REPRO_TIMING_CACHE=0`` disables the trace-level cache and
-``REPRO_INSTR_MEMO=0`` the instruction-level one, each process-wide (the
-flags are read dynamically, so tests and benchmarks can flip them around
-individual runs).  With the instruction memo off, every timed path is
-bit-identical to the trace-built pipeline — it is the kill switch the
-descriptor parity tests run both sides of.
+``REPRO_REFERENCE=1`` (:func:`repro.env.reference_mode`) turns both levels
+off, together with the controller's streak fast path.
 """
 
 import sys
 from collections import OrderedDict
 from dataclasses import replace
 
-from ..env import read_env
-from .controller import ControllerConfig, ControllerStats
-
-#: Kill switch: set to ``0`` / ``off`` / ``false`` to disable the
-#: trace-level memo.
-TIMING_CACHE_ENV_VAR = "REPRO_TIMING_CACHE"
-
-#: Kill switch for the instruction-level (descriptor-keyed) memo.
-INSTR_MEMO_ENV_VAR = "REPRO_INSTR_MEMO"
-
-
-def timing_cache_default() -> bool:
-    """The environment-resolved cache default (see ``REPRO_TIMING_CACHE``)."""
-    return read_env(TIMING_CACHE_ENV_VAR, True)
-
-
-def instr_memo_default() -> bool:
-    """The environment-resolved default of the instruction-level memo."""
-    return read_env(INSTR_MEMO_ENV_VAR, True)
+from ..env import reference_mode
+from .controller import ControllerConfig, ControllerStats, MemoryController
 
 
 def _entry_nbytes(key, stats: ControllerStats) -> int:
@@ -99,11 +64,8 @@ class _LruStatsCache:
     Shared engine of both memo levels: lookups move the entry to the MRU
     end, stores evict from the LRU end while either the entry count or the
     approximate resident-byte total is over its cap.  Subclasses define
-    the kill-switch environment variable and the public key-building
-    ``lookup``/``store`` wrappers.
+    the public key-building ``lookup``/``store`` wrappers.
     """
-
-    env_var: str = TIMING_CACHE_ENV_VAR
 
     def __init__(self, max_entries: int = 4096, max_bytes: int = 32 << 20):
         self.max_entries = max_entries
@@ -116,14 +78,13 @@ class _LruStatsCache:
 
     @property
     def enabled(self) -> bool:
-        return read_env(self.env_var, True)
+        """False in reference mode (``REPRO_REFERENCE=1``)."""
+        return not reference_mode()
 
     def __len__(self) -> int:
         return len(self._entries)
 
     def _lookup(self, key) -> ControllerStats | None:
-        if not self.enabled:
-            return None
         entry = self._entries.get(key)
         if entry is None:
             self.misses += 1
@@ -133,8 +94,6 @@ class _LruStatsCache:
         return replace(entry[0])
 
     def _store(self, key, stats: ControllerStats) -> None:
-        if not self.enabled:
-            return
         old = self._entries.pop(key, None)
         if old is not None:
             self.resident_bytes -= old[1]
@@ -173,14 +132,12 @@ class _LruStatsCache:
 class TimingMemo(_LruStatsCache):
     """The trace-level memo: ``(config, trace digest) -> stats``."""
 
-    env_var = TIMING_CACHE_ENV_VAR
-
     def lookup(self, config: ControllerConfig, trace) -> ControllerStats | None:
         """Cached stats for draining ``trace`` through ``config``, or None.
 
         ``trace`` is a :class:`~repro.dram.command.TraceBuffer`; a hit
         returns a fresh copy and counts toward :attr:`hits`, a miss counts
-        toward :attr:`misses`.  Always misses when the cache is disabled.
+        toward :attr:`misses`.  Always misses, uncounted, in reference mode.
         """
         if not self.enabled:
             return None
@@ -205,8 +162,6 @@ class InstructionMemo(_LruStatsCache):
     bit-identically through equal configs.
     """
 
-    env_var = INSTR_MEMO_ENV_VAR
-
     def __init__(self, max_entries: int = 8192, max_bytes: int = 32 << 20):
         super().__init__(max_entries=max_entries, max_bytes=max_bytes)
 
@@ -223,8 +178,8 @@ class InstructionMemo(_LruStatsCache):
         self._store((config, descriptor), stats)
 
 
-#: The process-wide memos every consumer shares (workers get their own
-#: copies of the module, hence their own memos, in their own process).
+#: The process-wide memos (workers get their own copies of the module,
+#: hence their own memos, in their own process).
 TIMING_MEMO = TimingMemo()
 INSTR_MEMO = InstructionMemo()
 
@@ -237,3 +192,65 @@ def timing_memo_stats() -> dict:
 def instr_memo_stats() -> dict:
     """Hit/miss counters of the process-wide instruction memo."""
     return INSTR_MEMO.stats()
+
+
+#: One reusable controller per distinct configuration, process-wide (each
+#: worker process has its own): construction dominates short drains.
+_CONTROLLERS: dict[ControllerConfig, MemoryController] = {}
+
+
+def _controller_for(config: ControllerConfig) -> MemoryController:
+    """The cached controller for ``config``, reset to its pristine state."""
+    controller = _CONTROLLERS.get(config)
+    if controller is None:
+        controller = _CONTROLLERS[config] = config.build()
+    else:
+        controller.reset()
+    return controller
+
+
+def drain(
+    config: ControllerConfig,
+    *,
+    trace=None,
+    descriptor=None,
+    indices=None,
+    controller: MemoryController | None = None,
+) -> ControllerStats:
+    """The stats of draining one trace through a ``config`` controller.
+
+    The trace is given as a :class:`~repro.dram.command.TraceBuffer`
+    ``trace``, or symbolically as a ``descriptor`` (plus the ``indices`` its
+    opcode expands from), or both.  The instruction memo is consulted
+    first, then the descriptor is expanded and the trace memo consulted,
+    and only if both miss is the trace drained; the result is stored at
+    every level that missed.
+
+    Without ``controller`` a miss drains on this process's cached
+    controller for ``config``.  With one — pristine and already holding
+    ``trace`` (``DramSystem.run``) — a miss drains that controller in place,
+    and either way the result is adopted into it with ``adopt_run``, so
+    its state afterwards does not depend on whether the memo hit.  Runs in
+    worker processes too: :class:`repro.parallel.DrainBatch` ships calls
+    to it.
+    """
+    stats = None if descriptor is None else INSTR_MEMO.lookup(config, descriptor)
+    if stats is None:
+        if trace is None:
+            from ..core import nmp_core
+
+            trace = nmp_core.expand(descriptor, indices)
+        stats = TIMING_MEMO.lookup(config, trace)
+        if stats is None:
+            target = controller
+            if target is None:
+                target = _controller_for(config)
+                target.enqueue_batch(trace)
+            stats = target.run_to_completion()
+            TIMING_MEMO.store(config, trace, stats)
+        if descriptor is not None:
+            INSTR_MEMO.store(config, descriptor, stats)
+    if controller is not None:
+        # Hit or miss, the caller's controller ends in the same state.
+        controller.adopt_run(stats)
+    return stats

@@ -19,7 +19,7 @@ import numpy as np
 from .command import TraceBuffer
 from .controller import ControllerStats, MemoryController
 from .mapping import AddressMapping, DramOrganization
-from .memo import TIMING_MEMO
+from .memo import drain
 from .timing import DDR4_3200, DramTiming
 
 
@@ -139,97 +139,62 @@ class DramSystem:
         wires), so they are simulated independently; the elapsed time is the
         slowest channel's finish time.
 
-        ``jobs`` (default: ``$REPRO_JOBS``, else 1) fans the independent
-        channel drains out across the process pool of :mod:`repro.parallel`.
-        Each channel ships its backlog as a columnar trace plus a config
-        snapshot; per-channel ``ControllerStats`` come back in channel order
-        and are bit-identical to the sequential drain at every worker count
-        (tiny traces fall back to the in-process path automatically).
+        A channel whose controller is pristine and whose backlog entered
+        through :meth:`enqueue_trace` drains through
+        :func:`~repro.dram.memo.drain`: a backlog byte-identical to one
+        drained before adopts the memoized stats.  Any other channel (a warm
+        controller continues from its accumulated state; a directly fed one
+        has no columnar mirror) drains in place.
 
-        Per-channel drains are memoized through the process-wide timing
-        cache (:mod:`repro.dram.memo`): a channel whose pending backlog is
-        byte-identical to a previously drained one adopts the cached stats
-        without simulating.  The memo only applies when the system's
-        columnar backlog mirror matches the controller (i.e. every request
-        entered through :meth:`enqueue_trace`); a directly fed controller
-        always drains for real.
+        ``jobs`` (default: ``$REPRO_JOBS``, else 1) ships the memoizable
+        channels' drains to the process pool of :mod:`repro.parallel` as
+        columnar traces; the per-channel ``ControllerStats`` are
+        bit-identical to the sequential drain at every worker count (tiny
+        backlogs stay in-process).
         """
-        from ..parallel import min_task_records, resolve_jobs
+        from ..parallel import DrainBatch, min_task_records, resolve_jobs
 
         jobs = resolve_jobs(jobs)
         threshold = min_task_records()
+        batch = None
         if (
             jobs > 1
             and self.num_channels > 1
             and any(c.pending >= threshold for c in self.controllers)
         ):
-            return self._run_parallel(jobs)
-        stats: list[ControllerStats] = []
-        total_bytes = 0
-        elapsed = 0.0
+            batch = DrainBatch(jobs)
+        stats: list[ControllerStats | None] = []
+        shipped = []
         for channel, controller in enumerate(self.controllers):
-            s = None
-            mirror_ok = (
-                sum(len(b) for b in self._pending_traces[channel])
-                == controller.pending
-            )
-            # A warm controller (this system already ran once) continues
-            # from its accumulated clock/stats state, so its drain is not
-            # a pure function of the pending trace — memo only applies to
-            # pristine controllers.
-            if mirror_ok and controller.pending and controller.pristine:
-                trace = self._channel_trace(channel)
-                config = controller.snapshot_config()
-                s = TIMING_MEMO.lookup(config, trace)
-                if s is not None:
-                    controller.adopt_run(s)
-                else:
-                    s = controller.run_to_completion()
-                    TIMING_MEMO.store(config, trace, s)
-            if s is None:
-                s = controller.run_to_completion()
-            stats.append(s)
-            total_bytes += s.total_bytes
-            elapsed = max(elapsed, controller.elapsed_seconds())
+            buffers = self._pending_traces[channel]
+            if (
+                not controller.pending
+                or not controller.pristine
+                or sum(len(b) for b in buffers) != controller.pending
+            ):
+                stats.append(controller.run_to_completion())
+                continue
+            trace = buffers[0] if len(buffers) == 1 else TraceBuffer.concat(buffers)
+            config = controller.snapshot_config()
+            if batch is None:
+                stats.append(drain(config, trace=trace, controller=controller))
+                continue
+            batch.submit(config, trace=trace)
+            shipped.append((channel, len(trace)))
+            stats.append(None)
+        if shipped:
+            for (channel, records), s in zip(shipped, batch.results()):
+                # A worker that saw only this channel's trace must account
+                # for exactly this channel's requests.
+                assert s.accesses == records, (
+                    f"channel drained {s.accesses} requests but was shipped "
+                    f"{records} — independent-channel invariant violated"
+                )
+                self.controllers[channel].adopt_run(s)
+                stats[channel] = s
         self._pending_traces = [[] for _ in range(self.num_channels)]
-        return SystemStats(total_bytes=total_bytes, elapsed_seconds=elapsed, channel_stats=stats)
-
-    def _channel_trace(self, channel: int) -> TraceBuffer:
-        """This channel's backlog as one columnar trace, in enqueue order.
-
-        The cheap path concatenates the buffers :meth:`enqueue_trace` already
-        demuxed; if the mirror disagrees with the controller (someone fed
-        the controller directly), fall back to exporting its backlog.
-        """
-        controller = self.controllers[channel]
-        buffers = self._pending_traces[channel]
-        if sum(len(b) for b in buffers) == controller.pending:
-            return buffers[0] if len(buffers) == 1 else TraceBuffer.concat(buffers)
-        return controller.export_pending()
-
-    def _run_parallel(self, jobs: int) -> SystemStats:
-        """Fan the per-channel drains out across worker processes."""
-        from ..parallel import replay_traces
-
-        traces = [self._channel_trace(c) for c in range(self.num_channels)]
-        tasks = [
-            (controller.snapshot_config(), trace)
-            for controller, trace in zip(self.controllers, traces)
-        ]
-        stats = replay_traces(tasks, jobs=jobs)
-        total_bytes = 0
-        elapsed = 0.0
-        for controller, trace, s in zip(self.controllers, traces, stats):
-            # Channels share no timing state, so a worker that saw only this
-            # channel's trace must account for exactly this channel's
-            # requests — anything else means the domains leaked into each
-            # other and the merge would be nondeterministic.
-            assert s.accesses == len(trace), (
-                f"channel drained {s.accesses} requests but was shipped "
-                f"{len(trace)} — independent-channel invariant violated"
-            )
-            controller.adopt_run(s)
-            total_bytes += s.total_bytes
-            elapsed = max(elapsed, controller.elapsed_seconds())
-        self._pending_traces = [[] for _ in range(self.num_channels)]
-        return SystemStats(total_bytes=total_bytes, elapsed_seconds=elapsed, channel_stats=stats)
+        return SystemStats(
+            total_bytes=sum(s.total_bytes for s in stats),
+            elapsed_seconds=max(c.elapsed_seconds() for c in self.controllers),
+            channel_stats=stats,
+        )

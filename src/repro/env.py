@@ -34,3 +34,15 @@ def read_env(name: str, default: bool | int) -> bool | int:
         except ValueError:
             expected = "an integer"
     raise ValueError(f"{name}={raw!r}: expected {expected}")
+
+
+#: ``REPRO_REFERENCE=1`` forces the reference paths: both timing-memo
+#: levels and the controller's streak fast path are off, so every drain
+#: runs command by command.  Results are bit-identical either way.
+REFERENCE_ENV_VAR = "REPRO_REFERENCE"
+
+
+def reference_mode() -> bool:
+    """True when ``REPRO_REFERENCE`` forces the reference paths (read on
+    every call, so tests and benchmarks can flip it around single runs)."""
+    return read_env(REFERENCE_ENV_VAR, False)

@@ -5,24 +5,17 @@ baseline, N channels) each owning an independent timing domain — yet a
 single Python process can only drain those domains one after another.
 This module fans them out across a persistent pool of worker processes:
 
-* **Trace replay** (:func:`replay_traces`): the cycle-level FR-FCFS drain
-  of one channel/DIMM is shipped to a worker as a *compact columnar
-  payload* — the trace's ``addr`` / ``is_write`` / ``cycle`` numpy arrays
-  plus a :class:`~repro.dram.controller.ControllerConfig` snapshot.  Each
-  worker rebuilds the controller **once per distinct config** and keeps it
-  cached (reset between traces), so steady-state calls ship only arrays.
-* **Descriptor replay** (:func:`replay_descriptor`): instruction-shaped
-  drains ship a symbolic :class:`~repro.dram.command.TraceDescriptor`
-  (plus the raw index array only when the opcode's trace depends on index
-  contents) and the worker expands the trace locally
-  (:func:`repro.core.nmp_core.expand`) — the IPC payload collapses from
-  O(trace records) to O(count) or O(1).  This is the miss path of the
-  instruction-level timing memo; see :mod:`repro.dram.memo`.
-  Because FR-FCFS age tie-breaks are relative, a worker-side replay is
-  bit-identical to draining the original controller in-process; callers
-  (`DramSystem.run`, `TensorNode.broadcast_timed*`) merge the returned
-  :class:`~repro.dram.controller.ControllerStats` in submission order, so
-  the merged result is deterministic at every worker count.
+* **Drain fan-out** (:class:`DrainBatch`): ships
+  :func:`repro.dram.memo.drain` calls to the workers.  A channel's backlog
+  travels as its columnar trace; an NMP instruction travels as its
+  symbolic :class:`~repro.dram.command.TraceDescriptor` (plus its index
+  array when the opcode needs one) and the worker expands it locally, so
+  the payload is O(count) instead of O(trace records).  The parent answers
+  what its memos already hold and sends identical tasks once.  Because
+  FR-FCFS age tie-breaks are relative, a worker-side drain is
+  bit-identical to draining in-process, and results come back in
+  submission order, so the merge is deterministic at every worker count.
+  ``DramSystem.run`` and ``TensorNode.broadcast_timed*`` use it.
 * **Sweep fan-out** (:func:`parallel_map`): an ordered ``map`` over a
   process pool for design-point grids (CLI figures, ablations, service
   sims).  Workloads seed their RNGs from the item itself
@@ -31,33 +24,31 @@ This module fans them out across a persistent pool of worker processes:
 
 Worker counts resolve through :func:`resolve_jobs`: an explicit ``jobs=``
 argument wins, then the ``REPRO_JOBS`` environment variable, then 1
-(sequential).  ``jobs=0`` (or any value < 1) means "use every CPU".  Both
-fan-out helpers fall back to plain in-process execution when the work is
-too small for IPC to pay off (see ``MIN_TASK_RECORDS``), so sprinkling
-``jobs=`` through call sites never pessimizes tiny runs.
+(sequential).  ``jobs=0`` (or any value < 1) means "use every CPU".  The
+callers stay in-process when the work is too small for IPC to pay off
+(see ``MIN_TASK_RECORDS``), so sprinkling ``jobs=`` through call sites
+never pessimizes tiny runs.
 
 Pools are created lazily, keyed by multiprocessing start method, and kept
-alive for the life of the process (the per-worker controller cache is the
-point of persistence).  ``fork`` is the default where available; tests
-also exercise ``spawn`` to prove payloads carry everything they need.
+alive for the life of the process (each worker keeps its controllers and
+memos between tasks).  ``fork`` is the default where available; tests also
+exercise ``spawn`` to prove payloads carry everything they need.
 """
 
 import atexit
 import os
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import replace
 
-import numpy as np
-
-from .dram.command import TraceBuffer, TraceDescriptor
-from .dram.controller import ControllerConfig, ControllerStats, MemoryController
-from .dram.memo import INSTR_MEMO, TIMING_MEMO
+from .dram import memo
+from .dram.controller import ControllerConfig, ControllerStats
 from .env import read_env
 
 #: Environment variable consulted when no explicit ``jobs=`` is given.
 JOBS_ENV_VAR = "REPRO_JOBS"
 
 #: Below this many trace records per task, IPC + pickling dominates the
-#: cycle-level replay and the engine silently stays in-process.  Override
+#: cycle-level drain and the callers silently stay in-process.  Override
 #: with the REPRO_PARALLEL_MIN_RECORDS environment variable (0 disables
 #: the fallback, useful for tests).
 MIN_TASK_RECORDS = 4096
@@ -108,8 +99,8 @@ def get_executor(jobs: int, start_method: str | None = None) -> ProcessPoolExecu
     """A persistent executor with at least ``jobs`` workers.
 
     Reusing one pool across calls is what lets workers amortize controller
-    construction: the cache in :func:`replay_trace` lives for the worker's
-    lifetime.  Asking for more workers than an existing pool has replaces
+    construction: :func:`repro.dram.memo.drain` keeps one controller per
+    configuration for the worker's lifetime.  Asking for more workers than an existing pool has replaces
     it; asking for fewer reuses the bigger pool.
     """
     import multiprocessing
@@ -144,128 +135,67 @@ def shutdown() -> None:
 atexit.register(shutdown)
 
 
-# -- worker-side trace replay -------------------------------------------------
+# -- drain fan-out -------------------------------------------------------------
 
-#: Per-worker controller cache: one construction per distinct config.
-_WORKER_CONTROLLERS: dict[ControllerConfig, MemoryController] = {}
+class DrainBatch:
+    """Ships :func:`repro.dram.memo.drain` calls to the process pool.
 
-
-def _cached_controller(config: ControllerConfig) -> MemoryController:
-    controller = _WORKER_CONTROLLERS.get(config)
-    if controller is None:
-        controller = config.build()
-        _WORKER_CONTROLLERS[config] = controller
-    else:
-        controller.reset()
-    return controller
-
-
-def replay_trace(
-    config: ControllerConfig,
-    addr: np.ndarray,
-    is_write: np.ndarray,
-    cycle: np.ndarray,
-) -> ControllerStats:
-    """Drain one columnar trace on a (cached) controller; runs in a worker.
-
-    Also callable in-process — the sequential fallback and the parallel
-    path execute literally the same function, which is what makes the
-    bit-identity guarantee easy to audit.  The drain is memoized through
-    the process-local timing cache (each worker owns one), so repeated
-    traces within a fan-out cost a hash lookup.
+    :meth:`submit` answers a task from this process's memos when it can,
+    shares one worker call among identical tasks (same config and trace
+    digest, or same config and descriptor), and ships the rest at once.
+    The caller is free to work between :meth:`submit` and :meth:`results`
+    (``TensorNode`` executes the instructions functionally meanwhile).
     """
-    trace = TraceBuffer(addr, is_write, cycle)
-    stats = TIMING_MEMO.lookup(config, trace)
-    if stats is not None:
-        return stats
-    controller = _cached_controller(config)
-    controller.enqueue_batch(trace)
-    stats = controller.run_to_completion()
-    TIMING_MEMO.store(config, trace, stats)
-    return stats
 
+    def __init__(self, jobs: int, start_method: str | None = None):
+        self._pool_args = (jobs, start_method)
+        self._tasks: list = []  # per task: its stats, or its in-flight key
+        self._inflight: dict[tuple, tuple] = {}
 
-def replay_descriptor(
-    config: ControllerConfig,
-    descriptor: TraceDescriptor,
-    indices: np.ndarray | None = None,
-) -> ControllerStats:
-    """Expand a symbolic descriptor and drain it; runs in a worker.
+    def submit(
+        self, config: ControllerConfig, *, trace=None, descriptor=None, indices=None
+    ) -> None:
+        """Queue one drain (arguments as for :func:`repro.dram.memo.drain`)."""
+        if descriptor is not None:
+            key = (config, descriptor)
+            stats = memo.INSTR_MEMO.lookup(config, descriptor)
+        else:
+            key = (config, trace.digest())
+            stats = memo.TIMING_MEMO.lookup(config, trace)
+        if stats is not None:
+            self._tasks.append(stats)
+            return
+        if key not in self._inflight:
+            # The pool starts on the first task the memo cannot answer.
+            future = get_executor(*self._pool_args).submit(
+                memo.drain, config, trace=trace, descriptor=descriptor, indices=indices
+            )
+            self._inflight[key] = (future, trace, descriptor)
+        self._tasks.append(key)
 
-    The worker-side twin of the instruction-level memo's miss path: the
-    parent ships ``(config, descriptor[, indices])`` — O(count) bytes at
-    most — and the trace is materialized here, in the process that will
-    drain it.  Both worker-local memo levels participate: a repeated
-    descriptor within a fan-out costs one dict lookup, and the expanded
-    trace is stored under its content digest too, so descriptor- and
-    trace-shipped replays of the same traffic share one drain per worker.
-    Also callable in-process, which keeps the sequential fallback and the
-    parallel path literally the same function (the bit-identity argument).
-    """
-    from .core.nmp_core import expand
+    def results(self) -> list[ControllerStats]:
+        """Every task's stats, in submission order.
 
-    stats = INSTR_MEMO.lookup(config, descriptor)
-    if stats is not None:
-        return stats
-    trace = expand(descriptor, indices)
-    stats = TIMING_MEMO.lookup(config, trace)
-    if stats is None:
-        controller = _cached_controller(config)
-        controller.enqueue_batch(trace)
-        stats = controller.run_to_completion()
-        TIMING_MEMO.store(config, trace, stats)
-    INSTR_MEMO.store(config, descriptor, stats)
-    return stats
-
-
-def replay_traces(
-    tasks,
-    jobs: int | None = None,
-    start_method: str | None = None,
-) -> list[ControllerStats]:
-    """Replay ``(config, trace)`` tasks, fanned out over the process pool.
-
-    ``tasks`` is a sequence of ``(ControllerConfig, TraceBuffer)`` pairs;
-    the result is one :class:`ControllerStats` per task **in task order**
-    (merging is therefore deterministic at every worker count).  Runs
-    in-process when ``jobs`` resolves to 1, there is at most one task, or
-    every trace is below the tiny-trace threshold.
-
-    The parent consults the timing memo *before* submitting: a task whose
-    ``(config, trace digest)`` was drained before is answered from the
-    cache and never shipped over IPC at all.  Worker results are stored
-    back into the parent's memo on collection.
-    """
-    tasks = list(tasks)
-    jobs = resolve_jobs(jobs)
-    threshold = min_task_records()
-    big_enough = any(len(trace) >= threshold for _, trace in tasks)
-    if jobs < 2 or len(tasks) < 2 or not big_enough:
-        return [
-            replay_trace(config, trace.addr, trace.is_write, trace.cycle)
-            for config, trace in tasks
-        ]
-    cached = [TIMING_MEMO.lookup(config, trace) for config, trace in tasks]
-    if all(s is not None for s in cached):
-        return cached
-    executor = get_executor(jobs, start_method)
-    futures = [
-        None
-        if hit is not None
-        else executor.submit(
-            replay_trace, config, trace.addr, trace.is_write, trace.cycle
-        )
-        for hit, (config, trace) in zip(cached, tasks)
-    ]
-    results = []
-    for hit, future, (config, trace) in zip(cached, futures, tasks):
-        if hit is not None:
-            results.append(hit)
-            continue
-        stats = future.result()
-        TIMING_MEMO.store(config, trace, stats)
-        results.append(stats)
-    return results
+        Each shipped result is stored into this process's memo once; tasks
+        that shared a worker call get their own copies.
+        """
+        stored = set()
+        results = []
+        for task in self._tasks:
+            if isinstance(task, ControllerStats):
+                results.append(task)
+                continue
+            future, trace, descriptor = self._inflight[task]
+            stats = future.result()
+            if task not in stored:
+                stored.add(task)
+                config = task[0]
+                if descriptor is not None:
+                    memo.INSTR_MEMO.store(config, descriptor, stats)
+                else:
+                    memo.TIMING_MEMO.store(config, trace, stats)
+            results.append(replace(stats))
+        return results
 
 
 # -- generic sweep fan-out ----------------------------------------------------

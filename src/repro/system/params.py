@@ -5,7 +5,7 @@ from dataclasses import dataclass, field, replace
 from ..compute.cpu import XEON
 from ..compute.device import DeviceSpec
 from ..compute.gpu import V100
-from ..config import DEFAULT_NODE_DIMMS, DIMM_PEAK_BANDWIDTH
+from ..config import DEFAULT_NODE_DIMMS, DIMM_PEAK_BANDWIDTH, NMP_STREAM_EFFICIENCY
 from ..interconnect.link import NVLINK2_GPU, PCIE3_X16, Link
 
 
@@ -25,8 +25,8 @@ class SystemParams:
     node_dimms: int = DEFAULT_NODE_DIMMS
     dimm_bandwidth: float = DIMM_PEAK_BANDWIDTH
     #: Fraction of per-DIMM peak sustained by NMP streaming (calibrated
-    #: against the cycle-level DRAM model; see repro.core.runtime).
-    node_stream_efficiency: float = 0.948
+    #: against the cycle-level DRAM model; see repro.config).
+    node_stream_efficiency: float = NMP_STREAM_EFFICIENCY
     #: PMEM: the same pool accessed as conventional DIMMs behind shared
     #: channels — bandwidth is per-channel, not per-DIMM (Section 4.2).
     pool_channels: int = 8

@@ -4,48 +4,58 @@ import numpy as np
 import pytest
 
 from repro.core import TensorDimmRuntime, TensorNode
-from repro.dram.memo import (
-    INSTR_MEMO,
-    INSTR_MEMO_ENV_VAR,
-    TIMING_CACHE_ENV_VAR,
-    TIMING_MEMO,
-)
+from repro.dram import memo
+from repro.env import REFERENCE_ENV_VAR
+
+
+class NullMemo:
+    """A memo level that never hits and stores nothing."""
+
+    def lookup(self, config, key):
+        return None
+
+    def store(self, config, key, stats):
+        pass
+
+
+_REAL_TIMING_MEMO = memo.TIMING_MEMO
+_REAL_INSTR_MEMO = memo.INSTR_MEMO
 
 
 @pytest.fixture(autouse=True)
 def _isolate_timing_memo(monkeypatch):
-    """Disable both timing-memo levels for every test by default.
+    """Replace both timing-memo levels with a :class:`NullMemo` for every
+    test by default, and clear ``REPRO_REFERENCE``.
 
     The determinism suites compare sequential against parallel (and fast
     against reference) runs; a warm memo would let the second run
     short-circuit and the comparison would stop testing anything.  Tests
-    that exercise a memo itself re-enable it via ``timing_memo`` /
-    ``instr_memo``.
+    that exercise a memo itself put the real one back via ``timing_memo``
+    / ``instr_memo``.
     """
-    monkeypatch.setenv(TIMING_CACHE_ENV_VAR, "0")
-    monkeypatch.setenv(INSTR_MEMO_ENV_VAR, "0")
-    TIMING_MEMO.clear()
-    INSTR_MEMO.clear()
+    monkeypatch.delenv(REFERENCE_ENV_VAR, raising=False)
+    monkeypatch.setattr(memo, "TIMING_MEMO", NullMemo())
+    monkeypatch.setattr(memo, "INSTR_MEMO", NullMemo())
     yield
-    TIMING_MEMO.clear()
-    INSTR_MEMO.clear()
+    _REAL_TIMING_MEMO.clear()
+    _REAL_INSTR_MEMO.clear()
 
 
 @pytest.fixture
 def timing_memo(monkeypatch):
-    """An enabled, empty process-wide trace-level memo (overrides the
+    """The real, empty process-wide trace-level memo (overrides the
     autouse default for tests that target the cache)."""
-    monkeypatch.setenv(TIMING_CACHE_ENV_VAR, "1")
-    TIMING_MEMO.clear()
-    return TIMING_MEMO
+    monkeypatch.setattr(memo, "TIMING_MEMO", _REAL_TIMING_MEMO)
+    _REAL_TIMING_MEMO.clear()
+    return _REAL_TIMING_MEMO
 
 
 @pytest.fixture
 def instr_memo(monkeypatch):
-    """An enabled, empty process-wide instruction-level memo."""
-    monkeypatch.setenv(INSTR_MEMO_ENV_VAR, "1")
-    INSTR_MEMO.clear()
-    return INSTR_MEMO
+    """The real, empty process-wide instruction-level memo."""
+    monkeypatch.setattr(memo, "INSTR_MEMO", _REAL_INSTR_MEMO)
+    _REAL_INSTR_MEMO.clear()
+    return _REAL_INSTR_MEMO
 
 
 @pytest.fixture

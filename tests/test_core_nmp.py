@@ -12,6 +12,7 @@ from repro.core.nmp_core import (
     NmpExecStats,
     SramQueue,
     VectorAlu,
+    expand,
     required_queue_bytes,
 )
 from repro.dram.storage import WordStorage
@@ -234,9 +235,14 @@ class TestAverageExecution:
         np.testing.assert_allclose(core.storage.read_words(3 + np.arange(3)), data)
 
 
+def instr_trace(core, instr):
+    """The instruction's DRAM trace, as the timed paths build it."""
+    return expand(core.describe(instr), core.instruction_indices(instr))
+
+
 class TestTraceGeneration:
     def _trace_counts(self, core, instr):
-        trace = core.trace(instr)
+        trace = instr_trace(core, instr)
         return trace.reads, trace.writes
 
     def test_gather_trace_matches_stats(self):
@@ -264,7 +270,7 @@ class TestTraceGeneration:
 
     def test_trace_addresses_are_64B_aligned(self):
         core = make_core(node_dim=2)
-        assert (core.trace(reduce(0, 20, 40, 10)).addr % 64 == 0).all()
+        assert (instr_trace(core, reduce(0, 20, 40, 10)).addr % 64 == 0).all()
 
 
 class TestTimingModel:

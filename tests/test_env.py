@@ -2,17 +2,14 @@
 
 import pytest
 
-from repro import parallel
-from repro.dram import controller, memo
+from repro import env, parallel
 from repro.env import read_env
 
 #: Every variable the package reads, with the function that parses it.
 READERS = {
     "REPRO_JOBS": parallel.resolve_jobs,
     "REPRO_PARALLEL_MIN_RECORDS": parallel.min_task_records,
-    "REPRO_TIMING_CACHE": memo.timing_cache_default,
-    "REPRO_INSTR_MEMO": memo.instr_memo_default,
-    "REPRO_FAST_DRAIN": controller.fast_drain_default,
+    "REPRO_REFERENCE": env.reference_mode,
 }
 
 
@@ -45,9 +42,16 @@ class TestReadEnv:
 
 
 class TestPackageVariables:
-    @pytest.mark.parametrize("name", sorted(READERS))
-    def test_rejects_garbage(self, monkeypatch, name):
-        monkeypatch.setenv(name, "abc")
+    @pytest.mark.parametrize(
+        "name,garbage",
+        [pytest.param(name, "abc", id=name) for name in sorted(READERS)]
+        + [
+            pytest.param("REPRO_REFERENCE", "2", id="REPRO_REFERENCE-2"),
+            pytest.param("REPRO_REFERENCE", "yes", id="REPRO_REFERENCE-yes"),
+        ],
+    )
+    def test_rejects_garbage(self, monkeypatch, name, garbage):
+        monkeypatch.setenv(name, garbage)
         with pytest.raises(ValueError, match=name):
             READERS[name]()
 
@@ -58,19 +62,25 @@ class TestPackageVariables:
             ("REPRO_JOBS", "4", 4),
             ("REPRO_PARALLEL_MIN_RECORDS", "0", 0),
             ("REPRO_PARALLEL_MIN_RECORDS", "4096", 4096),
-            ("REPRO_TIMING_CACHE", "0", False),
-            ("REPRO_TIMING_CACHE", "off", False),
-            ("REPRO_INSTR_MEMO", "1", True),
-            ("REPRO_INSTR_MEMO", "false", False),
-            ("REPRO_FAST_DRAIN", "0", False),
-            ("REPRO_FAST_DRAIN", "1", True),
+            ("REPRO_REFERENCE", "0", False),
+            ("REPRO_REFERENCE", "off", False),
+            ("REPRO_REFERENCE", "false", False),
+            ("REPRO_REFERENCE", "1", True),
+            ("REPRO_REFERENCE", "on", True),
+            ("REPRO_REFERENCE", "true", True),
         ],
     )
     def test_accepts_the_values_in_use(self, monkeypatch, name, raw, expected):
         monkeypatch.setenv(name, raw)
         assert READERS[name]() == expected
 
-    def test_memo_enabled_reads_the_switch(self, monkeypatch):
-        monkeypatch.setenv(memo.TIMING_CACHE_ENV_VAR, "maybe")
-        with pytest.raises(ValueError, match=memo.TIMING_CACHE_ENV_VAR):
-            memo.TIMING_MEMO.enabled
+    def test_unset_reference_switch_is_off(self, monkeypatch):
+        monkeypatch.delenv(env.REFERENCE_ENV_VAR, raising=False)
+        assert env.reference_mode() is False
+
+    def test_memo_enabled_reads_the_switch(self, timing_memo, monkeypatch):
+        monkeypatch.setenv(env.REFERENCE_ENV_VAR, "maybe")
+        with pytest.raises(ValueError, match=env.REFERENCE_ENV_VAR):
+            timing_memo.enabled
+        monkeypatch.setenv(env.REFERENCE_ENV_VAR, "1")
+        assert not timing_memo.enabled

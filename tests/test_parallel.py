@@ -14,6 +14,7 @@ from repro.core.isa import gather, reduce
 from repro.core.runtime import TensorDimmRuntime
 from repro.core.tensornode import TensorNode
 from repro.dram.controller import MemoryController
+from repro.dram.memo import drain
 from repro.dram.system import DramSystem
 from repro.dram.timing import DDR4_3200
 from repro.dram.trace import streaming_buffer
@@ -55,6 +56,14 @@ class TestResolveJobs:
         assert parallel.resolve_jobs(8) == 1
 
 
+def _pooled(tasks, jobs, start_method=None):
+    """Drain ``(config, trace)`` tasks through a :class:`DrainBatch`."""
+    batch = parallel.DrainBatch(jobs, start_method)
+    for config, trace in tasks:
+        batch.submit(config, trace=trace)
+    return batch.results()
+
+
 class TestReplayTraces:
     def _tasks(self, channels=3, words=1500):
         config = MemoryController(DDR4_3200).snapshot_config()
@@ -62,24 +71,22 @@ class TestReplayTraces:
             (config, streaming_buffer(c * 64, words)) for c in range(channels)
         ]
 
-    def test_inprocess_matches_pool(self, force_pool):
+    def test_inprocess_matches_pool(self):
         tasks = self._tasks()
-        sequential = parallel.replay_traces(tasks, jobs=1)
-        pooled = parallel.replay_traces(tasks, jobs=2)
-        assert pooled == sequential
+        sequential = [drain(config, trace=trace) for config, trace in tasks]
+        assert _pooled(tasks, jobs=2) == sequential
 
-    def test_spawn_start_method_matches(self, force_pool):
+    def test_spawn_start_method_matches(self):
         tasks = self._tasks(channels=2, words=800)
-        sequential = parallel.replay_traces(tasks, jobs=1)
-        spawned = parallel.replay_traces(tasks, jobs=2, start_method="spawn")
-        assert spawned == sequential
+        sequential = [drain(config, trace=trace) for config, trace in tasks]
+        assert _pooled(tasks, jobs=2, start_method="spawn") == sequential
 
-    def test_results_in_task_order(self, force_pool):
+    def test_results_in_task_order(self):
         # Channels with very different load finish at different times; the
         # merge must still be in submission order.
         config = MemoryController(DDR4_3200).snapshot_config()
         tasks = [(config, streaming_buffer(0, n)) for n in (2000, 50, 900)]
-        stats = parallel.replay_traces(tasks, jobs=3)
+        stats = _pooled(tasks, jobs=3)
         assert [s.accesses for s in stats] == [2000, 50, 900]
 
 
@@ -103,6 +110,23 @@ class TestDramSystemParallel:
         reference = self._run(1, words=200)
         result = self._run(4, words=200)
         assert result.channel_stats == reference.channel_stats
+
+    def test_warm_second_run_matches_sequential(self, force_pool):
+        """A second run continues from the first run's state; the pool
+        must not replace that with a fresh drain of the new backlog."""
+
+        def warm(jobs):
+            system = DramSystem(channels=2)
+            for _ in range(2):
+                system.enqueue_trace(streaming_buffer(0, 3000))
+                result = system.run(jobs=jobs)
+            return result
+
+        sequential = warm(1)
+        pooled = warm(2)
+        assert [s.accesses for s in sequential.channel_stats] == [3000, 3000]
+        assert pooled.channel_stats == sequential.channel_stats
+        assert pooled.elapsed_seconds == sequential.elapsed_seconds
 
     def test_controllers_drained_after_parallel_run(self, force_pool):
         system = DramSystem(channels=2, refresh_enabled=False)

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from repro.core.isa import average, gather, reduce, update
-from repro.core.nmp_core import NmpCore
+from repro.core.nmp_core import NmpCore, expand
 from repro.core.tensordimm import TensorDimm
 from repro.bench import ablation
 from repro.bench.figure11 import AVERAGE_NUM, LOOKUPS_PER_SAMPLE, TABLE_ROWS
@@ -38,6 +38,7 @@ from repro.dram.trace import (
     streaming_buffer,
     strided_buffer,
 )
+from repro.env import REFERENCE_ENV_VAR, reference_mode
 
 from trace_oracles import (
     Record,
@@ -69,6 +70,11 @@ OPCODE_CASES = {
 }
 
 
+def instr_trace(core, instr):
+    """The instruction's DRAM trace, as the timed paths build it."""
+    return expand(core.describe(instr), core.instruction_indices(instr))
+
+
 def run_scalar_scan(trace, **kw):
     """Reference path: per-record enqueue + the original scan scheduler."""
     mc = MemoryController(DDR4_3200, scheduler="scan", **kw)
@@ -89,7 +95,7 @@ class TestOpcodeTraceParity:
     @pytest.mark.parametrize("name", list(OPCODE_CASES))
     def test_controller_stats_bit_identical(self, name):
         core = seeded_core()
-        trace = core.trace(OPCODE_CASES[name])
+        trace = instr_trace(core, OPCODE_CASES[name])
         golden = run_scalar_scan(trace)
         fast = run_batch_indexed(trace)
         assert fast == golden  # dataclass equality covers every counter
@@ -97,7 +103,7 @@ class TestOpcodeTraceParity:
     @pytest.mark.parametrize("name", list(OPCODE_CASES))
     def test_parity_with_refresh_disabled(self, name):
         core = seeded_core(seed=11)
-        trace = core.trace(OPCODE_CASES[name])
+        trace = instr_trace(core, OPCODE_CASES[name])
         golden = run_scalar_scan(trace, refresh_enabled=False)
         fast = run_batch_indexed(trace, refresh_enabled=False)
         assert fast == golden
@@ -105,7 +111,7 @@ class TestOpcodeTraceParity:
     @pytest.mark.parametrize("name", ["gather", "update"])
     def test_parity_closed_page(self, name):
         core = seeded_core(seed=13)
-        trace = core.trace(OPCODE_CASES[name])
+        trace = instr_trace(core, OPCODE_CASES[name])
         golden = run_scalar_scan(trace, row_policy="closed")
         fast = run_batch_indexed(trace, row_policy="closed")
         assert fast == golden
@@ -113,7 +119,7 @@ class TestOpcodeTraceParity:
     @pytest.mark.parametrize("order", [BANK_INTERLEAVED_ORDER, ROW_INTERLEAVED_ORDER])
     def test_parity_across_mappings(self, order):
         core = seeded_core(seed=17)
-        trace = core.trace(OPCODE_CASES["gather"])
+        trace = instr_trace(core, OPCODE_CASES["gather"])
         org = DramOrganization()
         mapping = AddressMapping(org, order=order)
         golden = run_scalar_scan(trace, organization=org, mapping=mapping)
@@ -279,7 +285,7 @@ class TestAblationParity:
 class TestControllerReset:
     def test_reset_reproduces_fresh_controller(self):
         core = seeded_core(seed=29)
-        trace = core.trace(OPCODE_CASES["gather"])
+        trace = instr_trace(core, OPCODE_CASES["gather"])
         fresh = run_batch_indexed(trace)
         mc = MemoryController(DDR4_3200)
         for _ in range(2):
@@ -450,21 +456,22 @@ class TestStreakFastPathParity:
     def test_matches_scan_reference(self, pattern, row_policy):
         trace = _traffic(pattern)
         golden = run_scalar_scan(trace, row_policy=row_policy)
-        fast = run_batch_indexed(trace, row_policy=row_policy, fast_drain=True)
+        fast = run_batch_indexed(trace, row_policy=row_policy)
         assert fast == golden
 
     @pytest.mark.parametrize("pattern", PATTERNS)
-    def test_fast_on_matches_fast_off(self, pattern):
+    def test_fast_on_matches_fast_off(self, pattern, monkeypatch):
         trace = _traffic(pattern)
-        off = run_batch_indexed(trace, fast_drain=False)
-        on = run_batch_indexed(trace, fast_drain=True)
+        on = run_batch_indexed(trace)
+        monkeypatch.setenv(REFERENCE_ENV_VAR, "1")
+        off = run_batch_indexed(trace)
         assert on == off
 
     @pytest.mark.parametrize("pattern", ["hot_row", "sequential", "reduce_shaped"])
     def test_refresh_disabled(self, pattern):
         trace = _traffic(pattern)
         golden = run_scalar_scan(trace, refresh_enabled=False)
-        fast = run_batch_indexed(trace, refresh_enabled=False, fast_drain=True)
+        fast = run_batch_indexed(trace, refresh_enabled=False)
         assert fast == golden
 
     @pytest.mark.parametrize(
@@ -478,7 +485,7 @@ class TestStreakFastPathParity:
     def test_watermark_crossings(self, watermarks):
         trace = _traffic("reduce_shaped")
         golden = run_scalar_scan(trace, **watermarks)
-        fast = run_batch_indexed(trace, fast_drain=True, **watermarks)
+        fast = run_batch_indexed(trace, **watermarks)
         assert fast == golden
 
     @pytest.mark.parametrize("window", [4, 8, 16])
@@ -486,7 +493,7 @@ class TestStreakFastPathParity:
         for pattern in ("hot_row", "sequential"):
             trace = _traffic(pattern)
             golden = run_scalar_scan(trace, window=window)
-            fast = run_batch_indexed(trace, window=window, fast_drain=True)
+            fast = run_batch_indexed(trace, window=window)
             assert fast == golden
 
     def test_multi_rank_traffic(self):
@@ -496,30 +503,28 @@ class TestStreakFastPathParity:
         trace = TraceBuffer(addrs, np.zeros(len(addrs), dtype=bool))
         kw = {"organization": org, "mapping": mapping}
         golden = run_scalar_scan(trace, **kw)
-        fast = run_batch_indexed(trace, fast_drain=True, **kw)
+        fast = run_batch_indexed(trace, **kw)
         assert fast == golden
 
     @pytest.mark.parametrize("name", list(OPCODE_CASES))
     def test_opcode_traces(self, name):
         core = seeded_core(seed=19)
-        trace = core.trace(OPCODE_CASES[name])
+        trace = instr_trace(core, OPCODE_CASES[name])
         golden = run_scalar_scan(trace)
-        fast = run_batch_indexed(trace, fast_drain=True)
+        fast = run_batch_indexed(trace)
         assert fast == golden
 
     def test_env_kill_switch(self, monkeypatch):
-        from repro.dram import controller as controller_mod
-
-        monkeypatch.setenv(controller_mod.FAST_DRAIN_ENV_VAR, "0")
-        assert not controller_mod.fast_drain_default()
+        monkeypatch.setenv(REFERENCE_ENV_VAR, "1")
+        assert reference_mode()
         trace = _traffic("hot_row")
         golden = run_scalar_scan(trace)
         assert run_batch_indexed(trace) == golden  # fast path off via env
 
-    def test_scalar_enqueue_completions_after_streak(self):
+    def test_scalar_enqueue_completions_after_streak(self, monkeypatch):
         # Scalar-enqueued Requests must get completion cycles written even
         # when the streak compiler retires them straight from the backlog.
-        mc = MemoryController(DDR4_3200, fast_drain=True)
+        mc = MemoryController(DDR4_3200)
         requests = [
             Request(addr=((i % 128) << 4) * 64, is_write=False) for i in range(500)
         ]
@@ -527,7 +532,8 @@ class TestStreakFastPathParity:
             mc.enqueue(r)
         mc.run_to_completion()
         assert all(r.done for r in requests)
-        ref = MemoryController(DDR4_3200, fast_drain=False)
+        monkeypatch.setenv(REFERENCE_ENV_VAR, "1")
+        ref = MemoryController(DDR4_3200)
         ref_requests = [
             Request(addr=((i % 128) << 4) * 64, is_write=False) for i in range(500)
         ]
@@ -584,5 +590,5 @@ class TestStreakFuzzParity:
         for _ in range(6):
             trace, kw = self._random_case(rng)
             golden = run_scalar_scan(trace, **kw)
-            fast = run_batch_indexed(trace, fast_drain=True, **kw)
+            fast = run_batch_indexed(trace, **kw)
             assert fast == golden, kw

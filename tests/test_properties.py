@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from repro.core.address_map import EmbeddingLayout
 from repro.core.isa import ReduceOp, gather, reduce
+from repro.core.nmp_core import expand
 from repro.core.runtime import TensorDimmRuntime
 from repro.core.tensornode import TensorNode
 from repro.models.recsys import RecSysConfig
@@ -220,7 +221,7 @@ class TestIsaInvariants:
         out = node.alloc_tensor("o", count, 64)
         instr = reduce(a.base_word, b.base_word, out.base_word, a.words_per_dimm)
         dimm = node.dimms[0]
-        trace = dimm.nmp.trace(instr)
+        trace = expand(dimm.nmp.describe(instr), dimm.nmp.instruction_indices(instr))
         stats = dimm.execute(instr)
         assert len(trace) == stats.words_touched
 

@@ -5,33 +5,35 @@ Two levels (see :mod:`repro.dram.memo`): the trace memo keyed by
 ``(ControllerConfig, TraceDescriptor)``.  Correctness rests on the drain
 being a pure function of those keys (the parity, determinism, and
 descriptor-expansion suites pin the purity); these tests pin the cache
-mechanics: keying, copy semantics, LRU + byte-cap eviction, the kill
-switches, and every consumer integration (TensorDimm, DramSystem, the
-parallel trace- and descriptor-replay paths).
+mechanics: keying, copy semantics, LRU + byte-cap eviction, reference
+mode, the lookup order of :func:`~repro.dram.memo.drain`, and every
+consumer (TensorDimm, DramSystem, the parallel drain fan-out).
 
-The suite-wide autouse fixture disables both memos; tests here opt back
-in through the ``timing_memo`` / ``instr_memo`` fixtures.
+The suite-wide autouse fixture replaces both memos with null memos; tests
+here opt back in through the ``timing_memo`` / ``instr_memo`` fixtures.
 """
 
 import numpy as np
 import pytest
 
 from repro.core.isa import gather, reduce
+from repro.core.nmp_core import expand
+from repro.core.runtime import TensorDimmRuntime
 from repro.core.tensordimm import TensorDimm
 from repro.core.tensornode import TensorNode
 from repro.dram.command import TraceBuffer
 from repro.dram.controller import MemoryController
 from repro.dram.memo import (
-    INSTR_MEMO,
-    TIMING_MEMO,
     InstructionMemo,
     TimingMemo,
+    drain,
     instr_memo_stats,
     timing_memo_stats,
 )
 from repro.dram.system import DramSystem
 from repro.dram.timing import DDR4_3200
-from repro.parallel import replay_descriptor, replay_traces
+from repro.env import REFERENCE_ENV_VAR
+from repro.parallel import DrainBatch
 
 
 def _trace(n=600, seed=3):
@@ -99,17 +101,15 @@ class TestTimingMemoMechanics:
         assert timing_memo.lookup(closed_cfg, trace) is None
 
     def test_kill_switch(self, timing_memo, monkeypatch):
-        from repro.dram.memo import TIMING_CACHE_ENV_VAR
-
         config = _config()
         trace = _trace()
         timing_memo.store(config, trace, MemoryController(DDR4_3200).stats)
-        monkeypatch.setenv(TIMING_CACHE_ENV_VAR, "0")
+        monkeypatch.setenv(REFERENCE_ENV_VAR, "1")
         assert timing_memo.lookup(config, trace) is None
         assert timing_memo.misses == 0  # disabled lookups do not count
 
     def test_lru_eviction_prefers_stale_entries(self, timing_memo):
-        memo = TimingMemo(max_entries=2)  # enabled via the fixture's env
+        memo = TimingMemo(max_entries=2)
         config = _config()
         stats = MemoryController(DDR4_3200).stats
         traces = [_trace(seed=s) for s in range(3)]
@@ -224,11 +224,16 @@ class TestParallelIntegration:
     def test_replay_traces_parent_side_hits(self, timing_memo):
         config = _config()
         trace = _trace(n=900)
-        first = replay_traces([(config, trace), (config, trace)], jobs=1)
-        assert first[0] == first[1]
-        assert timing_memo.hits == 1  # second task answered from the memo
-        again = replay_traces([(config, trace)], jobs=1)
-        assert again[0] == first[0]
+        batch = DrainBatch(jobs=2)
+        batch.submit(config, trace=trace)
+        batch.submit(config, trace=trace)  # shares the first task's worker call
+        first = batch.results()
+        assert first[0] == first[1] and first[0] is not first[1]
+        assert timing_memo.misses == 2 and len(timing_memo) == 1
+        again = DrainBatch(jobs=2)
+        again.submit(config, trace=trace)  # answered by the parent's memo
+        assert again.results() == first[:1]
+        assert timing_memo.hits == 1
 
     def test_broadcast_timed_batch_dedups_identical_dimm_traces(
         self, timing_memo, monkeypatch
@@ -286,6 +291,22 @@ class TestWarmControllerSoundness:
         result = fresh.run()
         assert all(s.accesses == 500 for s in result.channel_stats)
 
+    def test_warm_run_does_not_depend_on_memo_hits(self, timing_memo):
+        def warm_second_run():
+            system = DramSystem(channels=2)
+            for _ in range(2):
+                system.enqueue_trace(self._trace())
+                result = system.run()
+            return result
+
+        # The first system drains channel 0 for real and adopts channel 1
+        # from the memo; the second system adopts both.
+        first = warm_second_run()
+        assert timing_memo.misses == 1
+        second = warm_second_run()
+        assert timing_memo.misses == 1
+        assert second.channel_stats == first.channel_stats
+
     def test_pristine_flag(self):
         mc = MemoryController(DDR4_3200)
         assert mc.pristine
@@ -295,15 +316,6 @@ class TestWarmControllerSoundness:
         assert not mc.pristine
         mc.reset()
         assert mc.pristine
-
-
-class TestConfigRoundTrip:
-    def test_snapshot_preserves_fast_drain(self):
-        for setting in (True, False, None):
-            mc = MemoryController(DDR4_3200, fast_drain=setting)
-            config = mc.snapshot_config()
-            assert config.fast_drain is setting
-            assert config.build().fast_drain is setting
 
 
 def _described_reduce(count=300, dimms=2):
@@ -341,12 +353,10 @@ class TestInstructionMemoMechanics:
         assert instr_memo.lookup(closed_cfg, descriptor) is None
 
     def test_kill_switch(self, instr_memo, monkeypatch):
-        from repro.dram.memo import INSTR_MEMO_ENV_VAR
-
         dimm, instr, descriptor = _described_reduce()
         config = dimm.timed_controller_config(True)
         instr_memo.store(config, descriptor, MemoryController(DDR4_3200).stats)
-        monkeypatch.setenv(INSTR_MEMO_ENV_VAR, "0")
+        monkeypatch.setenv(REFERENCE_ENV_VAR, "1")
         assert instr_memo.lookup(config, descriptor) is None
         assert instr_memo.misses == 0  # disabled lookups do not count
 
@@ -378,11 +388,11 @@ class TestDescriptorReplay:
     def test_replay_descriptor_matches_trace_replay(self, instr_memo):
         dimm, instr, descriptor = _described_reduce(count=400)
         config = dimm.timed_controller_config(True)
-        trace = dimm.nmp.trace(instr)
-        golden = replay_traces([(config, trace)], jobs=1)[0]
-        via_descriptor = replay_descriptor(config, descriptor)
-        assert via_descriptor == golden
-        assert replay_descriptor(config, descriptor) == golden  # memo hit
+        mc = config.build()
+        mc.enqueue_batch(expand(descriptor))
+        golden = mc.run_to_completion()
+        assert drain(config, descriptor=descriptor) == golden
+        assert drain(config, descriptor=descriptor) == golden  # memo hit
         assert instr_memo.hits == 1
 
     def test_broadcast_batch_parallel_ships_descriptors(
@@ -413,3 +423,50 @@ class TestDescriptorReplay:
         second = node.broadcast_timed_batch([instr], simulate_dimms=None, jobs=2)[0]
         assert TraceBuffer.constructions == constructions  # zero materialization
         assert second.dram_per_dimm == first.dram_per_dimm
+
+
+class TestDrainLookupOrder:
+    """The hit/miss counters :func:`drain` leaves pin its lookup order:
+    instruction memo, then expansion, then trace memo, then a real drain."""
+
+    def test_figure11_cpu_points(self, timing_memo, instr_memo):
+        from repro.bench import figure11
+
+        figure11.sweep_grid(
+            [("CPU", 8, op, 2, 512) for op in figure11.OPS], jobs=1
+        )
+        # 24 channel drains of 10 distinct traces; no instruction is
+        # described on the conventional system.
+        assert (timing_memo.hits, timing_memo.misses) == (14, 10)
+        assert (instr_memo.hits, instr_memo.misses) == (0, 0)
+
+    @pytest.mark.parametrize("jobs,trace_misses", [(1, 11), (2, 9)])
+    def test_cycle_runtime_forward_and_combine(
+        self, timing_memo, instr_memo, monkeypatch, jobs, trace_misses
+    ):
+        monkeypatch.setenv("REPRO_PARALLEL_MIN_RECORDS", "0")
+        node = TensorNode(num_dimms=4, capacity_words_per_dimm=1 << 16)
+        runtime = TensorDimmRuntime(node, timing_mode="cycle", jobs=jobs)
+        rng = np.random.default_rng(3)
+        tables = [
+            runtime.create_table(
+                f"t{i}", rng.normal(size=(256, 128)).astype(np.float32)
+            )
+            for i in range(3)
+        ]
+        for _ in range(2):
+            first_new = len(node.allocator.allocations)
+            pooled = [
+                runtime.embedding_forward(t, rng.integers(0, 256, (16, 4)))[0]
+                for t in tables
+            ]
+            runtime.combine(pooled)
+            for name in reversed(list(node.allocator.allocations)[first_new:]):
+                node.allocator.free(name)
+        # Batch 1 misses all 8 instructions; batch 2 re-issues the 3
+        # AVERAGEs and 2 REDUCEs on the same bases (hits) and 3 GATHERs
+        # with new indices (misses).  Each instruction miss consults the
+        # trace memo in this process, except that at jobs=2 the first
+        # combine's two REDUCEs are drained by the workers.
+        assert (instr_memo.hits, instr_memo.misses) == (5, 11)
+        assert (timing_memo.hits, timing_memo.misses) == (0, trace_misses)

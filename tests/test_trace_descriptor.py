@@ -3,22 +3,28 @@
 The instruction-level timing memo rests on two claims:
 
 * ``expand(describe(instr), instruction_indices(instr))`` is
-  array-identical to ``NmpCore.trace(instr)`` — the golden reference —
-  across every opcode and shape (seeded fuzz below);
+  array-identical to ``nmp_trace(core, instr)`` — the reference generator
+  in ``trace_oracles`` — across every opcode and shape (seeded fuzz below);
 * a hit performs **zero** trace construction and **zero** bulk-array
   hashing (pinned via the ``TraceBuffer`` materialization counters), and
-  every timed path is bit-identical with ``REPRO_INSTR_MEMO=0`` vs ``=1``.
+  every timed path is bit-identical with ``REPRO_REFERENCE`` unset and
+  set.
 """
 
 import numpy as np
 import pytest
 
+from repro import parallel
 from repro.core.isa import Instruction, Opcode, ReduceOp, average, gather, reduce, update
 from repro.core.nmp_core import expand
 from repro.core.tensordimm import TensorDimm
 from repro.core.tensornode import TensorNode
 from repro.dram.command import TraceBuffer
-from repro.dram.memo import INSTR_MEMO, INSTR_MEMO_ENV_VAR, TIMING_MEMO
+from repro.dram.system import DramSystem
+from repro.dram.trace import reduce_buffer
+from repro.env import REFERENCE_ENV_VAR
+
+from trace_oracles import nmp_trace
 
 
 ND = 2  # node_dim of the fuzzed DIMM; node-word bases must align to it
@@ -36,7 +42,7 @@ def _assert_identical(golden: TraceBuffer, symbolic: TraceBuffer):
 
 
 def _roundtrip(dimm, instr):
-    golden = dimm.nmp.trace(instr)
+    golden = nmp_trace(dimm.nmp, instr)
     symbolic = expand(dimm.nmp.describe(instr), dimm.nmp.instruction_indices(instr))
     _assert_identical(golden, symbolic)
     return golden
@@ -164,7 +170,7 @@ class TestDescriptorKeys:
             dimm.write_indices(40000, idx)
             instr = gather(0, 40000, ND * 50000, count, words_per_slice=wps)
             key = dimm.nmp.describe(instr)
-            digest = dimm.nmp.trace(instr).digest()
+            digest = nmp_trace(dimm.nmp, instr).digest()
             assert seen.setdefault(key, digest) == digest
 
     def test_reduce_wps_normalized_out_of_key(self):
@@ -175,7 +181,7 @@ class TestDescriptorKeys:
             Opcode.REDUCE, 0, ND * 8000, ND * 16000, 50, words_per_slice=3
         )
         assert dimm.nmp.describe(plain) == dimm.nmp.describe(wide)
-        _assert_identical(dimm.nmp.trace(plain), dimm.nmp.trace(wide))
+        _assert_identical(nmp_trace(dimm.nmp, plain), nmp_trace(dimm.nmp, wide))
 
     def test_subop_not_in_key(self):
         """The ALU op changes arithmetic, never DRAM traffic."""
@@ -227,12 +233,30 @@ class TestZeroMaterialization:
 
 
 class TestKillSwitch:
-    """REPRO_INSTR_MEMO=0 vs =1 must be bit-identical on every timed path."""
+    """``REPRO_REFERENCE`` unset vs ``=1`` (no memo, no streak fast path)
+    must be bit-identical on every timed path, in-process and pooled."""
 
-    def _run_dimm(self, monkeypatch, flag):
-        monkeypatch.setenv(INSTR_MEMO_ENV_VAR, flag)
-        TIMING_MEMO.clear()
-        INSTR_MEMO.clear()
+    @pytest.fixture(autouse=True)
+    def _memos_on(self, timing_memo, instr_memo, monkeypatch):
+        self.memos = (timing_memo, instr_memo)
+        monkeypatch.setenv("REPRO_PARALLEL_MIN_RECORDS", "0")
+        yield
+        parallel.shutdown()
+
+    def _unset_and_reference(self, monkeypatch, run):
+        """``run()`` with the switch unset, then set; leaves it unset."""
+        results = []
+        for flag in (None, "1"):
+            if flag is not None:
+                monkeypatch.setenv(REFERENCE_ENV_VAR, flag)
+            for level in self.memos:
+                level.clear()
+            parallel.shutdown()  # pool workers read the switch at fork
+            results.append(run())
+        monkeypatch.delenv(REFERENCE_ENV_VAR)
+        return results
+
+    def _run_dimm(self):
         rng = np.random.default_rng(77)
         dimm = _dimm()
         idx = rng.integers(0, 500, size=200).astype(np.int32)
@@ -247,17 +271,14 @@ class TestKillSwitch:
         return [dimm.execute_timed(i) for i in instrs + instrs]
 
     def test_execute_timed_bit_identical(self, monkeypatch):
-        on = self._run_dimm(monkeypatch, "1")
-        off = self._run_dimm(monkeypatch, "0")
+        on, off = self._unset_and_reference(monkeypatch, self._run_dimm)
+        assert self.memos[1].hits == 0  # the reference run never hits
         for a, b in zip(on, off):
             assert a.dram_stats == b.dram_stats
             assert a.seconds == b.seconds
             assert a.exec_stats == b.exec_stats
 
-    def _run_node(self, monkeypatch, flag):
-        monkeypatch.setenv(INSTR_MEMO_ENV_VAR, flag)
-        TIMING_MEMO.clear()
-        INSTR_MEMO.clear()
+    def _run_node(self, jobs):
         node = TensorNode(num_dimms=4, capacity_words_per_dimm=1 << 16)
         rng = np.random.default_rng(5)
         idx = rng.integers(0, 300, size=100).astype(np.int32)
@@ -265,12 +286,27 @@ class TestKillSwitch:
         node.write_indices(alloc, idx)
         instr = gather(0, alloc.base_word, 4 * 9000, 100, words_per_slice=1)
         return node.broadcast_timed_batch(
-            [instr, instr], simulate_dimms=None, jobs=1
+            [instr, instr], simulate_dimms=None, jobs=jobs
         )
 
     def test_broadcast_timed_batch_bit_identical(self, monkeypatch):
-        on = self._run_node(monkeypatch, "1")
-        off = self._run_node(monkeypatch, "0")
-        for a, b in zip(on, off):
-            assert a.dram_per_dimm == b.dram_per_dimm
-            assert a.seconds == b.seconds
+        for jobs in (1, 2):
+            on, off = self._unset_and_reference(
+                monkeypatch, lambda: self._run_node(jobs)
+            )
+            for a, b in zip(on, off):
+                assert a.dram_per_dimm == b.dram_per_dimm
+                assert a.seconds == b.seconds
+
+    def _run_system(self, jobs):
+        system = DramSystem(channels=2)
+        system.enqueue_trace(reduce_buffer(0, 1 << 20, 1 << 21, 1200))
+        return system.run(jobs=jobs)
+
+    def test_dram_system_run_bit_identical(self, monkeypatch):
+        for jobs in (1, 2):
+            on, off = self._unset_and_reference(
+                monkeypatch, lambda: self._run_system(jobs)
+            )
+            assert on.channel_stats == off.channel_stats
+            assert on.elapsed_seconds == off.elapsed_seconds

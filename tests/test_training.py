@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.isa import Opcode, ReduceOp, update
-from repro.core.nmp_core import NmpCore
+from repro.core.nmp_core import NmpCore, expand
 from repro.core.runtime import TensorDimmRuntime
 from repro.core.tensornode import TensorNode
 from repro.dram.storage import WordStorage
@@ -85,7 +85,8 @@ class TestNmpUpdate:
     def test_trace_is_read_modify_write(self):
         core = self.make_core()
         core.storage.write_indices(900, np.array([1, 3], dtype=np.int32))
-        trace = core.trace(update(100, 900, 0, 2, words_per_slice=2))
+        instr = update(100, 900, 0, 2, words_per_slice=2)
+        trace = expand(core.describe(instr), core.instruction_indices(instr))
         assert trace.writes == 4  # one write per touched table word
         assert trace.reads == 1 + 4 + 4  # index word + gradients + table reads
 

@@ -1,4 +1,4 @@
-"""Per-record trace oracles for the tests.
+"""Reference trace generators for the tests.
 
 The package has one trace type, the columnar
 :class:`~repro.dram.command.TraceBuffer`.  The generators here build the
@@ -6,13 +6,17 @@ same traffic as the builders in :mod:`repro.dram.trace`, one record at a
 time, as a reference: the builder-equivalence tests compare every builder
 against its generator, and the parity tests feed the records one by one
 through ``MemoryController.enqueue(Request)`` to pin what the batched
-paths compute.
+paths compute.  :func:`nmp_trace` builds an NMP instruction's trace
+directly from the instruction, the reference for
+:func:`repro.core.nmp_core.expand`.
 """
 
 from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
+from repro.config import ACCESS_GRANULARITY, ELEMS_PER_WORD
+from repro.core.isa import Opcode
 from repro.dram.command import Request, TraceBuffer
 
 WORD_BYTES = 64
@@ -101,3 +105,75 @@ def enqueue_records(controller, trace) -> None:
         trace = records(trace)
     for r in trace:
         controller.enqueue(Request(addr=r.addr, is_write=r.is_write, arrival=r.cycle))
+
+
+def nmp_trace(core, instr) -> TraceBuffer:
+    """The DIMM-local trace of one instruction on NMP core ``core``.
+
+    The instruction's 64 B transactions in program order, built straight
+    from the instruction: the reference for the symbolic pipeline, which
+    must give the same arrays as
+    ``expand(core.describe(instr), core.instruction_indices(instr))``.
+    """
+    word = ACCESS_GRANULARITY
+    if instr.opcode == Opcode.GATHER:
+        rows = core._read_index_buffer(instr).astype(np.int64)
+        wps = instr.words_per_slice
+        table_local = core._local_base(instr.table_base)
+        out_local = core._local_base(instr.output_base)
+        index_words = -(-instr.count // ELEMS_PER_WORD)
+        idx_addrs = instr.index_base + np.arange(index_words, dtype=np.int64)
+        # Per row: wps source reads then wps destination writes.
+        offsets = np.arange(wps, dtype=np.int64)
+        src = (table_local + rows * wps)[:, None] + offsets
+        dst = (out_local + np.arange(len(rows), dtype=np.int64) * wps)[:, None] + offsets
+        body = np.concatenate([src, dst], axis=1).reshape(-1)
+        addrs = np.concatenate([idx_addrs, body])
+        is_write = np.concatenate(
+            [
+                np.zeros(index_words, dtype=bool),
+                np.tile(np.repeat([False, True], wps), len(rows)),
+            ]
+        )
+        return TraceBuffer(addrs * word, is_write)
+    if instr.opcode == Opcode.REDUCE:
+        in1 = core._local_base(instr.input_base)
+        in2 = core._local_base(instr.aux)
+        out = core._local_base(instr.output_base)
+        i = np.arange(instr.count, dtype=np.int64)[:, None]
+        addrs = (np.array([in1, in2, out], dtype=np.int64) + i).reshape(-1)
+        is_write = np.tile(np.array([False, False, True]), instr.count)
+        return TraceBuffer(addrs * word, is_write)
+    if instr.opcode == Opcode.AVERAGE:
+        src = core._local_base(instr.input_base)
+        out = core._local_base(instr.output_base)
+        wps = instr.words_per_slice
+        group = instr.average_num
+        i = np.arange(instr.count, dtype=np.int64)
+        row, k = i // wps, i % wps
+        # Per output word: its group's reads, then one write.
+        reads = src + ((row * group)[:, None] + np.arange(group, dtype=np.int64)) * wps + k[:, None]
+        addrs = np.concatenate([reads, (out + i)[:, None]], axis=1).reshape(-1)
+        is_write = np.tile(np.append(np.zeros(group, dtype=bool), True), instr.count)
+        return TraceBuffer(addrs * word, is_write)
+    if instr.opcode == Opcode.UPDATE:
+        rows = core._read_index_buffer(instr).astype(np.int64)
+        wps = instr.words_per_slice
+        grad_local = core._local_base(instr.input_base)
+        table_local = core._local_base(instr.output_base)
+        index_words = -(-instr.count // ELEMS_PER_WORD)
+        idx_addrs = instr.index_base + np.arange(index_words, dtype=np.int64)
+        offsets = np.arange(wps, dtype=np.int64)
+        # Per (row, word): gradient read, table read, table write.
+        grad = (grad_local + np.arange(len(rows), dtype=np.int64) * wps)[:, None] + offsets
+        target = (table_local + rows * wps)[:, None] + offsets
+        body = np.stack([grad, target, target], axis=2).reshape(-1)
+        addrs = np.concatenate([idx_addrs, body])
+        is_write = np.concatenate(
+            [
+                np.zeros(index_words, dtype=bool),
+                np.tile(np.array([False, False, True]), len(rows) * wps),
+            ]
+        )
+        return TraceBuffer(addrs * word, is_write)
+    raise ValueError(f"unknown opcode {instr.opcode}")
