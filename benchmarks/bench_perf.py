@@ -40,7 +40,11 @@ Two families of entries:
 * ``gather_cold`` / ``reduce_cold`` / ``node_gather_cold`` — **memo-cold**
   honesty entries: unique indices (or shapes) per instruction and both
   memo levels disabled, so every instruction pays trace expansion plus a
-  real cycle-level drain.  These track the non-memoized engine across
+  real cycle-level drain.  ``cpu_gather_cold`` / ``cpu_reduce_cold`` do
+  the same for the Fig. 11/12 CPU baseline (8 channels x 4 ranks, routed
+  through ``DramSystem``), and ``dimm_gather_random_cold`` for one DIMM's
+  share of the node_embedding GATHER (one rank, random rows, row
+  conflicts throughout).  These track the non-memoized engine across
   PRs — and are what the CI regression guard (``--check-baseline``)
   compares against the committed JSON, failing on a >30 % req/s drop.
 
@@ -71,7 +75,13 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from repro.bench.figure11 import sweep_grid
+from repro.bench.figure11 import (
+    EMBEDDING_DIM,
+    LOOKUPS_PER_SAMPLE,
+    TABLE_ROWS,
+    sweep_grid,
+)
+from repro.core.address_map import chunks_for_dim
 from repro.core.isa import gather, reduce
 from repro.core.tensordimm import TensorDimm
 from repro.core.tensornode import TensorNode
@@ -79,7 +89,9 @@ from repro.dram.command import TraceBuffer
 from repro.dram.controller import MemoryController
 from repro.dram import memo
 from repro.dram.memo import INSTR_MEMO, TIMING_MEMO
+from repro.dram.system import DramSystem
 from repro.dram.timing import DDR4_3200
+from repro.dram.trace import gather_buffer, reduce_buffer
 from repro.env import REFERENCE_ENV_VAR
 from repro.parallel import get_executor, parallel_map, resolve_jobs
 
@@ -93,7 +105,14 @@ BASELINE = {
 REPEATS = 3  # best-of, to shrug off scheduler noise
 
 #: Entries the CI regression guard compares against the committed JSON.
-COLD_WORKLOADS = ("gather_cold", "reduce_cold", "node_gather_cold")
+COLD_WORKLOADS = (
+    "gather_cold",
+    "reduce_cold",
+    "node_gather_cold",
+    "cpu_gather_cold",
+    "cpu_reduce_cold",
+    "dimm_gather_random_cold",
+)
 
 #: Allowed cold-path req/s regression before --check-baseline fails.
 DEFAULT_TOLERANCE = 0.30
@@ -236,6 +255,67 @@ def bench_node_gather_cold(instructions=3, dimms=4, lookups=300, seed=29):
         seconds = time.perf_counter() - t0
     requests = sum(s.accesses for st in stats for s in st.dram_per_dimm)
     return requests, seconds
+
+
+def bench_dimm_gather_random_cold(instructions=4, lookups=1600, seed=37):
+    """Memo-cold one-rank GATHER shaped like one DIMM's share of the
+    node_embedding workload: a 4096-row table at one 64 B word per row
+    (rows 0-1 of all 16 banks), random lookups, each output word written
+    into row 2 — row conflicts throughout, so the per-command loop runs."""
+    rng = np.random.default_rng(seed)
+    dimm = TensorDimm(0, 2, capacity_words=1 << 16)
+    index_words = -(-lookups // 16)
+    instrs = []
+    for k in range(instructions):
+        base = 60_000 + k * index_words
+        dimm.write_indices(base, rng.integers(0, 4096, size=lookups).astype(np.int32))
+        instrs.append(gather(0, base, 2 * 4096, lookups, words_per_slice=1))
+    with _caches_disabled():
+        t0 = time.perf_counter()
+        timed = [dimm.execute_timed(i) for i in instrs]
+        seconds = time.perf_counter() - t0
+    return sum(t.dram_stats.accesses for t in timed), seconds
+
+
+def _cpu_cold(traces) -> tuple[int, float]:
+    """Route and drain each trace on a fresh Fig. 11/12 CPU baseline
+    (8 channels x 4 ranks), both memo levels disabled, in-process."""
+    systems = [DramSystem(channels=8) for _ in traces]
+    with _caches_disabled():
+        t0 = time.perf_counter()
+        runs = []
+        for system, trace in zip(systems, traces):
+            system.enqueue_trace(trace)
+            runs.append(system.run(jobs=1))
+        seconds = time.perf_counter() - t0
+    return sum(s.accesses for run in runs for s in run.channel_stats), seconds
+
+
+#: 64 B words per Fig. 11 embedding row.
+_CPU_ROW_WORDS = chunks_for_dim(EMBEDDING_DIM)
+
+
+def bench_cpu_gather_cold(instructions=2, batch=16, seed=31):
+    """Memo-cold Fig. 11 CPU-baseline GATHER: fresh random rows per trace."""
+    rng = np.random.default_rng(seed)
+    out_base = TABLE_ROWS * _CPU_ROW_WORDS * 64
+    traces = [
+        gather_buffer(
+            0, _CPU_ROW_WORDS, rng.integers(0, TABLE_ROWS, batch * LOOKUPS_PER_SAMPLE),
+            out_base,
+        )
+        for _ in range(instructions)
+    ]
+    return _cpu_cold(traces)
+
+
+def bench_cpu_reduce_cold(instructions=2, batch=16):
+    """Memo-cold Fig. 11 CPU-baseline REDUCE: a distinct length per trace."""
+    traces = []
+    for k in range(instructions):
+        words = batch * LOOKUPS_PER_SAMPLE * _CPU_ROW_WORDS + k
+        traces.append(reduce_buffer(0, words * 64, 2 * words * 64, words))
+    return _cpu_cold(traces)
 
 
 def _cold_entry(name, fn, smoke: bool, **kwargs) -> dict:
@@ -508,6 +588,15 @@ def run(jobs: int | None = None, smoke: bool = False) -> dict:
     entries.append(_cold_entry("reduce_cold", bench_reduce_cold, smoke, **cold_reduce_kwargs))
     entries.append(
         _cold_entry("node_gather_cold", bench_node_gather_cold, smoke, **cold_node_kwargs)
+    )
+    cold_cpu_kwargs = {"instructions": 1} if smoke else {"instructions": 2}
+    entries.append(_cold_entry("cpu_gather_cold", bench_cpu_gather_cold, smoke, **cold_cpu_kwargs))
+    entries.append(_cold_entry("cpu_reduce_cold", bench_cpu_reduce_cold, smoke, **cold_cpu_kwargs))
+    entries.append(
+        _cold_entry(
+            "dimm_gather_random_cold", bench_dimm_gather_random_cold, smoke,
+            **cold_gather_kwargs,
+        )
     )
     return {"entries": entries, "host_cpus": os.cpu_count()}
 

@@ -67,9 +67,8 @@ class Rank:
         self.next_refresh = timing.refi
         self.stats_acts = 0
         self.stats_refreshes = 0
-        # Scalar snapshots of the derived timing terms: the scheduler calls
-        # the earliest_* queries on every step, and recomputing property
-        # chains (cwl + burst + tWTR, ...) per call dominates their cost.
+        # Scalar snapshots of the derived timing terms: recomputing property
+        # chains (cwl + burst + tWTR, ...) per query dominates their cost.
         self._ccd_s = timing.ccd_s
         self._ccd_l = timing.ccd_l
         self._rrd_s = timing.rrd_s
@@ -115,35 +114,30 @@ class Rank:
             self._last_rd + self._rd_to_wr,
         )
 
-    # -- batched queries (one call per rank per scheduling step) ------------
+    def floors(self) -> tuple:
+        """The earliest_* bounds split into rank-wide and bankgroup parts.
 
-    def earliest_acts(self) -> list:
-        """:meth:`earliest_act` for every bankgroup in one pass."""
-        base = self._last_act + self._rrd_s
+        Returns ``(read, write, act, group_read, group_write, group_act)``:
+        three rank-wide scalars plus three per-bankgroup lists, such that
+        ``earliest_read(bg) == max(read, group_read[bg])`` and likewise for
+        writes and ACTs.  The indexed scheduler loads them when a drain
+        starts and keeps them current itself, command by command.
+        """
+        act = self._last_act + self._rrd_s
         if len(self._act_window) == 4:
-            faw_bound = self._act_window[0] + self._faw
-            if faw_bound > base:
-                base = faw_bound
-        rrd_l = self._rrd_l
-        return [
-            max(base, last + rrd_l) for last in self._last_act_by_group
-        ]
-
-    def earliest_reads(self) -> list:
-        """:meth:`earliest_read` for every bankgroup in one pass."""
-        base = max(self._last_rd + self._ccd_s, self._last_wr + self._wtr_diff)
+            act = max(act, self._act_window[0] + self._faw)
         ccd_l = self._ccd_l
-        wtr_same = self._wtr_same
-        return [
-            max(base, rd + ccd_l, wr + wtr_same)
-            for rd, wr in zip(self._last_rd_by_group, self._last_wr_by_group)
-        ]
-
-    def earliest_writes(self) -> list:
-        """:meth:`earliest_write` for every bankgroup in one pass."""
-        base = max(self._last_wr + self._ccd_s, self._last_rd + self._rd_to_wr)
-        ccd_l = self._ccd_l
-        return [max(base, wr + ccd_l) for wr in self._last_wr_by_group]
+        return (
+            max(self._last_rd + self._ccd_s, self._last_wr + self._wtr_diff),
+            max(self._last_wr + self._ccd_s, self._last_rd + self._rd_to_wr),
+            act,
+            [
+                max(rd + ccd_l, wr + self._wtr_same)
+                for rd, wr in zip(self._last_rd_by_group, self._last_wr_by_group)
+            ],
+            [wr + ccd_l for wr in self._last_wr_by_group],
+            [last + self._rrd_l for last in self._last_act_by_group],
+        )
 
     # -- state updates ------------------------------------------------------
 

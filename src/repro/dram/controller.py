@@ -54,6 +54,7 @@ numbers only break ties *relative* to each other within one controller, a
 drain on a rebuilt controller is bit-identical to draining the original.
 """
 
+import logging
 from collections import deque
 from dataclasses import dataclass
 
@@ -64,6 +65,8 @@ from .bank import Rank
 from .command import Request, TraceBuffer, reserve_seq_block
 from .mapping import AddressMapping, DramOrganization
 from .timing import DramTiming
+
+logger = logging.getLogger(__name__)
 
 #: Upper bound on backlog records absorbed into one streak.  Bounds the
 #: numpy work a single (possibly failing) streak attempt can do; a longer
@@ -374,6 +377,7 @@ class _BankQueue:
     __slots__ = (
         "entries",
         "bank",
+        "rank",
         "bgflat",
         "flat",
         "valid",
@@ -385,9 +389,10 @@ class _BankQueue:
         "miss_seq",
     )
 
-    def __init__(self, bank, bgflat, flat):
+    def __init__(self, bank, rank, bgflat, flat):
         self.entries: list[_Entry] = []
         self.bank = bank  # the Bank state object, resolved once
+        self.rank = rank  # rank index
         self.bgflat = bgflat  # flat (rank, bankgroup) id
         self.flat = flat  # flat bank id
         self.valid = False
@@ -397,6 +402,22 @@ class _BankQueue:
         self.hit_seq = 1 << 62
         self.miss = None
         self.miss_seq = 1 << 62
+
+
+def _load_floors(floors: tuple, ranks: list, r: int) -> None:
+    """Load rank ``r``'s readiness floors from its :class:`Rank` state.
+
+    ``floors`` is the indexed drain's ``(rank_rd, rank_wr, rank_act, bg_rd,
+    bg_wr, bg_act)``: three lists indexed by rank, three by flat bankgroup.
+    """
+    rank_rd, rank_wr, rank_act, bg_rd, bg_wr, bg_act = floors
+    rank = ranks[r]
+    lo = r * rank.bankgroups
+    hi = lo + rank.bankgroups
+    (
+        rank_rd[r], rank_wr[r], rank_act[r],
+        bg_rd[lo:hi], bg_wr[lo:hi], bg_act[lo:hi],
+    ) = rank.floors()
 
 
 class MemoryController:
@@ -441,6 +462,7 @@ class MemoryController:
         self._t_rtrs = self.timing.rtrs
         self._t_rtp = self.timing.rtp
         self._t_w2p = self.timing.write_to_precharge
+        self._scan_fallback_logged = False
         self.reset()
 
     def reset(self) -> None:
@@ -623,10 +645,20 @@ class MemoryController:
         entries; the two are equivalent iff the write queue cannot outgrow
         the window.  Configurations with ``write_high > window`` therefore
         fall back to the scan scheduler so results stay bit-identical to
-        the reference in every configuration.
+        the reference in every configuration; the fallback is logged at
+        INFO, once per controller.
         """
-        if self.scheduler == "indexed" and self.write_high <= self.window:
-            return self._run_indexed()
+        if self.scheduler == "indexed":
+            if self.write_high <= self.window:
+                return self._run_indexed()
+            if not self._scan_fallback_logged:
+                self._scan_fallback_logged = True
+                logger.info(
+                    "write_high_watermark %d exceeds window %d: draining with "
+                    "the scan scheduler",
+                    self.write_high,
+                    self.window,
+                )
         while self.pending:
             self._admit()
             if not self._read_q and not self._write_q:
@@ -707,7 +739,11 @@ class MemoryController:
           state; an admitted entry's arrival is already in the past), so the
           oldest entry of each class dominates its peers under the
           (ready, column-first, age) FR-FCFS key;
-        * rank- and bus-level timing terms are memoized per step;
+        * rank and bankgroup readiness floors are incremental: loaded from
+          :meth:`Rank.floors` on entry and after each streak, and raised by
+          ``max`` as each ACT or column command issues, so a step makes no
+          call into :class:`Rank` and its shared work is O(ranks) bus and
+          floor terms;
         * admission, refresh, queue arbitration, candidate selection, and
           command issue are inlined into one loop with the mutable state
           (clock, bus, stats counters) held in locals and written back once
@@ -739,11 +775,33 @@ class MemoryController:
         t_w2p = self._t_w2p
         big = 1 << 62
         n_ranks = len(ranks)
-        # Per-step base readiness by flat bankgroup id, filled eagerly each
-        # step (the bankgroup count is small, and every bank in a group
-        # shares its rank/bus terms, so per-bank work shrinks to one max).
-        act_base = [0] * (n_ranks * bg_count)
-        col_base = [0] * (n_ranks * bg_count)
+        # Incremental readiness floors (see PERF.md): the Rank earliest_*
+        # bounds split into a rank-wide part (indexed by rank) and a
+        # bankgroup part (indexed by flat bankgroup id), loaded from Rank
+        # state here and after each streak, then raised by ``max`` as ACT
+        # and column commands issue.  Issue cycles strictly increase, so a
+        # max with the new command's term equals a fresh recomputation.
+        rank_rd = [0] * n_ranks
+        rank_wr = [0] * n_ranks
+        rank_act = [0] * n_ranks
+        bg_rd = [0] * (n_ranks * bg_count)
+        bg_wr = [0] * (n_ranks * bg_count)
+        bg_act = [0] * (n_ranks * bg_count)
+        floors = (rank_rd, rank_wr, rank_act, bg_rd, bg_wr, bg_act)
+        for r in range(n_ranks):
+            _load_floors(floors, ranks, r)
+        ccd_s = t.ccd_s
+        ccd_l = t.ccd_l
+        rrd_s = t.rrd_s
+        rrd_l = t.rrd_l
+        faw = t.faw
+        wtr_same = t.write_to_read(same_bank_group=True)
+        wtr_diff = t.write_to_read(same_bank_group=False)
+        rd_to_wr = t.read_to_write
+        # Per-step rank parts: the rank floor clamped at the command floor
+        # and, for columns, at the data-bus term.
+        col_part = [0] * n_ranks
+        act_part = [0] * n_ranks
 
         streaks = not closed_policy and not reference_mode()
         streak_cooldown = 0
@@ -778,7 +836,7 @@ class MemoryController:
                 blq = read_banks.get(flat)
                 if blq is None:
                     read_banks[flat] = blq = _BankQueue(
-                        flat_bank[flat], flat_bgflat[flat], flat
+                        flat_bank[flat], entry.rank, flat_bgflat[flat], flat
                     )
                 entries = blq.entries
                 entry.bpos = len(entries)
@@ -807,7 +865,7 @@ class MemoryController:
                 blq = write_banks.get(flat)
                 if blq is None:
                     write_banks[flat] = blq = _BankQueue(
-                        flat_bank[flat], flat_bgflat[flat], flat
+                        flat_bank[flat], entry.rank, flat_bgflat[flat], flat
                     )
                 entries = blq.entries
                 entry.bpos = len(entries)
@@ -865,23 +923,24 @@ class MemoryController:
             banks_map = write_banks if is_write_q else read_banks
             floor = cmd_free if cmd_free > now else now
             data_offset = t_cwl if is_write_q else t_cl
-            # Eagerly compute the shared (rank, bankgroup)-level readiness
-            # floors: every bank in a group shares them, so the per-bank
-            # candidate evaluation below reduces to a single extra max.
+            # Rank parts of this step's readiness: every bank of a rank
+            # shares them, so a bank's candidate is the max of its bank
+            # term, its bankgroup part and its rank part.
+            if is_write_q:
+                rank_col = rank_wr
+                bg_col = bg_wr
+            else:
+                rank_col = rank_rd
+                bg_col = bg_rd
             for r in range(n_ranks):
-                rank = ranks[r]
                 bus_part = bus_free + (rtrs if (bus_rank >= 0 and bus_rank != r) else 0)
                 bus_part -= data_offset
                 if bus_part < floor:
                     bus_part = floor
-                cts = rank.earliest_writes() if is_write_q else rank.earliest_reads()
-                ats = rank.earliest_acts()
-                base = r * bg_count
-                for bg in range(bg_count):
-                    ct = cts[bg]
-                    col_base[base + bg] = ct if ct > bus_part else bus_part
-                    at = ats[bg]
-                    act_base[base + bg] = at if at > floor else floor
+                ct = rank_col[r]
+                col_part[r] = ct if ct > bus_part else bus_part
+                at = rank_act[r]
+                act_part[r] = at if at > floor else floor
             # Best candidate so far, compared field-wise on (ready, pref,
             # seq): column commands (pref 0) beat row commands (pref 1) at
             # equal ready.  Once the best is a column command that is ready
@@ -934,8 +993,11 @@ class MemoryController:
                 if open_row < 0:
                     # Bank precharged: the oldest entry wants an ACT.
                     seq = blq.min_all_seq
-                    term = act_base[blq.bgflat]
                     ready = bank.earliest_act
+                    term = bg_act[blq.bgflat]
+                    if term > ready:
+                        ready = term
+                    term = act_part[blq.rank]
                     if term > ready:
                         ready = term
                     if ready < best_ready or (
@@ -948,8 +1010,11 @@ class MemoryController:
                 hit = blq.hit
                 if hit is not None and (not floor_col or blq.hit_seq < best_seq):
                     hit_seq = blq.hit_seq
-                    term = col_base[blq.bgflat]
                     ready = bank.earliest_col
+                    term = bg_col[blq.bgflat]
+                    if term > ready:
+                        ready = term
+                    term = col_part[blq.rank]
                     if term > ready:
                         ready = term
                     if ready < best_ready or (
@@ -978,12 +1043,25 @@ class MemoryController:
             bank = flat_bank[flat]
             rank = flat_rank[flat]
             bg = entry.bankgroup
+            r = entry.rank
+            g = flat_bgflat[flat]
             if when > now:
                 now = when
             cmd_free = when + 1
             if best_cmd == "act":
                 bank.activate(entry.row, when, t)
                 rank.record_act(bg, when)
+                v = when + rrd_s
+                window_acts = rank._act_window
+                if len(window_acts) == 4:
+                    head = window_acts[0] + faw
+                    if head > v:
+                        v = head
+                if v > rank_act[r]:
+                    rank_act[r] = v
+                v = when + rrd_l
+                if v > bg_act[g]:
+                    bg_act[g] = v
                 n_acts += 1
                 entry.needed_act = True
                 # The open row changed: both directions' hit/miss caches for
@@ -1041,6 +1119,7 @@ class MemoryController:
                         n_reads += m
                         latency_sum += s_lat
                     pending -= m
+                    _load_floors(floors, ranks, r)
                     continue
                 streak_cooldown = 8  # back off before probing again
             elif streak_cooldown:
@@ -1060,6 +1139,18 @@ class MemoryController:
                     bank.earliest_pre = ep
                 rank._last_wr_by_group[bg] = when
                 rank._last_wr = when
+                v = when + ccd_s
+                if v > rank_wr[r]:
+                    rank_wr[r] = v
+                v = when + wtr_diff
+                if v > rank_rd[r]:
+                    rank_rd[r] = v
+                v = when + ccd_l
+                if v > bg_wr[g]:
+                    bg_wr[g] = v
+                v = when + wtr_same
+                if v > bg_rd[g]:
+                    bg_rd[g] = v
                 n_writes += 1
             else:
                 ep = when + t_rtp  # RD gates the next PRE on this bank
@@ -1067,6 +1158,15 @@ class MemoryController:
                     bank.earliest_pre = ep
                 rank._last_rd_by_group[bg] = when
                 rank._last_rd = when
+                v = when + ccd_s
+                if v > rank_rd[r]:
+                    rank_rd[r] = v
+                v = when + rd_to_wr
+                if v > rank_wr[r]:
+                    rank_wr[r] = v
+                v = when + ccd_l
+                if v > bg_rd[g]:
+                    bg_rd[g] = v
                 n_reads += 1
                 latency_sum += burst_end - entry.arrival
             if entry.needed_pre:

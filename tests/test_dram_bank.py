@@ -1,5 +1,6 @@
 """Tests for the bank and rank state machines."""
 
+import numpy as np
 import pytest
 
 from repro.dram.bank import Bank, Rank
@@ -113,6 +114,28 @@ class TestRankColumnWindows:
         rank.record_write(bankgroup=1, cycle=50)
         assert rank.earliest_write(1) == 50 + T.ccd_l
         assert rank.earliest_write(2) == 50 + T.ccd_s
+
+
+class TestRankFloors:
+    """``Rank.floors()`` splits each earliest_* bound into a rank part and a
+    bankgroup part whose max is the bound."""
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_parts_recombine_to_earliest(self, seed):
+        rng = np.random.default_rng(seed)
+        rank = Rank(T, 4, 4)
+        cycle = 0
+        for _ in range(int(rng.integers(0, 12))):
+            cycle += int(rng.integers(1, 30))
+            record = (rank.record_act, rank.record_read, rank.record_write)[
+                int(rng.integers(0, 3))
+            ]
+            record(int(rng.integers(0, 4)), cycle)
+        read, write, act, group_read, group_write, group_act = rank.floors()
+        for bg in range(4):
+            assert rank.earliest_read(bg) == max(read, group_read[bg])
+            assert rank.earliest_write(bg) == max(write, group_write[bg])
+            assert rank.earliest_act(bg) == max(act, group_act[bg])
 
 
 class TestRefresh:

@@ -1,5 +1,7 @@
 """Tests for the FR-FCFS memory controller."""
 
+import logging
+
 import pytest
 
 from repro.dram.command import Request
@@ -247,3 +249,28 @@ class TestStats:
         assert stats.bus_utilization == 0.0
         assert stats.mean_read_latency == 0.0
         assert stats.bandwidth(DDR4_3200) == 0.0
+
+
+class TestScanFallbackLog:
+    """``write_high > window`` routes the indexed scheduler to the scan
+    scheduler; the fallback is logged at INFO, once per controller."""
+
+    def _drain_twice(self, caplog, **kwargs):
+        mc = make_controller(**kwargs)
+        with caplog.at_level(logging.INFO, logger="repro"):
+            for _ in range(2):
+                mc.enqueue_batch(reduce_buffer(0, 8192 * 64, 16384 * 64, 100))
+                mc.run_to_completion()
+        return [r for r in caplog.records if r.name.startswith("repro")]
+
+    def test_default_config_logs_nothing(self, caplog):
+        assert self._drain_twice(caplog) == []
+
+    def test_window_below_write_high_logs_once(self, caplog):
+        records = self._drain_twice(caplog, window=1, write_high_watermark=32)
+        assert len(records) == 1
+        record = records[0]
+        assert record.levelno == logging.INFO
+        assert record.name == "repro.dram.controller"
+        message = record.getMessage()
+        assert "window 1" in message and "write_high_watermark 32" in message

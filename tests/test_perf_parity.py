@@ -10,6 +10,8 @@ equivalence on seeded traces of all four TensorISA opcodes and on synthetic
 traffic patterns that stress every scheduler branch.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -75,16 +77,16 @@ def instr_trace(core, instr):
     return expand(core.describe(instr), core.instruction_indices(instr))
 
 
-def run_scalar_scan(trace, **kw):
+def run_scalar_scan(trace, timing=DDR4_3200, **kw):
     """Reference path: per-record enqueue + the original scan scheduler."""
-    mc = MemoryController(DDR4_3200, scheduler="scan", **kw)
+    mc = MemoryController(timing, scheduler="scan", **kw)
     enqueue_records(mc, trace)
     return mc.run_to_completion()
 
 
-def run_batch_indexed(trace, **kw):
+def run_batch_indexed(trace, timing=DDR4_3200, **kw):
     """Fast path: one columnar enqueue + the indexed scheduler."""
-    mc = MemoryController(DDR4_3200, scheduler="indexed", **kw)
+    mc = MemoryController(timing, scheduler="indexed", **kw)
     mc.enqueue_batch(trace if isinstance(trace, TraceBuffer) else to_buffer(trace))
     return mc.run_to_completion()
 
@@ -548,7 +550,7 @@ class TestStreakFuzzParity:
     match the scan reference on every draw (a bounded version of the
     exploratory fuzz run while developing the streak compiler)."""
 
-    def _random_case(self, rng):
+    def _random_case(self, rng, ranks=1):
         n = int(rng.integers(50, 1200))
         kind = int(rng.integers(0, 4))
         if kind == 0:
@@ -582,6 +584,12 @@ class TestStreakFuzzParity:
             "row_policy": "closed" if rng.integers(0, 4) == 0 else "open",
             "refresh_enabled": bool(rng.integers(0, 2)),
         }
+        if ranks > 1:
+            # Rank bits right above the block offset: consecutive and
+            # random blocks alike spread over every rank.
+            org = DramOrganization(ranks=ranks)
+            kw["organization"] = org
+            kw["mapping"] = AddressMapping(org, order=RANK_INTERLEAVED_ORDER)
         return TraceBuffer(addrs, iw, cyc), kw
 
     @pytest.mark.parametrize("seed", range(6))
@@ -592,3 +600,84 @@ class TestStreakFuzzParity:
             golden = run_scalar_scan(trace, **kw)
             fast = run_batch_indexed(trace, **kw)
             assert fast == golden, kw
+
+    @pytest.mark.parametrize("ranks", [2, 4])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_multi_rank_fast_matches_scan(self, ranks, seed):
+        rng = np.random.default_rng(2000 + 10 * ranks + seed)
+        for _ in range(3):
+            trace, kw = self._random_case(rng, ranks=ranks)
+            golden = run_scalar_scan(trace, **kw)
+            fast = run_batch_indexed(trace, **kw)
+            assert fast == golden, kw
+
+
+class TestIncrementalFloorParity:
+    """The indexed drain keeps its rank and bankgroup readiness floors
+    incrementally: loaded from ``Rank`` state when a drain starts and after
+    each streak, then raised per issued ACT or column command.  The scan
+    reference queries ``Rank.earliest_*`` afresh for every entry, so any
+    term the incremental update drops shows up as a stats mismatch."""
+
+    #: DDR4-3200 with tFAW = 30 ns (the 2 KB-page value): four ACTs at
+    #: tRRD_S spacing span 27 cycles, so a fifth must wait for the window.
+    TFAW_TIMING = replace(DDR4_3200, faw=48)
+
+    def test_node_embedding_gather_shape(self):
+        # One DIMM's share of a node_embedding GATHER: a 4096-word table
+        # spanning rows 0-1 of all 16 banks, 1,600 random one-word lookups,
+        # each followed by its output write into row 2.
+        rng = np.random.default_rng(17)
+        trace = gather_buffer(0, 1, rng.integers(0, 4096, 1600), 4096 * 64)
+        org = DramOrganization()
+        coords = AddressMapping(org).decode_batch(trace.addr)
+        reads = ~trace.is_write
+        assert np.array_equal(trace.is_write, np.arange(3200) % 2 == 1)
+        assert set(coords["row"][reads].tolist()) == {0, 1}
+        assert set(coords["row"][~reads].tolist()) == {2}
+        banks = coords["bankgroup"] * org.banks_per_group + coords["bank"]
+        assert len(set(banks[reads].tolist())) == org.banks
+        kw = {"window": 32, "write_high_watermark": 32, "write_low_watermark": 8}
+        golden = run_scalar_scan(trace, **kw)
+        assert run_batch_indexed(trace, **kw) == golden
+
+    @pytest.mark.parametrize("ranks", [1, 2, 4])
+    def test_tfaw_bound_act_bursts(self, ranks):
+        # Random blocks over the whole channel: nearly every request opens
+        # a row, so every rank sees back-to-back ACT bursts across its banks.
+        org = DramOrganization(ranks=ranks)
+        kw = {
+            "organization": org,
+            "mapping": AddressMapping(org, order=RANK_INTERLEAVED_ORDER),
+        }
+        rng = np.random.default_rng(100 + ranks)
+        n = 600
+        blocks = rng.integers(0, org.capacity_bytes // 64, n)
+        trace = TraceBuffer(blocks * 64, rng.random(n) < 0.25)
+        golden = run_scalar_scan(trace, timing=self.TFAW_TIMING, **kw)
+        assert run_batch_indexed(trace, timing=self.TFAW_TIMING, **kw) == golden
+        # tFAW binds: the same traffic under the stock tFAW drains differently.
+        assert run_batch_indexed(trace, **kw) != golden
+
+    def test_warm_controller_second_drain(self):
+        # A GATHER that ends with writes to row 2, then a read-back of its
+        # output rows: the second drain's first reads are row hits gated by
+        # the first drain's tWTR and tCCD history, which the indexed drain
+        # must load from Rank state on entry.
+        rng = np.random.default_rng(23)
+        first = gather_buffer(0, 1, rng.integers(0, 4096, 400), 4096 * 64)
+        readback = streaming_buffer(4096 * 64, 400)
+        runs = {}
+        for scheduler in ("scan", "indexed"):
+            mc = MemoryController(DDR4_3200, scheduler=scheduler)
+            drains = []
+            for trace in (first, readback):
+                if scheduler == "scan":
+                    enqueue_records(mc, trace)
+                else:
+                    mc.enqueue_batch(trace)
+                # run_to_completion returns the controller's accumulating
+                # stats object: keep a copy of each drain's result.
+                drains.append(replace(mc.run_to_completion()))
+            runs[scheduler] = drains
+        assert runs["indexed"] == runs["scan"]
