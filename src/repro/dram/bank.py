@@ -87,41 +87,15 @@ class Rank:
 
     # -- constraint queries -------------------------------------------------
 
-    def earliest_act(self, bankgroup: int) -> int:
-        """Earliest cycle an ACT to ``bankgroup`` satisfies tRRD and tFAW."""
-        bound = max(
-            self._last_act + self._rrd_s,
-            self._last_act_by_group[bankgroup] + self._rrd_l,
-        )
-        if len(self._act_window) == 4:
-            bound = max(bound, self._act_window[0] + self._faw)
-        return bound
-
-    def earliest_read(self, bankgroup: int) -> int:
-        """Earliest RD honouring tCCD and tWTR within this rank."""
-        return max(
-            self._last_rd + self._ccd_s,
-            self._last_rd_by_group[bankgroup] + self._ccd_l,
-            self._last_wr + self._wtr_diff,
-            self._last_wr_by_group[bankgroup] + self._wtr_same,
-        )
-
-    def earliest_write(self, bankgroup: int) -> int:
-        """Earliest WR honouring tCCD and the RD-to-WR turnaround."""
-        return max(
-            self._last_wr + self._ccd_s,
-            self._last_wr_by_group[bankgroup] + self._ccd_l,
-            self._last_rd + self._rd_to_wr,
-        )
-
     def floors(self) -> tuple:
-        """The earliest_* bounds split into rank-wide and bankgroup parts.
+        """Earliest RD/WR/ACT cycles, split into rank-wide and bankgroup parts.
 
         Returns ``(read, write, act, group_read, group_write, group_act)``:
-        three rank-wide scalars plus three per-bankgroup lists, such that
-        ``earliest_read(bg) == max(read, group_read[bg])`` and likewise for
-        writes and ACTs.  The indexed scheduler loads them when a drain
-        starts and keeps them current itself, command by command.
+        three rank-wide scalars plus three per-bankgroup lists.  The earliest
+        RD to bankgroup ``bg`` honouring tCCD and tWTR is
+        ``max(read, group_read[bg])``; likewise WR (tCCD, RD-to-WR) and ACT
+        (tRRD, tFAW).  The controller loads them when a drain starts and
+        keeps them current itself, command by command.
         """
         act = self._last_act + self._rrd_s
         if len(self._act_window) == 4:

@@ -4,28 +4,24 @@ The scheduler follows the classic first-ready, first-come-first-served
 policy: among the requests in the scheduling window it issues the command
 that can go on the wires earliest, preferring column commands (row hits)
 over row commands and older requests over younger ones.  Writes are buffered
-and drained in batches between read bursts (watermark policy), and per-rank
-auto-refresh is modelled with all-bank REF every tREFI.
+and drained in batches between read bursts (watermark policy); like reads,
+they are scheduled only from the ``window`` oldest admitted entries.
+Per-rank auto-refresh is modelled with all-bank REF every tREFI.
 
 The loop is event-driven rather than per-cycle ticked: every iteration picks
 the next command and advances time directly to its issue cycle, which keeps
 the Python implementation fast while preserving cycle-resolution timing.
 
-Two schedulers implement the same policy:
-
-* ``"indexed"`` (default) — the working queue is indexed per bank.  Within
-  one bank all row-hit candidates share the same earliest issue cycle (it
-  depends only on bank/rank/bus state), as do all row-miss candidates, so
-  FR-FCFS age tie-breaking reduces each bank to at most two candidates: its
-  oldest row hit and its oldest non-hit.  One step therefore evaluates
-  O(active banks) timing expressions instead of O(window), and completed
-  entries leave the queues by swap-pop instead of an O(n) ``list.remove``.
-* ``"scan"`` — the original implementation that re-evaluates every entry in
-  the window each step.  Kept as the golden reference; the parity tests
-  assert both produce bit-identical :class:`ControllerStats` and command
-  streams.  Configurations where the write queue can outgrow the window
-  (``write_high_watermark > window``) always use this path, because the
-  window slice is then observable.
+The working queue is indexed per bank.  Within one bank all row-hit
+candidates share the same earliest issue cycle (it depends only on
+bank/rank/bus state), as do all row-miss candidates, so FR-FCFS age
+tie-breaking reduces each bank to at most two candidates: its oldest row
+hit and its oldest non-hit.  One step therefore evaluates O(active banks)
+timing expressions instead of O(window), and completed entries leave the
+queues by swap-pop instead of an O(n) ``list.remove``.  The golden
+reference that re-evaluates every window entry each step lives in the test
+suite (``tests/scan_oracle.py``); the parity tests assert both produce
+bit-identical :class:`ControllerStats` in every configuration.
 
 Requests enter either one at a time (:meth:`MemoryController.enqueue`) or as
 a whole columnar trace (:meth:`MemoryController.enqueue_batch`), which
@@ -43,7 +39,7 @@ per-bank candidate state proves such a run has no competing candidate, the
 whole run — including backlog records that were never materialized — is
 issued in closed form with vectorized arithmetic, advancing the clock, bus
 state, and statistics once for N commands.  The fast path is bit-identical
-to the per-command loop (and to ``scheduler="scan"``); ``REPRO_REFERENCE=1``
+to the per-command loop (and to the scan reference); ``REPRO_REFERENCE=1``
 disables it.  See PERF.md for the invariants and fallback triggers.
 
 A controller can describe itself as a :class:`ControllerConfig` — a frozen,
@@ -54,7 +50,6 @@ numbers only break ties *relative* to each other within one controller, a
 drain on a rebuilt controller is bit-identical to draining the original.
 """
 
-import logging
 from collections import deque
 from dataclasses import dataclass
 
@@ -65,8 +60,6 @@ from .bank import Rank
 from .command import Request, TraceBuffer, reserve_seq_block
 from .mapping import AddressMapping, DramOrganization
 from .timing import DramTiming
-
-logger = logging.getLogger(__name__)
 
 #: Upper bound on backlog records absorbed into one streak.  Bounds the
 #: numpy work a single (possibly failing) streak attempt can do; a longer
@@ -142,7 +135,6 @@ class ControllerConfig:
     write_high_watermark: int
     write_low_watermark: int
     row_policy: str
-    scheduler: str
 
     def build(self) -> "MemoryController":
         """Construct a fresh controller equivalent to the snapshot source."""
@@ -155,7 +147,6 @@ class ControllerConfig:
             write_low_watermark=self.write_low_watermark,
             refresh_enabled=True,  # self.timing is already refresh-scaled
             row_policy=self.row_policy,
-            scheduler=self.scheduler,
         )
 
 
@@ -433,12 +424,16 @@ class MemoryController:
         write_low_watermark: int = 8,
         refresh_enabled: bool = True,
         row_policy: str = "open",
-        scheduler: str = "indexed",
     ):
         if row_policy not in ("open", "closed"):
             raise ValueError(f"unknown row policy {row_policy!r}")
-        if scheduler not in ("indexed", "scan"):
-            raise ValueError(f"unknown scheduler {scheduler!r}")
+        if window < 1:
+            # An empty scheduling window admits nothing and never drains.
+            raise ValueError(f"window must be at least 1 (got {window})")
+        if write_low_watermark < 0:
+            raise ValueError(
+                f"write_low_watermark must be non-negative (got {write_low_watermark})"
+            )
         if write_low_watermark >= write_high_watermark:
             # With low == high the drain state flips after every command and
             # mixed read/write traffic to conflicting rows can ping-pong
@@ -452,7 +447,6 @@ class MemoryController:
         self.mapping = mapping or AddressMapping(self.organization)
         self.window = window
         self.row_policy = row_policy
-        self.scheduler = scheduler
         self.write_high = write_high_watermark
         self.write_low = write_low_watermark
         # Scalar timing snapshots for the per-step hot path.
@@ -462,7 +456,6 @@ class MemoryController:
         self._t_rtrs = self.timing.rtrs
         self._t_rtp = self.timing.rtp
         self._t_w2p = self.timing.write_to_precharge
-        self._scan_fallback_logged = False
         self.reset()
 
     def reset(self) -> None:
@@ -494,6 +487,8 @@ class MemoryController:
         self._write_backlog = _Backlog(True)
         self._read_q: list[_Entry] = []
         self._write_q: list[_Entry] = []
+        # Admitted writes waiting behind the write window, oldest first.
+        self._write_staged: deque[_Entry] = deque()
         self._read_banks: dict[int, _BankQueue] = {}
         self._write_banks: dict[int, _BankQueue] = {}
         self._draining_writes = False
@@ -602,7 +597,6 @@ class MemoryController:
             write_high_watermark=self.write_high,
             write_low_watermark=self.write_low,
             row_policy=self.row_policy,
-            scheduler=self.scheduler,
         )
 
     def adopt_run(self, stats: ControllerStats) -> None:
@@ -624,6 +618,7 @@ class MemoryController:
             + len(self._write_backlog)
             + len(self._read_q)
             + len(self._write_q)
+            + len(self._write_staged)
         )
 
     @property
@@ -637,101 +632,13 @@ class MemoryController:
         """
         return self._now == 0 and self.stats == ControllerStats()
 
-    def run_to_completion(self) -> ControllerStats:
-        """Service every queued request and return the run statistics.
-
-        The indexed runner considers every admitted write, while the scan
-        reference only schedules from the first ``window`` write-queue
-        entries; the two are equivalent iff the write queue cannot outgrow
-        the window.  Configurations with ``write_high > window`` therefore
-        fall back to the scan scheduler so results stay bit-identical to
-        the reference in every configuration; the fallback is logged at
-        INFO, once per controller.
-        """
-        if self.scheduler == "indexed":
-            if self.write_high <= self.window:
-                return self._run_indexed()
-            if not self._scan_fallback_logged:
-                self._scan_fallback_logged = True
-                logger.info(
-                    "write_high_watermark %d exceeds window %d: draining with "
-                    "the scan scheduler",
-                    self.write_high,
-                    self.window,
-                )
-        while self.pending:
-            self._admit()
-            if not self._read_q and not self._write_q:
-                self._now = max(self._now, self._next_arrival())
-                continue
-            self._step_scan()
-        self.stats.finish_cycle = max(self.stats.finish_cycle, self._now)
-        return self.stats
-
     def elapsed_seconds(self) -> float:
         return self.timing.cycles_to_seconds(self.stats.finish_cycle)
 
-    # -- admission -----------------------------------------------------------
+    def run_to_completion(self) -> ControllerStats:
+        """Service every queued request and return the run statistics.
 
-    def _next_arrival(self) -> int:
-        candidates = []
-        if self._read_backlog:
-            candidates.append(self._read_backlog.head_arrival())
-        if self._write_backlog:
-            candidates.append(self._write_backlog.head_arrival())
-        return min(candidates) if candidates else self._now
-
-    def _admit(self) -> None:
-        """Move arrived backlog entries into the small working queues.
-
-        (Scan-scheduler helper; the indexed runner inlines admission and
-        additionally maintains the per-bank queues.)
-        """
-        now = self._now
-        backlog = self._read_backlog
-        queue = self._read_q
-        while len(queue) < self.window and backlog and backlog.head_arrival() <= now:
-            queue.append(backlog.popleft())
-        backlog = self._write_backlog
-        queue = self._write_q
-        while len(queue) < self.write_high and backlog and backlog.head_arrival() <= now:
-            queue.append(backlog.popleft())
-
-    # -- scheduling ----------------------------------------------------------
-
-    def _active_queue(self) -> list:
-        write_pressure = len(self._write_q) + len(self._write_backlog)
-        reads_pending = bool(self._read_q)
-        if self._draining_writes:
-            if len(self._write_q) <= self.write_low and reads_pending:
-                self._draining_writes = False
-        elif not reads_pending or len(self._write_q) >= self.write_high:
-            self._draining_writes = write_pressure > 0
-        if self._draining_writes and self._write_q:
-            return self._write_q
-        return self._read_q if self._read_q else self._write_q
-
-    def _step_scan(self) -> None:
-        """Reference scheduler: re-evaluate every entry in the window."""
-        self._maybe_refresh()
-        queue = self._active_queue()
-        if not queue:
-            return
-        best = None
-        for entry in queue[: self.window]:
-            cmd, when = self._next_command(entry)
-            ready = max(when, entry.arrival, self._cmd_free, self._now)
-            key = (ready, 0 if cmd == "col" else 1, entry.seq)
-            if best is None or key < best[0]:
-                best = (key, entry, cmd, ready)
-        _, entry, cmd, when = best
-        self._issue(entry, cmd, when, queue)
-
-    def _run_indexed(self) -> ControllerStats:
-        """Drain every request with the indexed scheduler, fully fused.
-
-        Policy-identical to the scan loop (the parity tests prove it), but
-        restructured for throughput:
+        FR-FCFS over per-bank indexed queues, restructured for throughput:
 
         * at most two candidates per active bank — within a bank every
           row-hit entry shares one earliest-issue cycle and every non-hit
@@ -744,6 +651,10 @@ class MemoryController:
           ``max`` as each ACT or column command issues, so a step makes no
           call into :class:`Rank` and its shared work is O(ranks) bus and
           floor terms;
+        * writes are scheduled only from the ``window`` oldest admitted
+          entries; when ``write_high > window`` the younger admitted writes
+          wait in a FIFO staging deque, count towards the watermarks, and
+          refill the window, oldest first, before the backlog does;
         * admission, refresh, queue arbitration, candidate selection, and
           command issue are inlined into one loop with the mutable state
           (clock, bus, stats counters) held in locals and written back once
@@ -767,6 +678,11 @@ class MemoryController:
         write_q = self._write_q
         read_banks = self._read_banks
         write_banks = self._write_banks
+        # Only a write queue that can outgrow the window needs the staging
+        # deque; the default configuration never enters its branches.
+        staging = window < write_high
+        write_cap = window if staging else write_high
+        staged = self._write_staged
         t_cl = self._t_cl
         t_cwl = self._t_cwl
         t_burst = self._t_burst
@@ -775,8 +691,8 @@ class MemoryController:
         t_w2p = self._t_w2p
         big = 1 << 62
         n_ranks = len(ranks)
-        # Incremental readiness floors (see PERF.md): the Rank earliest_*
-        # bounds split into a rank-wide part (indexed by rank) and a
+        # Incremental readiness floors (see PERF.md): each earliest RD/WR/ACT
+        # bound split into a rank-wide part (indexed by rank) and a
         # bankgroup part (indexed by flat bankgroup id), loaded from Rank
         # state here and after each streak, then raised by ``max`` as ACT
         # and column commands issue.  Issue cycles strictly increase, so a
@@ -823,9 +739,7 @@ class MemoryController:
         finish = stats.finish_cycle
         latency_sum = stats.read_latency_sum
 
-        pending = (
-            len(read_backlog) + len(write_backlog) + len(read_q) + len(write_q)
-        )
+        pending = self.pending
         while pending:
             # -- admission --------------------------------------------------
             while len(read_q) < window and read_backlog and read_backlog.head_arrival() <= now:
@@ -853,12 +767,12 @@ class MemoryController:
                     elif s < blq.miss_seq:
                         blq.miss = entry
                         blq.miss_seq = s
-            while (
-                len(write_q) < write_high
-                and write_backlog
-                and write_backlog.head_arrival() <= now
+            while len(write_q) < write_cap and (
+                staged or (write_backlog and write_backlog.head_arrival() <= now)
             ):
-                entry = write_backlog.popleft()
+                # Staged writes are older than the whole backlog: a write
+                # completion's free window slot goes to the oldest of them.
+                entry = staged.popleft() if staged else write_backlog.popleft()
                 entry.qpos = len(write_q)
                 write_q.append(entry)
                 flat = entry.flat
@@ -882,6 +796,13 @@ class MemoryController:
                     elif s < blq.miss_seq:
                         blq.miss = entry
                         blq.miss_seq = s
+            if staging:
+                while (
+                    len(write_q) + len(staged) < write_high
+                    and write_backlog
+                    and write_backlog.head_arrival() <= now
+                ):
+                    staged.append(write_backlog.popleft())
             if not read_q and not write_q:
                 # Nothing admitted: jump to the next arrival.
                 arrival = big
@@ -906,10 +827,11 @@ class MemoryController:
                     for blq in write_banks.values():
                         blq.valid = False
             # -- queue arbitration (write-drain watermarks) -----------------
+            write_level = len(write_q) + len(staged) if staging else len(write_q)
             if draining:
-                if len(write_q) <= write_low and read_q:
+                if write_level <= write_low and read_q:
                     draining = False
-            elif not read_q or len(write_q) >= write_high:
+            elif not read_q or write_level >= write_high:
                 draining = bool(write_q or write_backlog)
             if draining and write_q:
                 queue = write_q
@@ -1089,7 +1011,12 @@ class MemoryController:
             # active window is a same-rank row-hit run with no competing
             # candidate, the upcoming commands issue in sequence order at a
             # fixed cadence — compile the run and retire it in one step.
-            if streaks and streak_cooldown == 0 and len(queue) > 1:
+            if (
+                streaks
+                and streak_cooldown == 0
+                and len(queue) > 1
+                and not (staging and is_write_q)
+            ):
                 streak = self._attempt_streak(
                     is_write_q,
                     queue,
@@ -1496,91 +1423,3 @@ class MemoryController:
                     e.bpos = i
                 blq.valid = False
         return (m, hits, misses, conflicts, lat_delta, last_when, burst_end)
-
-    def _next_command(self, req: _Entry) -> tuple[str, int]:
-        """Return the next command for ``req`` and its earliest issue cycle."""
-        rank = self.ranks[req.rank]
-        bank = rank.bank(req.bankgroup, req.bank)
-        if bank.open_row == req.row:
-            return "col", self._column_earliest(req, rank, bank)
-        if not bank.is_open:
-            return "act", max(bank.earliest_act, rank.earliest_act(req.bankgroup))
-        return "pre", bank.earliest_pre
-
-    def _column_earliest(self, req: _Entry, rank: Rank, bank) -> int:
-        t = self.timing
-        if req.is_write:
-            when = max(bank.earliest_col, rank.earliest_write(req.bankgroup))
-            data_offset = t.cwl
-        else:
-            when = max(bank.earliest_col, rank.earliest_read(req.bankgroup))
-            data_offset = t.cl
-        bus_ready = self._bus_free
-        if self._bus_rank >= 0 and self._bus_rank != req.rank:
-            bus_ready += t.rtrs
-        return max(when, bus_ready - data_offset)
-
-    def _remove(self, entry: _Entry, queue: list) -> None:
-        """Drop a completed entry from the working queue (scan scheduler).
-
-        ``list.remove`` preserves FIFO order, which the scan scheduler's
-        window slice depends on; the indexed runner swap-pops instead.
-        """
-        queue.remove(entry)
-
-    def _issue(self, entry: _Entry, cmd: str, when: int, queue: list) -> None:
-        t = self.timing
-        rank = self.ranks[entry.rank]
-        bank = rank.bank(entry.bankgroup, entry.bank)
-        if when > self._now:
-            self._now = when
-        self._cmd_free = when + 1
-        if cmd == "act":
-            bank.activate(entry.row, when, t)
-            rank.record_act(entry.bankgroup, when)
-            self.stats.activates += 1
-            entry.needed_act = True
-            return
-        if cmd == "pre":
-            bank.precharge(when, t)
-            self.stats.precharges += 1
-            entry.needed_pre = True
-            return
-        # Column command: the request completes after its data burst.
-        data_offset = self._t_cwl if entry.is_write else self._t_cl
-        burst_end = when + data_offset + self._t_burst
-        self._bus_free = burst_end
-        self._bus_rank = entry.rank
-        self.stats.data_bus_cycles += self._t_burst
-        if entry.request is not None:
-            entry.request.completion = burst_end
-        if burst_end > self.stats.finish_cycle:
-            self.stats.finish_cycle = burst_end
-        if entry.is_write:
-            bank.write(when, t)
-            rank.record_write(entry.bankgroup, when)
-            self.stats.writes += 1
-        else:
-            bank.read(when, t)
-            rank.record_read(entry.bankgroup, when)
-            self.stats.reads += 1
-            self.stats.read_latency_sum += burst_end - entry.arrival
-        if entry.needed_pre:
-            self.stats.row_conflicts += 1
-        elif entry.needed_act:
-            self.stats.row_misses += 1
-        else:
-            self.stats.row_hits += 1
-        self._remove(entry, queue)
-        if self.row_policy == "closed":
-            # Auto-precharge: the bank closes as soon as tRTP/tWR allows.
-            bank.precharge(bank.earliest_pre, t)
-            self.stats.precharges += 1
-
-    def _maybe_refresh(self) -> None:
-        for rank in self.ranks:
-            if self._now >= rank.next_refresh:
-                # REF blocks only the refreshing rank (its banks' earliest_act
-                # move past tRFC); other ranks keep using the shared bus.
-                rank.refresh(self._now)
-                self.stats.refreshes += 1

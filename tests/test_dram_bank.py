@@ -6,7 +6,18 @@ import pytest
 from repro.dram.bank import Bank, Rank
 from repro.dram.timing import DDR4_3200
 
+import scan_oracle
+
 T = DDR4_3200
+
+
+def earliest(rank, kind, bankgroup):
+    """The earliest ``kind`` ("read", "write" or "act") command cycle for
+    ``bankgroup``: the max of its rank part and bankgroup part in
+    :meth:`Rank.floors`."""
+    k = ("read", "write", "act").index(kind)
+    floors = rank.floors()
+    return max(floors[k], floors[3 + k][bankgroup])
 
 
 class TestBank:
@@ -65,60 +76,61 @@ class TestRankActivationWindows:
     def test_trrd_l_within_bank_group(self):
         rank = Rank(T, 4, 4)
         rank.record_act(bankgroup=0, cycle=100)
-        assert rank.earliest_act(0) == 100 + T.rrd_l
+        assert earliest(rank, "act", 0) == 100 + T.rrd_l
 
     def test_trrd_s_across_bank_groups(self):
         rank = Rank(T, 4, 4)
         rank.record_act(bankgroup=0, cycle=100)
-        assert rank.earliest_act(1) == 100 + T.rrd_s
+        assert earliest(rank, "act", 1) == 100 + T.rrd_s
 
     def test_tfaw_limits_fifth_activate(self):
         rank = Rank(T, 4, 4)
         for i in range(4):
             rank.record_act(bankgroup=i, cycle=i)
         # The fifth ACT must wait until tFAW past the first.
-        assert rank.earliest_act(0) >= 0 + T.faw
+        assert earliest(rank, "act", 0) >= 0 + T.faw
 
     def test_tfaw_window_slides(self):
         rank = Rank(T, 4, 4)
         for i in range(5):
             rank.record_act(bankgroup=i % 4, cycle=i * 100)
         # Window now starts at cycle 100.
-        assert rank.earliest_act(3) >= 100 + T.faw or rank.earliest_act(3) >= 400
+        bound = earliest(rank, "act", 3)
+        assert bound >= 100 + T.faw or bound >= 400
 
 
 class TestRankColumnWindows:
     def test_ccd_l_same_group(self):
         rank = Rank(T, 4, 4)
         rank.record_read(bankgroup=2, cycle=50)
-        assert rank.earliest_read(2) == 50 + T.ccd_l
+        assert earliest(rank, "read", 2) == 50 + T.ccd_l
 
     def test_ccd_s_other_group(self):
         rank = Rank(T, 4, 4)
         rank.record_read(bankgroup=2, cycle=50)
-        assert rank.earliest_read(0) == 50 + T.ccd_s
+        assert earliest(rank, "read", 0) == 50 + T.ccd_s
 
     def test_write_to_read_turnaround(self):
         rank = Rank(T, 4, 4)
         rank.record_write(bankgroup=1, cycle=50)
-        assert rank.earliest_read(1) == 50 + T.write_to_read(True)
-        assert rank.earliest_read(0) == 50 + T.write_to_read(False)
+        assert earliest(rank, "read", 1) == 50 + T.write_to_read(True)
+        assert earliest(rank, "read", 0) == 50 + T.write_to_read(False)
 
     def test_read_to_write_turnaround(self):
         rank = Rank(T, 4, 4)
         rank.record_read(bankgroup=1, cycle=50)
-        assert rank.earliest_write(0) == 50 + T.read_to_write
+        assert earliest(rank, "write", 0) == 50 + T.read_to_write
 
     def test_write_to_write_ccd(self):
         rank = Rank(T, 4, 4)
         rank.record_write(bankgroup=1, cycle=50)
-        assert rank.earliest_write(1) == 50 + T.ccd_l
-        assert rank.earliest_write(2) == 50 + T.ccd_s
+        assert earliest(rank, "write", 1) == 50 + T.ccd_l
+        assert earliest(rank, "write", 2) == 50 + T.ccd_s
 
 
 class TestRankFloors:
-    """``Rank.floors()`` splits each earliest_* bound into a rank part and a
-    bankgroup part whose max is the bound."""
+    """``Rank.floors()`` splits each of the scan oracle's scalar bounds into
+    a rank part and a bankgroup part whose max is the bound."""
 
     @pytest.mark.parametrize("seed", range(5))
     def test_parts_recombine_to_earliest(self, seed):
@@ -133,9 +145,9 @@ class TestRankFloors:
             record(int(rng.integers(0, 4)), cycle)
         read, write, act, group_read, group_write, group_act = rank.floors()
         for bg in range(4):
-            assert rank.earliest_read(bg) == max(read, group_read[bg])
-            assert rank.earliest_write(bg) == max(write, group_write[bg])
-            assert rank.earliest_act(bg) == max(act, group_act[bg])
+            assert scan_oracle.earliest_read(rank, bg) == max(read, group_read[bg])
+            assert scan_oracle.earliest_write(rank, bg) == max(write, group_write[bg])
+            assert scan_oracle.earliest_act(rank, bg) == max(act, group_act[bg])
 
 
 class TestRefresh:

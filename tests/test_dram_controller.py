@@ -1,7 +1,5 @@
 """Tests for the FR-FCFS memory controller."""
 
-import logging
-
 import pytest
 
 from repro.dram.command import Request
@@ -251,26 +249,15 @@ class TestStats:
         assert stats.bandwidth(DDR4_3200) == 0.0
 
 
-class TestScanFallbackLog:
-    """``write_high > window`` routes the indexed scheduler to the scan
-    scheduler; the fallback is logged at INFO, once per controller."""
+class TestConfigValidation:
+    """Configurations the drain cannot make progress with are rejected at
+    construction, with the offending parameter named."""
 
-    def _drain_twice(self, caplog, **kwargs):
-        mc = make_controller(**kwargs)
-        with caplog.at_level(logging.INFO, logger="repro"):
-            for _ in range(2):
-                mc.enqueue_batch(reduce_buffer(0, 8192 * 64, 16384 * 64, 100))
-                mc.run_to_completion()
-        return [r for r in caplog.records if r.name.startswith("repro")]
+    @pytest.mark.parametrize("window", [0, -3])
+    def test_rejects_empty_window(self, window):
+        with pytest.raises(ValueError, match="window"):
+            make_controller(window=window)
 
-    def test_default_config_logs_nothing(self, caplog):
-        assert self._drain_twice(caplog) == []
-
-    def test_window_below_write_high_logs_once(self, caplog):
-        records = self._drain_twice(caplog, window=1, write_high_watermark=32)
-        assert len(records) == 1
-        record = records[0]
-        assert record.levelno == logging.INFO
-        assert record.name == "repro.dram.controller"
-        message = record.getMessage()
-        assert "window 1" in message and "write_high_watermark 32" in message
+    def test_rejects_negative_low_watermark(self):
+        with pytest.raises(ValueError, match="write_low_watermark"):
+            make_controller(write_high_watermark=0, write_low_watermark=-1)

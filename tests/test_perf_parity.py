@@ -42,6 +42,7 @@ from repro.dram.trace import (
 )
 from repro.env import REFERENCE_ENV_VAR, reference_mode
 
+from scan_oracle import ScanController
 from trace_oracles import (
     Record,
     average_trace,
@@ -78,15 +79,15 @@ def instr_trace(core, instr):
 
 
 def run_scalar_scan(trace, timing=DDR4_3200, **kw):
-    """Reference path: per-record enqueue + the original scan scheduler."""
-    mc = MemoryController(timing, scheduler="scan", **kw)
+    """Reference path: per-record enqueue + the scan scheduler oracle."""
+    mc = ScanController(timing, **kw)
     enqueue_records(mc, trace)
     return mc.run_to_completion()
 
 
 def run_batch_indexed(trace, timing=DDR4_3200, **kw):
-    """Fast path: one columnar enqueue + the indexed scheduler."""
-    mc = MemoryController(timing, scheduler="indexed", **kw)
+    """Fast path: one columnar enqueue + the indexed drain."""
+    mc = MemoryController(timing, **kw)
     mc.enqueue_batch(trace if isinstance(trace, TraceBuffer) else to_buffer(trace))
     return mc.run_to_completion()
 
@@ -133,8 +134,8 @@ class TestWindowParity:
     """The scan reference only schedules from the first ``window`` entries
     of a queue.  Reads can never outgrow the window (admission caps them),
     but writes are admitted up to ``write_high``; when that exceeds the
-    window the slice is observable, and the indexed controller must match
-    the reference there too (it falls back to the scan path)."""
+    window the slice is observable, and the indexed drain must match the
+    reference there too (it stages the admitted writes beyond the window)."""
 
     def build_records(self, seed=43, n=600):
         rng = np.random.default_rng(seed)
@@ -222,6 +223,27 @@ class TestDramSystemParity:
         assert result.channel_stats == golden.channel_stats
         assert result.total_bytes == golden.total_bytes
         assert result.elapsed_seconds == golden.elapsed_seconds
+
+    @pytest.mark.parametrize("op", ["GATHER", "REDUCE"])
+    def test_figure11_cpu_channels_match_scan_oracle(self, op):
+        # Eight channels of four ranks, as the Fig. 11 CPU baseline: each
+        # channel's stats against the scan oracle draining the same
+        # channel-local records one request at a time.
+        trace = self._figure11_cpu_trace(op)
+        system = DramSystem(channels=8)
+        assert system.organization.ranks == 4
+        system.enqueue_trace(trace)
+        oracles = [
+            ScanController.from_config(c.snapshot_config()) for c in system.controllers
+        ]
+        result = system.run()
+        for r in records(trace):
+            channel, local = system.route(r.addr)
+            oracles[channel].enqueue(
+                Request(addr=local, is_write=r.is_write, arrival=r.cycle)
+            )
+        assert all(o.pending for o in oracles)
+        assert result.channel_stats == [o.run_to_completion() for o in oracles]
 
 
 def _scalar_bandwidth(trace, **kw):
@@ -575,7 +597,7 @@ class TestStreakFuzzParity:
             else np.cumsum(rng.integers(0, 25, size=n))
         )
         window = int(rng.choice([4, 8, 32]))
-        wh = min(int(rng.integers(2, 33)), window)
+        wh = int(rng.integers(2, 33))
         wl = int(rng.integers(1, wh))
         kw = {
             "window": window,
@@ -668,16 +690,16 @@ class TestIncrementalFloorParity:
         first = gather_buffer(0, 1, rng.integers(0, 4096, 400), 4096 * 64)
         readback = streaming_buffer(4096 * 64, 400)
         runs = {}
-        for scheduler in ("scan", "indexed"):
-            mc = MemoryController(DDR4_3200, scheduler=scheduler)
+        for cls in (ScanController, MemoryController):
+            mc = cls(DDR4_3200)
             drains = []
             for trace in (first, readback):
-                if scheduler == "scan":
+                if cls is ScanController:
                     enqueue_records(mc, trace)
                 else:
                     mc.enqueue_batch(trace)
                 # run_to_completion returns the controller's accumulating
                 # stats object: keep a copy of each drain's result.
                 drains.append(replace(mc.run_to_completion()))
-            runs[scheduler] = drains
-        assert runs["indexed"] == runs["scan"]
+            runs[cls] = drains
+        assert runs[MemoryController] == runs[ScanController]
