@@ -40,11 +40,11 @@ Two families of entries:
 * ``gather_cold`` / ``reduce_cold`` / ``node_gather_cold`` — **memo-cold**
   honesty entries: unique indices (or shapes) per instruction and both
   memo levels disabled, so every instruction pays trace expansion plus a
-  real cycle-level drain.  ``cpu_gather_cold`` / ``cpu_reduce_cold`` do
-  the same for the Fig. 11/12 CPU baseline (8 channels x 4 ranks, routed
-  through ``DramSystem``), and ``dimm_gather_random_cold`` for one DIMM's
-  share of the node_embedding GATHER (one rank, random rows, row
-  conflicts throughout).  These track the non-memoized engine across
+  real cycle-level drain.  ``cpu_gather_cold`` / ``cpu_reduce_cold`` /
+  ``cpu_average_cold`` do the same for the Fig. 11/12 CPU baseline
+  (8 channels x 4 ranks, routed through ``DramSystem``), and
+  ``dimm_gather_random_cold`` for one DIMM's share of the node_embedding
+  GATHER (one rank, random rows, row conflicts throughout).  These track the non-memoized engine across
   PRs — and are what the CI regression guard (``--check-baseline``)
   compares against the committed JSON, failing on a >30 % req/s drop.
 
@@ -76,6 +76,7 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.bench.figure11 import (
+    AVERAGE_NUM,
     EMBEDDING_DIM,
     LOOKUPS_PER_SAMPLE,
     TABLE_ROWS,
@@ -91,7 +92,7 @@ from repro.dram import memo
 from repro.dram.memo import INSTR_MEMO, TIMING_MEMO
 from repro.dram.system import DramSystem
 from repro.dram.timing import DDR4_3200
-from repro.dram.trace import gather_buffer, reduce_buffer
+from repro.dram.trace import average_buffer, gather_buffer, reduce_buffer
 from repro.env import REFERENCE_ENV_VAR
 from repro.parallel import get_executor, parallel_map, resolve_jobs
 
@@ -111,6 +112,7 @@ COLD_WORKLOADS = (
     "node_gather_cold",
     "cpu_gather_cold",
     "cpu_reduce_cold",
+    "cpu_average_cold",
     "dimm_gather_random_cold",
 )
 
@@ -315,6 +317,17 @@ def bench_cpu_reduce_cold(instructions=2, batch=16):
     for k in range(instructions):
         words = batch * LOOKUPS_PER_SAMPLE * _CPU_ROW_WORDS + k
         traces.append(reduce_buffer(0, words * 64, 2 * words * 64, words))
+    return _cpu_cold(traces)
+
+
+def bench_cpu_average_cold(instructions=1, batch=16):
+    """Memo-cold Fig. 11 CPU-baseline AVERAGE: a distinct length per trace."""
+    traces = []
+    for k in range(instructions):
+        words = batch * LOOKUPS_PER_SAMPLE * _CPU_ROW_WORDS + k
+        traces.append(
+            average_buffer(0, AVERAGE_NUM, words * AVERAGE_NUM * 64, words)
+        )
     return _cpu_cold(traces)
 
 
@@ -592,6 +605,9 @@ def run(jobs: int | None = None, smoke: bool = False) -> dict:
     cold_cpu_kwargs = {"instructions": 1} if smoke else {"instructions": 2}
     entries.append(_cold_entry("cpu_gather_cold", bench_cpu_gather_cold, smoke, **cold_cpu_kwargs))
     entries.append(_cold_entry("cpu_reduce_cold", bench_cpu_reduce_cold, smoke, **cold_cpu_kwargs))
+    entries.append(
+        _cold_entry("cpu_average_cold", bench_cpu_average_cold, smoke, instructions=1)
+    )
     entries.append(
         _cold_entry(
             "dimm_gather_random_cold", bench_dimm_gather_random_cold, smoke,

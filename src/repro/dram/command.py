@@ -180,20 +180,47 @@ class TraceBuffer:
         self._digest: bytes | None = None
 
     def digest(self) -> bytes:
-        """Content digest of the trace (addresses, directions, arrivals).
+        """Digest of the trace's read stream and its write stream.
 
-        Two buffers with equal digests replay identically through equally
-        configured controllers, so ``(ControllerConfig, digest)`` keys the
-        cross-layer timing memo (:mod:`repro.dram.memo`).  The digest is
-        computed once and cached on the buffer (see the class docstring for
+        Hashes the read records' ``(addr, cycle)`` columns in trace order,
+        then the write records', each preceded by its count.  Two traces
+        that interleave the same read stream with the same write stream in
+        different ways therefore share a digest, and they drain
+        bit-identically through equally configured controllers: reads and
+        writes sit in separate backlogs, queues and bank maps, and sequence
+        numbers are only ever compared within one of them (candidate
+        selection, the per-bank minima, a streak's ``sorted(queue)``; the
+        scan oracle likewise ranks only its active queue).  The directions
+        interact only through counts (the watermarks, ``pending``), bank and
+        rank state, and the data bus, none of which depends on how the two
+        streams interleave.  A drain is thus a pure function of
+        ``(config, read stream, write stream)``, so
+        ``(ControllerConfig, digest)`` keys the cross-layer timing memo
+        (:mod:`repro.dram.memo`).  An equal digest does not imply
+        byte-identical buffers.
+
+        A trace whose arrivals are all zero hashes a flag in place of its
+        ``cycle`` column, and a one-direction trace skips the masking.
+        Computed once and cached on the buffer (see the class docstring for
         why a buffer never changes)."""
         if self._digest is None:
             TraceBuffer.digests_computed += 1
-            h = hashlib.blake2b(digest_size=16)
-            h.update(len(self).to_bytes(8, "little"))
-            h.update(self.addr.tobytes())
-            h.update(np.packbits(self.is_write).tobytes())
-            h.update(self.cycle.tobytes())
+            h = hashlib.sha1(usedforsecurity=False)
+            paced = bool(self.cycle.any())
+            h.update(b"\x01" if paced else b"\x00")
+            n = len(self)
+            writes = self.writes
+            for count, mask in ((n - writes, ~self.is_write), (writes, self.is_write)):
+                h.update(count.to_bytes(8, "little"))
+                if count == n:
+                    addr, cycle = self.addr, self.cycle
+                elif count:
+                    addr, cycle = self.addr[mask], self.cycle[mask]
+                else:
+                    continue
+                h.update(addr.tobytes())
+                if paced:
+                    h.update(cycle.tobytes())
             self._digest = h.digest()
         return self._digest
 

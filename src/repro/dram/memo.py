@@ -1,11 +1,14 @@
 """Cross-layer timing memoization and the one drain entry point.
 
-A FR-FCFS drain is a pure function of ``(ControllerConfig, trace)``:
-sequence numbers only break ties *relative* to each other, so two equally
-configured controllers draining byte-identical traces produce bit-identical
-:class:`~repro.dram.controller.ControllerStats`.  :func:`drain` is the only
-place in the package that drains a trace for a timing result, and the only
-consumer of the two memo levels that cache that function:
+A FR-FCFS drain is a pure function of the controller's configuration and
+of the trace's read stream and write stream: sequence numbers only break
+ties *relative* to each other, and only within one direction, so two
+equally configured controllers draining traces that merge the same read
+stream with the same write stream, in any interleaving, produce
+bit-identical :class:`~repro.dram.controller.ControllerStats` (the argument
+is in :meth:`~repro.dram.command.TraceBuffer.digest`).  :func:`drain` is
+the only place in the package that drains a trace for a timing result, and
+the only consumer of the two memo levels that cache that function:
 
 * :data:`INSTR_MEMO` — the instruction-level memo, keyed by
   ``(ControllerConfig, TraceDescriptor)``.  A
@@ -14,8 +17,10 @@ consumer of the two memo levels that cache that function:
   :meth:`~repro.core.nmp_core.NmpCore.describe`); a hit builds no trace
   and hashes no bulk array.
 * :data:`TIMING_MEMO` — the trace-level memo, keyed by
-  ``(ControllerConfig, TraceBuffer.digest())``, a content hash, so the
-  cache needs no invalidation.
+  ``(ControllerConfig, TraceBuffer.digest())``, a content hash of the read
+  stream and the write stream, so the cache needs no invalidation.  The
+  8 channels of a Fig. 11/12 CPU point share one key even where their
+  reads and writes interleave differently (AVERAGE).
 
 Lookup order: the instruction memo, then
 :func:`~repro.core.nmp_core.expand` of the descriptor, then the trace memo,

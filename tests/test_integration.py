@@ -6,6 +6,7 @@ import pytest
 
 from repro.core.runtime import TensorDimmRuntime
 from repro.core.tensornode import TensorNode
+from repro.models.embedding import EmbeddingTable
 from repro.models.model_zoo import ALL_WORKLOADS, small_scale
 from repro.models.recsys import RecommenderModel
 from repro.workloads.requests import RequestGenerator
@@ -98,11 +99,24 @@ class TestCycleTimedInference:
 
 
 class TestCapacityPressure:
-    def test_out_of_memory_is_reported(self, rng):
+    def test_out_of_memory_is_reported(self, rng, monkeypatch):
         from repro.core.allocator import OutOfNodeMemory
 
+        # The pool rejects table0 before any weight is read, so the tables
+        # are zero-filled instead of drawn (eight 50,000 x 512 normal
+        # draws took seconds); every shape stays as configured.
+        monkeypatch.setattr(
+            EmbeddingTable,
+            "random",
+            classmethod(
+                lambda cls, name, rows, dim, rng=None: cls(
+                    name, np.zeros((rows, dim), dtype=np.float32)
+                )
+            ),
+        )
         config = small_scale(ALL_WORKLOADS[3], rows=50_000)  # Facebook, big
         model = RecommenderModel(small_scale(config, rows=50_000), rng)
+        assert [t.weights.shape for t in model.tables] == [(50_000, 512)] * 8
         runtime = make_runtime(num_dimms=2, capacity=1 << 12)  # tiny pool
         sparse, dense = model.sample_inputs(2, rng)
         with pytest.raises(OutOfNodeMemory):

@@ -50,6 +50,7 @@ from trace_oracles import (
     gather_trace,
     records,
     reduce_trace,
+    reinterleave,
     streaming_trace,
     strided_trace,
     to_buffer,
@@ -224,19 +225,26 @@ class TestDramSystemParity:
         assert result.total_bytes == golden.total_bytes
         assert result.elapsed_seconds == golden.elapsed_seconds
 
-    @pytest.mark.parametrize("op", ["GATHER", "REDUCE"])
-    def test_figure11_cpu_channels_match_scan_oracle(self, op):
+    @pytest.mark.parametrize("op", ["GATHER", "REDUCE", "AVERAGE"])
+    def test_figure11_cpu_channels_match_scan_oracle(self, op, timing_memo):
         # Eight channels of four ranks, as the Fig. 11 CPU baseline: each
         # channel's stats against the scan oracle draining the same
-        # channel-local records one request at a time.
+        # channel-local records one request at a time.  Every channel's
+        # share has the same read stream and the same write stream (for
+        # AVERAGE they interleave differently per channel), so the point
+        # drains once and the other seven channels adopt the memoized stats.
         trace = self._figure11_cpu_trace(op)
         system = DramSystem(channels=8)
         assert system.organization.ranks == 4
+        channel_of = (trace.addr // 64) % 8
+        layouts = {trace.is_write[channel_of == c].tobytes() for c in range(8)}
+        assert len(layouts) == (8 if op == "AVERAGE" else 1)
         system.enqueue_trace(trace)
         oracles = [
             ScanController.from_config(c.snapshot_config()) for c in system.controllers
         ]
         result = system.run()
+        assert (timing_memo.hits, timing_memo.misses) == (7, 1)
         for r in records(trace):
             channel, local = system.route(r.addr)
             oracles[channel].enqueue(
@@ -572,7 +580,8 @@ class TestStreakFuzzParity:
     match the scan reference on every draw (a bounded version of the
     exploratory fuzz run while developing the streak compiler)."""
 
-    def _random_case(self, rng, ranks=1):
+    @staticmethod
+    def _random_case(rng, ranks=1):
         n = int(rng.integers(50, 1200))
         kind = int(rng.integers(0, 4))
         if kind == 0:
@@ -632,6 +641,27 @@ class TestStreakFuzzParity:
             golden = run_scalar_scan(trace, **kw)
             fast = run_batch_indexed(trace, **kw)
             assert fast == golden, kw
+
+
+class TestReinterleaveFuzzParity:
+    """The trace memo keys a drain by the trace's read stream and its write
+    stream (:meth:`TraceBuffer.digest`), not by how the two interleave.
+    Seeded fuzz: a trace and a random direction-preserving re-interleaving
+    of it must drain to identical stats, both matching the scan oracle."""
+
+    @pytest.mark.parametrize("ranks", [1, 2, 4])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_reinterleaved_trace_drains_identically(self, ranks, seed):
+        rng = np.random.default_rng(3000 + 10 * ranks + seed)
+        for _ in range(7):
+            case, kw = TestStreakFuzzParity._random_case(rng, ranks=ranks)
+            write_share = rng.uniform(0.04, 0.5)
+            trace = TraceBuffer(case.addr, rng.random(len(case)) < write_share, case.cycle)
+            mixed = reinterleave(trace, rng)
+            assert mixed.digest() == trace.digest()
+            golden = run_scalar_scan(trace, **kw)
+            assert run_batch_indexed(trace, **kw) == golden, kw
+            assert run_batch_indexed(mixed, **kw) == golden, kw
 
 
 class TestIncrementalFloorParity:

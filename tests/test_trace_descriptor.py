@@ -170,8 +170,8 @@ class TestDescriptorKeys:
             dimm.write_indices(40000, idx)
             instr = gather(0, 40000, ND * 50000, count, words_per_slice=wps)
             key = dimm.nmp.describe(instr)
-            digest = nmp_trace(dimm.nmp, instr).digest()
-            assert seen.setdefault(key, digest) == digest
+            trace = nmp_trace(dimm.nmp, instr)
+            _assert_identical(seen.setdefault(key, trace), trace)
 
     def test_reduce_wps_normalized_out_of_key(self):
         """REDUCE traces ignore words_per_slice, so the key does too."""

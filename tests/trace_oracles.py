@@ -96,6 +96,19 @@ def to_buffer(trace: Iterable[Record]) -> TraceBuffer:
     )
 
 
+def reinterleave(trace: TraceBuffer, rng: np.random.Generator) -> TraceBuffer:
+    """A random merge of ``trace``'s read stream with its write stream.
+
+    Each direction keeps its records, in order; only where the reads and
+    the writes fall relative to each other is redrawn.
+    """
+    is_write = rng.permutation(trace.is_write)
+    order = np.empty(len(trace), dtype=np.int64)
+    order[~is_write] = np.flatnonzero(~trace.is_write)
+    order[is_write] = np.flatnonzero(trace.is_write)
+    return TraceBuffer(trace.addr[order], is_write, trace.cycle[order])
+
+
 def enqueue_records(controller, trace) -> None:
     """Queue a trace one ``Request`` at a time (the scalar reference path).
 
