@@ -47,6 +47,14 @@ Two families of entries:
   GATHER (one rank, random rows, row conflicts throughout).  These track the non-memoized engine across
   PRs — and are what the CI regression guard (``--check-baseline``)
   compares against the committed JSON, failing on a >30 % req/s drop.
+* ``figure11_full`` / ``figure12_full`` / ``ablations`` / ``evaluate_all``
+  — **end-to-end** artefact entries: the wall time of ``python -m repro
+  <command> --jobs 1`` in a fresh interpreter (so every memo starts
+  empty), import included, plus a SHA-256 of its stdout.  ``evaluate_all``
+  runs ``evaluate`` once per workload.  Where ``tests/golden/`` pins the
+  output, a full run fails unless the stdout matches it byte for byte, so
+  a speedup that changes results cannot be recorded.  They stay out of
+  the regression guard: their wall time includes interpreter start-up.
 
 The ``gather`` / ``reduce`` numbers measure end-to-end ``execute_timed``
 throughput, which from the streak/memo PR onward includes the memo
@@ -60,12 +68,15 @@ repeated-instruction broadcast throughput on a warm instruction memo.
 
 ``--smoke`` shrinks every workload and skips the JSON write — CI uses it
 to prove the benchmark path stays runnable (once by default, once with
-``REPRO_REFERENCE=1``, so a parity break fails the build).
+``REPRO_REFERENCE=1``, so a parity break fails the build).  The artefact
+entries then run once, with ``--quick`` where the CLI has it.
 """
 
 import argparse
+import hashlib
 import json
 import os
+import subprocess
 import sys
 import time
 from contextlib import contextmanager
@@ -73,7 +84,8 @@ from pathlib import Path
 
 import numpy as np
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
 
 from repro.bench.figure11 import (
     AVERAGE_NUM,
@@ -94,6 +106,7 @@ from repro.dram.system import DramSystem
 from repro.dram.timing import DDR4_3200
 from repro.dram.trace import average_buffer, gather_buffer, reduce_buffer
 from repro.env import REFERENCE_ENV_VAR
+from repro.models.model_zoo import WORKLOADS_BY_NAME
 from repro.parallel import get_executor, parallel_map, resolve_jobs
 
 #: Measured with the per-record trace engine and O(window) rescan scheduler
@@ -401,6 +414,59 @@ def _drain_hot_row_entry(smoke: bool) -> dict:
     }
 
 
+# -- end-to-end artefacts (fresh interpreter, --jobs 1) ------------------------
+
+#: ``python -m repro`` command lines per entry, and the golden stdout file
+#: in ``tests/golden/`` that a full run must reproduce (``None``: not pinned).
+ARTEFACTS = {
+    "figure11_full": ([["figure", "11"]], "figure_11.txt"),
+    "figure12_full": ([["figure", "12"]], "figure_12.txt"),
+    "ablations": ([["ablations"]], "ablations.txt"),
+    "evaluate_all": ([["evaluate", name] for name in sorted(WORKLOADS_BY_NAME)], None),
+}
+
+
+def _cli_args(args: list, smoke: bool) -> list:
+    """The ``python -m repro`` arguments an artefact entry runs."""
+    quick = ["--quick"] if smoke and args[0] == "figure" else []
+    return [*args, "--jobs", "1", *quick]
+
+
+def bench_artefact(commands, smoke: bool) -> tuple[float, bytes]:
+    """Run each ``python -m repro`` command in a fresh interpreter; return
+    the summed wall seconds and the joined stdout."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    seconds = 0.0
+    stdout = b""
+    for args in commands:
+        argv = [sys.executable, "-m", "repro", *_cli_args(args, smoke)]
+        t0 = time.perf_counter()
+        done = subprocess.run(argv, env=env, capture_output=True, check=True)
+        seconds += time.perf_counter() - t0
+        stdout += done.stdout
+    return seconds, stdout
+
+
+def _artefact_entry(name: str, smoke: bool) -> dict:
+    commands, golden = ARTEFACTS[name]
+    best = None
+    for _ in range(1 if smoke else REPEATS):
+        seconds, stdout = bench_artefact(commands, smoke)
+        if best is None or seconds < best:
+            best = seconds
+    entry = {
+        "workload": name,
+        "commands": [" ".join(_cli_args(args, smoke)) for args in commands],
+        "wall_seconds": round(best, 3),
+        "stdout_sha256": hashlib.sha256(stdout).hexdigest(),
+    }
+    if golden is not None and not smoke:
+        if stdout != (ROOT / "tests" / "golden" / golden).read_bytes():
+            raise RuntimeError(f"{name}: stdout differs from tests/golden/{golden}")
+        entry["golden"] = f"tests/golden/{golden}"
+    return entry
+
+
 # -- multi-DIMM / sweep workloads (sequential-vs-parallel) --------------------
 
 def _node_gather_instr(dimms: int, lookups: int, seed: int):
@@ -614,6 +680,7 @@ def run(jobs: int | None = None, smoke: bool = False) -> dict:
             **cold_gather_kwargs,
         )
     )
+    entries.extend(_artefact_entry(name, smoke) for name in ARTEFACTS)
     return {"entries": entries, "host_cpus": os.cpu_count()}
 
 
@@ -679,6 +746,12 @@ def main(argv=None) -> None:
                 f"{entry['fast_off']['wall_seconds']:.3f}s = "
                 f"{entry['speedup']:.2f}x (bit-identical: {entry['identical']})"
             )
+        elif "stdout_sha256" in entry:
+            print(
+                f"{entry['workload']:>16}: {' + '.join(entry['commands'])} "
+                f"in {entry['wall_seconds']:.2f}s "
+                f"(stdout sha256 {entry['stdout_sha256'][:12]})"
+            )
         elif entry.get("caches_disabled"):
             print(
                 f"{entry['workload']:>16}: {entry['requests']} requests over "
@@ -707,7 +780,7 @@ def main(argv=None) -> None:
                 )
             print(line)
     if args.check_baseline:
-        baseline_path = Path(__file__).resolve().parent.parent / "BENCH_perf.json"
+        baseline_path = ROOT / "BENCH_perf.json"
         try:
             tolerance = float(os.environ.get("REPRO_BENCH_TOLERANCE", DEFAULT_TOLERANCE))
         except ValueError:
@@ -721,7 +794,7 @@ def main(argv=None) -> None:
     if args.smoke:
         print("smoke mode: JSON not written")
         return
-    out = Path(__file__).resolve().parent.parent / "BENCH_perf.json"
+    out = ROOT / "BENCH_perf.json"
     out.write_text(json.dumps(report, indent=2) + "\n")
     print(f"wrote {out}")
 

@@ -39,6 +39,11 @@ def reserve_seq_block(n: int) -> int:
     return base
 
 
+def seq_ceiling() -> int:
+    """The next sequence number: every number drawn so far lies below it."""
+    return _seq_counter.value
+
+
 class Command(Enum):
     """DDR4 commands the controller can issue."""
 

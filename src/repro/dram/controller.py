@@ -57,7 +57,7 @@ import numpy as np
 
 from ..env import reference_mode
 from .bank import Rank
-from .command import Request, TraceBuffer, reserve_seq_block
+from .command import Request, TraceBuffer, reserve_seq_block, seq_ceiling
 from .mapping import AddressMapping, DramOrganization
 from .timing import DramTiming
 
@@ -178,7 +178,7 @@ class _Entry:
         "bpos",
     )
 
-    def __init__(self, addr, is_write, arrival, rank, bankgroup, bank, row, column, seq, request=None):
+    def __init__(self, is_write, addr, arrival, rank, bankgroup, bank, row, column, flat, seq):
         self.addr = addr
         self.is_write = is_write
         self.arrival = arrival
@@ -190,8 +190,8 @@ class _Entry:
         self.seq = seq
         self.needed_act = False
         self.needed_pre = False
-        self.request = request
-        self.flat = -1
+        self.request = None
+        self.flat = flat
         self.qpos = -1
         self.bpos = -1
 
@@ -205,7 +205,9 @@ class _BacklogChunk:
     head offset — records before it have been admitted or streak-issued.
     ``_py`` holds plain-list mirrors, materialized lazily the first time a
     record is popped one at a time (admission), so per-record pops cost
-    list indexing instead of numpy scalar extraction.
+    list indexing instead of numpy scalar extraction.  (Columns, not one
+    tuple per record: a pop costs about the same, and a chunk that streaks
+    mostly retire straight from the arrays is cheaper to mirror.)
     """
 
     __slots__ = (
@@ -324,14 +326,17 @@ class _Backlog:
     def popleft(self) -> _Entry:
         """Materialize and remove the oldest pending record."""
         chunk = self.chunks[0]
-        addr, arrival, rank, bankgroup, bank, row, column, flat, seq = chunk.materialize()
+        py = chunk._py
+        if py is None:
+            py = chunk.materialize()
+        addr, arrival, rank, bankgroup, bank, row, column, flat, seq = py
         i = chunk.start
         entry = _Entry(
-            addr[i], self.is_write, arrival[i], rank[i], bankgroup[i], bank[i],
-            row[i], column[i], seq[i],
-            request=chunk.requests[i] if chunk.requests is not None else None,
+            self.is_write, addr[i], arrival[i], rank[i], bankgroup[i], bank[i],
+            row[i], column[i], flat[i], seq[i],
         )
-        entry.flat = flat[i]
+        if chunk.requests is not None:
+            entry.request = chunk.requests[i]
         chunk.start = i + 1
         if chunk.start == chunk.n:
             self.chunks.popleft()
@@ -360,9 +365,12 @@ class _BankQueue:
     recomputed lazily after an invalidation instead of rescanned every step.
 
     ``hit``/``miss`` are classified against the bank's open row at the time
-    of the last rescan (or incremental admit); every event that changes the
-    open row — ACT, PRE, refresh, closed-page auto-precharge — must clear
-    ``valid``.
+    of the last rescan (or incremental admit), so every ACT must clear
+    ``valid``.  Closing a row (PRE, refresh, closed-page auto-precharge) need
+    not: a precharged bank's candidate is its oldest entry, which does not
+    depend on the row, and the next ACT invalidates the split.  Swap-pop and
+    streaks, which change the entry set, clear it too, so an empty queue is
+    never valid.
     """
 
     __slots__ = (
@@ -528,6 +536,10 @@ class MemoryController:
             request.seq,
             request,
         )
+        if request.seq >= seq_ceiling():
+            # An explicit sequence number: keep the counter above every
+            # queued one, which the drain's tie key relies on.
+            reserve_seq_block(request.seq + 1 - seq_ceiling())
         backlog = self._write_backlog if request.is_write else self._read_backlog
         backlog.append_chunk(chunk)
 
@@ -646,20 +658,32 @@ class MemoryController:
           state; an admitted entry's arrival is already in the past), so the
           oldest entry of each class dominates its peers under the
           (ready, column-first, age) FR-FCFS key;
+        * a step visits only the bank queues that hold entries: each
+          direction keeps a map of its non-empty queues, updated when an
+          entry is admitted into an empty queue and when swap-pop or a
+          streak empties one;
         * rank and bankgroup readiness floors are incremental: loaded from
           :meth:`Rank.floors` on entry and after each streak, and raised by
           ``max`` as each ACT or column command issues, so a step makes no
-          call into :class:`Rank` and its shared work is O(ranks) bus and
-          floor terms;
+          call into :class:`Rank`.  Once per step each flat bankgroup's
+          floor is folded with its rank's floor, the bus term and the
+          command floor into one column value and one ACT value, so a
+          candidate's ready cycle is the max of its bank term and one list
+          lookup;
+        * candidates compare on ready cycle, then on one integer tie key:
+          a column command's key is its sequence number, a row command's is
+          its sequence number plus :func:`seq_ceiling` at drain start.
+          Every queued number lies below the ceiling, so the key orders
+          column before row commands and, within each, older before younger
+          — the FR-FCFS (pref, seq) order, for any sequence numbers;
         * writes are scheduled only from the ``window`` oldest admitted
           entries; when ``write_high > window`` the younger admitted writes
           wait in a FIFO staging deque, count towards the watermarks, and
           refill the window, oldest first, before the backlog does;
         * admission, refresh, queue arbitration, candidate selection, and
-          command issue are inlined into one loop with the mutable state
-          (clock, bus, stats counters) held in locals and written back once
-          at the end — the per-step cost is O(active banks) plus a cheap
-          O(queue) age scan, with no attribute traffic.
+          command issue (ACT and PRE included) are inlined into one loop
+          with the mutable state (clock, bus, stats counters) and timing
+          constants held in locals and written back once at the end.
         """
         t = self.timing
         stats = self.stats
@@ -678,6 +702,10 @@ class MemoryController:
         write_q = self._write_q
         read_banks = self._read_banks
         write_banks = self._write_banks
+        # The non-empty bank queues of each direction: the only ones a
+        # step has to visit.
+        read_active = {f: q for f, q in read_banks.items() if q.entries}
+        write_active = {f: q for f, q in write_banks.items() if q.entries}
         # Only a write queue that can outgrow the window needs the staging
         # deque; the default configuration never enters its branches.
         staging = window < write_high
@@ -689,7 +717,12 @@ class MemoryController:
         rtrs = self._t_rtrs
         t_rtp = self._t_rtp
         t_w2p = self._t_w2p
+        t_rcd = t.rcd
+        t_ras = t.ras
+        t_rc = t.rc
+        t_rp = t.rp
         big = 1 << 62
+        row_key = seq_ceiling()  # added to a row command's tie key
         n_ranks = len(ranks)
         # Incremental readiness floors (see PERF.md): each earliest RD/WR/ACT
         # bound split into a rank-wide part (indexed by rank) and a
@@ -714,10 +747,13 @@ class MemoryController:
         wtr_same = t.write_to_read(same_bank_group=True)
         wtr_diff = t.write_to_read(same_bank_group=False)
         rd_to_wr = t.read_to_write
-        # Per-step rank parts: the rank floor clamped at the command floor
-        # and, for columns, at the data-bus term.
-        col_part = [0] * n_ranks
-        act_part = [0] * n_ranks
+        # Per-step readiness of a column command and of an ACT to each flat
+        # bankgroup: its floor clamped at its rank's floor, the command
+        # floor and, for columns, the data-bus term.
+        col_ready = [0] * (n_ranks * bg_count)
+        act_ready = [0] * (n_ranks * bg_count)
+        rank_bgs = [(r, range(r * bg_count, (r + 1) * bg_count)) for r in range(n_ranks)]
+        next_refresh = min(rank.next_refresh for rank in ranks)
 
         streaks = not closed_policy and not reference_mode()
         streak_cooldown = 0
@@ -742,16 +778,23 @@ class MemoryController:
         pending = self.pending
         while pending:
             # -- admission --------------------------------------------------
-            while len(read_q) < window and read_backlog and read_backlog.head_arrival() <= now:
+            while (
+                len(read_q) < window
+                and read_backlog.length
+                and read_backlog.head_arrival() <= now
+            ):
                 entry = read_backlog.popleft()
                 entry.qpos = len(read_q)
                 read_q.append(entry)
                 flat = entry.flat
-                blq = read_banks.get(flat)
+                blq = read_active.get(flat)
                 if blq is None:
-                    read_banks[flat] = blq = _BankQueue(
-                        flat_bank[flat], entry.rank, flat_bgflat[flat], flat
-                    )
+                    blq = read_banks.get(flat)
+                    if blq is None:
+                        read_banks[flat] = blq = _BankQueue(
+                            flat_bank[flat], entry.rank, flat_bgflat[flat], flat
+                        )
+                    read_active[flat] = blq
                 entries = blq.entries
                 entry.bpos = len(entries)
                 entries.append(entry)
@@ -768,7 +811,7 @@ class MemoryController:
                         blq.miss = entry
                         blq.miss_seq = s
             while len(write_q) < write_cap and (
-                staged or (write_backlog and write_backlog.head_arrival() <= now)
+                staged or (write_backlog.length and write_backlog.head_arrival() <= now)
             ):
                 # Staged writes are older than the whole backlog: a write
                 # completion's free window slot goes to the oldest of them.
@@ -776,11 +819,14 @@ class MemoryController:
                 entry.qpos = len(write_q)
                 write_q.append(entry)
                 flat = entry.flat
-                blq = write_banks.get(flat)
+                blq = write_active.get(flat)
                 if blq is None:
-                    write_banks[flat] = blq = _BankQueue(
-                        flat_bank[flat], entry.rank, flat_bgflat[flat], flat
-                    )
+                    blq = write_banks.get(flat)
+                    if blq is None:
+                        write_banks[flat] = blq = _BankQueue(
+                            flat_bank[flat], entry.rank, flat_bgflat[flat], flat
+                        )
+                    write_active[flat] = blq
                 entries = blq.entries
                 entry.bpos = len(entries)
                 entries.append(entry)
@@ -799,16 +845,16 @@ class MemoryController:
             if staging:
                 while (
                     len(write_q) + len(staged) < write_high
-                    and write_backlog
+                    and write_backlog.length
                     and write_backlog.head_arrival() <= now
                 ):
                     staged.append(write_backlog.popleft())
             if not read_q and not write_q:
                 # Nothing admitted: jump to the next arrival.
                 arrival = big
-                if read_backlog:
+                if read_backlog.length:
                     arrival = read_backlog.head_arrival()
-                if write_backlog:
+                if write_backlog.length:
                     w_arrival = write_backlog.head_arrival()
                     if w_arrival < arrival:
                         arrival = w_arrival
@@ -816,69 +862,66 @@ class MemoryController:
                     now = arrival
                 continue
             # -- refresh ----------------------------------------------------
-            for rank in ranks:
-                if now >= rank.next_refresh:
-                    rank.refresh(now)
-                    n_refs += 1
-                    # All the rank's rows closed: cached hit/miss splits are
-                    # stale (refresh is rare, so blanket invalidation is fine).
-                    for blq in read_banks.values():
-                        blq.valid = False
-                    for blq in write_banks.values():
-                        blq.valid = False
+            if now >= next_refresh:
+                for rank in ranks:
+                    if now >= rank.next_refresh:
+                        rank.refresh(now)
+                        n_refs += 1
+                next_refresh = min(rank.next_refresh for rank in ranks)
             # -- queue arbitration (write-drain watermarks) -----------------
             write_level = len(write_q) + len(staged) if staging else len(write_q)
             if draining:
                 if write_level <= write_low and read_q:
                     draining = False
             elif not read_q or write_level >= write_high:
-                draining = bool(write_q or write_backlog)
+                draining = bool(write_q) or write_backlog.length > 0
             if draining and write_q:
-                queue = write_q
                 is_write_q = True
-            elif read_q:
-                queue = read_q
-                is_write_q = False
             else:
-                queue = write_q
-                is_write_q = True
-            banks_map = write_banks if is_write_q else read_banks
+                is_write_q = not read_q
             floor = cmd_free if cmd_free > now else now
-            data_offset = t_cwl if is_write_q else t_cl
-            # Rank parts of this step's readiness: every bank of a rank
-            # shares them, so a bank's candidate is the max of its bank
-            # term, its bankgroup part and its rank part.
             if is_write_q:
+                queue = write_q
+                active = write_active
+                data_offset = t_cwl
                 rank_col = rank_wr
                 bg_col = bg_wr
             else:
+                queue = read_q
+                active = read_active
+                data_offset = t_cl
                 rank_col = rank_rd
                 bg_col = bg_rd
-            for r in range(n_ranks):
+            # Fold the shared readiness terms once per step: every bank of a
+            # bankgroup shares them, so a bank's candidate is the max of its
+            # bank term and its bankgroup's folded value.
+            for r, bgs in rank_bgs:
                 bus_part = bus_free + (rtrs if (bus_rank >= 0 and bus_rank != r) else 0)
                 bus_part -= data_offset
                 if bus_part < floor:
                     bus_part = floor
                 ct = rank_col[r]
-                col_part[r] = ct if ct > bus_part else bus_part
+                if ct < bus_part:
+                    ct = bus_part
                 at = rank_act[r]
-                act_part[r] = at if at > floor else floor
-            # Best candidate so far, compared field-wise on (ready, pref,
-            # seq): column commands (pref 0) beat row commands (pref 1) at
-            # equal ready.  Once the best is a column command that is ready
-            # at the floor cycle, no ACT/PRE and no younger row hit can beat
-            # it (every candidate's ready is clamped at the floor), so the
-            # remaining banks only need a cheaper older-hit check.
+                if at < floor:
+                    at = floor
+                for g in bgs:
+                    v = bg_col[g]
+                    col_ready[g] = v if v > ct else ct
+                    v = bg_act[g]
+                    act_ready[g] = v if v > at else at
+            # Best candidate so far, compared on (ready, key).  Once the best
+            # is a column command that is ready at the floor cycle, no
+            # ACT/PRE and no younger row hit can beat it (every candidate's
+            # ready is clamped at the floor), so the remaining banks only
+            # need a cheaper older-hit check.
             best_ready = big
-            best_pref = 2
-            best_seq = big
+            best_key = big
             best_entry = None
             best_cmd = None
             floor_col = False
-            for blq in banks_map.values():
-                entries = blq.entries
-                if not entries:
-                    continue
+            for blq in active.values():
                 bank = blq.bank
                 open_row = bank.open_row
                 if open_row < 0 and floor_col:
@@ -886,6 +929,7 @@ class MemoryController:
                 if not blq.valid:
                     # Rescan after an invalidation (bank state or entry set
                     # changed); otherwise the cached minima are current.
+                    entries = blq.entries
                     e0 = entries[0]
                     min_all = e0
                     min_seq = e0.seq
@@ -914,50 +958,41 @@ class MemoryController:
                     blq.valid = True
                 if open_row < 0:
                     # Bank precharged: the oldest entry wants an ACT.
-                    seq = blq.min_all_seq
                     ready = bank.earliest_act
-                    term = bg_act[blq.bgflat]
-                    if term > ready:
-                        ready = term
-                    term = act_part[blq.rank]
+                    term = act_ready[blq.bgflat]
                     if term > ready:
                         ready = term
                     if ready < best_ready or (
-                        ready == best_ready
-                        and (1 < best_pref or (best_pref == 1 and seq < best_seq))
+                        ready == best_ready and blq.min_all_seq + row_key < best_key
                     ):
-                        best_ready, best_pref, best_seq = ready, 1, seq
-                        best_entry, best_cmd = blq.min_all, "act"
+                        best_ready = ready
+                        best_key = blq.min_all_seq + row_key
+                        best_entry = blq.min_all
+                        best_cmd = "act"
                     continue
                 hit = blq.hit
-                if hit is not None and (not floor_col or blq.hit_seq < best_seq):
-                    hit_seq = blq.hit_seq
+                if hit is not None and (not floor_col or blq.hit_seq < best_key):
                     ready = bank.earliest_col
-                    term = bg_col[blq.bgflat]
+                    term = col_ready[blq.bgflat]
                     if term > ready:
                         ready = term
-                    term = col_part[blq.rank]
-                    if term > ready:
-                        ready = term
-                    if ready < best_ready or (
-                        ready == best_ready
-                        and (0 < best_pref or (best_pref == 0 and hit_seq < best_seq))
-                    ):
-                        best_ready, best_pref, best_seq = ready, 0, hit_seq
-                        best_entry, best_cmd = hit, "col"
+                    if ready < best_ready or (ready == best_ready and blq.hit_seq < best_key):
+                        best_ready = ready
+                        best_key = blq.hit_seq
+                        best_entry = hit
+                        best_cmd = "col"
                         floor_col = ready == floor
-                miss = blq.miss
-                if miss is not None and not floor_col:
-                    miss_seq = blq.miss_seq
+                if blq.miss is not None and not floor_col:
                     ready = bank.earliest_pre
                     if floor > ready:
                         ready = floor
                     if ready < best_ready or (
-                        ready == best_ready
-                        and (1 < best_pref or (best_pref == 1 and miss_seq < best_seq))
+                        ready == best_ready and blq.miss_seq + row_key < best_key
                     ):
-                        best_ready, best_pref, best_seq = ready, 1, miss_seq
-                        best_entry, best_cmd = miss, "pre"
+                        best_ready = ready
+                        best_key = blq.miss_seq + row_key
+                        best_entry = blq.miss
+                        best_cmd = "pre"
             # -- issue ------------------------------------------------------
             entry = best_entry
             when = best_ready
@@ -971,10 +1006,18 @@ class MemoryController:
                 now = when
             cmd_free = when + 1
             if best_cmd == "act":
-                bank.activate(entry.row, when, t)
-                rank.record_act(bg, when)
-                v = when + rrd_s
+                bank.open_row = entry.row
+                bank.earliest_col = when + t_rcd
+                v = when + t_ras
+                if v > bank.earliest_pre:
+                    bank.earliest_pre = v
+                bank.earliest_act = when + t_rc
                 window_acts = rank._act_window
+                window_acts.append(when)
+                rank._last_act_by_group[bg] = when
+                rank._last_act = when
+                rank.stats_acts += 1
+                v = when + rrd_s
                 if len(window_acts) == 4:
                     head = window_acts[0] + faw
                     if head > v:
@@ -986,25 +1029,22 @@ class MemoryController:
                     bg_act[g] = v
                 n_acts += 1
                 entry.needed_act = True
-                # The open row changed: both directions' hit/miss caches for
+                # A row opened: both directions' hit/miss splits for
                 # this bank are stale.
-                blq = read_banks.get(flat)
+                blq = read_active.get(flat)
                 if blq is not None:
                     blq.valid = False
-                blq = write_banks.get(flat)
+                blq = write_active.get(flat)
                 if blq is not None:
                     blq.valid = False
                 continue
             if best_cmd == "pre":
-                bank.precharge(when, t)
+                bank.open_row = -1
+                v = when + t_rp
+                if v > bank.earliest_act:
+                    bank.earliest_act = v
                 n_pres += 1
                 entry.needed_pre = True
-                blq = read_banks.get(flat)
-                if blq is not None:
-                    blq.valid = False
-                blq = write_banks.get(flat)
-                if blq is not None:
-                    blq.valid = False
                 continue
             # -- streak fast path -------------------------------------------
             # The selected command is a column command.  When the whole
@@ -1020,10 +1060,10 @@ class MemoryController:
                 streak = self._attempt_streak(
                     is_write_q,
                     queue,
-                    banks_map,
+                    active,
                     write_backlog if is_write_q else read_backlog,
-                    bool(read_q) or bool(read_backlog),
-                    bool(write_backlog),
+                    bool(read_q) or read_backlog.length > 0,
+                    write_backlog.length > 0,
                     entry,
                     when,
                     now,
@@ -1108,7 +1148,7 @@ class MemoryController:
             queue[i] = last
             last.qpos = i
             queue.pop()
-            blq = banks_map[flat]
+            blq = active[flat]
             blist = blq.entries
             i = entry.bpos
             last = blist[-1]
@@ -1116,15 +1156,13 @@ class MemoryController:
             last.bpos = i
             blist.pop()
             blq.valid = False  # the removed entry may have been a cached min
+            if not blist:
+                del active[flat]
             pending -= 1
             if closed_policy:
                 # Auto-precharge: the bank closes as soon as tRTP/tWR allows.
                 bank.precharge(bank.earliest_pre, t)
                 n_pres += 1
-                other = read_banks if is_write_q else write_banks
-                blq = other.get(flat)
-                if blq is not None:
-                    blq.valid = False
 
         # -- write back ----------------------------------------------------
         self._now = now
@@ -1149,7 +1187,7 @@ class MemoryController:
         self,
         is_write_q: bool,
         queue: list,
-        banks_map: dict,
+        active: dict,
         backlog: _Backlog,
         reads_pending: bool,
         write_backlog_pending: bool,
@@ -1189,19 +1227,22 @@ class MemoryController:
         ``(m, hits, misses, conflicts, latency_delta, last_when,
         last_burst_end)`` after retiring the ``m`` commands: queue, bank
         lists, backlog, bank/rank timing state, and request completions are
-        all updated; the caller folds the returned deltas into its local
-        clock/bus/stats state.
+        all updated, and ``active`` (the direction's non-empty bank queues)
+        loses the queues the streak empties; the caller folds the returned
+        deltas into its local clock/bus/stats state.
         """
         if not is_write_q and write_backlog_pending:
             return None
         flat_bank = self._flat_bank
         r0 = entry0.rank
-        entries = sorted(queue, key=lambda e: e.seq)
-        if entries[0] is not entry0:
-            return None  # the oldest queued entry lost the selection
-        for e in entries:
+        s0 = entry0.seq
+        # Reject in O(window) before sorting: most probes fail here.
+        for e in queue:
+            if e.seq < s0:
+                return None  # the oldest queued entry lost the selection
             if e.rank != r0 or flat_bank[e.flat].open_row != e.row:
                 return None
+        entries = sorted(queue, key=lambda e: e.seq)
         q_n = len(entries)
         # -- absorb the conforming backlog prefix ---------------------------
         nflats = len(flat_bank)
@@ -1405,10 +1446,10 @@ class MemoryController:
         # -- queue / bank-list maintenance ----------------------------------
         if n_from_q == q_n:
             queue.clear()
-            for blq in banks_map.values():
-                if blq.entries:
-                    blq.entries.clear()
-                    blq.valid = False
+            for blq in active.values():
+                blq.entries.clear()
+                blq.valid = False
+            active.clear()
         else:
             keep = entries[n_from_q:]
             issued_flats = {e.flat for e in entries[:n_from_q]}
@@ -1416,10 +1457,12 @@ class MemoryController:
             for i, e in enumerate(keep):
                 e.qpos = i
             for f in issued_flats:
-                blq = banks_map[f]
+                blq = active[f]
                 kept = [e for e in keep if e.flat == f]
                 blq.entries[:] = kept
                 for i, e in enumerate(kept):
                     e.bpos = i
                 blq.valid = False
+                if not kept:
+                    del active[f]
         return (m, hits, misses, conflicts, lat_delta, last_when, burst_end)

@@ -261,3 +261,14 @@ class TestBenchPerfBaselineGuard:
         bp = _load_bench_perf()
         report = {"entries": [{"workload": "reduce_cold", "req_per_sec": 1.0}]}
         assert bp.check_baseline(report, self._committed(tmp_path), 0.30) == []
+
+    def test_artefact_entries_stay_out_of_the_guard(self):
+        # The end-to-end artefact entries time interpreter start-up too;
+        # the guard compares memo-cold req/s only.
+        bp = _load_bench_perf()
+        assert set(bp.ARTEFACTS).isdisjoint(bp.COLD_WORKLOADS)
+        assert bp._cli_args(["figure", "12"], smoke=True) == [
+            "figure", "12", "--jobs", "1", "--quick"
+        ]
+        assert bp._cli_args(["figure", "12"], smoke=False) == ["figure", "12", "--jobs", "1"]
+        assert bp._cli_args(["ablations"], smoke=True) == ["ablations", "--jobs", "1"]

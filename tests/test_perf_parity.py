@@ -21,7 +21,10 @@ from repro.core.tensordimm import TensorDimm
 from repro.bench import ablation
 from repro.bench.figure11 import AVERAGE_NUM, LOOKUPS_PER_SAMPLE, TABLE_ROWS
 from repro.core.address_map import EmbeddingLayout
-from repro.dram.command import Request, TraceBuffer
+from repro.dram import command as command_module
+from repro.dram import controller as controller_module
+from repro.dram.bank import Rank
+from repro.dram.command import Request, TraceBuffer, reserve_seq_block
 from repro.dram.controller import MemoryController
 from repro.dram.mapping import (
     BANK_INTERLEAVED_ORDER,
@@ -733,3 +736,237 @@ class TestIncrementalFloorParity:
                 drains.append(replace(mc.run_to_completion()))
             runs[cls] = drains
         assert runs[MemoryController] == runs[ScanController]
+
+
+class TestLeanStepParity:
+    """The per-command step visits only the non-empty bank queues of its
+    direction, folds the rank, bankgroup, bus and floor terms into one value
+    per bankgroup, and compares candidates on one integer tie key.  Each
+    case drives one situation those shortcuts must get right, checks with a
+    spy that the drain really met it, and requires the scan oracle's stats,
+    at 1 and 4 ranks, for reads and for writes.  Streak situations are only
+    checked with streaks on (not under ``REPRO_REFERENCE=1``)."""
+
+    @staticmethod
+    def _config(ranks):
+        org = DramOrganization(ranks=ranks)
+        order = RANK_INTERLEAVED_ORDER if ranks > 1 else BANK_INTERLEAVED_ORDER
+        mapping = AddressMapping(org, order=order)
+        return mapping, {"organization": org, "mapping": mapping}
+
+    @staticmethod
+    def _trace(mapping, coords, is_write, cycles=None):
+        """A one-direction trace of ``(rank, bankgroup, bank, row, column)``."""
+        addrs = np.array([mapping.encode(*c) for c in coords], dtype=np.int64)
+        n = len(addrs)
+        if cycles is None:
+            cycles = np.zeros(n, dtype=np.int64)
+        return TraceBuffer(addrs, np.full(n, is_write), np.asarray(cycles, dtype=np.int64))
+
+    @staticmethod
+    def _drain(cls, parts, gap=0, **kw):
+        """Enqueue ``parts`` one ``enqueue_batch`` call each, advancing the
+        sequence counter by ``gap`` between them, and drain."""
+        mc = cls(DDR4_3200, **kw)
+        for i, part in enumerate(parts):
+            if i and gap:
+                reserve_seq_block(gap)
+            mc.enqueue_batch(part)
+        return mc.run_to_completion()
+
+    @staticmethod
+    def _banks(mc, is_write):
+        return mc._write_banks if is_write else mc._read_banks
+
+    @staticmethod
+    def _hits_then_random(ranks, n_hits, n_rand, seed, rotate):
+        """Row-0 hits in rank 0 (streak-friendly), then random rows over
+        every rank and bank (ACT/PRE, always per-command steps).  The hits
+        either rotate over the banks in order or pick banks at random; the
+        random order makes streaks stop early on a tCCD_L pair, so a streak
+        can issue every queued entry of one bank and keep other banks'."""
+        rng = np.random.default_rng(seed)
+        if rotate:
+            coords = [(0, i % 4, (i // 4) % 4, 0, i // 16) for i in range(n_hits)]
+        else:
+            coords = [
+                (0, int(bg), int(b), 0, int(c))
+                for bg, b, c in rng.integers(0, [4, 4, 128], (n_hits, 3))
+            ]
+        coords += [
+            (int(r), int(bg), int(b), int(row), int(c))
+            for r, bg, b, row, c in rng.integers(
+                [0, 0, 0, 1, 0], [ranks, 4, 4, 64, 128], (n_rand, 5)
+            )
+        ]
+        return coords
+
+    @pytest.mark.parametrize("is_write", [False, True], ids=["reads", "writes"])
+    @pytest.mark.parametrize("ranks", [1, 4])
+    def test_bank_queue_empties_and_refills(self, ranks, is_write, monkeypatch):
+        mapping, kw = self._config(ranks)
+        last = ranks - 1
+        # Bank A gets four quick row hits, then bank B a long run of row
+        # conflicts; A's second group is admitted once A's queue has emptied.
+        coords = [(0, 0, 0, 0, c) for c in range(4)]
+        coords += [(last, 3, 3, i % 2, i) for i in range(40)]
+        coords += [(0, 0, 0, 5, c) for c in range(4)]
+        coords += [(last, 3, 3, i % 2, i) for i in range(10)]
+        trace = self._trace(mapping, coords, is_write)
+        flat_a = 0
+        mc = MemoryController(DDR4_3200, **kw)
+        refills = []
+        popleft = controller_module._Backlog.popleft
+
+        def spy(backlog):
+            entry = popleft(backlog)
+            if entry.flat == flat_a:
+                queue = self._banks(mc, is_write).get(flat_a)
+                refills.append(queue is not None and not queue.entries)
+            return entry
+
+        monkeypatch.setattr(controller_module._Backlog, "popleft", spy)
+        mc.enqueue_batch(trace)
+        fast = mc.run_to_completion()
+        monkeypatch.undo()
+        assert refills.count(True) >= 1
+        assert fast == self._drain(ScanController, [trace], **kw)
+
+    @pytest.mark.parametrize("is_write", [False, True], ids=["reads", "writes"])
+    @pytest.mark.parametrize("ranks", [1, 4])
+    def test_streak_retires_window_then_steps_resume(self, ranks, is_write, monkeypatch):
+        mapping, kw = self._config(ranks)
+        trace = self._trace(
+            mapping, self._hits_then_random(ranks, 600, 200, ranks, rotate=True), is_write
+        )
+        mc = MemoryController(DDR4_3200, **kw)
+        cleared = []
+        attempt = MemoryController._attempt_streak
+
+        def spy(ctrl, is_write_q, queue, *args):
+            result = attempt(ctrl, is_write_q, queue, *args)
+            if result is not None and not queue:
+                cleared.append(ctrl.pending)
+            return result
+
+        monkeypatch.setattr(MemoryController, "_attempt_streak", spy)
+        mc.enqueue_batch(trace)
+        fast = mc.run_to_completion()
+        monkeypatch.undo()
+        if not reference_mode():
+            # The whole window went in one streak and random-row traffic
+            # (ACT/PRE, always per-command) was still pending.
+            assert any(pending > 0 for pending in cleared)
+        assert fast.activates > 16  # the random tail opened rows afterwards
+        assert fast == self._drain(ScanController, [trace], **kw)
+
+    @pytest.mark.parametrize("is_write", [False, True], ids=["reads", "writes"])
+    @pytest.mark.parametrize("ranks", [1, 4])
+    def test_streak_leaves_bank_without_entries(self, ranks, is_write, monkeypatch):
+        mapping, kw = self._config(ranks)
+        trace = self._trace(
+            mapping, self._hits_then_random(ranks, 400, 100, ranks, rotate=False), is_write
+        )
+        mc = MemoryController(DDR4_3200, **kw)
+        emptied = []
+        attempt = MemoryController._attempt_streak
+
+        def spy(ctrl, is_write_q, queue, *args):
+            banks = self._banks(ctrl, is_write_q)
+            before = {f for f, q in banks.items() if q.entries}
+            result = attempt(ctrl, is_write_q, queue, *args)
+            if result is not None and queue:
+                after = {f for f, q in banks.items() if q.entries}
+                emptied.append(len(before - after))
+            return result
+
+        monkeypatch.setattr(MemoryController, "_attempt_streak", spy)
+        mc.enqueue_batch(trace)
+        fast = mc.run_to_completion()
+        monkeypatch.undo()
+        if not reference_mode():
+            # A partial streak issued every queued entry of some bank.
+            assert any(emptied)
+        assert fast == self._drain(ScanController, [trace], **kw)
+
+    @pytest.mark.parametrize("is_write", [False, True], ids=["reads", "writes"])
+    @pytest.mark.parametrize("ranks", [1, 4])
+    def test_refresh_with_empty_bank_queues(self, ranks, is_write, monkeypatch):
+        mapping, kw = self._config(ranks)
+        # Every bank of every rank at cycle 0, then paced traffic to two
+        # banks per rank across the first refresh (tREFI = 12,480 cycles).
+        coords = [
+            (r, bg, b, 0, c) for c in range(2) for r in range(ranks)
+            for bg in range(4) for b in range(4)
+        ]
+        cycles = [0] * len(coords)
+        for i in range(400):
+            coords.append((i % ranks, 0, i % 2, (i // 8) % 3, i % 128))
+            cycles.append(2000 + 40 * i)
+        trace = self._trace(mapping, coords, is_write, cycles)
+        mc = MemoryController(DDR4_3200, **kw)
+        seen = []
+        refresh = Rank.refresh
+
+        def spy(rank, cycle):
+            queues = self._banks(mc, is_write).values()
+            seen.append(
+                any(not q.entries for q in queues) and any(q.entries for q in queues)
+            )
+            return refresh(rank, cycle)
+
+        monkeypatch.setattr(Rank, "refresh", spy)
+        mc.enqueue_batch(trace)
+        fast = mc.run_to_completion()
+        monkeypatch.undo()
+        assert fast.refreshes >= ranks
+        assert any(seen)
+        assert fast == self._drain(ScanController, [trace], **kw)
+
+    @pytest.mark.parametrize("is_write", [False, True], ids=["reads", "writes"])
+    @pytest.mark.parametrize("ranks", [1, 4])
+    def test_tie_key_exact_for_any_sequence_numbers(self, ranks, is_write, monkeypatch):
+        # Sequence numbers only order requests; the drain must not depend
+        # on their size.  The second half of the trace is enqueued after the
+        # process-wide counter jumped past 2**41, so its numbers exceed any
+        # fixed row-command offset below 2**41 plus the first half's.
+        monkeypatch.setattr(command_module._seq_counter, "value", 0)
+        mapping, kw = self._config(ranks)
+        rng = np.random.default_rng(50 + ranks)
+        n = 800
+        blocks = rng.integers(0, 1 << 13, n)
+        if ranks > 1:
+            blocks = blocks * ranks + rng.integers(0, ranks, n)
+        trace = TraceBuffer(blocks * 64, np.full(n, is_write))
+        parts = [
+            TraceBuffer(trace.addr[s], trace.is_write[s], trace.cycle[s])
+            for s in (slice(0, n // 2), slice(n // 2, n))
+        ]
+        fresh = self._drain(MemoryController, parts, **kw)
+        gapped = self._drain(MemoryController, parts, gap=1 << 41, **kw)
+        assert command_module.seq_ceiling() > 1 << 41
+        assert gapped == fresh
+        assert fresh == self._drain(ScanController, parts, **kw)
+
+    @pytest.mark.parametrize("ranks", [1, 4])
+    def test_tie_key_exact_for_explicit_sequence_numbers(self, ranks, monkeypatch):
+        # Scalar requests may carry their own sequence numbers, above
+        # anything the counter has drawn: here the second half jumps past
+        # 2**41.  Enqueue keeps the counter ahead of them.
+        monkeypatch.setattr(command_module._seq_counter, "value", 0)
+        mapping, kw = self._config(ranks)
+        rng = np.random.default_rng(60 + ranks)
+        blocks = rng.integers(0, (1 << 13) * ranks, 600)
+        writes = rng.random(600) < 0.3
+        runs = []
+        for base in (None, 1 << 41):
+            mc = MemoryController(DDR4_3200, **kw)
+            for i, (block, is_write) in enumerate(zip(blocks.tolist(), writes.tolist())):
+                extra = {} if base is None or i < 300 else {"seq": base + i}
+                mc.enqueue(Request(addr=block * 64, is_write=is_write, **extra))
+            runs.append(mc.run_to_completion())
+        assert command_module.seq_ceiling() > 1 << 41
+        assert runs[0] == runs[1]
+        golden = ScanController(DDR4_3200, **kw)
+        enqueue_records(golden, TraceBuffer(blocks * 64, writes))
+        assert runs[0] == golden.run_to_completion()
