@@ -16,7 +16,7 @@ Public surface:
 """
 
 from .cache import Cache, CacheHierarchy, CacheStats
-from .command import Command, Request, TraceBuffer
+from .command import TraceBuffer
 from .controller import ControllerConfig, ControllerStats, MemoryController
 from .memo import TIMING_MEMO, TimingMemo, timing_memo_stats
 from .mapping import (
@@ -36,7 +36,6 @@ __all__ = [
     "Cache",
     "CacheHierarchy",
     "CacheStats",
-    "Command",
     "ControllerConfig",
     "ControllerStats",
     "DDR4_2400",
@@ -48,7 +47,6 @@ __all__ = [
     "MemoryController",
     "RANK_INTERLEAVED_ORDER",
     "ROW_INTERLEAVED_ORDER",
-    "Request",
     "SPEED_GRADES",
     "SystemStats",
     "TIMING_MEMO",

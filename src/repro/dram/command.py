@@ -1,16 +1,16 @@
-"""DRAM command and request types shared across the simulator."""
+"""DRAM trace types and the request sequence counter shared across the simulator."""
 
 import hashlib
-from dataclasses import dataclass, field
-from enum import Enum, auto
+from dataclasses import dataclass
 
 import numpy as np
 
 
 class _SeqCounter:
-    """Global request sequence counter.  FR-FCFS breaks ties by age, so every
-    request entering a controller — through the scalar or the batched path —
-    draws its sequence number from the same monotonic source."""
+    """Process-wide request sequence counter.  FR-FCFS breaks ties by age,
+    so every record a controller queues — one whole trace per
+    ``enqueue_batch`` call — draws its sequence number from this one
+    monotonic source."""
 
     __slots__ = ("value",)
 
@@ -21,19 +21,11 @@ class _SeqCounter:
 _seq_counter = _SeqCounter()
 
 
-def next_seq() -> int:
-    """Draw the next request sequence number (monotonic, process-wide)."""
-    seq = _seq_counter.value
-    _seq_counter.value = seq + 1
-    return seq
-
-
 def reserve_seq_block(n: int) -> int:
     """Reserve ``n`` consecutive sequence numbers; returns the first.
 
-    O(1) regardless of ``n`` — the batched enqueue path labels a whole
-    columnar trace with ``base + arange(n)`` instead of drawing numbers one
-    by one."""
+    O(1) regardless of ``n`` — the enqueue path labels a whole columnar
+    trace with ``base + arange(n)`` instead of drawing numbers one by one."""
     base = _seq_counter.value
     _seq_counter.value = base + n
     return base
@@ -42,48 +34,6 @@ def reserve_seq_block(n: int) -> int:
 def seq_ceiling() -> int:
     """The next sequence number: every number drawn so far lies below it."""
     return _seq_counter.value
-
-
-class Command(Enum):
-    """DDR4 commands the controller can issue."""
-
-    ACT = auto()
-    PRE = auto()
-    RD = auto()
-    WR = auto()
-    REF = auto()
-
-
-@dataclass
-class Request:
-    """One 64 B read or write transaction presented to a memory controller.
-
-    ``addr`` is the channel-local physical byte address; the controller
-    decodes it into rank / bank-group / bank / row / column coordinates at
-    enqueue time.  ``arrival`` is the cycle the request becomes visible to
-    the scheduler, and ``completion`` is filled in when the data burst
-    finishes on the bus.
-    """
-
-    addr: int
-    is_write: bool
-    arrival: int = 0
-    rank: int = 0
-    bankgroup: int = 0
-    bank: int = 0
-    row: int = 0
-    column: int = 0
-    completion: int = -1
-    seq: int = field(default_factory=next_seq)
-
-    @property
-    def done(self) -> bool:
-        return self.completion >= 0
-
-    @property
-    def latency(self) -> int:
-        """Queueing + service latency in cycles (valid once done)."""
-        return self.completion - self.arrival
 
 
 @dataclass(frozen=True)

@@ -23,13 +23,16 @@ reference that re-evaluates every window entry each step lives in the test
 suite (``tests/scan_oracle.py``); the parity tests assert both produce
 bit-identical :class:`ControllerStats` in every configuration.
 
-Requests enter either one at a time (:meth:`MemoryController.enqueue`) or as
-a whole columnar trace (:meth:`MemoryController.enqueue_batch`), which
-decodes every address in one vectorized pass.  Pending requests live in a
-**columnar backlog** (:class:`_Backlog`: array chunks of decoded
-coordinates, arrivals, and sequence numbers); per-request Python objects
-are only materialized when the scheduler admits them into its working
-window.
+Requests enter as whole columnar traces
+(:meth:`MemoryController.enqueue_batch`, the only way in), each decoded in
+one vectorized pass.  Pending requests live in a **columnar backlog**
+(:class:`_Backlog`: array chunks of decoded coordinates, arrivals, and
+sequence numbers); per-request Python objects are only materialized when
+the scheduler admits them into its working window.  The controller also
+keeps the traces it was handed until they drain
+(:meth:`MemoryController.pending_trace`), so a caller can key or ship a
+pristine controller's backlog without mirroring it.  A caller that needs
+per-record completion cycles passes its own array to ``enqueue_batch``.
 
 On top of the indexed scheduler sits the **streak-compiled fast path**
 (:meth:`MemoryController._attempt_streak`): TensorISA traffic is streaming
@@ -57,7 +60,7 @@ import numpy as np
 
 from ..env import reference_mode
 from .bank import Rank
-from .command import Request, TraceBuffer, reserve_seq_block, seq_ceiling
+from .command import TraceBuffer, reserve_seq_block, seq_ceiling
 from .mapping import AddressMapping, DramOrganization
 from .timing import DramTiming
 
@@ -153,141 +156,79 @@ class ControllerConfig:
 class _Entry:
     """A queued request: decoded coordinates plus scheduling bookkeeping.
 
-    ``request`` is the originating :class:`Request` for the scalar enqueue
-    path (coordinates and completion are written back to it); the batched
-    path leaves it ``None`` and carries the fields directly.  ``qpos`` /
-    ``bpos`` are the entry's positions in the working queue and its bank
-    list, maintained so the indexed scheduler can swap-pop in O(1).
+    ``done`` is the caller's completions array when the request's trace was
+    enqueued with one (else ``None``), and ``pos`` the request's position
+    in that trace: issuing the column command writes the burst-end cycle to
+    ``done[pos]``.  ``qpos`` / ``bpos`` are the entry's positions in the
+    working queue and its bank list, maintained so the indexed scheduler
+    can swap-pop in O(1).
     """
 
     __slots__ = (
-        "addr",
-        "is_write",
-        "arrival",
-        "rank",
-        "bankgroup",
-        "bank",
-        "row",
-        "column",
-        "seq",
-        "needed_act",
-        "needed_pre",
-        "request",
-        "flat",
-        "qpos",
-        "bpos",
+        "is_write", "arrival", "rank", "bankgroup", "bank", "row", "flat", "seq",
+        "needed_act", "needed_pre", "done", "pos", "qpos", "bpos",
     )
 
-    def __init__(self, is_write, addr, arrival, rank, bankgroup, bank, row, column, flat, seq):
-        self.addr = addr
+    def __init__(self, is_write, arrival, rank, bankgroup, bank, row, flat, seq):
         self.is_write = is_write
         self.arrival = arrival
         self.rank = rank
         self.bankgroup = bankgroup
         self.bank = bank
         self.row = row
-        self.column = column
+        self.flat = flat
         self.seq = seq
         self.needed_act = False
         self.needed_pre = False
-        self.request = None
-        self.flat = flat
+        self.done = None
+        self.pos = -1
         self.qpos = -1
         self.bpos = -1
 
 
 class _BacklogChunk:
-    """One enqueue call's worth of pending requests, stored columnar.
+    """One direction's share of one enqueued trace, stored columnar.
 
-    All fields are parallel int64 numpy arrays (plus an optional
-    ``requests`` list carrying :class:`Request` objects from the scalar
-    enqueue path, for completion write-back).  ``start`` is the consumed
-    head offset — records before it have been admitted or streak-issued.
-    ``_py`` holds plain-list mirrors, materialized lazily the first time a
-    record is popped one at a time (admission), so per-record pops cost
-    list indexing instead of numpy scalar extraction.  (Columns, not one
-    tuple per record: a pop costs about the same, and a chunk that streaks
-    mostly retire straight from the arrays is cheaper to mirror.)
+    The record columns are parallel int64 numpy arrays of arrival cycles
+    and decoded coordinates (the drain needs no byte address or column).
+    ``done`` is the caller's completions array (or ``None``) and ``pos``
+    the records' positions in the enqueued trace, set only together with
+    ``done``.  ``start`` is the consumed head offset — records before it
+    have been admitted or streak-issued.  ``_py`` holds plain-list mirrors
+    of the record columns, materialized lazily the first time a record is
+    popped one at a time (admission), so per-record pops cost list indexing
+    instead of numpy scalar extraction.  (Columns, not one tuple per
+    record: a pop costs about the same, and a chunk that streaks mostly
+    retire straight from the arrays is cheaper to mirror.)
     """
 
     __slots__ = (
-        "addr",
-        "arrival",
-        "rank",
-        "bankgroup",
-        "bank",
-        "row",
-        "column",
-        "flat",
-        "seq",
-        "requests",
-        "start",
-        "n",
-        "_py",
+        "arrival", "rank", "bankgroup", "bank", "row", "flat", "seq",
+        "done", "pos", "start", "n", "_py",
     )
 
-    def __init__(self, addr, arrival, rank, bankgroup, bank, row, column, flat, seq, requests=None):
-        self.addr = addr
+    def __init__(self, arrival, rank, bankgroup, bank, row, flat, seq, done=None, pos=None):
         self.arrival = arrival
         self.rank = rank
         self.bankgroup = bankgroup
         self.bank = bank
         self.row = row
-        self.column = column
         self.flat = flat
         self.seq = seq
-        self.requests = requests
+        self.done = done
+        self.pos = pos
         self.start = 0
-        self.n = len(addr)
+        self.n = len(seq)
         self._py = None
-
-    @classmethod
-    def scalar(cls, addr, arrival, rank, bankgroup, bank, row, column, flat, seq, request):
-        """A one-record chunk from the scalar enqueue path.
-
-        Columns start as plain one-element lists (``_py``); the numpy
-        arrays are only built if the streak compiler actually scans this
-        chunk (:meth:`ensure_arrays`), so per-request enqueue stays cheap.
-        """
-        chunk = cls.__new__(cls)
-        chunk.addr = None
-        chunk.arrival = None
-        chunk.rank = None
-        chunk.bankgroup = None
-        chunk.bank = None
-        chunk.row = None
-        chunk.column = None
-        chunk.flat = None
-        chunk.seq = None
-        chunk.requests = [request]
-        chunk.start = 0
-        chunk.n = 1
-        chunk._py = (
-            [addr], [arrival], [rank], [bankgroup], [bank], [row], [column], [flat], [seq]
-        )
-        return chunk
-
-    def ensure_arrays(self) -> None:
-        """Build the numpy columns of a lazily constructed scalar chunk."""
-        if self.addr is None:
-            cols = [np.asarray(c, dtype=np.int64) for c in self._py]
-            (
-                self.addr, self.arrival, self.rank, self.bankgroup,
-                self.bank, self.row, self.column, self.flat, self.seq,
-            ) = cols
 
     def materialize(self):
         if self._py is None:
-            self._py = (
-                self.addr.tolist(),
-                self.arrival.tolist(),
-                self.rank.tolist(),
-                self.bankgroup.tolist(),
-                self.bank.tolist(),
-                self.row.tolist(),
-                self.column.tolist(),
-                self.flat.tolist(),
-                self.seq.tolist(),
+            self._py = tuple(
+                column.tolist()
+                for column in (
+                    self.arrival, self.rank, self.bankgroup, self.bank, self.row,
+                    self.flat, self.seq,
+                )
             )
         return self._py
 
@@ -320,7 +261,7 @@ class _Backlog:
         """Arrival cycle of the oldest pending record (backlog non-empty)."""
         chunk = self.chunks[0]
         if chunk._py is not None:
-            return chunk._py[1][chunk.start]
+            return chunk._py[0][chunk.start]
         return int(chunk.arrival[chunk.start])
 
     def popleft(self) -> _Entry:
@@ -329,14 +270,14 @@ class _Backlog:
         py = chunk._py
         if py is None:
             py = chunk.materialize()
-        addr, arrival, rank, bankgroup, bank, row, column, flat, seq = py
+        arrival, rank, bankgroup, bank, row, flat, seq = py
         i = chunk.start
         entry = _Entry(
-            self.is_write, addr[i], arrival[i], rank[i], bankgroup[i], bank[i],
-            row[i], column[i], flat[i], seq[i],
+            self.is_write, arrival[i], rank[i], bankgroup[i], bank[i], row[i], flat[i], seq[i]
         )
-        if chunk.requests is not None:
-            entry.request = chunk.requests[i]
+        if chunk.done is not None:
+            entry.done = chunk.done
+            entry.pos = chunk.pos[i]
         chunk.start = i + 1
         if chunk.start == chunk.n:
             self.chunks.popleft()
@@ -493,6 +434,8 @@ class MemoryController:
         self.stats = ControllerStats()
         self._read_backlog = _Backlog(False)
         self._write_backlog = _Backlog(True)
+        # The traces queued since the last drain, in enqueue order.
+        self._pending_traces: list[TraceBuffer] = []
         self._read_q: list[_Entry] = []
         self._write_q: list[_Entry] = []
         # Admitted writes waiting behind the write window, oldest first.
@@ -507,56 +450,33 @@ class MemoryController:
 
     # -- public API ----------------------------------------------------------
 
-    def enqueue(self, request: Request) -> None:
-        """Decode and queue one request (arrival time from ``request.arrival``)."""
-        if not 0 <= request.addr < self.organization.capacity_bytes:
-            raise ValueError(
-                f"address {request.addr:#x} outside channel capacity "
-                f"{self.organization.capacity_bytes:#x}"
-            )
-        coords = self.mapping.decode(request.addr)
-        request.rank = coords["rank"]
-        request.bankgroup = coords["bankgroup"]
-        request.bank = coords["bank"]
-        request.row = coords["row"]
-        request.column = coords["column"]
-        org = self.organization
-        flat = (
-            request.rank * org.bankgroups + request.bankgroup
-        ) * org.banks_per_group + request.bank
-        chunk = _BacklogChunk.scalar(
-            request.addr,
-            request.arrival,
-            request.rank,
-            request.bankgroup,
-            request.bank,
-            request.row,
-            request.column,
-            flat,
-            request.seq,
-            request,
-        )
-        if request.seq >= seq_ceiling():
-            # An explicit sequence number: keep the counter above every
-            # queued one, which the drain's tie key relies on.
-            reserve_seq_block(request.seq + 1 - seq_ceiling())
-        backlog = self._write_backlog if request.is_write else self._read_backlog
-        backlog.append_chunk(chunk)
-
-    def enqueue_batch(self, trace: TraceBuffer, arrival=None) -> None:
+    def enqueue_batch(self, trace: TraceBuffer, completions=None) -> None:
         """Decode and queue a whole columnar trace in one vectorized pass.
 
-        ``trace`` is a :class:`TraceBuffer` (its ``cycle`` column provides
-        per-request arrival times unless ``arrival`` overrides them).  The
-        records join the same backlogs as scalar :meth:`enqueue` calls, in
-        trace order, with sequence numbers drawn from the shared counter —
-        scheduling is bit-identical to enqueueing the records one by one.
-        The whole call is vectorized: decode, sequence labelling, and the
+        ``trace`` is a :class:`TraceBuffer`; its ``cycle`` column gives each
+        record's arrival cycle.  The records join the direction backlogs in
+        trace order, with sequence numbers drawn from the shared counter, so
+        enqueueing a trace in several pieces schedules exactly like
+        enqueueing it whole.  Decode, sequence labelling, and the
         read/write split are array operations; per-record Python objects
         are only materialized later, at admission time (and never for
         records the streak compiler retires straight from the backlog).
+
+        ``completions``, if given, is a caller-owned int64 array of
+        ``len(trace)``: this controller's :meth:`run_to_completion` writes
+        each record's burst-end cycle at the record's trace position.  A
+        drain adopted from elsewhere (:meth:`adopt_run`, a memo hit or a
+        worker-side drain) does not fill it.  A bad address or a
+        ``completions`` of the wrong shape or dtype raises ``ValueError``
+        before anything is queued.
         """
         n = len(trace)
+        if completions is not None and (
+            not isinstance(completions, np.ndarray)
+            or completions.dtype != np.int64
+            or completions.shape != (n,)
+        ):
+            raise ValueError(f"completions must be an int64 numpy array of shape ({n},)")
         if n == 0:
             return
         addr = trace.addr
@@ -567,10 +487,6 @@ class MemoryController:
                 f"{self.organization.capacity_bytes:#x}"
             )
         coords = self.mapping.decode_batch(addr)
-        if arrival is None:
-            arrivals = trace.cycle
-        else:
-            arrivals = np.broadcast_to(np.asarray(arrival, dtype=np.int64), (n,))
         seqs = reserve_seq_block(n) + np.arange(n, dtype=np.int64)
         org = self.organization
         flats = (
@@ -585,17 +501,31 @@ class MemoryController:
                 continue
             backlog.append_chunk(
                 _BacklogChunk(
-                    addr[mask],
-                    np.ascontiguousarray(arrivals[mask]),
+                    trace.cycle[mask],
                     coords["rank"][mask],
                     coords["bankgroup"][mask],
                     coords["bank"][mask],
                     coords["row"][mask],
-                    coords["column"][mask],
                     flats[mask],
                     seqs[mask],
+                    completions,
+                    None if completions is None else np.flatnonzero(mask),
                 )
             )
+        self._pending_traces.append(trace)
+
+    def pending_trace(self) -> TraceBuffer | None:
+        """The records queued since the last drain, as one trace.
+
+        Defined for a pristine controller with pending records, whose next
+        drain is a pure function of its configuration and this trace (see
+        :attr:`pristine`); ``None`` otherwise.  The traces are kept only
+        until :meth:`run_to_completion` starts or :meth:`reset` runs.
+        """
+        traces = self._pending_traces
+        if not traces or not self.pristine:
+            return None
+        return traces[0] if len(traces) == 1 else TraceBuffer.concat(traces)
 
     def snapshot_config(self) -> ControllerConfig:
         """Freeze this controller's construction parameters (see
@@ -775,6 +705,7 @@ class MemoryController:
         finish = stats.finish_cycle
         latency_sum = stats.read_latency_sum
 
+        self._pending_traces.clear()
         pending = self.pending
         while pending:
             # -- admission --------------------------------------------------
@@ -1096,8 +1027,8 @@ class MemoryController:
             bus_free = burst_end
             bus_rank = entry.rank
             bus_cycles += t_burst
-            if entry.request is not None:
-                entry.request.completion = burst_end
+            if entry.done is not None:
+                entry.done[entry.pos] = burst_end
             if burst_end > finish:
                 finish = burst_end
             if is_write_q:
@@ -1226,7 +1157,7 @@ class MemoryController:
         schedulable (the caller then issues the one selected command), else
         ``(m, hits, misses, conflicts, latency_delta, last_when,
         last_burst_end)`` after retiring the ``m`` commands: queue, bank
-        lists, backlog, bank/rank timing state, and request completions are
+        lists, backlog, bank/rank timing state, and completions arrays are
         all updated, and ``active`` (the direction's non-empty bank queues)
         loses the queues the streak empties; the caller folds the returned
         deltas into its local clock/bus/stats state.
@@ -1255,7 +1186,6 @@ class MemoryController:
             room = STREAK_ABSORB_CAP - absorbed
             if room <= 0:
                 break
-            chunk.ensure_arrays()
             end = min(chunk.n, chunk.start + room)
             sl = slice(chunk.start, end)
             flats_c = chunk.flat[sl]
@@ -1420,24 +1350,22 @@ class MemoryController:
             ep = int(last_per_flat[f]) + gate
             if ep > bank.earliest_pre:
                 bank.earliest_pre = ep
-        # Completion write-back for scalar-enqueued requests.
+        # Completion write-back into the callers' completions arrays.
         n_from_q = q_n if m >= q_n else m
         tail = data_offset + t_burst
         for i in range(n_from_q):
-            req = entries[i].request
-            if req is not None:
-                req.completion = int(when[i]) + tail
+            e = entries[i]
+            if e.done is not None:
+                e.done[e.pos] = when[i] + tail
         n_from_backlog = m - n_from_q
         if n_from_backlog:
             offset = n_from_q
             remaining = n_from_backlog
             for chunk in backlog.chunks:
                 take = min(remaining, chunk.n - chunk.start)
-                if chunk.requests is not None:
-                    for j in range(take):
-                        req = chunk.requests[chunk.start + j]
-                        if req is not None:
-                            req.completion = int(when[offset + j]) + tail
+                if chunk.done is not None:
+                    lo = chunk.start
+                    chunk.done[chunk.pos[lo : lo + take]] = when[offset : offset + take] + tail
                 offset += take
                 remaining -= take
                 if not remaining:

@@ -7,8 +7,10 @@ equally configured controllers draining traces that merge the same read
 stream with the same write stream, in any interleaving, produce
 bit-identical :class:`~repro.dram.controller.ControllerStats` (the argument
 is in :meth:`~repro.dram.command.TraceBuffer.digest`).  :func:`drain` is
-the only place in the package that drains a trace for a timing result, and
-the only consumer of the two memo levels that cache that function:
+the only consumer of the two memo levels that cache that function, and
+every memo-backed drain in the package goes through it (the ablation
+studies in :mod:`repro.bench.ablation` drain their controllers directly,
+outside the memos):
 
 * :data:`INSTR_MEMO` — the instruction-level memo, keyed by
   ``(ControllerConfig, TraceDescriptor)``.  A

@@ -82,11 +82,6 @@ class DramSystem:
                     window=window,
                 )
             )
-        # Columnar mirror of each channel's backlog, appended in enqueue
-        # order.  The parallel run ships these buffers to the workers
-        # directly instead of re-walking the controllers' entry objects;
-        # kept consistent by enqueue_trace and cleared by run().
-        self._pending_traces: list[list[TraceBuffer]] = [[] for _ in range(channels)]
 
     @property
     def peak_bandwidth(self) -> float:
@@ -130,7 +125,6 @@ class DramSystem:
                 continue
             share = TraceBuffer(local[mask], trace.is_write[mask], trace.cycle[mask])
             self.controllers[channel].enqueue_batch(share)
-            self._pending_traces[channel].append(share)
 
     def run(self, jobs: int | None = None) -> SystemStats:
         """Drain every channel and aggregate the results.
@@ -139,12 +133,12 @@ class DramSystem:
         wires), so they are simulated independently; the elapsed time is the
         slowest channel's finish time.
 
-        A channel whose controller is pristine and whose backlog entered
-        through :meth:`enqueue_trace` drains through
-        :func:`~repro.dram.memo.drain`: a backlog byte-identical to one
-        drained before adopts the memoized stats.  Any other channel (a warm
-        controller continues from its accumulated state; a directly fed one
-        has no columnar mirror) drains in place.
+        A channel whose controller is pristine drains its pending trace
+        (:meth:`MemoryController.pending_trace`) through
+        :func:`~repro.dram.memo.drain`: a trace with the same read and write
+        streams as one drained before adopts the memoized stats.  A warm
+        controller continues from its accumulated state, so it drains in
+        place.
 
         ``jobs`` (default: ``$REPRO_JOBS``, else 1) ships the memoizable
         channels' drains to the process pool of :mod:`repro.parallel` as
@@ -166,15 +160,10 @@ class DramSystem:
         stats: list[ControllerStats | None] = []
         shipped = []
         for channel, controller in enumerate(self.controllers):
-            buffers = self._pending_traces[channel]
-            if (
-                not controller.pending
-                or not controller.pristine
-                or sum(len(b) for b in buffers) != controller.pending
-            ):
+            trace = controller.pending_trace()
+            if trace is None:
                 stats.append(controller.run_to_completion())
                 continue
-            trace = buffers[0] if len(buffers) == 1 else TraceBuffer.concat(buffers)
             config = controller.snapshot_config()
             if batch is None:
                 stats.append(drain(config, trace=trace, controller=controller))
@@ -192,7 +181,6 @@ class DramSystem:
                 )
                 self.controllers[channel].adopt_run(s)
                 stats[channel] = s
-        self._pending_traces = [[] for _ in range(self.num_channels)]
         return SystemStats(
             total_bytes=sum(s.total_bytes for s in stats),
             elapsed_seconds=max(c.elapsed_seconds() for c in self.controllers),

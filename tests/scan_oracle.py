@@ -7,16 +7,27 @@ active queue, in admission order) with the scalar rank constraints below,
 and issues the entry with the smallest ``(ready, column-first, age)`` key.
 Admission, queue arbitration and refresh are written out plainly, one
 helper each.  It shares the controller's backlog, bank and rank state and
-its enqueue paths, so a test can fill both controllers the same way and
-compare the :class:`ControllerStats` (and request completions) they return.
+its ``enqueue_batch``, so a test can fill both controllers the same way and
+compare the :class:`ControllerStats` (and completion cycles) they return.
+It also queues records one at a time (:meth:`ScanController.enqueue_record`),
+with scalar decode and sequence labelling, as the reference for the
+vectorized ``enqueue_batch``.
 
 :func:`earliest_act`, :func:`earliest_read` and :func:`earliest_write` are
 the scalar forms of :meth:`Rank.floors`: each gives one bankgroup's bound
 straight from the rank's command history.
 """
 
+import numpy as np
+
 from repro.dram.bank import Rank
-from repro.dram.controller import ControllerConfig, ControllerStats, MemoryController
+from repro.dram.command import reserve_seq_block
+from repro.dram.controller import (
+    ControllerConfig,
+    ControllerStats,
+    MemoryController,
+    _BacklogChunk,
+)
 
 
 def earliest_act(rank: Rank, bankgroup: int) -> int:
@@ -66,7 +77,33 @@ class ScanController(MemoryController):
             row_policy=config.row_policy,
         )
 
+    def enqueue_record(self, addr, is_write, arrival=0, completions=None, pos=-1) -> None:
+        """Queue one record: the per-record reference for ``enqueue_batch``.
+
+        Scalar :meth:`AddressMapping.decode`, one sequence number drawn with
+        ``reserve_seq_block(1)`` and a one-record backlog chunk.  With
+        ``completions``, the drain writes the record's burst-end cycle to
+        ``completions[pos]``.  The record is not part of
+        :meth:`pending_trace`: a controller fed this way drains in place.
+        """
+        org = self.organization
+        if not 0 <= addr < org.capacity_bytes:
+            raise ValueError(
+                f"address {addr:#x} outside channel capacity {org.capacity_bytes:#x}"
+            )
+        c = self.mapping.decode(addr)
+        flat = (c["rank"] * org.bankgroups + c["bankgroup"]) * org.banks_per_group + c["bank"]
+        seq = reserve_seq_block(1)
+        columns = (arrival, c["rank"], c["bankgroup"], c["bank"], c["row"], flat, seq)
+        chunk = _BacklogChunk(
+            *(np.array([v], dtype=np.int64) for v in columns),
+            completions,
+            None if completions is None else np.array([pos], dtype=np.int64),
+        )
+        (self._write_backlog if is_write else self._read_backlog).append_chunk(chunk)
+
     def run_to_completion(self) -> ControllerStats:
+        self._pending_traces.clear()
         while self.pending:
             self._admit()
             if not self._read_q and not self._write_q:
@@ -176,8 +213,8 @@ class ScanController(MemoryController):
         self._bus_free = burst_end
         self._bus_rank = entry.rank
         self.stats.data_bus_cycles += t.burst_cycles
-        if entry.request is not None:
-            entry.request.completion = burst_end
+        if entry.done is not None:
+            entry.done[entry.pos] = burst_end
         if burst_end > self.stats.finish_cycle:
             self.stats.finish_cycle = burst_end
         if entry.is_write:

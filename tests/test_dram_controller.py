@@ -1,8 +1,9 @@
 """Tests for the FR-FCFS memory controller."""
 
+import numpy as np
 import pytest
 
-from repro.dram.command import Request
+from repro.dram.command import TraceBuffer
 from repro.dram.controller import MemoryController
 from repro.dram.timing import DDR4_2400, DDR4_3200
 from repro.dram.trace import reduce_buffer, streaming_buffer
@@ -12,29 +13,36 @@ def make_controller(**kwargs):
     return MemoryController(DDR4_3200, **kwargs)
 
 
+def enqueue(mc, addrs, is_write=False, arrival=None):
+    """Queue the records ``addrs`` as one trace; returns the completions
+    array the drain fills in (-1 until a record completes)."""
+    trace = TraceBuffer(np.asarray(addrs, dtype=np.int64), is_write, arrival)
+    done = np.full(len(trace), -1, dtype=np.int64)
+    mc.enqueue_batch(trace, completions=done)
+    return done
+
+
 class TestBasicOperation:
     def test_single_read_completes(self):
         mc = make_controller()
-        req = Request(addr=0, is_write=False)
-        mc.enqueue(req)
+        done = enqueue(mc, [0])
         stats = mc.run_to_completion()
         assert stats.reads == 1
-        assert req.done
+        assert done[0] >= 0
 
     def test_single_read_latency_is_act_rcd_cl_burst(self):
         mc = make_controller(refresh_enabled=False)
-        req = Request(addr=0, is_write=False)
-        mc.enqueue(req)
+        done = enqueue(mc, [0])
         mc.run_to_completion()
         t = DDR4_3200
-        assert req.completion == t.rcd + t.cl + t.burst_cycles
+        assert done[0] == t.rcd + t.cl + t.burst_cycles
 
     def test_single_write_completes(self):
         mc = make_controller()
-        req = Request(addr=128, is_write=True)
-        mc.enqueue(req)
+        done = enqueue(mc, [128], is_write=True)
         stats = mc.run_to_completion()
         assert stats.writes == 1
+        assert done[0] >= 0
 
     def test_empty_run(self):
         mc = make_controller()
@@ -44,10 +52,9 @@ class TestBasicOperation:
 
     def test_row_hit_after_first_access(self):
         mc = make_controller(refresh_enabled=False)
-        mc.enqueue(Request(addr=0, is_write=False))
         # Same row (bank-interleaved order: +64 moves bank group, so use
         # an address in the same row of the same bank: +16*64).
-        mc.enqueue(Request(addr=16 * 64, is_write=False))
+        enqueue(mc, [0, 16 * 64])
         stats = mc.run_to_completion()
         assert stats.row_hits == 1
         assert stats.row_misses == 1
@@ -56,8 +63,7 @@ class TestBasicOperation:
         mc = make_controller(refresh_enabled=False)
         org = mc.organization
         row_stride = org.banks * org.columns * 64  # same bank, next row
-        mc.enqueue(Request(addr=0, is_write=False))
-        mc.enqueue(Request(addr=row_stride, is_write=False))
+        enqueue(mc, [0, row_stride])
         stats = mc.run_to_completion()
         assert stats.row_conflicts == 1
         assert stats.precharges == 1
@@ -66,7 +72,8 @@ class TestBasicOperation:
         mc = make_controller()
         huge = mc.organization.capacity_bytes * 2
         with pytest.raises(ValueError):
-            mc.enqueue(Request(addr=huge, is_write=False))
+            enqueue(mc, [huge])
+        assert mc.pending == 0
 
 
 class TestBandwidth:
@@ -99,8 +106,7 @@ class TestBandwidth:
 
         random.seed(1)
         mc = make_controller()
-        for _ in range(3000):
-            mc.enqueue(Request(addr=random.randrange(1 << 30) & ~63, is_write=False))
+        enqueue(mc, [random.randrange(1 << 30) & ~63 for _ in range(3000)])
         stats = mc.run_to_completion()
         assert stats.bandwidth(DDR4_3200) < 0.6 * DDR4_3200.peak_bandwidth
 
@@ -125,8 +131,7 @@ class TestWriteHandling:
         mc = make_controller(refresh_enabled=False)
         # Interleave reads and writes; the watermark policy should still
         # complete everything.
-        for i in range(200):
-            mc.enqueue(Request(addr=i * 64, is_write=(i % 2 == 0)))
+        enqueue(mc, np.arange(200) * 64, is_write=np.arange(200) % 2 == 0)
         stats = mc.run_to_completion()
         assert stats.reads == 100
         assert stats.writes == 100
@@ -144,8 +149,7 @@ class TestWriteHandling:
         pure_bw = pure.run_to_completion().bandwidth(DDR4_3200)
 
         mixed = make_controller(refresh_enabled=False)
-        for i in range(2000):
-            mixed.enqueue(Request(addr=i * 64, is_write=(i % 4 == 0)))
+        enqueue(mixed, np.arange(2000) * 64, is_write=np.arange(2000) % 4 == 0)
         mixed_bw = mixed.run_to_completion().bandwidth(DDR4_3200)
         assert mixed_bw < pure_bw
 
@@ -153,28 +157,23 @@ class TestWriteHandling:
 class TestArrivalTimes:
     def test_request_not_served_before_arrival(self):
         mc = make_controller(refresh_enabled=False)
-        req = Request(addr=0, is_write=False, arrival=10_000)
-        mc.enqueue(req)
+        done = enqueue(mc, [0], arrival=10_000)
         mc.run_to_completion()
-        assert req.completion >= 10_000
+        assert done[0] >= 10_000
 
     def test_paced_arrivals_have_low_queueing_latency(self):
         t = DDR4_3200
         mc = make_controller(refresh_enabled=False)
         # One request every 100 cycles: the queue never builds up.
-        reqs = [Request(addr=i * 64, is_write=False, arrival=i * 100) for i in range(100)]
-        for r in reqs:
-            mc.enqueue(r)
+        arrival = np.arange(100) * 100
+        done = enqueue(mc, np.arange(100) * 64, arrival=arrival)
         mc.run_to_completion()
         service = t.rcd + t.cl + t.burst_cycles
-        for r in reqs:
-            assert r.latency <= service + t.rc  # no long queueing
+        assert (done - arrival <= service + t.rc).all()  # no long queueing
 
     def test_burst_arrivals_queue(self):
         mc = make_controller(refresh_enabled=False)
-        reqs = [Request(addr=i * 64, is_write=False) for i in range(64)]
-        for r in reqs:
-            mc.enqueue(r)
+        enqueue(mc, np.arange(64) * 64)
         stats = mc.run_to_completion()
         assert stats.mean_read_latency > DDR4_3200.cl
 
@@ -261,3 +260,114 @@ class TestConfigValidation:
     def test_rejects_negative_low_watermark(self):
         with pytest.raises(ValueError, match="write_low_watermark"):
             make_controller(write_high_watermark=0, write_low_watermark=-1)
+
+
+class TestCompletions:
+    """``enqueue_batch(trace, completions=)``: the drain writes each
+    record's burst-end cycle at its trace position, from per-command steps
+    and from streaks alike."""
+
+    @pytest.mark.parametrize(
+        "completions",
+        [np.zeros(3, dtype=np.int64), np.zeros(5, dtype=np.int64), np.zeros((4, 1), dtype=np.int64)],
+        ids=["short", "long", "2-d"],
+    )
+    def test_wrong_length_rejected(self, completions):
+        mc = make_controller()
+        trace = TraceBuffer(np.arange(4) * 64, False)
+        with pytest.raises(ValueError, match="completions"):
+            mc.enqueue_batch(trace, completions=completions)
+        assert mc.pending == 0
+        assert mc.pending_trace() is None
+
+    @pytest.mark.parametrize("dtype", [np.int32, np.float64])
+    def test_wrong_dtype_rejected(self, dtype):
+        mc = make_controller()
+        trace = TraceBuffer(np.arange(4) * 64, False)
+        with pytest.raises(ValueError, match="completions"):
+            mc.enqueue_batch(trace, completions=np.zeros(4, dtype=dtype))
+        assert mc.pending == 0
+
+    def test_streak_and_step_completions_match_scan_oracle(self, monkeypatch):
+        from repro.dram.mapping import RANK_INTERLEAVED_ORDER, AddressMapping, DramOrganization
+        from repro.env import reference_mode
+
+        from scan_oracle import ScanController
+        from trace_oracles import enqueue_records
+
+        org = DramOrganization(ranks=4)
+        kw = {"organization": org, "mapping": AddressMapping(org, order=RANK_INTERLEAVED_ORDER)}
+        mapping = kw["mapping"]
+        rng = np.random.default_rng(13)
+        # Row-0 write hits in rank 0 at cycle 0 (write streaks: pending
+        # writes rule out read streaks), then reads and writes to random
+        # rows of every rank (ACT/PRE, per-command steps).
+        coords = [(0, i % 4, (i // 4) % 4, 0, i // 16) for i in range(600)]
+        coords += [tuple(int(v) for v in c) for c in rng.integers(
+            [0, 0, 0, 1, 0], [4, 4, 4, 64, 128], (400, 5)
+        )]
+        addrs = np.array([mapping.encode(*c) for c in coords], dtype=np.int64)
+        is_write = np.concatenate([np.ones(600, dtype=bool), rng.random(400) < 0.4])
+        cycles = np.concatenate([np.zeros(600, dtype=np.int64), 4000 + 20 * np.arange(400)])
+        trace = TraceBuffer(addrs, is_write, cycles)
+
+        mc = MemoryController(DDR4_3200, **kw)
+        streaks = []
+        attempt = MemoryController._attempt_streak
+
+        def spy(ctrl, *args):
+            result = attempt(ctrl, *args)
+            if result is not None:
+                streaks.append(result[0])
+            return result
+
+        monkeypatch.setattr(MemoryController, "_attempt_streak", spy)
+        done = np.full(len(trace), -1, dtype=np.int64)
+        mc.enqueue_batch(trace, completions=done)
+        stats = mc.run_to_completion()
+        monkeypatch.undo()
+        if not reference_mode():
+            assert sum(streaks) > 100
+        assert stats.activates > 300  # the random tail stepped command by command
+
+        oracle = ScanController(DDR4_3200, **kw)
+        expected = np.full(len(trace), -1, dtype=np.int64)
+        enqueue_records(oracle, trace, expected)
+        assert stats == oracle.run_to_completion()
+        assert (done >= 0).all()
+        assert np.array_equal(done, expected)
+
+
+class TestPendingTrace:
+    """The controller keeps the traces it was handed until they drain."""
+
+    def test_concatenates_enqueued_traces_in_order(self):
+        mc = make_controller()
+        first = TraceBuffer(np.arange(3) * 64, False)
+        second = TraceBuffer(np.arange(3, 5) * 64, True, 7)
+        mc.enqueue_batch(first)
+        assert mc.pending_trace() is first
+        mc.enqueue_batch(second)
+        trace = mc.pending_trace()
+        assert np.array_equal(trace.addr, np.arange(5) * 64)
+        assert trace.is_write.tolist() == [False] * 3 + [True] * 2
+        assert trace.cycle.tolist() == [0] * 3 + [7] * 2
+
+    def test_cleared_by_drain_and_reset(self):
+        mc = make_controller()
+        mc.enqueue_batch(streaming_buffer(0, 10))
+        mc.reset()
+        assert mc.pending_trace() is None
+        mc.enqueue_batch(streaming_buffer(0, 10))
+        mc.run_to_completion()
+        assert mc.pending_trace() is None
+
+    def test_none_for_a_warm_controller(self):
+        # A warm controller's drain continues from its state: its pending
+        # records alone do not determine the result.
+        mc = make_controller()
+        mc.enqueue_batch(streaming_buffer(0, 10))
+        mc.run_to_completion()
+        mc.enqueue_batch(streaming_buffer(640, 10))
+        assert mc.pending == 10
+        assert mc.pending_trace() is None

@@ -45,7 +45,7 @@ class TestEnqueueTraceValidation:
         with pytest.raises(ValueError, match=f"address {bad:#x} outside system"):
             system.enqueue_trace(trace)
         assert [c.pending for c in system.controllers] == [0] * 8
-        assert system._pending_traces == [[] for _ in range(8)]
+        assert all(c.pending_trace() is None for c in system.controllers)
 
     def test_last_valid_address_accepted(self):
         system = DramSystem(channels=2)

@@ -24,7 +24,7 @@ from repro.core.address_map import EmbeddingLayout
 from repro.dram import command as command_module
 from repro.dram import controller as controller_module
 from repro.dram.bank import Rank
-from repro.dram.command import Request, TraceBuffer, reserve_seq_block
+from repro.dram.command import TraceBuffer, reserve_seq_block
 from repro.dram.controller import MemoryController
 from repro.dram.mapping import (
     BANK_INTERLEAVED_ORDER,
@@ -191,16 +191,18 @@ class TestSyntheticTrafficParity:
 
 class TestDramSystemParity:
     """``DramSystem.enqueue_trace`` against per-record routing: every record
-    sent through :meth:`DramSystem.route` and queued one ``Request`` at a
-    time on its channel's controller."""
+    sent through :meth:`DramSystem.route`, and each channel's records queued
+    as one buffer on its controller."""
 
     @staticmethod
     def _routed_scalar(system, trace):
+        routed = [[] for _ in system.controllers]
         for r in records(trace):
             channel, local = system.route(r.addr)
-            system.controllers[channel].enqueue(
-                Request(addr=local, is_write=r.is_write, arrival=r.cycle)
-            )
+            routed[channel].append(Record(r.cycle, local, r.is_write))
+        for controller, share in zip(system.controllers, routed):
+            if share:
+                controller.enqueue_batch(to_buffer(share))
         return system.run()
 
     @staticmethod
@@ -250,28 +252,24 @@ class TestDramSystemParity:
         assert (timing_memo.hits, timing_memo.misses) == (7, 1)
         for r in records(trace):
             channel, local = system.route(r.addr)
-            oracles[channel].enqueue(
-                Request(addr=local, is_write=r.is_write, arrival=r.cycle)
-            )
+            oracles[channel].enqueue_record(local, r.is_write, r.cycle)
         assert all(o.pending for o in oracles)
         assert result.channel_stats == [o.run_to_completion() for o in oracles]
 
 
 def _scalar_bandwidth(trace, **kw):
-    mc = MemoryController(DDR4_3200, **kw)
-    enqueue_records(mc, trace)
-    return mc.run_to_completion().bandwidth(DDR4_3200)
+    return run_scalar_scan(trace, **kw).bandwidth(DDR4_3200)
 
 
 def _scalar_seconds(trace):
-    mc = MemoryController(DDR4_3200)
+    mc = ScanController(DDR4_3200)
     enqueue_records(mc, trace)
     mc.run_to_completion()
     return mc.elapsed_seconds()
 
 
 class TestAblationParity:
-    """The ablation studies against the per-record loops they replaced."""
+    """The ablation studies against per-record enqueue and the scan oracle."""
 
     def test_scheduler(self):
         batch, table_rows = 32, 1024
@@ -557,25 +555,30 @@ class TestStreakFastPathParity:
         assert run_batch_indexed(trace) == golden  # fast path off via env
 
     def test_scalar_enqueue_completions_after_streak(self, monkeypatch):
-        # Scalar-enqueued Requests must get completion cycles written even
-        # when the streak compiler retires them straight from the backlog.
-        mc = MemoryController(DDR4_3200)
-        requests = [
-            Request(addr=((i % 128) << 4) * 64, is_write=False) for i in range(500)
-        ]
-        for r in requests:
-            mc.enqueue(r)
-        mc.run_to_completion()
-        assert all(r.done for r in requests)
+        # Completion cycles must be written even for records the streak
+        # compiler retires straight from the backlog, and match both the
+        # streak-free drain and the per-record scan oracle.
+        trace = TraceBuffer(
+            ((np.arange(500) % 128) << 4) * 64, np.zeros(500, dtype=bool)
+        )
+
+        def completions(mc, enqueue):
+            done = np.full(len(trace), -1, dtype=np.int64)
+            enqueue(mc, done)
+            mc.run_to_completion()
+            return done
+
+        def batch(mc, done):
+            mc.enqueue_batch(trace, completions=done)
+
+        fast = completions(MemoryController(DDR4_3200), batch)
+        assert (fast >= 0).all()
+        oracle = completions(
+            ScanController(DDR4_3200), lambda mc, done: enqueue_records(mc, trace, done)
+        )
         monkeypatch.setenv(REFERENCE_ENV_VAR, "1")
-        ref = MemoryController(DDR4_3200)
-        ref_requests = [
-            Request(addr=((i % 128) << 4) * 64, is_write=False) for i in range(500)
-        ]
-        for r in ref_requests:
-            ref.enqueue(r)
-        ref.run_to_completion()
-        assert [r.completion for r in requests] == [r.completion for r in ref_requests]
+        assert np.array_equal(fast, completions(MemoryController(DDR4_3200), batch))
+        assert np.array_equal(fast, oracle)
 
 
 class TestStreakFuzzParity:
@@ -947,26 +950,3 @@ class TestLeanStepParity:
         assert command_module.seq_ceiling() > 1 << 41
         assert gapped == fresh
         assert fresh == self._drain(ScanController, parts, **kw)
-
-    @pytest.mark.parametrize("ranks", [1, 4])
-    def test_tie_key_exact_for_explicit_sequence_numbers(self, ranks, monkeypatch):
-        # Scalar requests may carry their own sequence numbers, above
-        # anything the counter has drawn: here the second half jumps past
-        # 2**41.  Enqueue keeps the counter ahead of them.
-        monkeypatch.setattr(command_module._seq_counter, "value", 0)
-        mapping, kw = self._config(ranks)
-        rng = np.random.default_rng(60 + ranks)
-        blocks = rng.integers(0, (1 << 13) * ranks, 600)
-        writes = rng.random(600) < 0.3
-        runs = []
-        for base in (None, 1 << 41):
-            mc = MemoryController(DDR4_3200, **kw)
-            for i, (block, is_write) in enumerate(zip(blocks.tolist(), writes.tolist())):
-                extra = {} if base is None or i < 300 else {"seq": base + i}
-                mc.enqueue(Request(addr=block * 64, is_write=is_write, **extra))
-            runs.append(mc.run_to_completion())
-        assert command_module.seq_ceiling() > 1 << 41
-        assert runs[0] == runs[1]
-        golden = ScanController(DDR4_3200, **kw)
-        enqueue_records(golden, TraceBuffer(blocks * 64, writes))
-        assert runs[0] == golden.run_to_completion()

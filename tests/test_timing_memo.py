@@ -259,18 +259,31 @@ class TestDramSystemIntegration:
         assert again.channel_stats == golden.channel_stats
         assert again.elapsed_seconds == golden.elapsed_seconds
 
-    def test_directly_fed_controller_bypasses_memo(self, timing_memo):
+    def test_directly_fed_controller_drains_through_memo(self, timing_memo):
         self._loaded_system().run()
-        hits_before = timing_memo.hits
-        system = self._loaded_system()
-        # Feed one controller behind the system's back: the mirror no
-        # longer matches, so that channel must drain for real.
-        from repro.dram.command import Request
+        hits, misses = timing_memo.hits, timing_memo.misses
 
-        system.controllers[0].enqueue(Request(addr=0, is_write=False))
+        def fed_system():
+            # One controller also gets a record behind the system's back:
+            # the controller's own pending trace carries it into the memo.
+            system = self._loaded_system()
+            system.controllers[0].enqueue_batch(
+                TraceBuffer(np.zeros(1, dtype=np.int64), np.zeros(1, dtype=bool))
+            )
+            return system
+
+        system = fed_system()
+        records = system.controllers[0].pending_trace()
+        assert len(records) == 1001
         result = system.run()
-        assert timing_memo.hits == hits_before + 1  # only the clean channel
-        assert result.channel_stats[0].accesses == 1001
+        # The fed channel misses once, the clean channel hits.
+        assert (timing_memo.hits, timing_memo.misses) == (hits + 1, misses + 1)
+        fresh = system.controllers[0].snapshot_config().build()
+        fresh.enqueue_batch(records)
+        assert result.channel_stats[0] == fresh.run_to_completion()
+        again = fed_system().run()
+        assert (timing_memo.hits, timing_memo.misses) == (hits + 3, misses + 1)
+        assert again.channel_stats == result.channel_stats
 
 
 class TestParallelIntegration:

@@ -5,7 +5,7 @@ The package has one trace type, the columnar
 same traffic as the builders in :mod:`repro.dram.trace`, one record at a
 time, as a reference: the builder-equivalence tests compare every builder
 against its generator, and the parity tests feed the records one by one
-through ``MemoryController.enqueue(Request)`` to pin what the batched
+through the scan oracle's ``enqueue_record`` to pin what the batched
 paths compute.  :func:`nmp_trace` builds an NMP instruction's trace
 directly from the instruction, the reference for
 :func:`repro.core.nmp_core.expand`.
@@ -17,7 +17,7 @@ import numpy as np
 
 from repro.config import ACCESS_GRANULARITY, ELEMS_PER_WORD
 from repro.core.isa import Opcode
-from repro.dram.command import Request, TraceBuffer
+from repro.dram.command import TraceBuffer
 
 WORD_BYTES = 64
 
@@ -109,15 +109,16 @@ def reinterleave(trace: TraceBuffer, rng: np.random.Generator) -> TraceBuffer:
     return TraceBuffer(trace.addr[order], is_write, trace.cycle[order])
 
 
-def enqueue_records(controller, trace) -> None:
-    """Queue a trace one ``Request`` at a time (the scalar reference path).
+def enqueue_records(controller, trace, completions=None) -> None:
+    """Queue a trace one record at a time on a scan oracle (the per-record
+    reference path); ``completions[i]`` receives record ``i``'s burst end.
 
     ``trace`` is a :class:`TraceBuffer` or any record sequence.
     """
     if isinstance(trace, TraceBuffer):
         trace = records(trace)
-    for r in trace:
-        controller.enqueue(Request(addr=r.addr, is_write=r.is_write, arrival=r.cycle))
+    for i, r in enumerate(trace):
+        controller.enqueue_record(r.addr, r.is_write, r.cycle, completions, i)
 
 
 def nmp_trace(core, instr) -> TraceBuffer:
