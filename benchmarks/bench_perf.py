@@ -47,6 +47,11 @@ Two families of entries:
   GATHER (one rank, random rows, row conflicts throughout).  These track the non-memoized engine across
   PRs — and are what the CI regression guard (``--check-baseline``)
   compares against the committed JSON, failing on a >30 % req/s drop.
+* ``node_functional`` — functional execution alone: one
+  ``node_embedding``-shaped batch (4 GATHERs of 64 x 25 lookups, 4
+  AVERAGEs over 25, the 3-REDUCE combine) through ``TensorNode.broadcast``
+  at 32 and 128 DIMMs, no DRAM timing.  The combined tensor is checked
+  against NumPy before the entry is written.
 * ``figure11_full`` / ``figure12_full`` / ``ablations`` / ``evaluate_all``
   — **end-to-end** artefact entries: the wall time of ``python -m repro
   <command> --jobs 1`` in a fresh interpreter (so every memo starts
@@ -95,7 +100,7 @@ from repro.bench.figure11 import (
     sweep_grid,
 )
 from repro.core.address_map import chunks_for_dim
-from repro.core.isa import gather, reduce
+from repro.core.isa import average, gather, reduce
 from repro.core.tensordimm import TensorDimm
 from repro.core.tensornode import TensorNode
 from repro.dram.command import TraceBuffer
@@ -414,6 +419,74 @@ def _drain_hot_row_entry(smoke: bool) -> dict:
     }
 
 
+# -- functional execution alone --------------------------------------------------
+
+NODE_FUNCTIONAL_DIMMS = (32, 128)
+
+
+def _node_functional_batch(dimms: int, seed: int, tables=4, rows=1024, dim=512,
+                           batch=64, fanin=25):
+    """A node_embedding-shaped batch on a fresh node: its instructions,
+    the combined output tensor and the NumPy answer."""
+    rng = np.random.default_rng(seed)
+    node = TensorNode(num_dimms=dimms, capacity_words_per_dimm=1 << 14)
+    instrs, pooled, expected = [], [], 0
+    for t in range(tables):
+        weights = rng.standard_normal((rows, dim), dtype=np.float32)
+        idx = rng.integers(0, rows, (batch, fanin))
+        expected = expected + weights[idx].mean(axis=1)
+        table = node.alloc_tensor(f"t{t}", rows, dim)
+        node.write_tensor(table, weights)
+        alloc = node.alloc_indices(f"t{t}.idx", idx.size)
+        node.write_indices(alloc, idx.reshape(-1))
+        gathered = node.alloc_tensor(f"t{t}.gather", idx.size, dim)
+        pool = node.alloc_tensor(f"t{t}.pool", batch, dim)
+        wps = table.words_per_slice
+        instrs.append(gather(table.base_word, alloc.base_word, gathered.base_word,
+                             idx.size, wps))
+        instrs.append(average(gathered.base_word, fanin, pool.base_word,
+                              batch * wps, wps))
+        pooled.append(pool)
+    acc = node.alloc_tensor("acc", batch, dim)
+    words = acc.words_per_dimm
+    instrs.append(reduce(pooled[0].base_word, pooled[1].base_word, acc.base_word, words))
+    instrs.extend(
+        reduce(acc.base_word, p.base_word, acc.base_word, words) for p in pooled[2:]
+    )
+    return node, instrs, acc, expected
+
+
+def bench_node_functional(dimms: int, seed=41) -> tuple[int, float]:
+    """Broadcast one batch functionally; fail unless it matches NumPy."""
+    node, instrs, acc, expected = _node_functional_batch(dimms, seed)
+    t0 = time.perf_counter()
+    for instr in instrs:
+        node.broadcast(instr)
+    seconds = time.perf_counter() - t0
+    got = node.read_tensor(acc)
+    if not np.allclose(got, expected, rtol=1e-5, atol=1e-5):
+        raise RuntimeError(f"node_functional: {dimms}-DIMM result differs from NumPy")
+    return len(instrs), seconds
+
+
+def _node_functional_entry(smoke: bool) -> dict:
+    points = []
+    for dimms in NODE_FUNCTIONAL_DIMMS:
+        best = None
+        for _ in range(1 if smoke else REPEATS):
+            instructions, seconds = bench_node_functional(dimms)
+            best = seconds if best is None else min(best, seconds)
+        points.append(
+            {
+                "dimms": dimms,
+                "instructions": instructions,
+                "wall_seconds": round(best, 4),
+                "ms_per_instruction": round(1e3 * best / instructions, 3),
+            }
+        )
+    return {"workload": "node_functional", "points": points, "checked": True}
+
+
 # -- end-to-end artefacts (fresh interpreter, --jobs 1) ------------------------
 
 #: ``python -m repro`` command lines per entry, and the golden stdout file
@@ -680,6 +753,7 @@ def run(jobs: int | None = None, smoke: bool = False) -> dict:
             **cold_gather_kwargs,
         )
     )
+    entries.append(_node_functional_entry(smoke))
     entries.extend(_artefact_entry(name, smoke) for name in ARTEFACTS)
     return {"entries": entries, "host_cpus": os.cpu_count()}
 
@@ -745,6 +819,16 @@ def main(argv=None) -> None:
                 f"({entry['fast_on']['req_per_sec']:,.0f} req/s) vs off "
                 f"{entry['fast_off']['wall_seconds']:.3f}s = "
                 f"{entry['speedup']:.2f}x (bit-identical: {entry['identical']})"
+            )
+        elif entry["workload"] == "node_functional":
+            print(
+                f"{entry['workload']:>16}: "
+                + ", ".join(
+                    f"{p['dimms']} DIMMs {p['instructions']} instructions in "
+                    f"{p['wall_seconds']:.4f}s"
+                    for p in entry["points"]
+                )
+                + " (checked against NumPy)"
             )
         elif "stdout_sha256" in entry:
             print(

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..config import ACCESS_GRANULARITY, BYTES_PER_ELEMENT, ELEMS_PER_WORD
+from ..config import ACCESS_GRANULARITY, BYTES_PER_ELEMENT
 
 
 def chunks_for_dim(embedding_dim: int) -> int:
@@ -119,43 +119,3 @@ class EmbeddingLayout:
     def slice_base_local(self, dimm: int) -> int:
         """DIMM-local word address where this tensor's slice begins."""
         return (self.base_word + dimm) // self.node_dim
-
-    # -- numpy round-trip -------------------------------------------------------
-
-    def scatter(self, values: np.ndarray) -> list[np.ndarray]:
-        """Split a (rows, embedding_dim) array into per-DIMM slice payloads.
-
-        Returns one ``(rows * words_per_slice, 16)`` float32 array per DIMM,
-        ordered by DIMM-local word address; the tail of the padded region is
-        zero-filled.
-        """
-        values = np.asarray(values, dtype=np.float32)
-        if values.shape != (self.rows, self.embedding_dim):
-            raise ValueError(
-                f"expected shape {(self.rows, self.embedding_dim)}, got {values.shape}"
-            )
-        padded = np.zeros(
-            (self.rows, self.chunks_padded * ELEMS_PER_WORD), dtype=np.float32
-        )
-        padded[:, : self.embedding_dim] = values
-        # (rows, chunks_padded, 16) -> per-DIMM strided views
-        words = padded.reshape(self.rows, self.chunks_padded, ELEMS_PER_WORD)
-        return [
-            words[:, dimm :: self.node_dim, :].reshape(-1, ELEMS_PER_WORD).copy()
-            for dimm in range(self.node_dim)
-        ]
-
-    def gather_slices(self, slices: list[np.ndarray]) -> np.ndarray:
-        """Inverse of :meth:`scatter`: rebuild the (rows, embedding_dim) array."""
-        if len(slices) != self.node_dim:
-            raise ValueError(f"expected {self.node_dim} slices, got {len(slices)}")
-        words = np.zeros(
-            (self.rows, self.chunks_padded, ELEMS_PER_WORD), dtype=np.float32
-        )
-        for dimm, payload in enumerate(slices):
-            payload = np.asarray(payload, dtype=np.float32).reshape(
-                self.rows, self.words_per_slice, ELEMS_PER_WORD
-            )
-            words[:, dimm :: self.node_dim, :] = payload
-        flat = words.reshape(self.rows, -1)
-        return flat[:, : self.embedding_dim].copy()

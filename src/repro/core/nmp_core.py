@@ -12,7 +12,10 @@ One NMP core sits in each TensorDIMM's buffer device and contains:
 
 The functional semantics follow the pseudo code of Fig. 9 exactly, with the
 ``words_per_slice`` generalisation for embeddings wider than
-``64 * node_dim`` bytes (see :mod:`repro.core.isa`).
+``64 * node_dim`` bytes (see :mod:`repro.core.isa`).  They are written once,
+as kernels over the memory of ``k`` lock-stepped cores
+(:func:`execute_broadcast`): a TensorNode runs each broadcast instruction
+once over all of its DIMMs, and a lone core is the ``k = 1`` case.
 """
 
 import hashlib
@@ -72,6 +75,23 @@ class SramQueue:
         return self._entries.popleft()
 
 
+#: The ALU's element-wise operations, lane by lane in FP32.
+_ALU_OPS = {
+    ReduceOp.SUM: np.add,
+    ReduceOp.SUB: np.subtract,
+    ReduceOp.MUL: np.multiply,
+    ReduceOp.MAX: np.maximum,
+    ReduceOp.MIN: np.minimum,
+}
+
+
+def _alu_op(op: ReduceOp):
+    fn = _ALU_OPS.get(op)
+    if fn is None:
+        raise ValueError(f"unsupported reduce op {op}")
+    return fn
+
+
 class VectorAlu:
     """The 16-wide, 150 MHz vector ALU.
 
@@ -96,18 +116,9 @@ class VectorAlu:
         b = np.asarray(b, dtype=np.float32)
         if a.shape != b.shape:
             raise ValueError(f"operand shape mismatch: {a.shape} vs {b.shape}")
+        fn = _alu_op(op)
         self.busy_cycles += a.reshape(-1, self.lanes).shape[0]
-        if op == ReduceOp.SUM:
-            return a + b
-        if op == ReduceOp.SUB:
-            return a - b
-        if op == ReduceOp.MUL:
-            return a * b
-        if op == ReduceOp.MAX:
-            return np.maximum(a, b)
-        if op == ReduceOp.MIN:
-            return np.minimum(a, b)
-        raise ValueError(f"unsupported reduce op {op}")
+        return fn(a, b)
 
     def accumulate_mean(self, groups: np.ndarray) -> np.ndarray:
         """Average over axis 1 of a (n, group, 16) word array.
@@ -121,9 +132,13 @@ class VectorAlu:
         groups = np.asarray(groups, dtype=np.float32)
         if groups.ndim != 3:
             raise ValueError("expected (outputs, group, lanes) array")
-        outputs, group = groups.shape[0], groups.shape[1]
-        self.busy_cycles += outputs * (-(-group // 2)) + outputs
+        self.busy_cycles += self.mean_cycles(groups.shape[0], groups.shape[1])
         return groups.mean(axis=1, dtype=np.float32)
+
+    @staticmethod
+    def mean_cycles(outputs: int, group: int) -> int:
+        """ALU cycles of ``outputs`` ``group``-way averages (see above)."""
+        return outputs * (-(-group // 2)) + outputs
 
     def seconds(self, cycles: int | None = None) -> float:
         """Wall-clock time of ``cycles`` ALU cycles (default: all so far)."""
@@ -265,6 +280,206 @@ def expand(descriptor: TraceDescriptor, indices: np.ndarray | None = None) -> Tr
     raise ValueError(f"unknown opcode {descriptor.opcode}")
 
 
+# -- functional execution: one kernel per opcode over k cores' memory ----------
+
+
+def local_base(node_word: int, node_dim: int) -> int:
+    """DIMM-local word address of an aligned node-word base.
+
+    Bases are aligned to ``node_dim``; every core's slice of a tensor at
+    node word ``base`` starts at local word ``base // node_dim`` (the
+    ``+ tid`` in Fig. 9's address arithmetic selects the DIMM and drops
+    out of the local offset).
+    """
+    if node_word % node_dim:
+        raise ValueError(
+            f"node word base {node_word} not aligned to node_dim {node_dim}"
+        )
+    return node_word // node_dim
+
+
+def check_range(words: np.ndarray, start: int, count: int) -> None:
+    """Raise ``IndexError`` unless rows ``[start, start + count)`` of ``words`` exist."""
+    if start < 0 or start + count > words.shape[0]:
+        raise IndexError(
+            f"word range [{start}, {start + count}) outside capacity {words.shape[0]}"
+        )
+
+
+def _index_rows(words: np.ndarray, instr: Instruction) -> np.ndarray:
+    """Every core's own copy of the replicated index buffer, ``(count, k)``."""
+    index_words = -(-instr.count // ELEMS_PER_WORD)
+    check_range(words, instr.index_base, index_words)
+    raw = words[instr.index_base : instr.index_base + index_words].view(np.int32)
+    rows = raw.transpose(0, 2, 1).reshape(-1, words.shape[1])[: instr.count]
+    return rows.astype(np.int64)
+
+
+def _slice_words(words: np.ndarray, base: int, rows: np.ndarray, wps: int) -> np.ndarray:
+    """``(count * wps, k)`` node-linear word numbers of each core's row slices.
+
+    Row ``r``'s slice on a core is ``wps`` local words from ``base + r *
+    wps``; core ``d``'s local word ``l`` is word ``l * k + d`` of the
+    flattened ``(local_words * k, 16)`` memory.  Checked against the
+    capacity for every core before anything is read or written.
+    """
+    k = words.shape[1]
+    if rows.size:
+        low = base + int(rows.min()) * wps
+        high = base + int(rows.max()) * wps + wps
+        if low < 0 or high > words.shape[0]:
+            raise IndexError("word index out of range")
+    offsets = base * k + np.arange(wps)[:, None] * k + np.arange(k)
+    return (rows[:, None, :] * (wps * k) + offsets).reshape(-1, k)
+
+
+def _uniform(words: np.ndarray, opcode: Opcode, **counts) -> list[NmpExecStats]:
+    """One stats record per core, for work that is the same on every core."""
+    return [NmpExecStats(opcode=opcode, **counts) for _ in range(words.shape[1])]
+
+
+def _execute_gather(words, instr, node_dim):
+    rows = _index_rows(words, instr)
+    wps = instr.words_per_slice
+    out = local_base(instr.output_base, node_dim)
+    src = _slice_words(words, local_base(instr.table_base, node_dim), rows, wps)
+    n = len(src)
+    check_range(words, out, n)
+    flat = words.reshape(-1, ELEMS_PER_WORD)
+    words[out : out + n] = flat.take(src.reshape(-1), axis=0).reshape(*src.shape, -1)
+    index_words = -(-instr.count // ELEMS_PER_WORD)
+    # gathers bypass the ALU (input queue -> output queue)
+    return _uniform(words, Opcode.GATHER, words_read=n + index_words, words_written=n)
+
+
+def _execute_reduce(words, instr, node_dim):
+    in1 = local_base(instr.input_base, node_dim)
+    in2 = local_base(instr.aux, node_dim)
+    out = local_base(instr.output_base, node_dim)
+    count = instr.count
+    for start in (in1, in2, out):
+        check_range(words, start, count)
+    op = _alu_op(instr.subop)
+    words[out : out + count] = op(words[in1 : in1 + count], words[in2 : in2 + count])
+    return _uniform(
+        words, Opcode.REDUCE, words_read=2 * count, words_written=count, alu_cycles=count
+    )
+
+
+def _execute_average(words, instr, node_dim):
+    """AVERAGE over groups of consecutive *rows* (Fig. 9c).
+
+    The paper's pseudo code assumes each row is exactly one word per
+    DIMM (``words_per_slice == 1``); for wider embeddings each output
+    row spans ``wps`` local words and the group members are ``wps``
+    words apart, so the grouping must stride accordingly.
+    """
+    src = local_base(instr.input_base, node_dim)
+    out = local_base(instr.output_base, node_dim)
+    count = instr.count  # output words per core
+    group = instr.average_num
+    wps = instr.words_per_slice
+    if count % wps:
+        raise ValueError(
+            f"AVERAGE count {count} not divisible by words_per_slice {wps}"
+        )
+    check_range(words, src, count * group)
+    check_range(words, out, count)
+    k = words.shape[1]
+    # (out_rows, group, wps, k, 16): group members are whole rows.  The
+    # mean runs over a non-innermost axis, so each lane of each core adds
+    # its group members one after another in group order: the same float32
+    # sums whatever k is, or whether a core runs alone.
+    grouped = words[src : src + count * group].reshape(
+        count // wps, group, wps, k, ELEMS_PER_WORD
+    )
+    words[out : out + count] = grouped.mean(axis=1, dtype=np.float32).reshape(
+        count, k, ELEMS_PER_WORD
+    )
+    return _uniform(
+        words,
+        Opcode.AVERAGE,
+        words_read=count * group,
+        words_written=count,
+        alu_cycles=VectorAlu.mean_cycles(count, group),
+    )
+
+
+def _execute_update(words, instr, node_dim):
+    """UPDATE (extension): scatter pre-scaled gradients into a table.
+
+    ``table[idx[i]] (+|-)= grad[i]`` for ``count`` gradient rows, with
+    duplicate indices accumulating sequentially (scatter-add).  The
+    read-modify-write of each table slice happens entirely inside each
+    DIMM; only the gradients crossed the interconnect.
+    """
+    if instr.subop not in (ReduceOp.SUM, ReduceOp.SUB):
+        raise ValueError("UPDATE supports only SUM and SUB")
+    rows = _index_rows(words, instr)
+    wps = instr.words_per_slice
+    grad = local_base(instr.input_base, node_dim)
+    targets = _slice_words(words, local_base(instr.output_base, node_dim), rows, wps)
+    n = len(targets)
+    check_range(words, grad, n)
+    k = words.shape[1]
+    grads = words[grad : grad + n]
+    if instr.subop == ReduceOp.SUB:
+        grads = -grads
+    # Duplicate rows accumulate (scatter-add): fold the gradients of
+    # identical target words together, then read-modify-write once.  Each
+    # target word belongs to one core, and np.add.at folds in gradient
+    # order, so every core sums exactly as it would alone.
+    touched, inverse = np.unique(targets.reshape(-1), return_inverse=True)
+    delta = np.zeros((len(touched), ELEMS_PER_WORD), dtype=np.float32)
+    np.add.at(delta, inverse, grads.reshape(-1, ELEMS_PER_WORD))
+    local, core = np.divmod(touched, k)
+    words[local, core] = words[local, core] + delta
+    index_words = -(-instr.count // ELEMS_PER_WORD)
+    return [
+        NmpExecStats(
+            opcode=Opcode.UPDATE,
+            words_read=n + int(written) + index_words,
+            words_written=int(written),
+            alu_cycles=n,
+        )
+        for written in np.bincount(core, minlength=k)
+    ]
+
+
+_KERNELS = {
+    Opcode.GATHER: _execute_gather,
+    Opcode.REDUCE: _execute_reduce,
+    Opcode.AVERAGE: _execute_average,
+    Opcode.UPDATE: _execute_update,
+}
+
+
+def execute_broadcast(
+    cores: list["NmpCore"], words: np.ndarray, instr: Instruction
+) -> list[NmpExecStats]:
+    """Run one broadcast instruction on ``k`` lock-stepped NMP cores at once.
+
+    ``words`` is their memory as one ``(local_words, k, 16)`` float32
+    array whose column ``d`` is ``cores[d]``'s storage.  For a
+    TensorNode's DIMMs that array *is* node-linear memory: node word ``w``
+    lives on DIMM ``w % k`` at local word ``w // k``.  A lone core passes
+    its storage viewed as ``k = 1``.  Each core reads its own copy of a
+    replicated index buffer.  Every operand of every core is checked
+    before the first write, so the instruction either runs everywhere or
+    raises with the memory untouched.  Returns one :class:`NmpExecStats`
+    per core; each core's ALU busy cycles and storage version advance as
+    if it had run alone.
+    """
+    kernel = _KERNELS.get(instr.opcode)
+    if kernel is None:
+        raise ValueError(f"unknown opcode {instr.opcode}")
+    per_core = kernel(words, instr, cores[0].node_dim)
+    for core, stats in zip(cores, per_core):
+        core.alu.busy_cycles += stats.alu_cycles
+        core.storage.version += 1
+    return per_core
+
+
 class NmpCore:
     """One TensorDIMM's near-memory core: decode + execute + describe."""
 
@@ -278,49 +493,27 @@ class NmpCore:
         self.queue_a = SramQueue(required_queue_bytes())
         self.queue_b = SramQueue(required_queue_bytes())
         self.queue_out = SramQueue(required_queue_bytes())
-        # One-slot index-buffer cache: describe() and execute() of the same
-        # instruction both read the replicated index buffer; the second read
-        # is served from here as long as the storage has not been written.
+        # One-slot index-buffer cache: describe() and instruction_indices()
+        # of the same instruction both read the replicated index buffer; the
+        # second read is served from here as long as the storage has not
+        # been written.
         self._index_cache: tuple[tuple[int, int], int, np.ndarray] | None = None
         # One-slot index-content digest cache, same invalidation rule:
         # describe() of a repeated GATHER/UPDATE hashes the indices once.
         self._digest_cache: tuple[tuple[int, int], int, bytes] | None = None
 
-    # -- address helpers ------------------------------------------------------
-
     def _local_base(self, node_word: int) -> int:
-        """DIMM-local word address of an aligned node-word base.
-
-        Bases are aligned to ``node_dim``; this core's slice of a tensor at
-        node word ``base`` starts at local word ``base // node_dim`` (the
-        ``+ tid`` in Fig. 9's address arithmetic selects the DIMM and drops
-        out of the local offset).
-        """
-        if node_word % self.node_dim:
-            raise ValueError(
-                f"node word base {node_word} not aligned to node_dim {self.node_dim}"
-            )
-        return node_word // self.node_dim
-
-    # -- functional execution ---------------------------------------------------
+        return local_base(node_word, self.node_dim)
 
     def execute(self, instr: Instruction) -> NmpExecStats:
         """Run one broadcast instruction's slice on this DIMM."""
-        if instr.opcode == Opcode.GATHER:
-            return self._execute_gather(instr)
-        if instr.opcode == Opcode.REDUCE:
-            return self._execute_reduce(instr)
-        if instr.opcode == Opcode.AVERAGE:
-            return self._execute_average(instr)
-        if instr.opcode == Opcode.UPDATE:
-            return self._execute_update(instr)
-        raise ValueError(f"unknown opcode {instr.opcode}")
+        return execute_broadcast([self], self.storage.array[:, None, :], instr)[0]
 
     def _read_index_buffer(self, instr: Instruction) -> np.ndarray:
         """Read ``count`` int32 lookup indices from the replicated buffer.
 
         Cached per (base, count) until the backing storage is written, so
-        describing and then executing the same instruction reads DRAM once.
+        describing an instruction twice reads DRAM once.
         """
         key = (instr.index_base, instr.count)
         cached = self._index_cache
@@ -331,115 +524,6 @@ class NmpCore:
         indices = raw[: instr.count]
         self._index_cache = (key, self.storage.version, indices)
         return indices
-
-    def _execute_gather(self, instr: Instruction) -> NmpExecStats:
-        rows = self._read_index_buffer(instr)
-        wps = instr.words_per_slice
-        table_local = self._local_base(instr.table_base)
-        out_local = self._local_base(instr.output_base)
-        # Row r's slice on this DIMM: wps consecutive local words starting
-        # at table_local + r * wps (see EmbeddingLayout.row_slice_local_words).
-        src = (
-            table_local
-            + (rows.astype(np.int64)[:, None] * wps + np.arange(wps)[None, :])
-        ).reshape(-1)
-        values = self.storage.read_words(src)
-        self.storage.write_words(out_local, values)
-        index_words = -(-instr.count // ELEMS_PER_WORD)
-        return NmpExecStats(
-            opcode=Opcode.GATHER,
-            words_read=len(src) + index_words,
-            words_written=len(src),
-            alu_cycles=0,  # gathers bypass the ALU (input queue -> output queue)
-        )
-
-    def _execute_reduce(self, instr: Instruction) -> NmpExecStats:
-        in1 = self._local_base(instr.input_base)
-        in2 = self._local_base(instr.aux)
-        out = self._local_base(instr.output_base)
-        count = instr.count
-        a = self.storage.read_range(in1, count)
-        b = self.storage.read_range(in2, count)
-        alu_before = self.alu.busy_cycles
-        result = self.alu.elementwise(a, b, instr.subop)
-        self.storage.write_words(out, result)
-        return NmpExecStats(
-            opcode=Opcode.REDUCE,
-            words_read=2 * count,
-            words_written=count,
-            alu_cycles=self.alu.busy_cycles - alu_before,
-        )
-
-    def _execute_average(self, instr: Instruction) -> NmpExecStats:
-        """AVERAGE over groups of consecutive *rows* (Fig. 9c).
-
-        The paper's pseudo code assumes each row is exactly one word per
-        DIMM (``words_per_slice == 1``); for wider embeddings each output
-        row spans ``wps`` local words and the group members are ``wps``
-        words apart, so the grouping must stride accordingly.
-        """
-        src = self._local_base(instr.input_base)
-        out = self._local_base(instr.output_base)
-        count = instr.count  # output words on this DIMM
-        group = instr.average_num
-        wps = instr.words_per_slice
-        if count % wps:
-            raise ValueError(
-                f"AVERAGE count {count} not divisible by words_per_slice {wps}"
-            )
-        out_rows = count // wps
-        words = self.storage.read_range(src, count * group)
-        alu_before = self.alu.busy_cycles
-        # (out_rows, group, wps, 16): group members are whole rows.
-        grouped = words.reshape(out_rows, group, wps, ELEMS_PER_WORD)
-        result = self.alu.accumulate_mean(
-            grouped.transpose(0, 2, 1, 3).reshape(count, group, ELEMS_PER_WORD)
-        )
-        self.storage.write_words(out, result)
-        return NmpExecStats(
-            opcode=Opcode.AVERAGE,
-            words_read=count * group,
-            words_written=count,
-            alu_cycles=self.alu.busy_cycles - alu_before,
-        )
-
-    def _execute_update(self, instr: Instruction) -> NmpExecStats:
-        """UPDATE (extension): scatter pre-scaled gradients into a table.
-
-        ``table[idx[i]] (+|-)= grad[i]`` for ``count`` gradient rows, with
-        duplicate indices accumulating sequentially (scatter-add).  The
-        read-modify-write of each table slice happens entirely inside this
-        DIMM; only the gradients crossed the interconnect.
-        """
-        if instr.subop not in (ReduceOp.SUM, ReduceOp.SUB):
-            raise ValueError("UPDATE supports only SUM and SUB")
-        rows = self._read_index_buffer(instr)
-        wps = instr.words_per_slice
-        grad_local = self._local_base(instr.input_base)
-        table_local = self._local_base(instr.output_base)
-        grads = self.storage.read_range(grad_local, instr.count * wps)
-        grads = grads.reshape(instr.count, wps, ELEMS_PER_WORD)
-        if instr.subop == ReduceOp.SUB:
-            grads = -grads
-        targets = (
-            table_local
-            + rows.astype(np.int64)[:, None] * wps
-            + np.arange(wps)[None, :]
-        ).reshape(-1)
-        # Duplicate rows accumulate (scatter-add): fold the gradients of
-        # identical target words together, then read-modify-write once.
-        touched, inverse = np.unique(targets, return_inverse=True)
-        delta = np.zeros((len(touched), ELEMS_PER_WORD), dtype=np.float32)
-        np.add.at(delta, inverse, grads.reshape(-1, ELEMS_PER_WORD))
-        self.storage.write_scattered(touched, self.storage.read_words(touched) + delta)
-        self.alu.busy_cycles += instr.count * wps
-        index_words = -(-instr.count // ELEMS_PER_WORD)
-        return NmpExecStats(
-            opcode=Opcode.UPDATE,
-            words_read=instr.count * wps + len(touched) + index_words,
-            words_written=len(touched),
-            alu_cycles=instr.count * wps,
-        )
 
     # -- symbolic trace description ---------------------------------------------
 

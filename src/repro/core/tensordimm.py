@@ -53,11 +53,32 @@ class TensorDimm:
         timing: DramTiming = DDR4_3200,
         organization: DramOrganization | None = None,
     ):
+        self._bind(WordStorage(capacity_words), dimm_id, node_dim, timing, organization)
+
+    @classmethod
+    def on_storage(
+        cls,
+        storage: WordStorage,
+        dimm_id: int,
+        node_dim: int,
+        timing: DramTiming = DDR4_3200,
+        organization: DramOrganization | None = None,
+    ) -> "TensorDimm":
+        """A TensorDIMM whose DRAM contents are ``storage``.
+
+        A TensorNode builds its DIMMs this way, over the columns of its
+        node-linear word array.
+        """
+        dimm = cls.__new__(cls)
+        dimm._bind(storage, dimm_id, node_dim, timing, organization)
+        return dimm
+
+    def _bind(self, storage, dimm_id, node_dim, timing, organization) -> None:
         self.dimm_id = dimm_id
         self.node_dim = node_dim
         self.timing = timing
         self.organization = organization or DramOrganization(ranks=1)
-        self.storage = WordStorage(capacity_words)
+        self.storage = storage
         self.nmp = NmpCore(dimm_id, node_dim, self.storage)
         self._configs: dict[bool, ControllerConfig] = {}
 
@@ -116,20 +137,33 @@ class TensorDimm:
         :func:`~repro.dram.memo.drain`, whose memos answer a repeated
         instruction without building its trace.
         """
-        # Describe before execute(): the trace is defined against the
-        # storage contents before the instruction runs.
-        dram_stats = drain(
+        # Drain before execute(): the trace is defined against the storage
+        # contents before the instruction runs.
+        dram_stats = self.dram_stats(instr, refresh_enabled)
+        stats = self.execute(instr)
+        return TimedExecution(
+            exec_stats=stats,
+            dram_stats=dram_stats,
+            seconds=self.timed_seconds(stats, dram_stats),
+        )
+
+    def dram_stats(self, instr: Instruction, refresh_enabled: bool = True) -> ControllerStats:
+        """Cycle-level DRAM service of ``instr``'s trace on this DIMM.
+
+        The trace is that of the storage as it is now, so call this before
+        the instruction executes.
+        """
+        return drain(
             self.timed_controller_config(refresh_enabled),
             descriptor=self.nmp.describe(instr),
             indices=self.nmp.instruction_indices(instr),
         )
-        stats = self.execute(instr)
-        dram_seconds = self.timing.cycles_to_seconds(dram_stats.finish_cycle)
-        alu_seconds = stats.alu_seconds(self.nmp.alu.clock_hz)
-        return TimedExecution(
-            exec_stats=stats,
-            dram_stats=dram_stats,
-            seconds=max(dram_seconds, alu_seconds),
+
+    def timed_seconds(self, exec_stats: NmpExecStats, dram_stats: ControllerStats) -> float:
+        """Instruction time: the slower of the DRAM drain and the ALU."""
+        return max(
+            self.timing.cycles_to_seconds(dram_stats.finish_cycle),
+            exec_stats.alu_seconds(self.nmp.alu.clock_hz),
         )
 
     def execute_timed_batch(

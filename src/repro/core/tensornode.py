@@ -8,6 +8,14 @@ executes its own slice of the tensor operation against its private DRAM.
 Because each NMP core streams only its local rank, the aggregate bandwidth
 delivered to a tensor operation is ``num_dimms x per-DIMM bandwidth`` —
 the memory-bandwidth scaling property measured in Fig. 11/12.
+
+Functionally the node keeps its DIMMs' contents in one
+``(capacity_words_per_dimm, num_dimms, 16)`` word array.  Under the
+rank-interleaved mapping (node word ``w`` on DIMM ``w % D`` at local word
+``w // D``) that array is node-linear memory, so tensor I/O is one slice
+of it and each broadcast instruction runs once over all DIMMs
+(:func:`~repro.core.nmp_core.execute_broadcast`).  Each DIMM's storage is
+the strided column ``[:, i, :]``, so the per-DIMM API keeps working.
 """
 
 from dataclasses import dataclass, field
@@ -16,13 +24,14 @@ import numpy as np
 
 from ..config import ACCESS_GRANULARITY, ELEMS_PER_WORD
 from ..dram.mapping import DramOrganization
+from ..dram.storage import WordStorage, pack_indices
 from ..dram.timing import DDR4_3200, DramTiming
 from ..interconnect.link import NVLINK2_GPU, Link
 from .address_map import EmbeddingLayout
 from .allocator import Allocation, NodeAllocator
 from .isa import Instruction
-from .nmp_core import NmpExecStats, trace_records
-from .tensordimm import TensorDimm, TimedExecution
+from .nmp_core import NmpExecStats, check_range, execute_broadcast, trace_records
+from .tensordimm import TensorDimm
 
 
 @dataclass
@@ -65,19 +74,25 @@ class TensorNode:
     ):
         if num_dimms < 1:
             raise ValueError("a TensorNode needs at least one TensorDIMM")
+        if capacity_words_per_dimm <= 0:
+            raise ValueError("capacity must be positive")
         self.num_dimms = num_dimms
         self.timing = timing
         self.link = link
+        self._words = np.zeros(
+            (capacity_words_per_dimm, num_dimms, ELEMS_PER_WORD), dtype=np.float32
+        )
         self.dimms = [
-            TensorDimm(
+            TensorDimm.on_storage(
+                WordStorage.over(self._words[:, i, :]),
                 dimm_id=i,
                 node_dim=num_dimms,
-                capacity_words=capacity_words_per_dimm,
                 timing=timing,
                 organization=organization,
             )
             for i in range(num_dimms)
         ]
+        self._cores = [dimm.nmp for dimm in self.dimms]
         self.allocator = NodeAllocator(num_dimms, capacity_words_per_dimm)
         self.instructions_executed = 0
 
@@ -99,21 +114,20 @@ class TensorNode:
         return self.allocator.alloc_tensor(name, rows, embedding_dim)
 
     def write_tensor(self, layout: EmbeddingLayout, values: np.ndarray) -> None:
-        """Scatter a (rows, dim) array into the DIMMs through the interleave."""
-        self._check_layout(layout)
-        slices = layout.scatter(values)
-        base_local = layout.base_word // self.num_dimms
-        for dimm, payload in zip(self.dimms, slices):
-            dimm.write_slice(base_local, payload)
+        """Store a (rows, dim) array at its node-linear words; pad words are zeroed."""
+        region = self._tensor_words(layout)
+        values = np.asarray(values, dtype=np.float32)
+        if values.shape != (layout.rows, layout.embedding_dim):
+            raise ValueError(
+                f"expected shape {(layout.rows, layout.embedding_dim)}, got {values.shape}"
+            )
+        region[:, : layout.embedding_dim] = values
+        region[:, layout.embedding_dim :] = 0.0
+        self._written()
 
     def read_tensor(self, layout: EmbeddingLayout) -> np.ndarray:
-        """Gather a (rows, dim) array back out of the DIMMs."""
-        self._check_layout(layout)
-        base_local = layout.base_word // self.num_dimms
-        slices = [
-            dimm.read_slice(base_local, layout.words_per_dimm) for dimm in self.dimms
-        ]
-        return layout.gather_slices(slices)
+        """Read a (rows, dim) array back from its node-linear words."""
+        return self._tensor_words(layout)[:, : layout.embedding_dim].copy()
 
     def alloc_indices(self, name: str, count: int) -> Allocation:
         """Allocate a replicated index buffer for ``count`` int32 indices."""
@@ -124,8 +138,25 @@ class TensorNode:
         """Broadcast an index buffer to every DIMM's local copy."""
         if not allocation.replicated:
             raise ValueError("index buffers must use replicated allocations")
+        packed = pack_indices(indices)
+        base = allocation.base_word
+        check_range(self._words, base, len(packed))
+        self._words[base : base + len(packed)] = packed[:, None, :]
+        self._written()
+
+    def _tensor_words(self, layout: EmbeddingLayout) -> np.ndarray:
+        """The (rows, padded dim) node-linear view of a tensor's words."""
+        self._check_layout(layout)
+        flat = self._words.reshape(-1, ELEMS_PER_WORD)
+        check_range(flat, layout.base_word, layout.total_words)
+        return flat[layout.base_word : layout.base_word + layout.total_words].reshape(
+            layout.rows, -1
+        )
+
+    def _written(self) -> None:
+        """Record a node-wide write: every DIMM's storage changed."""
         for dimm in self.dimms:
-            dimm.write_indices(allocation.base_word, indices)
+            dimm.storage.version += 1
 
     def _check_layout(self, layout: EmbeddingLayout) -> None:
         if layout.node_dim != self.num_dimms:
@@ -139,7 +170,11 @@ class TensorNode:
     def broadcast(self, instr: Instruction) -> NodeExecStats:
         """Execute one instruction functionally on every DIMM."""
         self.instructions_executed += 1
-        return NodeExecStats(per_dimm=[d.execute(instr) for d in self.dimms])
+        return NodeExecStats(per_dimm=self._execute(instr))
+
+    def _execute(self, instr: Instruction) -> list[NmpExecStats]:
+        """Run ``instr`` once over every DIMM's words (one call, not D)."""
+        return execute_broadcast(self._cores, self._words, instr)
 
     def broadcast_timed(
         self,
@@ -167,24 +202,36 @@ class TensorNode:
         from ..parallel import min_task_records, resolve_jobs
 
         jobs = resolve_jobs(jobs)
-        limit = self.num_dimms if simulate_dimms is None else simulate_dimms
+        limit = self._simulated(simulate_dimms)
         if jobs > 1 and limit > 1 and trace_records(instr) >= min_task_records():
             return self._broadcast_batch_parallel(
                 [instr], refresh_enabled, limit, jobs
             )[0]
         self.instructions_executed += 1
-        per_dimm: list[NmpExecStats] = []
-        dram_per_dimm = []
+        # Every simulated DIMM drains before the one node-wide execute: each
+        # trace is defined against its DIMM's storage before the instruction
+        # runs, and storage is private per DIMM, so this is the per-DIMM
+        # drain -> execute order.
+        dram_per_dimm = [
+            dimm.dram_stats(instr, refresh_enabled) for dimm in self.dimms[:limit]
+        ]
+        return self._timed_result(self._execute(instr), dram_per_dimm)
+
+    def _simulated(self, simulate_dimms: int | None) -> int:
+        """How many DIMMs a timed broadcast cycle-simulates."""
+        if simulate_dimms is None:
+            return self.num_dimms
+        if simulate_dimms < 0:
+            raise ValueError(f"simulate_dimms must be >= 0, got {simulate_dimms}")
+        return simulate_dimms
+
+    def _timed_result(
+        self, per_dimm: list[NmpExecStats], dram_per_dimm: list
+    ) -> NodeExecStats:
+        """Node stats of one timed instruction; the slowest simulated DIMM sets the time."""
         seconds = 0.0
-        timed: TimedExecution | None = None
-        for i, dimm in enumerate(self.dimms):
-            if i < limit:
-                timed = dimm.execute_timed(instr, refresh_enabled=refresh_enabled)
-                per_dimm.append(timed.exec_stats)
-                dram_per_dimm.append(timed.dram_stats)
-                seconds = max(seconds, timed.seconds)
-            else:
-                per_dimm.append(dimm.execute(instr))
+        for dimm, exec_stats, dram_stats in zip(self.dimms, per_dimm, dram_per_dimm):
+            seconds = max(seconds, dimm.timed_seconds(exec_stats, dram_stats))
         return NodeExecStats(
             per_dimm=per_dimm, seconds=seconds, dram_per_dimm=dram_per_dimm
         )
@@ -210,7 +257,7 @@ class TensorNode:
         from ..parallel import min_task_records, resolve_jobs
 
         jobs = resolve_jobs(jobs)
-        limit = self.num_dimms if simulate_dimms is None else simulate_dimms
+        limit = self._simulated(simulate_dimms)
         threshold = min_task_records()
         if (
             jobs > 1
@@ -242,11 +289,11 @@ class TensorNode:
         instruction memo, shares it with an identical descriptor already in
         flight (the rank-interleaved layout gives every DIMM the same local
         stream), or ships ``(config, descriptor[, indices])`` to a worker.
-        The functional execution (which mutates each DIMM's storage) stays
-        in this process and runs while the workers drain.  Per-DIMM
-        operation order is the sequential path's — describe, then execute,
-        instruction by instruction — so functional state, exec stats and
-        DRAM stats are all bit-identical.
+        The functional execution (which mutates the node's words) stays in
+        this process and runs while the workers drain.  Operation order is
+        the sequential path's — describe every simulated DIMM, then execute
+        node-wide, instruction by instruction — so functional state, exec
+        stats and DRAM stats are all bit-identical.
         """
         from ..parallel import DrainBatch
 
@@ -264,19 +311,9 @@ class TensorNode:
                     descriptor=dimm.nmp.describe(instr),
                     indices=dimm.nmp.instruction_indices(instr),
                 )
-            executed.append([dimm.execute(instr) for dimm in self.dimms])
+            executed.append(self._execute(instr))
         drained = batch.results()
-        results = []
-        for k, per_dimm in enumerate(executed):
-            dram_per_dimm = drained[k * len(configs) : (k + 1) * len(configs)]
-            seconds = 0.0
-            for dimm, exec_stats, dram_stats in zip(self.dimms, per_dimm, dram_per_dimm):
-                dram_seconds = dimm.timing.cycles_to_seconds(dram_stats.finish_cycle)
-                alu_seconds = exec_stats.alu_seconds(dimm.nmp.alu.clock_hz)
-                seconds = max(seconds, dram_seconds, alu_seconds)
-            results.append(
-                NodeExecStats(
-                    per_dimm=per_dimm, seconds=seconds, dram_per_dimm=dram_per_dimm
-                )
-            )
-        return results
+        return [
+            self._timed_result(per_dimm, drained[k * len(configs) : (k + 1) * len(configs)])
+            for k, per_dimm in enumerate(executed)
+        ]

@@ -3,7 +3,9 @@
 The timing simulator is data-free; functional correctness of the NMP tensor
 operations is provided by :class:`WordStorage`, a NumPy-backed array of 64 B
 words (16 FP32 elements each).  Each TensorDIMM owns one instance, indexed
-by DIMM-local word addresses.
+by DIMM-local word addresses.  A TensorNode's DIMMs share one node-linear
+array instead, each :class:`WordStorage` being a strided column of it
+(:meth:`WordStorage.over`).
 
 Index buffers (int32 lookup indices) share the same words via bit-casting,
 exactly as a real DIMM stores them: 16 int32 values per 64 B word.
@@ -26,6 +28,27 @@ class WordStorage:
         #: (e.g. the NMP core's per-instruction index-buffer cache) can tell
         #: whether their snapshot is still current.
         self.version = 0
+
+    @classmethod
+    def over(cls, data: np.ndarray) -> "WordStorage":
+        """Storage backed by an existing ``(words, 16)`` float32 array.
+
+        The array is shared, not copied: a TensorNode hands each DIMM the
+        column ``[:, i, :]`` of its node-linear word array.
+        """
+        storage = cls.__new__(cls)
+        storage.capacity_words = data.shape[0]
+        storage._data = data
+        storage.version = 0
+        return storage
+
+    @property
+    def array(self) -> np.ndarray:
+        """The backing ``(capacity_words, 16)`` float32 array (not a copy).
+
+        Whoever writes through it bumps :attr:`version`.
+        """
+        return self._data
 
     @property
     def capacity_bytes(self) -> int:
@@ -93,12 +116,16 @@ class WordStorage:
 
     def write_indices(self, word: int, indices: np.ndarray) -> None:
         """Store int32 indices, padding the tail word with zeros."""
-        indices = np.asarray(indices, dtype=np.int32).reshape(-1)
-        words = -(-len(indices) // ELEMS_PER_WORD)
-        self._check(word, words)
+        packed = pack_indices(indices)
+        self._check(word, len(packed))
         self.version += 1
-        padded = np.zeros(words * ELEMS_PER_WORD, dtype=np.int32)
-        padded[: len(indices)] = indices
-        self._data[word : word + words] = padded.view(np.float32).reshape(
-            words, ELEMS_PER_WORD
-        )
+        self._data[word : word + len(packed)] = packed
+
+
+def pack_indices(indices: np.ndarray) -> np.ndarray:
+    """int32 indices as ``(words, 16)`` float32 words, the tail word zero-padded."""
+    indices = np.asarray(indices, dtype=np.int32).reshape(-1)
+    words = -(-len(indices) // ELEMS_PER_WORD)
+    padded = np.zeros(words * ELEMS_PER_WORD, dtype=np.int32)
+    padded[: len(indices)] = indices
+    return padded.view(np.float32).reshape(words, ELEMS_PER_WORD)
