@@ -24,15 +24,18 @@ suite (``tests/scan_oracle.py``); the parity tests assert both produce
 bit-identical :class:`ControllerStats` in every configuration.
 
 Requests enter as whole columnar traces
-(:meth:`MemoryController.enqueue_batch`, the only way in), each decoded in
-one vectorized pass.  Pending requests live in a **columnar backlog**
-(:class:`_Backlog`: array chunks of decoded coordinates, arrivals, and
-sequence numbers); per-request Python objects are only materialized when
-the scheduler admits them into its working window.  The controller also
-keeps the traces it was handed until they drain
-(:meth:`MemoryController.pending_trace`), so a caller can key or ship a
-pristine controller's backlog without mirroring it.  A caller that needs
-per-record completion cycles passes its own array to ``enqueue_batch``.
+(:meth:`MemoryController.enqueue_batch`, the only way in).  Enqueueing
+checks a trace and labels it with sequence numbers; the controller keeps
+it until a drain starts (:meth:`MemoryController.pending_trace`), so a
+caller can key or ship a pristine controller's backlog without mirroring
+it, and a drain that is served from elsewhere (a memo hit, a worker)
+never decodes it.  The drain decodes its pending traces in one vectorized
+pass each into a **columnar backlog** (:class:`_Backlog`: array chunks of
+decoded coordinates, arrivals, and sequence numbers); per-request Python
+objects are only materialized when the scheduler admits them into its
+working window.  The rank and bank state is likewise built by the first
+drain after a reset.  A caller that needs per-record completion cycles
+passes its own array to ``enqueue_batch``.
 
 On top of the indexed scheduler sits the **streak-compiled fast path**
 (:meth:`MemoryController._attempt_streak`): TensorISA traffic is streaming
@@ -55,6 +58,7 @@ drain on a rebuilt controller is bit-identical to draining the original.
 
 from collections import deque
 from dataclasses import dataclass
+from operator import attrgetter
 
 import numpy as np
 
@@ -68,6 +72,16 @@ from .timing import DramTiming
 #: numpy work a single (possibly failing) streak attempt can do; a longer
 #: run simply compiles as several back-to-back streaks.
 STREAK_ABSORB_CAP = 16384
+
+#: Shortest run worth compiling as a streak.  The compile absorbs the
+#: conforming backlog before it truncates, so even a 3-command run costs
+#: 150-210 us (Fig-11 REDUCE channels) against about 10 us per per-command
+#: step.  A probe whose window bounds the run below this length is refused
+#: before any numpy work.  4 is the largest value that keeps every run the
+#: Fig-11 AVERAGE drains compile; 8 and 16 timed the same.
+STREAK_BREAK_EVEN = 4
+
+_by_seq = attrgetter("seq")
 
 
 @dataclass
@@ -405,37 +419,31 @@ class MemoryController:
         self._t_rtrs = self.timing.rtrs
         self._t_rtp = self.timing.rtp
         self._t_w2p = self.timing.write_to_precharge
+        # A streak's cadence (one column command per ``pace`` cycles) and
+        # the fewest positions that must separate two same-bankgroup
+        # commands for tCCD_L not to stretch it.
+        self._streak_pace = max(self._t_burst, self.timing.ccd_s, 1)
+        self._streak_gap_l = -(-self.timing.ccd_l // self._streak_pace)
         self.reset()
 
     def reset(self) -> None:
         """Restore pristine post-construction state (queues, banks, stats).
 
         Much cheaper than building a new controller — the organization,
-        mapping (with its cached field layout), and timing are reused — so
-        callers replaying many independent traces (one per TensorISA
-        instruction) can amortize construction.
+        mapping (with its cached field layout), and timing are reused — and
+        it builds no rank or bank state: the next drain does (:attr:`ranks`),
+        so a reset whose drain is adopted from elsewhere (:meth:`adopt_run`)
+        costs a few attribute writes.
         """
-        org = self.organization
-        self.ranks = [
-            Rank(self.timing, org.bankgroups, org.banks_per_group)
-            for _ in range(org.ranks)
-        ]
-        # Flat-indexed views (key = ((rank * BG) + bg) * BPG + bank) so the
-        # scheduler resolves bank/rank state without attribute chains.
-        self._flat_bank = []
-        self._flat_rank = []
-        self._flat_bgflat = []
-        for r, rank in enumerate(self.ranks):
-            for bg in range(org.bankgroups):
-                for bank in range(org.banks_per_group):
-                    self._flat_bank.append(rank.banks[bg][bank])
-                    self._flat_rank.append(rank)
-                    self._flat_bgflat.append(r * org.bankgroups + bg)
+        self._ranks: list[Rank] | None = None
         self.stats = ControllerStats()
         self._read_backlog = _Backlog(False)
         self._write_backlog = _Backlog(True)
-        # The traces queued since the last drain, in enqueue order.
-        self._pending_traces: list[TraceBuffer] = []
+        # The traces queued since the last drain, in enqueue order, each
+        # with its first sequence number and its completions array; the
+        # drain decodes them (:meth:`_decode_pending`).
+        self._pending_traces: list[tuple[TraceBuffer, int, np.ndarray | None]] = []
+        self._pending_records = 0
         self._read_q: list[_Entry] = []
         self._write_q: list[_Entry] = []
         # Admitted writes waiting behind the write window, oldest first.
@@ -448,19 +456,45 @@ class MemoryController:
         self._cmd_free = 0
         self._now = 0
 
+    @property
+    def ranks(self) -> list[Rank]:
+        """The channel's rank and bank state, built on first use after a
+        reset, together with the flat-indexed views the drain reads."""
+        if self._ranks is None:
+            org = self.organization
+            self._ranks = [
+                Rank(self.timing, org.bankgroups, org.banks_per_group)
+                for _ in range(org.ranks)
+            ]
+            # Flat-indexed views (key = ((rank * BG) + bg) * BPG + bank) so
+            # the scheduler resolves bank/rank state without attribute chains.
+            self._flat_bank = []
+            self._flat_rank = []
+            self._flat_bgflat = []
+            for r, rank in enumerate(self._ranks):
+                for bg in range(org.bankgroups):
+                    for bank in range(org.banks_per_group):
+                        self._flat_bank.append(rank.banks[bg][bank])
+                        self._flat_rank.append(rank)
+                        self._flat_bgflat.append(r * org.bankgroups + bg)
+        return self._ranks
+
     # -- public API ----------------------------------------------------------
 
     def enqueue_batch(self, trace: TraceBuffer, completions=None) -> None:
-        """Decode and queue a whole columnar trace in one vectorized pass.
+        """Check and queue a whole columnar trace.
 
         ``trace`` is a :class:`TraceBuffer`; its ``cycle`` column gives each
         record's arrival cycle.  The records join the direction backlogs in
-        trace order, with sequence numbers drawn from the shared counter, so
-        enqueueing a trace in several pieces schedules exactly like
-        enqueueing it whole.  Decode, sequence labelling, and the
-        read/write split are array operations; per-record Python objects
-        are only materialized later, at admission time (and never for
-        records the streak compiler retires straight from the backlog).
+        trace order, with sequence numbers drawn from the shared counter
+        here, at enqueue time, so enqueueing a trace in several pieces
+        schedules exactly like enqueueing it whole, and traces queued on
+        different controllers keep their enqueue order.  The trace itself
+        is decoded only when a drain starts, in one vectorized pass
+        (:meth:`_decode_pending`): a drain adopted from elsewhere never
+        decodes it.  Per-record Python objects are only materialized later
+        still, at admission time (and never for records the streak compiler
+        retires straight from the backlog).
 
         ``completions``, if given, is a caller-owned int64 array of
         ``len(trace)``: this controller's :meth:`run_to_completion` writes
@@ -486,33 +520,42 @@ class MemoryController:
                 f"address {int(bad):#x} outside channel capacity "
                 f"{self.organization.capacity_bytes:#x}"
             )
-        coords = self.mapping.decode_batch(addr)
-        seqs = reserve_seq_block(n) + np.arange(n, dtype=np.int64)
+        self._pending_traces.append((trace, reserve_seq_block(n), completions))
+        self._pending_records += n
+
+    def _decode_pending(self) -> None:
+        """Decode the traces queued since the last drain into the direction
+        backlogs, in enqueue order, and forget them.  Every drain, the scan
+        oracle's included, starts here."""
         org = self.organization
-        flats = (
-            coords["rank"] * org.bankgroups + coords["bankgroup"]
-        ) * org.banks_per_group + coords["bank"]
-        is_write = trace.is_write
-        for backlog, mask in (
-            (self._read_backlog, ~is_write),
-            (self._write_backlog, is_write),
-        ):
-            if not mask.any():
-                continue
-            backlog.append_chunk(
-                _BacklogChunk(
-                    trace.cycle[mask],
-                    coords["rank"][mask],
-                    coords["bankgroup"][mask],
-                    coords["bank"][mask],
-                    coords["row"][mask],
-                    flats[mask],
-                    seqs[mask],
-                    completions,
-                    None if completions is None else np.flatnonzero(mask),
+        for trace, seq0, completions in self._pending_traces:
+            coords = self.mapping.decode_batch(trace.addr)
+            seqs = seq0 + np.arange(len(trace), dtype=np.int64)
+            flats = (
+                coords["rank"] * org.bankgroups + coords["bankgroup"]
+            ) * org.banks_per_group + coords["bank"]
+            is_write = trace.is_write
+            for backlog, mask in (
+                (self._read_backlog, ~is_write),
+                (self._write_backlog, is_write),
+            ):
+                if not mask.any():
+                    continue
+                backlog.append_chunk(
+                    _BacklogChunk(
+                        trace.cycle[mask],
+                        coords["rank"][mask],
+                        coords["bankgroup"][mask],
+                        coords["bank"][mask],
+                        coords["row"][mask],
+                        flats[mask],
+                        seqs[mask],
+                        completions,
+                        None if completions is None else np.flatnonzero(mask),
+                    )
                 )
-            )
-        self._pending_traces.append(trace)
+        self._pending_traces.clear()
+        self._pending_records = 0
 
     def pending_trace(self) -> TraceBuffer | None:
         """The records queued since the last drain, as one trace.
@@ -522,10 +565,12 @@ class MemoryController:
         :attr:`pristine`); ``None`` otherwise.  The traces are kept only
         until :meth:`run_to_completion` starts or :meth:`reset` runs.
         """
-        traces = self._pending_traces
-        if not traces or not self.pristine:
+        pending = self._pending_traces
+        if not pending or not self.pristine:
             return None
-        return traces[0] if len(traces) == 1 else TraceBuffer.concat(traces)
+        if len(pending) == 1:
+            return pending[0][0]
+        return TraceBuffer.concat([trace for trace, _, _ in pending])
 
     def snapshot_config(self) -> ControllerConfig:
         """Freeze this controller's construction parameters (see
@@ -547,7 +592,9 @@ class MemoryController:
         Used after a memo hit or a worker-side drain of this controller's
         backlog: leaves the controller in the same observable state as if
         :meth:`run_to_completion` had returned ``stats`` itself — empty
-        queues, final statistics, clock at the finish cycle.
+        queues, final statistics, clock at the finish cycle.  Like
+        :meth:`reset` it builds no bank state; a later drain or read of
+        :attr:`ranks` finds every bank closed.
         """
         self.reset()
         self.stats = stats
@@ -556,7 +603,8 @@ class MemoryController:
     @property
     def pending(self) -> int:
         return (
-            len(self._read_backlog)
+            self._pending_records
+            + len(self._read_backlog)
             + len(self._write_backlog)
             + len(self._read_q)
             + len(self._write_q)
@@ -621,6 +669,7 @@ class MemoryController:
         write_high = self.write_high
         write_low = self.write_low
         closed_policy = self.row_policy == "closed"
+        self._decode_pending()
         ranks = self.ranks
         flat_bank = self._flat_bank
         flat_rank = self._flat_rank
@@ -705,7 +754,6 @@ class MemoryController:
         finish = stats.finish_cycle
         latency_sum = stats.read_latency_sum
 
-        self._pending_traces.clear()
         pending = self.pending
         while pending:
             # -- admission --------------------------------------------------
@@ -999,7 +1047,7 @@ class MemoryController:
                     when,
                     now,
                 )
-                if streak is not None:
+                if streak:
                     m, s_hits, s_misses, s_conflicts, s_lat, last_when, s_burst_end = streak
                     now = last_when
                     cmd_free = last_when + 1
@@ -1019,7 +1067,8 @@ class MemoryController:
                     pending -= m
                     _load_floors(floors, ranks, r)
                     continue
-                streak_cooldown = 8  # back off before probing again
+                if streak is None:
+                    streak_cooldown = 8  # back off before probing again
             elif streak_cooldown:
                 streak_cooldown -= 1
             # Column command: the request completes after its data burst.
@@ -1153,8 +1202,19 @@ class MemoryController:
           cycle at which the per-command loop would have admitted it;
         * **refresh** — the run stops before any rank's ``next_refresh``.
 
-        Returns ``None`` when no streak of at least two commands is provably
-        schedulable (the caller then issues the one selected command), else
+        Before any numpy work the probe bounds the run's length in
+        O(window): by a tCCD_L same-bankgroup pair or a static push among
+        the oldest queued entries, and by the length bound (window, backlog
+        head, write watermark).  A run that cannot reach
+        :data:`STREAK_BREAK_EVEN` commands is not compiled
+        (:meth:`_compile_streak` does the numpy work).
+
+        Returns ``False`` when the run would have at least two commands but
+        fewer than the break-even (the caller issues the one selected
+        command and probes again at its next column command), ``None`` when
+        no streak of at least two commands is provably schedulable (the
+        caller issues the one selected command and backs off for a few
+        steps), else
         ``(m, hits, misses, conflicts, latency_delta, last_when,
         last_burst_end)`` after retiring the ``m`` commands: queue, bank
         lists, backlog, bank/rank timing state, and completions arrays are
@@ -1173,8 +1233,88 @@ class MemoryController:
                 return None  # the oldest queued entry lost the selection
             if e.rank != r0 or flat_bank[e.flat].open_row != e.row:
                 return None
-        entries = sorted(queue, key=lambda e: e.seq)
+        entries = sorted(queue, key=_by_seq)
         q_n = len(entries)
+        # -- refuse a run too short to pay for its compile ------------------
+        # Upper bounds on the run length the compile would find, from the
+        # window alone.  A bound under two commands fails the probe, as the
+        # compile would; one under break-even refuses it without back-off.
+        cap = self.write_high if is_write_q else self.window
+        room = min(backlog.length, STREAK_ABSORB_CAP)
+        limit = q_n + room
+        if room:
+            chunk = backlog.chunks[0]
+            i = chunk.start
+            if (
+                chunk.rank[i] != r0
+                or chunk.arrival[i] > now
+                or chunk.row[i] != flat_bank[chunk.flat[i]].open_row
+            ):
+                # Nothing is absorbed: the run ends before the backlog's
+                # oldest record is admitted.
+                limit = q_n - cap + 1
+        if is_write_q and reads_pending:
+            limit = min(limit, q_n + room - self.write_low)
+        flat0 = entry0.flat
+        if limit >= 2 and any(e.flat != flat0 for e in entries):
+            # A multi-bank run ends at its first tCCD_L same-bankgroup pair
+            # and before its first static push (see the compile).
+            head = entries[: min(limit, STREAK_BREAK_EVEN)]
+            gap_l = self._streak_gap_l
+            last = [-gap_l] * self.organization.bankgroups
+            for i, e in enumerate(head):
+                g = e.bankgroup
+                if i - last[g] < gap_l:
+                    limit = i
+                    break
+                last[g] = i
+            rank = self.ranks[r0]
+            ccd_l = self.timing.ccd_l
+            if is_write_q:
+                floor = rank._last_rd + rank._rd_to_wr
+            else:
+                floor = rank._last_wr + rank._wtr_diff
+            for i in range(1, min(limit, len(head))):
+                e = head[i]
+                g = e.bankgroup
+                if is_write_q:
+                    group = rank._last_wr_by_group[g] + ccd_l
+                else:
+                    group = max(
+                        rank._last_rd_by_group[g] + ccd_l,
+                        rank._last_wr_by_group[g] + rank._wtr_same,
+                    )
+                static = max(flat_bank[e.flat].earliest_col, group, floor)
+                if static - i * self._streak_pace > when0:
+                    limit = i
+                    break
+        if limit < STREAK_BREAK_EVEN:
+            return None if limit < 2 else False
+        return self._compile_streak(
+            is_write_q, queue, active, backlog, reads_pending, entries, entry0, when0, now
+        )
+
+    def _compile_streak(
+        self,
+        is_write_q: bool,
+        queue: list,
+        active: dict,
+        backlog: _Backlog,
+        reads_pending: bool,
+        entries: list,
+        entry0: _Entry,
+        when0: int,
+        now: int,
+    ):
+        """The numpy half of :meth:`_attempt_streak`, reached only by a
+        probe whose window passed every cheap check: absorb the backlog,
+        solve the issue-cycle recurrence, truncate, and commit.  ``entries``
+        is the queue in sequence order.  Returns ``None`` or the streak's
+        deltas, as :meth:`_attempt_streak` documents."""
+        flat_bank = self._flat_bank
+        r0 = entry0.rank
+        q_n = len(entries)
+        cap = self.write_high if is_write_q else self.window
         # -- absorb the conforming backlog prefix ---------------------------
         nflats = len(flat_bank)
         open_rows = np.fromiter(
@@ -1206,7 +1346,6 @@ class MemoryController:
             if k < end - chunk.start:
                 break
         total = q_n + absorbed
-        cap = self.write_high if is_write_q else self.window
         if absorbed < len(backlog):
             # A non-conforming (or not-yet-scanned) record follows: it is
             # admitted into the window as soon as the issued count reaches
@@ -1240,11 +1379,8 @@ class MemoryController:
         # -- issue-cycle recurrence -----------------------------------------
         timing = self.timing
         t_burst = self._t_burst
-        ccd_s = timing.ccd_s
         ccd_l = timing.ccd_l
-        pace = t_burst if t_burst > ccd_s else ccd_s
-        if pace < 1:
-            pace = 1
+        pace = self._streak_pace
         rank = self.ranks[r0]
         bgc = self.organization.bankgroups
         ec = np.fromiter(

@@ -202,12 +202,13 @@ def instr_memo_stats() -> dict:
 
 
 #: One reusable controller per distinct configuration, process-wide (each
-#: worker process has its own): construction dominates short drains.
+#: worker process has its own), reset between drains.
 _CONTROLLERS: dict[ControllerConfig, MemoryController] = {}
 
 
 def _controller_for(config: ControllerConfig) -> MemoryController:
-    """The cached controller for ``config``, reset to its pristine state."""
+    """The cached controller for ``config``, reset to its pristine state
+    (the drain then builds its rank and bank state afresh)."""
     controller = _CONTROLLERS.get(config)
     if controller is None:
         controller = _CONTROLLERS[config] = config.build()

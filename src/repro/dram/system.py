@@ -92,7 +92,15 @@ class DramSystem:
         return self.num_channels * self.organization.capacity_bytes
 
     def route(self, addr: int) -> tuple[int, int]:
-        """Map a system byte address to (channel, channel-local address)."""
+        """Map a system byte address to (channel, channel-local address).
+
+        Raises ``ValueError`` for an address outside the system capacity,
+        as :meth:`enqueue_trace` does.
+        """
+        if not 0 <= addr < self.capacity_bytes:
+            raise ValueError(
+                f"address {addr:#x} outside system capacity {self.capacity_bytes:#x}"
+            )
         block = addr // 64
         channel = block % self.num_channels
         local = (block // self.num_channels) * 64 + (addr % 64)

@@ -5,7 +5,6 @@ import pytest
 
 from repro.core import TensorDimmRuntime, TensorNode
 from repro.dram import memo
-from repro.env import REFERENCE_ENV_VAR
 
 
 class NullMemo:
@@ -25,15 +24,17 @@ _REAL_INSTR_MEMO = memo.INSTR_MEMO
 @pytest.fixture(autouse=True)
 def _isolate_timing_memo(monkeypatch):
     """Replace both timing-memo levels with a :class:`NullMemo` for every
-    test by default, and clear ``REPRO_REFERENCE``.
+    test by default.
 
     The determinism suites compare sequential against parallel (and fast
     against reference) runs; a warm memo would let the second run
     short-circuit and the comparison would stop testing anything.  Tests
     that exercise a memo itself put the real one back via ``timing_memo``
-    / ``instr_memo``.
+    / ``instr_memo``.  ``REPRO_REFERENCE`` passes through from the
+    environment, so ``REPRO_REFERENCE=1 pytest tests/test_perf_parity.py``
+    pins the per-command loop, with streaks off, against the scan oracle;
+    tests that set it themselves do so with ``monkeypatch``.
     """
-    monkeypatch.delenv(REFERENCE_ENV_VAR, raising=False)
     monkeypatch.setattr(memo, "TIMING_MEMO", NullMemo())
     monkeypatch.setattr(memo, "INSTR_MEMO", NullMemo())
     yield

@@ -7,8 +7,10 @@ active queue, in admission order) with the scalar rank constraints below,
 and issues the entry with the smallest ``(ready, column-first, age)`` key.
 Admission, queue arbitration and refresh are written out plainly, one
 helper each.  It shares the controller's backlog, bank and rank state and
-its ``enqueue_batch``, so a test can fill both controllers the same way and
-compare the :class:`ControllerStats` (and completion cycles) they return.
+its ``enqueue_batch`` (and decodes the queued traces through the same
+``_decode_pending`` hook when a drain starts), so a test can fill both
+controllers the same way and compare the :class:`ControllerStats` (and
+completion cycles) they return.
 It also queues records one at a time (:meth:`ScanController.enqueue_record`),
 with scalar decode and sequence labelling, as the reference for the
 vectorized ``enqueue_batch``.
@@ -85,6 +87,8 @@ class ScanController(MemoryController):
         ``completions``, the drain writes the record's burst-end cycle to
         ``completions[pos]``.  The record is not part of
         :meth:`pending_trace`: a controller fed this way drains in place.
+        Traces queued before it with ``enqueue_batch`` are decoded first, so
+        the backlog stays in enqueue order.
         """
         org = self.organization
         if not 0 <= addr < org.capacity_bytes:
@@ -94,6 +98,7 @@ class ScanController(MemoryController):
         c = self.mapping.decode(addr)
         flat = (c["rank"] * org.bankgroups + c["bankgroup"]) * org.banks_per_group + c["bank"]
         seq = reserve_seq_block(1)
+        self._decode_pending()
         columns = (arrival, c["rank"], c["bankgroup"], c["bank"], c["row"], flat, seq)
         chunk = _BacklogChunk(
             *(np.array([v], dtype=np.int64) for v in columns),
@@ -103,7 +108,7 @@ class ScanController(MemoryController):
         (self._write_backlog if is_write else self._read_backlog).append_chunk(chunk)
 
     def run_to_completion(self) -> ControllerStats:
-        self._pending_traces.clear()
+        self._decode_pending()
         while self.pending:
             self._admit()
             if not self._read_q and not self._write_q:

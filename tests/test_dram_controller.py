@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.dram.command import TraceBuffer
-from repro.dram.controller import MemoryController
+from repro.dram.command import TraceBuffer, seq_ceiling
+from repro.dram.controller import ControllerStats, MemoryController
 from repro.dram.timing import DDR4_2400, DDR4_3200
 from repro.dram.trace import reduce_buffer, streaming_buffer
 
@@ -317,7 +317,7 @@ class TestCompletions:
 
         def spy(ctrl, *args):
             result = attempt(ctrl, *args)
-            if result is not None:
+            if result:
                 streaks.append(result[0])
             return result
 
@@ -371,3 +371,56 @@ class TestPendingTrace:
         mc.enqueue_batch(streaming_buffer(640, 10))
         assert mc.pending == 10
         assert mc.pending_trace() is None
+
+
+class TestDeferredDecode:
+    """``enqueue_batch`` checks a trace and draws its sequence numbers at
+    once; the drain decodes it."""
+
+    def test_interleaved_enqueues_drain_like_the_scan_oracle(self):
+        from scan_oracle import ScanController
+        from trace_oracles import enqueue_records
+
+        rng = np.random.default_rng(5)
+        traces = [
+            TraceBuffer(
+                rng.integers(0, 1 << 14, 300) * 64,
+                rng.random(300) < 0.3,
+                np.sort(rng.integers(0, 3000, 300)),
+            )
+            for _ in range(4)
+        ]
+        fast = [make_controller(), make_controller()]
+        oracles = [ScanController(DDR4_3200), ScanController(DDR4_3200)]
+        before = seq_ceiling()
+        for i, trace in enumerate(traces):
+            fast[i % 2].enqueue_batch(trace)
+        # Every record was labelled at enqueue time, before any decode.
+        assert seq_ceiling() - before == 1200
+        assert [mc.pending for mc in fast] == [600, 600]
+        for i, trace in enumerate(traces):
+            enqueue_records(oracles[i % 2], trace)
+        # Drained later, and in the opposite order.
+        for k in (1, 0):
+            assert fast[k].run_to_completion() == oracles[k].run_to_completion()
+            assert fast[k].pending == 0
+
+    @pytest.mark.parametrize("bad", ["negative", "past-capacity"])
+    def test_bad_address_raises_at_enqueue(self, bad):
+        mc = make_controller()
+        addr = -64 if bad == "negative" else mc.organization.capacity_bytes
+        with pytest.raises(ValueError, match="outside channel capacity"):
+            mc.enqueue_batch(TraceBuffer(np.array([0, 64, addr]), False))
+        assert mc.pending == 0
+        assert mc.pending_trace() is None
+        assert mc.run_to_completion() == ControllerStats()
+
+    def test_failed_enqueue_keeps_earlier_traces(self):
+        mc = make_controller()
+        good = streaming_buffer(0, 4)
+        mc.enqueue_batch(good)
+        with pytest.raises(ValueError, match="completions"):
+            mc.enqueue_batch(streaming_buffer(256, 4), completions=np.zeros(3, dtype=np.int64))
+        assert mc.pending == 4
+        assert mc.pending_trace() is good
+        assert mc.run_to_completion().reads == 4

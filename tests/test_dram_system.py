@@ -3,10 +3,15 @@
 import numpy as np
 import pytest
 
+from repro.bench.figure11 import AVERAGE_NUM, EMBEDDING_DIM, LOOKUPS_PER_SAMPLE
+from repro.core.address_map import EmbeddingLayout
+from repro.dram.bank import Rank
 from repro.dram.command import TraceBuffer
+from repro.dram.mapping import AddressMapping
 from repro.dram.system import DramSystem
 from repro.dram.timing import DDR4_3200
-from repro.dram.trace import streaming_buffer
+from repro.dram.trace import average_buffer, streaming_buffer
+from repro.env import reference_mode
 
 
 class TestRouting:
@@ -30,6 +35,19 @@ class TestRouting:
     def test_single_channel_identity(self):
         system = DramSystem(channels=1)
         assert system.route(12345 & ~63) == (0, 12345 & ~63)
+
+    @pytest.mark.parametrize("offset", [0, 5, None])
+    def test_out_of_range_address_rejected(self, offset):
+        system = DramSystem(channels=8)
+        bad = system.capacity_bytes + offset if offset is not None else -64
+        with pytest.raises(ValueError, match=f"address {bad:#x} outside system"):
+            system.route(bad)
+
+    def test_last_address_routes_to_last_channel(self):
+        system = DramSystem(channels=8)
+        channel, local = system.route(system.capacity_bytes - 1)
+        assert channel == 7
+        assert local == system.organization.capacity_bytes - 1
 
     def test_invalid_channel_count(self):
         with pytest.raises(ValueError):
@@ -107,3 +125,40 @@ class TestAggregates:
         system.enqueue_trace(streaming_buffer(0, 200))
         stats = system.run()
         assert stats.mean_read_latency_cycles > 0
+
+
+class TestWorkOnlyForDrainsThatRun:
+    """A channel whose drain is adopted from the trace memo neither decodes
+    its trace nor builds rank and bank state; with the memos off
+    (``REPRO_REFERENCE=1``) every channel does both."""
+
+    def test_fig11_average_point_decodes_one_channel(self, timing_memo, monkeypatch):
+        decoded, ranks_built = [], []
+        decode_batch = AddressMapping.decode_batch
+        rank_init = Rank.__init__
+
+        def spy_decode(mapping, addr):
+            decoded.append(len(addr))
+            return decode_batch(mapping, addr)
+
+        def spy_rank(rank, *args):
+            ranks_built.append(rank)
+            rank_init(rank, *args)
+
+        monkeypatch.setattr(AddressMapping, "decode_batch", spy_decode)
+        monkeypatch.setattr(Rank, "__init__", spy_rank)
+        # The Fig. 11 CPU AVERAGE point at batch 2: every channel's share
+        # has the same read and write streams, so one channel drains.
+        words = 2 * LOOKUPS_PER_SAMPLE * EmbeddingLayout(1, 1, EMBEDDING_DIM).chunks
+        trace = average_buffer(0, AVERAGE_NUM, words * AVERAGE_NUM * 64, words)
+        system = DramSystem(channels=8)
+        system.enqueue_trace(trace)
+        assert decoded == [] and ranks_built == []
+        result = system.run(jobs=1)
+        drains = 8 if reference_mode() else 1
+        assert decoded == [len(trace) // 8] * drains
+        assert len(ranks_built) == drains * system.organization.ranks
+        if not reference_mode():
+            assert (timing_memo.hits, timing_memo.misses) == (7, 1)
+        assert [s.accesses for s in result.channel_stats] == [len(trace) // 8] * 8
+        assert all(c.pending == 0 for c in system.controllers)

@@ -249,7 +249,8 @@ class TestDramSystemParity:
             ScanController.from_config(c.snapshot_config()) for c in system.controllers
         ]
         result = system.run()
-        assert (timing_memo.hits, timing_memo.misses) == (7, 1)
+        if not reference_mode():
+            assert (timing_memo.hits, timing_memo.misses) == (7, 1)
         for r in records(trace):
             channel, local = system.route(r.addr)
             oracles[channel].enqueue_record(local, r.is_write, r.cycle)
@@ -848,7 +849,7 @@ class TestLeanStepParity:
 
         def spy(ctrl, is_write_q, queue, *args):
             result = attempt(ctrl, is_write_q, queue, *args)
-            if result is not None and not queue:
+            if result and not queue:
                 cleared.append(ctrl.pending)
             return result
 
@@ -878,7 +879,7 @@ class TestLeanStepParity:
             banks = self._banks(ctrl, is_write_q)
             before = {f for f, q in banks.items() if q.entries}
             result = attempt(ctrl, is_write_q, queue, *args)
-            if result is not None and queue:
+            if result and queue:
                 after = {f for f, q in banks.items() if q.entries}
                 emptied.append(len(before - after))
             return result
@@ -950,3 +951,60 @@ class TestLeanStepParity:
         assert command_module.seq_ceiling() > 1 << 41
         assert gapped == fresh
         assert fresh == self._drain(ScanController, parts, **kw)
+
+
+class TestStreakRefusal:
+    """A streak probe whose window already bounds the run below
+    :data:`~repro.dram.controller.STREAK_BREAK_EVEN` commands is refused
+    before the numpy compile.  In a REDUCE-shaped read stream each read of
+    ``in1`` is followed by its ``in2`` partner in the same bankgroup, so
+    tCCD_L cuts every run to two or three commands: no probe reaches the
+    compile, and the stats still equal the scan oracle's."""
+
+    @staticmethod
+    def _reduce_reads(ranks):
+        if ranks == 1:
+            words = 256
+            trace = reduce_buffer(0, words * 64, 2 * words * 64, words)
+            config = MemoryController(DDR4_3200).snapshot_config()
+        else:
+            # One channel's share of a Fig. 11 CPU REDUCE (8 x 4 ranks).
+            words = 1024
+            system = DramSystem(channels=8)
+            system.enqueue_trace(reduce_buffer(0, words * 64, 2 * words * 64, words))
+            controller = system.controllers[0]
+            config = controller.snapshot_config()
+            trace = controller.pending_trace()
+        reads = ~trace.is_write
+        return config, TraceBuffer(trace.addr[reads], False, trace.cycle[reads])
+
+    @pytest.mark.parametrize("ranks", [1, 4])
+    def test_reduce_reads_never_reach_the_compile(self, ranks, monkeypatch):
+        config, trace = self._reduce_reads(ranks)
+        assert config.organization.ranks == ranks
+        probes, compiles = [], []
+        attempt = MemoryController._attempt_streak
+        compile_streak = MemoryController._compile_streak
+
+        def spy_attempt(ctrl, *args):
+            result = attempt(ctrl, *args)
+            probes.append(result)
+            return result
+
+        def spy_compile(ctrl, *args):
+            compiles.append(len(args[1]))
+            return compile_streak(ctrl, *args)
+
+        monkeypatch.setattr(MemoryController, "_attempt_streak", spy_attempt)
+        monkeypatch.setattr(MemoryController, "_compile_streak", spy_compile)
+        mc = config.build()
+        mc.enqueue_batch(trace)
+        fast = mc.run_to_completion()
+        monkeypatch.undo()
+        if not reference_mode():
+            # Runs of two or three commands were found and refused.
+            assert sum(result is False for result in probes) >= 10
+        assert compiles == []
+        oracle = ScanController.from_config(config)
+        enqueue_records(oracle, trace)
+        assert fast == oracle.run_to_completion()
