@@ -42,7 +42,8 @@ Two families of entries:
   memo levels disabled, so every instruction pays trace expansion plus a
   real cycle-level drain.  ``cpu_gather_cold`` / ``cpu_reduce_cold`` /
   ``cpu_average_cold`` do the same for the Fig. 11/12 CPU baseline
-  (8 channels x 4 ranks, routed through ``DramSystem``), and
+  (8 channels x 4 ranks, queued on ``DramSystem`` as a symbolic
+  description; with the memos off all 8 channels drain), and
   ``dimm_gather_random_cold`` for one DIMM's share of the node_embedding
   GATHER (one rank, random rows, row conflicts throughout).  These track the non-memoized engine across
   PRs — and are what the CI regression guard (``--check-baseline``)
@@ -55,7 +56,8 @@ Two families of entries:
 * ``figure11_full`` / ``figure12_full`` / ``ablations`` / ``evaluate_all``
   — **end-to-end** artefact entries: the wall time of ``python -m repro
   <command> --jobs 1`` in a fresh interpreter (so every memo starts
-  empty), import included, plus a SHA-256 of its stdout.  ``evaluate_all``
+  empty), import included, the child's peak RSS (``os.wait4`` rusage)
+  and a SHA-256 of its stdout.  ``evaluate_all``
   runs ``evaluate`` once per workload.  Where ``tests/golden/`` pins the
   output, a full run fails unless the stdout matches it byte for byte, so
   a speedup that changes results cannot be recorded.  They stay out of
@@ -109,7 +111,7 @@ from repro.dram import memo
 from repro.dram.memo import INSTR_MEMO, TIMING_MEMO
 from repro.dram.system import DramSystem
 from repro.dram.timing import DDR4_3200
-from repro.dram.trace import average_buffer, gather_buffer, reduce_buffer
+from repro.dram.trace import average_traffic, gather_traffic, reduce_traffic
 from repro.env import REFERENCE_ENV_VAR
 from repro.models.model_zoo import WORKLOADS_BY_NAME
 from repro.parallel import get_executor, parallel_map, resolve_jobs
@@ -297,15 +299,16 @@ def bench_dimm_gather_random_cold(instructions=4, lookups=1600, seed=37):
     return sum(t.dram_stats.accesses for t in timed), seconds
 
 
-def _cpu_cold(traces) -> tuple[int, float]:
-    """Route and drain each trace on a fresh Fig. 11/12 CPU baseline
-    (8 channels x 4 ranks), both memo levels disabled, in-process."""
-    systems = [DramSystem(channels=8) for _ in traces]
+def _cpu_cold(traffics) -> tuple[int, float]:
+    """Queue and drain each description on a fresh Fig. 11/12 CPU baseline
+    (8 channels x 4 ranks), both memo levels disabled, in-process.  With
+    the memos off every channel drains the share it queued."""
+    systems = [DramSystem(channels=8) for _ in traffics]
     with _caches_disabled():
         t0 = time.perf_counter()
         runs = []
-        for system, trace in zip(systems, traces):
-            system.enqueue_trace(trace)
+        for system, traffic in zip(systems, traffics):
+            system.enqueue_traffic(traffic)
             runs.append(system.run(jobs=1))
         seconds = time.perf_counter() - t0
     return sum(s.accesses for run in runs for s in run.channel_stats), seconds
@@ -319,34 +322,36 @@ def bench_cpu_gather_cold(instructions=2, batch=16, seed=31):
     """Memo-cold Fig. 11 CPU-baseline GATHER: fresh random rows per trace."""
     rng = np.random.default_rng(seed)
     out_base = TABLE_ROWS * _CPU_ROW_WORDS * 64
-    traces = [
-        gather_buffer(
+    traffics = [
+        gather_traffic(
             0, _CPU_ROW_WORDS, rng.integers(0, TABLE_ROWS, batch * LOOKUPS_PER_SAMPLE),
             out_base,
         )
         for _ in range(instructions)
     ]
-    return _cpu_cold(traces)
+    return _cpu_cold(traffics)
 
 
 def bench_cpu_reduce_cold(instructions=2, batch=16):
-    """Memo-cold Fig. 11 CPU-baseline REDUCE: a distinct length per trace."""
-    traces = []
+    """Memo-cold Fig. 11 CPU-baseline REDUCE: a distinct length per trace
+    (``words + k`` is not a multiple of 8 for k > 0, so those channels'
+    shares differ)."""
+    traffics = []
     for k in range(instructions):
         words = batch * LOOKUPS_PER_SAMPLE * _CPU_ROW_WORDS + k
-        traces.append(reduce_buffer(0, words * 64, 2 * words * 64, words))
-    return _cpu_cold(traces)
+        traffics.append(reduce_traffic(0, words * 64, 2 * words * 64, words))
+    return _cpu_cold(traffics)
 
 
 def bench_cpu_average_cold(instructions=1, batch=16):
     """Memo-cold Fig. 11 CPU-baseline AVERAGE: a distinct length per trace."""
-    traces = []
+    traffics = []
     for k in range(instructions):
         words = batch * LOOKUPS_PER_SAMPLE * _CPU_ROW_WORDS + k
-        traces.append(
-            average_buffer(0, AVERAGE_NUM, words * AVERAGE_NUM * 64, words)
+        traffics.append(
+            average_traffic(0, AVERAGE_NUM, words * AVERAGE_NUM * 64, words)
         )
-    return _cpu_cold(traces)
+    return _cpu_cold(traffics)
 
 
 def _cold_entry(name, fn, smoke: bool, **kwargs) -> dict:
@@ -505,32 +510,59 @@ def _cli_args(args: list, smoke: bool) -> list:
     return [*args, "--jobs", "1", *quick]
 
 
-def bench_artefact(commands, smoke: bool) -> tuple[float, bytes]:
+#: Runs one command and reports its wall seconds, its ``os.wait4`` peak RSS
+#: (KB) and its exit code on a last stderr line.  The command is spawned
+#: from this small interpreter because Linux carries the spawning process's
+#: RSS high-water mark across ``exec`` into the child's ``ru_maxrss``: spawned
+#: from the benchmark process itself, every entry would read the benchmark's
+#: own peak.
+_LAUNCHER = """
+import os, subprocess, sys, time
+t0 = time.perf_counter()
+proc = subprocess.Popen(sys.argv[1:])
+_, status, usage = os.wait4(proc.pid, 0)
+seconds = time.perf_counter() - t0
+code = os.waitstatus_to_exitcode(status)
+sys.stderr.write(f"\\n{seconds!r} {usage.ru_maxrss} {code}\\n")
+sys.exit(code)
+"""
+
+
+def bench_artefact(commands, smoke: bool) -> tuple[float, bytes, float]:
     """Run each ``python -m repro`` command in a fresh interpreter; return
-    the summed wall seconds and the joined stdout."""
+    the summed wall seconds, the joined stdout and the largest peak RSS in
+    MB."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     seconds = 0.0
     stdout = b""
+    peak_rss_mb = 0.0
     for args in commands:
         argv = [sys.executable, "-m", "repro", *_cli_args(args, smoke)]
-        t0 = time.perf_counter()
-        done = subprocess.run(argv, env=env, capture_output=True, check=True)
-        seconds += time.perf_counter() - t0
+        done = subprocess.run(
+            [sys.executable, "-c", _LAUNCHER, *argv],
+            env=env, capture_output=True, check=True,
+        )
+        wall, maxrss_kb, _ = done.stderr.decode().split()[-3:]
+        seconds += float(wall)
+        peak_rss_mb = max(peak_rss_mb, int(maxrss_kb) / 1024)
         stdout += done.stdout
-    return seconds, stdout
+    return seconds, stdout, peak_rss_mb
 
 
 def _artefact_entry(name: str, smoke: bool) -> dict:
     commands, golden = ARTEFACTS[name]
     best = None
+    peak_rss_mb = 0.0
     for _ in range(1 if smoke else REPEATS):
-        seconds, stdout = bench_artefact(commands, smoke)
+        seconds, stdout, rss = bench_artefact(commands, smoke)
+        peak_rss_mb = max(peak_rss_mb, rss)
         if best is None or seconds < best:
             best = seconds
     entry = {
         "workload": name,
         "commands": [" ".join(_cli_args(args, smoke)) for args in commands],
         "wall_seconds": round(best, 3),
+        "peak_rss_mb": round(peak_rss_mb, 1),
         "stdout_sha256": hashlib.sha256(stdout).hexdigest(),
     }
     if golden is not None and not smoke:
@@ -833,7 +865,8 @@ def main(argv=None) -> None:
         elif "stdout_sha256" in entry:
             print(
                 f"{entry['workload']:>16}: {' + '.join(entry['commands'])} "
-                f"in {entry['wall_seconds']:.2f}s "
+                f"in {entry['wall_seconds']:.2f}s, peak RSS "
+                f"{entry['peak_rss_mb']:.0f} MB "
                 f"(stdout sha256 {entry['stdout_sha256'][:12]})"
             )
         elif entry.get("caches_disabled"):

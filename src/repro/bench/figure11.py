@@ -20,7 +20,7 @@ from ..core.address_map import EmbeddingLayout
 from ..core.isa import average, gather, reduce
 from ..core.tensornode import TensorNode
 from ..dram.system import DramSystem
-from ..dram.trace import average_buffer, gather_buffer, reduce_buffer
+from ..dram.trace import average_traffic, gather_traffic, reduce_traffic
 from .harness import Table, geomean
 
 OPS = ("GATHER", "REDUCE", "AVERAGE")
@@ -99,16 +99,16 @@ def _cpu_bandwidth(channels: int, op: str, batch: int, embedding_dim: int) -> fl
     out_base = table_words * word
     if op == "GATHER":
         idx = rng.integers(0, TABLE_ROWS, lookups)
-        trace = gather_buffer(0, row_words, idx, out_base)
+        traffic = gather_traffic(0, row_words, idx, out_base)
     elif op == "REDUCE":
         words = lookups * row_words
-        trace = reduce_buffer(0, words * word, 2 * words * word, words)
+        traffic = reduce_traffic(0, words * word, 2 * words * word, words)
     elif op == "AVERAGE":
         out_words = lookups * row_words
-        trace = average_buffer(0, AVERAGE_NUM, out_words * AVERAGE_NUM * word, out_words)
+        traffic = average_traffic(0, AVERAGE_NUM, out_words * AVERAGE_NUM * word, out_words)
     else:
         raise ValueError(f"unknown op {op!r}")
-    system.enqueue_trace(trace)
+    system.enqueue_traffic(traffic)
     return system.run().bandwidth
 
 

@@ -4,7 +4,10 @@ A :class:`DramSystem` models the baseline CPU memory system of the paper:
 several independent DDR4 channels behind one physical address space, with
 consecutive 64 B blocks interleaved across channels (the standard layout
 that time-multiplexes each channel across all the DIMMs behind it —
-Section 4.2's "fixed bandwidth per channel" argument).
+Section 4.2's "fixed bandwidth per channel" argument).  Traffic arrives
+as a :class:`~repro.dram.trace.SystemTraffic` description, never as a
+whole-system trace: each channel gets its share in closed form, and
+channels with equal shares share one buffer and one drain.
 
 TensorDIMMs do *not* use this class for their NMP-local traffic; each
 TensorDIMM owns a private single-channel controller (see
@@ -14,13 +17,11 @@ bandwidth scales with the DIMM count.
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from .command import TraceBuffer
 from .controller import ControllerStats, MemoryController
 from .mapping import AddressMapping, DramOrganization
 from .memo import drain
 from .timing import DDR4_3200, DramTiming
+from .trace import SystemTraffic
 
 
 @dataclass
@@ -95,7 +96,7 @@ class DramSystem:
         """Map a system byte address to (channel, channel-local address).
 
         Raises ``ValueError`` for an address outside the system capacity,
-        as :meth:`enqueue_trace` does.
+        as :meth:`enqueue_traffic` does.
         """
         if not 0 <= addr < self.capacity_bytes:
             raise ValueError(
@@ -106,33 +107,35 @@ class DramSystem:
         local = (block // self.num_channels) * 64 + (addr % 64)
         return channel, local
 
-    def enqueue_trace(self, trace: TraceBuffer) -> None:
-        """Queue a columnar trace of system addresses.
+    def enqueue_traffic(self, traffic: SystemTraffic) -> None:
+        """Queue one operation's traffic, described symbolically.
 
-        Every record is routed with vectorized arithmetic and each channel
-        receives its share as one batch, in trace order.  Addresses are
-        checked against the system capacity before any channel is touched,
-        so a bad trace leaves every controller as it was.
+        Each channel's share is computed in closed form (word ``w`` goes to
+        channel ``w % C`` at local word ``w // C``); each distinct
+        :meth:`~repro.dram.trace.SystemTraffic.share_key` is built once and
+        the same buffer is queued on every channel with that key, so
+        :meth:`run` drains it once and the other channels adopt its
+        memoized stats.  The traffic is checked against the system
+        capacity before any channel is touched, so a bad description
+        leaves every controller as it was.
         """
-        if not len(trace):
+        low, high = traffic.word_span()
+        if high < low:
             return
-        addr = trace.addr
-        if addr.min() < 0 or addr.max() >= self.capacity_bytes:
-            bad = addr[(addr < 0) | (addr >= self.capacity_bytes)][0]
+        words = self.capacity_bytes // 64
+        if low < 0 or high >= words:
+            bad = (low if low < 0 else high) * 64
             raise ValueError(
-                f"address {int(bad):#x} outside system capacity "
-                f"{self.capacity_bytes:#x}"
+                f"address {bad:#x} outside system capacity {self.capacity_bytes:#x}"
             )
-        # route(): channel = block % C, local = (block // C) * 64 + offset
-        block, offset = np.divmod(addr, 64)
-        local_block, channel_ids = np.divmod(block, self.num_channels)
-        local = local_block * 64 + offset
-        for channel in range(self.num_channels):
-            mask = channel_ids == channel
-            if not mask.any():
-                continue
-            share = TraceBuffer(local[mask], trace.is_write[mask], trace.cycle[mask])
-            self.controllers[channel].enqueue_batch(share)
+        shares = {}
+        for channel, controller in enumerate(self.controllers):
+            key = traffic.share_key(channel, self.num_channels)
+            share = shares.get(key)
+            if share is None:
+                share = shares[key] = traffic.share(channel, self.num_channels)
+            if len(share):
+                controller.enqueue_batch(share)
 
     def run(self, jobs: int | None = None) -> SystemStats:
         """Drain every channel and aggregate the results.
@@ -183,10 +186,12 @@ class DramSystem:
             for (channel, records), s in zip(shipped, batch.results()):
                 # A worker that saw only this channel's trace must account
                 # for exactly this channel's requests.
-                assert s.accesses == records, (
-                    f"channel drained {s.accesses} requests but was shipped "
-                    f"{records} — independent-channel invariant violated"
-                )
+                if s.accesses != records:
+                    raise RuntimeError(
+                        f"channel {channel} drained {s.accesses} requests but "
+                        f"was shipped {records}: independent-channel invariant "
+                        "violated"
+                    )
                 self.controllers[channel].adopt_run(s)
                 stats[channel] = s
         return SystemStats(

@@ -6,12 +6,15 @@ import pytest
 from repro.bench.figure11 import AVERAGE_NUM, EMBEDDING_DIM, LOOKUPS_PER_SAMPLE
 from repro.core.address_map import EmbeddingLayout
 from repro.dram.bank import Rank
-from repro.dram.command import TraceBuffer
+from repro.dram.controller import ControllerStats
 from repro.dram.mapping import AddressMapping
 from repro.dram.system import DramSystem
 from repro.dram.timing import DDR4_3200
-from repro.dram.trace import average_buffer, streaming_buffer
+from repro.dram.trace import average_traffic, reduce_traffic, streaming_buffer
 from repro.env import reference_mode
+from repro.parallel import DrainBatch
+
+from trace_oracles import enqueue_routed
 
 
 class TestRouting:
@@ -55,26 +58,44 @@ class TestRouting:
 
 
 class TestEnqueueTraceValidation:
+    """``enqueue_traffic`` checks a description against the system capacity
+    before any channel queues anything."""
+
     @pytest.mark.parametrize("offset", [192, None])
     def test_bad_address_leaves_every_channel_untouched(self, offset):
         system = DramSystem(channels=8)
         bad = system.capacity_bytes + offset if offset is not None else -64
-        trace = TraceBuffer(np.array([0, 64, 128, bad]), np.zeros(4, dtype=bool))
+        traffic = reduce_traffic(0, 64 * 64, bad, 1)
         with pytest.raises(ValueError, match=f"address {bad:#x} outside system"):
-            system.enqueue_trace(trace)
+            system.enqueue_traffic(traffic)
         assert [c.pending for c in system.controllers] == [0] * 8
         assert all(c.pending_trace() is None for c in system.controllers)
 
     def test_last_valid_address_accepted(self):
         system = DramSystem(channels=2)
         last = system.capacity_bytes - 64
-        system.enqueue_trace(TraceBuffer(np.array([0, last]), np.zeros(2, dtype=bool)))
+        system.enqueue_traffic(average_traffic(0, 1, last, 1))
         assert [c.pending for c in system.controllers] == [1, 1]
 
     def test_empty_trace_is_a_no_op(self):
         system = DramSystem(channels=2)
-        system.enqueue_trace(TraceBuffer(np.empty(0, dtype=np.int64), np.empty(0, dtype=bool)))
+        system.enqueue_traffic(reduce_traffic(0, 0, 0, 0))
         assert system.run().total_bytes == 0
+
+
+class TestShippedDrainCheck:
+    def test_worker_stats_for_the_wrong_trace_raise(self, monkeypatch):
+        # A worker result that accounts for other requests than the channel
+        # shipped is refused with an error that survives ``python -O``.
+        monkeypatch.setenv("REPRO_PARALLEL_MIN_RECORDS", "0")
+        monkeypatch.setattr(DrainBatch, "submit", lambda self, config, **kw: None)
+        monkeypatch.setattr(
+            DrainBatch, "results", lambda self: [ControllerStats(reads=1), ControllerStats(reads=2)]
+        )
+        system = DramSystem(channels=2)
+        enqueue_routed(system, streaming_buffer(0, 4))
+        with pytest.raises(RuntimeError, match="channel 0 drained 1 requests but was shipped 2"):
+            system.run(jobs=2)
 
 
 class TestAggregates:
@@ -89,7 +110,7 @@ class TestAggregates:
 
     def test_streaming_uses_all_channels(self):
         system = DramSystem(channels=4, refresh_enabled=False)
-        system.enqueue_trace(streaming_buffer(0, 8000))
+        enqueue_routed(system, streaming_buffer(0, 8000))
         stats = system.run()
         for channel in stats.channel_stats:
             assert channel.accesses == 2000
@@ -98,13 +119,13 @@ class TestAggregates:
         results = {}
         for channels in (1, 4):
             system = DramSystem(channels=channels, refresh_enabled=False)
-            system.enqueue_trace(streaming_buffer(0, channels * 4000))
+            enqueue_routed(system, streaming_buffer(0, channels * 4000))
             results[channels] = system.run().bandwidth
         assert results[4] > 3.5 * results[1]
 
     def test_total_bytes_aggregated(self):
         system = DramSystem(channels=2)
-        system.enqueue_trace(streaming_buffer(0, 100))
+        enqueue_routed(system, streaming_buffer(0, 100))
         stats = system.run()
         assert stats.total_bytes == 6400
 
@@ -116,13 +137,13 @@ class TestAggregates:
 
     def test_row_hit_rate_reported(self):
         system = DramSystem(channels=2)
-        system.enqueue_trace(streaming_buffer(0, 2000))
+        enqueue_routed(system, streaming_buffer(0, 2000))
         stats = system.run()
         assert stats.row_hit_rate > 0.9
 
     def test_mean_read_latency_positive(self):
         system = DramSystem(channels=2)
-        system.enqueue_trace(streaming_buffer(0, 200))
+        enqueue_routed(system, streaming_buffer(0, 200))
         stats = system.run()
         assert stats.mean_read_latency_cycles > 0
 
@@ -150,15 +171,16 @@ class TestWorkOnlyForDrainsThatRun:
         # The Fig. 11 CPU AVERAGE point at batch 2: every channel's share
         # has the same read and write streams, so one channel drains.
         words = 2 * LOOKUPS_PER_SAMPLE * EmbeddingLayout(1, 1, EMBEDDING_DIM).chunks
-        trace = average_buffer(0, AVERAGE_NUM, words * AVERAGE_NUM * 64, words)
+        traffic = average_traffic(0, AVERAGE_NUM, words * AVERAGE_NUM * 64, words)
         system = DramSystem(channels=8)
-        system.enqueue_trace(trace)
+        system.enqueue_traffic(traffic)
         assert decoded == [] and ranks_built == []
         result = system.run(jobs=1)
         drains = 8 if reference_mode() else 1
-        assert decoded == [len(trace) // 8] * drains
+        share = words * (AVERAGE_NUM + 1) // 8
+        assert decoded == [share] * drains
         assert len(ranks_built) == drains * system.organization.ranks
         if not reference_mode():
             assert (timing_memo.hits, timing_memo.misses) == (7, 1)
-        assert [s.accesses for s in result.channel_stats] == [len(trace) // 8] * 8
+        assert [s.accesses for s in result.channel_stats] == [share] * 8
         assert all(c.pending == 0 for c in system.controllers)

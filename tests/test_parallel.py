@@ -22,6 +22,8 @@ from repro.models.model_zoo import YOUTUBE
 from repro.service import ServicePolicy, compare_designs
 from repro.service.simulator import _GrowArray
 
+from trace_oracles import enqueue_routed
+
 
 @pytest.fixture
 def force_pool(monkeypatch):
@@ -93,7 +95,7 @@ class TestReplayTraces:
 class TestDramSystemParallel:
     def _run(self, jobs, channels=4, words=6000):
         system = DramSystem(channels=channels, refresh_enabled=False)
-        system.enqueue_trace(streaming_buffer(0, words))
+        enqueue_routed(system, streaming_buffer(0, words))
         return system.run(jobs=jobs)
 
     @pytest.mark.parametrize("jobs", [2, 4])
@@ -118,7 +120,7 @@ class TestDramSystemParallel:
         def warm(jobs):
             system = DramSystem(channels=2)
             for _ in range(2):
-                system.enqueue_trace(streaming_buffer(0, 3000))
+                enqueue_routed(system, streaming_buffer(0, 3000))
                 result = system.run(jobs=jobs)
             return result
 
@@ -130,7 +132,7 @@ class TestDramSystemParallel:
 
     def test_controllers_drained_after_parallel_run(self, force_pool):
         system = DramSystem(channels=2, refresh_enabled=False)
-        system.enqueue_trace(streaming_buffer(0, 2000))
+        enqueue_routed(system, streaming_buffer(0, 2000))
         stats = system.run(jobs=2)
         for controller, channel in zip(system.controllers, stats.channel_stats):
             assert controller.pending == 0
@@ -239,7 +241,7 @@ class TestExplicitSequentialWins:
 
     def test_dram_system(self, no_pool):
         system = DramSystem(channels=2, refresh_enabled=False)
-        system.enqueue_trace(streaming_buffer(0, 400))
+        enqueue_routed(system, streaming_buffer(0, 400))
         assert system.run(jobs=1).total_bytes == 400 * 64
 
     def test_broadcast_timed_batch(self, no_pool):

@@ -38,8 +38,11 @@ from repro.dram.system import DramSystem
 from repro.dram.timing import DDR4_3200
 from repro.dram.trace import (
     average_buffer,
+    average_traffic,
     gather_buffer,
+    gather_traffic,
     reduce_buffer,
+    reduce_traffic,
     streaming_buffer,
     strided_buffer,
 )
@@ -50,6 +53,7 @@ from trace_oracles import (
     Record,
     average_trace,
     enqueue_records,
+    enqueue_routed,
     gather_trace,
     records,
     reduce_trace,
@@ -190,41 +194,39 @@ class TestSyntheticTrafficParity:
 
 
 class TestDramSystemParity:
-    """``DramSystem.enqueue_trace`` against per-record routing: every record
-    sent through :meth:`DramSystem.route`, and each channel's records queued
-    as one buffer on its controller."""
+    """``DramSystem.enqueue_traffic`` against per-record routing: every
+    record of the builder's whole-system trace sent through
+    :meth:`DramSystem.route`, and each channel's records queued as one
+    buffer on its controller."""
 
     @staticmethod
     def _routed_scalar(system, trace):
-        routed = [[] for _ in system.controllers]
-        for r in records(trace):
-            channel, local = system.route(r.addr)
-            routed[channel].append(Record(r.cycle, local, r.is_write))
-        for controller, share in zip(system.controllers, routed):
-            if share:
-                controller.enqueue_batch(to_buffer(share))
+        enqueue_routed(system, trace)
         return system.run()
 
     @staticmethod
-    def _figure11_cpu_trace(op, batch=2):
-        # The Fig. 11 CPU-baseline shapes (figure11._cpu_bandwidth).
+    def _figure11_cpu(op, batch=2):
+        # The Fig. 11 CPU-baseline shapes (figure11._cpu_bandwidth), as a
+        # description and as the builder's whole-system trace.
         rng = np.random.default_rng(batch)
         lookups = batch * LOOKUPS_PER_SAMPLE
         row_words = EmbeddingLayout(1, 1, 512).chunks
         if op == "GATHER":
-            idx = rng.integers(0, TABLE_ROWS, lookups)
-            return gather_buffer(0, row_words, idx, TABLE_ROWS * row_words * 64)
+            args = (0, row_words, rng.integers(0, TABLE_ROWS, lookups), TABLE_ROWS * row_words * 64)
+            return gather_traffic(*args), gather_buffer(*args)
         words = lookups * row_words
         if op == "REDUCE":
-            return reduce_buffer(0, words * 64, 2 * words * 64, words)
-        return average_buffer(0, AVERAGE_NUM, words * AVERAGE_NUM * 64, words)
+            args = (0, words * 64, 2 * words * 64, words)
+            return reduce_traffic(*args), reduce_buffer(*args)
+        args = (0, AVERAGE_NUM, words * AVERAGE_NUM * 64, words)
+        return average_traffic(*args), average_buffer(*args)
 
     @pytest.mark.parametrize("op", ["GATHER", "REDUCE", "AVERAGE"])
     def test_figure11_cpu_matches_per_record_routing(self, op):
-        trace = self._figure11_cpu_trace(op)
+        traffic, trace = self._figure11_cpu(op)
         golden = self._routed_scalar(DramSystem(channels=8), trace)
         fast = DramSystem(channels=8)
-        fast.enqueue_trace(trace)
+        fast.enqueue_traffic(traffic)
         result = fast.run()
         assert result.channel_stats == golden.channel_stats
         assert result.total_bytes == golden.total_bytes
@@ -233,18 +235,21 @@ class TestDramSystemParity:
     @pytest.mark.parametrize("op", ["GATHER", "REDUCE", "AVERAGE"])
     def test_figure11_cpu_channels_match_scan_oracle(self, op, timing_memo):
         # Eight channels of four ranks, as the Fig. 11 CPU baseline: each
-        # channel's stats against the scan oracle draining the same
-        # channel-local records one request at a time.  Every channel's
-        # share has the same read stream and the same write stream (for
-        # AVERAGE they interleave differently per channel), so the point
-        # drains once and the other seven channels adopt the memoized stats.
-        trace = self._figure11_cpu_trace(op)
+        # channel's stats against the scan oracle draining the channel-local
+        # records of the whole-system trace one request at a time.  Every
+        # channel's share has the same read stream and the same write
+        # stream (for AVERAGE they interleave differently per channel), so
+        # all eight channels queue one buffer, the point drains once and
+        # the other seven channels adopt the memoized stats.
+        traffic, trace = self._figure11_cpu(op)
         system = DramSystem(channels=8)
         assert system.organization.ranks == 4
         channel_of = (trace.addr // 64) % 8
         layouts = {trace.is_write[channel_of == c].tobytes() for c in range(8)}
         assert len(layouts) == (8 if op == "AVERAGE" else 1)
-        system.enqueue_trace(trace)
+        system.enqueue_traffic(traffic)
+        shares = {id(c.pending_trace()) for c in system.controllers}
+        assert len(shares) == 1
         oracles = [
             ScanController.from_config(c.snapshot_config()) for c in system.controllers
         ]
@@ -971,7 +976,7 @@ class TestStreakRefusal:
             # One channel's share of a Fig. 11 CPU REDUCE (8 x 4 ranks).
             words = 1024
             system = DramSystem(channels=8)
-            system.enqueue_trace(reduce_buffer(0, words * 64, 2 * words * 64, words))
+            system.enqueue_traffic(reduce_traffic(0, words * 64, 2 * words * 64, words))
             controller = system.controllers[0]
             config = controller.snapshot_config()
             trace = controller.pending_trace()

@@ -35,7 +35,7 @@ from repro.dram.timing import DDR4_3200
 from repro.env import REFERENCE_ENV_VAR
 from repro.parallel import DrainBatch
 
-from trace_oracles import reinterleave
+from trace_oracles import enqueue_routed, reinterleave
 
 
 def _trace(n=600, seed=3):
@@ -246,7 +246,7 @@ class TestDramSystemIntegration:
     def _loaded_system(self):
         system = DramSystem(channels=2)
         addrs = (np.arange(2000, dtype=np.int64) * 64)
-        system.enqueue_trace(TraceBuffer(addrs, np.zeros(2000, dtype=bool)))
+        enqueue_routed(system, TraceBuffer(addrs, np.zeros(2000, dtype=bool)))
         return system
 
     def test_second_run_served_from_cache(self, timing_memo):
@@ -329,18 +329,18 @@ class TestWarmControllerSoundness:
 
     def test_second_run_on_same_system_not_served_stale(self, timing_memo):
         warm = DramSystem(channels=2)
-        warm.enqueue_trace(self._trace())
+        enqueue_routed(warm, self._trace())
         warm.run()
-        warm.enqueue_trace(self._trace())
+        enqueue_routed(warm, self._trace())
         cached_result = warm.run()  # warm drain: must NOT hit the memo
         # Reference system with an identical memo history (cleared before
         # its first run, so both systems adopt/drain the same channels);
         # its second run drains for real because its controllers are warm.
         timing_memo.clear()
         cold = DramSystem(channels=2)
-        cold.enqueue_trace(self._trace())
+        enqueue_routed(cold, self._trace())
         cold.run()
-        cold.enqueue_trace(self._trace())
+        enqueue_routed(cold, self._trace())
         timing_memo.clear()  # force the reference through the real engine
         golden = cold.run()
         assert cached_result.channel_stats == golden.channel_stats
@@ -348,12 +348,12 @@ class TestWarmControllerSoundness:
 
     def test_warm_drain_does_not_poison_cache(self, timing_memo):
         warm = DramSystem(channels=2)
-        warm.enqueue_trace(self._trace())
+        enqueue_routed(warm, self._trace())
         warm.run()
-        warm.enqueue_trace(self._trace())
+        enqueue_routed(warm, self._trace())
         warm.run()  # accumulated stats must not be stored under the trace key
         fresh = DramSystem(channels=2)
-        fresh.enqueue_trace(self._trace())
+        enqueue_routed(fresh, self._trace())
         result = fresh.run()
         assert all(s.accesses == 500 for s in result.channel_stats)
 
@@ -361,7 +361,7 @@ class TestWarmControllerSoundness:
         def warm_second_run():
             system = DramSystem(channels=2)
             for _ in range(2):
-                system.enqueue_trace(self._trace())
+                enqueue_routed(system, self._trace())
                 result = system.run()
             return result
 
@@ -498,13 +498,16 @@ class TestDrainLookupOrder:
     def test_figure11_cpu_points(self, timing_memo, instr_memo):
         from repro.bench import figure11
 
+        constructions = TraceBuffer.constructions
         figure11.sweep_grid(
             [("CPU", 8, op, 2, 512) for op in figure11.OPS], jobs=1
         )
         # 24 channel drains of 3 distinct keys: within each op every
-        # channel's trace has the same read stream and the same write
-        # stream, whatever the interleaving; no instruction is described
-        # on the conventional system.
+        # channel's share has the same read stream and the same write
+        # stream, so each point builds one share buffer (no whole-system
+        # trace) and queues it on all 8 channels; no instruction is
+        # described on the conventional system.
+        assert TraceBuffer.constructions - constructions == 3
         assert (timing_memo.hits, timing_memo.misses) == (21, 3)
         assert (instr_memo.hits, instr_memo.misses) == (0, 0)
 

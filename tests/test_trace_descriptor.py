@@ -21,7 +21,7 @@ from repro.core.tensordimm import TensorDimm
 from repro.core.tensornode import TensorNode
 from repro.dram.command import TraceBuffer
 from repro.dram.system import DramSystem
-from repro.dram.trace import reduce_buffer
+from repro.dram.trace import reduce_traffic
 from repro.env import REFERENCE_ENV_VAR
 
 from trace_oracles import nmp_trace
@@ -300,7 +300,7 @@ class TestKillSwitch:
 
     def _run_system(self, jobs):
         system = DramSystem(channels=2)
-        system.enqueue_trace(reduce_buffer(0, 1 << 20, 1 << 21, 1200))
+        system.enqueue_traffic(reduce_traffic(0, 1 << 20, 1 << 21, 1200))
         return system.run(jobs=jobs)
 
     def test_dram_system_run_bit_identical(self, monkeypatch):

@@ -109,6 +109,27 @@ def reinterleave(trace: TraceBuffer, rng: np.random.Generator) -> TraceBuffer:
     return TraceBuffer(trace.addr[order], is_write, trace.cycle[order])
 
 
+def routed_shares(system, trace: TraceBuffer) -> list[TraceBuffer | None]:
+    """Each channel's share of a system-address trace, routed one record at
+    a time through :meth:`DramSystem.route` (``None`` for a channel with no
+    records): the per-record reference for
+    :meth:`~repro.dram.trace.SystemTraffic.share`.  Every address is routed
+    before any share is built, so a bad one raises ``ValueError`` first."""
+    routed = [[] for _ in system.controllers]
+    for r in records(trace):
+        channel, local = system.route(r.addr)
+        routed[channel].append(Record(r.cycle, local, r.is_write))
+    return [to_buffer(share) if share else None for share in routed]
+
+
+def enqueue_routed(system, trace: TraceBuffer) -> None:
+    """Queue a system-address trace on a ``DramSystem`` by per-record
+    routing, each channel's records as one buffer in trace order."""
+    for controller, share in zip(system.controllers, routed_shares(system, trace)):
+        if share is not None:
+            controller.enqueue_batch(share)
+
+
 def enqueue_records(controller, trace, completions=None) -> None:
     """Queue a trace one record at a time on a scan oracle (the per-record
     reference path); ``completions[i]`` receives record ``i``'s burst end.
