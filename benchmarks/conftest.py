@@ -1,10 +1,14 @@
 """Benchmark-suite configuration.
 
 Every benchmark regenerates one of the paper's tables or figures (see
-``python -m repro list``) and asserts its qualitative shape — who wins,
-by roughly what factor, where the crossovers fall.  Run with::
+``python -m repro list``), times it and prints it.  Its qualitative shape —
+who wins, by roughly what factor, where the crossovers fall — is checked
+at the same sizes by ``tests/test_paper_fidelity.py`` in the tier-1
+suite.  The files and functions are named ``bench_*``, which pytest does
+not collect by default, so run with (pytest-benchmark installed)::
 
-    pytest benchmarks/ --benchmark-only
+    pytest benchmarks/ --benchmark-only -o python_files='bench_*.py' \
+        -o python_functions='bench_*'
 
 The cycle-level figures (11 and 12) use trimmed sweeps to keep wall-clock
 reasonable; ``examples/bandwidth_scaling.py`` runs the full grids.

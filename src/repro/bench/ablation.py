@@ -24,7 +24,7 @@ from ..core.nmp_core import required_queue_bytes
 from ..dram.cache import CacheHierarchy
 from ..dram.controller import MemoryController
 from ..dram.timing import DDR4_3200
-from ..dram.trace import gather_buffer, streaming_buffer
+from ..dram.trace import gather_traffic, streaming_buffer
 from ..workloads.distributions import UniformSampler, ZipfianSampler
 
 
@@ -53,9 +53,9 @@ def address_mapping(
     rng = np.random.default_rng(7)
     rows = rng.integers(0, table_rows, batch)
 
-    def dimm_seconds(trace) -> float:
+    def dimm_seconds(traffic) -> float:
         controller = MemoryController(DDR4_3200)
-        controller.enqueue_batch(trace)
+        controller.enqueue_batch(traffic.share(0, 1))
         controller.run_to_completion()
         return controller.elapsed_seconds()
 
@@ -63,7 +63,7 @@ def address_mapping(
 
     # Interleaved: per-DIMM slice of every row (row_words/N words each).
     slice_words = max(1, row_words // node_dimms)
-    per_dimm = gather_buffer(0, slice_words, rows, table_rows * slice_words * 64)
+    per_dimm = gather_traffic(0, slice_words, rows, table_rows * slice_words * 64)
     interleaved_seconds = dimm_seconds(per_dimm)
 
     # Whole-row: rows hash to DIMMs; the busiest DIMM sets the pace.
@@ -72,8 +72,8 @@ def address_mapping(
         buckets.setdefault(int(row) % node_dimms, []).append(int(row))
     worst = 0.0
     for dimm_rows in buckets.values():
-        trace = gather_buffer(0, row_words, np.array(dimm_rows), table_rows * row_words * 64)
-        worst = max(worst, dimm_seconds(trace))
+        traffic = gather_traffic(0, row_words, dimm_rows, table_rows * row_words * 64)
+        worst = max(worst, dimm_seconds(traffic))
     return MappingAblation(
         interleaved=total_bytes / interleaved_seconds,
         whole_row=total_bytes / worst,
@@ -99,7 +99,7 @@ def scheduler(batch: int = 256, table_rows: int = 8192) -> SchedulerAblation:
 
     def bandwidth(window: int) -> float:
         controller = MemoryController(DDR4_3200, window=window)
-        controller.enqueue_batch(gather_buffer(0, 4, rows, table_rows * 4 * 64))
+        controller.enqueue_batch(gather_traffic(0, 4, rows, table_rows * 4 * 64).share(0, 1))
         stats = controller.run_to_completion()
         return stats.bandwidth(DDR4_3200)
 

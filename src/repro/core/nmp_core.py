@@ -2,9 +2,12 @@
 
 One NMP core sits in each TensorDIMM's buffer device and contains:
 
-* an NMP-local memory controller that expands TensorISA instructions into
-  DRAM read/write transactions (modelled functionally here and with the
-  cycle-level controller in :mod:`repro.core.tensordimm`),
+* an NMP-local memory controller that turns TensorISA instructions into
+  DRAM read/write transactions: :meth:`NmpCore.describe` gives an
+  instruction's traffic on its DIMM as an
+  :class:`~repro.dram.trace.OpTraffic`, the description every layer uses,
+  whose one-channel share is the trace that
+  :mod:`repro.core.tensordimm` drains through the cycle-level controller,
 * two input SRAM queues (A, B) and one output queue (C), each sized by the
   bandwidth-delay product rule of Section 4.2 (25.6 GB/s x 20 ns = 512 B),
 * a 16-lane vector ALU clocked at 150 MHz that performs the element-wise
@@ -18,7 +21,6 @@ as kernels over the memory of ``k`` lock-stepped cores
 once over all of its DIMMs, and a lone core is the ``k = 1`` case.
 """
 
-import hashlib
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -32,8 +34,8 @@ from ..config import (
     NMP_ALU_LANES,
     NMP_QUEUE_DELAY_S,
 )
-from ..dram.command import TraceBuffer, TraceDescriptor
 from ..dram.storage import WordStorage
+from ..dram.trace import OpTraffic
 from .isa import Instruction, Opcode, ReduceOp
 
 
@@ -186,98 +188,6 @@ class NmpExecStats:
         25.6 GB/s (Section 4.2's sizing argument).
         """
         return max(self.dram_seconds(effective_bandwidth), self.alu_seconds(clock_hz))
-
-
-def trace_records(instr: Instruction) -> int:
-    """Number of 64 B transactions in the instruction's trace.
-
-    Computable from the instruction alone (no storage access), so the
-    parallel engine can decide whether a trace is worth shipping to a
-    worker process before generating it.
-    """
-    index_words = -(-instr.count // ELEMS_PER_WORD)
-    if instr.opcode == Opcode.GATHER:
-        return index_words + 2 * instr.count * instr.words_per_slice
-    if instr.opcode == Opcode.REDUCE:
-        return 3 * instr.count
-    if instr.opcode == Opcode.AVERAGE:
-        return instr.count * (instr.average_num + 1)
-    if instr.opcode == Opcode.UPDATE:
-        return index_words + 3 * instr.count * instr.words_per_slice
-    raise ValueError(f"unknown opcode {instr.opcode}")
-
-
-def expand(descriptor: TraceDescriptor, indices: np.ndarray | None = None) -> TraceBuffer:
-    """Materialize the DRAM trace a :class:`TraceDescriptor` stands for.
-
-    Pure module-level inverse of :meth:`NmpCore.describe`: given the
-    descriptor and — for GATHER/UPDATE — the instruction's index array,
-    rebuilds the instruction's columnar trace (the fuzz parity suite pins
-    it against a per-instruction reference generator across every opcode
-    and shape).  :func:`repro.dram.memo.drain` calls this on an
-    instruction-memo miss, in worker processes too, so IPC payloads stay
-    O(count) instead of O(trace records).
-    """
-    word = ACCESS_GRANULARITY
-    opcode = Opcode(descriptor.opcode)
-    count = descriptor.count
-    wps = descriptor.words_per_slice
-    if opcode in (Opcode.GATHER, Opcode.UPDATE):
-        if indices is None:
-            raise ValueError(f"{opcode.name} descriptors expand from an index array")
-        rows = np.asarray(indices).astype(np.int64)
-        if rows.shape != (count,):
-            raise ValueError(
-                f"descriptor expects {count} indices, got shape {rows.shape}"
-            )
-    if opcode == Opcode.GATHER:
-        table_local, index_base, out_local = descriptor.bases
-        index_words = -(-count // ELEMS_PER_WORD)
-        idx_addrs = index_base + np.arange(index_words, dtype=np.int64)
-        offsets = np.arange(wps, dtype=np.int64)
-        src = (table_local + rows * wps)[:, None] + offsets
-        dst = (out_local + np.arange(len(rows), dtype=np.int64) * wps)[:, None] + offsets
-        body = np.concatenate([src, dst], axis=1).reshape(-1)
-        addrs = np.concatenate([idx_addrs, body])
-        is_write = np.concatenate(
-            [
-                np.zeros(index_words, dtype=bool),
-                np.tile(np.repeat([False, True], wps), len(rows)),
-            ]
-        )
-        return TraceBuffer(addrs * word, is_write)
-    if opcode == Opcode.REDUCE:
-        in1, in2, out = descriptor.bases
-        i = np.arange(count, dtype=np.int64)[:, None]
-        addrs = (np.array([in1, in2, out], dtype=np.int64) + i).reshape(-1)
-        is_write = np.tile(np.array([False, False, True]), count)
-        return TraceBuffer(addrs * word, is_write)
-    if opcode == Opcode.AVERAGE:
-        src_base, out = descriptor.bases
-        group = descriptor.average_num
-        i = np.arange(count, dtype=np.int64)
-        row, k = i // wps, i % wps
-        reads = src_base + ((row * group)[:, None] + np.arange(group, dtype=np.int64)) * wps + k[:, None]
-        addrs = np.concatenate([reads, (out + i)[:, None]], axis=1).reshape(-1)
-        is_write = np.tile(np.append(np.zeros(group, dtype=bool), True), count)
-        return TraceBuffer(addrs * word, is_write)
-    if opcode == Opcode.UPDATE:
-        grad_local, table_local, index_base = descriptor.bases
-        index_words = -(-count // ELEMS_PER_WORD)
-        idx_addrs = index_base + np.arange(index_words, dtype=np.int64)
-        offsets = np.arange(wps, dtype=np.int64)
-        grad = (grad_local + np.arange(len(rows), dtype=np.int64) * wps)[:, None] + offsets
-        target = (table_local + rows * wps)[:, None] + offsets
-        body = np.stack([grad, target, target], axis=2).reshape(-1)
-        addrs = np.concatenate([idx_addrs, body])
-        is_write = np.concatenate(
-            [
-                np.zeros(index_words, dtype=bool),
-                np.tile(np.array([False, False, True]), len(rows) * wps),
-            ]
-        )
-        return TraceBuffer(addrs * word, is_write)
-    raise ValueError(f"unknown opcode {descriptor.opcode}")
 
 
 # -- functional execution: one kernel per opcode over k cores' memory ----------
@@ -493,14 +403,6 @@ class NmpCore:
         self.queue_a = SramQueue(required_queue_bytes())
         self.queue_b = SramQueue(required_queue_bytes())
         self.queue_out = SramQueue(required_queue_bytes())
-        # One-slot index-buffer cache: describe() and instruction_indices()
-        # of the same instruction both read the replicated index buffer; the
-        # second read is served from here as long as the storage has not
-        # been written.
-        self._index_cache: tuple[tuple[int, int], int, np.ndarray] | None = None
-        # One-slot index-content digest cache, same invalidation rule:
-        # describe() of a repeated GATHER/UPDATE hashes the indices once.
-        self._digest_cache: tuple[tuple[int, int], int, bytes] | None = None
 
     def _local_base(self, node_word: int) -> int:
         return local_base(node_word, self.node_dim)
@@ -509,107 +411,39 @@ class NmpCore:
         """Run one broadcast instruction's slice on this DIMM."""
         return execute_broadcast([self], self.storage.array[:, None, :], instr)[0]
 
-    def _read_index_buffer(self, instr: Instruction) -> np.ndarray:
-        """Read ``count`` int32 lookup indices from the replicated buffer.
+    def describe(self, instr: Instruction) -> OpTraffic:
+        """The instruction's DRAM traffic on this DIMM, as an
+        :class:`~repro.dram.trace.OpTraffic` in DIMM-local words.
 
-        Cached per (base, count) until the backing storage is written, so
-        describing an instruction twice reads DRAM once.
+        No trace is built: O(1) for REDUCE and AVERAGE, O(count) for GATHER
+        and UPDATE, whose traffic reads the replicated index buffer first
+        and carries the indices as its rows (so describe before the
+        instruction runs).  The instruction's trace is the description's
+        one-channel share, and equal descriptions have byte-identical
+        shares, so ``(ControllerConfig, traffic.key)`` keys the
+        instruction-level timing memo.  Fields that cannot affect the
+        traffic are left out (REDUCE ignores ``words_per_slice``; ``subop``
+        changes ALU semantics, not DRAM traffic).
         """
-        key = (instr.index_base, instr.count)
-        cached = self._index_cache
-        if cached is not None and cached[0] == key and cached[1] == self.storage.version:
-            return cached[2]
-        index_words = -(-instr.count // ELEMS_PER_WORD)
-        raw = self.storage.read_indices(instr.index_base, index_words)
-        indices = raw[: instr.count]
-        self._index_cache = (key, self.storage.version, indices)
-        return indices
-
-    # -- symbolic trace description ---------------------------------------------
-
-    def _index_digest(self, instr: Instruction) -> bytes:
-        """Content digest of the instruction's index array (cached).
-
-        O(index bytes) — 4 B per lookup — which is the whole point: the
-        descriptor key for an index-driven instruction costs a hash over
-        the indices, never over the O(records) trace columns.
-        """
-        key = (instr.index_base, instr.count)
-        cached = self._digest_cache
-        if cached is not None and cached[0] == key and cached[1] == self.storage.version:
-            return cached[2]
-        indices = self._read_index_buffer(instr)
-        digest = hashlib.blake2b(indices.tobytes(), digest_size=16).digest()
-        self._digest_cache = (key, self.storage.version, digest)
-        return digest
-
-    def instruction_indices(self, instr: Instruction) -> np.ndarray | None:
-        """The index array an instruction's trace depends on (None if none).
-
-        GATHER and UPDATE traces are functions of the index *contents*;
-        REDUCE and AVERAGE are index-free.  This is what rides along with a
-        shipped descriptor so a worker can :func:`expand` it locally.
-        """
-        if instr.opcode in (Opcode.GATHER, Opcode.UPDATE):
-            return self._read_index_buffer(instr)
-        return None
-
-    def describe(self, instr: Instruction) -> TraceDescriptor:
-        """Symbolic descriptor of the instruction's DRAM trace.
-
-        Cheap by construction: no trace arrays are materialized and
-        nothing O(records) is hashed — O(1) for REDUCE/AVERAGE, O(index
-        bytes) for GATHER/UPDATE (the index-content digest).  Equal
-        descriptors expand (:func:`expand`) to byte-identical traces, so
-        ``(ControllerConfig, descriptor)`` keys the instruction-level
-        timing memo.  Fields that cannot affect the trace are normalized
-        out of the key (REDUCE ignores ``words_per_slice``; ``subop``
-        never appears — it changes ALU semantics, not DRAM traffic).
-        """
-        if instr.opcode == Opcode.GATHER:
-            return TraceDescriptor(
-                opcode=int(Opcode.GATHER),
-                count=instr.count,
-                words_per_slice=instr.words_per_slice,
-                bases=(
-                    self._local_base(instr.table_base),
-                    instr.index_base,
-                    self._local_base(instr.output_base),
-                ),
-                index_digest=self._index_digest(instr),
+        opcode = Opcode(instr.opcode)
+        wps = instr.words_per_slice
+        bases = (self._local_base(instr.input_base), self._local_base(instr.output_base))
+        if opcode == Opcode.REDUCE:
+            return OpTraffic(
+                "REDUCE", (bases[0], self._local_base(instr.aux), bases[1]), instr.count
             )
-        if instr.opcode == Opcode.REDUCE:
-            return TraceDescriptor(
-                opcode=int(Opcode.REDUCE),
-                count=instr.count,
-                words_per_slice=1,  # REDUCE traces are wps-independent
-                bases=(
-                    self._local_base(instr.input_base),
-                    self._local_base(instr.aux),
-                    self._local_base(instr.output_base),
-                ),
-            )
-        if instr.opcode == Opcode.AVERAGE:
-            return TraceDescriptor(
-                opcode=int(Opcode.AVERAGE),
-                count=instr.count,
-                words_per_slice=instr.words_per_slice,
-                bases=(
-                    self._local_base(instr.input_base),
-                    self._local_base(instr.output_base),
-                ),
+        if opcode == Opcode.AVERAGE:
+            if instr.count % wps:
+                raise ValueError(
+                    f"AVERAGE count {instr.count} not divisible by words_per_slice {wps}"
+                )
+            return OpTraffic(
+                "AVERAGE", bases, instr.count // wps, row_words=wps,
                 average_num=instr.average_num,
             )
-        if instr.opcode == Opcode.UPDATE:
-            return TraceDescriptor(
-                opcode=int(Opcode.UPDATE),
-                count=instr.count,
-                words_per_slice=instr.words_per_slice,
-                bases=(
-                    self._local_base(instr.input_base),
-                    self._local_base(instr.output_base),
-                    instr.index_base,
-                ),
-                index_digest=self._index_digest(instr),
-            )
-        raise ValueError(f"unknown opcode {instr.opcode}")
+        index_words = -(-instr.count // ELEMS_PER_WORD)
+        rows = self.storage.read_indices(instr.index_base, index_words)[: instr.count]
+        return OpTraffic(
+            opcode.name, bases, instr.count, row_words=wps,
+            index_base=instr.index_base, rows=rows,
+        )

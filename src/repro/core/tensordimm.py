@@ -156,7 +156,6 @@ class TensorDimm:
         return drain(
             self.timed_controller_config(refresh_enabled),
             descriptor=self.nmp.describe(instr),
-            indices=self.nmp.instruction_indices(instr),
         )
 
     def timed_seconds(self, exec_stats: NmpExecStats, dram_stats: ControllerStats) -> float:
@@ -165,16 +164,6 @@ class TensorDimm:
             self.timing.cycles_to_seconds(dram_stats.finish_cycle),
             exec_stats.alu_seconds(self.nmp.alu.clock_hz),
         )
-
-    def execute_timed_batch(
-        self, instrs: list[Instruction], refresh_enabled: bool = True
-    ) -> list[TimedExecution]:
-        """Run a sequence of instructions through the cycle-level model.
-
-        Each instruction drains on a fresh (reset) controller — identical
-        timing to calling :meth:`execute_timed` per instruction.
-        """
-        return [self.execute_timed(instr, refresh_enabled) for instr in instrs]
 
     def write_slice(self, local_word: int, payload: np.ndarray) -> None:
         """Bulk-write this DIMM's slice of an interleaved tensor."""

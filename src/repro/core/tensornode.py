@@ -24,13 +24,14 @@ import numpy as np
 
 from ..config import ACCESS_GRANULARITY, ELEMS_PER_WORD
 from ..dram.mapping import DramOrganization
+from ..dram.memo import drain
 from ..dram.storage import WordStorage, pack_indices
 from ..dram.timing import DDR4_3200, DramTiming
 from ..interconnect.link import NVLINK2_GPU, Link
 from .address_map import EmbeddingLayout
 from .allocator import Allocation, NodeAllocator
 from .isa import Instruction
-from .nmp_core import NmpExecStats, check_range, execute_broadcast, trace_records
+from .nmp_core import NmpExecStats, check_range, execute_broadcast
 from .tensordimm import TensorDimm
 
 
@@ -199,11 +200,11 @@ class TensorNode:
         path at every worker count, and instructions too small to be worth
         shipping run in-process automatically.
         """
-        from ..parallel import min_task_records, resolve_jobs
+        from ..parallel import resolve_jobs
 
         jobs = resolve_jobs(jobs)
         limit = self._simulated(simulate_dimms)
-        if jobs > 1 and limit > 1 and trace_records(instr) >= min_task_records():
+        if jobs > 1 and limit > 1:
             return self._broadcast_batch_parallel(
                 [instr], refresh_enabled, limit, jobs
             )[0]
@@ -254,16 +255,11 @@ class TensorNode:
         timing domain (controllers reset between instructions), so the
         results stay bit-identical to the sequential path.
         """
-        from ..parallel import min_task_records, resolve_jobs
+        from ..parallel import resolve_jobs
 
         jobs = resolve_jobs(jobs)
         limit = self._simulated(simulate_dimms)
-        threshold = min_task_records()
-        if (
-            jobs > 1
-            and len(instrs) * max(limit, 1) > 1
-            and any(trace_records(i) >= threshold for i in instrs)
-        ):
+        if jobs > 1 and len(instrs) * max(limit, 1) > 1:
             return self._broadcast_batch_parallel(instrs, refresh_enabled, limit, jobs)
         return [
             self.broadcast_timed(
@@ -284,35 +280,41 @@ class TensorNode:
     ) -> list[NodeExecStats]:
         """Fan the (instruction x simulated-DIMM) grid over worker processes.
 
-        Each (instruction, DIMM) drain is described symbolically and handed
-        to a :class:`repro.parallel.DrainBatch`, which answers it from the
-        instruction memo, shares it with an identical descriptor already in
-        flight (the rank-interleaved layout gives every DIMM the same local
-        stream), or ships ``(config, descriptor[, indices])`` to a worker.
-        The functional execution (which mutates the node's words) stays in
-        this process and runs while the workers drain.  Operation order is
-        the sequential path's — describe every simulated DIMM, then execute
-        node-wide, instruction by instruction — so functional state, exec
-        stats and DRAM stats are all bit-identical.
+        Each (instruction, DIMM) drain is described symbolically.  One too
+        small to ship (:func:`repro.parallel.min_task_records`) drains
+        in-process; the rest go to a :class:`repro.parallel.DrainBatch`,
+        which answers a drain from the instruction memo, shares it with an
+        identical description already in flight (the rank-interleaved
+        layout gives every DIMM the same local stream), or ships
+        ``(config, description)`` to a worker.  The functional execution
+        (which mutates the node's words) stays in this process and runs
+        while the workers drain.  Operation order is the sequential path's
+        — describe every simulated DIMM, then execute node-wide,
+        instruction by instruction — so functional state, exec stats and
+        DRAM stats are all bit-identical.
         """
-        from ..parallel import DrainBatch
+        from ..parallel import DrainBatch, min_task_records
 
         batch = DrainBatch(jobs)
+        threshold = min_task_records()
         configs = [
             dimm.timed_controller_config(refresh_enabled)
             for dimm in self.dimms[:limit]
         ]
         executed = []
+        drained = []  # per drain: its stats, or None while a worker has it
         for instr in instrs:
             self.instructions_executed += 1
             for dimm, config in zip(self.dimms, configs):
-                batch.submit(
-                    config,
-                    descriptor=dimm.nmp.describe(instr),
-                    indices=dimm.nmp.instruction_indices(instr),
-                )
+                traffic = dimm.nmp.describe(instr)
+                if traffic.records < threshold:
+                    drained.append(drain(config, descriptor=traffic))
+                else:
+                    batch.submit(config, descriptor=traffic)
+                    drained.append(None)
             executed.append(self._execute(instr))
-        drained = batch.results()
+        shipped = iter(batch.results())
+        drained = [next(shipped) if s is None else s for s in drained]
         return [
             self._timed_result(per_dimm, drained[k * len(configs) : (k + 1) * len(configs)])
             for k, per_dimm in enumerate(executed)

@@ -8,7 +8,9 @@ Public surface:
 * :class:`~repro.dram.controller.MemoryController` — one channel, FR-FCFS
 * :class:`~repro.dram.system.DramSystem` — multi-channel system
 * :class:`~repro.dram.storage.WordStorage` — functional 64 B-word store
-* :mod:`~repro.dram.trace` — columnar trace builders
+* :mod:`~repro.dram.trace` — :class:`~repro.dram.trace.OpTraffic`, the one
+  description of an op's traffic (CPU baseline and NMP instructions alike),
+  whose channel shares are columnar traces
 * :class:`~repro.dram.cache.Cache` / ``CacheHierarchy`` — CPU-gather ablation
 * :mod:`~repro.dram.memo` — the drain entry point
   (:func:`~repro.dram.memo.drain`) and its cross-layer timing memos

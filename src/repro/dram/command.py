@@ -1,7 +1,6 @@
 """DRAM trace types and the request sequence counter shared across the simulator."""
 
 import hashlib
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,44 +33,6 @@ def reserve_seq_block(n: int) -> int:
 def seq_ceiling() -> int:
     """The next sequence number: every number drawn so far lies below it."""
     return _seq_counter.value
-
-
-@dataclass(frozen=True)
-class TraceDescriptor:
-    """A compact, hashable symbolic description of an instruction's trace.
-
-    An NMP instruction's DRAM trace is a pure function of its shape
-    (opcode, count, words per slice, the DIMM-local base addresses) plus —
-    for index-driven opcodes — the *contents* of its index buffer.  The
-    descriptor captures exactly that: a few integers and, where the trace
-    depends on index values, a content digest of the index array.  Two
-    instructions with equal descriptors expand to byte-identical
-    :class:`TraceBuffer` traces, so ``(ControllerConfig, TraceDescriptor)``
-    keys the instruction-level timing memo (:mod:`repro.dram.memo`)
-    without ever materializing or hashing the trace arrays — O(index
-    bytes) for index-driven opcodes, O(1) for the rest.
-
-    Fields are deliberately opcode-agnostic at this layer (``opcode`` is
-    the raw :class:`~repro.core.isa.Opcode` integer and ``bases`` an
-    opcode-specific tuple of local word addresses); interpretation lives
-    in :func:`repro.core.nmp_core.expand`, the pure inverse that rebuilds
-    the trace.  ``index_digest`` is ``None`` for opcodes whose trace is
-    index-independent; :attr:`needs_indices` tells the parallel engine
-    whether the raw index array must ride along when a descriptor is
-    shipped to a worker for expansion.
-    """
-
-    opcode: int
-    count: int
-    words_per_slice: int
-    bases: tuple
-    average_num: int = 0
-    index_digest: bytes | None = None
-
-    @property
-    def needs_indices(self) -> bool:
-        """True when expanding this descriptor requires the index array."""
-        return self.index_digest is not None
 
 
 def _frozen(column: np.ndarray) -> np.ndarray:

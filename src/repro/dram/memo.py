@@ -13,19 +13,18 @@ studies in :mod:`repro.bench.ablation` drain their controllers directly,
 outside the memos):
 
 * :data:`INSTR_MEMO` — the instruction-level memo, keyed by
-  ``(ControllerConfig, TraceDescriptor)``.  A
-  :class:`~repro.dram.command.TraceDescriptor` stands for an NMP
-  instruction's trace symbolically (see
-  :meth:`~repro.core.nmp_core.NmpCore.describe`); a hit builds no trace
-  and hashes no bulk array.
+  ``(ControllerConfig, OpTraffic.key)``.  An
+  :class:`~repro.dram.trace.OpTraffic` describes an NMP instruction's
+  traffic symbolically (see :meth:`~repro.core.nmp_core.NmpCore.describe`);
+  a hit builds no trace and hashes no bulk array.
 * :data:`TIMING_MEMO` — the trace-level memo, keyed by
   ``(ControllerConfig, TraceBuffer.digest())``, a content hash of the read
   stream and the write stream, so the cache needs no invalidation.  The
   8 channels of a Fig. 11/12 CPU point share one key even where their
   reads and writes interleave differently (AVERAGE).
 
-Lookup order: the instruction memo, then
-:func:`~repro.core.nmp_core.expand` of the descriptor, then the trace memo,
+Lookup order: the instruction memo, then the description's one-channel
+share (:meth:`~repro.dram.trace.OpTraffic.share`), then the trace memo,
 then a real drain; a miss is stored at every level it passed.  Both levels
 are LRU and bounded by entry count and by an approximate resident-byte
 cap; hits hand back a fresh copy of the stored stats.
@@ -158,31 +157,32 @@ class TimingMemo(_LruStatsCache):
 
 
 class InstructionMemo(_LruStatsCache):
-    """The instruction-level memo: ``(config, TraceDescriptor) -> stats``.
+    """The instruction-level memo: ``(config, OpTraffic.key) -> stats``.
 
-    The descriptor is symbolic — a hit never touches, builds, or hashes
+    The description is symbolic — a hit never touches, builds, or hashes
     the trace arrays (the zero-materialization test pins this with the
     :class:`~repro.dram.command.TraceBuffer` counters).  Soundness rests
     on the same purity argument as the trace memo, one step removed:
-    equal descriptors expand to byte-identical traces
-    (:func:`repro.core.nmp_core.expand`), and byte-identical traces drain
-    bit-identically through equal configs.
+    equal descriptions have byte-identical one-channel shares
+    (:meth:`repro.dram.trace.OpTraffic.share`), and those drain
+    bit-identically through equal configs.  The key leaves out the rows
+    array (it holds their digest), so an entry keeps no rows alive.
     """
 
     def __init__(self, max_entries: int = 8192, max_bytes: int = 32 << 20):
         super().__init__(max_entries=max_entries, max_bytes=max_bytes)
 
     def lookup(self, config: ControllerConfig, descriptor) -> ControllerStats | None:
-        """Cached stats for the instruction ``descriptor`` describes."""
+        """Cached stats for the traffic ``descriptor`` describes."""
         if not self.enabled:
             return None
-        return self._lookup((config, descriptor))
+        return self._lookup((config, descriptor.key))
 
     def store(self, config: ControllerConfig, descriptor, stats: ControllerStats) -> None:
         """Record the drain result under the symbolic key."""
         if not self.enabled:
             return
-        self._store((config, descriptor), stats)
+        self._store((config, descriptor.key), stats)
 
 
 #: The process-wide memos (workers get their own copies of the module,
@@ -222,17 +222,16 @@ def drain(
     *,
     trace=None,
     descriptor=None,
-    indices=None,
     controller: MemoryController | None = None,
 ) -> ControllerStats:
     """The stats of draining one trace through a ``config`` controller.
 
     The trace is given as a :class:`~repro.dram.command.TraceBuffer`
-    ``trace``, or symbolically as a ``descriptor`` (plus the ``indices`` its
-    opcode expands from), or both.  The instruction memo is consulted
-    first, then the descriptor is expanded and the trace memo consulted,
-    and only if both miss is the trace drained; the result is stored at
-    every level that missed.
+    ``trace``, or symbolically as an :class:`~repro.dram.trace.OpTraffic`
+    ``descriptor`` whose one-channel share is the trace, or both.  The
+    instruction memo is consulted first, then the share is built and the
+    trace memo consulted, and only if both miss is the trace drained; the
+    result is stored at every level that missed.
 
     Without ``controller`` a miss drains on this process's cached
     controller for ``config``.  With one — pristine and already holding
@@ -245,9 +244,7 @@ def drain(
     stats = None if descriptor is None else INSTR_MEMO.lookup(config, descriptor)
     if stats is None:
         if trace is None:
-            from ..core import nmp_core
-
-            trace = nmp_core.expand(descriptor, indices)
+            trace = descriptor.share(0, 1)
         stats = TIMING_MEMO.lookup(config, trace)
         if stats is None:
             target = controller

@@ -5,7 +5,7 @@ several independent DDR4 channels behind one physical address space, with
 consecutive 64 B blocks interleaved across channels (the standard layout
 that time-multiplexes each channel across all the DIMMs behind it —
 Section 4.2's "fixed bandwidth per channel" argument).  Traffic arrives
-as a :class:`~repro.dram.trace.SystemTraffic` description, never as a
+as a :class:`~repro.dram.trace.OpTraffic` description, never as a
 whole-system trace: each channel gets its share in closed form, and
 channels with equal shares share one buffer and one drain.
 
@@ -21,7 +21,7 @@ from .controller import ControllerStats, MemoryController
 from .mapping import AddressMapping, DramOrganization
 from .memo import drain
 from .timing import DDR4_3200, DramTiming
-from .trace import SystemTraffic
+from .trace import OpTraffic
 
 
 @dataclass
@@ -107,12 +107,12 @@ class DramSystem:
         local = (block // self.num_channels) * 64 + (addr % 64)
         return channel, local
 
-    def enqueue_traffic(self, traffic: SystemTraffic) -> None:
+    def enqueue_traffic(self, traffic: OpTraffic) -> None:
         """Queue one operation's traffic, described symbolically.
 
         Each channel's share is computed in closed form (word ``w`` goes to
         channel ``w % C`` at local word ``w // C``); each distinct
-        :meth:`~repro.dram.trace.SystemTraffic.share_key` is built once and
+        :meth:`~repro.dram.trace.OpTraffic.share_key` is built once and
         the same buffer is queued on every channel with that key, so
         :meth:`run` drains it once and the other channels adopt its
         memoized stats.  The traffic is checked against the system

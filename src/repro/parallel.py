@@ -8,13 +8,13 @@ This module fans them out across a persistent pool of worker processes:
 * **Drain fan-out** (:class:`DrainBatch`): ships
   :func:`repro.dram.memo.drain` calls to the workers.  A channel's backlog
   travels as its columnar trace; an NMP instruction travels as its
-  symbolic :class:`~repro.dram.command.TraceDescriptor` (plus its index
-  array when the opcode needs one) and the worker expands it locally, so
-  the payload is O(count) instead of O(trace records).  The parent answers
-  what its memos already hold and sends identical tasks once.  Because
-  FR-FCFS age tie-breaks are relative, a worker-side drain is
-  bit-identical to draining in-process, and results come back in
-  submission order, so the merge is deterministic at every worker count.
+  symbolic :class:`~repro.dram.trace.OpTraffic` (with its index rows) and
+  the worker builds the trace locally, so the payload is O(count) instead
+  of O(trace records).  The parent answers what its memos already hold
+  and sends identical tasks once.  Because FR-FCFS age tie-breaks are
+  relative, a worker-side drain is bit-identical to draining in-process,
+  and results come back in submission order, so the merge is
+  deterministic at every worker count.
   ``DramSystem.run`` and ``TensorNode.broadcast_timed*`` use it.
 * **Sweep fan-out** (:func:`parallel_map`): an ordered ``map`` over a
   process pool for design-point grids (CLI figures, ablations, service
@@ -142,7 +142,7 @@ class DrainBatch:
 
     :meth:`submit` answers a task from this process's memos when it can,
     shares one worker call among identical tasks (same config and trace
-    digest, or same config and descriptor), and ships the rest at once.
+    digest, or same config and description), and ships the rest at once.
     The caller is free to work between :meth:`submit` and :meth:`results`
     (``TensorNode`` executes the instructions functionally meanwhile).
     """
@@ -152,12 +152,10 @@ class DrainBatch:
         self._tasks: list = []  # per task: its stats, or its in-flight key
         self._inflight: dict[tuple, tuple] = {}
 
-    def submit(
-        self, config: ControllerConfig, *, trace=None, descriptor=None, indices=None
-    ) -> None:
+    def submit(self, config: ControllerConfig, *, trace=None, descriptor=None) -> None:
         """Queue one drain (arguments as for :func:`repro.dram.memo.drain`)."""
         if descriptor is not None:
-            key = (config, descriptor)
+            key = (config, descriptor.key)
             stats = memo.INSTR_MEMO.lookup(config, descriptor)
         else:
             key = (config, trace.digest())
@@ -168,7 +166,7 @@ class DrainBatch:
         if key not in self._inflight:
             # The pool starts on the first task the memo cannot answer.
             future = get_executor(*self._pool_args).submit(
-                memo.drain, config, trace=trace, descriptor=descriptor, indices=indices
+                memo.drain, config, trace=trace, descriptor=descriptor
             )
             self._inflight[key] = (future, trace, descriptor)
         self._tasks.append(key)

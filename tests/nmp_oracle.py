@@ -33,8 +33,15 @@ def execute(core: NmpCore, instr: Instruction) -> NmpExecStats:
     raise ValueError(f"unknown opcode {instr.opcode}")
 
 
+def _index_rows(core: NmpCore, instr: Instruction) -> np.ndarray:
+    """The instruction's ``count`` int32 indices, from the core's own copy of
+    the replicated index buffer."""
+    index_words = -(-instr.count // ELEMS_PER_WORD)
+    return core.storage.read_indices(instr.index_base, index_words)[: instr.count]
+
+
 def _execute_gather(core: NmpCore, instr: Instruction) -> NmpExecStats:
-    rows = core._read_index_buffer(instr)
+    rows = _index_rows(core, instr)
     wps = instr.words_per_slice
     table_local = core._local_base(instr.table_base)
     out_local = core._local_base(instr.output_base)
@@ -100,7 +107,7 @@ def _execute_average(core: NmpCore, instr: Instruction) -> NmpExecStats:
 def _execute_update(core: NmpCore, instr: Instruction) -> NmpExecStats:
     if instr.subop not in (ReduceOp.SUM, ReduceOp.SUB):
         raise ValueError("UPDATE supports only SUM and SUB")
-    rows = core._read_index_buffer(instr)
+    rows = _index_rows(core, instr)
     wps = instr.words_per_slice
     grad_local = core._local_base(instr.input_base)
     table_local = core._local_base(instr.output_base)

@@ -12,7 +12,6 @@ from repro.core.nmp_core import (
     NmpExecStats,
     SramQueue,
     VectorAlu,
-    expand,
     required_queue_bytes,
 )
 from repro.dram.storage import WordStorage
@@ -237,7 +236,7 @@ class TestAverageExecution:
 
 def instr_trace(core, instr):
     """The instruction's DRAM trace, as the timed paths build it."""
-    return expand(core.describe(instr), core.instruction_indices(instr))
+    return core.describe(instr).share(0, 1)
 
 
 class TestTraceGeneration:

@@ -6,7 +6,7 @@ import pytest
 from repro.dram.command import TraceBuffer, seq_ceiling
 from repro.dram.controller import ControllerStats, MemoryController
 from repro.dram.timing import DDR4_2400, DDR4_3200
-from repro.dram.trace import reduce_buffer, streaming_buffer
+from repro.dram.trace import reduce_traffic, streaming_buffer
 
 
 def make_controller(**kwargs):
@@ -97,7 +97,7 @@ class TestBandwidth:
 
     def test_reduce_traffic_sustains_high_bandwidth(self):
         mc = make_controller()
-        mc.enqueue_batch(reduce_buffer(0, 1 << 22, 1 << 23, 3000))
+        mc.enqueue_batch(reduce_traffic(0, 1 << 22, 1 << 23, 3000).share(0, 1))
         stats = mc.run_to_completion()
         assert stats.bandwidth(DDR4_3200) > 0.7 * DDR4_3200.peak_bandwidth
 
@@ -215,7 +215,7 @@ class TestRowPolicy:
 
     def test_closed_page_still_functionally_complete(self):
         mc = make_controller(row_policy="closed")
-        mc.enqueue_batch(reduce_buffer(0, 1 << 20, 1 << 21, 300))
+        mc.enqueue_batch(reduce_traffic(0, 1 << 20, 1 << 21, 300).share(0, 1))
         stats = mc.run_to_completion()
         assert stats.accesses == 900
 

@@ -255,10 +255,11 @@ class TestNodeWritesInvalidateCaches:
         core = node.dimms[2].nmp
         node.write_indices(alloc, [0, 1, 2, 3, 4, 5])
         first = core.describe(instr)
-        np.testing.assert_array_equal(core.instruction_indices(instr), [0, 1, 2, 3, 4, 5])
+        np.testing.assert_array_equal(first.rows, [0, 1, 2, 3, 4, 5])
         node.write_indices(alloc, [7, 7, 6, 5, 4, 3])
-        assert core.describe(instr).index_digest != first.index_digest
-        np.testing.assert_array_equal(core.instruction_indices(instr), [7, 7, 6, 5, 4, 3])
+        second = core.describe(instr)
+        assert second.rows_digest != first.rows_digest
+        np.testing.assert_array_equal(second.rows, [7, 7, 6, 5, 4, 3])
 
 
 class TestNodeLinearTensorIo:

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from repro.core.isa import average, gather, reduce, update
-from repro.core.nmp_core import NmpCore, expand
+from repro.core.nmp_core import NmpCore
 from repro.core.tensordimm import TensorDimm
 from repro.bench import ablation
 from repro.bench.figure11 import AVERAGE_NUM, LOOKUPS_PER_SAMPLE, TABLE_ROWS
@@ -37,14 +37,12 @@ from repro.dram.storage import WordStorage
 from repro.dram.system import DramSystem
 from repro.dram.timing import DDR4_3200
 from repro.dram.trace import (
-    average_buffer,
+    WORD_BYTES,
+    OpTraffic,
     average_traffic,
-    gather_buffer,
     gather_traffic,
-    reduce_buffer,
     reduce_traffic,
     streaming_buffer,
-    strided_buffer,
 )
 from repro.env import REFERENCE_ENV_VAR, reference_mode
 
@@ -59,6 +57,7 @@ from trace_oracles import (
     reduce_trace,
     reinterleave,
     streaming_trace,
+    streams,
     strided_trace,
     to_buffer,
 )
@@ -83,7 +82,7 @@ OPCODE_CASES = {
 
 def instr_trace(core, instr):
     """The instruction's DRAM trace, as the timed paths build it."""
-    return expand(core.describe(instr), core.instruction_indices(instr))
+    return core.describe(instr).share(0, 1)
 
 
 def run_scalar_scan(trace, timing=DDR4_3200, **kw):
@@ -213,13 +212,13 @@ class TestDramSystemParity:
         row_words = EmbeddingLayout(1, 1, 512).chunks
         if op == "GATHER":
             args = (0, row_words, rng.integers(0, TABLE_ROWS, lookups), TABLE_ROWS * row_words * 64)
-            return gather_traffic(*args), gather_buffer(*args)
+            return gather_traffic(*args), to_buffer(gather_trace(*args))
         words = lookups * row_words
         if op == "REDUCE":
             args = (0, words * 64, 2 * words * 64, words)
-            return reduce_traffic(*args), reduce_buffer(*args)
+            return reduce_traffic(*args), to_buffer(reduce_trace(*args))
         args = (0, AVERAGE_NUM, words * AVERAGE_NUM * 64, words)
-        return average_traffic(*args), average_buffer(*args)
+        return average_traffic(*args), to_buffer(average_trace(*args))
 
     @pytest.mark.parametrize("op", ["GATHER", "REDUCE", "AVERAGE"])
     def test_figure11_cpu_matches_per_record_routing(self, op):
@@ -384,32 +383,47 @@ class TestTraceBuffer:
         assert addr[0] == 64
 
 
+def gather_buffer(*args):
+    return gather_traffic(*args).share(0, 1)
+
+
+def reduce_buffer(*args):
+    return reduce_traffic(*args).share(0, 1)
+
+
+def average_buffer(*args):
+    return average_traffic(*args).share(0, 1)
+
+
+def strided_buffer(input_base, average_num, output_base, num_rows, row_words):
+    bases = (input_base // WORD_BYTES, output_base // WORD_BYTES)
+    traffic = OpTraffic(
+        "AVERAGE", bases, num_rows, row_words=row_words, average_num=average_num
+    )
+    return traffic.share(0, 1)
+
+
 class TestColumnarBuilders:
-    """Each columnar builder must emit exactly its generator twin's records."""
+    """Each columnar builder must emit its generator twin's read stream and
+    write stream; the streaming builder, its records exactly.  The op
+    builders are the one-channel shares of the op's description (the
+    strided one: an AVERAGE over rows wider than a word)."""
 
     @pytest.mark.parametrize(
         "buffer_fn,trace_fn,args",
         [
             (streaming_buffer, streaming_trace, (1 << 12, 50, True, 7)),
-            (strided_buffer, strided_trace, (0, 40, 3, False)),
+            (strided_buffer, strided_trace, (0, 3, 1 << 16, 5, 4)),
             (gather_buffer, gather_trace, (1 << 14, 4, np.array([5, 1, 5, 2]), 1 << 18)),
             (reduce_buffer, reduce_trace, (0, 1 << 14, 1 << 15, 30)),
             (average_buffer, average_trace, (0, 5, 1 << 16, 12)),
         ],
     )
     def test_matches_generator(self, buffer_fn, trace_fn, args):
-        assert records(buffer_fn(*args)) == list(trace_fn(*args))
-
-
-class TestDimmBatchExecution:
-    def test_execute_timed_batch_matches_sequential(self):
-        instrs = [reduce(0, 2 * 512, 2 * 1024, 200), reduce(0, 2 * 512, 2 * 2048, 150)]
-        sequential = TensorDimm(0, 2, capacity_words=1 << 13)
-        expected = [sequential.execute_timed(i) for i in instrs]
-        batched = TensorDimm(0, 2, capacity_words=1 << 13)
-        got = batched.execute_timed_batch(instrs)
-        assert [t.dram_stats for t in got] == [t.dram_stats for t in expected]
-        assert [t.seconds for t in got] == [t.seconds for t in expected]
+        golden = to_buffer(trace_fn(*args))
+        assert streams(buffer_fn(*args)) == streams(golden)
+        if buffer_fn is streaming_buffer:
+            assert records(buffer_fn(*args)) == records(golden)
 
 
 class TestDecodeBatch:
@@ -429,21 +443,30 @@ class TestDecodeBatch:
 
 
 class TestIndexBufferCache:
-    def test_trace_then_execute_reads_indices_once(self):
+    """A GATHER's description carries its indices: describing reads the
+    index buffer once, building the trace reads it no more, and a rewritten
+    buffer is never served stale."""
+
+    def test_trace_then_execute_reads_indices_once(self, monkeypatch):
         core = seeded_core(seed=37)
-        instr = OPCODE_CASES["gather"]
-        first = core._read_index_buffer(instr)
-        again = core._read_index_buffer(instr)
-        assert again is first  # cache hit, no second storage read
+        reads = []
+        real = core.storage.read_indices
+        monkeypatch.setattr(
+            core.storage, "read_indices", lambda *a: reads.append(a) or real(*a)
+        )
+        traffic = core.describe(OPCODE_CASES["gather"])
+        traffic.share(0, 1)
+        assert len(reads) == 1
 
     def test_cache_invalidated_by_writes(self):
         core = seeded_core(seed=41)
         instr = OPCODE_CASES["gather"]
-        before = core._read_index_buffer(instr).copy()
+        before = core.describe(instr)
         core.storage.write_indices(30000, np.zeros(100, dtype=np.int32))
-        after = core._read_index_buffer(instr)
-        assert not np.array_equal(before, after)
-        assert (after == 0).all()
+        after = core.describe(instr)
+        assert not np.array_equal(before.rows, after.rows)
+        assert (after.rows == 0).all()
+        assert after != before
 
 
 def _traffic(name):
@@ -692,7 +715,7 @@ class TestIncrementalFloorParity:
         # spanning rows 0-1 of all 16 banks, 1,600 random one-word lookups,
         # each followed by its output write into row 2.
         rng = np.random.default_rng(17)
-        trace = gather_buffer(0, 1, rng.integers(0, 4096, 1600), 4096 * 64)
+        trace = to_buffer(gather_trace(0, 1, rng.integers(0, 4096, 1600), 4096 * 64))
         org = DramOrganization()
         coords = AddressMapping(org).decode_batch(trace.addr)
         reads = ~trace.is_write
@@ -729,7 +752,7 @@ class TestIncrementalFloorParity:
         # the first drain's tWTR and tCCD history, which the indexed drain
         # must load from Rank state on entry.
         rng = np.random.default_rng(23)
-        first = gather_buffer(0, 1, rng.integers(0, 4096, 400), 4096 * 64)
+        first = to_buffer(gather_trace(0, 1, rng.integers(0, 4096, 400), 4096 * 64))
         readback = streaming_buffer(4096 * 64, 400)
         runs = {}
         for cls in (ScanController, MemoryController):
@@ -970,7 +993,7 @@ class TestStreakRefusal:
     def _reduce_reads(ranks):
         if ranks == 1:
             words = 256
-            trace = reduce_buffer(0, words * 64, 2 * words * 64, words)
+            trace = to_buffer(reduce_trace(0, words * 64, 2 * words * 64, words))
             config = MemoryController(DDR4_3200).snapshot_config()
         else:
             # One channel's share of a Fig. 11 CPU REDUCE (8 x 4 ranks).

@@ -1,8 +1,12 @@
-"""The symbolic CPU traffic (``repro.dram.trace.SystemTraffic``) against
-per-record routing of the builders' whole-system traces.
+"""Channel shares of the traffic description (``repro.dram.trace.OpTraffic``)
+against per-record routing of whole-system traces.
 
-Each channel's closed-form share must carry the read stream and the write
-stream that :meth:`DramSystem.route`, record by record, hands that channel;
+Each channel's share must carry the read stream and the write stream that
+:meth:`DramSystem.route`, record by record, hands that channel: the CPU
+ops' closed-form shares against their generators' traces, and the shares
+selected from the whole streams (index reads, UPDATE, AVERAGE rows wider
+than a word) against the one-channel share, which
+``tests/test_nmp_traffic.py`` checks against the NMP instruction oracle;
 equal share keys must mean byte-identical shares; aligned shapes must give
 every channel one key; and a description outside the system must be
 refused before any controller queues anything.  CI also runs this file
@@ -18,16 +22,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.dram.system import DramSystem
-from repro.dram.trace import (
-    average_buffer,
-    average_traffic,
-    gather_buffer,
-    gather_traffic,
-    reduce_buffer,
-    reduce_traffic,
-)
+from repro.dram.trace import OpTraffic, average_traffic, gather_traffic, reduce_traffic
 
-from trace_oracles import routed_shares
+from trace_oracles import average_trace, gather_trace, reduce_trace, routed_shares, to_buffer
 
 #: One system per channel count: building 8 controllers per example would
 #: dominate the property run.
@@ -36,11 +33,13 @@ _SYSTEMS = {c: DramSystem(channels=c) for c in (1, 2, 3, 8)}
 
 @st.composite
 def cases(draw):
-    """``(channels, aligned, traffic, builder trace)`` for one op.
+    """``(channels, aligned, traffic, whole-system trace)`` for one op.
 
     Aligned cases put every base, the GATHER row width and the REDUCE and
     AVERAGE word counts on multiples of ``channels`` words; the others
-    draw any base, any row width and odd word counts."""
+    draw any base, any row width and odd word counts.  Unaligned cases also
+    draw the traffic only an NMP instruction has (index reads, UPDATE,
+    AVERAGE rows wider than a word), whose shares have no closed form."""
     channels = draw(st.sampled_from(sorted(_SYSTEMS)))
     aligned = draw(st.booleans())
     unit = channels if aligned else 1
@@ -53,6 +52,19 @@ def cases(draw):
             return draw(st.integers(low, high)) * channels
         return draw(st.integers(low, high)) * 2 + 1
 
+    if not aligned and draw(st.booleans()):
+        op = draw(st.sampled_from(["GATHER", "UPDATE", "AVERAGE"]))
+        rows = draw(st.lists(st.integers(0, 40), max_size=40))
+        fields = {"row_words": draw(st.integers(1, 5))}
+        if op == "AVERAGE":
+            fields["average_num"] = draw(st.integers(1, 4))
+            num_words = draw(st.integers(0, 8))
+        else:
+            fields.update(rows=rows, index_base=draw(st.none() | st.integers(0, 300)))
+            num_words = len(rows)
+        bases = (draw(st.integers(0, 300)), draw(st.integers(0, 300)))
+        traffic = OpTraffic(op, bases, num_words, **fields)
+        return channels, aligned, traffic, traffic.share(0, 1)
     op = draw(st.sampled_from(["GATHER", "REDUCE", "AVERAGE"]))
     if op == "GATHER":
         if aligned:
@@ -67,12 +79,12 @@ def cases(draw):
             draw(st.lists(st.integers(0, 40), max_size=12)), dtype=np.int64
         )
         args = (base(), row_words, rows, base())
-        return channels, aligned, gather_traffic(*args), gather_buffer(*args)
+        return channels, aligned, gather_traffic(*args), to_buffer(gather_trace(*args))
     if op == "REDUCE":
         args = (base(), base(), base(), count(0, 20))
-        return channels, aligned, reduce_traffic(*args), reduce_buffer(*args)
+        return channels, aligned, reduce_traffic(*args), to_buffer(reduce_trace(*args))
     args = (base(), draw(st.integers(1, 6)), base(), count(0, 12))
-    return channels, aligned, average_traffic(*args), average_buffer(*args)
+    return channels, aligned, average_traffic(*args), to_buffer(average_trace(*args))
 
 
 def _streams(trace):
@@ -145,7 +157,8 @@ class TestOutOfRange:
         channels, _, traffic, _ = case
         system = DramSystem(channels=channels)
         write_words = traffic.num_words * traffic.row_words
-        assume(write_words)
+        # The last base starts the written run (UPDATE writes table rows).
+        assume(write_words and traffic.op != "UPDATE")
         spill %= write_words
         words = system.capacity_bytes // 64
         out = -1 - spill if negative else words - spill

@@ -2,9 +2,9 @@
 
 Two levels (see :mod:`repro.dram.memo`): the trace memo keyed by
 ``(ControllerConfig, trace digest)`` and the instruction memo keyed by
-``(ControllerConfig, TraceDescriptor)``.  Correctness rests on the drain
+``(ControllerConfig, OpTraffic.key)``.  Correctness rests on the drain
 being a pure function of those keys (the parity, determinism, and
-descriptor-expansion suites pin the purity); these tests pin the cache
+description suites pin the purity); these tests pin the cache
 mechanics: keying, copy semantics, LRU + byte-cap eviction, reference
 mode, the lookup order of :func:`~repro.dram.memo.drain`, and every
 consumer (TensorDimm, DramSystem, the parallel drain fan-out).
@@ -17,7 +17,6 @@ import numpy as np
 import pytest
 
 from repro.core.isa import gather, reduce
-from repro.core.nmp_core import expand
 from repro.core.runtime import TensorDimmRuntime
 from repro.core.tensordimm import TensorDimm
 from repro.core.tensornode import TensorNode
@@ -455,7 +454,7 @@ class TestDescriptorReplay:
         dimm, instr, descriptor = _described_reduce(count=400)
         config = dimm.timed_controller_config(True)
         mc = config.build()
-        mc.enqueue_batch(expand(descriptor))
+        mc.enqueue_batch(descriptor.share(0, 1))
         golden = mc.run_to_completion()
         assert drain(config, descriptor=descriptor) == golden
         assert drain(config, descriptor=descriptor) == golden  # memo hit
@@ -493,7 +492,8 @@ class TestDescriptorReplay:
 
 class TestDrainLookupOrder:
     """The hit/miss counters :func:`drain` leaves pin its lookup order:
-    instruction memo, then expansion, then trace memo, then a real drain."""
+    instruction memo, then the description's share, then trace memo, then
+    a real drain."""
 
     def test_figure11_cpu_points(self, timing_memo, instr_memo):
         from repro.bench import figure11

@@ -1,10 +1,12 @@
-"""Symbolic trace descriptors: parity, collision, and zero-materialization.
+"""NMP traffic descriptions: parity, collision, and zero-materialization.
 
 The instruction-level timing memo rests on two claims:
 
-* ``expand(describe(instr), instruction_indices(instr))`` is
-  array-identical to ``nmp_trace(core, instr)`` — the reference generator
-  in ``trace_oracles`` — across every opcode and shape (seeded fuzz below);
+* ``describe(instr).share(0, 1)``, the instruction's trace, has the read
+  stream and the write stream of ``nmp_trace(core, instr)`` — the
+  reference generator in ``trace_oracles`` — across every opcode and shape
+  (seeded fuzz below; ``tests/test_nmp_traffic.py`` draws the shapes with
+  hypothesis), and equal descriptions have identical traces;
 * a hit performs **zero** trace construction and **zero** bulk-array
   hashing (pinned via the ``TraceBuffer`` materialization counters), and
   every timed path is bit-identical with ``REPRO_REFERENCE`` unset and
@@ -16,15 +18,14 @@ import pytest
 
 from repro import parallel
 from repro.core.isa import Instruction, Opcode, ReduceOp, average, gather, reduce, update
-from repro.core.nmp_core import expand
 from repro.core.tensordimm import TensorDimm
 from repro.core.tensornode import TensorNode
 from repro.dram.command import TraceBuffer
 from repro.dram.system import DramSystem
-from repro.dram.trace import reduce_traffic
+from repro.dram.trace import OpTraffic, reduce_traffic
 from repro.env import REFERENCE_ENV_VAR
 
-from trace_oracles import nmp_trace
+from trace_oracles import nmp_trace, streams
 
 
 ND = 2  # node_dim of the fuzzed DIMM; node-word bases must align to it
@@ -43,13 +44,15 @@ def _assert_identical(golden: TraceBuffer, symbolic: TraceBuffer):
 
 def _roundtrip(dimm, instr):
     golden = nmp_trace(dimm.nmp, instr)
-    symbolic = expand(dimm.nmp.describe(instr), dimm.nmp.instruction_indices(instr))
-    _assert_identical(golden, symbolic)
+    symbolic = dimm.nmp.describe(instr).share(0, 1)
+    assert streams(symbolic) == streams(golden)
+    assert symbolic.digest() == golden.digest()
     return golden
 
 
 class TestExpandParity:
-    """Seeded fuzz: expand(describe(i), indices) == trace(i), all opcodes."""
+    """Seeded fuzz: the description's one-channel share has trace(i)'s read
+    and write streams, all opcodes."""
 
     @pytest.mark.parametrize("seed", range(8))
     def test_gather(self, seed):
@@ -100,20 +103,21 @@ class TestExpandParity:
             dimm.write_indices(40000, idx)
             _roundtrip(dimm, gather(0, 40000, ND * 50000, count, words_per_slice=3))
 
-    def test_expand_requires_indices_for_index_driven_opcodes(self):
+    def test_index_driven_descriptions_carry_their_rows(self):
         dimm = _dimm()
         dimm.write_indices(40000, np.arange(10, dtype=np.int32))
         descriptor = dimm.nmp.describe(gather(0, 40000, ND * 50000, 10))
-        assert descriptor.needs_indices
-        with pytest.raises(ValueError):
-            expand(descriptor)
-        with pytest.raises(ValueError):
-            expand(descriptor, np.arange(9, dtype=np.int32))  # wrong length
+        assert descriptor.index_base == 40000
+        np.testing.assert_array_equal(descriptor.rows, np.arange(10))
+        with pytest.raises(ValueError, match="rows"):
+            OpTraffic("GATHER", descriptor.bases, 10, index_base=40000)
+        with pytest.raises(ValueError, match="rows"):  # wrong length
+            OpTraffic("GATHER", descriptor.bases, 10, rows=np.arange(9))
 
     def test_reduce_descriptor_is_index_free(self):
         descriptor = _dimm().nmp.describe(reduce(0, ND * 8000, ND * 16000, 50))
-        assert not descriptor.needs_indices
-        assert descriptor.index_digest is None
+        assert descriptor.rows is None and descriptor.index_base is None
+        assert descriptor.rows_digest is None
 
 
 class TestDescriptorKeys:
@@ -159,7 +163,8 @@ class TestDescriptorKeys:
 
     def test_descriptor_to_trace_is_functional(self):
         """Equal keys must stand for byte-identical traces — the soundness
-        condition of keying the memo symbolically."""
+        condition of keying the memo symbolically — and the description's
+        share must have that trace's streams."""
         rng = np.random.default_rng(9)
         seen = {}
         for _ in range(40):
@@ -171,7 +176,8 @@ class TestDescriptorKeys:
             instr = gather(0, 40000, ND * 50000, count, words_per_slice=wps)
             key = dimm.nmp.describe(instr)
             trace = nmp_trace(dimm.nmp, instr)
-            _assert_identical(seen.setdefault(key, trace), trace)
+            _assert_identical(seen.setdefault(key.key, trace), trace)
+            assert streams(key.share(0, 1)) == streams(trace)
 
     def test_reduce_wps_normalized_out_of_key(self):
         """REDUCE traces ignore words_per_slice, so the key does too."""

@@ -1,14 +1,16 @@
 """Reference trace generators for the tests.
 
 The package has one trace type, the columnar
-:class:`~repro.dram.command.TraceBuffer`.  The generators here build the
-same traffic as the builders in :mod:`repro.dram.trace`, one record at a
-time, as a reference: the builder-equivalence tests compare every builder
-against its generator, and the parity tests feed the records one by one
-through the scan oracle's ``enqueue_record`` to pin what the batched
-paths compute.  :func:`nmp_trace` builds an NMP instruction's trace
-directly from the instruction, the reference for
-:func:`repro.core.nmp_core.expand`.
+:class:`~repro.dram.command.TraceBuffer`, and one traffic description,
+:class:`~repro.dram.trace.OpTraffic`, whose shares are built reads first,
+then writes.  The generators here build each op's traffic one record at a
+time in program order (per row or word: its reads, then its write), as a
+reference: the builder-equivalence tests compare every description's
+read stream and write stream against its generator's, and the parity
+tests feed the records one by one through the scan oracle's
+``enqueue_record`` to pin what the batched paths compute.
+:func:`nmp_trace` builds an NMP instruction's trace directly from the
+instruction, the reference for :meth:`repro.core.nmp_core.NmpCore.describe`.
 """
 
 from typing import Iterable, Iterator, NamedTuple
@@ -35,13 +37,6 @@ def streaming_trace(
 ) -> Iterator[Record]:
     for i in range(num_words):
         yield Record(start_cycle, base_addr + i * WORD_BYTES, is_write)
-
-
-def strided_trace(
-    base_addr: int, num_words: int, stride_words: int, is_write: bool = False
-) -> Iterator[Record]:
-    for i in range(num_words):
-        yield Record(0, base_addr + i * stride_words * WORD_BYTES, is_write)
 
 
 def gather_trace(
@@ -74,6 +69,32 @@ def average_trace(
         for j in range(average_num):
             yield Record(0, input_base + (i * average_num + j) * WORD_BYTES, False)
         yield Record(0, output_base + i * WORD_BYTES, True)
+
+
+def streams(trace: TraceBuffer) -> tuple[list, list]:
+    """A trace's read stream and write stream: the ``(addr, cycle)`` pairs
+    of each direction, in trace order.  Equal streams drain identically
+    (see :meth:`TraceBuffer.digest`), however the two interleave."""
+    pairs = list(zip(trace.addr.tolist(), trace.cycle.tolist()))
+    is_write = trace.is_write.tolist()
+    return (
+        [p for p, w in zip(pairs, is_write) if not w],
+        [p for p, w in zip(pairs, is_write) if w],
+    )
+
+
+def strided_trace(
+    input_base: int, average_num: int, output_base: int, num_rows: int, row_words: int
+) -> Iterator[Record]:
+    """AVERAGE over rows ``row_words`` words wide: output word ``k`` of a
+    row reads word ``k`` of each of its ``average_num`` input rows,
+    ``row_words`` words apart, then is written."""
+    for r in range(num_rows):
+        for k in range(row_words):
+            for j in range(average_num):
+                word = (r * average_num + j) * row_words + k
+                yield Record(0, input_base + word * WORD_BYTES, False)
+            yield Record(0, output_base + (r * row_words + k) * WORD_BYTES, True)
 
 
 def records(trace: TraceBuffer) -> list[Record]:
@@ -113,7 +134,7 @@ def routed_shares(system, trace: TraceBuffer) -> list[TraceBuffer | None]:
     """Each channel's share of a system-address trace, routed one record at
     a time through :meth:`DramSystem.route` (``None`` for a channel with no
     records): the per-record reference for
-    :meth:`~repro.dram.trace.SystemTraffic.share`.  Every address is routed
+    :meth:`~repro.dram.trace.OpTraffic.share`.  Every address is routed
     before any share is built, so a bad one raises ``ValueError`` first."""
     routed = [[] for _ in system.controllers]
     for r in records(trace):
@@ -146,17 +167,19 @@ def nmp_trace(core, instr) -> TraceBuffer:
     """The DIMM-local trace of one instruction on NMP core ``core``.
 
     The instruction's 64 B transactions in program order, built straight
-    from the instruction: the reference for the symbolic pipeline, which
-    must give the same arrays as
-    ``expand(core.describe(instr), core.instruction_indices(instr))``.
+    from the instruction: the reference for the symbolic pipeline, whose
+    trace ``core.describe(instr).share(0, 1)`` must have the same read
+    stream and the same write stream.
     """
     word = ACCESS_GRANULARITY
+    index_words = -(-instr.count // ELEMS_PER_WORD)
+    if instr.opcode in (Opcode.GATHER, Opcode.UPDATE):
+        indices = core.storage.read_indices(instr.index_base, index_words)
+        rows = indices[: instr.count].astype(np.int64)
     if instr.opcode == Opcode.GATHER:
-        rows = core._read_index_buffer(instr).astype(np.int64)
         wps = instr.words_per_slice
         table_local = core._local_base(instr.table_base)
         out_local = core._local_base(instr.output_base)
-        index_words = -(-instr.count // ELEMS_PER_WORD)
         idx_addrs = instr.index_base + np.arange(index_words, dtype=np.int64)
         # Per row: wps source reads then wps destination writes.
         offsets = np.arange(wps, dtype=np.int64)
@@ -192,11 +215,9 @@ def nmp_trace(core, instr) -> TraceBuffer:
         is_write = np.tile(np.append(np.zeros(group, dtype=bool), True), instr.count)
         return TraceBuffer(addrs * word, is_write)
     if instr.opcode == Opcode.UPDATE:
-        rows = core._read_index_buffer(instr).astype(np.int64)
         wps = instr.words_per_slice
         grad_local = core._local_base(instr.input_base)
         table_local = core._local_base(instr.output_base)
-        index_words = -(-instr.count // ELEMS_PER_WORD)
         idx_addrs = instr.index_base + np.arange(index_words, dtype=np.int64)
         offsets = np.arange(wps, dtype=np.int64)
         # Per (row, word): gradient read, table read, table write.
