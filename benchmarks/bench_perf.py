@@ -75,7 +75,10 @@ repeated-instruction broadcast throughput on a warm instruction memo.
 
 ``--smoke`` shrinks every workload and skips the JSON write — CI uses it
 to prove the benchmark path stays runnable (once by default, once with
-``REPRO_REFERENCE=1``, so a parity break fails the build).  The artefact
+``REPRO_REFERENCE=1``, so a parity break fails the build, and once with
+``--jobs 2``).  With ``--jobs`` above 1 it sets
+``repro.parallel.MIN_TASK_RECORDS`` to 0, so its tiny traces still reach
+the process pool.  The artefact
 entries then run once, with ``--quick`` where the CLI has it.
 """
 
@@ -114,6 +117,7 @@ from repro.dram.timing import DDR4_3200
 from repro.dram.trace import average_traffic, gather_traffic, reduce_traffic
 from repro.env import REFERENCE_ENV_VAR
 from repro.models.model_zoo import WORKLOADS_BY_NAME
+from repro import parallel
 from repro.parallel import get_executor, parallel_map, resolve_jobs
 
 #: Measured with the per-record trace engine and O(window) rescan scheduler
@@ -149,7 +153,7 @@ def _memo_dicts() -> tuple[dict, dict]:
     """(timing_cache, instruction_memo) counter dicts for an entry."""
     trace = TIMING_MEMO.stats()
     instr = INSTR_MEMO.stats()
-    keys = ("hits", "misses", "hit_rate", "evictions", "resident_bytes")
+    keys = ("hits", "misses", "hit_rate", "evictions")
     return (
         {k: trace[k] for k in keys},
         {k: instr[k] for k in keys},
@@ -834,6 +838,9 @@ def main(argv=None) -> None:
         "BENCH_perf.json",
     )
     args = parser.parse_args(argv)
+    if args.smoke and resolve_jobs(args.jobs) > 1:
+        # Smoke traces are tiny by design; ship them to the pool anyway.
+        parallel.MIN_TASK_RECORDS = 0
     report = run(jobs=args.jobs, smoke=args.smoke)
     for entry in report["entries"]:
         if "baseline" in entry:

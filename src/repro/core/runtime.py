@@ -84,11 +84,11 @@ class TensorDimmRuntime:
         bulk array hashed (see :mod:`repro.dram.memo`).  Sweeps record
         these counters alongside their results.
         """
-        from ..dram.memo import instr_memo_stats, timing_memo_stats
+        from ..dram import memo
 
         return {
-            "instruction": instr_memo_stats(),
-            "trace": timing_memo_stats(),
+            "instruction": memo.INSTR_MEMO.stats(),
+            "trace": memo.TIMING_MEMO.stats(),
         }
 
     def _fresh_name(self, prefix: str) -> str:

@@ -16,6 +16,11 @@ rank-interleaved mapping (node word ``w`` on DIMM ``w % D`` at local word
 of it and each broadcast instruction runs once over all DIMMs
 (:func:`~repro.core.nmp_core.execute_broadcast`).  Each DIMM's storage is
 the strided column ``[:, i, :]``, so the per-DIMM API keeps working.
+
+Timed broadcasts have one path, :meth:`TensorNode.broadcast_timed_batch`
+(:meth:`~TensorNode.broadcast_timed` is its one-instruction case): each
+simulated DIMM's traffic is described symbolically and drained through a
+:class:`repro.parallel.DrainBatch`, in-process or on the process pool.
 """
 
 from dataclasses import dataclass, field
@@ -24,7 +29,6 @@ import numpy as np
 
 from ..config import ACCESS_GRANULARITY, ELEMS_PER_WORD
 from ..dram.mapping import DramOrganization
-from ..dram.memo import drain
 from ..dram.storage import WordStorage, pack_indices
 from ..dram.timing import DDR4_3200, DramTiming
 from ..interconnect.link import NVLINK2_GPU, Link
@@ -192,31 +196,12 @@ class TensorNode:
         default simulates ``simulate_dimms=1`` DIMM(s) cycle-level and
         reuses that service time for the rest (pass ``None`` to simulate
         every DIMM — tests use this to verify the streams really are
-        identical in length).
-
-        ``jobs`` (default: ``$REPRO_JOBS``, else 1) fans the per-DIMM
-        cycle simulations out across the process pool of
-        :mod:`repro.parallel`; results are bit-identical to the sequential
-        path at every worker count, and instructions too small to be worth
-        shipping run in-process automatically.
+        identical in length).  ``jobs`` is as for
+        :meth:`broadcast_timed_batch`.
         """
-        from ..parallel import resolve_jobs
-
-        jobs = resolve_jobs(jobs)
-        limit = self._simulated(simulate_dimms)
-        if jobs > 1 and limit > 1:
-            return self._broadcast_batch_parallel(
-                [instr], refresh_enabled, limit, jobs
-            )[0]
-        self.instructions_executed += 1
-        # Every simulated DIMM drains before the one node-wide execute: each
-        # trace is defined against its DIMM's storage before the instruction
-        # runs, and storage is private per DIMM, so this is the per-DIMM
-        # drain -> execute order.
-        dram_per_dimm = [
-            dimm.dram_stats(instr, refresh_enabled) for dimm in self.dimms[:limit]
-        ]
-        return self._timed_result(self._execute(instr), dram_per_dimm)
+        return self.broadcast_timed_batch(
+            [instr], refresh_enabled, simulate_dimms, jobs
+        )[0]
 
     def _simulated(self, simulate_dimms: int | None) -> int:
         """How many DIMMs a timed broadcast cycle-simulates."""
@@ -244,78 +229,39 @@ class TensorNode:
         simulate_dimms: int | None = 1,
         jobs: int | None = None,
     ) -> list[NodeExecStats]:
-        """Execute a whole instruction sequence with cycle-level timing.
+        """Execute an instruction sequence with cycle-level timing.
 
-        Equivalent to calling :meth:`broadcast_timed` per instruction (the
-        DIMMs' reusable controllers already amortize per-instruction setup);
-        exists so runtimes and sweeps can hand over a kernel's full
-        instruction stream in one call.  With ``jobs > 1`` the whole
-        (instruction x DIMM) grid of cycle simulations is fanned out across
-        the process pool: every (instruction, DIMM) pair is an independent
-        timing domain (controllers reset between instructions), so the
-        results stay bit-identical to the sequential path.
+        Every (instruction, simulated DIMM) drain is an independent timing
+        domain (controllers reset between instructions), described
+        symbolically and handed to one :class:`repro.parallel.DrainBatch`.
+        At ``jobs > 1`` (default: ``$REPRO_JOBS``, else 1) the batch ships
+        the large ones to the process pool, and an identical description
+        already in flight (the rank-interleaved layout gives every DIMM the
+        same local stream) shares its worker call; a lone drain stays
+        in-process.  The functional execution, which mutates the node's
+        words, stays in this process and runs while the workers drain.
+        Operation order is per instruction: describe every simulated DIMM,
+        then execute node-wide.  Each trace is defined against the storage
+        before its instruction runs, so functional state, exec stats and
+        DRAM stats are bit-identical at every worker count.
         """
-        from ..parallel import resolve_jobs
+        from ..parallel import DrainBatch
 
-        jobs = resolve_jobs(jobs)
         limit = self._simulated(simulate_dimms)
-        if jobs > 1 and len(instrs) * max(limit, 1) > 1:
-            return self._broadcast_batch_parallel(instrs, refresh_enabled, limit, jobs)
-        return [
-            self.broadcast_timed(
-                instr,
-                refresh_enabled=refresh_enabled,
-                simulate_dimms=simulate_dimms,
-                jobs=jobs,  # already resolved: an explicit jobs=1 stays sequential
-            )
-            for instr in instrs
-        ]
-
-    def _broadcast_batch_parallel(
-        self,
-        instrs: list[Instruction],
-        refresh_enabled: bool,
-        limit: int,
-        jobs: int,
-    ) -> list[NodeExecStats]:
-        """Fan the (instruction x simulated-DIMM) grid over worker processes.
-
-        Each (instruction, DIMM) drain is described symbolically.  One too
-        small to ship (:func:`repro.parallel.min_task_records`) drains
-        in-process; the rest go to a :class:`repro.parallel.DrainBatch`,
-        which answers a drain from the instruction memo, shares it with an
-        identical description already in flight (the rank-interleaved
-        layout gives every DIMM the same local stream), or ships
-        ``(config, description)`` to a worker.  The functional execution
-        (which mutates the node's words) stays in this process and runs
-        while the workers drain.  Operation order is the sequential path's
-        — describe every simulated DIMM, then execute node-wide,
-        instruction by instruction — so functional state, exec stats and
-        DRAM stats are all bit-identical.
-        """
-        from ..parallel import DrainBatch, min_task_records
-
-        batch = DrainBatch(jobs)
-        threshold = min_task_records()
+        batch = DrainBatch(jobs if len(instrs) * limit > 1 else 1)
         configs = [
             dimm.timed_controller_config(refresh_enabled)
             for dimm in self.dimms[:limit]
         ]
         executed = []
-        drained = []  # per drain: its stats, or None while a worker has it
         for instr in instrs:
             self.instructions_executed += 1
             for dimm, config in zip(self.dimms, configs):
-                traffic = dimm.nmp.describe(instr)
-                if traffic.records < threshold:
-                    drained.append(drain(config, descriptor=traffic))
-                else:
-                    batch.submit(config, descriptor=traffic)
-                    drained.append(None)
+                batch.submit(config, descriptor=dimm.nmp.describe(instr))
             executed.append(self._execute(instr))
-        shipped = iter(batch.results())
-        drained = [next(shipped) if s is None else s for s in drained]
+        drained = batch.results()
+        n = len(configs)
         return [
-            self._timed_result(per_dimm, drained[k * len(configs) : (k + 1) * len(configs)])
+            self._timed_result(per_dimm, drained[k * n : (k + 1) * n])
             for k, per_dimm in enumerate(executed)
         ]

@@ -12,15 +12,16 @@ Public surface:
   description of an op's traffic (CPU baseline and NMP instructions alike),
   whose channel shares are columnar traces
 * :class:`~repro.dram.cache.Cache` / ``CacheHierarchy`` — CPU-gather ablation
-* :mod:`~repro.dram.memo` — the drain entry point
-  (:func:`~repro.dram.memo.drain`) and its cross-layer timing memos
-  (:data:`~repro.dram.memo.TIMING_MEMO`, :func:`~repro.dram.memo.timing_memo_stats`)
+* :mod:`~repro.dram.memo` — the in-process drain
+  (:func:`~repro.dram.memo.drain`) and the cross-layer timing memo, one
+  store viewed as two levels (:data:`~repro.dram.memo.TIMING_MEMO`,
+  :data:`~repro.dram.memo.INSTR_MEMO`)
 """
 
 from .cache import Cache, CacheHierarchy, CacheStats
 from .command import TraceBuffer
 from .controller import ControllerConfig, ControllerStats, MemoryController
-from .memo import TIMING_MEMO, TimingMemo, timing_memo_stats
+from .memo import TIMING_MEMO, TimingMemo
 from .mapping import (
     BANK_INTERLEAVED_ORDER,
     RANK_INTERLEAVED_ORDER,
@@ -54,6 +55,5 @@ __all__ = [
     "TIMING_MEMO",
     "TimingMemo",
     "TraceBuffer",
-    "timing_memo_stats",
     "WordStorage",
 ]

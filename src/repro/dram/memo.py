@@ -6,28 +6,32 @@ ties *relative* to each other, and only within one direction, so two
 equally configured controllers draining traces that merge the same read
 stream with the same write stream, in any interleaving, produce
 bit-identical :class:`~repro.dram.controller.ControllerStats` (the argument
-is in :meth:`~repro.dram.command.TraceBuffer.digest`).  :func:`drain` is
-the only consumer of the two memo levels that cache that function, and
-every memo-backed drain in the package goes through it (the ablation
-studies in :mod:`repro.bench.ablation` drain their controllers directly,
-outside the memos):
+is in :meth:`~repro.dram.command.TraceBuffer.digest`).  One bounded LRU
+store caches that function, viewed as two levels.  Only :func:`drain` and
+:class:`repro.parallel.DrainBatch` (which calls :func:`drain` for every
+drain it keeps in-process) consult it; every memo-backed drain in the
+package goes through them (the ablation studies in
+:mod:`repro.bench.ablation` drain their controllers directly, outside the
+memo):
 
-* :data:`INSTR_MEMO` — the instruction-level memo, keyed by
+* :data:`INSTR_MEMO` — the instruction level, keyed by
   ``(ControllerConfig, OpTraffic.key)``.  An
   :class:`~repro.dram.trace.OpTraffic` describes an NMP instruction's
   traffic symbolically (see :meth:`~repro.core.nmp_core.NmpCore.describe`);
   a hit builds no trace and hashes no bulk array.
-* :data:`TIMING_MEMO` — the trace-level memo, keyed by
+* :data:`TIMING_MEMO` — the trace level, keyed by
   ``(ControllerConfig, TraceBuffer.digest())``, a content hash of the read
   stream and the write stream, so the cache needs no invalidation.  The
   8 channels of a Fig. 11/12 CPU point share one key even where their
   reads and writes interleave differently (AVERAGE).
 
-Lookup order: the instruction memo, then the description's one-channel
-share (:meth:`~repro.dram.trace.OpTraffic.share`), then the trace memo,
-then a real drain; a miss is stored at every level it passed.  Both levels
-are LRU and bounded by entry count and by an approximate resident-byte
-cap; hits hand back a fresh copy of the stored stats.
+The two key types (a tuple, a digest) never collide, so the levels share
+one entry cap and one recency order; each level keeps its own hit, miss
+and eviction counters, length, :meth:`~_MemoView.clear` and
+:meth:`~_MemoView.stats`.  Lookup order: the instruction level, then the
+description's one-channel share (:meth:`~repro.dram.trace.OpTraffic.share`),
+then the trace level, then a real drain; a miss is stored at every level
+it passed.  Hits hand back a fresh copy of the stored stats.
 
 Two soundness rules:
 
@@ -42,7 +46,6 @@ Two soundness rules:
 off, together with the controller's streak fast path.
 """
 
-import sys
 from collections import OrderedDict
 from dataclasses import replace
 
@@ -50,77 +53,85 @@ from ..env import reference_mode
 from .controller import ControllerConfig, ControllerStats, MemoryController
 
 
-def _entry_nbytes(key, stats: ControllerStats) -> int:
-    """Approximate resident size of one cache entry.
-
-    Good enough for a byte-aware cap: the stored value's boxed fields plus
-    a flat allowance for the key tuple (configs are shared across entries,
-    so only the per-entry digest/descriptor and dict slot are charged).
-    """
-    size = sys.getsizeof(stats) + 96  # key tuple + OrderedDict slot allowance
-    d = getattr(stats, "__dict__", None)
-    if d is not None:
-        size += sum(sys.getsizeof(v) for v in d.values())
-    return size
-
-
 class _LruStatsCache:
-    """A bounded LRU ``key -> ControllerStats`` map with byte accounting.
+    """The bounded LRU ``key -> ControllerStats`` store behind both levels.
 
-    Shared engine of both memo levels: lookups move the entry to the MRU
-    end, stores evict from the LRU end while either the entry count or the
-    approximate resident-byte total is over its cap.  Subclasses define
-    the public key-building ``lookup``/``store`` wrappers.
+    Each entry remembers the view (memo level) that stored it.  A lookup
+    moves the entry to the MRU end; a store evicts from the LRU end while
+    the store is full, and charges each eviction to the entry's view.
     """
 
-    def __init__(self, max_entries: int = 4096, max_bytes: int = 32 << 20):
+    def __init__(self, max_entries: int = 12288):
         self.max_entries = max_entries
-        self.max_bytes = max_bytes
-        self._entries: OrderedDict[tuple, tuple[ControllerStats, int]] = OrderedDict()
+        self.entries: OrderedDict[tuple, tuple[ControllerStats, "_MemoView"]] = OrderedDict()
+
+    def get(self, key) -> ControllerStats | None:
+        entry = self.entries.get(key)
+        if entry is None:
+            return None
+        self.entries.move_to_end(key)  # LRU: a hit refreshes recency
+        return replace(entry[0])
+
+    def put(self, key, stats: ControllerStats, view: "_MemoView") -> None:
+        entries = self.entries
+        entries.pop(key, None)
+        while entries and len(entries) >= self.max_entries:
+            _, (_, owner) = entries.popitem(last=False)
+            owner.evictions += 1
+        entries[key] = (replace(stats), view)
+
+
+class _MemoView:
+    """One memo level: its own keys in a shared store, its own counters.
+
+    Subclasses define how ``lookup``/``store`` key their argument.
+    """
+
+    def __init__(self, store: _LruStatsCache):
+        self._cache = store
         self.hits = 0
         self.misses = 0
         self.evictions = 0
-        self.resident_bytes = 0
 
     @property
     def enabled(self) -> bool:
         """False in reference mode (``REPRO_REFERENCE=1``)."""
         return not reference_mode()
 
-    def __len__(self) -> int:
-        return len(self._entries)
+    def lookup(self, config: ControllerConfig, item) -> ControllerStats | None:
+        """Cached stats for draining ``item`` through ``config``, or None.
 
-    def _lookup(self, key) -> ControllerStats | None:
-        entry = self._entries.get(key)
-        if entry is None:
-            self.misses += 1
+        A hit returns a fresh copy and counts toward :attr:`hits`, a miss
+        counts toward :attr:`misses`.  Always misses, uncounted, in
+        reference mode.
+        """
+        if not self.enabled:
             return None
-        self._entries.move_to_end(key)  # LRU: a hit refreshes recency
-        self.hits += 1
-        return replace(entry[0])
+        stats = self._cache.get(self._key(config, item))
+        if stats is None:
+            self.misses += 1
+        else:
+            self.hits += 1
+        return stats
 
-    def _store(self, key, stats: ControllerStats) -> None:
-        old = self._entries.pop(key, None)
-        if old is not None:
-            self.resident_bytes -= old[1]
-        nbytes = _entry_nbytes(key, stats)
-        while self._entries and (
-            len(self._entries) >= self.max_entries
-            or self.resident_bytes + nbytes > self.max_bytes
-        ):
-            _, (_, evicted_bytes) = self._entries.popitem(last=False)
-            self.resident_bytes -= evicted_bytes
-            self.evictions += 1
-        self._entries[key] = (replace(stats), nbytes)
-        self.resident_bytes += nbytes
+    def store(self, config: ControllerConfig, item, stats: ControllerStats) -> None:
+        """Record the drain result (a private copy is stored)."""
+        if self.enabled:
+            self._cache.put(self._key(config, item), stats, self)
+
+    def _keys(self) -> list:
+        return [k for k, (_, view) in self._cache.entries.items() if view is self]
+
+    def __len__(self) -> int:
+        return len(self._keys())
 
     def clear(self) -> None:
-        """Drop every entry and zero the counters (tests, benchmarks)."""
-        self._entries.clear()
+        """Drop this level's entries and zero its counters (tests, benchmarks)."""
+        for key in self._keys():
+            del self._cache.entries[key]
         self.hits = 0
         self.misses = 0
         self.evictions = 0
-        self.resident_bytes = 0
 
     def stats(self) -> dict:
         """Counters in the shape the benchmark sweep entries record."""
@@ -129,35 +140,21 @@ class _LruStatsCache:
             "hits": self.hits,
             "misses": self.misses,
             "hit_rate": round(self.hits / total, 4) if total else 0.0,
-            "entries": len(self._entries),
+            "entries": len(self),
             "evictions": self.evictions,
-            "resident_bytes": self.resident_bytes,
         }
 
 
-class TimingMemo(_LruStatsCache):
-    """The trace-level memo: ``(config, trace digest) -> stats``."""
+class TimingMemo(_MemoView):
+    """The trace level: ``(config, TraceBuffer.digest()) -> stats``."""
 
-    def lookup(self, config: ControllerConfig, trace) -> ControllerStats | None:
-        """Cached stats for draining ``trace`` through ``config``, or None.
-
-        ``trace`` is a :class:`~repro.dram.command.TraceBuffer`; a hit
-        returns a fresh copy and counts toward :attr:`hits`, a miss counts
-        toward :attr:`misses`.  Always misses, uncounted, in reference mode.
-        """
-        if not self.enabled:
-            return None
-        return self._lookup((config, trace.digest()))
-
-    def store(self, config: ControllerConfig, trace, stats: ControllerStats) -> None:
-        """Record the drain result (a private copy is stored)."""
-        if not self.enabled:
-            return
-        self._store((config, trace.digest()), stats)
+    @staticmethod
+    def _key(config: ControllerConfig, trace) -> tuple:
+        return (config, trace.digest())
 
 
-class InstructionMemo(_LruStatsCache):
-    """The instruction-level memo: ``(config, OpTraffic.key) -> stats``.
+class InstructionMemo(_MemoView):
+    """The instruction level: ``(config, OpTraffic.key) -> stats``.
 
     The description is symbolic — a hit never touches, builds, or hashes
     the trace arrays (the zero-materialization test pins this with the
@@ -169,36 +166,17 @@ class InstructionMemo(_LruStatsCache):
     array (it holds their digest), so an entry keeps no rows alive.
     """
 
-    def __init__(self, max_entries: int = 8192, max_bytes: int = 32 << 20):
-        super().__init__(max_entries=max_entries, max_bytes=max_bytes)
-
-    def lookup(self, config: ControllerConfig, descriptor) -> ControllerStats | None:
-        """Cached stats for the traffic ``descriptor`` describes."""
-        if not self.enabled:
-            return None
-        return self._lookup((config, descriptor.key))
-
-    def store(self, config: ControllerConfig, descriptor, stats: ControllerStats) -> None:
-        """Record the drain result under the symbolic key."""
-        if not self.enabled:
-            return
-        self._store((config, descriptor.key), stats)
+    @staticmethod
+    def _key(config: ControllerConfig, descriptor) -> tuple:
+        return (config, descriptor.key)
 
 
-#: The process-wide memos (workers get their own copies of the module,
-#: hence their own memos, in their own process).
-TIMING_MEMO = TimingMemo()
-INSTR_MEMO = InstructionMemo()
-
-
-def timing_memo_stats() -> dict:
-    """Hit/miss counters of the process-wide trace memo (bench reporting)."""
-    return TIMING_MEMO.stats()
-
-
-def instr_memo_stats() -> dict:
-    """Hit/miss counters of the process-wide instruction memo."""
-    return INSTR_MEMO.stats()
+#: The process-wide memo: one store, viewed as two levels (workers get
+#: their own copies of the module, hence their own memo, in their own
+#: process).
+_STORE = _LruStatsCache()
+TIMING_MEMO = TimingMemo(_STORE)
+INSTR_MEMO = InstructionMemo(_STORE)
 
 
 #: One reusable controller per distinct configuration, process-wide (each
@@ -237,9 +215,9 @@ def drain(
     controller for ``config``.  With one — pristine and already holding
     ``trace`` (``DramSystem.run``) — a miss drains that controller in place,
     and either way the result is adopted into it with ``adopt_run``, so
-    its state afterwards does not depend on whether the memo hit.  Runs in
-    worker processes too: :class:`repro.parallel.DrainBatch` ships calls
-    to it.
+    its state afterwards does not depend on whether the memo hit.
+    :class:`repro.parallel.DrainBatch` calls it for every drain it keeps
+    in-process and ships calls to it to worker processes.
     """
     stats = None if descriptor is None else INSTR_MEMO.lookup(config, descriptor)
     if stats is None:

@@ -7,7 +7,9 @@ that time-multiplexes each channel across all the DIMMs behind it —
 Section 4.2's "fixed bandwidth per channel" argument).  Traffic arrives
 as a :class:`~repro.dram.trace.OpTraffic` description, never as a
 whole-system trace: each channel gets its share in closed form, and
-channels with equal shares share one buffer and one drain.
+channels with equal shares share one buffer and one drain.  Every
+pristine channel drains through one :class:`~repro.parallel.DrainBatch`,
+which owns the memo protocol and the in-process vs pool decision.
 
 TensorDIMMs do *not* use this class for their NMP-local traffic; each
 TensorDIMM owns a private single-channel controller (see
@@ -19,7 +21,6 @@ from dataclasses import dataclass
 
 from .controller import ControllerStats, MemoryController
 from .mapping import AddressMapping, DramOrganization
-from .memo import drain
 from .timing import DDR4_3200, DramTiming
 from .trace import OpTraffic
 
@@ -145,55 +146,39 @@ class DramSystem:
         slowest channel's finish time.
 
         A channel whose controller is pristine drains its pending trace
-        (:meth:`MemoryController.pending_trace`) through
-        :func:`~repro.dram.memo.drain`: a trace with the same read and write
-        streams as one drained before adopts the memoized stats.  A warm
+        (:meth:`MemoryController.pending_trace`) through a
+        :class:`~repro.parallel.DrainBatch`: a trace with the same read and
+        write streams as one drained before adopts the memoized stats, and
+        at ``jobs > 1`` (default: ``$REPRO_JOBS``, else 1) a large backlog
+        ships to the process pool as a columnar trace.  The per-channel
+        ``ControllerStats`` are bit-identical at every worker count.  A warm
         controller continues from its accumulated state, so it drains in
         place.
-
-        ``jobs`` (default: ``$REPRO_JOBS``, else 1) ships the memoizable
-        channels' drains to the process pool of :mod:`repro.parallel` as
-        columnar traces; the per-channel ``ControllerStats`` are
-        bit-identical to the sequential drain at every worker count (tiny
-        backlogs stay in-process).
         """
-        from ..parallel import DrainBatch, min_task_records, resolve_jobs
+        from ..parallel import DrainBatch
 
-        jobs = resolve_jobs(jobs)
-        threshold = min_task_records()
-        batch = None
-        if (
-            jobs > 1
-            and self.num_channels > 1
-            and any(c.pending >= threshold for c in self.controllers)
-        ):
-            batch = DrainBatch(jobs)
+        # A lone channel has nothing to overlap its drain with.
+        batch = DrainBatch(jobs if self.num_channels > 1 else 1)
         stats: list[ControllerStats | None] = []
-        shipped = []
+        batched = []
         for channel, controller in enumerate(self.controllers):
             trace = controller.pending_trace()
             if trace is None:
                 stats.append(controller.run_to_completion())
                 continue
-            config = controller.snapshot_config()
-            if batch is None:
-                stats.append(drain(config, trace=trace, controller=controller))
-                continue
-            batch.submit(config, trace=trace)
-            shipped.append((channel, len(trace)))
+            batch.submit(controller.snapshot_config(), trace=trace, controller=controller)
+            batched.append((channel, len(trace)))
             stats.append(None)
-        if shipped:
-            for (channel, records), s in zip(shipped, batch.results()):
-                # A worker that saw only this channel's trace must account
-                # for exactly this channel's requests.
-                if s.accesses != records:
-                    raise RuntimeError(
-                        f"channel {channel} drained {s.accesses} requests but "
-                        f"was shipped {records}: independent-channel invariant "
-                        "violated"
-                    )
-                self.controllers[channel].adopt_run(s)
-                stats[channel] = s
+        for (channel, records), s in zip(batched, batch.results()):
+            # A drain that saw only this channel's trace must account for
+            # exactly this channel's requests.
+            if s.accesses != records:
+                raise RuntimeError(
+                    f"channel {channel} drained {s.accesses} requests but "
+                    f"was shipped {records}: independent-channel invariant "
+                    "violated"
+                )
+            stats[channel] = s
         return SystemStats(
             total_bytes=sum(s.total_bytes for s in stats),
             elapsed_seconds=max(c.elapsed_seconds() for c in self.controllers),

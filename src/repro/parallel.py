@@ -5,17 +5,19 @@ baseline, N channels) each owning an independent timing domain — yet a
 single Python process can only drain those domains one after another.
 This module fans them out across a persistent pool of worker processes:
 
-* **Drain fan-out** (:class:`DrainBatch`): ships
-  :func:`repro.dram.memo.drain` calls to the workers.  A channel's backlog
-  travels as its columnar trace; an NMP instruction travels as its
+* **Drain fan-out** (:class:`DrainBatch`): the one way a caller drains
+  (``DramSystem.run``, ``TensorNode.broadcast_timed*``).  One rule per
+  task: at ``jobs == 1`` or below ``MIN_TASK_RECORDS`` records it drains
+  in-process through :func:`repro.dram.memo.drain`; otherwise the parent
+  answers it from its memo, shares an identical task already in flight,
+  or ships a :func:`~repro.dram.memo.drain` call to a worker.  A channel's
+  backlog travels as its columnar trace; an NMP instruction travels as its
   symbolic :class:`~repro.dram.trace.OpTraffic` (with its index rows) and
   the worker builds the trace locally, so the payload is O(count) instead
-  of O(trace records).  The parent answers what its memos already hold
-  and sends identical tasks once.  Because FR-FCFS age tie-breaks are
-  relative, a worker-side drain is bit-identical to draining in-process,
-  and results come back in submission order, so the merge is
-  deterministic at every worker count.
-  ``DramSystem.run`` and ``TensorNode.broadcast_timed*`` use it.
+  of O(trace records).  Because FR-FCFS age tie-breaks are relative, a
+  worker-side drain is bit-identical to draining in-process, and results
+  come back in submission order, so the merge is deterministic at every
+  worker count.
 * **Sweep fan-out** (:func:`parallel_map`): an ordered ``map`` over a
   process pool for design-point grids (CLI figures, ablations, service
   sims).  Workloads seed their RNGs from the item itself
@@ -24,10 +26,10 @@ This module fans them out across a persistent pool of worker processes:
 
 Worker counts resolve through :func:`resolve_jobs`: an explicit ``jobs=``
 argument wins, then the ``REPRO_JOBS`` environment variable, then 1
-(sequential).  ``jobs=0`` (or any value < 1) means "use every CPU".  The
-callers stay in-process when the work is too small for IPC to pay off
-(see ``MIN_TASK_RECORDS``), so sprinkling ``jobs=`` through call sites
-never pessimizes tiny runs.
+(sequential).  ``jobs=0`` (or any value < 1) means "use every CPU".  Work
+too small for IPC to pay off stays in-process (tiny drains, lone drains,
+one-item maps), so sprinkling ``jobs=`` through call sites never
+pessimizes tiny runs.
 
 Pools are created lazily, keyed by multiprocessing start method, and kept
 alive for the life of the process (each worker keeps its controllers and
@@ -47,18 +49,10 @@ from .env import read_env
 #: Environment variable consulted when no explicit ``jobs=`` is given.
 JOBS_ENV_VAR = "REPRO_JOBS"
 
-#: Below this many trace records per task, IPC + pickling dominates the
-#: cycle-level drain and the callers silently stay in-process.  Override
-#: with the REPRO_PARALLEL_MIN_RECORDS environment variable (0 disables
-#: the fallback, useful for tests).
+#: Below this many trace records, IPC and pickling cost more than the
+#: cycle-level drain they would overlap, so :class:`DrainBatch` keeps the
+#: task in-process.
 MIN_TASK_RECORDS = 4096
-
-_MIN_RECORDS_ENV_VAR = "REPRO_PARALLEL_MIN_RECORDS"
-
-
-def min_task_records() -> int:
-    """The effective tiny-trace fallback threshold (env-overridable)."""
-    return read_env(_MIN_RECORDS_ENV_VAR, MIN_TASK_RECORDS)
 
 
 #: Set in worker processes so nested fan-out degrades to sequential.
@@ -138,61 +132,78 @@ atexit.register(shutdown)
 # -- drain fan-out -------------------------------------------------------------
 
 class DrainBatch:
-    """Ships :func:`repro.dram.memo.drain` calls to the process pool.
+    """The one way a caller drains a batch of independent timing domains.
 
-    :meth:`submit` answers a task from this process's memos when it can,
-    shares one worker call among identical tasks (same config and trace
-    digest, or same config and description), and ships the rest at once.
-    The caller is free to work between :meth:`submit` and :meth:`results`
-    (``TensorNode`` executes the instructions functionally meanwhile).
+    :meth:`submit` follows one rule per task.  At ``jobs == 1``, or below
+    :data:`MIN_TASK_RECORDS` records, the task drains in-process through
+    :func:`repro.dram.memo.drain` (memo first, then a real drain).
+    Otherwise this process's memo answers it if it can, an identical task
+    already in flight (same config and trace digest, or same config and
+    description) shares its worker call, and the rest ship to the pool at
+    once.  The caller is free to work between :meth:`submit` and
+    :meth:`results` (``TensorNode`` executes the instructions functionally
+    meanwhile).  A caller with a single task passes ``jobs=1``: a lone
+    drain has nothing to overlap with.
     """
 
-    def __init__(self, jobs: int, start_method: str | None = None):
-        self._pool_args = (jobs, start_method)
-        self._tasks: list = []  # per task: its stats, or its in-flight key
+    def __init__(self, jobs: int | None = None, start_method: str | None = None):
+        self._jobs = resolve_jobs(jobs)
+        self._start_method = start_method
+        self._tasks: list = []  # per task: (its stats or in-flight key, controller)
         self._inflight: dict[tuple, tuple] = {}
 
-    def submit(self, config: ControllerConfig, *, trace=None, descriptor=None) -> None:
-        """Queue one drain (arguments as for :func:`repro.dram.memo.drain`)."""
+    def submit(
+        self, config: ControllerConfig, *, trace=None, descriptor=None, controller=None
+    ) -> None:
+        """Queue one drain (arguments as for :func:`repro.dram.memo.drain`;
+        a ``controller`` adopts the task's stats, hit, miss or shipped)."""
+        records = len(trace) if descriptor is None else descriptor.records
+        if self._jobs == 1 or records < MIN_TASK_RECORDS:
+            stats = memo.drain(
+                config, trace=trace, descriptor=descriptor, controller=controller
+            )
+            self._tasks.append((stats, None))
+            return
         if descriptor is not None:
             key = (config, descriptor.key)
             stats = memo.INSTR_MEMO.lookup(config, descriptor)
         else:
             key = (config, trace.digest())
             stats = memo.TIMING_MEMO.lookup(config, trace)
-        if stats is not None:
-            self._tasks.append(stats)
-            return
-        if key not in self._inflight:
-            # The pool starts on the first task the memo cannot answer.
-            future = get_executor(*self._pool_args).submit(
-                memo.drain, config, trace=trace, descriptor=descriptor
-            )
-            self._inflight[key] = (future, trace, descriptor)
-        self._tasks.append(key)
+        if stats is None:
+            if key not in self._inflight:
+                # The pool starts on the first task the memo cannot answer.
+                future = get_executor(self._jobs, self._start_method).submit(
+                    memo.drain, config, trace=trace, descriptor=descriptor
+                )
+                self._inflight[key] = (future, trace, descriptor)
+            stats = key
+        self._tasks.append((stats, controller))
 
     def results(self) -> list[ControllerStats]:
         """Every task's stats, in submission order.
 
-        Each shipped result is stored into this process's memo once; tasks
-        that shared a worker call get their own copies.
+        Each shipped result is stored into this process's memo once, at
+        the level it was looked up at; tasks that shared a worker call get
+        their own copies.
         """
         stored = set()
         results = []
-        for task in self._tasks:
-            if isinstance(task, ControllerStats):
-                results.append(task)
-                continue
-            future, trace, descriptor = self._inflight[task]
-            stats = future.result()
-            if task not in stored:
-                stored.add(task)
-                config = task[0]
-                if descriptor is not None:
-                    memo.INSTR_MEMO.store(config, descriptor, stats)
-                else:
-                    memo.TIMING_MEMO.store(config, trace, stats)
-            results.append(replace(stats))
+        for stats, controller in self._tasks:
+            if not isinstance(stats, ControllerStats):
+                key = stats
+                future, trace, descriptor = self._inflight[key]
+                stats = future.result()
+                if key not in stored:
+                    stored.add(key)
+                    if descriptor is not None:
+                        memo.INSTR_MEMO.store(key[0], descriptor, stats)
+                    else:
+                        memo.TIMING_MEMO.store(key[0], trace, stats)
+                stats = replace(stats)
+            if controller is not None:
+                controller.adopt_run(stats)
+            results.append(stats)
         return results
 
 

@@ -87,7 +87,7 @@ class TestShippedDrainCheck:
     def test_worker_stats_for_the_wrong_trace_raise(self, monkeypatch):
         # A worker result that accounts for other requests than the channel
         # shipped is refused with an error that survives ``python -O``.
-        monkeypatch.setenv("REPRO_PARALLEL_MIN_RECORDS", "0")
+        monkeypatch.setattr("repro.parallel.MIN_TASK_RECORDS", 0)
         monkeypatch.setattr(DrainBatch, "submit", lambda self, config, **kw: None)
         monkeypatch.setattr(
             DrainBatch, "results", lambda self: [ControllerStats(reads=1), ControllerStats(reads=2)]

@@ -8,7 +8,6 @@ from repro.env import read_env
 #: Every variable the package reads, with the function that parses it.
 READERS = {
     "REPRO_JOBS": parallel.resolve_jobs,
-    "REPRO_PARALLEL_MIN_RECORDS": parallel.min_task_records,
     "REPRO_REFERENCE": env.reference_mode,
 }
 
@@ -60,8 +59,6 @@ class TestPackageVariables:
         [
             ("REPRO_JOBS", "1", 1),
             ("REPRO_JOBS", "4", 4),
-            ("REPRO_PARALLEL_MIN_RECORDS", "0", 0),
-            ("REPRO_PARALLEL_MIN_RECORDS", "4096", 4096),
             ("REPRO_REFERENCE", "0", False),
             ("REPRO_REFERENCE", "off", False),
             ("REPRO_REFERENCE", "false", False),

@@ -28,7 +28,7 @@ from trace_oracles import enqueue_routed
 @pytest.fixture
 def force_pool(monkeypatch):
     """Disable the tiny-trace fallback so small test traces hit the pool."""
-    monkeypatch.setenv("REPRO_PARALLEL_MIN_RECORDS", "0")
+    monkeypatch.setattr("repro.parallel.MIN_TASK_RECORDS", 0)
 
 
 class TestResolveJobs:
@@ -66,6 +66,7 @@ def _pooled(tasks, jobs, start_method=None):
     return batch.results()
 
 
+@pytest.mark.usefixtures("force_pool")
 class TestReplayTraces:
     def _tasks(self, channels=3, words=1500):
         config = MemoryController(DDR4_3200).snapshot_config()
@@ -232,7 +233,7 @@ class TestExplicitSequentialWins:
     @pytest.fixture
     def no_pool(self, monkeypatch):
         monkeypatch.setenv(parallel.JOBS_ENV_VAR, "4")
-        monkeypatch.setenv("REPRO_PARALLEL_MIN_RECORDS", "0")
+        monkeypatch.setattr("repro.parallel.MIN_TASK_RECORDS", 0)
 
         def boom(*args, **kwargs):
             raise AssertionError("process pool used despite explicit jobs=1")
@@ -248,6 +249,76 @@ class TestExplicitSequentialWins:
         node, instr, _ = _seeded_node(dimms=2)
         results = node.broadcast_timed_batch([instr], simulate_dimms=None, jobs=1)
         assert len(results) == 1 and results[0].seconds > 0
+
+
+def _system_drains(jobs):
+    """Per-channel stats of a 2-channel system holding two distinct tiny
+    backlogs (601 and 600 records), drained by ``run(jobs)``; with
+    ``jobs=None``, the same tasks drained directly by ``memo.drain``."""
+    system = DramSystem(channels=2, refresh_enabled=False)
+    enqueue_routed(system, streaming_buffer(0, 1201))
+    if jobs is None:
+        return [
+            drain(c.snapshot_config(), trace=c.pending_trace())
+            for c in system.controllers
+        ]
+    return system.run(jobs=jobs).channel_stats
+
+
+def _node_drains(jobs):
+    """Per-(instruction, DIMM) stats of two tiny REDUCEs on 2 DIMMs, drained
+    by ``broadcast_timed_batch(jobs)``; with ``jobs=None``, directly by
+    ``memo.drain``."""
+    node = TensorNode(num_dimms=2, capacity_words_per_dimm=1 << 14)
+    instrs = [reduce(0, 2 * 1024, 2 * 2048, n) for n in (300, 200)]
+    if jobs is None:
+        return [
+            drain(d.timed_controller_config(), descriptor=d.nmp.describe(i))
+            for i in instrs
+            for d in node.dimms
+        ]
+    results = node.broadcast_timed_batch(instrs, simulate_dimms=None, jobs=jobs)
+    return [s for r in results for s in r.dram_per_dimm]
+
+
+CALLERS = pytest.mark.parametrize(
+    "caller", [_system_drains, _node_drains], ids=["system", "node"]
+)
+
+
+class TestOneRoutingRule:
+    """``DramSystem.run`` and ``TensorNode.broadcast_timed_batch`` drain
+    through one :class:`~repro.parallel.DrainBatch` rule: in-process at
+    ``jobs=1`` or below ``MIN_TASK_RECORDS``, otherwise on the pool."""
+
+    @CALLERS
+    @pytest.mark.parametrize("jobs", [1, 2], ids=["jobs1", "below-threshold"])
+    def test_in_process_starts_no_pool(self, caller, jobs):
+        parallel.shutdown()
+        assert caller(jobs) == caller(None)
+        assert parallel._EXECUTORS == {}
+
+    @CALLERS
+    def test_pooled_is_bit_identical(self, caller, force_pool):
+        parallel.shutdown()
+        pooled = caller(2)
+        assert parallel._EXECUTORS  # the tasks really shipped
+        assert pooled == caller(1)
+
+    @pytest.mark.parametrize(
+        "caller,trace_level,instr_level",
+        [(_system_drains, (0, 2, 2), (0, 0, 0)), (_node_drains, (0, 2, 2), (2, 2, 2))],
+        ids=["system", "node"],
+    )
+    def test_each_view_counts_alone(
+        self, caller, trace_level, instr_level, timing_memo, instr_memo
+    ):
+        """(hits, misses, entries) per view: a channel trace touches only
+        the trace level; an instruction consults its own level first, and
+        its stores there never answer a trace lookup."""
+        caller(1)
+        for view, expected in ((timing_memo, trace_level), (instr_memo, instr_level)):
+            assert (view.hits, view.misses, len(view)) == expected
 
 
 class TestEnvDefaultHonoured:

@@ -1,13 +1,14 @@
 """Tests for the cross-layer timing memoization caches.
 
-Two levels (see :mod:`repro.dram.memo`): the trace memo keyed by
-``(ControllerConfig, trace digest)`` and the instruction memo keyed by
-``(ControllerConfig, OpTraffic.key)``.  Correctness rests on the drain
-being a pure function of those keys (the parity, determinism, and
-description suites pin the purity); these tests pin the cache
-mechanics: keying, copy semantics, LRU + byte-cap eviction, reference
-mode, the lookup order of :func:`~repro.dram.memo.drain`, and every
-consumer (TensorDimm, DramSystem, the parallel drain fan-out).
+One store viewed as two levels (see :mod:`repro.dram.memo`): the trace
+memo keyed by ``(ControllerConfig, trace digest)`` and the instruction
+memo keyed by ``(ControllerConfig, OpTraffic.key)``.  Correctness rests
+on the drain being a pure function of those keys (the parity,
+determinism, and description suites pin the purity); these tests pin the
+cache mechanics: keying, copy semantics, LRU eviction across the two
+levels, reference mode, the lookup order of
+:func:`~repro.dram.memo.drain`, and every consumer (TensorDimm,
+DramSystem, the parallel drain fan-out).
 
 The suite-wide autouse fixture replaces both memos with null memos; tests
 here opt back in through the ``timing_memo`` / ``instr_memo`` fixtures.
@@ -22,13 +23,7 @@ from repro.core.tensordimm import TensorDimm
 from repro.core.tensornode import TensorNode
 from repro.dram.command import TraceBuffer
 from repro.dram.controller import MemoryController
-from repro.dram.memo import (
-    InstructionMemo,
-    TimingMemo,
-    drain,
-    instr_memo_stats,
-    timing_memo_stats,
-)
+from repro.dram.memo import InstructionMemo, TimingMemo, _LruStatsCache, drain
 from repro.dram.system import DramSystem
 from repro.dram.timing import DDR4_3200
 from repro.env import REFERENCE_ENV_VAR
@@ -143,7 +138,7 @@ class TestTimingMemoMechanics:
         report = timing_memo.stats()
         assert report["hits"] == 1 and report["misses"] == 1
         assert report["hit_rate"] == 0.5
-        assert timing_memo_stats()["entries"] == 1
+        assert report["entries"] == 1
 
     def test_config_is_part_of_key(self, timing_memo):
         trace = _trace()
@@ -161,7 +156,7 @@ class TestTimingMemoMechanics:
         assert timing_memo.misses == 0  # disabled lookups do not count
 
     def test_lru_eviction_prefers_stale_entries(self, timing_memo):
-        memo = TimingMemo(max_entries=2)
+        memo = TimingMemo(_LruStatsCache(max_entries=2))
         config = _config()
         stats = MemoryController(DDR4_3200).stats
         traces = [_trace(seed=s) for s in range(3)]
@@ -173,33 +168,6 @@ class TestTimingMemoMechanics:
         assert memo.lookup(config, traces[1]) is None
         assert memo.lookup(config, traces[0]) is not None
         assert memo.evictions == 1
-
-    def test_byte_cap_evicts_and_accounts(self, timing_memo):
-        config = _config()
-        stats = MemoryController(DDR4_3200).stats
-        probe = TimingMemo(max_entries=64)
-        probe.store(config, _trace(seed=0), stats)
-        per_entry = probe.resident_bytes
-        assert per_entry > 0
-        memo = TimingMemo(max_entries=64, max_bytes=per_entry * 2)
-        for s in range(3):
-            memo.store(config, _trace(seed=s), stats)
-        assert len(memo) == 2  # third store pushed the first out by bytes
-        assert memo.resident_bytes == per_entry * 2
-        assert memo.evictions == 1
-        report = memo.stats()
-        assert report["evictions"] == 1
-        assert report["resident_bytes"] == memo.resident_bytes
-
-    def test_restore_same_key_does_not_double_count_bytes(self, timing_memo):
-        config = _config()
-        stats = MemoryController(DDR4_3200).stats
-        memo = TimingMemo()
-        memo.store(config, _trace(), stats)
-        once = memo.resident_bytes
-        memo.store(config, _trace(), stats)
-        assert memo.resident_bytes == once
-        assert len(memo) == 1
 
 
 class TestTensorDimmIntegration:
@@ -286,7 +254,8 @@ class TestDramSystemIntegration:
 
 
 class TestParallelIntegration:
-    def test_replay_traces_parent_side_hits(self, timing_memo):
+    def test_replay_traces_parent_side_hits(self, timing_memo, monkeypatch):
+        monkeypatch.setattr("repro.parallel.MIN_TASK_RECORDS", 0)
         config = _config()
         trace = _trace(n=900)
         batch = DrainBatch(jobs=2)
@@ -303,7 +272,7 @@ class TestParallelIntegration:
     def test_broadcast_timed_batch_dedups_identical_dimm_traces(
         self, timing_memo, monkeypatch
     ):
-        monkeypatch.setenv("REPRO_PARALLEL_MIN_RECORDS", "0")
+        monkeypatch.setattr("repro.parallel.MIN_TASK_RECORDS", 0)
         node = TensorNode(num_dimms=4, capacity_words_per_dimm=1 << 14)
         instr = reduce(0, 4 * 1024, 4 * 2048, 300)
         parallel = node.broadcast_timed_batch(
@@ -405,10 +374,9 @@ class TestInstructionMemoMechanics:
         assert instr_memo.lookup(config, descriptor) is None
         instr_memo.store(config, descriptor, MemoryController(DDR4_3200).stats)
         instr_memo.lookup(config, descriptor)
-        report = instr_memo_stats()
+        report = instr_memo.stats()
         assert report["hits"] == 1 and report["misses"] == 1
         assert report["entries"] == 1
-        assert report["resident_bytes"] > 0
 
     def test_config_is_part_of_key(self, instr_memo):
         _, _, descriptor = _described_reduce()
@@ -426,7 +394,7 @@ class TestInstructionMemoMechanics:
         assert instr_memo.misses == 0  # disabled lookups do not count
 
     def test_lru_on_hit(self, instr_memo):
-        memo = InstructionMemo(max_entries=2)
+        memo = InstructionMemo(_LruStatsCache(max_entries=2))
         config = MemoryController(DDR4_3200).snapshot_config()
         stats = MemoryController(DDR4_3200).stats
         descriptors = [_described_reduce(count=c)[2] for c in (10, 20, 30)]
@@ -449,6 +417,48 @@ class TestInstructionMemoMechanics:
         assert second.dram_stats.accesses == 900
 
 
+class TestOneStore:
+    """Both levels are views of one LRU store with one entry cap."""
+
+    def test_process_memos_share_one_store(self, timing_memo, instr_memo):
+        assert timing_memo._cache is instr_memo._cache
+
+    def test_a_store_at_one_view_never_hits_the_other(self, timing_memo, instr_memo):
+        dimm, instr, descriptor = _described_reduce()
+        config = dimm.timed_controller_config(True)
+        trace = descriptor.share(0, 1)
+        stats = MemoryController(DDR4_3200).stats
+        timing_memo.store(config, trace, stats)
+        assert instr_memo.lookup(config, descriptor) is None
+        assert (timing_memo.hits, timing_memo.misses) == (0, 0)
+        instr_memo.store(config, descriptor, stats)
+        assert timing_memo.lookup(config, trace) == stats
+        assert (instr_memo.hits, instr_memo.misses) == (0, 1)
+        assert (timing_memo.hits, timing_memo.misses) == (1, 0)
+        assert len(timing_memo) == len(instr_memo) == 1
+        timing_memo.clear()  # drops only the trace level's entries
+        assert len(timing_memo) == 0 and len(instr_memo) == 1
+        assert instr_memo.lookup(config, descriptor) == stats
+
+    def test_lru_evicts_across_levels(self):
+        store = _LruStatsCache(max_entries=2)
+        traces, instrs = TimingMemo(store), InstructionMemo(store)
+        config = _config()
+        stats = MemoryController(DDR4_3200).stats
+        trace = _trace()
+        descriptors = [_described_reduce(count=c)[2] for c in (10, 20)]
+        traces.store(config, trace, stats)
+        instrs.store(config, descriptors[0], stats)
+        assert traces.lookup(config, trace) is not None  # refresh recency
+        instrs.store(config, descriptors[1], stats)  # evicts descriptor 0
+        assert len(traces) == len(instrs) == 1
+        assert (traces.evictions, instrs.evictions) == (0, 1)
+        assert instrs.lookup(config, descriptors[0]) is None
+        instrs.store(config, descriptors[0], stats)  # evicts the trace, now LRU
+        assert (traces.evictions, len(traces), len(instrs)) == (1, 0, 2)
+        assert traces.lookup(config, trace) is None
+
+
 class TestDescriptorReplay:
     def test_replay_descriptor_matches_trace_replay(self, instr_memo):
         dimm, instr, descriptor = _described_reduce(count=400)
@@ -463,7 +473,7 @@ class TestDescriptorReplay:
     def test_broadcast_batch_parallel_ships_descriptors(
         self, instr_memo, monkeypatch
     ):
-        monkeypatch.setenv("REPRO_PARALLEL_MIN_RECORDS", "0")
+        monkeypatch.setattr("repro.parallel.MIN_TASK_RECORDS", 0)
         node = TensorNode(num_dimms=4, capacity_words_per_dimm=1 << 14)
         instr = reduce(0, 4 * 1024, 4 * 2048, 300)
         parallel = node.broadcast_timed_batch(
@@ -480,7 +490,7 @@ class TestDescriptorReplay:
         assert parallel.seconds == sequential.seconds
 
     def test_second_parallel_batch_is_pure_hits(self, instr_memo, monkeypatch):
-        monkeypatch.setenv("REPRO_PARALLEL_MIN_RECORDS", "0")
+        monkeypatch.setattr("repro.parallel.MIN_TASK_RECORDS", 0)
         node = TensorNode(num_dimms=4, capacity_words_per_dimm=1 << 14)
         instr = reduce(0, 4 * 1024, 4 * 2048, 300)
         first = node.broadcast_timed_batch([instr], simulate_dimms=None, jobs=2)[0]
@@ -515,7 +525,7 @@ class TestDrainLookupOrder:
     def test_cycle_runtime_forward_and_combine(
         self, timing_memo, instr_memo, monkeypatch, jobs, trace_misses
     ):
-        monkeypatch.setenv("REPRO_PARALLEL_MIN_RECORDS", "0")
+        monkeypatch.setattr("repro.parallel.MIN_TASK_RECORDS", 0)
         node = TensorNode(num_dimms=4, capacity_words_per_dimm=1 << 16)
         runtime = TensorDimmRuntime(node, timing_mode="cycle", jobs=jobs)
         rng = np.random.default_rng(3)

@@ -245,7 +245,7 @@ class TestKillSwitch:
     @pytest.fixture(autouse=True)
     def _memos_on(self, timing_memo, instr_memo, monkeypatch):
         self.memos = (timing_memo, instr_memo)
-        monkeypatch.setenv("REPRO_PARALLEL_MIN_RECORDS", "0")
+        monkeypatch.setattr("repro.parallel.MIN_TASK_RECORDS", 0)
         yield
         parallel.shutdown()
 
