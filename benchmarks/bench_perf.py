@@ -28,7 +28,7 @@ Two families of entries:
   achievable speedup is bounded by the machine (on a 1-CPU container the
   honest number is ~1x).  The timing memo is cleared before each
   measurement so the two modes exercise the real engine; the per-entry
-  ``timing_cache`` dict records the *intra-run* hit rate (identical
+  ``memo`` dict records the *intra-run* hit rate (identical
   per-DIMM traces deduplicating inside one broadcast, repeated sweep
   points, …).
 * ``drain_hot_row`` — the streak-compiler microbenchmark: a single-bank
@@ -38,12 +38,12 @@ Two families of entries:
   and with ``REPRO_REFERENCE=1``.  This is the isolated cost of the drain
   loop itself.
 * ``gather_cold`` / ``reduce_cold`` / ``node_gather_cold`` — **memo-cold**
-  honesty entries: unique indices (or shapes) per instruction and both
-  memo levels disabled, so every instruction pays trace expansion plus a
+  honesty entries: unique indices (or shapes) per instruction and the
+  memo disabled, so every instruction pays trace expansion plus a
   real cycle-level drain.  ``cpu_gather_cold`` / ``cpu_reduce_cold`` /
   ``cpu_average_cold`` do the same for the Fig. 11/12 CPU baseline
   (8 channels x 4 ranks, queued on ``DramSystem`` as a symbolic
-  description; with the memos off all 8 channels drain), and
+  description; with the memo off all 8 channels drain), and
   ``dimm_gather_random_cold`` for one DIMM's share of the node_embedding
   GATHER (one rank, random rows, row conflicts throughout).  These track the non-memoized engine across
   PRs — and are what the CI regression guard (``--check-baseline``)
@@ -65,13 +65,14 @@ Two families of entries:
 
 The ``gather`` / ``reduce`` numbers measure end-to-end ``execute_timed``
 throughput, which from the streak/memo PR onward includes the memo
-layers: the warm-up run populates them and the measured repeats hit the
-*instruction-level* memo (descriptor-keyed, zero trace materialization —
+layer: the warm-up run populates it and the measured repeats hit it by
+the instruction's description (share-keyed, zero trace materialization —
 see ``repro.dram.memo``), just as repeated instructions do in real
-sweeps (the per-entry ``timing_cache`` / ``instruction_memo`` dicts
-record this).  The pre-vectorization ``baseline`` column is unchanged
-for continuity.  The ``node_*`` entries likewise carry a ``warm`` dict:
-repeated-instruction broadcast throughput on a warm instruction memo.
+sweeps (the per-entry ``memo`` dict records this; ``BENCH_perf.json``
+entries recorded before the memo became one store carry
+``timing_cache`` / ``instruction_memo`` dicts instead).  The
+pre-vectorization ``baseline`` column is unchanged for continuity.  The ``node_*`` entries likewise carry a ``warm`` dict:
+repeated-instruction broadcast throughput on a warm memo.
 
 ``--smoke`` shrinks every workload and skips the JSON write — CI uses it
 to prove the benchmark path stays runnable (once by default, once with
@@ -111,7 +112,7 @@ from repro.core.tensornode import TensorNode
 from repro.dram.command import TraceBuffer
 from repro.dram.controller import MemoryController
 from repro.dram import memo
-from repro.dram.memo import INSTR_MEMO, TIMING_MEMO
+from repro.dram.memo import TIMING_MEMO
 from repro.dram.system import DramSystem
 from repro.dram.timing import DDR4_3200
 from repro.dram.trace import average_traffic, gather_traffic, reduce_traffic
@@ -144,24 +145,14 @@ COLD_WORKLOADS = (
 DEFAULT_TOLERANCE = 0.30
 
 
-def _clear_memos() -> None:
-    TIMING_MEMO.clear()
-    INSTR_MEMO.clear()
-
-
-def _memo_dicts() -> tuple[dict, dict]:
-    """(timing_cache, instruction_memo) counter dicts for an entry."""
-    trace = TIMING_MEMO.stats()
-    instr = INSTR_MEMO.stats()
-    keys = ("hits", "misses", "hit_rate", "evictions")
-    return (
-        {k: trace[k] for k in keys},
-        {k: instr[k] for k in keys},
-    )
+def _memo_dict() -> dict:
+    """The memo's counter dict for an entry."""
+    stats = TIMING_MEMO.stats()
+    return {k: stats[k] for k in ("hits", "misses", "hit_rate", "evictions")}
 
 
 class _NullMemo:
-    """A memo level that never hits and stores nothing."""
+    """A memo that never hits and stores nothing."""
 
     def lookup(self, config, key):
         return None
@@ -172,14 +163,14 @@ class _NullMemo:
 
 @contextmanager
 def _caches_disabled():
-    """Both memo levels swapped for null memos (the cold-path measurement
+    """The memo swapped for a null memo (the cold-path measurement
     harness; the streak fast path stays on)."""
-    saved = memo.TIMING_MEMO, memo.INSTR_MEMO
-    memo.TIMING_MEMO = memo.INSTR_MEMO = _NullMemo()
+    saved = memo.TIMING_MEMO
+    memo.TIMING_MEMO = _NullMemo()
     try:
         yield
     finally:
-        memo.TIMING_MEMO, memo.INSTR_MEMO = saved
+        memo.TIMING_MEMO = saved
 
 
 @contextmanager
@@ -226,7 +217,7 @@ def bench_gather_cold(instructions=4, lookups=1000, wps=4, seed=23):
     """Memo-cold GATHER: fresh random indices per instruction.
 
     Every instruction reads a distinct index buffer, so no two traces are
-    alike; with both memo levels disabled each ``execute_timed`` pays
+    alike; with the memo disabled each ``execute_timed`` pays
     descriptor expansion plus a full cycle-level drain — the honest cost
     of the non-memoized engine.
     """
@@ -305,8 +296,8 @@ def bench_dimm_gather_random_cold(instructions=4, lookups=1600, seed=37):
 
 def _cpu_cold(traffics) -> tuple[int, float]:
     """Queue and drain each description on a fresh Fig. 11/12 CPU baseline
-    (8 channels x 4 ranks), both memo levels disabled, in-process.  With
-    the memos off every channel drains the share it queued."""
+    (8 channels x 4 ranks), the memo disabled, in-process.  With the
+    memo off every channel builds and drains its own share."""
     systems = [DramSystem(channels=8) for _ in traffics]
     with _caches_disabled():
         t0 = time.perf_counter()
@@ -622,7 +613,7 @@ def bench_node_reduce(jobs, dimms=8, count=3000):
 
 
 def _warm_node_measurement(setup, **kwargs) -> dict:
-    """Repeated-instruction broadcast throughput on a warm instruction memo.
+    """Repeated-instruction broadcast throughput on a warm memo.
 
     One cold broadcast populates the descriptor-keyed memo; the measured
     repeats then serve every DIMM's drain symbolically — no trace arrays
@@ -631,7 +622,7 @@ def _warm_node_measurement(setup, **kwargs) -> dict:
     accountable for (vs the cold ``node_*`` sequential figures).
     """
     node, instr = setup(**kwargs)
-    _clear_memos()
+    TIMING_MEMO.clear()
     golden = node.broadcast_timed(instr, simulate_dimms=None, jobs=1)
     best = None
     for _ in range(REPEATS):
@@ -644,12 +635,11 @@ def _warm_node_measurement(setup, **kwargs) -> dict:
         if best is None or seconds < best:
             best = seconds
     requests = sum(s.accesses for s in golden.dram_per_dimm)
-    _, instr_memo = _memo_dicts()
     return {
         "requests": requests,
         "wall_seconds": round(best, 4),
         "req_per_sec": round(requests / best, 1),
-        "instruction_memo": instr_memo,
+        "memo": _memo_dict(),
     }
 
 
@@ -671,23 +661,23 @@ def bench_sweep(jobs, points=None):
 def _parallel_entry(name, fn, jobs, **kwargs):
     """Measure ``fn`` at jobs=1 and jobs=N; assert bit-identical results.
 
-    Both memo levels are cleared before each mode so neither measurement
-    is served from the other's cache (the bit-identity assertion must keep
-    exercising the real engine); the recorded ``timing_cache`` /
-    ``instruction_memo`` counters are therefore the *intra-run* hit rates
+    The memo is cleared before each mode so neither measurement is served
+    from the other's cache (the bit-identity assertion must keep
+    exercising the real engine); the recorded ``memo`` counters are
+    therefore the *intra-run* hit rates
     of the parallel measurement — identical per-DIMM descriptors
     deduplicating inside one broadcast, repeated design points, and so on.
     """
-    _clear_memos()
+    TIMING_MEMO.clear()
     count_seq, seq_seconds, result_seq = fn(1, **kwargs)
     if jobs > 1:
         # Warm the pool so worker startup is not billed to the workload
         # (real sweeps amortize it across the whole run).
         get_executor(jobs)
         parallel_map(_noop, [0, 1], jobs=jobs)
-    _clear_memos()
+    TIMING_MEMO.clear()
     count_par, par_seconds, result_par = fn(jobs, **kwargs)
-    cache, instr_cache = _memo_dicts()
+    cache = _memo_dict()
     assert count_par == count_seq, f"{name}: workload drifted across modes"
     assert result_par == result_seq, (
         f"{name}: parallel results diverged from sequential — "
@@ -706,8 +696,7 @@ def _parallel_entry(name, fn, jobs, **kwargs):
         },
         "speedup": round(seq_seconds / par_seconds, 2),
         "identical": True,
-        "timing_cache": cache,
-        "instruction_memo": instr_cache,
+        "memo": cache,
     }
 
 
@@ -727,15 +716,15 @@ def run(jobs: int | None = None, smoke: bool = False) -> dict:
     jobs = resolve_jobs(jobs)
     entries = []
     for name, fn in WORKLOADS.items():
-        _clear_memos()
-        fn()  # warmup (allocations, numpy caches, both memo levels)
+        TIMING_MEMO.clear()
+        fn()  # warmup (allocations, numpy caches, the memo)
         best = None
         for _ in range(1 if smoke else REPEATS):
             requests, seconds = fn()
             if best is None or seconds < best[1]:
                 best = (requests, seconds)
         requests, seconds = best
-        cache, instr_cache = _memo_dicts()
+        cache = _memo_dict()
         baseline = BASELINE[name]
         assert requests == baseline["requests"], (
             f"{name}: workload drifted ({requests} requests vs "
@@ -749,8 +738,7 @@ def run(jobs: int | None = None, smoke: bool = False) -> dict:
                 "req_per_sec": round(requests / seconds, 1),
                 "baseline": baseline,
                 "speedup": round((requests / seconds) / baseline["req_per_sec"], 2),
-                "timing_cache": cache,
-                "instruction_memo": instr_cache,
+                "memo": cache,
             }
         )
     entries.append(_drain_hot_row_entry(smoke))
@@ -844,12 +832,12 @@ def main(argv=None) -> None:
     report = run(jobs=args.jobs, smoke=args.smoke)
     for entry in report["entries"]:
         if "baseline" in entry:
-            cache = entry["instruction_memo"]
+            cache = entry["memo"]
             print(
                 f"{entry['workload']:>16}: {entry['requests']} requests in "
                 f"{entry['wall_seconds']:.3f}s = {entry['req_per_sec']:,.0f} req/s "
                 f"({entry['speedup']:.2f}x over pre-PR baseline, "
-                f"instr-memo hit rate {cache['hit_rate']:.2f})"
+                f"memo hit rate {cache['hit_rate']:.2f})"
             )
         elif entry["workload"] == "drain_hot_row":
             print(
@@ -886,15 +874,13 @@ def main(argv=None) -> None:
         else:
             unit = "points" if "points" in entry else "requests"
             count = entry.get("points", entry.get("requests"))
-            # Intra-run dedup happens at the instruction level now; the
-            # trace-level counters remain for descriptor-less consumers.
-            cache = entry["instruction_memo"]
+            cache = entry["memo"]
             line = (
                 f"{entry['workload']:>16}: {count} {unit}, sequential "
                 f"{entry['sequential']['wall_seconds']:.3f}s vs jobs={entry['jobs']} "
                 f"{entry['wall_seconds']:.3f}s = {entry['speedup']:.2f}x "
                 f"(bit-identical: {entry['identical']}, "
-                f"instr-memo hit rate {cache['hit_rate']:.2f})"
+                f"memo hit rate {cache['hit_rate']:.2f})"
             )
             warm = entry.get("warm")
             if warm:

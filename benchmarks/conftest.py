@@ -5,10 +5,14 @@ Every benchmark regenerates one of the paper's tables or figures (see
 who wins, by roughly what factor, where the crossovers fall — is checked
 at the same sizes by ``tests/test_paper_fidelity.py`` in the tier-1
 suite.  The files and functions are named ``bench_*``, which pytest does
-not collect by default, so run with (pytest-benchmark installed)::
+not collect by default; ``benchmarks/pytest.ini`` collects the 14 artefact
+benchmarks (and not ``bench_perf.py``, a command-line harness) whenever
+pytest is pointed at this directory, so run (pytest-benchmark installed)::
 
-    pytest benchmarks/ --benchmark-only -o python_files='bench_*.py' \
-        -o python_functions='bench_*'
+    PYTHONPATH=src pytest benchmarks/ --benchmark-only
+
+The tier-1 suite, run from the repository root, does not read that file
+and collects nothing here.
 
 The cycle-level figures (11 and 12) use trimmed sweeps to keep wall-clock
 reasonable; ``examples/bandwidth_scaling.py`` runs the full grids.

@@ -420,8 +420,8 @@ class NmpCore:
         and carries the indices as its rows (so describe before the
         instruction runs).  The instruction's trace is the description's
         one-channel share, and equal descriptions have byte-identical
-        shares, so ``(ControllerConfig, traffic.key)`` keys the
-        instruction-level timing memo.  Fields that cannot affect the
+        shares, so ``(ControllerConfig, traffic.share_key(0, 1))`` keys it
+        in the timing memo.  Fields that cannot affect the
         traffic are left out (REDUCE ignores ``words_per_slice``; ``subop``
         changes ALU semantics, not DRAM traffic).
         """

@@ -75,21 +75,18 @@ class TensorDimmRuntime:
 
     @staticmethod
     def memo_stats() -> dict:
-        """Hit/miss counters of both timing-memo levels (cycle mode).
+        """Hit/miss counters of the timing memo (cycle mode).
 
-        The runtime's combine chains are the canonical instruction-memo
-        consumer: an N-ary combine lowers to N-1 REDUCE instructions whose
-        traces depend only on shape and bases, so after the first drain
-        every repeat is an instruction-level hit — no trace is built, no
-        bulk array hashed (see :mod:`repro.dram.memo`).  Sweeps record
-        these counters alongside their results.
+        The runtime's combine chains are the canonical memo consumer: an
+        N-ary combine lowers to N-1 REDUCE instructions whose traces depend
+        only on shape and bases, so after the first drain every repeat is a
+        hit — no trace is built, no bulk array hashed (see
+        :mod:`repro.dram.memo`).  Sweeps record these counters alongside
+        their results.
         """
         from ..dram import memo
 
-        return {
-            "instruction": memo.INSTR_MEMO.stats(),
-            "trace": memo.TIMING_MEMO.stats(),
-        }
+        return memo.TIMING_MEMO.stats()
 
     def _fresh_name(self, prefix: str) -> str:
         self._scratch_counter += 1
@@ -187,8 +184,8 @@ class TensorDimmRuntime:
         REDUCE instructions, exactly how the runtime of Section 4.4 issues
         them (the ISA's REDUCE is binary, Fig. 8).  In cycle mode a
         re-issued chain (same shapes and bases — the steady state of a
-        serving loop) is served symbolically by the instruction-level
-        timing memo: no link materializes or hashes a trace.
+        serving loop) is served symbolically by the timing memo: no link
+        materializes or hashes a trace.
         """
         if len(tensors) < 2:
             raise ValueError("combine needs at least two tensors")

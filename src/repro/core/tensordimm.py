@@ -110,7 +110,7 @@ class TensorDimm:
         """Configuration of the NMP-local memory controller.
 
         What :func:`~repro.dram.memo.drain` builds (once per process) and
-        keys its memos by.  Cached: configs are frozen, so one snapshot per
+        keys its memo by.  Cached: configs are frozen, so one snapshot per
         refresh setting serves the DIMM's whole lifetime.
         """
         config = self._configs.get(refresh_enabled)
@@ -134,7 +134,7 @@ class TensorDimm:
         transaction trace is drained through the FR-FCFS controller to
         obtain its DRAM service time on this DIMM.  The instruction is
         described symbolically (:meth:`NmpCore.describe`) and handed to
-        :func:`~repro.dram.memo.drain`, whose memos answer a repeated
+        :func:`~repro.dram.memo.drain`, whose memo answers a repeated
         instruction without building its trace.
         """
         # Drain before execute(): the trace is defined against the storage
@@ -153,10 +153,7 @@ class TensorDimm:
         The trace is that of the storage as it is now, so call this before
         the instruction executes.
         """
-        return drain(
-            self.timed_controller_config(refresh_enabled),
-            descriptor=self.nmp.describe(instr),
-        )
+        return drain(self.timed_controller_config(refresh_enabled), self.nmp.describe(instr))
 
     def timed_seconds(self, exec_stats: NmpExecStats, dram_stats: ControllerStats) -> float:
         """Instruction time: the slower of the DRAM drain and the ALU."""

@@ -196,8 +196,8 @@ class TensorNode:
         default simulates ``simulate_dimms=1`` DIMM(s) cycle-level and
         reuses that service time for the rest (pass ``None`` to simulate
         every DIMM — tests use this to verify the streams really are
-        identical in length).  ``jobs`` is as for
-        :meth:`broadcast_timed_batch`.
+        identical in length); a value outside ``1..num_dimms`` raises
+        ``ValueError``.  ``jobs`` is as for :meth:`broadcast_timed_batch`.
         """
         return self.broadcast_timed_batch(
             [instr], refresh_enabled, simulate_dimms, jobs
@@ -207,8 +207,11 @@ class TensorNode:
         """How many DIMMs a timed broadcast cycle-simulates."""
         if simulate_dimms is None:
             return self.num_dimms
-        if simulate_dimms < 0:
-            raise ValueError(f"simulate_dimms must be >= 0, got {simulate_dimms}")
+        if not 1 <= simulate_dimms <= self.num_dimms:
+            raise ValueError(
+                f"simulate_dimms must be in 1..{self.num_dimms} (None for all), "
+                f"got {simulate_dimms}"
+            )
         return simulate_dimms
 
     def _timed_result(
@@ -257,7 +260,7 @@ class TensorNode:
         for instr in instrs:
             self.instructions_executed += 1
             for dimm, config in zip(self.dimms, configs):
-                batch.submit(config, descriptor=dimm.nmp.describe(instr))
+                batch.submit(config, dimm.nmp.describe(instr))
             executed.append(self._execute(instr))
         drained = batch.results()
         n = len(configs)

@@ -13,9 +13,9 @@ Public surface:
   whose channel shares are columnar traces
 * :class:`~repro.dram.cache.Cache` / ``CacheHierarchy`` — CPU-gather ablation
 * :mod:`~repro.dram.memo` — the in-process drain
-  (:func:`~repro.dram.memo.drain`) and the cross-layer timing memo, one
-  store viewed as two levels (:data:`~repro.dram.memo.TIMING_MEMO`,
-  :data:`~repro.dram.memo.INSTR_MEMO`)
+  (:func:`~repro.dram.memo.drain`) and the cross-layer timing memo
+  (:data:`~repro.dram.memo.TIMING_MEMO`), keyed by a config and a share
+  key
 """
 
 from .cache import Cache, CacheHierarchy, CacheStats

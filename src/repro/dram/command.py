@@ -1,7 +1,5 @@
 """DRAM trace types and the request sequence counter shared across the simulator."""
 
-import hashlib
-
 import numpy as np
 
 
@@ -55,21 +53,19 @@ class TraceBuffer:
     ``(cycle[i], addr[i], is_write[i])``; ``len``, :attr:`reads` and
     :attr:`writes` count a trace's records without visiting them.
 
-    A trace must not change once built: :meth:`digest` is cached on the
-    buffer and keys the timing memo.  The columns are therefore read-only
+    A trace must not change once built: a controller keeps the buffers it
+    was handed until it drains them.  The columns are therefore read-only
     views.  The constructor does not copy arrays that already have the
     column dtype, so do not write to such an input after handing it over;
     build a new buffer instead.
     """
 
-    __slots__ = ("addr", "is_write", "cycle", "_digest")
+    __slots__ = ("addr", "is_write", "cycle")
 
-    #: Process-wide materialization counters.  The instruction-level memo's
-    #: contract is that a hit performs *zero* trace construction and *zero*
-    #: bulk-array hashing; tests pin that claim by snapshotting these around
-    #: the hit path.  Class attributes, so ``__slots__`` instances share them.
+    #: Process-wide construction counter.  The memo's contract is that a
+    #: hit builds *no* trace; tests pin that claim by snapshotting it around
+    #: the hit path.  A class attribute, so ``__slots__`` instances share it.
     constructions = 0
-    digests_computed = 0
 
     def __init__(self, addr, is_write, cycle=None):
         TraceBuffer.constructions += 1
@@ -93,63 +89,6 @@ class TraceBuffer:
         self.addr = _frozen(addr)
         self.is_write = _frozen(is_write)
         self.cycle = _frozen(cycle)
-        self._digest: bytes | None = None
-
-    def digest(self) -> bytes:
-        """Digest of the trace's read stream and its write stream.
-
-        Hashes the read records' ``(addr, cycle)`` columns in trace order,
-        then the write records', each preceded by its count.  Two traces
-        that interleave the same read stream with the same write stream in
-        different ways therefore share a digest, and they drain
-        bit-identically through equally configured controllers: reads and
-        writes sit in separate backlogs, queues and bank maps, and sequence
-        numbers are only ever compared within one of them (candidate
-        selection, the per-bank minima, a streak's ``sorted(queue)``; the
-        scan oracle likewise ranks only its active queue).  The directions
-        interact only through counts (the watermarks, ``pending``), bank and
-        rank state, and the data bus, none of which depends on how the two
-        streams interleave.  A drain is thus a pure function of
-        ``(config, read stream, write stream)``, so
-        ``(ControllerConfig, digest)`` keys the cross-layer timing memo
-        (:mod:`repro.dram.memo`).  An equal digest does not imply
-        byte-identical buffers.
-
-        A trace whose arrivals are all zero hashes a flag in place of its
-        ``cycle`` column, and a one-direction trace skips the masking.
-        Computed once and cached on the buffer (see the class docstring for
-        why a buffer never changes)."""
-        if self._digest is None:
-            TraceBuffer.digests_computed += 1
-            h = hashlib.sha1(usedforsecurity=False)
-            paced = bool(self.cycle.any())
-            h.update(b"\x01" if paced else b"\x00")
-            n = len(self)
-            writes = self.writes
-            for count, mask in ((n - writes, ~self.is_write), (writes, self.is_write)):
-                h.update(count.to_bytes(8, "little"))
-                if count == n:
-                    addr, cycle = self.addr, self.cycle
-                elif count:
-                    addr, cycle = self.addr[mask], self.cycle[mask]
-                else:
-                    continue
-                h.update(addr.tobytes())
-                if paced:
-                    h.update(cycle.tobytes())
-            self._digest = h.digest()
-        return self._digest
-
-    @classmethod
-    def concat(cls, buffers) -> "TraceBuffer":
-        """Concatenate several buffers in order."""
-        if not buffers:
-            return cls(np.empty(0, dtype=np.int64), np.empty(0, dtype=bool))
-        return cls(
-            addr=np.concatenate([b.addr for b in buffers]),
-            is_write=np.concatenate([b.is_write for b in buffers]),
-            cycle=np.concatenate([b.cycle for b in buffers]),
-        )
 
     def __len__(self) -> int:
         return self.addr.shape[0]

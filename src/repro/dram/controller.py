@@ -26,15 +26,13 @@ bit-identical :class:`ControllerStats` in every configuration.
 Requests enter as whole columnar traces
 (:meth:`MemoryController.enqueue_batch`, the only way in).  Enqueueing
 checks a trace and labels it with sequence numbers; the controller keeps
-it until a drain starts (:meth:`MemoryController.pending_trace`), so a
-caller can key or ship a pristine controller's backlog without mirroring
-it, and a drain that is served from elsewhere (a memo hit, a worker)
-never decodes it.  The drain decodes its pending traces in one vectorized
-pass each into a **columnar backlog** (:class:`_Backlog`: array chunks of
-decoded coordinates, arrivals, and sequence numbers); per-request Python
-objects are only materialized when the scheduler admits them into its
-working window.  The rank and bank state is likewise built by the first
-drain after a reset.  A caller that needs per-record completion cycles
+it until a drain starts, so a drain that is served from elsewhere (a memo
+hit, a worker) never decodes it.  The drain decodes its pending traces in
+one vectorized pass each into a **columnar backlog** (:class:`_Backlog`:
+array chunks of decoded coordinates, arrivals, and sequence numbers);
+per-request Python objects are only materialized when the scheduler
+admits them into its working window.  The rank and bank state is
+likewise built by the first drain after a reset.  A caller that needs per-record completion cycles
 passes its own array to ``enqueue_batch``.
 
 On top of the indexed scheduler sits the **streak-compiled fast path**
@@ -50,7 +48,7 @@ disables it.  See PERF.md for the invariants and fallback triggers.
 
 A controller can describe itself as a :class:`ControllerConfig` — a frozen,
 picklable, hashable snapshot of everything its constructor needs — which
-keys the timing memos and lets :func:`repro.dram.memo.drain` rebuild the
+keys the timing memo and lets :func:`repro.dram.memo.drain` rebuild the
 controller once per process, worker processes included.  Because sequence
 numbers only break ties *relative* to each other within one controller, a
 drain on a rebuilt controller is bit-identical to draining the original.
@@ -140,7 +138,7 @@ class ControllerConfig:
     ``timing`` is the controller's *effective* timing (refresh scaling
     already applied), so :meth:`build` always passes
     ``refresh_enabled=True`` and reconstructs identical behaviour.  The
-    dataclass is frozen and hashable, so it keys the timing memos and
+    dataclass is frozen and hashable, so it keys the timing memo and
     :func:`repro.dram.memo.drain`'s controller cache — one construction
     per distinct configuration per process, however many traces drain.
     """
@@ -557,21 +555,6 @@ class MemoryController:
         self._pending_traces.clear()
         self._pending_records = 0
 
-    def pending_trace(self) -> TraceBuffer | None:
-        """The records queued since the last drain, as one trace.
-
-        Defined for a pristine controller with pending records, whose next
-        drain is a pure function of its configuration and this trace (see
-        :attr:`pristine`); ``None`` otherwise.  The traces are kept only
-        until :meth:`run_to_completion` starts or :meth:`reset` runs.
-        """
-        pending = self._pending_traces
-        if not pending or not self.pristine:
-            return None
-        if len(pending) == 1:
-            return pending[0][0]
-        return TraceBuffer.concat([trace for trace, _, _ in pending])
-
     def snapshot_config(self) -> ControllerConfig:
         """Freeze this controller's construction parameters (see
         :class:`ControllerConfig`).  The snapshot captures the effective
@@ -617,7 +600,7 @@ class MemoryController:
 
         A warm controller's next drain continues from its accumulated
         clock/bank/stats state, so its result is *not* a pure function of
-        ``(config, pending trace)`` — the timing memo must only serve and
+        ``(config, pending traces)`` — the timing memo must only serve and
         record drains of pristine controllers.
         """
         return self._now == 0 and self.stats == ControllerStats()

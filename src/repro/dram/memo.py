@@ -1,48 +1,35 @@
 """Cross-layer timing memoization and the one drain entry point.
 
-A FR-FCFS drain is a pure function of the controller's configuration and
-of the trace's read stream and write stream: sequence numbers only break
-ties *relative* to each other, and only within one direction, so two
-equally configured controllers draining traces that merge the same read
-stream with the same write stream, in any interleaving, produce
-bit-identical :class:`~repro.dram.controller.ControllerStats` (the argument
-is in :meth:`~repro.dram.command.TraceBuffer.digest`).  One bounded LRU
-store caches that function, viewed as two levels.  Only :func:`drain` and
+Every memo-backed drain in the package drains one channel's share of an
+:class:`~repro.dram.trace.OpTraffic` description: a DramSystem channel's
+share of a CPU baseline point, or an NMP instruction's one-channel share
+(the ``(0, 1)`` case).  Only :func:`drain` and
 :class:`repro.parallel.DrainBatch` (which calls :func:`drain` for every
-drain it keeps in-process) consult it; every memo-backed drain in the
-package goes through them (the ablation studies in
-:mod:`repro.bench.ablation` drain their controllers directly, outside the
-memo):
+drain it keeps in-process, and ships calls to it to worker processes)
+consult the memo; the ablation studies in :mod:`repro.bench.ablation`
+drain their controllers directly, outside it.
 
-* :data:`INSTR_MEMO` — the instruction level, keyed by
-  ``(ControllerConfig, OpTraffic.key)``.  An
-  :class:`~repro.dram.trace.OpTraffic` describes an NMP instruction's
-  traffic symbolically (see :meth:`~repro.core.nmp_core.NmpCore.describe`);
-  a hit builds no trace and hashes no bulk array.
-* :data:`TIMING_MEMO` — the trace level, keyed by
-  ``(ControllerConfig, TraceBuffer.digest())``, a content hash of the read
-  stream and the write stream, so the cache needs no invalidation.  The
-  8 channels of a Fig. 11/12 CPU point share one key even where their
-  reads and writes interleave differently (AVERAGE).
-
-The two key types (a tuple, a digest) never collide, so the levels share
-one entry cap and one recency order; each level keeps its own hit, miss
-and eviction counters, length, :meth:`~_MemoView.clear` and
-:meth:`~_MemoView.stats`.  Lookup order: the instruction level, then the
-description's one-channel share (:meth:`~repro.dram.trace.OpTraffic.share`),
-then the trace level, then a real drain; a miss is stored at every level
-it passed.  Hits hand back a fresh copy of the stored stats.
+:data:`TIMING_MEMO` is one bounded LRU store keyed by
+``(ControllerConfig, traffic.share_key(channel, channels))``.  Equal share
+keys mean byte-identical shares (:meth:`~repro.dram.trace.OpTraffic.share_key`;
+``tests/test_system_traffic.py`` pins this across descriptions), and a
+pristine controller's drain is a pure function of its configuration and
+its trace, so equal keys drain to bit-identical
+:class:`~repro.dram.controller.ControllerStats`.  A key is a few integers
+(rows by digest), so a lookup builds no trace and hashes no bulk array;
+the share is built only on a miss.  Hits hand back a fresh copy of the
+stored stats.
 
 Two soundness rules:
 
 * **pristine controllers only** — a warm controller's next drain continues
   from its clock/bank/stats state and is not a pure function of its
-  pending trace, so callers hand :func:`drain` only pristine controllers.
+  share, so callers hand :func:`drain` only pristine, empty controllers.
 * **adopt semantics** — a result for a caller's controller is adopted
   with ``adopt_run``, hit or miss: stats and clock match a real drain, and
   every bank is left closed.
 
-``REPRO_REFERENCE=1`` (:func:`repro.env.reference_mode`) turns both levels
+``REPRO_REFERENCE=1`` (:func:`repro.env.reference_mode`) turns the memo
 off, together with the controller's streak fast path.
 """
 
@@ -53,42 +40,16 @@ from ..env import reference_mode
 from .controller import ControllerConfig, ControllerStats, MemoryController
 
 
-class _LruStatsCache:
-    """The bounded LRU ``key -> ControllerStats`` store behind both levels.
+class TimingMemo:
+    """A bounded LRU ``(config, share key) -> ControllerStats`` store.
 
-    Each entry remembers the view (memo level) that stored it.  A lookup
-    moves the entry to the MRU end; a store evicts from the LRU end while
-    the store is full, and charges each eviction to the entry's view.
+    A lookup moves its entry to the MRU end; a store evicts from the LRU
+    end while the store is full.
     """
 
     def __init__(self, max_entries: int = 12288):
         self.max_entries = max_entries
-        self.entries: OrderedDict[tuple, tuple[ControllerStats, "_MemoView"]] = OrderedDict()
-
-    def get(self, key) -> ControllerStats | None:
-        entry = self.entries.get(key)
-        if entry is None:
-            return None
-        self.entries.move_to_end(key)  # LRU: a hit refreshes recency
-        return replace(entry[0])
-
-    def put(self, key, stats: ControllerStats, view: "_MemoView") -> None:
-        entries = self.entries
-        entries.pop(key, None)
-        while entries and len(entries) >= self.max_entries:
-            _, (_, owner) = entries.popitem(last=False)
-            owner.evictions += 1
-        entries[key] = (replace(stats), view)
-
-
-class _MemoView:
-    """One memo level: its own keys in a shared store, its own counters.
-
-    Subclasses define how ``lookup``/``store`` key their argument.
-    """
-
-    def __init__(self, store: _LruStatsCache):
-        self._cache = store
+        self._entries: OrderedDict[tuple, ControllerStats] = OrderedDict()
         self.hits = 0
         self.misses = 0
         self.evictions = 0
@@ -98,8 +59,9 @@ class _MemoView:
         """False in reference mode (``REPRO_REFERENCE=1``)."""
         return not reference_mode()
 
-    def lookup(self, config: ControllerConfig, item) -> ControllerStats | None:
-        """Cached stats for draining ``item`` through ``config``, or None.
+    def lookup(self, config: ControllerConfig, key) -> ControllerStats | None:
+        """Cached stats for draining the share keyed ``key`` through
+        ``config``, or None.
 
         A hit returns a fresh copy and counts toward :attr:`hits`, a miss
         counts toward :attr:`misses`.  Always misses, uncounted, in
@@ -107,28 +69,31 @@ class _MemoView:
         """
         if not self.enabled:
             return None
-        stats = self._cache.get(self._key(config, item))
+        stats = self._entries.get((config, key))
         if stats is None:
             self.misses += 1
-        else:
-            self.hits += 1
-        return stats
+            return None
+        self.hits += 1
+        self._entries.move_to_end((config, key))  # LRU: a hit refreshes recency
+        return replace(stats)
 
-    def store(self, config: ControllerConfig, item, stats: ControllerStats) -> None:
+    def store(self, config: ControllerConfig, key, stats: ControllerStats) -> None:
         """Record the drain result (a private copy is stored)."""
-        if self.enabled:
-            self._cache.put(self._key(config, item), stats, self)
-
-    def _keys(self) -> list:
-        return [k for k, (_, view) in self._cache.entries.items() if view is self]
+        if not self.enabled:
+            return
+        entries = self._entries
+        entries.pop((config, key), None)
+        while entries and len(entries) >= self.max_entries:
+            entries.popitem(last=False)
+            self.evictions += 1
+        entries[(config, key)] = replace(stats)
 
     def __len__(self) -> int:
-        return len(self._keys())
+        return len(self._entries)
 
     def clear(self) -> None:
-        """Drop this level's entries and zero its counters (tests, benchmarks)."""
-        for key in self._keys():
-            del self._cache.entries[key]
+        """Drop every entry and zero the counters (tests, benchmarks)."""
+        self._entries.clear()
         self.hits = 0
         self.misses = 0
         self.evictions = 0
@@ -145,38 +110,12 @@ class _MemoView:
         }
 
 
-class TimingMemo(_MemoView):
-    """The trace level: ``(config, TraceBuffer.digest()) -> stats``."""
-
-    @staticmethod
-    def _key(config: ControllerConfig, trace) -> tuple:
-        return (config, trace.digest())
-
-
-class InstructionMemo(_MemoView):
-    """The instruction level: ``(config, OpTraffic.key) -> stats``.
-
-    The description is symbolic — a hit never touches, builds, or hashes
-    the trace arrays (the zero-materialization test pins this with the
-    :class:`~repro.dram.command.TraceBuffer` counters).  Soundness rests
-    on the same purity argument as the trace memo, one step removed:
-    equal descriptions have byte-identical one-channel shares
-    (:meth:`repro.dram.trace.OpTraffic.share`), and those drain
-    bit-identically through equal configs.  The key leaves out the rows
-    array (it holds their digest), so an entry keeps no rows alive.
-    """
-
-    @staticmethod
-    def _key(config: ControllerConfig, descriptor) -> tuple:
-        return (config, descriptor.key)
-
-
-#: The process-wide memo: one store, viewed as two levels (workers get
-#: their own copies of the module, hence their own memo, in their own
-#: process).
-_STORE = _LruStatsCache()
-TIMING_MEMO = TimingMemo(_STORE)
-INSTR_MEMO = InstructionMemo(_STORE)
+#: The process-wide memo (workers get their own copies of the module,
+#: hence their own memo, in their own process).
+TIMING_MEMO = TimingMemo()
+#: A second name for :data:`TIMING_MEMO`, kept for callers written when
+#: NMP instructions had a memo level of their own.
+INSTR_MEMO = TIMING_MEMO
 
 
 #: One reusable controller per distinct configuration, process-wide (each
@@ -197,42 +136,31 @@ def _controller_for(config: ControllerConfig) -> MemoryController:
 
 def drain(
     config: ControllerConfig,
-    *,
-    trace=None,
-    descriptor=None,
+    traffic,
+    channel: int = 0,
+    channels: int = 1,
     controller: MemoryController | None = None,
 ) -> ControllerStats:
-    """The stats of draining one trace through a ``config`` controller.
+    """The stats of draining ``channel``'s share of ``traffic`` (an
+    :class:`~repro.dram.trace.OpTraffic`) through a ``config`` controller.
 
-    The trace is given as a :class:`~repro.dram.command.TraceBuffer`
-    ``trace``, or symbolically as an :class:`~repro.dram.trace.OpTraffic`
-    ``descriptor`` whose one-channel share is the trace, or both.  The
-    instruction memo is consulted first, then the share is built and the
-    trace memo consulted, and only if both miss is the trace drained; the
-    result is stored at every level that missed.
-
-    Without ``controller`` a miss drains on this process's cached
-    controller for ``config``.  With one — pristine and already holding
-    ``trace`` (``DramSystem.run``) — a miss drains that controller in place,
-    and either way the result is adopted into it with ``adopt_run``, so
-    its state afterwards does not depend on whether the memo hit.
+    The memo is consulted by the share's key, and only on a miss is the
+    share built and drained; the result is then stored.  Without
+    ``controller`` a miss drains on this process's cached controller for
+    ``config``.  With one — pristine and holding nothing (``DramSystem.run``)
+    — a miss queues the share on it and drains it in place, and either way
+    the result is adopted into it with ``adopt_run``, so its state
+    afterwards does not depend on whether the memo hit.
     :class:`repro.parallel.DrainBatch` calls it for every drain it keeps
     in-process and ships calls to it to worker processes.
     """
-    stats = None if descriptor is None else INSTR_MEMO.lookup(config, descriptor)
+    key = traffic.share_key(channel, channels)
+    stats = TIMING_MEMO.lookup(config, key)
     if stats is None:
-        if trace is None:
-            trace = descriptor.share(0, 1)
-        stats = TIMING_MEMO.lookup(config, trace)
-        if stats is None:
-            target = controller
-            if target is None:
-                target = _controller_for(config)
-                target.enqueue_batch(trace)
-            stats = target.run_to_completion()
-            TIMING_MEMO.store(config, trace, stats)
-        if descriptor is not None:
-            INSTR_MEMO.store(config, descriptor, stats)
+        target = controller if controller is not None else _controller_for(config)
+        target.enqueue_batch(traffic.share(channel, channels))
+        stats = target.run_to_completion()
+        TIMING_MEMO.store(config, key, stats)
     if controller is not None:
         # Hit or miss, the caller's controller ends in the same state.
         controller.adopt_run(stats)

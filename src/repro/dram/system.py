@@ -6,10 +6,10 @@ consecutive 64 B blocks interleaved across channels (the standard layout
 that time-multiplexes each channel across all the DIMMs behind it —
 Section 4.2's "fixed bandwidth per channel" argument).  Traffic arrives
 as a :class:`~repro.dram.trace.OpTraffic` description, never as a
-whole-system trace: each channel gets its share in closed form, and
-channels with equal shares share one buffer and one drain.  Every
-pristine channel drains through one :class:`~repro.parallel.DrainBatch`,
-which owns the memo protocol and the in-process vs pool decision.
+whole-system trace.  Every pristine channel drains its share through one
+:class:`~repro.parallel.DrainBatch`, which owns the memo protocol and the
+in-process vs pool decision: channels whose shares have equal keys share
+one drain, and a share is built in closed form only when it drains.
 
 TensorDIMMs do *not* use this class for their NMP-local traffic; each
 TensorDIMM owns a private single-channel controller (see
@@ -84,6 +84,7 @@ class DramSystem:
                     window=window,
                 )
             )
+        self._pending: OpTraffic | None = None
 
     @property
     def peak_bandwidth(self) -> float:
@@ -109,17 +110,17 @@ class DramSystem:
         return channel, local
 
     def enqueue_traffic(self, traffic: OpTraffic) -> None:
-        """Queue one operation's traffic, described symbolically.
+        """Hold one operation's traffic, described symbolically, for
+        :meth:`run`.
 
-        Each channel's share is computed in closed form (word ``w`` goes to
-        channel ``w % C`` at local word ``w // C``); each distinct
-        :meth:`~repro.dram.trace.OpTraffic.share_key` is built once and
-        the same buffer is queued on every channel with that key, so
-        :meth:`run` drains it once and the other channels adopt its
-        memoized stats.  The traffic is checked against the system
-        capacity before any channel is touched, so a bad description
-        leaves every controller as it was.
+        The traffic is checked against the system capacity at once, so a
+        bad description raises ``ValueError`` and leaves the system as it
+        was.  The system holds one pending description: a second call
+        before :meth:`run` raises ``ValueError``.  No share is built here;
+        :meth:`run` drains each channel's share.
         """
+        if self._pending is not None:
+            raise ValueError("the system already holds traffic; run it before enqueueing more")
         low, high = traffic.word_span()
         if high < low:
             return
@@ -129,14 +130,7 @@ class DramSystem:
             raise ValueError(
                 f"address {bad:#x} outside system capacity {self.capacity_bytes:#x}"
             )
-        shares = {}
-        for channel, controller in enumerate(self.controllers):
-            key = traffic.share_key(channel, self.num_channels)
-            share = shares.get(key)
-            if share is None:
-                share = shares[key] = traffic.share(channel, self.num_channels)
-            if len(share):
-                controller.enqueue_batch(share)
+        self._pending = traffic
 
     def run(self, jobs: int | None = None) -> SystemStats:
         """Drain every channel and aggregate the results.
@@ -145,40 +139,51 @@ class DramSystem:
         wires), so they are simulated independently; the elapsed time is the
         slowest channel's finish time.
 
-        A channel whose controller is pristine drains its pending trace
-        (:meth:`MemoryController.pending_trace`) through a
-        :class:`~repro.parallel.DrainBatch`: a trace with the same read and
-        write streams as one drained before adopts the memoized stats, and
-        at ``jobs > 1`` (default: ``$REPRO_JOBS``, else 1) a large backlog
-        ships to the process pool as a columnar trace.  The per-channel
-        ``ControllerStats`` are bit-identical at every worker count.  A warm
-        controller continues from its accumulated state, so it drains in
-        place.
+        A pristine channel with nothing queued drains its share of the
+        pending description (:meth:`enqueue_traffic`) through a
+        :class:`~repro.parallel.DrainBatch`, keyed by
+        :meth:`~repro.dram.trace.OpTraffic.share_key`: word ``w`` goes to
+        channel ``w % C`` at local word ``w // C``, and a share whose key
+        was drained before (on any channel, by any system) adopts the
+        memoized stats without being built.  At ``jobs > 1`` (default:
+        ``$REPRO_JOBS``, else 1) a large share ships to the process pool as
+        its description.  The per-channel ``ControllerStats`` are
+        bit-identical at every worker count.  A warm controller continues
+        from its accumulated state, and one holding records queued with
+        ``enqueue_batch`` drains them too, so such a channel queues its
+        share and drains in place, outside the memo.
         """
         from ..parallel import DrainBatch
 
+        traffic, self._pending = self._pending, None
+        channels = self.num_channels
         # A lone channel has nothing to overlap its drain with.
-        batch = DrainBatch(jobs if self.num_channels > 1 else 1)
+        batch = DrainBatch(jobs if channels > 1 else 1)
         stats: list[ControllerStats | None] = []
         batched = []
+        shipped = 0 if traffic is None else traffic.records
         for channel, controller in enumerate(self.controllers):
-            trace = controller.pending_trace()
-            if trace is None:
-                stats.append(controller.run_to_completion())
+            if traffic is not None and controller.pristine and not controller.pending:
+                batch.submit(controller.snapshot_config(), traffic, channel, channels, controller)
+                batched.append(channel)
+                stats.append(None)
                 continue
-            batch.submit(controller.snapshot_config(), trace=trace, controller=controller)
-            batched.append((channel, len(trace)))
-            stats.append(None)
-        for (channel, records), s in zip(batched, batch.results()):
-            # A drain that saw only this channel's trace must account for
-            # exactly this channel's requests.
-            if s.accesses != records:
-                raise RuntimeError(
-                    f"channel {channel} drained {s.accesses} requests but "
-                    f"was shipped {records}: independent-channel invariant "
-                    "violated"
-                )
+            if traffic is not None:
+                share = traffic.share(channel, channels)
+                shipped -= len(share)
+                controller.enqueue_batch(share)
+            stats.append(controller.run_to_completion())
+        results = batch.results()
+        for channel, s in zip(batched, results):
             stats[channel] = s
+        # Drains that saw only their channels' shares must account for
+        # exactly those channels' requests.
+        drained = sum(s.accesses for s in results)
+        if drained != shipped:
+            raise RuntimeError(
+                f"channels {batched} drained {drained} requests but were "
+                f"shipped {shipped}: independent-channel invariant violated"
+            )
         return SystemStats(
             total_bytes=sum(s.total_bytes for s in stats),
             elapsed_seconds=max(c.elapsed_seconds() for c in self.controllers),

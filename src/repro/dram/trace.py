@@ -15,9 +15,9 @@ A description builds no trace up front.  :meth:`OpTraffic.share` builds one
 channel's share of it as a :class:`~repro.dram.command.TraceBuffer`, its
 reads then its writes: :meth:`repro.dram.system.DramSystem.enqueue_traffic`
 asks for every channel's share, and an NMP instruction's trace is its
-one-channel share.  Equal descriptions mean identical traffic, so
-``(ControllerConfig, OpTraffic.key)`` keys the instruction-level timing
-memo (:mod:`repro.dram.memo`).
+one-channel share.  Equal share keys (:meth:`OpTraffic.share_key`) mean
+byte-identical shares, so ``(ControllerConfig, share key)`` keys the
+timing memo (:mod:`repro.dram.memo`), and a memo hit builds no share.
 """
 
 import hashlib

@@ -36,9 +36,9 @@ def read_env(name: str, default: bool | int) -> bool | int:
     raise ValueError(f"{name}={raw!r}: expected {expected}")
 
 
-#: ``REPRO_REFERENCE=1`` forces the reference paths: both timing-memo
-#: levels and the controller's streak fast path are off, so every drain
-#: runs command by command.  Results are bit-identical either way.
+#: ``REPRO_REFERENCE=1`` forces the reference paths: the timing memo and
+#: the controller's streak fast path are off, so every drain runs command
+#: by command.  Results are bit-identical either way.
 REFERENCE_ENV_VAR = "REPRO_REFERENCE"
 
 

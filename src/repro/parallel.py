@@ -10,14 +10,15 @@ This module fans them out across a persistent pool of worker processes:
   task: at ``jobs == 1`` or below ``MIN_TASK_RECORDS`` records it drains
   in-process through :func:`repro.dram.memo.drain`; otherwise the parent
   answers it from its memo, shares an identical task already in flight,
-  or ships a :func:`~repro.dram.memo.drain` call to a worker.  A channel's
-  backlog travels as its columnar trace; an NMP instruction travels as its
-  symbolic :class:`~repro.dram.trace.OpTraffic` (with its index rows) and
-  the worker builds the trace locally, so the payload is O(count) instead
-  of O(trace records).  Because FR-FCFS age tie-breaks are relative, a
-  worker-side drain is bit-identical to draining in-process, and results
-  come back in submission order, so the merge is deterministic at every
-  worker count.
+  or ships a :func:`~repro.dram.memo.drain` call to a worker.  Every task
+  is a channel's share of a symbolic :class:`~repro.dram.trace.OpTraffic`
+  (an NMP instruction is the one-channel case), and it travels as that
+  description (with its rows, if any) and the channel: the worker builds
+  the share locally, so the payload is O(rows) instead of O(trace
+  records).  Because FR-FCFS age tie-breaks are relative, a worker-side
+  drain is bit-identical to draining in-process, and results come back
+  in submission order, so the merge is deterministic at every worker
+  count.
 * **Sweep fan-out** (:func:`parallel_map`): an ordered ``map`` over a
   process pool for design-point grids (CLI figures, ablations, service
   sims).  Workloads seed their RNGs from the item itself
@@ -33,7 +34,7 @@ pessimizes tiny runs.
 
 Pools are created lazily, keyed by multiprocessing start method, and kept
 alive for the life of the process (each worker keeps its controllers and
-memos between tasks).  ``fork`` is the default where available; tests also
+its memo between tasks).  ``fork`` is the default where available; tests also
 exercise ``spawn`` to prove payloads carry everything they need.
 """
 
@@ -134,72 +135,71 @@ atexit.register(shutdown)
 class DrainBatch:
     """The one way a caller drains a batch of independent timing domains.
 
-    :meth:`submit` follows one rule per task.  At ``jobs == 1``, or below
+    Every task is one channel's share of an
+    :class:`~repro.dram.trace.OpTraffic` description, and :meth:`submit`
+    follows one rule per task.  At ``jobs == 1``, or below
     :data:`MIN_TASK_RECORDS` records, the task drains in-process through
     :func:`repro.dram.memo.drain` (memo first, then a real drain).
     Otherwise this process's memo answers it if it can, an identical task
-    already in flight (same config and trace digest, or same config and
-    description) shares its worker call, and the rest ship to the pool at
-    once.  The caller is free to work between :meth:`submit` and
-    :meth:`results` (``TensorNode`` executes the instructions functionally
-    meanwhile).  A caller with a single task passes ``jobs=1``: a lone
-    drain has nothing to overlap with.
+    already in flight (same config and share key) shares its worker call,
+    and the rest ship to the pool at once, as their description: the
+    worker builds the share.  The caller is free to work between
+    :meth:`submit` and :meth:`results` (``TensorNode`` executes the
+    instructions functionally meanwhile).  A caller with a single task
+    passes ``jobs=1``: a lone drain has nothing to overlap with.
     """
 
     def __init__(self, jobs: int | None = None, start_method: str | None = None):
         self._jobs = resolve_jobs(jobs)
         self._start_method = start_method
         self._tasks: list = []  # per task: (its stats or in-flight key, controller)
-        self._inflight: dict[tuple, tuple] = {}
+        self._inflight: dict[tuple, object] = {}
 
     def submit(
-        self, config: ControllerConfig, *, trace=None, descriptor=None, controller=None
+        self,
+        config: ControllerConfig,
+        traffic,
+        channel: int = 0,
+        channels: int = 1,
+        controller=None,
     ) -> None:
         """Queue one drain (arguments as for :func:`repro.dram.memo.drain`;
-        a ``controller`` adopts the task's stats, hit, miss or shipped)."""
-        records = len(trace) if descriptor is None else descriptor.records
+        a ``controller`` adopts the task's stats, hit, miss or shipped).
+
+        The in-process threshold reads the share's size as
+        ``ceil(traffic.records / channels)``, without building it: it only
+        routes the task and never changes its stats."""
+        records = -(-traffic.records // channels)
         if self._jobs == 1 or records < MIN_TASK_RECORDS:
-            stats = memo.drain(
-                config, trace=trace, descriptor=descriptor, controller=controller
-            )
+            stats = memo.drain(config, traffic, channel, channels, controller)
             self._tasks.append((stats, None))
             return
-        if descriptor is not None:
-            key = (config, descriptor.key)
-            stats = memo.INSTR_MEMO.lookup(config, descriptor)
-        else:
-            key = (config, trace.digest())
-            stats = memo.TIMING_MEMO.lookup(config, trace)
+        key = (config, traffic.share_key(channel, channels))
+        stats = memo.TIMING_MEMO.lookup(*key)
         if stats is None:
             if key not in self._inflight:
                 # The pool starts on the first task the memo cannot answer.
-                future = get_executor(self._jobs, self._start_method).submit(
-                    memo.drain, config, trace=trace, descriptor=descriptor
+                self._inflight[key] = get_executor(self._jobs, self._start_method).submit(
+                    memo.drain, config, traffic, channel, channels
                 )
-                self._inflight[key] = (future, trace, descriptor)
             stats = key
         self._tasks.append((stats, controller))
 
     def results(self) -> list[ControllerStats]:
         """Every task's stats, in submission order.
 
-        Each shipped result is stored into this process's memo once, at
-        the level it was looked up at; tasks that shared a worker call get
-        their own copies.
+        Each shipped result is stored into this process's memo once; tasks
+        that shared a worker call get their own copies.
         """
         stored = set()
         results = []
         for stats, controller in self._tasks:
             if not isinstance(stats, ControllerStats):
                 key = stats
-                future, trace, descriptor = self._inflight[key]
-                stats = future.result()
+                stats = self._inflight[key].result()
                 if key not in stored:
                     stored.add(key)
-                    if descriptor is not None:
-                        memo.INSTR_MEMO.store(key[0], descriptor, stats)
-                    else:
-                        memo.TIMING_MEMO.store(key[0], trace, stats)
+                    memo.TIMING_MEMO.store(*key, stats)
                 stats = replace(stats)
             if controller is not None:
                 controller.adopt_run(stats)

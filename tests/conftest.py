@@ -8,7 +8,7 @@ from repro.dram import memo
 
 
 class NullMemo:
-    """A memo level that never hits and stores nothing."""
+    """A memo that never hits and stores nothing."""
 
     def lookup(self, config, key):
         return None
@@ -18,45 +18,34 @@ class NullMemo:
 
 
 _REAL_TIMING_MEMO = memo.TIMING_MEMO
-_REAL_INSTR_MEMO = memo.INSTR_MEMO
 
 
 @pytest.fixture(autouse=True)
 def _isolate_timing_memo(monkeypatch):
-    """Replace both timing-memo levels with a :class:`NullMemo` for every
-    test by default.
+    """Replace the timing memo with a :class:`NullMemo` for every test by
+    default.
 
     The determinism suites compare sequential against parallel (and fast
     against reference) runs; a warm memo would let the second run
     short-circuit and the comparison would stop testing anything.  Tests
-    that exercise a memo itself put the real one back via ``timing_memo``
-    / ``instr_memo``.  ``REPRO_REFERENCE`` passes through from the
+    that exercise the memo itself put the real one back via
+    ``timing_memo``.  ``REPRO_REFERENCE`` passes through from the
     environment, so ``REPRO_REFERENCE=1 pytest tests/test_perf_parity.py``
     pins the per-command loop, with streaks off, against the scan oracle;
     tests that set it themselves do so with ``monkeypatch``.
     """
     monkeypatch.setattr(memo, "TIMING_MEMO", NullMemo())
-    monkeypatch.setattr(memo, "INSTR_MEMO", NullMemo())
     yield
     _REAL_TIMING_MEMO.clear()
-    _REAL_INSTR_MEMO.clear()
 
 
 @pytest.fixture
 def timing_memo(monkeypatch):
-    """The real, empty process-wide trace-level memo (overrides the
-    autouse default for tests that target the cache)."""
+    """The real, empty process-wide timing memo (overrides the autouse
+    default for tests that target the cache)."""
     monkeypatch.setattr(memo, "TIMING_MEMO", _REAL_TIMING_MEMO)
     _REAL_TIMING_MEMO.clear()
     return _REAL_TIMING_MEMO
-
-
-@pytest.fixture
-def instr_memo(monkeypatch):
-    """The real, empty process-wide instruction-level memo."""
-    monkeypatch.setattr(memo, "INSTR_MEMO", _REAL_INSTR_MEMO)
-    _REAL_INSTR_MEMO.clear()
-    return _REAL_INSTR_MEMO
 
 
 @pytest.fixture

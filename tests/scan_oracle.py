@@ -85,10 +85,9 @@ class ScanController(MemoryController):
         Scalar :meth:`AddressMapping.decode`, one sequence number drawn with
         ``reserve_seq_block(1)`` and a one-record backlog chunk.  With
         ``completions``, the drain writes the record's burst-end cycle to
-        ``completions[pos]``.  The record is not part of
-        :meth:`pending_trace`: a controller fed this way drains in place.
-        Traces queued before it with ``enqueue_batch`` are decoded first, so
-        the backlog stays in enqueue order.
+        ``completions[pos]``.  Traces queued before it with
+        ``enqueue_batch`` are decoded first, so the backlog stays in enqueue
+        order.
         """
         org = self.organization
         if not 0 <= addr < org.capacity_bytes:

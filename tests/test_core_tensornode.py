@@ -176,6 +176,24 @@ class TestTimedBroadcast:
 
         assert run(1) == pytest.approx(run(None), rel=1e-9)
 
+    @pytest.mark.parametrize("simulate", [0, -1, 5, 9])
+    def test_simulate_dimms_outside_the_node_raises(self, simulate):
+        node = TensorNode(num_dimms=4, capacity_words_per_dimm=1 << 12)
+        a = node.alloc_tensor("a", 32, 512)
+        instr = reduce(a.base_word, a.base_word, a.base_word, a.words_per_dimm)
+        with pytest.raises(ValueError, match=f"1..4 \\(None for all\\), got {simulate}"):
+            node.broadcast_timed(instr, simulate_dimms=simulate)
+        assert node.instructions_executed == 0
+
+    @pytest.mark.parametrize("simulate", [None, 1, 4])
+    def test_simulate_dimms_in_range_simulates_that_many(self, simulate):
+        node = TensorNode(num_dimms=4, capacity_words_per_dimm=1 << 12)
+        a = node.alloc_tensor("a", 32, 512)
+        instr = reduce(a.base_word, a.base_word, a.base_word, a.words_per_dimm)
+        stats = node.broadcast_timed(instr, simulate_dimms=simulate)
+        assert len(stats.dram_per_dimm) == (simulate or 4)
+        assert stats.seconds > 0
+
     def test_functional_result_still_correct(self, rng):
         node = TensorNode(num_dimms=4, capacity_words_per_dimm=1 << 12)
         vals = rng.standard_normal((16, 256)).astype(np.float32)

@@ -8,6 +8,8 @@ from repro.dram.controller import ControllerStats, MemoryController
 from repro.dram.timing import DDR4_2400, DDR4_3200
 from repro.dram.trace import reduce_traffic, streaming_buffer
 
+from trace_oracles import concat
+
 
 def make_controller(**kwargs):
     return MemoryController(DDR4_3200, **kwargs)
@@ -278,7 +280,6 @@ class TestCompletions:
         with pytest.raises(ValueError, match="completions"):
             mc.enqueue_batch(trace, completions=completions)
         assert mc.pending == 0
-        assert mc.pending_trace() is None
 
     @pytest.mark.parametrize("dtype", [np.int32, np.float64])
     def test_wrong_dtype_rejected(self, dtype):
@@ -342,35 +343,25 @@ class TestPendingTrace:
     """The controller keeps the traces it was handed until they drain."""
 
     def test_concatenates_enqueued_traces_in_order(self):
-        mc = make_controller()
         first = TraceBuffer(np.arange(3) * 64, False)
         second = TraceBuffer(np.arange(3, 5) * 64, True, 7)
-        mc.enqueue_batch(first)
-        assert mc.pending_trace() is first
-        mc.enqueue_batch(second)
-        trace = mc.pending_trace()
-        assert np.array_equal(trace.addr, np.arange(5) * 64)
-        assert trace.is_write.tolist() == [False] * 3 + [True] * 2
-        assert trace.cycle.tolist() == [0] * 3 + [7] * 2
+        pieces = make_controller()
+        pieces.enqueue_batch(first)
+        pieces.enqueue_batch(second)
+        assert pieces.pending == 5
+        whole = make_controller()
+        whole.enqueue_batch(concat([first, second]))
+        assert pieces.run_to_completion() == whole.run_to_completion()
 
     def test_cleared_by_drain_and_reset(self):
         mc = make_controller()
         mc.enqueue_batch(streaming_buffer(0, 10))
         mc.reset()
-        assert mc.pending_trace() is None
+        assert mc.pending == 0
+        assert mc.run_to_completion() == ControllerStats()
         mc.enqueue_batch(streaming_buffer(0, 10))
-        mc.run_to_completion()
-        assert mc.pending_trace() is None
-
-    def test_none_for_a_warm_controller(self):
-        # A warm controller's drain continues from its state: its pending
-        # records alone do not determine the result.
-        mc = make_controller()
-        mc.enqueue_batch(streaming_buffer(0, 10))
-        mc.run_to_completion()
-        mc.enqueue_batch(streaming_buffer(640, 10))
-        assert mc.pending == 10
-        assert mc.pending_trace() is None
+        assert mc.run_to_completion().reads == 10
+        assert mc.pending == 0
 
 
 class TestDeferredDecode:
@@ -412,7 +403,6 @@ class TestDeferredDecode:
         with pytest.raises(ValueError, match="outside channel capacity"):
             mc.enqueue_batch(TraceBuffer(np.array([0, 64, addr]), False))
         assert mc.pending == 0
-        assert mc.pending_trace() is None
         assert mc.run_to_completion() == ControllerStats()
 
     def test_failed_enqueue_keeps_earlier_traces(self):
@@ -422,5 +412,4 @@ class TestDeferredDecode:
         with pytest.raises(ValueError, match="completions"):
             mc.enqueue_batch(streaming_buffer(256, 4), completions=np.zeros(3, dtype=np.int64))
         assert mc.pending == 4
-        assert mc.pending_trace() is good
         assert mc.run_to_completion().reads == 4

@@ -69,13 +69,25 @@ class TestEnqueueTraceValidation:
         with pytest.raises(ValueError, match=f"address {bad:#x} outside system"):
             system.enqueue_traffic(traffic)
         assert [c.pending for c in system.controllers] == [0] * 8
-        assert all(c.pending_trace() is None for c in system.controllers)
+        # Nothing is held either: the next description is accepted.
+        system.enqueue_traffic(reduce_traffic(0, 64 * 64, 128 * 64, 8))
+        assert system.run().total_bytes == 24 * 64
 
     def test_last_valid_address_accepted(self):
         system = DramSystem(channels=2)
         last = system.capacity_bytes - 64
         system.enqueue_traffic(average_traffic(0, 1, last, 1))
-        assert [c.pending for c in system.controllers] == [1, 1]
+        assert [s.accesses for s in system.run().channel_stats] == [1, 1]
+
+    def test_second_description_before_run_raises(self):
+        system = DramSystem(channels=2)
+        system.enqueue_traffic(reduce_traffic(0, 64 * 64, 128 * 64, 8))
+        with pytest.raises(ValueError, match="already holds traffic"):
+            system.enqueue_traffic(reduce_traffic(0, 64 * 64, 128 * 64, 8))
+        assert system.run().total_bytes == 24 * 64
+        # ``run`` took the description; warm controllers count both runs.
+        system.enqueue_traffic(reduce_traffic(0, 64 * 64, 128 * 64, 8))
+        assert system.run().total_bytes == 2 * 24 * 64
 
     def test_empty_trace_is_a_no_op(self):
         system = DramSystem(channels=2)
@@ -85,16 +97,18 @@ class TestEnqueueTraceValidation:
 
 class TestShippedDrainCheck:
     def test_worker_stats_for_the_wrong_trace_raise(self, monkeypatch):
-        # A worker result that accounts for other requests than the channel
-        # shipped is refused with an error that survives ``python -O``.
+        # Worker results that account for other requests than the channels
+        # shipped are refused with an error that survives ``python -O``.
         monkeypatch.setattr("repro.parallel.MIN_TASK_RECORDS", 0)
-        monkeypatch.setattr(DrainBatch, "submit", lambda self, config, **kw: None)
+        monkeypatch.setattr(DrainBatch, "submit", lambda self, *args: None)
         monkeypatch.setattr(
             DrainBatch, "results", lambda self: [ControllerStats(reads=1), ControllerStats(reads=2)]
         )
         system = DramSystem(channels=2)
-        enqueue_routed(system, streaming_buffer(0, 4))
-        with pytest.raises(RuntimeError, match="channel 0 drained 1 requests but was shipped 2"):
+        system.enqueue_traffic(average_traffic(0, 1, 64 * 64, 2))  # 2 records a channel
+        with pytest.raises(
+            RuntimeError, match=r"channels \[0, 1\] drained 3 requests but were shipped 4"
+        ):
             system.run(jobs=2)
 
 

@@ -73,7 +73,7 @@ def test_figure04_baseline_slowdowns():
         assert result.average(design, 128) < result.average(design, 1)
 
 
-def test_figure11_bandwidth_utilization(timing_memo, instr_memo):
+def test_figure11_bandwidth_utilization(timing_memo):
     result = figure11.run(batches=(8, 32, 96))
 
     # Shape 1: the TensorNode's aggregate bandwidth dwarfs the CPU's.
@@ -105,7 +105,7 @@ def test_figure11_bandwidth_utilization(timing_memo, instr_memo):
     )
 
 
-def test_figure12_dimm_scaling(timing_memo, instr_memo):
+def test_figure12_dimm_scaling(timing_memo):
     result = figure12.run(ops=("GATHER", "REDUCE"), batch=48)
 
     # Shape 1: the conventional memory system gains nothing from extra

@@ -17,12 +17,10 @@ from repro.dram.controller import MemoryController
 from repro.dram.memo import drain
 from repro.dram.system import DramSystem
 from repro.dram.timing import DDR4_3200
-from repro.dram.trace import streaming_buffer
+from repro.dram.trace import average_traffic, gather_traffic, reduce_traffic
 from repro.models.model_zoo import YOUTUBE
 from repro.service import ServicePolicy, compare_designs
 from repro.service.simulator import _GrowArray
-
-from trace_oracles import enqueue_routed
 
 
 @pytest.fixture
@@ -59,44 +57,54 @@ class TestResolveJobs:
 
 
 def _pooled(tasks, jobs, start_method=None):
-    """Drain ``(config, trace)`` tasks through a :class:`DrainBatch`."""
+    """Drain ``(config, traffic, channel, channels)`` tasks through a
+    :class:`DrainBatch`."""
     batch = parallel.DrainBatch(jobs, start_method)
-    for config, trace in tasks:
-        batch.submit(config, trace=trace)
+    for task in tasks:
+        batch.submit(*task)
     return batch.results()
 
 
 @pytest.mark.usefixtures("force_pool")
 class TestReplayTraces:
-    def _tasks(self, channels=3, words=1500):
+    def _tasks(self, channels=3, rows=250):
+        """Every channel's share of a CPU GATHER whose 5-word rows give
+        each channel a share of its own."""
         config = MemoryController(DDR4_3200).snapshot_config()
-        return [
-            (config, streaming_buffer(c * 64, words)) for c in range(channels)
-        ]
+        rng = np.random.default_rng(channels)
+        traffic = gather_traffic(0, 5, rng.integers(0, 4000, rows), 1 << 24)
+        keys = {traffic.share_key(c, channels) for c in range(channels)}
+        assert len(keys) == channels  # nothing shares a worker call
+        return [(config, traffic, c, channels) for c in range(channels)]
 
     def test_inprocess_matches_pool(self):
         tasks = self._tasks()
-        sequential = [drain(config, trace=trace) for config, trace in tasks]
+        sequential = [drain(*task) for task in tasks]
         assert _pooled(tasks, jobs=2) == sequential
 
     def test_spawn_start_method_matches(self):
-        tasks = self._tasks(channels=2, words=800)
-        sequential = [drain(config, trace=trace) for config, trace in tasks]
+        # A CPU channel ships as its description; the spawned worker, which
+        # shares no memory with this process, builds the share itself.
+        tasks = self._tasks(channels=2, rows=160)
+        sequential = [drain(*task) for task in tasks]
         assert _pooled(tasks, jobs=2, start_method="spawn") == sequential
 
     def test_results_in_task_order(self):
-        # Channels with very different load finish at different times; the
+        # Drains with very different load finish at different times; the
         # merge must still be in submission order.
         config = MemoryController(DDR4_3200).snapshot_config()
-        tasks = [(config, streaming_buffer(0, n)) for n in (2000, 50, 900)]
+        tasks = [(config, average_traffic(0, 1, 1 << 20, n), 0, 1) for n in (1000, 25, 450)]
         stats = _pooled(tasks, jobs=3)
         assert [s.accesses for s in stats] == [2000, 50, 900]
 
 
 class TestDramSystemParallel:
-    def _run(self, jobs, channels=4, words=6000):
+    def _run(self, jobs, channels=4, words=2000):
+        # Unaligned bases give every channel a share of its own.
         system = DramSystem(channels=channels, refresh_enabled=False)
-        enqueue_routed(system, streaming_buffer(0, words))
+        system.enqueue_traffic(
+            reduce_traffic(64, 64 + words * 64, 64 + 2 * words * 64, words)
+        )
         return system.run(jobs=jobs)
 
     @pytest.mark.parametrize("jobs", [2, 4])
@@ -108,8 +116,8 @@ class TestDramSystemParallel:
         assert result.elapsed_seconds == reference.elapsed_seconds
 
     def test_tiny_trace_falls_back_inprocess(self):
-        # Default threshold: a 200-word trace never reaches the pool, and
-        # the result is still correct.
+        # Default threshold: a 600-record description never reaches the
+        # pool, and the result is still correct.
         reference = self._run(1, words=200)
         result = self._run(4, words=200)
         assert result.channel_stats == reference.channel_stats
@@ -121,7 +129,7 @@ class TestDramSystemParallel:
         def warm(jobs):
             system = DramSystem(channels=2)
             for _ in range(2):
-                enqueue_routed(system, streaming_buffer(0, 3000))
+                system.enqueue_traffic(average_traffic(0, 1, 1 << 22, 1500))
                 result = system.run(jobs=jobs)
             return result
 
@@ -133,7 +141,7 @@ class TestDramSystemParallel:
 
     def test_controllers_drained_after_parallel_run(self, force_pool):
         system = DramSystem(channels=2, refresh_enabled=False)
-        enqueue_routed(system, streaming_buffer(0, 2000))
+        system.enqueue_traffic(average_traffic(0, 1, 1 << 22, 1000))
         stats = system.run(jobs=2)
         for controller, channel in zip(system.controllers, stats.channel_stats):
             assert controller.pending == 0
@@ -242,7 +250,7 @@ class TestExplicitSequentialWins:
 
     def test_dram_system(self, no_pool):
         system = DramSystem(channels=2, refresh_enabled=False)
-        enqueue_routed(system, streaming_buffer(0, 400))
+        system.enqueue_traffic(average_traffic(0, 1, 1 << 22, 200))
         assert system.run(jobs=1).total_bytes == 400 * 64
 
     def test_broadcast_timed_batch(self, no_pool):
@@ -252,16 +260,18 @@ class TestExplicitSequentialWins:
 
 
 def _system_drains(jobs):
-    """Per-channel stats of a 2-channel system holding two distinct tiny
-    backlogs (601 and 600 records), drained by ``run(jobs)``; with
-    ``jobs=None``, the same tasks drained directly by ``memo.drain``."""
+    """Per-channel stats of a 2-channel system holding a description with
+    two distinct tiny shares (602 and 600 records), drained by
+    ``run(jobs)``; with ``jobs=None``, the same tasks drained directly by
+    ``memo.drain``."""
     system = DramSystem(channels=2, refresh_enabled=False)
-    enqueue_routed(system, streaming_buffer(0, 1201))
+    traffic = average_traffic(0, 1, 1 << 22, 601)
     if jobs is None:
         return [
-            drain(c.snapshot_config(), trace=c.pending_trace())
-            for c in system.controllers
+            drain(c.snapshot_config(), traffic, channel, 2)
+            for channel, c in enumerate(system.controllers)
         ]
+    system.enqueue_traffic(traffic)
     return system.run(jobs=jobs).channel_stats
 
 
@@ -273,7 +283,7 @@ def _node_drains(jobs):
     instrs = [reduce(0, 2 * 1024, 2 * 2048, n) for n in (300, 200)]
     if jobs is None:
         return [
-            drain(d.timed_controller_config(), descriptor=d.nmp.describe(i))
+            drain(d.timed_controller_config(), d.nmp.describe(i))
             for i in instrs
             for d in node.dimms
         ]
@@ -306,19 +316,16 @@ class TestOneRoutingRule:
         assert pooled == caller(1)
 
     @pytest.mark.parametrize(
-        "caller,trace_level,instr_level",
-        [(_system_drains, (0, 2, 2), (0, 0, 0)), (_node_drains, (0, 2, 2), (2, 2, 2))],
+        "caller,expected",
+        [(_system_drains, (0, 2, 2)), (_node_drains, (2, 2, 2))],
         ids=["system", "node"],
     )
-    def test_each_view_counts_alone(
-        self, caller, trace_level, instr_level, timing_memo, instr_memo
-    ):
-        """(hits, misses, entries) per view: a channel trace touches only
-        the trace level; an instruction consults its own level first, and
-        its stores there never answer a trace lookup."""
+    def test_one_memo_counts_every_drain(self, caller, expected, timing_memo):
+        """(hits, misses, entries) of the one memo: the two channels have
+        shares of their own; each instruction misses on its first DIMM and
+        hits on the second, whose description has the same key."""
         caller(1)
-        for view, expected in ((timing_memo, trace_level), (instr_memo, instr_level)):
-            assert (view.hits, view.misses, len(view)) == expected
+        assert (timing_memo.hits, timing_memo.misses, len(timing_memo)) == expected
 
 
 class TestEnvDefaultHonoured:

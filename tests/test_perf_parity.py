@@ -50,6 +50,7 @@ from scan_oracle import ScanController
 from trace_oracles import (
     Record,
     average_trace,
+    concat,
     enqueue_records,
     enqueue_routed,
     gather_trace,
@@ -237,23 +238,25 @@ class TestDramSystemParity:
         # channel's stats against the scan oracle draining the channel-local
         # records of the whole-system trace one request at a time.  Every
         # channel's share has the same read stream and the same write
-        # stream (for AVERAGE they interleave differently per channel), so
-        # all eight channels queue one buffer, the point drains once and
-        # the other seven channels adopt the memoized stats.
+        # stream (in the whole-system trace, for AVERAGE, they interleave
+        # differently per channel), so all eight channels have one share
+        # key: the point builds one share and drains it once, and the
+        # other seven channels adopt the memoized stats.
         traffic, trace = self._figure11_cpu(op)
         system = DramSystem(channels=8)
         assert system.organization.ranks == 4
         channel_of = (trace.addr // 64) % 8
         layouts = {trace.is_write[channel_of == c].tobytes() for c in range(8)}
         assert len(layouts) == (8 if op == "AVERAGE" else 1)
+        assert len({traffic.share_key(c, 8) for c in range(8)}) == 1
         system.enqueue_traffic(traffic)
-        shares = {id(c.pending_trace()) for c in system.controllers}
-        assert len(shares) == 1
         oracles = [
             ScanController.from_config(c.snapshot_config()) for c in system.controllers
         ]
+        constructions = TraceBuffer.constructions
         result = system.run()
         if not reference_mode():
+            assert TraceBuffer.constructions - constructions == 1
             assert (timing_memo.hits, timing_memo.misses) == (7, 1)
         for r in records(trace):
             channel, local = system.route(r.addr)
@@ -365,16 +368,14 @@ class TestTraceBuffer:
             TraceBuffer(buf.addr[s], buf.is_write[s], buf.cycle[s])
             for s in (slice(0, 3), slice(3, 6))
         ]
-        joined = TraceBuffer.concat(halves)
+        joined = concat(halves)
         assert joined.addr.tolist() == buf.addr.tolist()
 
     @pytest.mark.parametrize("column", ["addr", "is_write", "cycle"])
     def test_columns_are_read_only(self, column):
         buf = TraceBuffer(np.arange(4) * 64, np.zeros(4, dtype=bool))
-        digest = buf.digest()
         with pytest.raises(ValueError):
             getattr(buf, column)[0] = 1
-        assert buf.digest() == digest
 
     def test_input_arrays_stay_writable(self):
         addr = np.arange(4, dtype=np.int64) * 64
@@ -679,10 +680,12 @@ class TestStreakFuzzParity:
 
 
 class TestReinterleaveFuzzParity:
-    """The trace memo keys a drain by the trace's read stream and its write
-    stream (:meth:`TraceBuffer.digest`), not by how the two interleave.
-    Seeded fuzz: a trace and a random direction-preserving re-interleaving
-    of it must drain to identical stats, both matching the scan oracle."""
+    """A drain is a pure function of the trace's read stream and its write
+    stream, not of how the two interleave: a share is built reads first,
+    while the oracle generators emit program order, and the parity tests
+    compare the two by their streams (``trace_oracles.streams``).  Seeded
+    fuzz: a trace and a random direction-preserving re-interleaving of it
+    must drain to identical stats, both matching the scan oracle."""
 
     @pytest.mark.parametrize("ranks", [1, 2, 4])
     @pytest.mark.parametrize("seed", range(5))
@@ -693,7 +696,7 @@ class TestReinterleaveFuzzParity:
             write_share = rng.uniform(0.04, 0.5)
             trace = TraceBuffer(case.addr, rng.random(len(case)) < write_share, case.cycle)
             mixed = reinterleave(trace, rng)
-            assert mixed.digest() == trace.digest()
+            assert streams(mixed) == streams(trace)
             golden = run_scalar_scan(trace, **kw)
             assert run_batch_indexed(trace, **kw) == golden, kw
             assert run_batch_indexed(mixed, **kw) == golden, kw
@@ -998,11 +1001,8 @@ class TestStreakRefusal:
         else:
             # One channel's share of a Fig. 11 CPU REDUCE (8 x 4 ranks).
             words = 1024
-            system = DramSystem(channels=8)
-            system.enqueue_traffic(reduce_traffic(0, words * 64, 2 * words * 64, words))
-            controller = system.controllers[0]
-            config = controller.snapshot_config()
-            trace = controller.pending_trace()
+            config = DramSystem(channels=8).controllers[0].snapshot_config()
+            trace = reduce_traffic(0, words * 64, 2 * words * 64, words).share(0, 8)
         reads = ~trace.is_write
         return config, TraceBuffer(trace.addr[reads], False, trace.cycle[reads])
 

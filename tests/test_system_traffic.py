@@ -6,25 +6,33 @@ Each channel's share must carry the read stream and the write stream that
 ops' closed-form shares against their generators' traces, and the shares
 selected from the whole streams (index reads, UPDATE, AVERAGE rows wider
 than a word) against the one-channel share, which
-``tests/test_nmp_traffic.py`` checks against the NMP instruction oracle;
-equal share keys must mean byte-identical shares; aligned shapes must give
-every channel one key; and a description outside the system must be
+``tests/test_nmp_traffic.py`` checks against the NMP instruction oracle.
+Equal share keys must mean byte-identical shares, within one description
+and across descriptions, because the timing memo is keyed by the share key
+alone and one description's drain serves another's.  Aligned shapes must
+give every channel one key, and a description outside the system must be
 refused before any controller queues anything.  CI also runs this file
-with ``REPRO_REFERENCE=1``, where the memos are off and every channel
+with ``REPRO_REFERENCE=1``, where the memo is off and every channel
 drains its own share.
 """
 
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from repro.dram import memo
+from repro.dram.command import TraceBuffer
 from repro.dram.system import DramSystem
 from repro.dram.trace import OpTraffic, average_traffic, gather_traffic, reduce_traffic
+from repro.env import reference_mode
 
-from trace_oracles import average_trace, gather_trace, reduce_trace, routed_shares, to_buffer
+from trace_oracles import (
+    average_trace, gather_trace, reduce_trace, routed_shares, streams, to_buffer,
+)
 
 #: One system per channel count: building 8 controllers per example would
 #: dominate the property run.
@@ -87,9 +95,36 @@ def cases(draw):
     return channels, aligned, average_traffic(*args), to_buffer(average_trace(*args))
 
 
-def _streams(trace):
-    reads = ~trace.is_write
-    return trace.addr[reads], trace.addr[trace.is_write]
+@st.composite
+def near_pairs(draw):
+    """``(channels, a, b)``: two descriptions of one op built to collide on
+    some channels' keys — the same shape and rows, with each of ``b``'s
+    bases within two channel widths of ``a``'s."""
+    channels = draw(st.sampled_from([2, 3, 4, 8]))
+    op = draw(st.sampled_from(["GATHER", "REDUCE", "AVERAGE"]))
+    first = [draw(st.integers(0, 8 * channels)) for _ in range(3 if op == "REDUCE" else 2)]
+    second = tuple(
+        max(0, base + draw(st.integers(-2 * channels, 2 * channels))) for base in first
+    )
+    fields = {}
+    if op == "GATHER":
+        rows = draw(st.lists(st.integers(0, 20), max_size=12))
+        row_words = draw(st.integers(1, 3) | st.integers(1, 3).map(lambda k: k * channels))
+        fields = {"row_words": row_words, "rows": np.array(rows, dtype=np.int64)}
+        num_words = len(rows)
+    else:
+        num_words = draw(st.integers(0, 4)) * channels + draw(st.sampled_from([0, 1]))
+        if op == "AVERAGE":
+            fields["average_num"] = draw(st.integers(1, 4))
+    return (
+        channels,
+        OpTraffic(op, tuple(first), num_words, **fields),
+        OpTraffic(op, second, num_words, **fields),
+    )
+
+
+def _gather_8_channels(table_word: int) -> OpTraffic:
+    return OpTraffic("GATHER", (table_word, 800), 3, row_words=8, rows=np.array([4, 0, 4]))
 
 
 def _identical(a, b):
@@ -111,11 +146,7 @@ class TestShares:
             if golden is None:
                 assert len(share) == 0
                 continue
-            reads, writes = _streams(share)
-            golden_reads, golden_writes = _streams(golden)
-            assert np.array_equal(reads, golden_reads)
-            assert np.array_equal(writes, golden_writes)
-            assert share.digest() == golden.digest()
+            assert streams(share) == streams(golden)
 
     @settings(max_examples=200, deadline=None)
     @given(cases())
@@ -132,22 +163,46 @@ class TestShares:
         if aligned:
             assert len(by_key) == 1
 
+    @settings(max_examples=200, deadline=None)
+    @given(near_pairs())
+    @example((8, _gather_8_channels(1), _gather_8_channels(8)))
+    def test_equal_keys_across_descriptions_mean_identical_shares(self, case):
+        channels, a, b = case
+        for c in range(channels):
+            for d in range(channels):
+                if a.share_key(c, channels) == b.share_key(d, channels):
+                    assert _identical(a.share(c, channels), b.share(d, channels))
+
+    def test_gather_tables_a_word_apart_collide_on_channel_0(self):
+        # Channel 0 holds word 8 of each row in both tables, at the same
+        # local word, so one memo entry serves both.
+        a, b = _gather_8_channels(1), _gather_8_channels(8)
+        assert a.share_key(0, 8) == b.share_key(0, 8)
+        assert _identical(a.share(0, 8), b.share(0, 8))
+        assert a.share_key(1, 8) != b.share_key(1, 8)
+
     @settings(max_examples=50, deadline=None)
     @given(cases())
     def test_system_queues_one_buffer_per_key(self, case):
+        """``run`` builds one share buffer per distinct key (every channel's
+        in reference mode, where the memo is off) and drains each channel
+        to the stats of its per-record routed share."""
         channels, _, traffic, trace = case
+        assume(traffic.records)  # an empty description is not held at all
         system = DramSystem(channels=channels)
         system.enqueue_traffic(traffic)
-        routed = routed_shares(system, trace)
-        buffers = {}
-        for channel, (controller, golden) in enumerate(zip(system.controllers, routed)):
-            pending = controller.pending_trace()
-            if golden is None:
-                assert pending is None
-                continue
-            assert pending.digest() == golden.digest()
-            key = traffic.share_key(channel, channels)
-            assert buffers.setdefault(key, pending) is pending
+        keys = {traffic.share_key(c, channels) for c in range(channels)}
+        constructions = TraceBuffer.constructions
+        with mock.patch.object(memo, "TIMING_MEMO", memo.TimingMemo()):
+            result = system.run(jobs=1)
+        built = channels if reference_mode() else len(keys)
+        assert TraceBuffer.constructions - constructions == built
+        config = system.controllers[0].snapshot_config()
+        for stats, golden in zip(result.channel_stats, routed_shares(system, trace)):
+            controller = config.build()
+            if golden is not None:
+                controller.enqueue_batch(golden)
+            assert stats == controller.run_to_completion()
 
 
 class TestOutOfRange:
@@ -166,7 +221,7 @@ class TestOutOfRange:
         with pytest.raises(ValueError, match="outside system capacity"):
             system.enqueue_traffic(bad)
         assert all(c.pending == 0 for c in system.controllers)
-        assert all(c.pending_trace() is None for c in system.controllers)
+        assert system.run().total_bytes == 0
 
 
 def test_unaligned_base_refused():

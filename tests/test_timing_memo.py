@@ -1,17 +1,18 @@
-"""Tests for the cross-layer timing memoization caches.
+"""Tests for the cross-layer timing memo.
 
-One store viewed as two levels (see :mod:`repro.dram.memo`): the trace
-memo keyed by ``(ControllerConfig, trace digest)`` and the instruction
-memo keyed by ``(ControllerConfig, OpTraffic.key)``.  Correctness rests
-on the drain being a pure function of those keys (the parity,
-determinism, and description suites pin the purity); these tests pin the
-cache mechanics: keying, copy semantics, LRU eviction across the two
-levels, reference mode, the lookup order of
+One LRU store keyed by ``(ControllerConfig, traffic.share_key(channel,
+channels))`` (see :mod:`repro.dram.memo`), for DramSystem channel shares
+and NMP instructions (the one-channel case) alike.  Correctness rests on
+equal share keys meaning byte-identical shares
+(``tests/test_system_traffic.py``) and on the drain being a pure function
+of the config and the share (the parity, determinism, and description
+suites pin the purity); these tests pin the cache mechanics: keying, copy
+semantics, LRU eviction, reference mode, the lookup order of
 :func:`~repro.dram.memo.drain`, and every consumer (TensorDimm,
 DramSystem, the parallel drain fan-out).
 
-The suite-wide autouse fixture replaces both memos with null memos; tests
-here opt back in through the ``timing_memo`` / ``instr_memo`` fixtures.
+The suite-wide autouse fixture replaces the memo with a null memo; tests
+here opt back in through the ``timing_memo`` fixture.
 """
 
 import numpy as np
@@ -21,153 +22,80 @@ from repro.core.isa import gather, reduce
 from repro.core.runtime import TensorDimmRuntime
 from repro.core.tensordimm import TensorDimm
 from repro.core.tensornode import TensorNode
+from repro.dram import memo
 from repro.dram.command import TraceBuffer
 from repro.dram.controller import MemoryController
-from repro.dram.memo import InstructionMemo, TimingMemo, _LruStatsCache, drain
+from repro.dram.memo import TimingMemo, drain
 from repro.dram.system import DramSystem
 from repro.dram.timing import DDR4_3200
+from repro.dram.trace import average_traffic, gather_traffic
 from repro.env import REFERENCE_ENV_VAR
 from repro.parallel import DrainBatch
 
-from trace_oracles import enqueue_routed, reinterleave
 
-
-def _trace(n=600, seed=3):
+def _traffic(n=600, seed=3):
+    """A CPU GATHER of ``n`` random one-word rows."""
     rng = np.random.default_rng(seed)
-    addrs = (rng.integers(0, 1 << 12, size=n) * 64).astype(np.int64)
-    return TraceBuffer(addrs, np.zeros(n, dtype=bool))
+    return gather_traffic(0, 1, rng.integers(0, 1 << 12, size=n), 1 << 22)
+
+
+def _key(seed=3, channel=0, channels=8):
+    return _traffic(seed=seed).share_key(channel, channels)
 
 
 def _config():
     return MemoryController(DDR4_3200).snapshot_config()
 
 
-class TestDigest:
-    def test_deterministic(self):
-        a = _trace()
-        b = _trace()
-        assert a.digest() == b.digest()
-
-    def test_sensitive_to_every_column(self):
-        base = _trace()
-        addr2 = base.addr.copy()
-        addr2[0] += 64
-        assert TraceBuffer(addr2, base.is_write, base.cycle).digest() != base.digest()
-        flipped = base.is_write.copy()
-        flipped[0] = True
-        assert TraceBuffer(base.addr, flipped, base.cycle).digest() != base.digest()
-        cycles = base.cycle.copy()
-        cycles[0] = 7
-        assert TraceBuffer(base.addr, base.is_write, cycles).digest() != base.digest()
-
-    def test_cached_on_buffer(self):
-        t = _trace()
-        assert t.digest() is t.digest()
-
-    @staticmethod
-    def _mixed(seed=5, n=400):
-        # Reads and writes with paced arrivals, so every column varies.
-        rng = np.random.default_rng(seed)
-        addrs = (rng.integers(0, 1 << 12, size=n) * 64).astype(np.int64)
-        return TraceBuffer(addrs, rng.random(n) < 0.3, np.cumsum(rng.integers(0, 9, n)))
-
-    def test_direction_preserving_reinterleave_keeps_digest(self):
-        base = self._mixed()
-        rng = np.random.default_rng(1)
-        grouped = np.argsort(base.is_write, kind="stable")  # all reads first
-        for mixed in (
-            TraceBuffer(base.addr[grouped], base.is_write[grouped], base.cycle[grouped]),
-            reinterleave(base, rng),
-            reinterleave(base, rng),
-        ):
-            for d in (False, True):
-                keep = mixed.is_write == d
-                base_keep = base.is_write == d
-                assert np.array_equal(mixed.addr[keep], base.addr[base_keep])
-                assert np.array_equal(mixed.cycle[keep], base.cycle[base_keep])
-            assert not np.array_equal(mixed.is_write, base.is_write)
-            assert mixed.digest() == base.digest()
-
-    def test_moving_a_record_across_directions_changes_digest(self):
-        base = self._mixed()
-        i = int(np.flatnonzero(~base.is_write)[0])
-        flipped = base.is_write.copy()
-        flipped[i] = True
-        assert TraceBuffer(base.addr, flipped, base.cycle).digest() != base.digest()
-
-    @pytest.mark.parametrize("is_write", [False, True], ids=["reads", "writes"])
-    def test_swapping_two_records_of_one_direction_changes_digest(self, is_write):
-        base = self._mixed()
-        i, j = np.flatnonzero(base.is_write == is_write)[:2].tolist()
-        assert base.addr[i] != base.addr[j]
-        order = np.arange(len(base))
-        order[[i, j]] = order[[j, i]]
-        # Whole records swap: each direction keeps the same set of
-        # (addr, cycle) pairs, only their order changes.
-        swapped = TraceBuffer(base.addr[order], base.is_write, base.cycle[order])
-        assert swapped.digest() != base.digest()
-
-    def test_changing_one_arrival_changes_digest(self):
-        base = self._mixed()
-        for is_write in (False, True):
-            i = int(np.flatnonzero(base.is_write == is_write)[3])
-            cycles = base.cycle.copy()
-            cycles[i] += 1
-            assert TraceBuffer(base.addr, base.is_write, cycles).digest() != base.digest()
-
-
 class TestTimingMemoMechanics:
     def test_hit_returns_equal_but_fresh_copy(self, timing_memo):
         config = _config()
-        trace = _trace()
+        traffic = _traffic()
         mc = MemoryController(DDR4_3200)
-        mc.enqueue_batch(trace)
+        mc.enqueue_batch(traffic.share(0, 8))
         stats = mc.run_to_completion()
-        timing_memo.store(config, trace, stats)
-        hit = timing_memo.lookup(config, trace)
+        timing_memo.store(config, traffic.share_key(0, 8), stats)
+        hit = timing_memo.lookup(config, traffic.share_key(0, 8))
         assert hit == stats
         assert hit is not stats
-        assert timing_memo.lookup(config, trace) is not hit  # fresh per hit
+        assert timing_memo.lookup(config, traffic.share_key(0, 8)) is not hit  # fresh per hit
 
     def test_counters_and_stats(self, timing_memo):
         config = _config()
-        trace = _trace()
-        assert timing_memo.lookup(config, trace) is None
-        timing_memo.store(config, trace, MemoryController(DDR4_3200).stats)
-        timing_memo.lookup(config, trace)
+        assert timing_memo.lookup(config, _key()) is None
+        timing_memo.store(config, _key(), MemoryController(DDR4_3200).stats)
+        timing_memo.lookup(config, _key())
         report = timing_memo.stats()
         assert report["hits"] == 1 and report["misses"] == 1
         assert report["hit_rate"] == 0.5
         assert report["entries"] == 1
 
     def test_config_is_part_of_key(self, timing_memo):
-        trace = _trace()
         open_cfg = MemoryController(DDR4_3200).snapshot_config()
         closed_cfg = MemoryController(DDR4_3200, row_policy="closed").snapshot_config()
-        timing_memo.store(open_cfg, trace, MemoryController(DDR4_3200).stats)
-        assert timing_memo.lookup(closed_cfg, trace) is None
+        timing_memo.store(open_cfg, _key(), MemoryController(DDR4_3200).stats)
+        assert timing_memo.lookup(closed_cfg, _key()) is None
 
     def test_kill_switch(self, timing_memo, monkeypatch):
         config = _config()
-        trace = _trace()
-        timing_memo.store(config, trace, MemoryController(DDR4_3200).stats)
+        timing_memo.store(config, _key(), MemoryController(DDR4_3200).stats)
         monkeypatch.setenv(REFERENCE_ENV_VAR, "1")
-        assert timing_memo.lookup(config, trace) is None
+        assert timing_memo.lookup(config, _key()) is None
         assert timing_memo.misses == 0  # disabled lookups do not count
 
     def test_lru_eviction_prefers_stale_entries(self, timing_memo):
-        memo = TimingMemo(_LruStatsCache(max_entries=2))
+        cache = TimingMemo(max_entries=2)
         config = _config()
         stats = MemoryController(DDR4_3200).stats
-        traces = [_trace(seed=s) for s in range(3)]
-        memo.store(config, traces[0], stats)
-        memo.store(config, traces[1], stats)
-        assert memo.lookup(config, traces[0]) is not None  # refresh recency
-        memo.store(config, traces[2], stats)  # evicts trace 1, not trace 0
-        assert len(memo) == 2
-        assert memo.lookup(config, traces[1]) is None
-        assert memo.lookup(config, traces[0]) is not None
-        assert memo.evictions == 1
+        keys = [_key(seed=s) for s in range(3)]
+        cache.store(config, keys[0], stats)
+        cache.store(config, keys[1], stats)
+        assert cache.lookup(config, keys[0]) is not None  # refresh recency
+        cache.store(config, keys[2], stats)  # evicts key 1, not key 0
+        assert len(cache) == 2
+        assert cache.lookup(config, keys[1]) is None
+        assert cache.lookup(config, keys[0]) is not None
+        assert cache.evictions == 1
 
 
 class TestTensorDimmIntegration:
@@ -210,29 +138,32 @@ class TestTensorDimmIntegration:
 
 
 class TestDramSystemIntegration:
-    def _loaded_system(self):
+    @staticmethod
+    def _loaded_system():
+        # 1,000 reads and 1,000 writes on even word boundaries: both
+        # channels' shares have one key.
         system = DramSystem(channels=2)
-        addrs = (np.arange(2000, dtype=np.int64) * 64)
-        enqueue_routed(system, TraceBuffer(addrs, np.zeros(2000, dtype=bool)))
+        system.enqueue_traffic(average_traffic(0, 1, 1 << 22, 1000))
         return system
 
     def test_second_run_served_from_cache(self, timing_memo):
         golden = self._loaded_system().run()
-        # Striping hands both channels byte-identical local traces, so the
-        # second channel already hits the entry the first one stored.
+        # Both channels' shares have one key, so the second channel already
+        # hits the entry the first one stored.
         assert timing_memo.hits == 1 and timing_memo.misses == 1
-        again = self._loaded_system().run()
+        system = self._loaded_system()
+        constructions = TraceBuffer.constructions
+        again = system.run()
         assert timing_memo.hits == 3  # both channels served from cache
+        assert TraceBuffer.constructions == constructions  # no share was built
         assert again.channel_stats == golden.channel_stats
         assert again.elapsed_seconds == golden.elapsed_seconds
 
-    def test_directly_fed_controller_drains_through_memo(self, timing_memo):
-        self._loaded_system().run()
-        hits, misses = timing_memo.hits, timing_memo.misses
-
+    def test_directly_fed_controller_drains_outside_memo(self, timing_memo):
         def fed_system():
             # One controller also gets a record behind the system's back:
-            # the controller's own pending trace carries it into the memo.
+            # that channel queues its share behind the record and drains in
+            # place, neither reading nor storing the memo.
             system = self._loaded_system()
             system.controllers[0].enqueue_batch(
                 TraceBuffer(np.zeros(1, dtype=np.int64), np.zeros(1, dtype=bool))
@@ -240,16 +171,17 @@ class TestDramSystemIntegration:
             return system
 
         system = fed_system()
-        records = system.controllers[0].pending_trace()
-        assert len(records) == 1001
+        config = system.controllers[0].snapshot_config()
         result = system.run()
-        # The fed channel misses once, the clean channel hits.
-        assert (timing_memo.hits, timing_memo.misses) == (hits + 1, misses + 1)
-        fresh = system.controllers[0].snapshot_config().build()
-        fresh.enqueue_batch(records)
+        # Only the clean channel consulted the memo, and missed.
+        assert (timing_memo.hits, timing_memo.misses, len(timing_memo)) == (0, 1, 1)
+        fresh = config.build()
+        fresh.enqueue_batch(TraceBuffer(np.zeros(1, dtype=np.int64), np.zeros(1, dtype=bool)))
+        fresh.enqueue_batch(average_traffic(0, 1, 1 << 22, 1000).share(0, 2))
         assert result.channel_stats[0] == fresh.run_to_completion()
+        assert result.channel_stats[0].accesses == 1001
         again = fed_system().run()
-        assert (timing_memo.hits, timing_memo.misses) == (hits + 3, misses + 1)
+        assert (timing_memo.hits, timing_memo.misses, len(timing_memo)) == (1, 1, 1)
         assert again.channel_stats == result.channel_stats
 
 
@@ -257,15 +189,15 @@ class TestParallelIntegration:
     def test_replay_traces_parent_side_hits(self, timing_memo, monkeypatch):
         monkeypatch.setattr("repro.parallel.MIN_TASK_RECORDS", 0)
         config = _config()
-        trace = _trace(n=900)
+        traffic = _traffic(n=450)
         batch = DrainBatch(jobs=2)
-        batch.submit(config, trace=trace)
-        batch.submit(config, trace=trace)  # shares the first task's worker call
+        batch.submit(config, traffic)
+        batch.submit(config, traffic)  # shares the first task's worker call
         first = batch.results()
         assert first[0] == first[1] and first[0] is not first[1]
         assert timing_memo.misses == 2 and len(timing_memo) == 1
         again = DrainBatch(jobs=2)
-        again.submit(config, trace=trace)  # answered by the parent's memo
+        again.submit(config, traffic)  # answered by the parent's memo
         assert again.results() == first[:1]
         assert timing_memo.hits == 1
 
@@ -289,26 +221,27 @@ class TestParallelIntegration:
 class TestWarmControllerSoundness:
     """The memo must only serve/record drains of *pristine* controllers: a
     warm controller's next drain continues from accumulated clock/stats
-    state and is not a pure function of the pending trace."""
+    state and is not a pure function of its share."""
 
-    def _trace(self, n=1000):
-        addrs = np.arange(n, dtype=np.int64) * 64
-        return TraceBuffer(addrs, np.zeros(n, dtype=bool))
+    @staticmethod
+    def _traffic():
+        # 500 reads and 500 writes: 500 records a channel, one key.
+        return average_traffic(0, 1, 1 << 22, 500)
 
     def test_second_run_on_same_system_not_served_stale(self, timing_memo):
         warm = DramSystem(channels=2)
-        enqueue_routed(warm, self._trace())
+        warm.enqueue_traffic(self._traffic())
         warm.run()
-        enqueue_routed(warm, self._trace())
+        warm.enqueue_traffic(self._traffic())
         cached_result = warm.run()  # warm drain: must NOT hit the memo
         # Reference system with an identical memo history (cleared before
         # its first run, so both systems adopt/drain the same channels);
         # its second run drains for real because its controllers are warm.
         timing_memo.clear()
         cold = DramSystem(channels=2)
-        enqueue_routed(cold, self._trace())
+        cold.enqueue_traffic(self._traffic())
         cold.run()
-        enqueue_routed(cold, self._trace())
+        cold.enqueue_traffic(self._traffic())
         timing_memo.clear()  # force the reference through the real engine
         golden = cold.run()
         assert cached_result.channel_stats == golden.channel_stats
@@ -316,20 +249,30 @@ class TestWarmControllerSoundness:
 
     def test_warm_drain_does_not_poison_cache(self, timing_memo):
         warm = DramSystem(channels=2)
-        enqueue_routed(warm, self._trace())
+        warm.enqueue_traffic(self._traffic())
         warm.run()
-        enqueue_routed(warm, self._trace())
-        warm.run()  # accumulated stats must not be stored under the trace key
+        warm.enqueue_traffic(self._traffic())
+        warm.run()  # accumulated stats must not be stored under the share key
         fresh = DramSystem(channels=2)
-        enqueue_routed(fresh, self._trace())
+        fresh.enqueue_traffic(self._traffic())
         result = fresh.run()
         assert all(s.accesses == 500 for s in result.channel_stats)
+
+    def test_warm_channel_neither_reads_nor_stores_the_memo(self, timing_memo):
+        system = DramSystem(channels=2)
+        system.enqueue_traffic(self._traffic())
+        system.run()
+        assert (timing_memo.hits, timing_memo.misses, len(timing_memo)) == (1, 1, 1)
+        system.enqueue_traffic(self._traffic())
+        result = system.run()
+        assert (timing_memo.hits, timing_memo.misses, len(timing_memo)) == (1, 1, 1)
+        assert all(s.accesses == 1000 for s in result.channel_stats)
 
     def test_warm_run_does_not_depend_on_memo_hits(self, timing_memo):
         def warm_second_run():
             system = DramSystem(channels=2)
             for _ in range(2):
-                enqueue_routed(system, self._trace())
+                system.enqueue_traffic(self._traffic())
                 result = system.run()
             return result
 
@@ -344,7 +287,7 @@ class TestWarmControllerSoundness:
     def test_pristine_flag(self):
         mc = MemoryController(DDR4_3200)
         assert mc.pristine
-        mc.enqueue_batch(_trace(100))
+        mc.enqueue_batch(_traffic(100).share(0, 1))
         assert mc.pristine  # enqueueing alone does not warm it
         mc.run_to_completion()
         assert not mc.pristine
@@ -359,119 +302,97 @@ def _described_reduce(count=300, dimms=2):
 
 
 class TestInstructionMemoMechanics:
-    def test_hit_returns_equal_but_fresh_copy(self, instr_memo):
+    """An NMP instruction is keyed as the one-channel share of its
+    description, ``(OpTraffic.key, 0, 1)``."""
+
+    @staticmethod
+    def _key(descriptor):
+        key = descriptor.share_key(0, 1)
+        assert key == (descriptor.key, 0, 1)
+        return key
+
+    def test_hit_returns_equal_but_fresh_copy(self, timing_memo):
         dimm, instr, descriptor = _described_reduce()
         config = dimm.timed_controller_config(True)
         stats = MemoryController(DDR4_3200).stats
-        instr_memo.store(config, descriptor, stats)
-        hit = instr_memo.lookup(config, descriptor)
+        timing_memo.store(config, self._key(descriptor), stats)
+        hit = timing_memo.lookup(config, self._key(descriptor))
         assert hit == stats and hit is not stats
-        assert instr_memo.lookup(config, descriptor) is not hit
+        assert timing_memo.lookup(config, self._key(descriptor)) is not hit
 
-    def test_counters_and_stats(self, instr_memo):
+    def test_counters_and_stats(self, timing_memo):
         dimm, instr, descriptor = _described_reduce()
         config = dimm.timed_controller_config(True)
-        assert instr_memo.lookup(config, descriptor) is None
-        instr_memo.store(config, descriptor, MemoryController(DDR4_3200).stats)
-        instr_memo.lookup(config, descriptor)
-        report = instr_memo.stats()
+        assert timing_memo.lookup(config, self._key(descriptor)) is None
+        timing_memo.store(config, self._key(descriptor), MemoryController(DDR4_3200).stats)
+        timing_memo.lookup(config, self._key(descriptor))
+        report = timing_memo.stats()
         assert report["hits"] == 1 and report["misses"] == 1
         assert report["entries"] == 1
 
-    def test_config_is_part_of_key(self, instr_memo):
+    def test_config_is_part_of_key(self, timing_memo):
         _, _, descriptor = _described_reduce()
         open_cfg = MemoryController(DDR4_3200).snapshot_config()
         closed_cfg = MemoryController(DDR4_3200, row_policy="closed").snapshot_config()
-        instr_memo.store(open_cfg, descriptor, MemoryController(DDR4_3200).stats)
-        assert instr_memo.lookup(closed_cfg, descriptor) is None
+        timing_memo.store(open_cfg, self._key(descriptor), MemoryController(DDR4_3200).stats)
+        assert timing_memo.lookup(closed_cfg, self._key(descriptor)) is None
 
-    def test_kill_switch(self, instr_memo, monkeypatch):
+    def test_kill_switch(self, timing_memo, monkeypatch):
         dimm, instr, descriptor = _described_reduce()
         config = dimm.timed_controller_config(True)
-        instr_memo.store(config, descriptor, MemoryController(DDR4_3200).stats)
+        timing_memo.store(config, self._key(descriptor), MemoryController(DDR4_3200).stats)
         monkeypatch.setenv(REFERENCE_ENV_VAR, "1")
-        assert instr_memo.lookup(config, descriptor) is None
-        assert instr_memo.misses == 0  # disabled lookups do not count
+        assert timing_memo.lookup(config, self._key(descriptor)) is None
+        assert timing_memo.misses == 0  # disabled lookups do not count
 
-    def test_lru_on_hit(self, instr_memo):
-        memo = InstructionMemo(_LruStatsCache(max_entries=2))
+    def test_lru_on_hit(self, timing_memo):
+        cache = TimingMemo(max_entries=2)
         config = MemoryController(DDR4_3200).snapshot_config()
         stats = MemoryController(DDR4_3200).stats
-        descriptors = [_described_reduce(count=c)[2] for c in (10, 20, 30)]
-        memo.store(config, descriptors[0], stats)
-        memo.store(config, descriptors[1], stats)
-        assert memo.lookup(config, descriptors[0]) is not None
-        memo.store(config, descriptors[2], stats)
-        assert memo.lookup(config, descriptors[1]) is None
-        assert memo.lookup(config, descriptors[0]) is not None
-
-    def test_layers_are_independent(self, instr_memo, timing_memo):
-        """A miss populates both levels; clearing one leaves the other."""
-        dimm, instr, descriptor = _described_reduce()
-        dimm.execute_timed(instr)
-        assert len(instr_memo) == 1 and len(timing_memo) == 1
-        timing_memo.clear()
-        second = dimm.execute_timed(instr)  # served at the instruction level
-        assert instr_memo.hits == 1
-        assert timing_memo.hits == 0 and timing_memo.misses == 0
-        assert second.dram_stats.accesses == 900
+        keys = [self._key(_described_reduce(count=c)[2]) for c in (10, 20, 30)]
+        cache.store(config, keys[0], stats)
+        cache.store(config, keys[1], stats)
+        assert cache.lookup(config, keys[0]) is not None
+        cache.store(config, keys[2], stats)
+        assert cache.lookup(config, keys[1]) is None
+        assert cache.lookup(config, keys[0]) is not None
 
 
 class TestOneStore:
-    """Both levels are views of one LRU store with one entry cap."""
+    """Channel shares and instructions share one LRU store and one cap."""
 
-    def test_process_memos_share_one_store(self, timing_memo, instr_memo):
-        assert timing_memo._cache is instr_memo._cache
+    def test_process_memos_share_one_store(self, timing_memo):
+        assert memo.INSTR_MEMO is memo.TIMING_MEMO is timing_memo
 
-    def test_a_store_at_one_view_never_hits_the_other(self, timing_memo, instr_memo):
-        dimm, instr, descriptor = _described_reduce()
-        config = dimm.timed_controller_config(True)
-        trace = descriptor.share(0, 1)
-        stats = MemoryController(DDR4_3200).stats
-        timing_memo.store(config, trace, stats)
-        assert instr_memo.lookup(config, descriptor) is None
-        assert (timing_memo.hits, timing_memo.misses) == (0, 0)
-        instr_memo.store(config, descriptor, stats)
-        assert timing_memo.lookup(config, trace) == stats
-        assert (instr_memo.hits, instr_memo.misses) == (0, 1)
-        assert (timing_memo.hits, timing_memo.misses) == (1, 0)
-        assert len(timing_memo) == len(instr_memo) == 1
-        timing_memo.clear()  # drops only the trace level's entries
-        assert len(timing_memo) == 0 and len(instr_memo) == 1
-        assert instr_memo.lookup(config, descriptor) == stats
-
-    def test_lru_evicts_across_levels(self):
-        store = _LruStatsCache(max_entries=2)
-        traces, instrs = TimingMemo(store), InstructionMemo(store)
+    def test_lru_evicts_across_key_kinds(self):
+        cache = TimingMemo(max_entries=2)
         config = _config()
         stats = MemoryController(DDR4_3200).stats
-        trace = _trace()
-        descriptors = [_described_reduce(count=c)[2] for c in (10, 20)]
-        traces.store(config, trace, stats)
-        instrs.store(config, descriptors[0], stats)
-        assert traces.lookup(config, trace) is not None  # refresh recency
-        instrs.store(config, descriptors[1], stats)  # evicts descriptor 0
-        assert len(traces) == len(instrs) == 1
-        assert (traces.evictions, instrs.evictions) == (0, 1)
-        assert instrs.lookup(config, descriptors[0]) is None
-        instrs.store(config, descriptors[0], stats)  # evicts the trace, now LRU
-        assert (traces.evictions, len(traces), len(instrs)) == (1, 0, 2)
-        assert traces.lookup(config, trace) is None
+        share = _key()
+        instrs = [_described_reduce(count=c)[2].share_key(0, 1) for c in (10, 20)]
+        cache.store(config, share, stats)
+        cache.store(config, instrs[0], stats)
+        assert cache.lookup(config, share) is not None  # refresh recency
+        cache.store(config, instrs[1], stats)  # evicts instruction 0
+        assert cache.lookup(config, instrs[0]) is None
+        cache.store(config, instrs[0], stats)  # evicts the share, now LRU
+        assert (cache.evictions, len(cache)) == (2, 2)
+        assert cache.lookup(config, share) is None
 
 
 class TestDescriptorReplay:
-    def test_replay_descriptor_matches_trace_replay(self, instr_memo):
+    def test_replay_descriptor_matches_trace_replay(self, timing_memo):
         dimm, instr, descriptor = _described_reduce(count=400)
         config = dimm.timed_controller_config(True)
         mc = config.build()
         mc.enqueue_batch(descriptor.share(0, 1))
         golden = mc.run_to_completion()
-        assert drain(config, descriptor=descriptor) == golden
-        assert drain(config, descriptor=descriptor) == golden  # memo hit
-        assert instr_memo.hits == 1
+        assert drain(config, descriptor) == golden
+        assert drain(config, descriptor) == golden  # memo hit
+        assert timing_memo.hits == 1
 
     def test_broadcast_batch_parallel_ships_descriptors(
-        self, instr_memo, monkeypatch
+        self, timing_memo, monkeypatch
     ):
         monkeypatch.setattr("repro.parallel.MIN_TASK_RECORDS", 0)
         node = TensorNode(num_dimms=4, capacity_words_per_dimm=1 << 14)
@@ -480,16 +401,16 @@ class TestDescriptorReplay:
             [instr], simulate_dimms=None, jobs=2
         )[0]
         # All four DIMMs share one descriptor: one IPC round trip, and the
-        # collection stored it at the instruction level.
-        assert len(instr_memo) == 1
-        instr_memo.clear()
+        # collection stored it once.
+        assert len(timing_memo) == 1
+        timing_memo.clear()
         sequential = TensorNode(
             num_dimms=4, capacity_words_per_dimm=1 << 14
         ).broadcast_timed_batch([instr], simulate_dimms=None, jobs=1)[0]
         assert parallel.dram_per_dimm == sequential.dram_per_dimm
         assert parallel.seconds == sequential.seconds
 
-    def test_second_parallel_batch_is_pure_hits(self, instr_memo, monkeypatch):
+    def test_second_parallel_batch_is_pure_hits(self, timing_memo, monkeypatch):
         monkeypatch.setattr("repro.parallel.MIN_TASK_RECORDS", 0)
         node = TensorNode(num_dimms=4, capacity_words_per_dimm=1 << 14)
         instr = reduce(0, 4 * 1024, 4 * 2048, 300)
@@ -501,11 +422,11 @@ class TestDescriptorReplay:
 
 
 class TestDrainLookupOrder:
-    """The hit/miss counters :func:`drain` leaves pin its lookup order:
-    instruction memo, then the description's share, then trace memo, then
-    a real drain."""
+    """The hit/miss counters of the one memo, and the trace builds and
+    real drains behind them, pin :func:`drain`'s order: the memo by the
+    share key, then the share, then a real drain."""
 
-    def test_figure11_cpu_points(self, timing_memo, instr_memo):
+    def test_figure11_cpu_points(self, timing_memo):
         from repro.bench import figure11
 
         constructions = TraceBuffer.constructions
@@ -513,19 +434,25 @@ class TestDrainLookupOrder:
             [("CPU", 8, op, 2, 512) for op in figure11.OPS], jobs=1
         )
         # 24 channel drains of 3 distinct keys: within each op every
-        # channel's share has the same read stream and the same write
-        # stream, so each point builds one share buffer (no whole-system
-        # trace) and queues it on all 8 channels; no instruction is
-        # described on the conventional system.
+        # channel's share has the same key, so each point builds one share
+        # buffer (no whole-system trace) on its first channel's miss, and
+        # the other 7 channels hit.
         assert TraceBuffer.constructions - constructions == 3
         assert (timing_memo.hits, timing_memo.misses) == (21, 3)
-        assert (instr_memo.hits, instr_memo.misses) == (0, 0)
 
-    @pytest.mark.parametrize("jobs,trace_misses", [(1, 11), (2, 9)])
+    @pytest.mark.parametrize("jobs,drained_here", [(1, 11), (2, 9)])
     def test_cycle_runtime_forward_and_combine(
-        self, timing_memo, instr_memo, monkeypatch, jobs, trace_misses
+        self, timing_memo, monkeypatch, jobs, drained_here
     ):
         monkeypatch.setattr("repro.parallel.MIN_TASK_RECORDS", 0)
+        drains = []
+        run = MemoryController.run_to_completion
+
+        def spy(controller):
+            drains.append(controller)
+            return run(controller)
+
+        monkeypatch.setattr(MemoryController, "run_to_completion", spy)
         node = TensorNode(num_dimms=4, capacity_words_per_dimm=1 << 16)
         runtime = TensorDimmRuntime(node, timing_mode="cycle", jobs=jobs)
         rng = np.random.default_rng(3)
@@ -546,8 +473,8 @@ class TestDrainLookupOrder:
                 node.allocator.free(name)
         # Batch 1 misses all 8 instructions; batch 2 re-issues the 3
         # AVERAGEs and 2 REDUCEs on the same bases (hits) and 3 GATHERs
-        # with new indices (misses).  Each instruction miss consults the
-        # trace memo in this process, except that at jobs=2 the first
-        # combine's two REDUCEs are drained by the workers.
-        assert (instr_memo.hits, instr_memo.misses) == (5, 11)
-        assert (timing_memo.hits, timing_memo.misses) == (0, trace_misses)
+        # with new indices (misses).  Every drain is looked up in this
+        # process, at any worker count; at jobs=2 the first combine's two
+        # REDUCEs are drained by the workers, the other misses here.
+        assert (timing_memo.hits, timing_memo.misses) == (5, 11)
+        assert len(drains) == drained_here

@@ -73,8 +73,9 @@ def average_trace(
 
 def streams(trace: TraceBuffer) -> tuple[list, list]:
     """A trace's read stream and write stream: the ``(addr, cycle)`` pairs
-    of each direction, in trace order.  Equal streams drain identically
-    (see :meth:`TraceBuffer.digest`), however the two interleave."""
+    of each direction, in trace order.  Equal streams drain identically,
+    however the two interleave (``tests/test_perf_parity.py``'s
+    ``TestReinterleaveFuzzParity``)."""
     pairs = list(zip(trace.addr.tolist(), trace.cycle.tolist()))
     is_write = trace.is_write.tolist()
     return (
@@ -115,6 +116,12 @@ def to_buffer(trace: Iterable[Record]) -> TraceBuffer:
         np.array([r.is_write for r in trace], dtype=bool),
         [r.cycle for r in trace],
     )
+
+
+def concat(buffers) -> TraceBuffer:
+    """Several traces as one, in order."""
+    columns = ("addr", "is_write", "cycle")
+    return TraceBuffer(*(np.concatenate([getattr(b, c) for b in buffers]) for c in columns))
 
 
 def reinterleave(trace: TraceBuffer, rng: np.random.Generator) -> TraceBuffer:
