@@ -124,23 +124,27 @@ def cpu_cache(
     table_rows: int = 2_000_000, row_bytes: int = 2048, accesses: int = 20_000
 ) -> CacheAblation:
     """Measure gather efficiency through a Xeon-like cache hierarchy."""
-    def efficiency(sampler) -> float:
-        hierarchy = CacheHierarchy.xeon_like()
-        rows = sampler.sample(accesses)
-        addrs = (rows.astype(np.int64) * row_bytes) + (
-            np.arange(accesses, dtype=np.int64) % (row_bytes // 64) * 64
-        )
-        return hierarchy.gather_efficiency(addrs.tolist(), CPU_PEAK_BANDWIDTH)
+    if accesses < 1:
+        raise ValueError(f"accesses must be at least 1, got {accesses}")
+    if row_bytes < 64 or row_bytes % 64:
+        raise ValueError(f"row_bytes must be a positive multiple of 64, got {row_bytes}")
+    # Each gather reads one 64 B line of its row, cycling through the row.
+    line_offsets = np.arange(accesses, dtype=np.int64) % (row_bytes // 64) * 64
+
+    def efficiency(rows) -> float:
+        addrs = rows.astype(np.int64) * row_bytes + line_offsets
+        return CacheHierarchy.xeon_like().gather_efficiency(addrs, CPU_PEAK_BANDWIDTH)
 
     # "Streaming": sequential lines with the prefetcher's effect modelled
     # as a warmed cache (hardware prefetch hides sequential miss latency).
-    streaming_addrs = [(i % 4096) * 64 for i in range(accesses)]
+    streaming_addrs = np.arange(accesses, dtype=np.int64) % 4096 * 64
     hierarchy = CacheHierarchy.xeon_like()
     hierarchy.gather_efficiency(streaming_addrs, CPU_PEAK_BANDWIDTH)  # warm
     streaming_eff = hierarchy.gather_efficiency(streaming_addrs, CPU_PEAK_BANDWIDTH)
+    # Each sampler's table is dropped once its indices are drawn.
     return CacheAblation(
-        uniform=efficiency(UniformSampler(table_rows, seed=3)),
-        zipfian=efficiency(ZipfianSampler(table_rows, alpha=1.05, seed=3)),
+        uniform=efficiency(UniformSampler(table_rows, seed=3).sample(accesses)),
+        zipfian=efficiency(ZipfianSampler(table_rows, alpha=1.05, seed=3).sample(accesses)),
         streaming=streaming_eff,
     )
 

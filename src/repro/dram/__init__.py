@@ -11,7 +11,9 @@ Public surface:
 * :mod:`~repro.dram.trace` — :class:`~repro.dram.trace.OpTraffic`, the one
   description of an op's traffic (CPU baseline and NMP instructions alike),
   whose channel shares are columnar traces
-* :class:`~repro.dram.cache.Cache` / ``CacheHierarchy`` — CPU-gather ablation
+* :class:`~repro.dram.cache.Cache` / ``CacheHierarchy`` — exact LRU cache
+  model for the CPU-gather ablation, deciding a whole batch at once by
+  stack distance
 * :mod:`~repro.dram.memo` — the in-process drain
   (:func:`~repro.dram.memo.drain`) and the cross-layer timing memo
   (:data:`~repro.dram.memo.TIMING_MEMO`), keyed by a config and a share

@@ -12,6 +12,13 @@ from dataclasses import dataclass
 import numpy as np
 
 
+def _check_rows(rows: int) -> None:
+    if rows < 1:
+        raise ValueError(f"rows must be at least 1, got {rows}")
+    if rows > 2**31:  # samples are int32
+        raise ValueError(f"rows must be at most 2**31, got {rows}")
+
+
 @dataclass
 class UniformSampler:
     """IID uniform indices over a table."""
@@ -20,8 +27,7 @@ class UniformSampler:
     seed: int = 0
 
     def __post_init__(self):
-        if self.rows < 1:
-            raise ValueError("table must have at least one row")
+        _check_rows(self.rows)
         self._rng = np.random.default_rng(self.seed)
 
     def sample(self, shape) -> np.ndarray:
@@ -41,22 +47,29 @@ class ZipfianSampler:
     seed: int = 0
 
     def __post_init__(self):
-        if self.rows < 1:
-            raise ValueError("table must have at least one row")
+        _check_rows(self.rows)
+        if not np.isfinite(self.alpha):
+            raise ValueError(f"alpha must be finite, got {self.alpha}")
         if self.alpha <= 0:
             raise ValueError("alpha must be positive")
         self._rng = np.random.default_rng(self.seed)
-        weights = 1.0 / np.power(np.arange(1, self.rows + 1, dtype=np.float64), self.alpha)
-        self._cdf = np.cumsum(weights)
-        self._cdf /= self._cdf[-1]
         # Random rank -> row permutation so "popular" rows are scattered
-        # through the physical table, as in production.
-        self._perm = np.random.default_rng(self.seed + 1).permutation(self.rows)
+        # through the physical table, as in production.  Stored as int32
+        # (the sample dtype), and built before the CDF so the transient
+        # int64 permutation and the CDF are never alive together.
+        self._perm = np.random.default_rng(self.seed + 1).permutation(self.rows).astype(np.int32)
+        # The CDF of weights 1 / rank**alpha, built in place in one array.
+        cdf = np.arange(1, self.rows + 1, dtype=np.float64)
+        np.power(cdf, self.alpha, out=cdf)
+        np.divide(1.0, cdf, out=cdf)
+        np.cumsum(cdf, out=cdf)
+        cdf /= cdf[-1]
+        self._cdf = cdf
 
     def sample(self, shape) -> np.ndarray:
         u = self._rng.random(np.prod(shape, dtype=int))
         ranks = np.searchsorted(self._cdf, u)
-        return self._perm[ranks].reshape(shape).astype(np.int32)
+        return self._perm[ranks].reshape(shape)
 
 
 def make_sampler(kind: str, rows: int, seed: int = 0, alpha: float = 0.9):

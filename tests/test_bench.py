@@ -1,5 +1,7 @@
 """Tests for the experiment harness (small configurations)."""
 
+import tracemalloc
+
 import pytest
 
 from repro.bench import (
@@ -204,6 +206,27 @@ class TestAblations:
         result = ablation.cpu_cache(accesses=5000)
         assert result.uniform_below_5_percent
         assert result.zipfian > result.uniform
+
+    @pytest.mark.parametrize("accesses", [0, -5])
+    def test_cpu_cache_rejects_no_accesses(self, accesses):
+        with pytest.raises(ValueError, match="accesses"):
+            ablation.cpu_cache(accesses=accesses)
+
+    @pytest.mark.parametrize("row_bytes", [0, -64, 32, 100])
+    def test_cpu_cache_rejects_rows_not_whole_lines(self, row_bytes):
+        with pytest.raises(ValueError, match="row_bytes"):
+            ablation.cpu_cache(row_bytes=row_bytes, accesses=10)
+
+    def test_cpu_cache_traced_peak_below_32_mb(self):
+        # The CLI's study size.  The 2M-row Zipf table (a float64 CDF and an
+        # int32 permutation) is 24 MB of it; the cache model adds little.
+        tracemalloc.start()
+        try:
+            ablation.cpu_cache(accesses=8000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
 
     def test_open_page_wins_for_streaming(self):
         result = ablation.page_policy(num_words=3000)

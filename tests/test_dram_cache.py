@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from cache_oracle import OracleCache, OracleHierarchy
 from repro.config import CPU_PEAK_BANDWIDTH
 from repro.dram.cache import Cache, CacheHierarchy
 
@@ -95,3 +98,164 @@ class TestHierarchy:
     def test_invalid_peak(self):
         with pytest.raises(ValueError):
             CacheHierarchy.xeon_like().gather_efficiency([0], 0.0)
+
+
+class TestBadInputs:
+    @pytest.mark.parametrize("kwargs, field", [
+        (dict(capacity_bytes=0), "capacity_bytes"),
+        (dict(capacity_bytes=-1024), "capacity_bytes"),
+        (dict(capacity_bytes=1024, ways=0), "ways"),
+        (dict(capacity_bytes=1024, ways=-2), "ways"),
+        (dict(capacity_bytes=1024, ways=2, line_bytes=0), "line_bytes"),
+        (dict(capacity_bytes=1000, ways=8), "capacity_bytes"),
+    ])
+    def test_bad_geometry_names_the_field(self, kwargs, field):
+        with pytest.raises(ValueError, match=field):
+            Cache(**kwargs)
+
+    def test_negative_address_rejected_before_any_state_changes(self):
+        cache = Cache(8192, ways=2)
+        cache.access(0)
+        with pytest.raises(ValueError, match="addr"):
+            cache.access(-64)
+        with pytest.raises(ValueError, match="addr"):
+            cache.access_batch([64, -1])
+        assert (cache.stats.hits, cache.stats.misses) == (0, 1)
+        assert cache.access(64) is False
+
+    def test_non_integer_address_rejected(self):
+        with pytest.raises(ValueError, match="addr"):
+            Cache(8192, ways=2).access_batch([0.5, 64.0])
+
+    @pytest.mark.parametrize("mlp", [0, -1, float("nan")])
+    def test_non_positive_mlp_rejected(self, mlp):
+        h = CacheHierarchy.xeon_like()
+        with pytest.raises(ValueError, match="mlp"):
+            h.gather_throughput([0, 64], mlp=mlp)
+        with pytest.raises(ValueError, match="mlp"):
+            h.gather_efficiency([0, 64], CPU_PEAK_BANDWIDTH, mlp=mlp)
+        with pytest.raises(ValueError, match="mlp"):
+            h.gather_throughput([], mlp=mlp)
+
+
+def _pair(num_sets, ways, line_bytes):
+    capacity = num_sets * ways * line_bytes
+    return Cache(capacity, ways, line_bytes), OracleCache(capacity, ways, line_bytes)
+
+
+def _resident(cache: Cache) -> list[list[int]]:
+    """Each set's resident lines, LRU first, read from the packed state."""
+    sets = [[] for _ in range(cache.num_sets)]
+    for line, index in zip(cache._lines.tolist(), cache._sets.tolist()):
+        sets[index].append(line)
+    return sets
+
+
+def _assert_same(cache: Cache, oracle: OracleCache):
+    assert (cache.stats.hits, cache.stats.misses) == (oracle.stats.hits, oracle.stats.misses)
+    assert _resident(cache) == oracle.resident()
+
+
+@st.composite
+def _workload(draw):
+    """A geometry and several calls that carry state: each call is one
+    scalar ``access`` or a batch over a few more lines than the cache holds."""
+    num_sets = draw(st.integers(1, 8))
+    ways = draw(st.integers(1, 4))
+    line_bytes = draw(st.sampled_from([1, 8, 64]))
+    addrs = st.integers(0, num_sets * (ways + 2) * line_bytes - 1)
+    calls = draw(st.lists(
+        st.one_of(addrs, st.lists(addrs, max_size=48)), min_size=1, max_size=6
+    ))
+    return (num_sets, ways, line_bytes), calls
+
+
+class TestOracleParity:
+    """The vectorized model against the per-access ``OrderedDict`` LRU."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_workload())
+    def test_hits_stats_and_state_match(self, workload):
+        geometry, calls = workload
+        cache, oracle = _pair(*geometry)
+        for call in calls:
+            if isinstance(call, int):
+                assert cache.access(call) is oracle.access(call)
+            else:
+                expected = [oracle.access(addr) for addr in call]
+                assert cache.access_batch(call).tolist() == expected
+            _assert_same(cache, oracle)
+
+    @pytest.mark.parametrize("ways", [1, 2, 4])
+    def test_cycling_more_lines_than_ways_always_misses(self, ways):
+        # ways + 1 lines cycling through one set: every reuse gap holds
+        # ``ways`` distinct lines, so LRU never hits.
+        cache, oracle = _pair(1, ways, 64)
+        addrs = [64 * (i % (ways + 1)) for i in range(10 * (ways + 1))]
+        expected = [oracle.access(addr) for addr in addrs]
+        assert not any(expected)
+        assert cache.access_batch(addrs).tolist() == expected
+        _assert_same(cache, oracle)
+
+    def test_long_gap_of_few_distinct_lines_hits(self):
+        # One 2-way set.  The second access to line 0 has a gap of four
+        # accesses but one distinct line, so it hits; the last access to
+        # line 2 has a gap of two holding two distinct lines, so it misses.
+        cache, oracle = _pair(1, 2, 64)
+        addrs = [0, 128, 128, 128, 128, 0, 128, 256, 384, 128, 256, 0]
+        expected = [oracle.access(addr) for addr in addrs]
+        assert expected == [False, False, True, True, True, True,
+                            True, False, False, False, False, False]
+        assert cache.access_batch(addrs).tolist() == expected
+        _assert_same(cache, oracle)
+
+    def test_untouched_sets_keep_their_lines(self):
+        cache, oracle = _pair(4, 2, 64)
+        for batch in ([0, 64, 128, 192, 256], [512, 768, 1024], [64, 320]):
+            assert cache.access_batch(batch).tolist() == [oracle.access(a) for a in batch]
+            _assert_same(cache, oracle)
+
+
+@st.composite
+def _hierarchy_workload(draw):
+    l2 = (draw(st.integers(1, 4)), draw(st.integers(1, 3)))
+    llc = (draw(st.integers(1, 8)), draw(st.integers(1, 4)))
+    latencies = draw(st.lists(
+        st.floats(0.01, 500.0, allow_nan=False), min_size=3, max_size=3
+    ))
+    addrs = st.integers(0, 64 * 48)
+    calls = draw(st.lists(
+        st.one_of(addrs, st.lists(addrs, max_size=64)), min_size=1, max_size=4
+    ))
+    return l2, llc, latencies, calls
+
+
+class TestHierarchyOracleParity:
+    @settings(max_examples=150, deadline=None)
+    @given(_hierarchy_workload())
+    def test_latencies_and_throughput_floats_match(self, workload):
+        (l2_sets, l2_ways), (llc_sets, llc_ways), latencies, calls = workload
+        l2, l2_oracle = _pair(l2_sets, l2_ways, 64)
+        llc, llc_oracle = _pair(llc_sets, llc_ways, 64)
+        hierarchy = CacheHierarchy(l2, llc, *latencies)
+        oracle = OracleHierarchy(l2_oracle, llc_oracle, *latencies)
+        for call in calls:
+            if isinstance(call, int):
+                assert hierarchy.access(call) == oracle.access(call)
+            else:
+                assert hierarchy.gather_throughput(call, mlp=7.5) == \
+                    oracle.gather_throughput(call, mlp=7.5)
+            _assert_same(l2, l2_oracle)
+            _assert_same(llc, llc_oracle)
+
+    def test_xeon_ablation_stream_matches_oracle(self):
+        # The ablation's Zipf-like reuse at full Xeon geometry.
+        rng = np.random.default_rng(5)
+        addrs = (rng.zipf(1.3, 3000) % 50_000) * 2048 + np.arange(3000) % 32 * 64
+        hierarchy = CacheHierarchy.xeon_like()
+        oracle = OracleHierarchy(OracleCache(1 << 20, ways=16), OracleCache(32 << 20, ways=16))
+        for _ in range(2):
+            assert hierarchy.gather_throughput(addrs) == \
+                oracle.gather_throughput(addrs.tolist())
+        _assert_same(hierarchy.l2, oracle.l2)
+        _assert_same(hierarchy.llc, oracle.llc)
