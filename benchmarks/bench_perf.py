@@ -31,7 +31,7 @@ Two families of entries:
   ``memo`` dict records the *intra-run* hit rate (identical
   per-DIMM traces deduplicating inside one broadcast, repeated sweep
   points, …).
-* ``drain_hot_row`` — the streak-compiler microbenchmark: a single-bank
+* ``drain_hot_row`` — the hit-phase microbenchmark: a single-bank
   row-hit read stream driven straight through
   ``MemoryController.run_to_completion`` (no trace generation, no
   functional execution, no memoization), measured with the fast path on
@@ -164,7 +164,7 @@ class _NullMemo:
 @contextmanager
 def _caches_disabled():
     """The memo swapped for a null memo (the cold-path measurement
-    harness; the streak fast path stays on)."""
+    harness; the drain's hit phase stays on)."""
     saved = memo.TIMING_MEMO
     memo.TIMING_MEMO = _NullMemo()
     try:
@@ -378,7 +378,7 @@ def bench_drain_hot_row(n=150_000):
 
     No trace generation, no functional execution, no memoization — just
     ``enqueue_batch`` + ``run_to_completion`` on a pre-built columnar
-    trace; the streak fast path is on unless ``REPRO_REFERENCE=1``.
+    trace; the hit phase is on unless ``REPRO_REFERENCE=1``.
     Returns the drained request count, the wall time, and the final stats
     (the caller asserts on/off bit-identity before recording the entry).
     """

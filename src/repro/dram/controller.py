@@ -32,19 +32,25 @@ one vectorized pass each into a **columnar backlog** (:class:`_Backlog`:
 array chunks of decoded coordinates, arrivals, and sequence numbers);
 per-request Python objects are only materialized when the scheduler
 admits them into its working window.  The rank and bank state is
-likewise built by the first drain after a reset.  A caller that needs per-record completion cycles
-passes its own array to ``enqueue_batch``.
+likewise built by the first drain after a reset.  A caller that needs
+per-record completion cycles passes its own array to ``enqueue_batch``.
 
-On top of the indexed scheduler sits the **streak-compiled fast path**
-(:meth:`MemoryController._attempt_streak`): TensorISA traffic is streaming
-by construction, so drains spend most of their time issuing long runs of
-row-hit column commands paced only by tCCD and the data bus.  When the
-per-bank candidate state proves such a run has no competing candidate, the
-whole run — including backlog records that were never materialized — is
-issued in closed form with vectorized arithmetic, advancing the clock, bus
-state, and statistics once for N commands.  The fast path is bit-identical
-to the per-command loop (and to the scan reference); ``REPRO_REFERENCE=1``
-disables it.  See PERF.md for the invariants and fallback triggers.
+On top of the indexed scheduler sits the **hit phase**: embedding traffic
+is streaming by construction, so drains spend most of their time issuing
+row-hit column commands paced only by tCCD and the data bus.  When a column
+command issues while every candidate of its direction is a row hit in one
+rank, the drain switches to a loop with no ACT, PRE, refresh or readiness
+fold: each bankgroup's oldest entry is its candidate, ready at the max of
+``previous + max(burst, tCCD_S)``, its bankgroup's tCCD_L floor and (while
+its bank warms up) tRCD, and the earliest ready, then the oldest, wins —
+exact FR-FCFS.  Wherever the oldest entry keeps winning, the phase retires
+the run in closed form (:meth:`MemoryController._stretch`), backlog
+records that were never materialized included.  The phase ends one
+command before a non-hit or other-rank record is admitted, the next
+refresh, the write level reaching ``write_high`` (read phase) or falling
+to ``write_low`` with reads queued (write phase); it never runs on a staged
+write window.  It is bit-identical to the per-command loop (and to the scan
+reference); ``REPRO_REFERENCE=1`` turns it off.  See PERF.md.
 
 A controller can describe itself as a :class:`ControllerConfig` — a frozen,
 picklable, hashable snapshot of everything its constructor needs — which
@@ -65,19 +71,6 @@ from .bank import Rank
 from .command import TraceBuffer, reserve_seq_block, seq_ceiling
 from .mapping import AddressMapping, DramOrganization
 from .timing import DramTiming
-
-#: Upper bound on backlog records absorbed into one streak.  Bounds the
-#: numpy work a single (possibly failing) streak attempt can do; a longer
-#: run simply compiles as several back-to-back streaks.
-STREAK_ABSORB_CAP = 16384
-
-#: Shortest run worth compiling as a streak.  The compile absorbs the
-#: conforming backlog before it truncates, so even a 3-command run costs
-#: 150-210 us (Fig-11 REDUCE channels) against about 10 us per per-command
-#: step.  A probe whose window bounds the run below this length is refused
-#: before any numpy work.  4 is the largest value that keeps every run the
-#: Fig-11 AVERAGE drains compile; 8 and 16 timed the same.
-STREAK_BREAK_EVEN = 4
 
 _by_seq = attrgetter("seq")
 
@@ -206,11 +199,11 @@ class _BacklogChunk:
     ``done`` is the caller's completions array (or ``None``) and ``pos``
     the records' positions in the enqueued trace, set only together with
     ``done``.  ``start`` is the consumed head offset — records before it
-    have been admitted or streak-issued.  ``_py`` holds plain-list mirrors
-    of the record columns, materialized lazily the first time a record is
-    popped one at a time (admission), so per-record pops cost list indexing
-    instead of numpy scalar extraction.  (Columns, not one tuple per
-    record: a pop costs about the same, and a chunk that streaks mostly
+    have been admitted or issued by a hit phase's closed form.  ``_py``
+    holds plain-list mirrors of the record columns, materialized lazily the
+    first time a record is popped one at a time (admission), so per-record
+    pops cost list indexing instead of numpy scalar extraction.  (Columns, not one tuple per
+    record: a pop costs about the same, and a chunk that hit phases mostly
     retire straight from the arrays is cheaper to mirror.)
     """
 
@@ -250,8 +243,8 @@ class _Backlog:
 
     Scheduling-wise this is the same seq-ordered FIFO the old
     ``deque[_Entry]`` was, but records stay columnar until admission
-    materializes them — and the streak compiler can classify and consume
-    whole runs with array arithmetic, never materializing them at all.
+    materializes them — and a hit phase can classify and retire whole runs
+    with array arithmetic, never materializing them at all.
     """
 
     __slots__ = ("chunks", "length", "is_write")
@@ -297,7 +290,7 @@ class _Backlog:
         return entry
 
     def consume(self, count: int) -> None:
-        """Drop the oldest ``count`` records (already issued by a streak)."""
+        """Drop the oldest ``count`` records (already issued in closed form)."""
         self.length -= count
         while count:
             chunk = self.chunks[0]
@@ -322,8 +315,8 @@ class _BankQueue:
     ``valid``.  Closing a row (PRE, refresh, closed-page auto-precharge) need
     not: a precharged bank's candidate is its oldest entry, which does not
     depend on the row, and the next ACT invalidates the split.  Swap-pop and
-    streaks, which change the entry set, clear it too, so an empty queue is
-    never valid.
+    the re-index after a hit phase, which change the entry set, clear it
+    too, so an empty queue is never valid.
     """
 
     __slots__ = (
@@ -417,11 +410,8 @@ class MemoryController:
         self._t_rtrs = self.timing.rtrs
         self._t_rtp = self.timing.rtp
         self._t_w2p = self.timing.write_to_precharge
-        # A streak's cadence (one column command per ``pace`` cycles) and
-        # the fewest positions that must separate two same-bankgroup
-        # commands for tCCD_L not to stretch it.
-        self._streak_pace = max(self._t_burst, self.timing.ccd_s, 1)
-        self._streak_gap_l = -(-self.timing.ccd_l // self._streak_pace)
+        # A hit phase's cadence: one column command per ``pace`` cycles.
+        self._pace = max(self._t_burst, self.timing.ccd_s, 1)
         self.reset()
 
     def reset(self) -> None:
@@ -453,6 +443,10 @@ class MemoryController:
         self._bus_rank = -1
         self._cmd_free = 0
         self._now = 0
+        # Column commands issued in hit phases by this controller's own
+        # drains since the reset (telemetry; not part of the stats, which
+        # reference mode must reproduce).
+        self.phase_columns = 0
 
     @property
     def ranks(self) -> list[Rank]:
@@ -491,8 +485,8 @@ class MemoryController:
         is decoded only when a drain starts, in one vectorized pass
         (:meth:`_decode_pending`): a drain adopted from elsewhere never
         decodes it.  Per-record Python objects are only materialized later
-        still, at admission time (and never for records the streak compiler
-        retires straight from the backlog).
+        still, at admission time (and never for records a hit phase retires
+        straight from the backlog).
 
         ``completions``, if given, is a caller-owned int64 array of
         ``len(trace)``: this controller's :meth:`run_to_completion` writes
@@ -621,16 +615,15 @@ class MemoryController:
           (ready, column-first, age) FR-FCFS key;
         * a step visits only the bank queues that hold entries: each
           direction keeps a map of its non-empty queues, updated when an
-          entry is admitted into an empty queue and when swap-pop or a
-          streak empties one;
+          entry is admitted into an empty queue and when swap-pop empties
+          one, and a count of them per rank;
         * rank and bankgroup readiness floors are incremental: loaded from
-          :meth:`Rank.floors` on entry and after each streak, and raised by
-          ``max`` as each ACT or column command issues, so a step makes no
-          call into :class:`Rank`.  Once per step each flat bankgroup's
-          floor is folded with its rank's floor, the bus term and the
-          command floor into one column value and one ACT value, so a
-          candidate's ready cycle is the max of its bank term and one list
-          lookup;
+          :meth:`Rank.floors` on entry and after each hit phase, and raised
+          by ``max`` as each ACT or column command issues.  Once per step,
+          for each rank holding a queue of the chosen direction, each
+          bankgroup's floor is folded with its rank's floor, the bus term
+          and the command floor into one column and one ACT value, so a
+          candidate's ready cycle is the max of its bank term and one lookup;
         * candidates compare on ready cycle, then on one integer tie key:
           a column command's key is its sequence number, a row command's is
           its sequence number plus :func:`seq_ceiling` at drain start.
@@ -641,6 +634,9 @@ class MemoryController:
           entries; when ``write_high > window`` the younger admitted writes
           wait in a FIFO staging deque, count towards the watermarks, and
           refill the window, oldest first, before the backlog does;
+        * while every candidate of the chosen direction is a row hit in one
+          rank, the drain runs a **hit phase** (module docstring, PERF.md);
+          the candidate scan notes any row command, so entering one is O(1);
         * admission, refresh, queue arbitration, candidate selection, and
           command issue (ACT and PRE included) are inlined into one loop
           with the mutable state (clock, bus, stats counters) and timing
@@ -664,10 +660,16 @@ class MemoryController:
         write_q = self._write_q
         read_banks = self._read_banks
         write_banks = self._write_banks
-        # The non-empty bank queues of each direction: the only ones a
-        # step has to visit.
-        read_active = {f: q for f, q in read_banks.items() if q.entries}
-        write_active = {f: q for f, q in write_banks.items() if q.entries}
+        # The non-empty bank queues of each direction (the only ones a step
+        # visits) and how many of them each rank holds.
+        read_active = {}
+        write_active = {}
+        read_live = [0] * len(ranks)
+        write_live = [0] * len(ranks)
+        read_index = (read_q, read_active, read_banks, read_live)
+        write_index = (write_q, write_active, write_banks, write_live)
+        self._index_window(*read_index)
+        self._index_window(*write_index)
         # Only a write queue that can outgrow the window needs the staging
         # deque; the default configuration never enters its branches.
         staging = window < write_high
@@ -689,7 +691,7 @@ class MemoryController:
         # Incremental readiness floors (see PERF.md): each earliest RD/WR/ACT
         # bound split into a rank-wide part (indexed by rank) and a
         # bankgroup part (indexed by flat bankgroup id), loaded from Rank
-        # state here and after each streak, then raised by ``max`` as ACT
+        # state here and after each hit phase, then raised by ``max`` as ACT
         # and column commands issue.  Issue cycles strictly increase, so a
         # max with the new command's term equals a fresh recomputation.
         rank_rd = [0] * n_ranks
@@ -717,8 +719,19 @@ class MemoryController:
         rank_bgs = [(r, range(r * bg_count, (r + 1) * bg_count)) for r in range(n_ranks)]
         next_refresh = min(rank.next_refresh for rank in ranks)
 
-        streaks = not closed_policy and not reference_mode()
-        streak_cooldown = 0
+        # Hit-phase state: ``heads[g]`` lists the window's entries in
+        # bankgroup ``g`` of the phase rank, oldest first; ``bgf`` holds those
+        # bankgroups' column floors, ``rank_floor`` the rank's floor at entry,
+        # ``prev`` the last issue cycle, ``issued`` the phase's commands,
+        # ``seq_run`` its latest commands in a row that went to the oldest
+        # entry, and ``warm_at`` the cycle its rank's open banks pass tRCD.
+        phases = not closed_policy and not reference_mode()
+        pace = self._pace
+        banks_per_rank = self.organization.banks
+        phase = phase_write = phase_end = False
+        phase_rank = prev = issued = seq_run = rank_floor = warm_at = 0
+        retry = phase_cap = phase_tail = phase_gate = 0
+        heads = bgf = None
 
         now = self._now
         cmd_free = self._cmd_free
@@ -738,7 +751,7 @@ class MemoryController:
         latency_sum = stats.read_latency_sum
 
         pending = self.pending
-        while pending:
+        while pending or phase:
             # -- admission --------------------------------------------------
             while (
                 len(read_q) < window
@@ -748,6 +761,14 @@ class MemoryController:
                 entry = read_backlog.popleft()
                 entry.qpos = len(read_q)
                 read_q.append(entry)
+                if phase and not phase_write:
+                    # A read phase indexes its window by bankgroup; the bank
+                    # queues are rebuilt when it ends.
+                    if entry.rank == phase_rank and entry.row == flat_bank[entry.flat].open_row:
+                        heads[entry.bankgroup].append(entry)
+                    else:
+                        phase_end = True
+                    continue
                 flat = entry.flat
                 blq = read_active.get(flat)
                 if blq is None:
@@ -757,6 +778,7 @@ class MemoryController:
                             flat_bank[flat], entry.rank, flat_bgflat[flat], flat
                         )
                     read_active[flat] = blq
+                    read_live[blq.rank] += 1
                 entries = blq.entries
                 entry.bpos = len(entries)
                 entries.append(entry)
@@ -780,6 +802,12 @@ class MemoryController:
                 entry = staged.popleft() if staged else write_backlog.popleft()
                 entry.qpos = len(write_q)
                 write_q.append(entry)
+                if phase and phase_write:
+                    if entry.rank == phase_rank and entry.row == flat_bank[entry.flat].open_row:
+                        heads[entry.bankgroup].append(entry)
+                    else:
+                        phase_end = True
+                    continue
                 flat = entry.flat
                 blq = write_active.get(flat)
                 if blq is None:
@@ -789,6 +817,7 @@ class MemoryController:
                             flat_bank[flat], entry.rank, flat_bgflat[flat], flat
                         )
                     write_active[flat] = blq
+                    write_live[blq.rank] += 1
                 entries = blq.entries
                 entry.bpos = len(entries)
                 entries.append(entry)
@@ -811,6 +840,150 @@ class MemoryController:
                     and write_backlog.head_arrival() <= now
                 ):
                     staged.append(write_backlog.popleft())
+            # -- hit phase --------------------------------------------------
+            if phase:
+                if phase_write:
+                    queue = write_q
+                    ended = not write_q or (len(write_q) <= write_low and read_q)
+                else:
+                    queue = read_q
+                    ended = not read_q or (
+                        len(write_q) + len(staged) if staging else len(write_q)
+                    ) >= write_high
+                if not (ended or phase_end or now >= next_refresh):
+                    floor = prev + pace
+                    if floor < rank_floor:
+                        floor = rank_floor
+                    if (
+                        floor >= warm_at
+                        and seq_run >= retry
+                        and (write_backlog if phase_write else read_backlog).length >= phase_cap
+                    ):
+                        # Once the rank's banks are warm, try to retire what
+                        # follows in closed form, if at least another
+                        # window's worth of records is queued.
+                        done = self._stretch(heads, phase_write, phase_rank, bgf, floor, now)
+                        seq_run = 0
+                        # An oldest entry that is not ready yet is checked
+                        # again after the next command that goes to the
+                        # oldest entry (a test of the group heads); any
+                        # other break waits for the window to turn over in
+                        # sequence order.
+                        retry = 1 if done == 0 else phase_cap
+                        if done.__class__ is tuple:
+                            m, prev, s_hits, s_misses, s_conflicts, s_lat = done
+                            now = prev
+                            issued += m
+                            pending -= m
+                            n_hits += s_hits
+                            n_misses += s_misses
+                            n_conflicts += s_conflicts
+                            if phase_write:
+                                n_writes += m
+                            else:
+                                n_reads += m
+                                latency_sum += s_lat
+                            continue
+                    # FR-FCFS over the bankgroup heads: with only row hits
+                    # in one rank, a bank's oldest entry is ready at the max
+                    # of the floor, its bankgroup's floor and its bank's
+                    # tRCD, so in a bankgroup whose oldest entry's bank is
+                    # warm that entry wins the group.
+                    best = None
+                    best_ready = best_seq = oldest = big
+                    for g, group in enumerate(heads):
+                        if not group:
+                            continue
+                        entry = group[0]
+                        s = entry.seq
+                        if s < oldest:
+                            oldest = s
+                        ready = bgf[g]
+                        if ready < floor:
+                            ready = floor
+                        if flat_bank[entry.flat].earliest_col > ready:
+                            # Its bank is still warming up: a younger entry
+                            # of a warm bank in the group may go first.
+                            group_ready = ready
+                            ready = big
+                            for x in group:
+                                v = flat_bank[x.flat].earliest_col
+                                if v < group_ready:
+                                    v = group_ready
+                                if v < ready:
+                                    ready = v
+                                    entry = x
+                            s = entry.seq
+                        if ready < best_ready or (ready == best_ready and s < best_seq):
+                            best_ready = ready
+                            best_seq = s
+                            best = entry
+                    entry = best
+                    when = best_ready
+                    g = entry.bankgroup
+                    group = heads[g]
+                    if group[0] is entry:
+                        del group[0]
+                    else:
+                        group.remove(entry)
+                    seq_run = seq_run + 1 if best_seq == oldest else 0
+                    i = entry.qpos
+                    last = queue[-1]
+                    queue[i] = last
+                    last.qpos = i
+                    queue.pop()
+                    now = prev = when
+                    bgf[g] = when + ccd_l
+                    bank = flat_bank[entry.flat]
+                    burst_end = when + phase_tail
+                    if phase_write:
+                        n_writes += 1
+                    else:
+                        n_reads += 1
+                        latency_sum += burst_end - entry.arrival
+                    if when + phase_gate > bank.earliest_pre:
+                        bank.earliest_pre = when + phase_gate
+                    if entry.done is not None:
+                        entry.done[entry.pos] = burst_end
+                    if entry.needed_pre:
+                        n_conflicts += 1
+                    elif entry.needed_act:
+                        n_misses += 1
+                    else:
+                        n_hits += 1
+                    issued += 1
+                    pending -= 1
+                    continue
+                # The phase ends before this step: write its commands'
+                # history back and index its window per bank again.
+                phase = phase_end = False
+                r = phase_rank
+                self.phase_columns += issued
+                if issued:
+                    cmd_free = prev + 1
+                    bus_rank = r
+                    bus_free = prev + phase_tail
+                    if bus_free > finish:
+                        finish = bus_free
+                    bus_cycles += issued * t_burst
+                    rank = ranks[r]
+                    if phase_write:
+                        rank._last_wr = prev
+                        by_group = rank._last_wr_by_group
+                        entry_floors = bg_wr
+                    else:
+                        rank._last_rd = prev
+                        by_group = rank._last_rd_by_group
+                        entry_floors = bg_rd
+                    for g in range(bg_count):
+                        # A group that issued in the phase raised its floor
+                        # to its last command + tCCD_L.
+                        if bgf[g] > entry_floors[r * bg_count + g]:
+                            by_group[g] = bgf[g] - ccd_l
+                    _load_floors(floors, ranks, r)
+                self._index_window(*(write_index if phase_write else read_index))
+                if not pending:
+                    break
             if not read_q and not write_q:
                 # Nothing admitted: jump to the next arrival.
                 arrival = big
@@ -845,19 +1018,24 @@ class MemoryController:
             if is_write_q:
                 queue = write_q
                 active = write_active
+                live = write_live
                 data_offset = t_cwl
                 rank_col = rank_wr
                 bg_col = bg_wr
             else:
                 queue = read_q
                 active = read_active
+                live = read_live
                 data_offset = t_cl
                 rank_col = rank_rd
                 bg_col = bg_rd
             # Fold the shared readiness terms once per step: every bank of a
             # bankgroup shares them, so a bank's candidate is the max of its
-            # bank term and its bankgroup's folded value.
+            # bank term and its bankgroup's folded value.  Only ranks that
+            # hold a queue of this direction have a candidate to read it.
             for r, bgs in rank_bgs:
+                if not live[r]:
+                    continue
                 bus_part = bus_free + (rtrs if (bus_rank >= 0 and bus_rank != r) else 0)
                 bus_part -= data_offset
                 if bus_part < floor:
@@ -883,11 +1061,14 @@ class MemoryController:
             best_entry = None
             best_cmd = None
             floor_col = False
+            row_cmds = False  # a closed bank or a non-hit entry was seen
             for blq in active.values():
                 bank = blq.bank
                 open_row = bank.open_row
-                if open_row < 0 and floor_col:
-                    continue
+                if open_row < 0:
+                    row_cmds = True
+                    if floor_col:
+                        continue
                 if not blq.valid:
                     # Rescan after an invalidation (bank state or entry set
                     # changed); otherwise the cached minima are current.
@@ -944,7 +1125,10 @@ class MemoryController:
                         best_entry = hit
                         best_cmd = "col"
                         floor_col = ready == floor
-                if blq.miss is not None and not floor_col:
+                if blq.miss is None:
+                    continue
+                row_cmds = True
+                if not floor_col:
                     ready = bank.earliest_pre
                     if floor > ready:
                         ready = floor
@@ -1008,52 +1192,6 @@ class MemoryController:
                 n_pres += 1
                 entry.needed_pre = True
                 continue
-            # -- streak fast path -------------------------------------------
-            # The selected command is a column command.  When the whole
-            # active window is a same-rank row-hit run with no competing
-            # candidate, the upcoming commands issue in sequence order at a
-            # fixed cadence — compile the run and retire it in one step.
-            if (
-                streaks
-                and streak_cooldown == 0
-                and len(queue) > 1
-                and not (staging and is_write_q)
-            ):
-                streak = self._attempt_streak(
-                    is_write_q,
-                    queue,
-                    active,
-                    write_backlog if is_write_q else read_backlog,
-                    bool(read_q) or read_backlog.length > 0,
-                    write_backlog.length > 0,
-                    entry,
-                    when,
-                    now,
-                )
-                if streak:
-                    m, s_hits, s_misses, s_conflicts, s_lat, last_when, s_burst_end = streak
-                    now = last_when
-                    cmd_free = last_when + 1
-                    bus_free = s_burst_end
-                    bus_rank = entry.rank
-                    bus_cycles += m * t_burst
-                    if s_burst_end > finish:
-                        finish = s_burst_end
-                    n_hits += s_hits
-                    n_misses += s_misses
-                    n_conflicts += s_conflicts
-                    if is_write_q:
-                        n_writes += m
-                    else:
-                        n_reads += m
-                        latency_sum += s_lat
-                    pending -= m
-                    _load_floors(floors, ranks, r)
-                    continue
-                if streak is None:
-                    streak_cooldown = 8  # back off before probing again
-            elif streak_cooldown:
-                streak_cooldown -= 1
             # Column command: the request completes after its data burst.
             burst_end = when + data_offset + t_burst
             bus_free = burst_end
@@ -1121,11 +1259,42 @@ class MemoryController:
             blq.valid = False  # the removed entry may have been a cached min
             if not blist:
                 del active[flat]
+                live[r] -= 1
             pending -= 1
             if closed_policy:
                 # Auto-precharge: the bank closes as soon as tRTP/tWR allows.
                 bank.precharge(bank.earliest_pre, t)
                 n_pres += 1
+            elif (
+                phases
+                and not row_cmds
+                and draining == is_write_q
+                and not (staging and is_write_q)
+                and active
+                and live[r] == len(active)
+            ):
+                # Every candidate of this direction is a row hit in rank r:
+                # a hit phase starts with the next step.
+                phase = True
+                phase_write = is_write_q
+                phase_rank = r
+                prev = when
+                issued = seq_run = 0
+                retry = 0
+                phase_cap = write_cap if is_write_q else window
+                phase_tail = data_offset + t_burst
+                phase_gate = t_w2p if is_write_q else t_rtp
+                rank_floor = rank_col[r]
+                warm_at = max(
+                    b.earliest_col
+                    for b in flat_bank[r * banks_per_rank : (r + 1) * banks_per_rank]
+                    if b.open_row >= 0
+                )
+                lo = r * bg_count
+                bgf = bg_col[lo : lo + bg_count]
+                heads = [[] for _ in range(bg_count)]
+                for e in sorted(queue, key=_by_seq):
+                    heads[e.bankgroup].append(e)
 
         # -- write back ----------------------------------------------------
         self._now = now
@@ -1146,322 +1315,187 @@ class MemoryController:
         stats.finish_cycle = finish if finish > now else now
         return stats
 
-    def _attempt_streak(
-        self,
-        is_write_q: bool,
-        queue: list,
-        active: dict,
-        backlog: _Backlog,
-        reads_pending: bool,
-        write_backlog_pending: bool,
-        entry0: _Entry,
-        when0: int,
-        now: int,
-    ):
-        """Compile a run of row-hit column commands and retire it in one step.
-
-        Called from the fused drain loop after candidate selection picked a
-        column command issuing at ``when0``.  The streak invariants, checked
-        here and proven equivalent to the per-command loop by the parity
-        matrix in ``tests/test_perf_parity.py``:
-
-        * **pure phase** — the run stays in one direction: a read streak
-          requires an empty write backlog (so the drain watermark cannot
-          trip mid-run), a write streak is capped so the queue level stays
-          above ``write_low`` while reads are pending;
-        * **all hits, one rank** — every entry in the active window (and
-          every absorbed backlog record) is a row hit on its bank's open
-          row in rank ``r0``; a miss anywhere is a competing PRE candidate
-          at the command floor, and a second rank perturbs the bus terms;
-        * **sequence-order issue** — with only hit candidates, every
-          not-yet-issued candidate is ready no earlier than
-          ``previous + max(burst, tCCD_S)``; the run is truncated at the
-          first command whose own issue cycle would exceed that cadence
-          (bank warm-up, tCCD_L pressure on adjacent same-bankgroup pairs),
-          except in the single-bank case where no competitor exists and the
-          cadence may stretch freely to ``max(burst, tCCD_L)``;
-        * **window admission** — if the backlog continues with a
-          non-conforming record, the run stops one command before the
-          cycle at which the per-command loop would have admitted it;
-        * **refresh** — the run stops before any rank's ``next_refresh``.
-
-        Before any numpy work the probe bounds the run's length in
-        O(window): by a tCCD_L same-bankgroup pair or a static push among
-        the oldest queued entries, and by the length bound (window, backlog
-        head, write watermark).  A run that cannot reach
-        :data:`STREAK_BREAK_EVEN` commands is not compiled
-        (:meth:`_compile_streak` does the numpy work).
-
-        Returns ``False`` when the run would have at least two commands but
-        fewer than the break-even (the caller issues the one selected
-        command and probes again at its next column command), ``None`` when
-        no streak of at least two commands is provably schedulable (the
-        caller issues the one selected command and backs off for a few
-        steps), else
-        ``(m, hits, misses, conflicts, latency_delta, last_when,
-        last_burst_end)`` after retiring the ``m`` commands: queue, bank
-        lists, backlog, bank/rank timing state, and completions arrays are
-        all updated, and ``active`` (the direction's non-empty bank queues)
-        loses the queues the streak empties; the caller folds the returned
-        deltas into its local clock/bus/stats state.
-        """
-        if not is_write_q and write_backlog_pending:
-            return None
+    def _index_window(self, queue: list, active: dict, banks: dict, live: list) -> None:
+        """Index one direction's window per bank: refill ``active`` (its
+        non-empty bank queues) and ``live`` (their count per rank) from
+        ``queue``.  Every bank queue ``active`` held is emptied first, so a
+        hit phase, which issues without touching them, ends with one call."""
+        for blq in active.values():
+            blq.entries.clear()
+            blq.valid = False
+            live[blq.rank] -= 1
+        active.clear()
         flat_bank = self._flat_bank
-        r0 = entry0.rank
-        s0 = entry0.seq
-        # Reject in O(window) before sorting: most probes fail here.
-        for e in queue:
-            if e.seq < s0:
-                return None  # the oldest queued entry lost the selection
-            if e.rank != r0 or flat_bank[e.flat].open_row != e.row:
-                return None
-        entries = sorted(queue, key=_by_seq)
-        q_n = len(entries)
-        # -- refuse a run too short to pay for its compile ------------------
-        # Upper bounds on the run length the compile would find, from the
-        # window alone.  A bound under two commands fails the probe, as the
-        # compile would; one under break-even refuses it without back-off.
-        cap = self.write_high if is_write_q else self.window
-        room = min(backlog.length, STREAK_ABSORB_CAP)
-        limit = q_n + room
-        if room:
-            chunk = backlog.chunks[0]
-            i = chunk.start
-            if (
-                chunk.rank[i] != r0
-                or chunk.arrival[i] > now
-                or chunk.row[i] != flat_bank[chunk.flat[i]].open_row
-            ):
-                # Nothing is absorbed: the run ends before the backlog's
-                # oldest record is admitted.
-                limit = q_n - cap + 1
-        if is_write_q and reads_pending:
-            limit = min(limit, q_n + room - self.write_low)
-        flat0 = entry0.flat
-        if limit >= 2 and any(e.flat != flat0 for e in entries):
-            # A multi-bank run ends at its first tCCD_L same-bankgroup pair
-            # and before its first static push (see the compile).
-            head = entries[: min(limit, STREAK_BREAK_EVEN)]
-            gap_l = self._streak_gap_l
-            last = [-gap_l] * self.organization.bankgroups
-            for i, e in enumerate(head):
-                g = e.bankgroup
-                if i - last[g] < gap_l:
-                    limit = i
-                    break
-                last[g] = i
-            rank = self.ranks[r0]
-            ccd_l = self.timing.ccd_l
-            if is_write_q:
-                floor = rank._last_rd + rank._rd_to_wr
-            else:
-                floor = rank._last_wr + rank._wtr_diff
-            for i in range(1, min(limit, len(head))):
-                e = head[i]
-                g = e.bankgroup
-                if is_write_q:
-                    group = rank._last_wr_by_group[g] + ccd_l
-                else:
-                    group = max(
-                        rank._last_rd_by_group[g] + ccd_l,
-                        rank._last_wr_by_group[g] + rank._wtr_same,
+        for entry in queue:
+            flat = entry.flat
+            blq = active.get(flat)
+            if blq is None:
+                blq = banks.get(flat)
+                if blq is None:
+                    banks[flat] = blq = _BankQueue(
+                        flat_bank[flat], entry.rank, self._flat_bgflat[flat], flat
                     )
-                static = max(flat_bank[e.flat].earliest_col, group, floor)
-                if static - i * self._streak_pace > when0:
-                    limit = i
-                    break
-        if limit < STREAK_BREAK_EVEN:
-            return None if limit < 2 else False
-        return self._compile_streak(
-            is_write_q, queue, active, backlog, reads_pending, entries, entry0, when0, now
-        )
+                blq.valid = False
+                active[flat] = blq
+                live[blq.rank] += 1
+            entry.bpos = len(blq.entries)
+            blq.entries.append(entry)
 
-    def _compile_streak(
-        self,
-        is_write_q: bool,
-        queue: list,
-        active: dict,
-        backlog: _Backlog,
-        reads_pending: bool,
-        entries: list,
-        entry0: _Entry,
-        when0: int,
-        now: int,
-    ):
-        """The numpy half of :meth:`_attempt_streak`, reached only by a
-        probe whose window passed every cheap check: absorb the backlog,
-        solve the issue-cycle recurrence, truncate, and commit.  ``entries``
-        is the queue in sequence order.  Returns ``None`` or the streak's
-        deltas, as :meth:`_attempt_streak` documents."""
+    def _stretch(self, heads, is_write, r0, bgf, floor, now):
+        """Issue, in closed form, the longest run of a hit phase's next
+        commands that each go to the oldest window entry.
+
+        Called at a phase step that passed its admission and end checks:
+        every window entry (``heads``, per bankgroup of rank ``r0``) is a
+        row hit, every open bank of ``r0`` is past tRCD (no ACT issues in a
+        phase, so every record below is ready as far as its bank goes), the
+        next command issues no earlier than ``floor``, and bankgroup ``g``'s
+        no earlier than ``bgf[g]``.  The run is the window
+        in sequence order, then the backlog's prefix of row hits in ``r0``
+        that have arrived by ``now``, read in blocks that grow sixteenfold
+        while the run holds (numpy work in proportion to the run).  Its
+        ``i``-th record is the oldest candidate at step ``i``, and wins if
+        no candidate is ready before it: always in a one-bankgroup run,
+        whose commands follow ``max(floor, bgf)`` at ``max(burst, tCCD_S,
+        tCCD_L)`` intervals; otherwise when it is ready at the floor,
+        ``previous + max(burst, tCCD_S)``, i.e. when ``bgf``, then its
+        group's previous command + tCCD_L, is reached by then.  The
+        run stops before the step that admits a record it does not hold,
+        with the write low watermark's entries still queued (write phase),
+        and after the first command issued at or past the next refresh or
+        the next admission of the other direction.
+
+        Returns ``(m, last_when, hits, misses, conflicts, latency)`` after
+        retiring the ``m`` commands from the window, backlog, ``bgf``, the
+        banks' ``earliest_pre`` and the completion arrays; when no command
+        qualifies, the number of leading records that held (0: the oldest
+        entry is not ready at the floor).
+        """
         flat_bank = self._flat_bank
-        r0 = entry0.rank
+        ccd_l = self.timing.ccd_l
+        pace = self._pace
+        read_q, write_q = self._read_q, self._write_q
+        if is_write:
+            queue, backlog, other = write_q, self._write_backlog, self._read_backlog
+            cap = self.write_high
+            keep = self.write_low if read_q else 0
+            other_room = len(read_q) < self.window
+        else:
+            queue, backlog, other = read_q, self._read_backlog, self._write_backlog
+            cap = self.window
+            keep = 0
+            other_room = len(write_q) + len(self._write_staged) < self.write_high
+        bound = min(rank.next_refresh for rank in self._ranks)
+        if other_room and other.length:
+            bound = min(bound, other.head_arrival())
+        groups = [group for group in heads if group]
+        if len(groups) == 1:
+            entries = groups[0]
+        else:
+            # The oldest entry first (no sort), then the whole window.
+            e = min((group[0] for group in groups), key=_by_seq)
+            if bgf[e.bankgroup] > floor:
+                return 0
+            entries = sorted((e for group in groups for e in group), key=_by_seq)
+            group_floor = list(bgf)
+            when = floor
+            for i, e in enumerate(entries):
+                g = e.bankgroup
+                if group_floor[g] > when:
+                    return i
+                group_floor[g] = when + ccd_l
+                when += pace
         q_n = len(entries)
-        cap = self.write_high if is_write_q else self.window
-        # -- absorb the conforming backlog prefix ---------------------------
+        g0 = entries[0].bankgroup
         nflats = len(flat_bank)
-        open_rows = np.fromiter(
-            (b.open_row for b in flat_bank), dtype=np.int64, count=nflats
-        )
-        flat_parts, bg_parts, arr_parts = [], [], []
-        absorbed = 0
-        for chunk in backlog.chunks:
-            room = STREAK_ABSORB_CAP - absorbed
-            if room <= 0:
-                break
-            end = min(chunk.n, chunk.start + room)
-            sl = slice(chunk.start, end)
-            flats_c = chunk.flat[sl]
-            ok = (
-                (chunk.rank[sl] == r0)
-                & (chunk.arrival[sl] <= now)
-                & (chunk.row[sl] == open_rows[flats_c])
-            )
-            if ok.all():
-                k = end - chunk.start
+        open_rows = np.fromiter((b.open_row for b in flat_bank), np.int64, nflats)
+        window_flats = np.array([e.flat for e in entries], np.int64)
+        window_bgs = np.array([e.bankgroup for e in entries], np.int64)
+        best = None
+        block = cap
+        while True:
+            flat_parts, bg_parts, arr_parts = [window_flats], [window_bgs], []
+            absorbed = 0
+            for chunk in backlog.chunks:
+                end = min(chunk.n, chunk.start + block - absorbed)
+                sl = slice(chunk.start, end)
+                flats_c = chunk.flat[sl]
+                ok = (
+                    (chunk.rank[sl] == r0)
+                    & (chunk.arrival[sl] <= now)
+                    & (chunk.row[sl] == open_rows[flats_c])
+                )
+                k = end - chunk.start if ok.all() else int(np.argmax(~ok))
+                if k:
+                    flat_parts.append(flats_c[:k])
+                    bg_parts.append(chunk.bankgroup[sl][:k])
+                    arr_parts.append(chunk.arrival[sl][:k])
+                    absorbed += k
+                if k < end - chunk.start or absorbed == block:
+                    break
+            total = q_n + absorbed
+            # The next record is admitted at step total - cap + 1.
+            k_max = min(total - cap + 1 if absorbed < backlog.length else total, total - keep)
+            flats = np.concatenate(flat_parts)
+            bgs = np.concatenate(bg_parts)
+            steps = np.arange(total, dtype=np.int64)
+            if (bgs == g0).all():
+                when = max(floor, bgf[g0]) + steps * max(pace, ccd_l)
+                held = total
             else:
-                k = int(np.argmax(~ok))
-            if k:
-                flat_parts.append(flats_c[:k])
-                bg_parts.append(chunk.bankgroup[sl][:k])
-                arr_parts.append(chunk.arrival[sl][:k])
-                absorbed += k
-            if k < end - chunk.start:
+                when = floor + steps * pace
+                order = np.argsort(bgs, kind="stable")
+                same = bgs[order[1:]] == bgs[order[:-1]]
+                group_floor = np.asarray(bgf, dtype=np.int64)[bgs]
+                group_floor[order[1:][same]] = when[order[:-1][same]] + ccd_l
+                ok = group_floor <= when
+                held = total if ok.all() else int(np.argmax(~ok))
+            # Command i issues at a step whose clock is when[i - 1].
+            m = min(held, k_max, int(np.searchsorted(when, bound)) + 1)
+            if best is None or m > best[0]:
+                best = (m, when, flats, bgs, arr_parts)
+            if not (held == total == m + cap - 1 and absorbed == block < backlog.length):
                 break
-        total = q_n + absorbed
-        if absorbed < len(backlog):
-            # A non-conforming (or not-yet-scanned) record follows: it is
-            # admitted into the window as soon as the issued count reaches
-            # total - cap + 1, and competes from then on.
-            K = total - cap + 1
-        else:
-            K = total
-        if is_write_q and reads_pending:
-            # Keep the write-queue level above the low watermark so the
-            # drain state cannot flip back to reads mid-run.
-            K = min(K, total - self.write_low)
-        if K < 2:
-            return None
-        K = min(K, total)
-        # -- combined per-command coordinate arrays -------------------------
-        flats_q = np.fromiter((e.flat for e in entries), np.int64, count=q_n)
-        bgs_q = np.fromiter((e.bankgroup for e in entries), np.int64, count=q_n)
-        arr_q = np.fromiter((e.arrival for e in entries), np.int64, count=q_n)
-        acts = np.zeros(total, dtype=bool)
-        pres = np.zeros(total, dtype=bool)
-        for i, e in enumerate(entries):
-            if e.needed_act:
-                acts[i] = True
-            if e.needed_pre:
-                pres[i] = True
-        flats = np.concatenate([flats_q] + flat_parts)[:K]
-        bg = np.concatenate([bgs_q] + bg_parts)[:K]
-        arr = np.concatenate([arr_q] + arr_parts)[:K]
-        acts = acts[:K]
-        pres = pres[:K]
-        # -- issue-cycle recurrence -----------------------------------------
-        timing = self.timing
-        t_burst = self._t_burst
-        ccd_l = timing.ccd_l
-        pace = self._streak_pace
-        rank = self.ranks[r0]
-        bgc = self.organization.bankgroups
-        ec = np.fromiter(
-            (b.earliest_col for b in flat_bank), dtype=np.int64, count=nflats
-        )
-        static = ec[flats]
-        if is_write_q:
-            pergroup = np.asarray(rank._last_wr_by_group, dtype=np.int64) + ccd_l
-            scalar_floor = rank._last_rd + rank._rd_to_wr
-        else:
-            pergroup = np.maximum(
-                np.asarray(rank._last_rd_by_group, dtype=np.int64) + ccd_l,
-                np.asarray(rank._last_wr_by_group, dtype=np.int64) + rank._wtr_same,
-            )
-            scalar_floor = rank._last_wr + rank._wtr_diff
-        np.maximum(static, pergroup[bg], out=static)
-        np.maximum(static, scalar_floor, out=static)
-        # Single-bank runs have no competing candidate at any step, so the
-        # cadence may stretch to tCCD_L and statics may push freely — but
-        # only if *every* queued entry (including any beyond the streak
-        # prefix) lives in that one bank.
-        flat0 = entry0.flat
-        single_bank = all(e.flat == flat0 for e in entries) and bool(
-            (flats[q_n:] == flat0).all()
-        )
-        if single_bank:
-            step = pace if pace > ccd_l else ccd_l
-            base = np.arange(K, dtype=np.int64) * step
-        else:
-            # tCCD_L binds between same-bankgroup commands closer than
-            # ceil(ccd_l / pace) positions apart; such pairs would stretch
-            # the cadence and let a younger candidate win — truncate there.
-            order = np.argsort(bg, kind="stable")
-            prev = np.full(K, -1, dtype=np.int64)
-            sorted_bg = bg[order]
-            same = sorted_bg[1:] == sorted_bg[:-1]
-            prev[order[1:][same]] = order[:-1][same]
-            gaps = np.arange(K, dtype=np.int64) - prev
-            bad = (prev >= 0) & (gaps * pace < ccd_l)
-            if bad.any():
-                K = int(np.flatnonzero(bad)[0])
-                if K < 2:
-                    return None
-                flats, bg, arr, acts, pres = (
-                    flats[:K], bg[:K], arr[:K], acts[:K], pres[:K]
-                )
-                static = static[:K]
-            base = np.arange(K, dtype=np.int64) * pace
-        adj = static - base
-        if when0 > adj[0]:
-            adj[0] = when0  # when0 already folds every entry-0 constraint in
-        run_max = np.maximum.accumulate(adj)
-        when = base + run_max
-        if not single_bank:
-            # Multi-bank runs must stay strictly linear: any static push
-            # (bank warm-up) opens a window for a younger candidate.
-            push = np.flatnonzero(run_max[1:] > run_max[:-1])
-            if push.size:
-                K = int(push[0]) + 1
-                if K < 2:
-                    return None
-                flats, bg, arr, acts, pres, when = (
-                    flats[:K], bg[:K], arr[:K], acts[:K], pres[:K], when[:K]
-                )
-        # -- refresh bound --------------------------------------------------
-        bound = min(r.next_refresh for r in self.ranks)
-        if when[-1] >= bound:
-            # Command i needs when[i-1] < bound (the per-command loop checks
-            # refresh with now = the previous issue cycle).
-            K = min(K, int(np.searchsorted(when, bound, side="left")) + 1)
-            if K < 2:
-                return None
-            flats, bg, arr, acts, pres, when = (
-                flats[:K], bg[:K], arr[:K], acts[:K], pres[:K], when[:K]
-            )
-        # -- commit ---------------------------------------------------------
-        m = K
-        data_offset = self._t_cwl if is_write_q else self._t_cl
+            block *= 16
+        m, when, flats, bgs, arr_parts = best
+        if m < 1:
+            return held
+        when = when[:m]
+        flats = flats[:m]
         last_when = int(when[-1])
-        burst_end = last_when + data_offset + t_burst
-        conflicts = int(np.count_nonzero(pres))
-        misses = int(np.count_nonzero(acts & ~pres))
+        tail = (self._t_cwl if is_write else self._t_cl) + self._t_burst
+        # -- retire the window part ----------------------------------------
+        n_w = min(m, q_n)
+        retired = entries[:n_w]
+        for i, e in enumerate(retired):
+            if e.done is not None:
+                e.done[e.pos] = int(when[i]) + tail
+        conflicts = sum(e.needed_pre for e in retired)
+        misses = sum(e.needed_act and not e.needed_pre for e in retired)
         hits = m - conflicts - misses
-        lat_delta = 0
-        if not is_write_q:
-            lat_delta = int(when.sum()) + m * (data_offset + t_burst) - int(arr.sum())
-        last_per_bg = np.full(bgc, -1, dtype=np.int64)
-        np.maximum.at(last_per_bg, bg, when)
-        if is_write_q:
-            per_group_last = rank._last_wr_by_group
-            rank._last_wr = last_when
-            gate = self._t_w2p
-        else:
-            per_group_last = rank._last_rd_by_group
-            rank._last_rd = last_when
-            gate = self._t_rtp
-        for g in np.flatnonzero(last_per_bg >= 0).tolist():
-            per_group_last[g] = int(last_per_bg[g])
+        latency = int(when.sum()) + m * tail - sum(e.arrival for e in retired)
+        cutoff = retired[-1].seq
+        for group in heads:
+            group[:] = [e for e in group if e.seq > cutoff]
+        queue[:] = [e for e in queue if e.seq > cutoff]
+        for i, e in enumerate(queue):
+            e.qpos = i
+        # -- retire the backlog part ---------------------------------------
+        n_b = m - n_w
+        if n_b:
+            latency -= int(np.concatenate(arr_parts)[:n_b].sum())
+            offset = n_w
+            for chunk in backlog.chunks:
+                take = min(m - offset, chunk.n - chunk.start)
+                if chunk.done is not None:
+                    lo = chunk.start
+                    chunk.done[chunk.pos[lo : lo + take]] = when[offset : offset + take] + tail
+                offset += take
+                if offset == m:
+                    break
+            backlog.consume(n_b)
+        # -- bank and bankgroup history ------------------------------------
+        gate = self._t_w2p if is_write else self._t_rtp
         last_per_flat = np.full(nflats, -1, dtype=np.int64)
         np.maximum.at(last_per_flat, flats, when)
         for f in np.flatnonzero(last_per_flat >= 0).tolist():
@@ -1469,47 +1503,8 @@ class MemoryController:
             ep = int(last_per_flat[f]) + gate
             if ep > bank.earliest_pre:
                 bank.earliest_pre = ep
-        # Completion write-back into the callers' completions arrays.
-        n_from_q = q_n if m >= q_n else m
-        tail = data_offset + t_burst
-        for i in range(n_from_q):
-            e = entries[i]
-            if e.done is not None:
-                e.done[e.pos] = when[i] + tail
-        n_from_backlog = m - n_from_q
-        if n_from_backlog:
-            offset = n_from_q
-            remaining = n_from_backlog
-            for chunk in backlog.chunks:
-                take = min(remaining, chunk.n - chunk.start)
-                if chunk.done is not None:
-                    lo = chunk.start
-                    chunk.done[chunk.pos[lo : lo + take]] = when[offset : offset + take] + tail
-                offset += take
-                remaining -= take
-                if not remaining:
-                    break
-            backlog.consume(n_from_backlog)
-        # -- queue / bank-list maintenance ----------------------------------
-        if n_from_q == q_n:
-            queue.clear()
-            for blq in active.values():
-                blq.entries.clear()
-                blq.valid = False
-            active.clear()
-        else:
-            keep = entries[n_from_q:]
-            issued_flats = {e.flat for e in entries[:n_from_q]}
-            queue[:] = keep
-            for i, e in enumerate(keep):
-                e.qpos = i
-            for f in issued_flats:
-                blq = active[f]
-                kept = [e for e in keep if e.flat == f]
-                blq.entries[:] = kept
-                for i, e in enumerate(kept):
-                    e.bpos = i
-                blq.valid = False
-                if not kept:
-                    del active[f]
-        return (m, hits, misses, conflicts, lat_delta, last_when, burst_end)
+        last_per_bg = np.full(len(bgf), -1, dtype=np.int64)
+        np.maximum.at(last_per_bg, bgs[:m], when)
+        for g in np.flatnonzero(last_per_bg >= 0).tolist():
+            bgf[g] = int(last_per_bg[g]) + ccd_l
+        return (m, last_when, hits, misses, conflicts, latency)

@@ -30,7 +30,7 @@ Two soundness rules:
   every bank is left closed.
 
 ``REPRO_REFERENCE=1`` (:func:`repro.env.reference_mode`) turns the memo
-off, together with the controller's streak fast path.
+off, together with the controller's hit phase.
 """
 
 from collections import OrderedDict

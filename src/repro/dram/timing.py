@@ -5,7 +5,11 @@ i.e. half the data rate).  The presets follow JEDEC DDR4 speed grades; the
 default is DDR4-3200 (PC4-25600), the module the paper's Table 1 assumes.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
+
+#: Constraints whose long (same-bankgroup) or cumulative form must not be
+#: shorter than the short one, as ``(longer, shorter)`` field pairs.
+_ORDERED = (("ccd_l", "ccd_s"), ("rrd_l", "rrd_s"), ("wtr_l", "wtr_s"), ("rc", "ras"))
 
 
 def ns_to_cycles(ns: float, tck_ns: float) -> int:
@@ -20,6 +24,12 @@ class DramTiming:
     Attributes follow JEDEC naming without the leading "t": ``cl`` is CAS
     latency, ``rcd`` is ACT-to-column delay, and so on.  ``bl`` is the burst
     length in beats (8 for DDR4), so a burst occupies ``bl // 2`` clocks.
+
+    Construction raises :class:`ValueError`, naming the field, for a cycle
+    count below 1 (``rtrs`` below 0), an odd ``bl`` or one below 2, and a
+    long constraint shorter than its short form (``ccd_l < ccd_s``,
+    ``rrd_l < rrd_s``, ``wtr_l < wtr_s``) or ``rc < ras``.  The
+    controller's cadence arithmetic relies on these.
     """
 
     name: str
@@ -43,6 +53,23 @@ class DramTiming:
     refi: int
     rfc: int
     rtrs: int = 2
+
+    def __post_init__(self):
+        for f in fields(self):
+            if f.name in ("name", "data_rate_mtps"):
+                continue
+            value = getattr(self, f.name)
+            least = 0 if f.name == "rtrs" else 1
+            if value < least:
+                raise ValueError(f"DramTiming.{f.name} must be at least {least} (got {value})")
+        if self.bl % 2 or self.bl < 2:
+            raise ValueError(f"DramTiming.bl must be even and at least 2 (got {self.bl})")
+        for longer, shorter in _ORDERED:
+            if getattr(self, longer) < getattr(self, shorter):
+                raise ValueError(
+                    f"DramTiming.{longer} must be at least {shorter} "
+                    f"({getattr(self, longer)} < {getattr(self, shorter)})"
+                )
 
     @property
     def clock_hz(self) -> float:

@@ -37,8 +37,10 @@ def read_env(name: str, default: bool | int) -> bool | int:
 
 
 #: ``REPRO_REFERENCE=1`` forces the reference paths: the timing memo and
-#: the controller's streak fast path are off, so every drain runs command
-#: by command.  Results are bit-identical either way.
+#: the controller's hit phase (its per-bankgroup loop over all-hit windows
+#: and the closed form within it) are off, so every drain runs its full
+#: per-command step for every command.  Results are bit-identical either
+#: way.
 REFERENCE_ENV_VAR = "REPRO_REFERENCE"
 
 

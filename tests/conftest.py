@@ -31,7 +31,7 @@ def _isolate_timing_memo(monkeypatch):
     that exercise the memo itself put the real one back via
     ``timing_memo``.  ``REPRO_REFERENCE`` passes through from the
     environment, so ``REPRO_REFERENCE=1 pytest tests/test_perf_parity.py``
-    pins the per-command loop, with streaks off, against the scan oracle;
+    pins the per-command loop, with the hit phase off, against the scan oracle;
     tests that set it themselves do so with ``monkeypatch``.
     """
     monkeypatch.setattr(memo, "TIMING_MEMO", NullMemo())

@@ -266,8 +266,8 @@ class TestConfigValidation:
 
 class TestCompletions:
     """``enqueue_batch(trace, completions=)``: the drain writes each
-    record's burst-end cycle at its trace position, from per-command steps
-    and from streaks alike."""
+    record's burst-end cycle at its trace position, from per-command steps,
+    hit-phase steps and the phase's closed-form runs alike."""
 
     @pytest.mark.parametrize(
         "completions",
@@ -300,8 +300,8 @@ class TestCompletions:
         kw = {"organization": org, "mapping": AddressMapping(org, order=RANK_INTERLEAVED_ORDER)}
         mapping = kw["mapping"]
         rng = np.random.default_rng(13)
-        # Row-0 write hits in rank 0 at cycle 0 (write streaks: pending
-        # writes rule out read streaks), then reads and writes to random
+        # Row-0 write hits in rank 0 at cycle 0 (one write hit phase, most
+        # of it retired in closed form), then reads and writes to random
         # rows of every rank (ACT/PRE, per-command steps).
         coords = [(0, i % 4, (i // 4) % 4, 0, i // 16) for i in range(600)]
         coords += [tuple(int(v) for v in c) for c in rng.integers(
@@ -313,22 +313,23 @@ class TestCompletions:
         trace = TraceBuffer(addrs, is_write, cycles)
 
         mc = MemoryController(DDR4_3200, **kw)
-        streaks = []
-        attempt = MemoryController._attempt_streak
+        runs = []
+        stretch = MemoryController._stretch
 
         def spy(ctrl, *args):
-            result = attempt(ctrl, *args)
-            if result:
-                streaks.append(result[0])
+            result = stretch(ctrl, *args)
+            if result.__class__ is tuple:
+                runs.append(result[0])
             return result
 
-        monkeypatch.setattr(MemoryController, "_attempt_streak", spy)
+        monkeypatch.setattr(MemoryController, "_stretch", spy)
         done = np.full(len(trace), -1, dtype=np.int64)
         mc.enqueue_batch(trace, completions=done)
         stats = mc.run_to_completion()
         monkeypatch.undo()
         if not reference_mode():
-            assert sum(streaks) > 100
+            assert sum(runs) > 100
+            assert mc.phase_columns >= 570
         assert stats.activates > 300  # the random tail stepped command by command
 
         oracle = ScanController(DDR4_3200, **kw)

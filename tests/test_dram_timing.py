@@ -1,5 +1,7 @@
 """Tests for DDR4 timing parameters and speed grades."""
 
+from dataclasses import fields, replace
+
 import pytest
 
 from repro.dram.timing import (
@@ -101,3 +103,47 @@ class TestDerivedConstraints:
 
     def test_refresh_interval_is_7_8_us(self):
         assert DDR4_3200.refi * DDR4_3200.tck_ns == pytest.approx(7800.0, rel=0.01)
+
+
+class TestValidation:
+    """``DramTiming`` rejects timings the controller's cadence arithmetic
+    cannot use, naming the field."""
+
+    CYCLE_FIELDS = [
+        f.name for f in fields(DramTiming) if f.name not in ("name", "data_rate_mtps", "rtrs")
+    ]
+
+    @pytest.mark.parametrize("field", CYCLE_FIELDS)
+    def test_cycle_count_below_one(self, field):
+        with pytest.raises(ValueError, match=rf"DramTiming\.{field} must be at least 1"):
+            replace(DDR4_3200, **{field: 0})
+
+    def test_negative_rtrs(self):
+        with pytest.raises(ValueError, match=r"DramTiming\.rtrs must be at least 0"):
+            replace(DDR4_3200, rtrs=-1)
+        assert replace(DDR4_3200, rtrs=0).rtrs == 0
+
+    @pytest.mark.parametrize("bl", [1, 7, 9])
+    def test_odd_burst_length(self, bl):
+        with pytest.raises(ValueError, match=r"DramTiming\.bl must be even"):
+            replace(DDR4_3200, bl=bl)
+
+    def test_burst_length_two_is_the_least(self):
+        assert replace(DDR4_3200, bl=2).burst_cycles == 1
+
+    @pytest.mark.parametrize(
+        "longer,shorter",
+        [("ccd_l", "ccd_s"), ("rrd_l", "rrd_s"), ("wtr_l", "wtr_s"), ("rc", "ras")],
+    )
+    def test_long_form_below_short_form(self, longer, shorter):
+        bad = getattr(DDR4_3200, shorter) - 1
+        with pytest.raises(ValueError, match=rf"DramTiming\.{longer} must be at least {shorter}"):
+            replace(DDR4_3200, **{longer: bad})
+        equal = getattr(DDR4_3200, shorter)
+        assert getattr(replace(DDR4_3200, **{longer: equal}), longer) == equal
+
+    def test_presets_and_variants_stay_valid(self):
+        for grade in SPEED_GRADES.values():
+            assert replace(grade) == grade
+            assert grade.scaled_refresh(False).refi > grade.refi
+        assert replace(DDR4_3200, faw=48).faw == 48

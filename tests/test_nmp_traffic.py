@@ -9,7 +9,7 @@ give a one-channel share with the read stream and the write stream of
 order), count its records and span its words, and the DIMM's timed drain
 of the description must equal the scan oracle's drain of the interleaved
 oracle trace, fed one record at a time.  CI also runs this file with
-``REPRO_REFERENCE=1`` (memos and streaks off).
+``REPRO_REFERENCE=1`` (memos and the hit phase off).
 """
 
 import numpy as np

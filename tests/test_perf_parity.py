@@ -471,14 +471,14 @@ class TestIndexBufferCache:
 
 
 def _traffic(name):
-    """Named traffic patterns stressing every streak invariant."""
+    """Named traffic patterns stressing every hit-phase end condition."""
     org = DramOrganization()
     if name == "hot_row":
-        # One bank, one row, cycling columns: the single-bank streak kind.
+        # One bank, one row, cycling columns: a one-bankgroup phase.
         addrs = ((np.arange(3000) % org.columns) << 4) * 64
         return TraceBuffer(addrs, np.zeros(len(addrs), dtype=bool))
     if name == "sequential":
-        # Bank-interleaved rotation: the multi-bank streak kind.
+        # Bank-interleaved rotation: a phase at the tCCD_S floor.
         addrs = np.arange(4000, dtype=np.int64) * 64
         return TraceBuffer(addrs, np.zeros(len(addrs), dtype=bool))
     if name == "sequential_writes":
@@ -492,7 +492,7 @@ def _traffic(name):
         return TraceBuffer(addrs, np.tile(np.array([False, False, True]), 1500))
     if name == "hot_row_mixed":
         # Hot-row reads with a write stripe: drain flips inside a
-        # streak-friendly pattern.
+        # phase-friendly pattern.
         addrs = ((np.arange(3000) % org.columns) << 4) * 64
         return TraceBuffer(addrs, (np.arange(3000) % 5 == 0))
     if name == "paced":
@@ -504,8 +504,8 @@ def _traffic(name):
 
 
 class TestStreakFastPathParity:
-    """The streak-compiled drain must be bit-identical to the scan
-    reference (and to the fast-path-off indexed loop) across the full
+    """The drain with its hit phase must be bit-identical to the scan
+    reference (and to the phase-off indexed loop) across the full
     configuration matrix: row policies, refresh on/off, watermark
     crossings, multi-rank traffic, and sub-default windows."""
 
@@ -585,9 +585,9 @@ class TestStreakFastPathParity:
         assert run_batch_indexed(trace) == golden  # fast path off via env
 
     def test_scalar_enqueue_completions_after_streak(self, monkeypatch):
-        # Completion cycles must be written even for records the streak
-        # compiler retires straight from the backlog, and match both the
-        # streak-free drain and the per-record scan oracle.
+        # Completion cycles must be written even for records the hit
+        # phase retires straight from the backlog, and match both the
+        # phase-off drain and the per-record scan oracle.
         trace = TraceBuffer(
             ((np.arange(500) % 128) << 4) * 64, np.zeros(500, dtype=bool)
         )
@@ -612,23 +612,30 @@ class TestStreakFastPathParity:
 
 
 class TestStreakFuzzParity:
-    """Seeded randomized traffic/configuration fuzz: the fast path must
-    match the scan reference on every draw (a bounded version of the
-    exploratory fuzz run while developing the streak compiler)."""
+    """Seeded randomized traffic/configuration fuzz: the drain, hit phase
+    included, must match the scan reference on every draw.  The traffic
+    mixes random and streaming blocks, REDUCE-shaped same-bank pairs, and
+    writes that arrive late, under random windows and watermarks."""
 
     @staticmethod
     def _random_case(rng, ranks=1):
         n = int(rng.integers(50, 1200))
-        kind = int(rng.integers(0, 4))
+        kind = int(rng.integers(0, 5))
         if kind == 0:
             addrs = (rng.integers(0, 128, size=n) << 4) * 64
         elif kind == 1:
             addrs = (int(rng.integers(0, 1000)) + np.arange(n)) * 64
         elif kind == 2:
             addrs = rng.integers(0, 1 << 14, size=n) * 64
-        else:
+        elif kind == 3:
             i = np.arange(n // 3 + 1, dtype=np.int64)[:, None]
             addrs = (np.array([0, 8192, 16384]) + i).reshape(-1)[:n] * 64
+        else:
+            # REDUCE-shaped pairs: block i and block i + 1024 share bank and
+            # row under both mappings the fuzz uses (the pair is a tCCD_L
+            # pair FR-FCFS reorders).
+            i = np.arange(n // 2 + 1, dtype=np.int64)[:, None]
+            addrs = (np.array([0, 1024]) + i).reshape(-1)[:n] * 64
         wmode = int(rng.integers(0, 3))
         if wmode == 0:
             iw = np.zeros(n, dtype=bool)
@@ -641,6 +648,9 @@ class TestStreakFuzzParity:
             if rng.integers(0, 2)
             else np.cumsum(rng.integers(0, 25, size=n))
         )
+        if rng.integers(0, 2):
+            # Late writes: every write arrives well after the reads began.
+            cyc = cyc + np.where(iw, int(rng.integers(100, 6000)), 0)
         window = int(rng.choice([4, 8, 32]))
         wh = int(rng.integers(2, 33))
         wl = int(rng.integers(1, wh))
@@ -705,7 +715,7 @@ class TestReinterleaveFuzzParity:
 class TestIncrementalFloorParity:
     """The indexed drain keeps its rank and bankgroup readiness floors
     incrementally: loaded from ``Rank`` state when a drain starts and after
-    each streak, then raised per issued ACT or column command.  The scan
+    each hit phase, then raised per issued ACT or column command.  The scan
     reference queries ``Rank.earliest_*`` afresh for every entry, so any
     term the incremental update drops shows up as a stats mismatch."""
 
@@ -779,8 +789,10 @@ class TestLeanStepParity:
     per bankgroup, and compares candidates on one integer tie key.  Each
     case drives one situation those shortcuts must get right, checks with a
     spy that the drain really met it, and requires the scan oracle's stats,
-    at 1 and 4 ranks, for reads and for writes.  Streak situations are only
-    checked with streaks on (not under ``REPRO_REFERENCE=1``)."""
+    at 1 and 4 ranks, for reads and for writes.  Hit-phase situations (the
+    ``streak`` cases: a run the phase retires in closed form, and a phase
+    that empties a bank) are only checked with the phase on (not under
+    ``REPRO_REFERENCE=1``)."""
 
     @staticmethod
     def _config(ranks):
@@ -815,11 +827,12 @@ class TestLeanStepParity:
 
     @staticmethod
     def _hits_then_random(ranks, n_hits, n_rand, seed, rotate):
-        """Row-0 hits in rank 0 (streak-friendly), then random rows over
+        """Row-0 hits in rank 0 (one hit phase), then random rows over
         every rank and bank (ACT/PRE, always per-command steps).  The hits
-        either rotate over the banks in order or pick banks at random; the
-        random order makes streaks stop early on a tCCD_L pair, so a streak
-        can issue every queued entry of one bank and keep other banks'."""
+        either rotate over the banks in order, which the phase retires in
+        closed form, or pick banks at random, which it issues command by
+        command in FR-FCFS order, so a phase can issue every queued entry of
+        one bank and keep other banks'."""
         rng = np.random.default_rng(seed)
         if rotate:
             coords = [(0, i % 4, (i // 4) % 4, 0, i // 16) for i in range(n_hits)]
@@ -876,21 +889,22 @@ class TestLeanStepParity:
         )
         mc = MemoryController(DDR4_3200, **kw)
         cleared = []
-        attempt = MemoryController._attempt_streak
+        stretch = MemoryController._stretch
 
-        def spy(ctrl, is_write_q, queue, *args):
-            result = attempt(ctrl, is_write_q, queue, *args)
-            if result and not queue:
+        def spy(ctrl, heads, is_write_q, *args):
+            result = stretch(ctrl, heads, is_write_q, *args)
+            queue = ctrl._write_q if is_write_q else ctrl._read_q
+            if result.__class__ is tuple and not queue:
                 cleared.append(ctrl.pending)
             return result
 
-        monkeypatch.setattr(MemoryController, "_attempt_streak", spy)
+        monkeypatch.setattr(MemoryController, "_stretch", spy)
         mc.enqueue_batch(trace)
         fast = mc.run_to_completion()
         monkeypatch.undo()
         if not reference_mode():
-            # The whole window went in one streak and random-row traffic
-            # (ACT/PRE, always per-command) was still pending.
+            # The whole window went in one closed-form run and random-row
+            # traffic (ACT/PRE, always per-command) was still pending.
             assert any(pending > 0 for pending in cleared)
         assert fast.activates > 16  # the random tail opened rows afterwards
         assert fast == self._drain(ScanController, [trace], **kw)
@@ -904,23 +918,23 @@ class TestLeanStepParity:
         )
         mc = MemoryController(DDR4_3200, **kw)
         emptied = []
-        attempt = MemoryController._attempt_streak
+        index_window = MemoryController._index_window
 
-        def spy(ctrl, is_write_q, queue, *args):
-            banks = self._banks(ctrl, is_write_q)
-            before = {f for f, q in banks.items() if q.entries}
-            result = attempt(ctrl, is_write_q, queue, *args)
-            if result and queue:
-                after = {f for f, q in banks.items() if q.entries}
-                emptied.append(len(before - after))
-            return result
+        def spy(ctrl, queue, active, *args):
+            # At a phase's end ``active`` still holds the bank queues the
+            # phase started with; the call re-indexes the window left.
+            before = set(active)
+            index_window(ctrl, queue, active, *args)
+            if queue:
+                emptied.append(len(before - set(active)))
 
-        monkeypatch.setattr(MemoryController, "_attempt_streak", spy)
+        monkeypatch.setattr(MemoryController, "_index_window", spy)
         mc.enqueue_batch(trace)
         fast = mc.run_to_completion()
         monkeypatch.undo()
         if not reference_mode():
-            # A partial streak issued every queued entry of some bank.
+            # A phase issued every queued entry of some bank and left
+            # entries of other banks queued.
             assert any(emptied)
         assert fast == self._drain(ScanController, [trace], **kw)
 
@@ -984,13 +998,13 @@ class TestLeanStepParity:
         assert fresh == self._drain(ScanController, parts, **kw)
 
 
-class TestStreakRefusal:
-    """A streak probe whose window already bounds the run below
-    :data:`~repro.dram.controller.STREAK_BREAK_EVEN` commands is refused
-    before the numpy compile.  In a REDUCE-shaped read stream each read of
-    ``in1`` is followed by its ``in2`` partner in the same bankgroup, so
-    tCCD_L cuts every run to two or three commands: no probe reaches the
-    compile, and the stats still equal the scan oracle's."""
+class TestHitPhaseReorders:
+    """In a REDUCE-shaped read stream each read of ``in1`` is followed by
+    its ``in2`` partner in the same bank and row, so every pair is a tCCD_L
+    pair and FR-FCFS issues the partner after younger reads of other
+    bankgroups.  The hit phase issues that order command by command; it
+    never retires such a run in closed form, and the stats and completion
+    cycles still equal the scan oracle's."""
 
     @staticmethod
     def _reduce_reads(ranks):
@@ -1007,32 +1021,186 @@ class TestStreakRefusal:
         return config, TraceBuffer(trace.addr[reads], False, trace.cycle[reads])
 
     @pytest.mark.parametrize("ranks", [1, 4])
-    def test_reduce_reads_never_reach_the_compile(self, ranks, monkeypatch):
+    def test_reduce_reads_issue_in_the_phase(self, ranks, monkeypatch):
         config, trace = self._reduce_reads(ranks)
         assert config.organization.ranks == ranks
-        probes, compiles = [], []
-        attempt = MemoryController._attempt_streak
-        compile_streak = MemoryController._compile_streak
+        runs = []
+        stretch = MemoryController._stretch
 
-        def spy_attempt(ctrl, *args):
-            result = attempt(ctrl, *args)
-            probes.append(result)
+        def spy(ctrl, *args):
+            result = stretch(ctrl, *args)
+            runs.append(result)
             return result
 
-        def spy_compile(ctrl, *args):
-            compiles.append(len(args[1]))
-            return compile_streak(ctrl, *args)
-
-        monkeypatch.setattr(MemoryController, "_attempt_streak", spy_attempt)
-        monkeypatch.setattr(MemoryController, "_compile_streak", spy_compile)
+        monkeypatch.setattr(MemoryController, "_stretch", spy)
         mc = config.build()
-        mc.enqueue_batch(trace)
+        done = np.full(len(trace), -1, dtype=np.int64)
+        mc.enqueue_batch(trace, completions=done)
         fast = mc.run_to_completion()
         monkeypatch.undo()
         if not reference_mode():
-            # Runs of two or three commands were found and refused.
-            assert sum(result is False for result in probes) >= 10
-        assert compiles == []
+            # All but the reads issued while the banks opened went in the
+            # phase, none of them in closed form.
+            assert mc.phase_columns >= len(trace) - 64
+            assert runs and not any(result.__class__ is tuple for result in runs)
+        # FR-FCFS reordered the stream: a younger read finished first.
+        assert (np.diff(done) < 0).any()
         oracle = ScanController.from_config(config)
-        enqueue_records(oracle, trace)
+        expected = np.full(len(trace), -1, dtype=np.int64)
+        enqueue_records(oracle, trace, expected)
         assert fast == oracle.run_to_completion()
+        assert np.array_equal(done, expected)
+
+
+class TestHitPhaseParity:
+    """The hit phase against the scan oracle in the situations that end it
+    or reorder it, at 1 and 4 ranks, for reads and for writes: stats and
+    completion cycles must match, and (with the phase on) the phase must
+    really have issued the traffic meant for it."""
+
+    _config = staticmethod(TestLeanStepParity._config)
+
+    @staticmethod
+    def _hits(ranks, n, row=0):
+        """``n`` row hits rotating over the 16 banks of the last rank."""
+        return [(ranks - 1, i % 4, (i // 4) % 4, row, (i // 16) % 128) for i in range(n)]
+
+    @staticmethod
+    def _trace(mapping, coords, is_write, cycles=None):
+        """A trace of ``(rank, bankgroup, bank, row, column)`` records with a
+        direction and an arrival cycle each (a scalar for all of them)."""
+        addrs = np.array([mapping.encode(*c) for c in coords], dtype=np.int64)
+        n = len(addrs)
+        is_write = np.broadcast_to(np.asarray(is_write, dtype=bool), (n,))
+        cycles = np.broadcast_to(np.asarray(0 if cycles is None else cycles, dtype=np.int64), (n,))
+        return TraceBuffer(addrs, is_write.copy(), cycles.copy())
+
+    @staticmethod
+    def _run(trace, **kw):
+        """Drain ``trace`` and the scan oracle; return the controller."""
+        mc = MemoryController(DDR4_3200, **kw)
+        done = np.full(len(trace), -1, dtype=np.int64)
+        mc.enqueue_batch(trace, completions=done)
+        stats = mc.run_to_completion()
+        oracle = ScanController(DDR4_3200, **kw)
+        expected = np.full(len(trace), -1, dtype=np.int64)
+        enqueue_records(oracle, trace, expected)
+        assert stats == oracle.run_to_completion()
+        assert np.array_equal(done, expected)
+        return mc
+
+    @pytest.mark.parametrize("is_write", [False, True], ids=["reads", "writes"])
+    @pytest.mark.parametrize("ranks", [1, 4])
+    def test_reduce_pairs(self, ranks, is_write):
+        # a[i] and b[i] in one bank and row, interleaved a0 b0 a1 b1 ...
+        mapping, kw = self._config(ranks)
+        coords = []
+        for a in self._hits(ranks, 400):
+            coords += [a, a[:4] + (a[4] + 64,)]
+        mc = self._run(self._trace(mapping, coords, is_write), **kw)
+        if not reference_mode():
+            assert mc.phase_columns >= len(coords) - 64
+
+    @pytest.mark.parametrize("is_write", [False, True], ids=["reads", "writes"])
+    @pytest.mark.parametrize("ranks", [1, 4])
+    def test_one_bankgroup_warm_up(self, ranks, is_write):
+        # Hits rotating over the four banks of one bankgroup: the phase
+        # starts while the last-opened bank still waits out tRCD, so its
+        # steps must let younger entries of warm banks go first, and its
+        # closed form (one command per tCCD_L) waits for the warm-up.
+        mapping, kw = self._config(ranks)
+        coords = [(ranks - 1, 2, i % 4, 0, i // 4) for i in range(400)]
+        mc = self._run(self._trace(mapping, coords, is_write), **kw)
+        if not reference_mode():
+            assert mc.phase_columns >= 300
+
+    @pytest.mark.parametrize("is_write", [False, True], ids=["reads", "writes"])
+    @pytest.mark.parametrize("ranks", [1, 4])
+    def test_non_hit_admitted_mid_phase(self, ranks, is_write):
+        mapping, kw = self._config(ranks)
+        hits = self._hits(ranks, 600)
+        coords = hits[:300] + [(ranks - 1, 0, 0, 7, 0)] + hits[300:]
+        mc = self._run(self._trace(mapping, coords, is_write), **kw)
+        assert mc.stats.row_conflicts >= 1
+        if not reference_mode():
+            # The phase ran up to the conflicting record and again after it.
+            assert 300 <= mc.phase_columns < len(coords)
+
+    @pytest.mark.parametrize("is_write", [False, True], ids=["reads", "writes"])
+    @pytest.mark.parametrize("ranks", [1, 4])
+    def test_phase_reaches_refresh(self, ranks, is_write):
+        # 4,000 hits at one per 4 cycles outlast tREFI (12,480 cycles).
+        mapping, kw = self._config(ranks)
+        mc = self._run(self._trace(mapping, self._hits(ranks, 4000), is_write), **kw)
+        assert mc.stats.refreshes >= ranks
+        if not reference_mode():
+            assert mc.phase_columns >= 3000
+
+    @pytest.mark.parametrize("is_write", [False, True], ids=["reads", "writes"])
+    @pytest.mark.parametrize("ranks", [1, 4])
+    def test_watermarks_with_late_arrivals(self, ranks, is_write):
+        # Hits of one direction at cycle 0; the other direction's records
+        # trickle in from cycle 200, so a read phase meets write_high and a
+        # write phase meets write_low with reads queued.
+        mapping, kw = self._config(ranks)
+        hits = self._hits(ranks, 800)
+        late = [(0, i % 4, 0, 1 + i % 3, i % 128) for i in range(60)]
+        trace = concat(
+            [
+                self._trace(mapping, hits, is_write),
+                self._trace(mapping, late, not is_write, 200 + 10 * np.arange(60)),
+            ]
+        )
+        mc = self._run(trace, **kw)
+        if not reference_mode():
+            assert mc.phase_columns >= 400
+
+    @pytest.mark.parametrize("is_write", [False, True], ids=["reads", "writes"])
+    @pytest.mark.parametrize("ranks", [1, 4])
+    def test_window_below_write_high(self, ranks, is_write):
+        # Writes beyond the window are staged: write phases never start,
+        # read phases see the staged writes in the write level.
+        mapping, kw = self._config(ranks)
+        kw.update(window=8, write_high_watermark=32, write_low_watermark=4)
+        hits = self._hits(ranks, 600)
+        late = [(0, i % 4, 1, 2, i % 128) for i in range(100)]
+        trace = concat(
+            [
+                self._trace(mapping, hits, is_write),
+                self._trace(mapping, late, not is_write, 100 + 15 * np.arange(100)),
+            ]
+        )
+        mc = self._run(trace, **kw)
+        if not reference_mode() and not is_write:
+            assert mc.phase_columns >= 400
+
+    @pytest.mark.parametrize("ranks", [1, 4])
+    def test_reads_run_while_writes_are_due_later(self, ranks, monkeypatch):
+        # 600 row-hit reads in rank 0 at cycle 0, then 400 random reads and
+        # writes from cycle 4,000: the read phase runs while the writes,
+        # already in the backlog, cannot be admitted yet.
+        mapping, kw = self._config(ranks)
+        rng = np.random.default_rng(13)
+        coords = [(0, i % 4, (i // 4) % 4, 0, i // 16) for i in range(600)]
+        coords += [
+            tuple(int(v) for v in c)
+            for c in rng.integers([0, 0, 0, 1, 0], [ranks, 4, 4, 64, 128], (400, 5))
+        ]
+        is_write = np.concatenate([np.zeros(600, dtype=bool), rng.random(400) < 0.4])
+        cycles = np.concatenate([np.zeros(600, dtype=np.int64), 4000 + 20 * np.arange(400)])
+        first_phase = []
+        index_window = MemoryController._index_window
+
+        def spy(ctrl, *args):
+            if ctrl.phase_columns and not first_phase:
+                first_phase.append(ctrl.phase_columns)
+            index_window(ctrl, *args)
+
+        monkeypatch.setattr(MemoryController, "_index_window", spy)
+        mc = self._run(self._trace(mapping, coords, is_write, cycles), **kw)
+        monkeypatch.undo()
+        assert mc.stats.activates > 300
+        if not reference_mode():
+            # Every read but those issued while the 16 banks were still
+            # opening went in the first phase.
+            assert first_phase and first_phase[0] >= 570

@@ -237,7 +237,7 @@ class TestZeroMaterialization:
 
 
 class TestKillSwitch:
-    """``REPRO_REFERENCE`` unset vs ``=1`` (no memo, no streak fast path)
+    """``REPRO_REFERENCE`` unset vs ``=1`` (no memo, no hit phase)
     must be bit-identical on every timed path, in-process and pooled."""
 
     @pytest.fixture(autouse=True)
