@@ -54,14 +54,22 @@ Two families of entries:
   at 32 and 128 DIMMs, no DRAM timing.  The combined tensor is checked
   against NumPy before the entry is written.
 * ``figure11_full`` / ``figure12_full`` / ``ablations`` / ``evaluate_all``
-  — **end-to-end** artefact entries: the wall time of ``python -m repro
-  <command> --jobs 1`` in a fresh interpreter (so every memo starts
-  empty), import included, the child's peak RSS (``os.wait4`` rusage)
-  and a SHA-256 of its stdout.  ``evaluate_all``
-  runs ``evaluate`` once per workload.  Where ``tests/golden/`` pins the
-  output, a full run fails unless the stdout matches it byte for byte, so
-  a speedup that changes results cannot be recorded.  They stay out of
-  the regression guard: their wall time includes interpreter start-up.
+  / ``analytic`` — **end-to-end** artefact entries: the wall time of
+  ``python -m repro <command> --jobs 1`` in a fresh interpreter (so every
+  memo starts empty), import included, the child's peak RSS
+  (``os.wait4`` rusage) and a SHA-256 of its stdout.  ``evaluate_all``
+  runs ``evaluate`` once per workload, and ``analytic`` runs all eleven
+  commands of the analytic system model (figures 3, 4 and 13-16, table 3
+  and the four ``evaluate`` commands), each in its own interpreter, so it
+  is mostly start-up.  Each command's host seconds are also scaled to a
+  reference host speed by the speed probe of ``perfbench/run.py``, run in
+  this process before and after the command, and ``scaled_seconds``
+  records that sum beside the host ``wall_seconds``, so entries recorded
+  on hosts of different speeds can be compared.  A run fails unless each
+  command's stdout matches its file in ``tests/golden/`` byte for byte
+  (only the ``--quick`` figures of ``--smoke`` are not pinned), so a
+  speedup that changes results cannot be recorded.  They stay out of the
+  regression guard: their wall time includes interpreter start-up.
 
 The ``gather`` / ``reduce`` numbers measure end-to-end ``execute_timed``
 throughput, which from the streak/memo PR onward includes the memo
@@ -78,9 +86,12 @@ repeated-instruction broadcast throughput on a warm memo.
 to prove the benchmark path stays runnable (once by default, once with
 ``REPRO_REFERENCE=1``, so a parity break fails the build, and once with
 ``--jobs 2``).  With ``--jobs`` above 1 it sets
-``repro.parallel.MIN_TASK_RECORDS`` to 0, so its tiny traces still reach
+``repro.dram.memo.MIN_TASK_RECORDS`` to 0, so its tiny traces still reach
 the process pool.  The artefact
 entries then run once, with ``--quick`` where the CLI has it.
+``--check-baseline`` reads its slack from ``REPRO_BENCH_TOLERANCE`` (a
+fraction in [0, 1), default 0.30); any other value raises ``ValueError``
+naming the variable.
 """
 
 import argparse
@@ -97,6 +108,7 @@ import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(ROOT / "perfbench"))
 
 from repro.bench.figure11 import (
     AVERAGE_NUM,
@@ -118,8 +130,8 @@ from repro.dram.timing import DDR4_3200
 from repro.dram.trace import average_traffic, gather_traffic, reduce_traffic
 from repro.env import REFERENCE_ENV_VAR
 from repro.models.model_zoo import WORKLOADS_BY_NAME
-from repro import parallel
 from repro.parallel import get_executor, parallel_map, resolve_jobs
+from run import probe_seconds, speed_scale
 
 #: Measured with the per-record trace engine and O(window) rescan scheduler
 #: immediately before this overhaul (same seeded workloads below).
@@ -143,6 +155,7 @@ COLD_WORKLOADS = (
 
 #: Allowed cold-path req/s regression before --check-baseline fails.
 DEFAULT_TOLERANCE = 0.30
+TOLERANCE_ENV_VAR = "REPRO_BENCH_TOLERANCE"
 
 
 def _memo_dict() -> dict:
@@ -489,20 +502,35 @@ def _node_functional_entry(smoke: bool) -> dict:
 
 # -- end-to-end artefacts (fresh interpreter, --jobs 1) ------------------------
 
-#: ``python -m repro`` command lines per entry, and the golden stdout file
-#: in ``tests/golden/`` that a full run must reproduce (``None``: not pinned).
+_EVALUATE = [["evaluate", name] for name in sorted(WORKLOADS_BY_NAME)]
+
+#: ``python -m repro`` command lines per entry.  A full run must reproduce
+#: each command's stdout file in ``tests/golden/``: its words joined by
+#: ``_`` (``figure_11.txt``, ``evaluate_NCF.txt``).
 ARTEFACTS = {
-    "figure11_full": ([["figure", "11"]], "figure_11.txt"),
-    "figure12_full": ([["figure", "12"]], "figure_12.txt"),
-    "ablations": ([["ablations"]], "ablations.txt"),
-    "evaluate_all": ([["evaluate", name] for name in sorted(WORKLOADS_BY_NAME)], None),
+    "figure11_full": [["figure", "11"]],
+    "figure12_full": [["figure", "12"]],
+    "ablations": [["ablations"]],
+    "evaluate_all": _EVALUATE,
+    "analytic": [
+        *(["figure", n] for n in ("3", "4", "13", "14", "15", "16")),
+        ["table", "3"],
+        *_EVALUATE,
+    ],
 }
 
 
+def _golden(args: list) -> Path:
+    return ROOT / "tests" / "golden" / f"{'_'.join(args)}.txt"
+
+
 def _cli_args(args: list, smoke: bool) -> list:
-    """The ``python -m repro`` arguments an artefact entry runs."""
-    quick = ["--quick"] if smoke and args[0] == "figure" else []
-    return [*args, "--jobs", "1", *quick]
+    """The ``python -m repro`` arguments an artefact entry runs (``table``
+    has no ``--jobs``: it simulates nothing; only the cycle-level figures
+    have a ``--quick`` sweep)."""
+    jobs = [] if args[0] == "table" else ["--jobs", "1"]
+    quick = ["--quick"] if smoke and args in (["figure", "11"], ["figure", "12"]) else []
+    return [*args, *jobs, *quick]
 
 
 #: Runs one command and reports its wall seconds, its ``os.wait4`` peak RSS
@@ -523,47 +551,58 @@ sys.exit(code)
 """
 
 
-def bench_artefact(commands, smoke: bool) -> tuple[float, bytes, float]:
+def bench_artefact(commands, smoke: bool) -> tuple[float, float, list, float]:
     """Run each ``python -m repro`` command in a fresh interpreter; return
-    the summed wall seconds, the joined stdout and the largest peak RSS in
-    MB."""
+    the summed host seconds, the summed probe-scaled seconds, each
+    command's stdout and the largest peak RSS in MB."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    seconds = 0.0
-    stdout = b""
+    seconds = scaled = 0.0
+    stdouts = []
     peak_rss_mb = 0.0
     for args in commands:
         argv = [sys.executable, "-m", "repro", *_cli_args(args, smoke)]
+        before = probe_seconds()
         done = subprocess.run(
             [sys.executable, "-c", _LAUNCHER, *argv],
             env=env, capture_output=True, check=True,
         )
+        after = probe_seconds()
         wall, maxrss_kb, _ = done.stderr.decode().split()[-3:]
         seconds += float(wall)
+        scaled += float(wall) * speed_scale(before, after)
         peak_rss_mb = max(peak_rss_mb, int(maxrss_kb) / 1024)
-        stdout += done.stdout
-    return seconds, stdout, peak_rss_mb
+        stdouts.append(done.stdout)
+    return seconds, scaled, stdouts, peak_rss_mb
 
 
 def _artefact_entry(name: str, smoke: bool) -> dict:
-    commands, golden = ARTEFACTS[name]
-    best = None
+    commands = ARTEFACTS[name]
+    best = best_scaled = None
     peak_rss_mb = 0.0
     for _ in range(1 if smoke else REPEATS):
-        seconds, stdout, rss = bench_artefact(commands, smoke)
+        seconds, scaled, stdouts, rss = bench_artefact(commands, smoke)
         peak_rss_mb = max(peak_rss_mb, rss)
-        if best is None or seconds < best:
-            best = seconds
+        best = seconds if best is None else min(best, seconds)
+        best_scaled = scaled if best_scaled is None else min(best_scaled, scaled)
     entry = {
         "workload": name,
         "commands": [" ".join(_cli_args(args, smoke)) for args in commands],
         "wall_seconds": round(best, 3),
+        "scaled_seconds": round(best_scaled, 3),
         "peak_rss_mb": round(peak_rss_mb, 1),
-        "stdout_sha256": hashlib.sha256(stdout).hexdigest(),
+        "stdout_sha256": hashlib.sha256(b"".join(stdouts)).hexdigest(),
     }
-    if golden is not None and not smoke:
-        if stdout != (ROOT / "tests" / "golden" / golden).read_bytes():
-            raise RuntimeError(f"{name}: stdout differs from tests/golden/{golden}")
-        entry["golden"] = f"tests/golden/{golden}"
+    # A --quick sweep prints a trimmed table; every other run is pinned.
+    goldens = [
+        (_golden(args), stdout)
+        for args, stdout in zip(commands, stdouts)
+        if "--quick" not in _cli_args(args, smoke)
+    ]
+    for golden, stdout in goldens:
+        if stdout != golden.read_bytes():
+            raise RuntimeError(f"{name}: stdout differs from {golden.relative_to(ROOT)}")
+    if goldens:
+        entry["golden"] = [str(golden.relative_to(ROOT)) for golden, _ in goldens]
     return entry
 
 
@@ -808,6 +847,28 @@ def check_baseline(report: dict, baseline_path: Path, tolerance: float) -> list[
     return failures
 
 
+def read_tolerance() -> float:
+    """The guard's slack: ``$REPRO_BENCH_TOLERANCE`` as a fraction in
+    [0, 1), or :data:`DEFAULT_TOLERANCE` when unset or empty.
+
+    Any other value (``30%``, ``30``, ``nan``) raises :class:`ValueError`
+    naming the variable and its value, rather than guarding with a slack
+    nobody asked for.
+    """
+    raw = os.environ.get(TOLERANCE_ENV_VAR, "").strip()
+    if not raw:
+        return DEFAULT_TOLERANCE
+    try:
+        tolerance = float(raw)
+    except ValueError:
+        tolerance = None
+    if tolerance is None or not 0.0 <= tolerance < 1.0:
+        raise ValueError(
+            f"{TOLERANCE_ENV_VAR}={raw!r}: expected a fraction in [0, 1), such as 0.30"
+        )
+    return tolerance
+
+
 def main(argv=None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
@@ -826,9 +887,11 @@ def main(argv=None) -> None:
         "BENCH_perf.json",
     )
     args = parser.parse_args(argv)
+    # Read before the run, so a bad value fails at once.
+    tolerance = read_tolerance() if args.check_baseline else None
     if args.smoke and resolve_jobs(args.jobs) > 1:
         # Smoke traces are tiny by design; ship them to the pool anyway.
-        parallel.MIN_TASK_RECORDS = 0
+        memo.MIN_TASK_RECORDS = 0
     report = run(jobs=args.jobs, smoke=args.smoke)
     for entry in report["entries"]:
         if "baseline" in entry:
@@ -860,7 +923,8 @@ def main(argv=None) -> None:
         elif "stdout_sha256" in entry:
             print(
                 f"{entry['workload']:>16}: {' + '.join(entry['commands'])} "
-                f"in {entry['wall_seconds']:.2f}s, peak RSS "
+                f"in {entry['wall_seconds']:.2f}s ({entry['scaled_seconds']:.2f}s "
+                f"probe-scaled), peak RSS "
                 f"{entry['peak_rss_mb']:.0f} MB "
                 f"(stdout sha256 {entry['stdout_sha256'][:12]})"
             )
@@ -891,10 +955,6 @@ def main(argv=None) -> None:
             print(line)
     if args.check_baseline:
         baseline_path = ROOT / "BENCH_perf.json"
-        try:
-            tolerance = float(os.environ.get("REPRO_BENCH_TOLERANCE", DEFAULT_TOLERANCE))
-        except ValueError:
-            tolerance = DEFAULT_TOLERANCE
         failures = check_baseline(report, baseline_path, tolerance)
         if failures:
             for failure in failures:

@@ -26,32 +26,36 @@ regenerates; :mod:`repro.bench.paper_data` holds the numbers the paper
 states, for comparison.
 """
 
-from .config import (
-    DEFAULT_HOST_CONFIG,
-    DEFAULT_NODE_CONFIG,
-    HostConfig,
-    TensorNodeConfig,
-)
-from .core import (
-    EmbeddingLayout,
-    Instruction,
-    KernelLaunch,
-    NmpCore,
-    NodeAllocator,
-    Opcode,
-    ReduceOp,
-    TensorDimm,
-    TensorDimmRuntime,
-    TensorNode,
-)
-from .models import (
-    ALL_WORKLOADS,
-    EmbeddingTable,
-    RecommenderModel,
-    RecSysConfig,
-    workload,
-)
-from .system import LatencyBreakdown, SystemParams, evaluate, evaluate_all
+from .lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    "config": (
+        "DEFAULT_HOST_CONFIG",
+        "DEFAULT_NODE_CONFIG",
+        "HostConfig",
+        "TensorNodeConfig",
+    ),
+    "core": (
+        "EmbeddingLayout",
+        "Instruction",
+        "KernelLaunch",
+        "NmpCore",
+        "NodeAllocator",
+        "Opcode",
+        "ReduceOp",
+        "TensorDimm",
+        "TensorDimmRuntime",
+        "TensorNode",
+    ),
+    "models": (
+        "ALL_WORKLOADS",
+        "EmbeddingTable",
+        "RecommenderModel",
+        "RecSysConfig",
+        "workload",
+    ),
+    "system": ("LatencyBreakdown", "SystemParams", "evaluate", "evaluate_all"),
+})
 
 __version__ = "1.0.0"
 

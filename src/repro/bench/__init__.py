@@ -7,20 +7,27 @@ them for runnable demos.  ``paper_data`` holds the paper-reported numbers
 for side-by-side comparison.
 """
 
-from . import (
-    ablation,
-    figure03,
-    figure04,
-    figure11,
-    figure12,
-    figure13,
-    figure14,
-    figure15,
-    figure16,
-    paper_data,
-    table3,
-)
-from .harness import Table, compare_line, geomean
+from ..lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    **{
+        module: (module,)
+        for module in (
+            "ablation",
+            "figure03",
+            "figure04",
+            "figure11",
+            "figure12",
+            "figure13",
+            "figure14",
+            "figure15",
+            "figure16",
+            "paper_data",
+            "table3",
+        )
+    },
+    "harness": ("Table", "compare_line", "geomean"),
+})
 
 __all__ = [
     "Table",

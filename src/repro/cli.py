@@ -16,37 +16,26 @@ variable sets the default for every command.
 """
 
 import argparse
+import importlib
 import sys
 
-from .bench import (
-    ablation,
-    figure03,
-    figure04,
-    figure11,
-    figure12,
-    figure13,
-    figure14,
-    figure15,
-    figure16,
-    table3,
-)
-from .bench.harness import Table
-from .models.model_zoo import WORKLOADS_BY_NAME, workload
-from .system.design_points import DESIGN_NAMES, evaluate_all
-
+#: Each figure's module under :mod:`repro.bench`, imported only when its
+#: command runs, so an analytic figure never loads the cycle-level model.
 _FIGURES = {
-    "3": (figure03, "NCF model size growth"),
-    "4": (figure04, "baseline performance vs the GPU oracle"),
-    "11": (figure11, "tensor-op bandwidth utilisation (cycle-level)"),
-    "12": (figure12, "throughput vs DIMM count (cycle-level)"),
-    "13": (figure13, "latency breakdown at batch 64"),
-    "14": (figure14, "five design points vs the GPU oracle"),
-    "15": (figure15, "speedups with scaled embeddings"),
-    "16": (figure16, "interconnect-bandwidth sensitivity"),
+    "3": ("figure03", "NCF model size growth"),
+    "4": ("figure04", "baseline performance vs the GPU oracle"),
+    "11": ("figure11", "tensor-op bandwidth utilisation (cycle-level)"),
+    "12": ("figure12", "throughput vs DIMM count (cycle-level)"),
+    "13": ("figure13", "latency breakdown at batch 64"),
+    "14": ("figure14", "five design points vs the GPU oracle"),
+    "15": ("figure15", "speedups with scaled embeddings"),
+    "16": ("figure16", "interconnect-bandwidth sensitivity"),
 }
 
 
 def _cmd_list(_args) -> int:
+    from .models.model_zoo import WORKLOADS_BY_NAME
+
     print("figures:")
     for number, (_, description) in sorted(_FIGURES.items(), key=lambda kv: int(kv[0])):
         print(f"  figure {number:>2} — {description}")
@@ -61,7 +50,7 @@ def _cmd_figure(args) -> int:
         known = ", ".join(sorted(_FIGURES, key=int))
         print(f"unknown figure {args.number!r}; known: {known}", file=sys.stderr)
         return 2
-    module, _ = _FIGURES[args.number]
+    module = importlib.import_module(f".bench.{_FIGURES[args.number][0]}", __package__)
     kwargs = {}
     if args.quick and args.number == "11":
         kwargs["batches"] = (8, 32, 96)
@@ -79,11 +68,15 @@ def _cmd_table(args) -> int:
     if args.number != "3":
         print("only table 3 has a regeneration harness", file=sys.stderr)
         return 2
+    from .bench import table3
+
     print(table3.format_table(table3.run()))
     return 0
 
 
 def _cmd_ablations(args) -> int:
+    from .bench import ablation
+
     results = ablation.run_all(
         jobs=args.jobs, overrides={"cpu_cache": {"accesses": 8000}}
     )
@@ -106,6 +99,10 @@ def _cmd_ablations(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
+    from .bench.harness import Table
+    from .models.model_zoo import workload
+    from .system.design_points import DESIGN_NAMES, evaluate_all
+
     try:
         config = workload(args.workload)
     except KeyError as exc:

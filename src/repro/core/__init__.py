@@ -1,19 +1,17 @@
 """The paper's contribution: TensorDIMM, TensorISA, TensorNode, runtime."""
 
-from .address_map import EmbeddingLayout, chunks_for_dim
-from .allocator import Allocation, NodeAllocator, OutOfNodeMemory
-from .assembler import AssemblerError, assemble, disassemble
-from .isa import Instruction, Opcode, ReduceOp, average, gather, reduce, update
-from .nmp_core import (
-    NmpCore,
-    NmpExecStats,
-    SramQueue,
-    VectorAlu,
-    required_queue_bytes,
-)
-from .runtime import KernelLaunch, TensorDimmRuntime
-from .tensordimm import TensorDimm, TimedExecution
-from .tensornode import NodeExecStats, TensorNode
+from ..lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    "address_map": ("EmbeddingLayout", "chunks_for_dim"),
+    "allocator": ("Allocation", "NodeAllocator", "OutOfNodeMemory"),
+    "assembler": ("AssemblerError", "assemble", "disassemble"),
+    "isa": ("Instruction", "Opcode", "ReduceOp", "average", "gather", "reduce", "update"),
+    "nmp_core": ("NmpCore", "NmpExecStats", "SramQueue", "VectorAlu", "required_queue_bytes"),
+    "runtime": ("KernelLaunch", "TensorDimmRuntime"),
+    "tensordimm": ("TensorDimm", "TimedExecution"),
+    "tensornode": ("NodeExecStats", "TensorNode"),
+})
 
 __all__ = [
     "Allocation",

@@ -20,7 +20,7 @@ the strided column ``[:, i, :]``, so the per-DIMM API keeps working.
 Timed broadcasts have one path, :meth:`TensorNode.broadcast_timed_batch`
 (:meth:`~TensorNode.broadcast_timed` is its one-instruction case): each
 simulated DIMM's traffic is described symbolically and drained through a
-:class:`repro.parallel.DrainBatch`, in-process or on the process pool.
+:class:`repro.dram.memo.DrainBatch`, in-process or on the process pool.
 """
 
 from dataclasses import dataclass, field
@@ -29,6 +29,7 @@ import numpy as np
 
 from ..config import ACCESS_GRANULARITY, ELEMS_PER_WORD
 from ..dram.mapping import DramOrganization
+from ..dram.memo import DrainBatch
 from ..dram.storage import WordStorage, pack_indices
 from ..dram.timing import DDR4_3200, DramTiming
 from ..interconnect.link import NVLINK2_GPU, Link
@@ -236,7 +237,7 @@ class TensorNode:
 
         Every (instruction, simulated DIMM) drain is an independent timing
         domain (controllers reset between instructions), described
-        symbolically and handed to one :class:`repro.parallel.DrainBatch`.
+        symbolically and handed to one :class:`repro.dram.memo.DrainBatch`.
         At ``jobs > 1`` (default: ``$REPRO_JOBS``, else 1) the batch ships
         the large ones to the process pool, and an identical description
         already in flight (the rank-interleaved layout gives every DIMM the
@@ -248,8 +249,6 @@ class TensorNode:
         before its instruction runs, so functional state, exec stats and
         DRAM stats are bit-identical at every worker count.
         """
-        from ..parallel import DrainBatch
-
         limit = self._simulated(simulate_dimms)
         batch = DrainBatch(jobs if len(instrs) * limit > 1 else 1)
         configs = [

@@ -20,20 +20,24 @@ Public surface:
   key
 """
 
-from .cache import Cache, CacheHierarchy, CacheStats
-from .command import TraceBuffer
-from .controller import ControllerConfig, ControllerStats, MemoryController
-from .memo import TIMING_MEMO, TimingMemo
-from .mapping import (
-    BANK_INTERLEAVED_ORDER,
-    RANK_INTERLEAVED_ORDER,
-    ROW_INTERLEAVED_ORDER,
-    AddressMapping,
-    DramOrganization,
-)
-from .storage import WordStorage
-from .system import DramSystem, SystemStats
-from .timing import DDR4_2400, DDR4_2666, DDR4_3200, SPEED_GRADES, DramTiming
+from ..lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    "cache": ("Cache", "CacheHierarchy", "CacheStats"),
+    "command": ("TraceBuffer",),
+    "controller": ("ControllerConfig", "ControllerStats", "MemoryController"),
+    "memo": ("TIMING_MEMO", "TimingMemo"),
+    "mapping": (
+        "BANK_INTERLEAVED_ORDER",
+        "RANK_INTERLEAVED_ORDER",
+        "ROW_INTERLEAVED_ORDER",
+        "AddressMapping",
+        "DramOrganization",
+    ),
+    "storage": ("WordStorage",),
+    "system": ("DramSystem", "SystemStats"),
+    "timing": ("DDR4_2400", "DDR4_2666", "DDR4_3200", "SPEED_GRADES", "DramTiming"),
+})
 
 __all__ = [
     "AddressMapping",

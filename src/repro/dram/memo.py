@@ -1,13 +1,13 @@
-"""Cross-layer timing memoization and the one drain entry point.
+"""Cross-layer timing memoization and the drain protocol.
 
 Every memo-backed drain in the package drains one channel's share of an
 :class:`~repro.dram.trace.OpTraffic` description: a DramSystem channel's
 share of a CPU baseline point, or an NMP instruction's one-channel share
-(the ``(0, 1)`` case).  Only :func:`drain` and
-:class:`repro.parallel.DrainBatch` (which calls :func:`drain` for every
-drain it keeps in-process, and ships calls to it to worker processes)
-consult the memo; the ablation studies in :mod:`repro.bench.ablation`
-drain their controllers directly, outside it.
+(the ``(0, 1)`` case).  Only :func:`drain` and :class:`DrainBatch` (which
+calls :func:`drain` for every drain it keeps in-process, and ships calls
+to it to :mod:`repro.parallel`'s worker processes) consult the memo; the
+ablation studies in :mod:`repro.bench.ablation` drain their controllers
+directly, outside it.
 
 :data:`TIMING_MEMO` is one bounded LRU store keyed by
 ``(ControllerConfig, traffic.share_key(channel, channels))``.  Equal share
@@ -36,6 +36,7 @@ off, together with the controller's hit phase.
 from collections import OrderedDict
 from dataclasses import replace
 
+from .. import parallel
 from ..env import reference_mode
 from .controller import ControllerConfig, ControllerStats, MemoryController
 
@@ -151,8 +152,8 @@ def drain(
     — a miss queues the share on it and drains it in place, and either way
     the result is adopted into it with ``adopt_run``, so its state
     afterwards does not depend on whether the memo hit.
-    :class:`repro.parallel.DrainBatch` calls it for every drain it keeps
-    in-process and ships calls to it to worker processes.
+    :class:`DrainBatch` calls it for every drain it keeps in-process and
+    ships calls to it to worker processes.
     """
     key = traffic.share_key(channel, channels)
     stats = TIMING_MEMO.lookup(config, key)
@@ -165,3 +166,89 @@ def drain(
         # Hit or miss, the caller's controller ends in the same state.
         controller.adopt_run(stats)
     return stats
+
+
+#: Below this many trace records, IPC and pickling cost more than the
+#: cycle-level drain they would overlap, so :class:`DrainBatch` keeps the
+#: task in-process.
+MIN_TASK_RECORDS = 4096
+
+
+class DrainBatch:
+    """The one way a caller drains a batch of independent timing domains.
+
+    Every task is one channel's share of an
+    :class:`~repro.dram.trace.OpTraffic` description, and :meth:`submit`
+    follows one rule per task.  At ``jobs == 1``, or below
+    :data:`MIN_TASK_RECORDS` records, the task drains in-process through
+    :func:`drain` (memo first, then a real drain).  Otherwise this
+    process's memo answers it if it can, an identical task already in
+    flight (same config and share key) shares its worker call, and the
+    rest ship to the pool at once, as their description: the worker builds
+    the share, so the payload is O(rows), not O(trace records).  Because
+    FR-FCFS age tie-breaks are relative, a worker's drain is bit-identical
+    to an in-process one, and results come back in submission order, so
+    the merge is deterministic at every worker count.  The caller is free
+    to work between :meth:`submit` and :meth:`results` (``TensorNode``
+    executes the instructions functionally meanwhile).  A caller with a
+    single task passes ``jobs=1``: a lone drain has nothing to overlap
+    with.
+    """
+
+    def __init__(self, jobs: int | None = None, start_method: str | None = None):
+        self._jobs = parallel.resolve_jobs(jobs)
+        self._start_method = start_method
+        self._tasks: list = []  # per task: (its stats or in-flight key, controller)
+        self._inflight: dict[tuple, object] = {}
+
+    def submit(
+        self,
+        config: ControllerConfig,
+        traffic,
+        channel: int = 0,
+        channels: int = 1,
+        controller=None,
+    ) -> None:
+        """Queue one drain (arguments as for :func:`drain`; a
+        ``controller`` adopts the task's stats, hit, miss or shipped).
+
+        The in-process threshold reads the share's size as
+        ``ceil(traffic.records / channels)``, without building it: it only
+        routes the task and never changes its stats."""
+        records = -(-traffic.records // channels)
+        if self._jobs == 1 or records < MIN_TASK_RECORDS:
+            stats = drain(config, traffic, channel, channels, controller)
+            self._tasks.append((stats, None))
+            return
+        key = (config, traffic.share_key(channel, channels))
+        stats = TIMING_MEMO.lookup(*key)
+        if stats is None:
+            if key not in self._inflight:
+                # The pool starts on the first task the memo cannot answer.
+                executor = parallel.get_executor(self._jobs, self._start_method)
+                self._inflight[key] = executor.submit(
+                    drain, config, traffic, channel, channels
+                )
+            stats = key
+        self._tasks.append((stats, controller))
+
+    def results(self) -> list[ControllerStats]:
+        """Every task's stats, in submission order.
+
+        Each shipped result is stored into this process's memo once; tasks
+        that shared a worker call get their own copies.
+        """
+        stored = set()
+        results = []
+        for stats, controller in self._tasks:
+            if not isinstance(stats, ControllerStats):
+                key = stats
+                stats = self._inflight[key].result()
+                if key not in stored:
+                    stored.add(key)
+                    TIMING_MEMO.store(*key, stats)
+                stats = replace(stats)
+            if controller is not None:
+                controller.adopt_run(stats)
+            results.append(stats)
+        return results

@@ -7,7 +7,7 @@ that time-multiplexes each channel across all the DIMMs behind it —
 Section 4.2's "fixed bandwidth per channel" argument).  Traffic arrives
 as a :class:`~repro.dram.trace.OpTraffic` description, never as a
 whole-system trace.  Every pristine channel drains its share through one
-:class:`~repro.parallel.DrainBatch`, which owns the memo protocol and the
+:class:`~repro.dram.memo.DrainBatch`, which owns the memo protocol and the
 in-process vs pool decision: channels whose shares have equal keys share
 one drain, and a share is built in closed form only when it drains.
 
@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 from .controller import ControllerStats, MemoryController
 from .mapping import AddressMapping, DramOrganization
+from .memo import DrainBatch
 from .timing import DDR4_3200, DramTiming
 from .trace import OpTraffic
 
@@ -141,7 +142,7 @@ class DramSystem:
 
         A pristine channel with nothing queued drains its share of the
         pending description (:meth:`enqueue_traffic`) through a
-        :class:`~repro.parallel.DrainBatch`, keyed by
+        :class:`~repro.dram.memo.DrainBatch`, keyed by
         :meth:`~repro.dram.trace.OpTraffic.share_key`: word ``w`` goes to
         channel ``w % C`` at local word ``w // C``, and a share whose key
         was drained before (on any channel, by any system) adopts the
@@ -153,8 +154,6 @@ class DramSystem:
         ``enqueue_batch`` drains them too, so such a channel queues its
         share and drains in place, outside the memo.
         """
-        from ..parallel import DrainBatch
-
         traffic, self._pending = self._pending, None
         channels = self.num_channels
         # A lone channel has nothing to overlap its drain with.

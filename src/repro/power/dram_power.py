@@ -12,9 +12,12 @@ driver, modelled as a fixed adder.
 """
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-from ..dram.controller import ControllerStats
 from ..dram.timing import DDR4_3200, DramTiming
+
+if TYPE_CHECKING:  # the cycle-level controller is not needed to price power
+    from ..dram.controller import ControllerStats
 
 
 @dataclass(frozen=True)
@@ -130,7 +133,7 @@ class DimmPowerModel:
         )
 
     def power_from_stats(
-        self, stats: ControllerStats, timing: DramTiming = DDR4_3200
+        self, stats: "ControllerStats", timing: DramTiming = DDR4_3200
     ) -> float:
         """DIMM power during a simulated controller run."""
         if stats.finish_cycle <= 0:

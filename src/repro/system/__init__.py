@@ -1,14 +1,18 @@
 """End-to-end system models: the five design points of Section 6."""
 
-from .design_points import (
-    DESIGN_NAMES,
-    DESIGN_POINTS,
-    evaluate,
-    evaluate_all,
-    normalized_performance,
-)
-from .params import DEFAULT_PARAMS, SystemParams
-from .result import LatencyBreakdown
+from ..lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    "design_points": (
+        "DESIGN_NAMES",
+        "DESIGN_POINTS",
+        "evaluate",
+        "evaluate_all",
+        "normalized_performance",
+    ),
+    "params": ("DEFAULT_PARAMS", "SystemParams"),
+    "result": ("LatencyBreakdown",),
+})
 
 __all__ = [
     "DEFAULT_PARAMS",

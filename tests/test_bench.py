@@ -295,3 +295,31 @@ class TestBenchPerfBaselineGuard:
         ]
         assert bp._cli_args(["figure", "12"], smoke=False) == ["figure", "12", "--jobs", "1"]
         assert bp._cli_args(["ablations"], smoke=True) == ["ablations", "--jobs", "1"]
+
+    def test_every_artefact_command_has_a_golden(self):
+        bp = _load_bench_perf()
+        for commands in bp.ARTEFACTS.values():
+            for args in commands:
+                assert bp._golden(args).is_file(), args
+        assert len(bp.ARTEFACTS["analytic"]) == 11
+        assert bp._cli_args(["table", "3"], smoke=False) == ["table", "3"]
+
+
+class TestBenchPerfTolerance:
+    """``REPRO_BENCH_TOLERANCE``: a fraction in [0, 1), or it fails loudly."""
+
+    @pytest.mark.parametrize("raw,expected", [(None, 0.30), ("", 0.30), ("0.1", 0.1), ("0", 0.0)])
+    def test_valid_values(self, monkeypatch, raw, expected):
+        bp = _load_bench_perf()
+        if raw is None:
+            monkeypatch.delenv("REPRO_BENCH_TOLERANCE", raising=False)
+        else:
+            monkeypatch.setenv("REPRO_BENCH_TOLERANCE", raw)
+        assert bp.read_tolerance() == expected
+
+    @pytest.mark.parametrize("raw", ["30%", "thirty", "30", "1", "-0.1", "nan"])
+    def test_bad_value_names_the_variable(self, monkeypatch, raw):
+        bp = _load_bench_perf()
+        monkeypatch.setenv("REPRO_BENCH_TOLERANCE", raw)
+        with pytest.raises(ValueError, match=f"REPRO_BENCH_TOLERANCE='{raw}'"):
+            bp.read_tolerance()

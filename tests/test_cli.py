@@ -1,8 +1,24 @@
 """Tests for the command-line interface."""
 
+from pathlib import Path
+
 import pytest
 
 from repro.cli import main
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+#: Every analytic artefact: its stdout is pinned byte for byte in
+#: ``tests/golden/<words joined by _>.txt``.
+ANALYTIC = [
+    *(["figure", n] for n in ("3", "4", "13", "14", "15", "16")),
+    ["table", "3"],
+    *(["evaluate", w] for w in ("NCF", "YouTube", "Fox", "Facebook")),
+]
+
+
+def golden(argv) -> str:
+    return (GOLDEN / f"{'_'.join(argv)}.txt").read_text()
 
 
 class TestList:
@@ -54,9 +70,17 @@ class TestFigures:
             main([])
 
 
+class TestGoldens:
+    @pytest.mark.parametrize("argv", ANALYTIC, ids=" ".join)
+    def test_analytic_artefact_matches_golden(self, argv, capsys):
+        assert main(argv) == 0
+        assert capsys.readouterr().out == golden(argv)
+
+
 class TestAblations:
     def test_ablations_run(self, capsys):
         assert main(["ablations"]) == 0
         out = capsys.readouterr().out
         assert "address mapping" in out
         assert "queue sizing" in out
+        assert out == golden(["ablations"])

@@ -8,11 +8,11 @@ from repro.core.address_map import EmbeddingLayout
 from repro.dram.bank import Rank
 from repro.dram.controller import ControllerStats
 from repro.dram.mapping import AddressMapping
+from repro.dram.memo import DrainBatch
 from repro.dram.system import DramSystem
 from repro.dram.timing import DDR4_3200
 from repro.dram.trace import average_traffic, reduce_traffic, streaming_buffer
 from repro.env import reference_mode
-from repro.parallel import DrainBatch
 
 from trace_oracles import enqueue_routed
 
@@ -99,7 +99,7 @@ class TestShippedDrainCheck:
     def test_worker_stats_for_the_wrong_trace_raise(self, monkeypatch):
         # Worker results that account for other requests than the channels
         # shipped are refused with an error that survives ``python -O``.
-        monkeypatch.setattr("repro.parallel.MIN_TASK_RECORDS", 0)
+        monkeypatch.setattr("repro.dram.memo.MIN_TASK_RECORDS", 0)
         monkeypatch.setattr(DrainBatch, "submit", lambda self, *args: None)
         monkeypatch.setattr(
             DrainBatch, "results", lambda self: [ControllerStats(reads=1), ControllerStats(reads=2)]

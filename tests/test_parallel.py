@@ -14,7 +14,7 @@ from repro.core.isa import gather, reduce
 from repro.core.runtime import TensorDimmRuntime
 from repro.core.tensornode import TensorNode
 from repro.dram.controller import MemoryController
-from repro.dram.memo import drain
+from repro.dram.memo import DrainBatch, drain
 from repro.dram.system import DramSystem
 from repro.dram.timing import DDR4_3200
 from repro.dram.trace import average_traffic, gather_traffic, reduce_traffic
@@ -26,7 +26,7 @@ from repro.service.simulator import _GrowArray
 @pytest.fixture
 def force_pool(monkeypatch):
     """Disable the tiny-trace fallback so small test traces hit the pool."""
-    monkeypatch.setattr("repro.parallel.MIN_TASK_RECORDS", 0)
+    monkeypatch.setattr("repro.dram.memo.MIN_TASK_RECORDS", 0)
 
 
 class TestResolveJobs:
@@ -59,7 +59,7 @@ class TestResolveJobs:
 def _pooled(tasks, jobs, start_method=None):
     """Drain ``(config, traffic, channel, channels)`` tasks through a
     :class:`DrainBatch`."""
-    batch = parallel.DrainBatch(jobs, start_method)
+    batch = DrainBatch(jobs, start_method)
     for task in tasks:
         batch.submit(*task)
     return batch.results()
@@ -241,7 +241,7 @@ class TestExplicitSequentialWins:
     @pytest.fixture
     def no_pool(self, monkeypatch):
         monkeypatch.setenv(parallel.JOBS_ENV_VAR, "4")
-        monkeypatch.setattr("repro.parallel.MIN_TASK_RECORDS", 0)
+        monkeypatch.setattr("repro.dram.memo.MIN_TASK_RECORDS", 0)
 
         def boom(*args, **kwargs):
             raise AssertionError("process pool used despite explicit jobs=1")
@@ -298,7 +298,7 @@ CALLERS = pytest.mark.parametrize(
 
 class TestOneRoutingRule:
     """``DramSystem.run`` and ``TensorNode.broadcast_timed_batch`` drain
-    through one :class:`~repro.parallel.DrainBatch` rule: in-process at
+    through one :class:`~repro.dram.memo.DrainBatch` rule: in-process at
     ``jobs=1`` or below ``MIN_TASK_RECORDS``, otherwise on the pool."""
 
     @CALLERS

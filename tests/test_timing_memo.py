@@ -25,12 +25,11 @@ from repro.core.tensornode import TensorNode
 from repro.dram import memo
 from repro.dram.command import TraceBuffer
 from repro.dram.controller import MemoryController
-from repro.dram.memo import TimingMemo, drain
+from repro.dram.memo import DrainBatch, TimingMemo, drain
 from repro.dram.system import DramSystem
 from repro.dram.timing import DDR4_3200
 from repro.dram.trace import average_traffic, gather_traffic
 from repro.env import REFERENCE_ENV_VAR
-from repro.parallel import DrainBatch
 
 
 def _traffic(n=600, seed=3):
@@ -187,7 +186,7 @@ class TestDramSystemIntegration:
 
 class TestParallelIntegration:
     def test_replay_traces_parent_side_hits(self, timing_memo, monkeypatch):
-        monkeypatch.setattr("repro.parallel.MIN_TASK_RECORDS", 0)
+        monkeypatch.setattr("repro.dram.memo.MIN_TASK_RECORDS", 0)
         config = _config()
         traffic = _traffic(n=450)
         batch = DrainBatch(jobs=2)
@@ -204,7 +203,7 @@ class TestParallelIntegration:
     def test_broadcast_timed_batch_dedups_identical_dimm_traces(
         self, timing_memo, monkeypatch
     ):
-        monkeypatch.setattr("repro.parallel.MIN_TASK_RECORDS", 0)
+        monkeypatch.setattr("repro.dram.memo.MIN_TASK_RECORDS", 0)
         node = TensorNode(num_dimms=4, capacity_words_per_dimm=1 << 14)
         instr = reduce(0, 4 * 1024, 4 * 2048, 300)
         parallel = node.broadcast_timed_batch(
@@ -394,7 +393,7 @@ class TestDescriptorReplay:
     def test_broadcast_batch_parallel_ships_descriptors(
         self, timing_memo, monkeypatch
     ):
-        monkeypatch.setattr("repro.parallel.MIN_TASK_RECORDS", 0)
+        monkeypatch.setattr("repro.dram.memo.MIN_TASK_RECORDS", 0)
         node = TensorNode(num_dimms=4, capacity_words_per_dimm=1 << 14)
         instr = reduce(0, 4 * 1024, 4 * 2048, 300)
         parallel = node.broadcast_timed_batch(
@@ -411,7 +410,7 @@ class TestDescriptorReplay:
         assert parallel.seconds == sequential.seconds
 
     def test_second_parallel_batch_is_pure_hits(self, timing_memo, monkeypatch):
-        monkeypatch.setattr("repro.parallel.MIN_TASK_RECORDS", 0)
+        monkeypatch.setattr("repro.dram.memo.MIN_TASK_RECORDS", 0)
         node = TensorNode(num_dimms=4, capacity_words_per_dimm=1 << 14)
         instr = reduce(0, 4 * 1024, 4 * 2048, 300)
         first = node.broadcast_timed_batch([instr], simulate_dimms=None, jobs=2)[0]
@@ -444,7 +443,7 @@ class TestDrainLookupOrder:
     def test_cycle_runtime_forward_and_combine(
         self, timing_memo, monkeypatch, jobs, drained_here
     ):
-        monkeypatch.setattr("repro.parallel.MIN_TASK_RECORDS", 0)
+        monkeypatch.setattr("repro.dram.memo.MIN_TASK_RECORDS", 0)
         drains = []
         run = MemoryController.run_to_completion
 

@@ -243,7 +243,7 @@ class TestKillSwitch:
     @pytest.fixture(autouse=True)
     def _memo_on(self, timing_memo, monkeypatch):
         self.memo = timing_memo
-        monkeypatch.setattr("repro.parallel.MIN_TASK_RECORDS", 0)
+        monkeypatch.setattr("repro.dram.memo.MIN_TASK_RECORDS", 0)
         yield
         parallel.shutdown()
 
