@@ -108,8 +108,7 @@ def _cmd_evaluate(args) -> int:
     except KeyError as exc:
         print(exc.args[0], file=sys.stderr)
         return 2
-    if args.scale > 1:
-        config = config.scaled_embedding(args.scale)
+    config = config.scaled_embedding(args.scale)
     results = evaluate_all(config, args.batch, jobs=args.jobs)
     table = Table(
         f"{config.name} @ batch {args.batch}, embedding dim {config.embedding_dim}",
@@ -130,6 +129,13 @@ def _cmd_evaluate(args) -> int:
         )
     print(table.render())
     return 0
+
+
+def _positive_int(text: str) -> int:
+    """argparse ``type`` for counts: anything below 1 exits 2 with usage."""
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return int(text)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -176,8 +182,10 @@ def build_parser() -> argparse.ArgumentParser:
         "evaluate", help="evaluate one workload", parents=[jobs_opts]
     )
     ev.add_argument("workload", help="NCF | YouTube | Fox | Facebook")
-    ev.add_argument("--batch", type=int, default=64)
-    ev.add_argument("--scale", type=int, default=1, help="embedding scale factor")
+    ev.add_argument("--batch", type=_positive_int, default=64)
+    ev.add_argument(
+        "--scale", type=_positive_int, default=1, help="embedding scale factor"
+    )
     ev.set_defaults(fn=_cmd_evaluate)
     return parser
 

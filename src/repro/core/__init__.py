@@ -5,7 +5,6 @@ from ..lazy import lazy_exports
 __getattr__, __dir__ = lazy_exports(globals(), {
     "address_map": ("EmbeddingLayout", "chunks_for_dim"),
     "allocator": ("Allocation", "NodeAllocator", "OutOfNodeMemory"),
-    "assembler": ("AssemblerError", "assemble", "disassemble"),
     "isa": ("Instruction", "Opcode", "ReduceOp", "average", "gather", "reduce", "update"),
     "nmp_core": ("NmpCore", "NmpExecStats", "SramQueue", "VectorAlu", "required_queue_bytes"),
     "runtime": ("KernelLaunch", "TensorDimmRuntime"),
@@ -15,7 +14,6 @@ __getattr__, __dir__ = lazy_exports(globals(), {
 
 __all__ = [
     "Allocation",
-    "AssemblerError",
     "EmbeddingLayout",
     "Instruction",
     "KernelLaunch",
@@ -32,10 +30,8 @@ __all__ = [
     "TensorNode",
     "TimedExecution",
     "VectorAlu",
-    "assemble",
     "average",
     "chunks_for_dim",
-    "disassemble",
     "gather",
     "reduce",
     "required_queue_bytes",

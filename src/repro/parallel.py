@@ -9,8 +9,8 @@ This module keeps a persistent pool of worker processes for two clients:
   caller drains, ships the drains it cannot answer in-process to
   :func:`get_executor`'s pool.
 * **Sweep fan-out** (:func:`parallel_map`): an ordered ``map`` over a
-  process pool for design-point grids (CLI figures, ablations, service
-  sims).  Workloads seed their RNGs from the item itself
+  process pool for design-point grids (CLI figures, ablations).
+  Workloads seed their RNGs from the item itself
   (``np.random.default_rng(seed)`` inside the worker), so results are
   independent of which worker runs which point.
 

@@ -44,6 +44,16 @@ class TestEvaluate:
         assert main(["evaluate", "Netflix"]) == 2
         assert "unknown workload" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "option", [("--scale", "0"), ("--scale", "-2"), ("--batch", "0")], ids=" ".join
+    )
+    def test_non_positive_count_is_a_usage_error(self, option, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["evaluate", "NCF", *option])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {option[0]}: must be a positive integer" in err
+
 
 class TestFigures:
     def test_figure_14(self, capsys):

@@ -1,10 +1,8 @@
-"""Tests for links, the NVSwitch crossbar, and system topologies."""
+"""Tests for the point-to-point interconnect links."""
 
 import pytest
 
 from repro.interconnect.link import NVLINK2_GPU, NVLINK2_LINK, PCIE3_X16, Link
-from repro.interconnect.switch import Crossbar, Transfer
-from repro.interconnect.topology import dgx_with_tensornode
 
 
 class TestLink:
@@ -46,77 +44,3 @@ class TestLink:
         assert slow.bandwidth == 25e9
         assert slow.latency == NVLINK2_GPU.latency
 
-
-class TestCrossbar:
-    def make(self):
-        xbar = Crossbar(NVLINK2_GPU)
-        for name in ("gpu0", "gpu1", "gpu2", "node"):
-            xbar.attach(name)
-        return xbar
-
-    def test_single_transfer_full_bandwidth(self):
-        xbar = self.make()
-        t = xbar.transfer_time("gpu0", "node", 150_000_000)
-        assert t == pytest.approx(NVLINK2_GPU.latency + 0.001)
-
-    def test_unknown_port(self):
-        with pytest.raises(KeyError):
-            self.make().transfer_time("gpu0", "ghost", 1)
-
-    def test_self_transfer_rejected(self):
-        with pytest.raises(ValueError):
-            self.make().transfer_time("gpu0", "gpu0", 1)
-
-    def test_disjoint_transfers_dont_contend(self):
-        xbar = self.make()
-        transfers = [
-            Transfer("gpu0", "gpu1", 150_000_000),
-            Transfer("gpu2", "node", 150_000_000),
-        ]
-        xbar.concurrent_transfer_times(transfers)
-        solo = xbar.transfer_time("gpu0", "gpu1", 150_000_000)
-        for t in transfers:
-            assert t.finish_time == pytest.approx(solo)
-
-    def test_shared_port_halves_bandwidth(self):
-        xbar = self.make()
-        transfers = [
-            Transfer("gpu0", "node", 150_000_000),
-            Transfer("gpu1", "node", 150_000_000),
-        ]
-        xbar.concurrent_transfer_times(transfers)
-        solo = xbar.transfer_time("gpu0", "node", 150_000_000)
-        for t in transfers:
-            assert t.finish_time > 1.9 * (solo - NVLINK2_GPU.latency)
-
-
-class TestTopology:
-    def test_every_gpu_reaches_the_node_at_nvlink_speed(self):
-        topo = dgx_with_tensornode(num_gpus=8)
-        for i in range(8):
-            assert topo.link(f"gpu{i}", "tensornode").bandwidth == NVLINK2_GPU.bandwidth
-
-    def test_cpu_reaches_gpus_over_pcie(self):
-        topo = dgx_with_tensornode(num_gpus=4)
-        assert topo.link("cpu", "gpu2").bandwidth == PCIE3_X16.bandwidth
-
-    def test_gpu_peer_links(self):
-        topo = dgx_with_tensornode(num_gpus=4)
-        assert topo.link("gpu0", "gpu3").bandwidth == NVLINK2_GPU.bandwidth
-
-    def test_node_link_override(self):
-        slow = NVLINK2_GPU.scaled(25e9)
-        topo = dgx_with_tensornode(num_gpus=2, node_link=slow)
-        assert topo.link("gpu0", "tensornode").bandwidth == 25e9
-        assert topo.link("gpu0", "gpu1").bandwidth == NVLINK2_GPU.bandwidth
-
-    def test_transfer_time_through_topology(self):
-        topo = dgx_with_tensornode()
-        nv = topo.transfer_time("gpu0", "tensornode", 1 << 20)
-        pcie = topo.transfer_time("cpu", "gpu0", 1 << 20)
-        assert pcie > 5 * nv
-
-    def test_missing_link(self):
-        topo = dgx_with_tensornode(num_gpus=2)
-        with pytest.raises(KeyError):
-            topo.link("gpu0", "mars")

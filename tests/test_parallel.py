@@ -19,8 +19,6 @@ from repro.dram.system import DramSystem
 from repro.dram.timing import DDR4_3200
 from repro.dram.trace import average_traffic, gather_traffic, reduce_traffic
 from repro.models.model_zoo import YOUTUBE
-from repro.service import ServicePolicy, compare_designs
-from repro.service.simulator import _GrowArray
 
 
 @pytest.fixture
@@ -363,55 +361,3 @@ class TestParallelMap:
     def test_single_item_stays_inprocess(self):
         assert parallel.parallel_map(_rng_point, [7], jobs=4) == [_rng_point(7)]
 
-
-class TestServiceParallel:
-    def test_compare_designs_bit_identical(self):
-        kwargs = dict(
-            arrival_rate=4000,
-            duration=0.02,
-            designs=("CPU-GPU", "TDIMM"),
-            policy=ServicePolicy(max_batch=16),
-            seed=3,
-        )
-        reference = compare_designs(YOUTUBE, **kwargs, jobs=1)
-        pooled = compare_designs(YOUTUBE, **kwargs, jobs=2)
-        for design in kwargs["designs"]:
-            a, b = reference[design], pooled[design]
-            assert np.array_equal(a.request_latencies, b.request_latencies)
-            assert np.array_equal(a.batch_sizes, b.batch_sizes)
-            assert a.busy_seconds == b.busy_seconds
-            assert a.span_seconds == b.span_seconds
-
-
-class TestGrowArray:
-    def test_grows_past_chunk_boundary(self):
-        buf = _GrowArray(np.float64)
-        for i in range(20000):
-            buf.append(float(i))
-        assert buf.size == 20000
-        assert buf.view()[19999] == 19999.0
-
-    def test_extend_bulk(self):
-        buf = _GrowArray(np.int64)
-        buf.extend(np.arange(10000))
-        buf.extend(np.arange(5))
-        assert buf.size == 10005
-        assert list(buf.view()[-5:]) == [0, 1, 2, 3, 4]
-
-    def test_view_is_read_only(self):
-        buf = _GrowArray(np.float64)
-        buf.append(1.0)
-        view = buf.view()
-        with pytest.raises(ValueError):
-            view[0] = 2.0
-
-    def test_service_stats_properties_read_as_sequences(self):
-        from repro.service import InferenceService
-
-        stats = InferenceService(YOUTUBE, "TDIMM").simulate(
-            2000, duration=0.02, seed=1
-        )
-        assert len(stats.request_latencies) == stats.requests
-        assert min(stats.request_latencies) > 0
-        assert max(stats.batch_sizes) >= 1
-        assert stats.p50 <= stats.p99

@@ -1,13 +1,16 @@
-"""Start-up: each CLI command imports only what it runs, and the lazily
-exporting packages keep their public names.
+"""Start-up: each CLI command imports only what it runs, the packages
+keep their public names, and the package imports nothing beyond the
+standard library and NumPy.
 
-The packages below resolve their exports on first use (PEP 562, through
-:func:`repro.lazy.lazy_exports`), so an analytic artefact never loads the
-cycle-level DRAM model.  The import checks run ``python -m repro`` in a
-fresh interpreter, since this test process has imported most of the
-package already.
+Every package below but ``repro.interconnect`` (one small submodule,
+which every artefact loads) resolves its exports on first use (PEP 562,
+through :func:`repro.lazy.lazy_exports`), so an analytic artefact never
+loads the cycle-level DRAM model.  The import checks run ``python -m
+repro`` in a fresh interpreter, since this test process has imported
+most of the package already.
 """
 
+import ast
 import importlib
 import os
 import subprocess
@@ -18,7 +21,7 @@ import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
-LAZY_PACKAGES = (
+PACKAGES = (
     "repro",
     "repro.bench",
     "repro.core",
@@ -26,6 +29,10 @@ LAZY_PACKAGES = (
     "repro.interconnect",
     "repro.system",
 )
+
+#: Top-level modules the package may import besides the standard library:
+#: NumPy, the one dependency CI installs for it, and the package itself.
+DEPENDENCIES = {"numpy", "repro"}
 
 #: Modules of the cycle-level model that no analytic command may load.
 CYCLE_LEVEL = ("repro.dram.controller", "repro.dram.cache")
@@ -62,7 +69,7 @@ class TestImportBoundary:
         assert "repro.dram.controller" in imported_modules("figure", "11", "--quick")
 
 
-@pytest.mark.parametrize("name", LAZY_PACKAGES)
+@pytest.mark.parametrize("name", PACKAGES)
 class TestPublicApi:
     def test_every_export_resolves(self, name):
         package = importlib.import_module(name)
@@ -83,6 +90,31 @@ class TestPublicApi:
         package = importlib.import_module(name)
         with pytest.raises(AttributeError, match=f"{name}.*no_such_export"):
             package.no_such_export
+
+
+def undeclared_imports(root: Path) -> list[str]:
+    """``path: module`` for every absolute import under ``root`` whose
+    top-level name is neither standard library nor in DEPENDENCIES."""
+    allowed = set(sys.stdlib_module_names) | DEPENDENCIES
+    found = []
+    for path in sorted(root.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            found += [
+                f"{path.relative_to(root.parent).as_posix()}: {name}"
+                for name in names
+                if name.partition(".")[0] not in allowed
+            ]
+    return found
+
+
+def test_package_imports_only_declared_dependencies():
+    assert undeclared_imports(SRC / "repro") == []
 
 
 def test_top_level_quickstart_names():
