@@ -50,6 +50,12 @@ def _cmd_figure(args) -> int:
         known = ", ".join(sorted(_FIGURES, key=int))
         print(f"unknown figure {args.number!r}; known: {known}", file=sys.stderr)
         return 2
+    if args.quick and args.number not in ("11", "12"):
+        print(
+            f"--quick trims only figures 11 and 12, not figure {args.number}",
+            file=sys.stderr,
+        )
+        return 2
     module = importlib.import_module(f".bench.{_FIGURES[args.number][0]}", __package__)
     kwargs = {}
     if args.quick and args.number == "11":
@@ -167,7 +173,9 @@ def build_parser() -> argparse.ArgumentParser:
         "figure", help="regenerate a paper figure", parents=[jobs_opts]
     )
     figure.add_argument("number", help="figure number (3, 4, 11-16)")
-    figure.add_argument("--quick", action="store_true", help="trimmed sweep")
+    figure.add_argument(
+        "--quick", action="store_true", help="trimmed sweep (figures 11 and 12)"
+    )
     figure.set_defaults(fn=_cmd_figure)
 
     tbl = sub.add_parser("table", help="regenerate a paper table")

@@ -16,9 +16,13 @@ The working queue is indexed per bank.  Within one bank all row-hit
 candidates share the same earliest issue cycle (it depends only on
 bank/rank/bus state), as do all row-miss candidates, so FR-FCFS age
 tie-breaking reduces each bank to at most two candidates: its oldest row
-hit and its oldest non-hit.  One step therefore evaluates O(active banks)
-timing expressions instead of O(window), and completed entries leave the
-queues by swap-pop instead of an O(n) ``list.remove``.  The golden
+hit and its oldest non-hit (its oldest entry when it is precharged).  The
+candidates are filed in a few **classes** whose members share every
+readiness term but their bank's: one column and one ACT class per
+bankgroup, and one PRE class.  A class lists its members oldest first, so
+its best candidate is its first member whose bank term has passed the
+class term, and a step walks only the classes that can still beat the
+best candidate found so far.  The golden
 reference that re-evaluates every window entry each step lives in the test
 suite (``tests/scan_oracle.py``); the parity tests assert both produce
 bit-identical :class:`ControllerStats` in every configuration.
@@ -39,8 +43,8 @@ On top of the indexed scheduler sits the **hit phase**: embedding traffic
 is streaming by construction, so drains spend most of their time issuing
 row-hit column commands paced only by tCCD and the data bus.  When a column
 command issues while every candidate of its direction is a row hit in one
-rank, the drain switches to a loop with no ACT, PRE, refresh or readiness
-fold: each bankgroup's oldest entry is its candidate, ready at the max of
+rank, the drain switches to a loop with no ACT, PRE, refresh or class
+walk: each bankgroup's oldest entry is its candidate, ready at the max of
 ``previous + max(burst, tCCD_S)``, its bankgroup's tCCD_L floor and (while
 its bank warms up) tRCD, and the earliest ready, then the oldest, wins —
 exact FR-FCFS.  Wherever the oldest entry keeps winning, the phase retires
@@ -71,8 +75,19 @@ from .bank import Rank
 from .command import TraceBuffer, reserve_seq_block, seq_ceiling
 from .mapping import AddressMapping, DramOrganization
 from .timing import DramTiming
+from .trace import _is_int
 
 _by_seq = attrgetter("seq")
+_take = list.remove  # take a candidate out of its class
+
+
+def _put(members: list, entry) -> None:
+    """File ``entry`` in class ``members``, keeping it in sequence order."""
+    seq = entry.seq
+    i = len(members)
+    while i and members[i - 1].seq > seq:
+        i -= 1
+    members.insert(i, entry)
 
 
 @dataclass
@@ -164,14 +179,14 @@ class _Entry:
     ``done`` is the caller's completions array when the request's trace was
     enqueued with one (else ``None``), and ``pos`` the request's position
     in that trace: issuing the column command writes the burst-end cycle to
-    ``done[pos]``.  ``qpos`` / ``bpos`` are the entry's positions in the
-    working queue and its bank list, maintained so the indexed scheduler
-    can swap-pop in O(1).
+    ``done[pos]``.  ``qpos`` is the entry's position in the working queue,
+    maintained so the indexed scheduler can swap-pop in O(1), and ``state``
+    its bank's :class:`Bank`, set at admission.
     """
 
     __slots__ = (
         "is_write", "arrival", "rank", "bankgroup", "bank", "row", "flat", "seq",
-        "needed_act", "needed_pre", "done", "pos", "qpos", "bpos",
+        "needed_act", "needed_pre", "done", "pos", "qpos", "state",
     )
 
     def __init__(self, is_write, arrival, rank, bankgroup, bank, row, flat, seq):
@@ -188,7 +203,7 @@ class _Entry:
         self.done = None
         self.pos = -1
         self.qpos = -1
-        self.bpos = -1
+        self.state = None
 
 
 class _BacklogChunk:
@@ -301,52 +316,45 @@ class _Backlog:
                 self.chunks.popleft()
 
 
-class _BankQueue:
-    """One bank's slice of a working queue, with cached FR-FCFS candidates.
+def _file(classes: tuple, entries: list, g: int, open_row: int, put) -> None:
+    """File one bank's candidates in one direction's ``(col, act, pre)``
+    classes (``put`` is :data:`_put`), or take them out (:data:`_take`).
 
-    A bank contributes at most two candidates per scheduling step: its
-    oldest row-hit entry and its oldest non-hit entry (or, when the bank is
-    precharged, simply its oldest entry).  Those minima only change when the
-    bank's entry set or its open row changes, so they are cached here and
-    recomputed lazily after an invalidation instead of rescanned every step.
-
-    ``hit``/``miss`` are classified against the bank's open row at the time
-    of the last rescan (or incremental admit), so every ACT must clear
-    ``valid``.  Closing a row (PRE, refresh, closed-page auto-precharge) need
-    not: a precharged bank's candidate is its oldest entry, which does not
-    depend on the row, and the next ACT invalidates the split.  Swap-pop and
-    the re-index after a hit phase, which change the entry set, clear it
-    too, so an empty queue is never valid.
+    ``entries`` is the bank's non-empty entry list, oldest first, and ``g``
+    its flat bankgroup.  With row ``open_row`` open, the bank's oldest row
+    hit is a member of column class ``col[g]`` and its oldest non-hit of
+    the PRE class; precharged (``open_row < 0``), its oldest entry is a
+    member of ACT class ``act[g]``.  Taking them out must use the open row
+    they were filed under, so it runs before the bank's row changes.
     """
+    col, act, pre = classes
+    if open_row < 0:
+        put(act[g], entries[0])
+        return
+    hit = miss = False
+    for x in entries:
+        if x.row == open_row:
+            if not hit:
+                put(col[g], x)
+                hit = True
+                if miss:
+                    return
+        elif not miss:
+            put(pre, x)
+            miss = True
+            if hit:
+                return
 
-    __slots__ = (
-        "entries",
-        "bank",
-        "rank",
-        "bgflat",
-        "flat",
-        "valid",
-        "min_all",
-        "min_all_seq",
-        "hit",
-        "hit_seq",
-        "miss",
-        "miss_seq",
-    )
 
-    def __init__(self, bank, rank, bgflat, flat):
-        self.entries: list[_Entry] = []
-        self.bank = bank  # the Bank state object, resolved once
-        self.rank = rank  # rank index
-        self.bgflat = bgflat  # flat (rank, bankgroup) id
-        self.flat = flat  # flat bank id
-        self.valid = False
-        self.min_all = None
-        self.min_all_seq = 1 << 62
-        self.hit = None
-        self.hit_seq = 1 << 62
-        self.miss = None
-        self.miss_seq = 1 << 62
+def _refile(directions: tuple, flat: int, g: int, old_row: int, new_row: int) -> None:
+    """Move bank ``flat``'s candidates in both directions (``(lists,
+    classes)`` pairs) from the classes of open row ``old_row`` to those of
+    ``new_row`` (-1: precharged)."""
+    for lists, classes in directions:
+        entries = lists[flat]
+        if entries:
+            _file(classes, entries, g, old_row, _take)
+            _file(classes, entries, g, new_row, _put)
 
 
 def _load_floors(floors: tuple, ranks: list, r: int) -> None:
@@ -381,6 +389,13 @@ class MemoryController:
     ):
         if row_policy not in ("open", "closed"):
             raise ValueError(f"unknown row policy {row_policy!r}")
+        for name, value in (
+            ("window", window),
+            ("write_high_watermark", write_high_watermark),
+            ("write_low_watermark", write_low_watermark),
+        ):
+            if not _is_int(value):
+                raise ValueError(f"{name} must be an integer (got {value!r})")
         if window < 1:
             # An empty scheduling window admits nothing and never drains.
             raise ValueError(f"window must be at least 1 (got {window})")
@@ -399,10 +414,10 @@ class MemoryController:
         self.timing = timing.scaled_refresh(refresh_enabled)
         self.organization = organization or DramOrganization()
         self.mapping = mapping or AddressMapping(self.organization)
-        self.window = window
+        self.window = int(window)
         self.row_policy = row_policy
-        self.write_high = write_high_watermark
-        self.write_low = write_low_watermark
+        self.write_high = int(write_high_watermark)
+        self.write_low = int(write_low_watermark)
         # Scalar timing snapshots for the per-step hot path.
         self._t_cl = self.timing.cl
         self._t_cwl = self.timing.cwl
@@ -412,6 +427,9 @@ class MemoryController:
         self._t_w2p = self.timing.write_to_precharge
         # A hit phase's cadence: one column command per ``pace`` cycles.
         self._pace = max(self._t_burst, self.timing.ccd_s, 1)
+        # The class index of each direction (:meth:`_build_index`), built
+        # by the first drain and emptied by every reset after it.
+        self._index = None
         self.reset()
 
     def reset(self) -> None:
@@ -436,8 +454,9 @@ class MemoryController:
         self._write_q: list[_Entry] = []
         # Admitted writes waiting behind the write window, oldest first.
         self._write_staged: deque[_Entry] = deque()
-        self._read_banks: dict[int, _BankQueue] = {}
-        self._write_banks: dict[int, _BankQueue] = {}
+        if self._index is not None:
+            for members in self._index:
+                members.clear()
         self._draining_writes = False
         self._bus_free = 0
         self._bus_rank = -1
@@ -470,6 +489,22 @@ class MemoryController:
                         self._flat_rank.append(rank)
                         self._flat_bgflat.append(r * org.bankgroups + bg)
         return self._ranks
+
+    def _build_index(self) -> None:
+        """Allocate each direction's class index: every bank's queued
+        entries, oldest first, and its ``(col, act, pre)`` candidate classes
+        (see :func:`_file`)."""
+        org = self.organization
+        groups = org.ranks * org.bankgroups
+        self._read_lists, self._write_lists = (
+            [[] for _ in range(groups * org.banks_per_group)] for _ in range(2)
+        )
+        self._read_classes, self._write_classes = (
+            ([[] for _ in range(groups)], [[] for _ in range(groups)], []) for _ in range(2)
+        )
+        self._index = [*self._read_lists, *self._write_lists]
+        for col, act, pre in (self._read_classes, self._write_classes):
+            self._index += [*col, *act, pre]
 
     # -- public API ----------------------------------------------------------
 
@@ -607,23 +642,30 @@ class MemoryController:
 
         FR-FCFS over per-bank indexed queues, restructured for throughput:
 
-        * at most two candidates per active bank — within a bank every
+        * at most two candidates per bank with entries — within a bank every
           row-hit entry shares one earliest-issue cycle and every non-hit
           entry shares another (readiness depends only on bank/rank/bus
           state; an admitted entry's arrival is already in the past), so the
-          oldest entry of each class dominates its peers under the
+          oldest entry of each kind dominates its peers under the
           (ready, column-first, age) FR-FCFS key;
-        * a step visits only the bank queues that hold entries: each
-          direction keeps a map of its non-empty queues, updated when an
-          entry is admitted into an empty queue and when swap-pop empties
-          one, and a count of them per rank;
+        * each direction files its candidates in **classes** that share
+          every readiness term but their bank's (:func:`_file`): per
+          bankgroup a column class (its bankgroup and rank column floors,
+          the data bus with tRTRS, the command floor) and an ACT class (its
+          bankgroup and rank ACT floors, the command floor), and one PRE
+          class (the command floor).  A member is ready at the max of its
+          class term and its bank's term, read live from :class:`Bank`, so
+          a class's best is its oldest member whose bank term has passed the
+          class term, and a step walks only the classes that can still beat
+          the best candidate so far, in ranks that hold entries of the
+          direction;
+        * the classes follow every command: admission appends (an admitted
+          entry is its direction's youngest), a column command files its
+          bank's next row hit, an ACT or PRE re-files the bank in both
+          directions, and a refresh or a hit phase's end files afresh;
         * rank and bankgroup readiness floors are incremental: loaded from
           :meth:`Rank.floors` on entry and after each hit phase, and raised
-          by ``max`` as each ACT or column command issues.  Once per step,
-          for each rank holding a queue of the chosen direction, each
-          bankgroup's floor is folded with its rank's floor, the bus term
-          and the command floor into one column and one ACT value, so a
-          candidate's ready cycle is the max of its bank term and one lookup;
+          by ``max`` as each ACT or column command issues;
         * candidates compare on ready cycle, then on one integer tie key:
           a column command's key is its sequence number, a row command's is
           its sequence number plus :func:`seq_ceiling` at drain start.
@@ -636,7 +678,7 @@ class MemoryController:
           refill the window, oldest first, before the backlog does;
         * while every candidate of the chosen direction is a row hit in one
           rank, the drain runs a **hit phase** (module docstring, PERF.md);
-          the candidate scan notes any row command, so entering one is O(1);
+          the classes show that in O(1) after each column command;
         * admission, refresh, queue arbitration, candidate selection, and
           command issue (ACT and PRE included) are inlined into one loop
           with the mutable state (clock, bus, stats counters) and timing
@@ -658,18 +700,21 @@ class MemoryController:
         write_backlog = self._write_backlog
         read_q = self._read_q
         write_q = self._write_q
-        read_banks = self._read_banks
-        write_banks = self._write_banks
-        # The non-empty bank queues of each direction (the only ones a step
-        # visits) and how many of them each rank holds.
-        read_active = {}
-        write_active = {}
+        # The class index of each direction; a drain starts with both empty.
+        if self._index is None:
+            self._build_index()
+        read_lists = self._read_lists
+        write_lists = self._write_lists
+        read_classes = self._read_classes
+        write_classes = self._write_classes
+        read_col, read_act, read_pre = read_classes
+        write_col, write_act, write_pre = write_classes
+        # How many of each direction's queued entries each rank holds.
         read_live = [0] * len(ranks)
         write_live = [0] * len(ranks)
-        read_index = (read_q, read_active, read_banks, read_live)
-        write_index = (write_q, write_active, write_banks, write_live)
-        self._index_window(*read_index)
-        self._index_window(*write_index)
+        read_index = (read_q, read_lists, read_classes, read_live)
+        write_index = (write_q, write_lists, write_classes, write_live)
+        directions = ((read_lists, read_classes), (write_lists, write_classes))
         # Only a write queue that can outgrow the window needs the staging
         # deque; the default configuration never enters its branches.
         staging = window < write_high
@@ -711,11 +756,6 @@ class MemoryController:
         wtr_same = t.write_to_read(same_bank_group=True)
         wtr_diff = t.write_to_read(same_bank_group=False)
         rd_to_wr = t.read_to_write
-        # Per-step readiness of a column command and of an ACT to each flat
-        # bankgroup: its floor clamped at its rank's floor, the command
-        # floor and, for columns, the data-bus term.
-        col_ready = [0] * (n_ranks * bg_count)
-        act_ready = [0] * (n_ranks * bg_count)
         rank_bgs = [(r, range(r * bg_count, (r + 1) * bg_count)) for r in range(n_ranks)]
         next_refresh = min(rank.next_refresh for rank in ranks)
 
@@ -753,6 +793,9 @@ class MemoryController:
         pending = self.pending
         while pending or phase:
             # -- admission --------------------------------------------------
+            # An admitted entry is the youngest of its direction: it joins
+            # the end of its bank's list and, when it is the bank's first
+            # entry of its kind, the end of its class.
             while (
                 len(read_q) < window
                 and read_backlog.length
@@ -761,39 +804,35 @@ class MemoryController:
                 entry = read_backlog.popleft()
                 entry.qpos = len(read_q)
                 read_q.append(entry)
+                flat = entry.flat
+                bank = entry.state = flat_bank[flat]
+                open_row = bank.open_row
                 if phase and not phase_write:
                     # A read phase indexes its window by bankgroup; the bank
-                    # queues are rebuilt when it ends.
-                    if entry.rank == phase_rank and entry.row == flat_bank[entry.flat].open_row:
+                    # lists are rebuilt when it ends.
+                    if entry.rank == phase_rank and entry.row == open_row:
                         heads[entry.bankgroup].append(entry)
                     else:
                         phase_end = True
                     continue
-                flat = entry.flat
-                blq = read_active.get(flat)
-                if blq is None:
-                    blq = read_banks.get(flat)
-                    if blq is None:
-                        read_banks[flat] = blq = _BankQueue(
-                            flat_bank[flat], entry.rank, flat_bgflat[flat], flat
-                        )
-                    read_active[flat] = blq
-                    read_live[blq.rank] += 1
-                entries = blq.entries
-                entry.bpos = len(entries)
+                entries = read_lists[flat]
+                if open_row < 0:
+                    if not entries:
+                        read_act[flat_bgflat[flat]].append(entry)
+                elif entry.row == open_row:
+                    for x in entries:
+                        if x.row == open_row:
+                            break
+                    else:
+                        read_col[flat_bgflat[flat]].append(entry)
+                else:
+                    for x in entries:
+                        if x.row != open_row:
+                            break
+                    else:
+                        read_pre.append(entry)
                 entries.append(entry)
-                if blq.valid:
-                    s = entry.seq
-                    if s < blq.min_all_seq:
-                        blq.min_all = entry
-                        blq.min_all_seq = s
-                    if entry.row == blq.bank.open_row:
-                        if s < blq.hit_seq:
-                            blq.hit = entry
-                            blq.hit_seq = s
-                    elif s < blq.miss_seq:
-                        blq.miss = entry
-                        blq.miss_seq = s
+                read_live[entry.rank] += 1
             while len(write_q) < write_cap and (
                 staged or (write_backlog.length and write_backlog.head_arrival() <= now)
             ):
@@ -802,37 +841,33 @@ class MemoryController:
                 entry = staged.popleft() if staged else write_backlog.popleft()
                 entry.qpos = len(write_q)
                 write_q.append(entry)
+                flat = entry.flat
+                bank = entry.state = flat_bank[flat]
+                open_row = bank.open_row
                 if phase and phase_write:
-                    if entry.rank == phase_rank and entry.row == flat_bank[entry.flat].open_row:
+                    if entry.rank == phase_rank and entry.row == open_row:
                         heads[entry.bankgroup].append(entry)
                     else:
                         phase_end = True
                     continue
-                flat = entry.flat
-                blq = write_active.get(flat)
-                if blq is None:
-                    blq = write_banks.get(flat)
-                    if blq is None:
-                        write_banks[flat] = blq = _BankQueue(
-                            flat_bank[flat], entry.rank, flat_bgflat[flat], flat
-                        )
-                    write_active[flat] = blq
-                    write_live[blq.rank] += 1
-                entries = blq.entries
-                entry.bpos = len(entries)
+                entries = write_lists[flat]
+                if open_row < 0:
+                    if not entries:
+                        write_act[flat_bgflat[flat]].append(entry)
+                elif entry.row == open_row:
+                    for x in entries:
+                        if x.row == open_row:
+                            break
+                    else:
+                        write_col[flat_bgflat[flat]].append(entry)
+                else:
+                    for x in entries:
+                        if x.row != open_row:
+                            break
+                    else:
+                        write_pre.append(entry)
                 entries.append(entry)
-                if blq.valid:
-                    s = entry.seq
-                    if s < blq.min_all_seq:
-                        blq.min_all = entry
-                        blq.min_all_seq = s
-                    if entry.row == blq.bank.open_row:
-                        if s < blq.hit_seq:
-                            blq.hit = entry
-                            blq.hit_seq = s
-                    elif s < blq.miss_seq:
-                        blq.miss = entry
-                        blq.miss_seq = s
+                write_live[entry.rank] += 1
             if staging:
                 while (
                     len(write_q) + len(staged) < write_high
@@ -955,7 +990,7 @@ class MemoryController:
                     pending -= 1
                     continue
                 # The phase ends before this step: write its commands'
-                # history back and index its window per bank again.
+                # history back and index its window again.
                 phase = phase_end = False
                 r = phase_rank
                 self.phase_columns += issued
@@ -1003,6 +1038,9 @@ class MemoryController:
                         rank.refresh(now)
                         n_refs += 1
                 next_refresh = min(rank.next_refresh for rank in ranks)
+                # The refreshed ranks' banks all closed.
+                self._index_window(*read_index)
+                self._index_window(*write_index)
             # -- queue arbitration (write-drain watermarks) -----------------
             write_level = len(write_q) + len(staged) if staging else len(write_q)
             if draining:
@@ -1017,133 +1055,92 @@ class MemoryController:
             floor = cmd_free if cmd_free > now else now
             if is_write_q:
                 queue = write_q
-                active = write_active
+                lists = write_lists
+                col, act, pre = write_classes
+                other_lists = read_lists
+                other_classes = read_classes
                 live = write_live
                 data_offset = t_cwl
                 rank_col = rank_wr
                 bg_col = bg_wr
             else:
                 queue = read_q
-                active = read_active
+                lists = read_lists
+                col, act, pre = read_classes
+                other_lists = write_lists
+                other_classes = write_classes
                 live = read_live
                 data_offset = t_cl
                 rank_col = rank_rd
                 bg_col = bg_rd
-            # Fold the shared readiness terms once per step: every bank of a
-            # bankgroup shares them, so a bank's candidate is the max of its
-            # bank term and its bankgroup's folded value.  Only ranks that
-            # hold a queue of this direction have a candidate to read it.
+            # -- candidate selection ------------------------------------------
+            # Best candidate so far, compared on (ready, key).  A class is
+            # walked only if its term can still win; within it, the first
+            # member whose bank term has passed the class term is ready at
+            # that term and ends the walk (younger members cannot beat it),
+            # and the members before it are ready at their bank terms.
+            best_ready = best_key = big
+            best_entry = None
             for r, bgs in rank_bgs:
                 if not live[r]:
                     continue
-                bus_part = bus_free + (rtrs if (bus_rank >= 0 and bus_rank != r) else 0)
-                bus_part -= data_offset
-                if bus_part < floor:
-                    bus_part = floor
-                ct = rank_col[r]
-                if ct < bus_part:
-                    ct = bus_part
-                at = rank_act[r]
-                if at < floor:
-                    at = floor
+                term_c = bus_free - data_offset
+                if bus_rank != r and bus_rank >= 0:
+                    term_c += rtrs
+                if term_c < floor:
+                    term_c = floor
+                if rank_col[r] > term_c:
+                    term_c = rank_col[r]
+                term_a = rank_act[r]
+                if term_a < floor:
+                    term_a = floor
                 for g in bgs:
-                    v = bg_col[g]
-                    col_ready[g] = v if v > ct else ct
-                    v = bg_act[g]
-                    act_ready[g] = v if v > at else at
-            # Best candidate so far, compared on (ready, key).  Once the best
-            # is a column command that is ready at the floor cycle, no
-            # ACT/PRE and no younger row hit can beat it (every candidate's
-            # ready is clamped at the floor), so the remaining banks only
-            # need a cheaper older-hit check.
-            best_ready = big
-            best_key = big
-            best_entry = None
-            best_cmd = None
-            floor_col = False
-            row_cmds = False  # a closed bank or a non-hit entry was seen
-            for blq in active.values():
-                bank = blq.bank
-                open_row = bank.open_row
-                if open_row < 0:
-                    row_cmds = True
-                    if floor_col:
-                        continue
-                if not blq.valid:
-                    # Rescan after an invalidation (bank state or entry set
-                    # changed); otherwise the cached minima are current.
-                    entries = blq.entries
-                    e0 = entries[0]
-                    min_all = e0
-                    min_seq = e0.seq
-                    hit = None
-                    hit_seq = big
-                    miss = None
-                    miss_seq = big
-                    for x in entries:
-                        s = x.seq
-                        if s < min_seq:
-                            min_all = x
-                            min_seq = s
-                        if x.row == open_row:
-                            if s < hit_seq:
-                                hit = x
-                                hit_seq = s
-                        elif s < miss_seq:
-                            miss = x
-                            miss_seq = s
-                    blq.min_all = min_all
-                    blq.min_all_seq = min_seq
-                    blq.hit = hit
-                    blq.hit_seq = hit_seq
-                    blq.miss = miss
-                    blq.miss_seq = miss_seq
-                    blq.valid = True
-                if open_row < 0:
-                    # Bank precharged: the oldest entry wants an ACT.
-                    ready = bank.earliest_act
-                    term = act_ready[blq.bgflat]
-                    if term > ready:
-                        ready = term
-                    if ready < best_ready or (
-                        ready == best_ready and blq.min_all_seq + row_key < best_key
-                    ):
-                        best_ready = ready
-                        best_key = blq.min_all_seq + row_key
-                        best_entry = blq.min_all
-                        best_cmd = "act"
-                    continue
-                hit = blq.hit
-                if hit is not None and (not floor_col or blq.hit_seq < best_key):
-                    ready = bank.earliest_col
-                    term = col_ready[blq.bgflat]
-                    if term > ready:
-                        ready = term
-                    if ready < best_ready or (ready == best_ready and blq.hit_seq < best_key):
-                        best_ready = ready
-                        best_key = blq.hit_seq
-                        best_entry = hit
-                        best_cmd = "col"
-                        floor_col = ready == floor
-                if blq.miss is None:
-                    continue
-                row_cmds = True
-                if not floor_col:
-                    ready = bank.earliest_pre
-                    if floor > ready:
-                        ready = floor
-                    if ready < best_ready or (
-                        ready == best_ready and blq.miss_seq + row_key < best_key
-                    ):
-                        best_ready = ready
-                        best_key = blq.miss_seq + row_key
-                        best_entry = blq.miss
-                        best_cmd = "pre"
+                    members = col[g]
+                    if members:
+                        term = bg_col[g]
+                        if term < term_c:
+                            term = term_c
+                        if term < best_ready or (term == best_ready and members[0].seq < best_key):
+                            for e in members:
+                                ready = e.state.earliest_col
+                                if ready <= term:
+                                    if term < best_ready or e.seq < best_key:
+                                        best_ready, best_key, best_entry = term, e.seq, e
+                                    break
+                                if ready < best_ready or (ready == best_ready and e.seq < best_key):
+                                    best_ready, best_key, best_entry = ready, e.seq, e
+                    members = act[g]
+                    if members:
+                        term = bg_act[g]
+                        if term < term_a:
+                            term = term_a
+                        if term < best_ready or (
+                            term == best_ready and members[0].seq + row_key < best_key
+                        ):
+                            for e in members:
+                                ready = e.state.earliest_act
+                                key = e.seq + row_key
+                                if ready <= term:
+                                    if term < best_ready or key < best_key:
+                                        best_ready, best_key, best_entry = term, key, e
+                                    break
+                                if ready < best_ready or (ready == best_ready and key < best_key):
+                                    best_ready, best_key, best_entry = ready, key, e
+            if pre and (floor < best_ready or pre[0].seq + row_key < best_key):
+                for e in pre:
+                    ready = e.state.earliest_pre
+                    key = e.seq + row_key
+                    if ready <= floor:
+                        if floor < best_ready or key < best_key:
+                            best_ready, best_key, best_entry = floor, key, e
+                        break
+                    if ready < best_ready or (ready == best_ready and key < best_key):
+                        best_ready, best_key, best_entry = ready, key, e
             # -- issue ------------------------------------------------------
             entry = best_entry
             when = best_ready
             flat = entry.flat
-            bank = flat_bank[flat]
+            bank = entry.state
             rank = flat_rank[flat]
             bg = entry.bankgroup
             r = entry.rank
@@ -1151,8 +1148,9 @@ class MemoryController:
             if when > now:
                 now = when
             cmd_free = when + 1
-            if best_cmd == "act":
-                bank.open_row = entry.row
+            row = bank.open_row
+            if row < 0:  # ACT
+                bank.open_row = row = entry.row
                 bank.earliest_col = when + t_rcd
                 v = when + t_ras
                 if v > bank.earliest_pre:
@@ -1175,16 +1173,33 @@ class MemoryController:
                     bg_act[g] = v
                 n_acts += 1
                 entry.needed_act = True
-                # A row opened: both directions' hit/miss splits for
-                # this bank are stale.
-                blq = read_active.get(flat)
-                if blq is not None:
-                    blq.valid = False
-                blq = write_active.get(flat)
-                if blq is not None:
-                    blq.valid = False
+                # The bank's oldest entry (this one) becomes its oldest row
+                # hit, its oldest non-hit a PRE candidate; the other
+                # direction's entries in the bank are filed afresh.
+                act[g].remove(entry)
+                _put(col[g], entry)
+                for x in lists[flat]:
+                    if x.row != row:
+                        _put(pre, x)
+                        break
+                entries = other_lists[flat]
+                if entries:
+                    _file(other_classes, entries, g, -1, _take)
+                    _file(other_classes, entries, g, row, _put)
                 continue
-            if best_cmd == "pre":
+            if row != entry.row:  # PRE
+                # The bank's entries compete for an ACT again.
+                entries = lists[flat]
+                pre.remove(entry)
+                for x in entries:
+                    if x.row == row:
+                        col[g].remove(x)
+                        break
+                _put(act[g], entries[0])
+                entries = other_lists[flat]
+                if entries:
+                    _file(other_classes, entries, g, row, _take)
+                    _file(other_classes, entries, g, -1, _put)
                 bank.open_row = -1
                 v = when + t_rp
                 if v > bank.earliest_act:
@@ -1243,35 +1258,37 @@ class MemoryController:
                 n_misses += 1
             else:
                 n_hits += 1
-            # Swap-pop the completed entry out of the queue and bank list.
+            # The completed entry leaves the queue by swap-pop, and its bank
+            # list and column class in order; the bank's next row hit, if
+            # any, takes its place in the class.
             i = entry.qpos
             last = queue[-1]
             queue[i] = last
             last.qpos = i
             queue.pop()
-            blq = active[flat]
-            blist = blq.entries
-            i = entry.bpos
-            last = blist[-1]
-            blist[i] = last
-            last.bpos = i
-            blist.pop()
-            blq.valid = False  # the removed entry may have been a cached min
-            if not blist:
-                del active[flat]
-                live[r] -= 1
+            entries = lists[flat]
+            entries.remove(entry)
+            members = col[g]
+            members.remove(entry)
+            for x in entries:
+                if x.row == row:
+                    _put(members, x)
+                    break
+            live[r] -= 1
             pending -= 1
             if closed_policy:
                 # Auto-precharge: the bank closes as soon as tRTP/tWR allows.
+                _refile(directions, flat, g, row, -1)
                 bank.precharge(bank.earliest_pre, t)
                 n_pres += 1
             elif (
                 phases
-                and not row_cmds
+                and not pre
                 and draining == is_write_q
                 and not (staging and is_write_q)
-                and active
-                and live[r] == len(active)
+                and live[r] == len(queue)
+                and queue
+                and not any(act)
             ):
                 # Every candidate of this direction is a row hit in rank r:
                 # a hit phase starts with the next step.
@@ -1315,31 +1332,23 @@ class MemoryController:
         stats.finish_cycle = finish if finish > now else now
         return stats
 
-    def _index_window(self, queue: list, active: dict, banks: dict, live: list) -> None:
-        """Index one direction's window per bank: refill ``active`` (its
-        non-empty bank queues) and ``live`` (their count per rank) from
-        ``queue``.  Every bank queue ``active`` held is emptied first, so a
-        hit phase, which issues without touching them, ends with one call."""
-        for blq in active.values():
-            blq.entries.clear()
-            blq.valid = False
-            live[blq.rank] -= 1
-        active.clear()
+    def _index_window(self, queue: list, lists: list, classes: tuple, live: list) -> None:
+        """Index one direction's window afresh: its bank lists from
+        ``queue``, oldest first, its entries per rank in ``live``, and its
+        classes from the lists and the banks' open rows.  Whatever they
+        held is dropped first, so a hit phase, which issues without touching
+        them, ends with one call, and so does a refresh, which closes banks."""
+        for members in (*lists, *classes[0], *classes[1], classes[2]):
+            members.clear()
+        live[:] = [0] * len(live)
+        for entry in sorted(queue, key=_by_seq):
+            lists[entry.flat].append(entry)
+            live[entry.rank] += 1
         flat_bank = self._flat_bank
-        for entry in queue:
-            flat = entry.flat
-            blq = active.get(flat)
-            if blq is None:
-                blq = banks.get(flat)
-                if blq is None:
-                    banks[flat] = blq = _BankQueue(
-                        flat_bank[flat], entry.rank, self._flat_bgflat[flat], flat
-                    )
-                blq.valid = False
-                active[flat] = blq
-                live[blq.rank] += 1
-            entry.bpos = len(blq.entries)
-            blq.entries.append(entry)
+        flat_bgflat = self._flat_bgflat
+        for flat, entries in enumerate(lists):
+            if entries:
+                _file(classes, entries, flat_bgflat[flat], flat_bank[flat].open_row, _put)
 
     def _stretch(self, heads, is_write, r0, bgf, floor, now):
         """Issue, in closed form, the longest run of a hit phase's next

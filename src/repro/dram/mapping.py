@@ -23,6 +23,8 @@ from functools import cached_property
 
 import numpy as np
 
+from .trace import _is_int
+
 
 @dataclass(frozen=True)
 class DramOrganization:
@@ -34,6 +36,19 @@ class DramOrganization:
     rows: int = 1 << 16
     columns: int = 128  # 64 B column blocks per row (8 KB row buffer)
     access_bytes: int = 64
+
+    def __post_init__(self):
+        # Every dimension is a field of the decoded address, so it must be
+        # a power of two; a bad value fails here, naming the field, not in
+        # a later decode or enqueue.
+        for name in ("ranks", "bankgroups", "banks_per_group", "rows", "columns"):
+            value = getattr(self, name)
+            if not _is_int(value) or value < 1 or value & (value - 1):
+                raise ValueError(f"{name} must be a positive power of two (got {value!r})")
+        if not _is_int(self.access_bytes) or self.access_bytes < 1:
+            raise ValueError(
+                f"access_bytes must be a positive integer (got {self.access_bytes!r})"
+            )
 
     @property
     def banks(self) -> int:

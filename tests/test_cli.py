@@ -68,6 +68,13 @@ class TestFigures:
         assert main(["figure", "99"]) == 2
         assert "unknown figure" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("number", ["14", "3"])
+    def test_quick_refused_where_it_trims_nothing(self, number, capsys):
+        assert main(["figure", number, "--quick"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "figures 11 and 12" in captured.err
+
     def test_table_3(self, capsys):
         assert main(["table", "3"]) == 0
         assert "FPU" in capsys.readouterr().out

@@ -263,6 +263,27 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="write_low_watermark"):
             make_controller(write_high_watermark=0, write_low_watermark=-1)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("window", 2.5),
+            ("window", True),
+            ("window", "32"),
+            ("write_high_watermark", 32.5),
+            ("write_high_watermark", True),
+            ("write_low_watermark", 8.0),
+            ("write_low_watermark", False),
+        ],
+    )
+    def test_rejects_non_integer_sizes(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            make_controller(**{field: value})
+
+    def test_numpy_integer_sizes_accepted(self):
+        mc = make_controller(window=np.int64(16), write_high_watermark=np.int32(24))
+        assert (mc.window, mc.write_high) == (16, 24)
+        assert type(mc.window) is int and type(mc.write_high) is int
+
 
 class TestCompletions:
     """``enqueue_batch(trace, completions=)``: the drain writes each

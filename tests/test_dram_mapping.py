@@ -66,10 +66,25 @@ class TestDecode:
         assert mapping.decode(0) == mapping.decode(63)
 
     def test_non_power_of_two_dimension_rejected(self):
-        org = DramOrganization(columns=100)
-        mapping = AddressMapping(org)
-        with pytest.raises(ValueError):
-            mapping.decode(64)
+        with pytest.raises(ValueError, match="columns"):
+            DramOrganization(columns=100)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("ranks", 0),
+            ("ranks", 3),
+            ("columns", 0),
+            ("rows", -4),
+            ("bankgroups", 2.0),
+            ("banks_per_group", True),
+            ("access_bytes", 0),
+            ("access_bytes", 64.0),
+        ],
+    )
+    def test_bad_geometry_rejected_at_construction(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            DramOrganization(**{field: value})
 
 
 class TestEncodeDecodeRoundTrip:

@@ -14,6 +14,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.isa import average, gather, reduce, update
 from repro.core.nmp_core import NmpCore
@@ -784,15 +786,15 @@ class TestIncrementalFloorParity:
 
 
 class TestLeanStepParity:
-    """The per-command step visits only the non-empty bank queues of its
-    direction, folds the rank, bankgroup, bus and floor terms into one value
-    per bankgroup, and compares candidates on one integer tie key.  Each
-    case drives one situation those shortcuts must get right, checks with a
-    spy that the drain really met it, and requires the scan oracle's stats,
-    at 1 and 4 ranks, for reads and for writes.  Hit-phase situations (the
-    ``streak`` cases: a run the phase retires in closed form, and a phase
-    that empties a bank) are only checked with the phase on (not under
-    ``REPRO_REFERENCE=1``)."""
+    """The per-command step keeps each direction's queued entries in bank
+    lists, oldest first, reads its candidates from classes that share one
+    readiness term (``TestClassIndexParity``), and compares candidates on
+    one integer tie key.  Each case drives one situation those shortcuts
+    must get right, checks with a spy that the drain really met it, and
+    requires the scan oracle's stats, at 1 and 4 ranks, for reads and for
+    writes.  Hit-phase situations (the ``streak`` cases: a run the phase
+    retires in closed form, and a phase that empties a bank) are only
+    checked with the phase on (not under ``REPRO_REFERENCE=1``)."""
 
     @staticmethod
     def _config(ranks):
@@ -822,8 +824,9 @@ class TestLeanStepParity:
         return mc.run_to_completion()
 
     @staticmethod
-    def _banks(mc, is_write):
-        return mc._write_banks if is_write else mc._read_banks
+    def _lists(mc, is_write):
+        """The direction's bank lists (queued entries per flat bank)."""
+        return mc._write_lists if is_write else mc._read_lists
 
     @staticmethod
     def _hits_then_random(ranks, n_hits, n_rand, seed, rotate):
@@ -869,15 +872,16 @@ class TestLeanStepParity:
         def spy(backlog):
             entry = popleft(backlog)
             if entry.flat == flat_a:
-                queue = self._banks(mc, is_write).get(flat_a)
-                refills.append(queue is not None and not queue.entries)
+                refills.append(not self._lists(mc, is_write)[flat_a])
             return entry
 
         monkeypatch.setattr(controller_module._Backlog, "popleft", spy)
         mc.enqueue_batch(trace)
         fast = mc.run_to_completion()
         monkeypatch.undo()
-        assert refills.count(True) >= 1
+        # A's first admission finds its list empty; a later one finds it
+        # emptied again.
+        assert refills[0] and any(refills[1:])
         assert fast == self._drain(ScanController, [trace], **kw)
 
     @pytest.mark.parametrize("is_write", [False, True], ids=["reads", "writes"])
@@ -920,13 +924,13 @@ class TestLeanStepParity:
         emptied = []
         index_window = MemoryController._index_window
 
-        def spy(ctrl, queue, active, *args):
-            # At a phase's end ``active`` still holds the bank queues the
-            # phase started with; the call re-indexes the window left.
-            before = set(active)
-            index_window(ctrl, queue, active, *args)
+        def spy(ctrl, queue, lists, *args):
+            # At a phase's end ``lists`` still hold the entries the phase
+            # started with; the call re-indexes the window left.
+            before = {flat for flat, entries in enumerate(lists) if entries}
+            index_window(ctrl, queue, lists, *args)
             if queue:
-                emptied.append(len(before - set(active)))
+                emptied.append(len(before - {e.flat for e in queue}))
 
         monkeypatch.setattr(MemoryController, "_index_window", spy)
         mc.enqueue_batch(trace)
@@ -958,10 +962,9 @@ class TestLeanStepParity:
         refresh = Rank.refresh
 
         def spy(rank, cycle):
-            queues = self._banks(mc, is_write).values()
-            seen.append(
-                any(not q.entries for q in queues) and any(q.entries for q in queues)
-            )
+            # Every bank held entries at cycle 0.
+            lists = self._lists(mc, is_write)
+            seen.append(any(not entries for entries in lists) and any(lists))
             return refresh(rank, cycle)
 
         monkeypatch.setattr(Rank, "refresh", spy)
@@ -1204,3 +1207,206 @@ class TestHitPhaseParity:
             # Every read but those issued while the 16 banks were still
             # opening went in the first phase.
             assert first_phase and first_phase[0] >= 570
+
+
+class TestClassIndexParity:
+    """Every way the per-command step's candidate classes change, against
+    the scan oracle: stats and completion cycles must match at 1 and 4
+    ranks, for reads and for writes, and a spy (or the completion order)
+    shows that the drain really met the situation.  The step files each
+    bank's candidates in a column or ACT class of its bankgroup or in the
+    PRE class, and re-files them as ACT, PRE, auto-precharge and refresh
+    change the bank's open row."""
+
+    _config = staticmethod(TestLeanStepParity._config)
+    _trace = staticmethod(TestHitPhaseParity._trace)
+
+    @staticmethod
+    def _run(trace, **kw):
+        """Drain ``trace`` on a new controller and on the scan oracle;
+        return the controller and its completion cycles."""
+        mc = MemoryController(DDR4_3200, **kw)
+        done = np.full(len(trace), -1, dtype=np.int64)
+        mc.enqueue_batch(trace, completions=done)
+        stats = mc.run_to_completion()
+        oracle = ScanController(DDR4_3200, **kw)
+        expected = np.full(len(trace), -1, dtype=np.int64)
+        enqueue_records(oracle, trace, expected)
+        assert stats == oracle.run_to_completion()
+        assert np.array_equal(done, expected)
+        return mc, done
+
+    @staticmethod
+    def _classes(mc, is_write):
+        return mc._write_classes if is_write else mc._read_classes
+
+    @pytest.mark.parametrize("is_write", [False, True], ids=["reads", "writes"])
+    @pytest.mark.parametrize("ranks", [1, 4])
+    def test_act_refiles_other_direction(self, ranks, is_write, monkeypatch):
+        # Both directions queue conflicting rows of the same two banks, most
+        # records in the direction under test.
+        mapping, kw = self._config(ranks)
+        rng = np.random.default_rng(60 + ranks)
+        n = 300
+        coords = [
+            (int(r), 0, int(b), int(row), int(c))
+            for r, b, row, c in rng.integers([0, 0, 0, 0], [ranks, 2, 4, 128], (n, 4))
+        ]
+        writes = (rng.random(n) < 0.3) != is_write
+        seen = []
+        file = controller_module._file
+
+        def spy(classes, entries, g, open_row, put):
+            # Only an ACT takes a bank's candidates out of an ACT class: the
+            # other direction's, before filing them under the new row.
+            if put is controller_module._take and open_row < 0:
+                seen.append(classes)
+            file(classes, entries, g, open_row, put)
+
+        monkeypatch.setattr(controller_module, "_file", spy)
+        mc, _ = self._run(self._trace(mapping, coords, writes), **kw)
+        monkeypatch.undo()
+        other = self._classes(mc, not is_write)
+        assert any(classes is other for classes in seen)
+
+    @pytest.mark.parametrize("is_write", [False, True], ids=["reads", "writes"])
+    @pytest.mark.parametrize("ranks", [1, 4])
+    def test_pre_wins_over_younger_hit_held_by_bus(self, ranks, is_write):
+        # Bank 0 opens row 1 and the stream's banks (bankgroups 1-3 of the
+        # last rank) open row 0.  From cycle 1000 a row-2 request to bank 0,
+        # 20 stream hits, a younger row-1 hit to bank 0 and more stream hits
+        # arrive.  The stream keeps the data bus busy, so each column waits
+        # for the bus while bank 0's PRE is ready at the command floor.
+        mapping, kw = self._config(ranks)
+        last = ranks - 1
+        stream = [(last, 1 + i % 3, (i // 3) % 4, 0, i // 12) for i in range(60)]
+        warm = [(0, 0, 0, 1, 0)] + stream[:12]
+        late = [(0, 0, 0, 2, 0)] + stream[:20] + [(0, 0, 0, 1, 1)] + stream[20:]
+        cycles = [0] * len(warm) + [1000] * len(late)
+        mc, done = self._run(self._trace(mapping, warm + late, is_write, cycles), **kw)
+        miss, hit = len(warm), len(warm) + 21
+        # The PRE for the row-2 request went first: the younger row-1
+        # request, queued as a hit, finished after it.
+        assert done[hit] > done[miss]
+        assert mc.stats.row_conflicts >= 2
+
+    @pytest.mark.parametrize("is_write", [False, True], ids=["reads", "writes"])
+    @pytest.mark.parametrize("ranks", [1, 4])
+    def test_refresh_mid_window_with_every_class_filled(self, ranks, is_write, monkeypatch):
+        # Random rows over four banks per rank, enough of them to keep the
+        # window full past the first refresh (tREFI = 12,480 cycles).
+        mapping, kw = self._config(ranks)
+        rng = np.random.default_rng(70 + ranks)
+        n = 3000 if ranks == 1 else 4000
+        coords = [
+            (int(r), int(bg), int(b), int(row), int(c))
+            for r, bg, b, row, c in rng.integers([0, 0, 0, 0, 0], [ranks, 2, 2, 3, 128], (n, 5))
+        ]
+        cycles = None
+        seen = []
+        refresh = Rank.refresh
+        index_window = MemoryController._index_window
+
+        def spy_refresh(rank, cycle):
+            seen.append(None)  # the classes are checked as they are re-filed
+            return refresh(rank, cycle)
+
+        def spy(ctrl, queue, lists, classes, live):
+            if seen and seen[-1] is None and classes is self._classes(ctrl, is_write):
+                col, act, pre = classes
+                seen[-1] = any(col) and any(act) and bool(pre)
+            index_window(ctrl, queue, lists, classes, live)
+
+        monkeypatch.setattr(Rank, "refresh", spy_refresh)
+        monkeypatch.setattr(MemoryController, "_index_window", spy)
+        mc, _ = self._run(self._trace(mapping, coords, is_write, cycles), **kw)
+        monkeypatch.undo()
+        assert mc.stats.refreshes >= ranks
+        assert any(seen)
+
+    @pytest.mark.parametrize("is_write", [False, True], ids=["reads", "writes"])
+    @pytest.mark.parametrize("ranks", [1, 4])
+    def test_closed_page_with_both_directions_on_one_bank(self, ranks, is_write, monkeypatch):
+        mapping, kw = self._config(ranks)
+        kw["row_policy"] = "closed"
+        rng = np.random.default_rng(80 + ranks)
+        n = 400
+        coords = [
+            (int(r), 1, int(b), int(row), int(c))
+            for r, b, row, c in rng.integers([0, 0, 0, 0], [ranks, 2, 3, 128], (n, 4))
+        ]
+        writes = (rng.random(n) < 0.35) != is_write
+        both = []
+        refile = controller_module._refile
+
+        def spy(directions, flat, g, old_row, new_row):
+            both.append(all(lists[flat] for lists, _ in directions))
+            refile(directions, flat, g, old_row, new_row)
+
+        monkeypatch.setattr(controller_module, "_refile", spy)
+        mc, _ = self._run(self._trace(mapping, coords, writes), **kw)
+        monkeypatch.undo()
+        assert mc.stats.precharges >= mc.stats.accesses
+        assert any(both)
+
+    @pytest.mark.parametrize("is_write", [False, True], ids=["reads", "writes"])
+    @pytest.mark.parametrize("ranks", [1, 4])
+    def test_unready_class_tie_goes_to_oldest(self, ranks, is_write, monkeypatch):
+        # A refresh closes every bank of a rank with one earliest-ACT cycle,
+        # so an ACT class of several banks has no member ready at its term
+        # and all of them tie on their bank term.
+        mapping, kw = self._config(ranks)
+        rng = np.random.default_rng(90 + ranks)
+        n = 2000 if ranks == 1 else 3200
+        coords = [
+            (int(r), 0, int(b), int(row), int(c))
+            for r, b, row, c in rng.integers([0, 0, 0, 0], [ranks, 4, 4, 128], (n, 4))
+        ]
+        cycles = None
+        ties = []
+        index_window = MemoryController._index_window
+
+        def spy(ctrl, queue, lists, classes, live):
+            index_window(ctrl, queue, lists, classes, live)
+            if classes is self._classes(ctrl, is_write):
+                ties.extend(
+                    len(members) > 1 and len({e.state.earliest_act for e in members}) == 1
+                    for members in classes[1]
+                )
+
+        monkeypatch.setattr(MemoryController, "_index_window", spy)
+        mc, _ = self._run(self._trace(mapping, coords, is_write, cycles), **kw)
+        monkeypatch.undo()
+        assert mc.stats.refreshes >= ranks
+        assert any(ties)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        ranks=st.sampled_from([1, 4]),
+        n=st.integers(1, 150),
+        window=st.integers(1, 48),
+        high_offset=st.integers(-4, 8),
+        low_share=st.floats(0, 1),
+        write_share=st.floats(0, 1),
+        pace=st.sampled_from([0, 0, 3, 11]),
+        closed=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_fuzz_few_banks_and_rows(
+        self, ranks, n, window, high_offset, low_share, write_share, pace, closed, seed
+    ):
+        mapping, kw = self._config(ranks)
+        write_high = max(1, window + high_offset)
+        kw.update(
+            window=window,
+            write_high_watermark=write_high,
+            write_low_watermark=min(write_high - 1, int(low_share * write_high)),
+            row_policy="closed" if closed else "open",
+        )
+        rng = np.random.default_rng(seed)
+        coords = [
+            (int(r), int(bg), int(b), int(row), int(c))
+            for r, bg, b, row, c in rng.integers([0, 0, 0, 0, 0], [ranks, 2, 2, 3, 4], (n, 5))
+        ]
+        cycles = np.sort(rng.integers(0, pace * n + 1, n))
+        self._run(self._trace(mapping, coords, rng.random(n) < write_share, cycles), **kw)
