@@ -18,19 +18,19 @@ Two families of entries:
   req_per_sec}`` plus the recorded pre-vectorization ``baseline`` and its
   ``speedup``.  These must stay comparable across PRs, so their shapes
   never change.
-* ``node_gather`` / ``node_reduce`` / ``sweep_fig11`` — multi-DIMM
-  broadcasts and a design-point sweep exercising the process-pool engine
-  (:mod:`repro.parallel`).  Each is measured twice — ``--jobs 1``
-  (sequential) and ``--jobs N`` (parallel) — and the merged stats are
-  asserted bit-identical between the two before the entry is written;
-  ``speedup`` is sequential-over-parallel wall time and ``identical``
-  records that the assertion held.  ``host_cpus`` is recorded because the
-  achievable speedup is bounded by the machine (on a 1-CPU container the
-  honest number is ~1x).  The timing memo is cleared before each
-  measurement so the two modes exercise the real engine; the per-entry
-  ``memo`` dict records the *intra-run* hit rate (identical
-  per-DIMM traces deduplicating inside one broadcast, repeated sweep
-  points, …).
+* ``node_gather`` / ``node_reduce`` — multi-DIMM broadcasts with every
+  DIMM simulated, drained in-process like every timed drain.  The timing
+  memo is cleared before each measurement, so the per-entry ``memo``
+  dict records the *intra-run* hit rate (the DIMMs' identical local
+  streams deduplicating inside one broadcast).
+* ``sweep_fig11`` — a design-point sweep through the process-pool engine
+  (:mod:`repro.parallel`), measured twice — ``--jobs 1`` (sequential) and
+  ``--jobs N`` (parallel) — with the results asserted bit-identical
+  between the two before the entry is written; ``speedup`` is
+  sequential-over-parallel wall time and ``identical`` records that the
+  assertion held.  ``host_cpus`` is recorded because the achievable
+  speedup is bounded by the machine (on a 1-CPU container the honest
+  number is ~1x).
 * ``drain_hot_row`` — the hit-phase microbenchmark: a single-bank
   row-hit read stream driven straight through
   ``MemoryController.run_to_completion`` (no trace generation, no
@@ -85,10 +85,8 @@ repeated-instruction broadcast throughput on a warm memo.
 ``--smoke`` shrinks every workload and skips the JSON write — CI uses it
 to prove the benchmark path stays runnable (once by default, once with
 ``REPRO_REFERENCE=1``, so a parity break fails the build, and once with
-``--jobs 2``).  With ``--jobs`` above 1 it sets
-``repro.dram.memo.MIN_TASK_RECORDS`` to 0, so its tiny traces still reach
-the process pool.  The artefact
-entries then run once, with ``--quick`` where the CLI has it.
+``--jobs 2``, which runs the sweep entry's points in pool workers).  The
+artefact entries then run once, with ``--quick`` where the CLI has it.
 ``--check-baseline`` reads its slack from ``REPRO_BENCH_TOLERANCE`` (a
 fraction in [0, 1), default 0.30); any other value raises ``ValueError``
 naming the variable.
@@ -279,9 +277,7 @@ def bench_node_gather_cold(instructions=3, dimms=4, lookups=300, seed=29):
         )
     with _caches_disabled():
         t0 = time.perf_counter()
-        stats = [
-            node.broadcast_timed(i, simulate_dimms=None, jobs=1) for i in instrs
-        ]
+        stats = [node.broadcast_timed(i, simulate_dimms=None) for i in instrs]
         seconds = time.perf_counter() - t0
     requests = sum(s.accesses for st in stats for s in st.dram_per_dimm)
     return requests, seconds
@@ -317,7 +313,7 @@ def _cpu_cold(traffics) -> tuple[int, float]:
         runs = []
         for system, traffic in zip(systems, traffics):
             system.enqueue_traffic(traffic)
-            runs.append(system.run(jobs=1))
+            runs.append(system.run())
         seconds = time.perf_counter() - t0
     return sum(s.accesses for run in runs for s in run.channel_stats), seconds
 
@@ -606,7 +602,7 @@ def _artefact_entry(name: str, smoke: bool) -> dict:
     return entry
 
 
-# -- multi-DIMM / sweep workloads (sequential-vs-parallel) --------------------
+# -- multi-DIMM broadcasts and the sweep (sequential-vs-parallel) -------------
 
 def _node_gather_instr(dimms: int, lookups: int, seed: int):
     """A seeded multi-DIMM GATHER broadcast on a fresh TensorNode."""
@@ -625,11 +621,11 @@ def _node_gather_instr(dimms: int, lookups: int, seed: int):
     return node, instr
 
 
-def bench_node_gather(jobs, dimms=8, lookups=1500, seed=11):
+def bench_node_gather(dimms=8, lookups=1500, seed=11):
     """Multi-DIMM GATHER: every DIMM's channel cycle-simulated."""
     node, instr = _node_gather_instr(dimms, lookups, seed)
     t0 = time.perf_counter()
-    stats = node.broadcast_timed(instr, simulate_dimms=None, jobs=jobs)
+    stats = node.broadcast_timed(instr, simulate_dimms=None)
     seconds = time.perf_counter() - t0
     requests = sum(s.accesses for s in stats.dram_per_dimm)
     return requests, seconds, stats
@@ -641,11 +637,11 @@ def _node_reduce_instr(dimms: int, count: int):
     return node, reduce(0, dimms * 8192, dimms * 16384, count)
 
 
-def bench_node_reduce(jobs, dimms=8, count=3000):
+def bench_node_reduce(dimms=8, count=3000):
     """Multi-DIMM binary REDUCE across the whole pool."""
     node, instr = _node_reduce_instr(dimms, count)
     t0 = time.perf_counter()
-    stats = node.broadcast_timed(instr, simulate_dimms=None, jobs=jobs)
+    stats = node.broadcast_timed(instr, simulate_dimms=None)
     seconds = time.perf_counter() - t0
     requests = sum(s.accesses for s in stats.dram_per_dimm)
     return requests, seconds, stats
@@ -662,11 +658,11 @@ def _warm_node_measurement(setup, **kwargs) -> dict:
     """
     node, instr = setup(**kwargs)
     TIMING_MEMO.clear()
-    golden = node.broadcast_timed(instr, simulate_dimms=None, jobs=1)
+    golden = node.broadcast_timed(instr, simulate_dimms=None)
     best = None
     for _ in range(REPEATS):
         t0 = time.perf_counter()
-        stats = node.broadcast_timed(instr, simulate_dimms=None, jobs=1)
+        stats = node.broadcast_timed(instr, simulate_dimms=None)
         seconds = time.perf_counter() - t0
         assert stats.dram_per_dimm == golden.dram_per_dimm, (
             "warm broadcast diverged from the cold drain — memo unsound"
@@ -697,15 +693,32 @@ def bench_sweep(jobs, points=None):
     return len(points), time.perf_counter() - t0, grid
 
 
+def _node_entry(name, fn, smoke: bool, **kwargs) -> dict:
+    """Best-of-REPEATS cold broadcast of ``fn`` (one run in smoke mode),
+    the memo cleared before each run; ``memo`` is the last run's
+    intra-run hit rate."""
+    best = None
+    for _ in range(1 if smoke else REPEATS):
+        TIMING_MEMO.clear()
+        requests, seconds, _ = fn(**kwargs)
+        if best is None or seconds < best:
+            best = seconds
+    return {
+        "workload": name,
+        "requests": requests,
+        "wall_seconds": round(best, 4),
+        "req_per_sec": round(requests / best, 1),
+        "memo": _memo_dict(),
+    }
+
+
 def _parallel_entry(name, fn, jobs, **kwargs):
     """Measure ``fn`` at jobs=1 and jobs=N; assert bit-identical results.
 
     The memo is cleared before each mode so neither measurement is served
     from the other's cache (the bit-identity assertion must keep
     exercising the real engine); the recorded ``memo`` counters are
-    therefore the *intra-run* hit rates
-    of the parallel measurement — identical per-DIMM descriptors
-    deduplicating inside one broadcast, repeated design points, and so on.
+    therefore the *intra-run* hit rates of the parallel measurement.
     """
     TIMING_MEMO.clear()
     count_seq, seq_seconds, result_seq = fn(1, **kwargs)
@@ -784,10 +797,10 @@ def run(jobs: int | None = None, smoke: bool = False) -> dict:
     node_kwargs = {"dimms": 4, "lookups": 200} if smoke else {}
     reduce_kwargs = {"dimms": 4, "count": 400} if smoke else {}
     sweep_kwargs = {"points": SWEEP_POINTS[:2]} if smoke else {}
-    node_gather = _parallel_entry("node_gather", bench_node_gather, jobs, **node_kwargs)
+    node_gather = _node_entry("node_gather", bench_node_gather, smoke, **node_kwargs)
     node_gather["warm"] = _warm_node_measurement(_node_gather_setup, **node_kwargs)
     entries.append(node_gather)
-    node_reduce = _parallel_entry("node_reduce", bench_node_reduce, jobs, **reduce_kwargs)
+    node_reduce = _node_entry("node_reduce", bench_node_reduce, smoke, **reduce_kwargs)
     node_reduce["warm"] = _warm_node_measurement(_node_reduce_setup, **reduce_kwargs)
     entries.append(node_reduce)
     sweep = _parallel_entry("sweep_fig11", bench_sweep, jobs, **sweep_kwargs)
@@ -873,7 +886,7 @@ def main(argv=None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
         "--jobs", type=int, default=None, metavar="N",
-        help="worker processes for the parallel entries "
+        help="worker processes for the sweep entry's parallel run "
         "(default: $REPRO_JOBS, else 1; 0 = all CPUs)",
     )
     parser.add_argument(
@@ -889,9 +902,6 @@ def main(argv=None) -> None:
     args = parser.parse_args(argv)
     # Read before the run, so a bad value fails at once.
     tolerance = read_tolerance() if args.check_baseline else None
-    if args.smoke and resolve_jobs(args.jobs) > 1:
-        # Smoke traces are tiny by design; ship them to the pool anyway.
-        memo.MIN_TASK_RECORDS = 0
     report = run(jobs=args.jobs, smoke=args.smoke)
     for entry in report["entries"]:
         if "baseline" in entry:
@@ -935,24 +945,22 @@ def main(argv=None) -> None:
                 f"{entry['wall_seconds']:.3f}s = {entry['req_per_sec']:,.0f} req/s "
                 f"(memo-cold)"
             )
+        elif "warm" in entry:
+            warm = entry["warm"]
+            print(
+                f"{entry['workload']:>16}: {entry['requests']} requests in "
+                f"{entry['wall_seconds']:.3f}s = {entry['req_per_sec']:,.0f} req/s "
+                f"(memo hit rate {entry['memo']['hit_rate']:.2f}); warm repeat "
+                f"{warm['wall_seconds']:.4f}s = {warm['req_per_sec']:,.0f} req/s"
+            )
         else:
-            unit = "points" if "points" in entry else "requests"
-            count = entry.get("points", entry.get("requests"))
-            cache = entry["memo"]
-            line = (
-                f"{entry['workload']:>16}: {count} {unit}, sequential "
+            print(
+                f"{entry['workload']:>16}: {entry['points']} points, sequential "
                 f"{entry['sequential']['wall_seconds']:.3f}s vs jobs={entry['jobs']} "
                 f"{entry['wall_seconds']:.3f}s = {entry['speedup']:.2f}x "
                 f"(bit-identical: {entry['identical']}, "
-                f"memo hit rate {cache['hit_rate']:.2f})"
+                f"memo hit rate {entry['memo']['hit_rate']:.2f})"
             )
-            warm = entry.get("warm")
-            if warm:
-                line += (
-                    f"; warm repeat {warm['wall_seconds']:.4f}s = "
-                    f"{warm['req_per_sec']:,.0f} req/s"
-                )
-            print(line)
     if args.check_baseline:
         baseline_path = ROOT / "BENCH_perf.json"
         failures = check_baseline(report, baseline_path, tolerance)

@@ -21,6 +21,7 @@ from ..core.isa import average, gather, reduce
 from ..core.tensornode import TensorNode
 from ..dram.system import DramSystem
 from ..dram.trace import average_traffic, gather_traffic, reduce_traffic
+from ..parallel import parallel_map
 from .harness import Table, geomean
 
 OPS = ("GATHER", "REDUCE", "AVERAGE")
@@ -127,8 +128,6 @@ def _sweep_point(task) -> float:
 def sweep_grid(points, jobs: int | None = None) -> dict:
     """Cycle-simulate ``(system, width, op, batch, dim)`` points, optionally
     fanned out ``jobs``-wide over the process pool (Fig. 11/12 share this)."""
-    from ..parallel import parallel_map
-
     bandwidths = parallel_map(_sweep_point, points, jobs=jobs, chunksize=1)
     return dict(zip([tuple(p) for p in points], bandwidths))
 

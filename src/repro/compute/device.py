@@ -8,6 +8,7 @@ purely bandwidth-bound and the MLP kernels are compute-bound at large batch
 (Sections 3.2 and 5).
 """
 
+import math
 from dataclasses import dataclass, replace
 
 
@@ -34,8 +35,14 @@ class DeviceSpec:
     gemm_ramp_flops: float = 0.0
 
     def __post_init__(self):
-        if self.peak_flops <= 0 or self.mem_bandwidth <= 0:
-            raise ValueError("peak rates must be positive")
+        for name in ("peak_flops", "mem_bandwidth"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and positive, got {value}")
+        if not (math.isfinite(self.kernel_overhead) and self.kernel_overhead >= 0):
+            raise ValueError(
+                f"kernel_overhead must be finite and non-negative, got {self.kernel_overhead}"
+            )
         for name in ("gather_efficiency", "stream_efficiency", "gemm_efficiency"):
             value = getattr(self, name)
             if not 0 < value <= 1:

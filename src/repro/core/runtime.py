@@ -57,12 +57,15 @@ class TensorDimmRuntime:
     ):
         if timing_mode not in ("analytic", "cycle", "off"):
             raise ValueError(f"unknown timing mode {timing_mode!r}")
+        if not 0 < stream_efficiency <= 1:
+            raise ValueError(f"stream_efficiency must be in (0, 1], got {stream_efficiency}")
+        # Timed drains always run in-process; ``jobs`` accepts only the
+        # values that say so.
+        if not (jobs is None or (type(jobs) is int and jobs == 1)):
+            raise ValueError(f"jobs must be None or 1 (drains run in-process), got {jobs!r}")
         self.node = node
         self.timing_mode = timing_mode
         self.stream_efficiency = stream_efficiency
-        #: Worker processes for cycle-mode DRAM simulation (default:
-        #: ``$REPRO_JOBS``, else sequential) — see :mod:`repro.parallel`.
-        self.jobs = jobs
         self.launches: list[KernelLaunch] = []
         self._scratch_counter = 0
 
@@ -99,7 +102,7 @@ class TensorDimmRuntime:
     def _run(self, name: str, instructions: list[Instruction]) -> KernelLaunch:
         launch = KernelLaunch(name=name, instructions=instructions)
         if self.timing_mode == "cycle":
-            for stats in self.node.broadcast_timed_batch(instructions, jobs=self.jobs):
+            for stats in self.node.broadcast_timed_batch(instructions):
                 launch.node_stats.append(stats)
                 launch.seconds += stats.seconds
             self.launches.append(launch)

@@ -19,8 +19,9 @@ the strided column ``[:, i, :]``, so the per-DIMM API keeps working.
 
 Timed broadcasts have one path, :meth:`TensorNode.broadcast_timed_batch`
 (:meth:`~TensorNode.broadcast_timed` is its one-instruction case): each
-simulated DIMM's traffic is described symbolically and drained through a
-:class:`repro.dram.memo.DrainBatch`, in-process or on the process pool.
+simulated DIMM's traffic is described symbolically and drained in-process
+through :func:`repro.dram.memo.drain`, whose memo collapses the DIMMs'
+identical local streams to one drain.
 """
 
 from dataclasses import dataclass, field
@@ -29,7 +30,6 @@ import numpy as np
 
 from ..config import ACCESS_GRANULARITY, ELEMS_PER_WORD
 from ..dram.mapping import DramOrganization
-from ..dram.memo import DrainBatch
 from ..dram.storage import WordStorage, pack_indices
 from ..dram.timing import DDR4_3200, DramTiming
 from ..interconnect.link import NVLINK2_GPU, Link
@@ -46,9 +46,8 @@ class NodeExecStats:
 
     ``dram_per_dimm`` holds the cycle-level
     :class:`~repro.dram.controller.ControllerStats` of every DIMM that was
-    actually simulated (empty for functional-only broadcasts).  It is the
-    merge target of the parallel engine, and what the determinism tests
-    compare bit-for-bit across worker counts.
+    actually simulated (empty for functional-only broadcasts), which the
+    determinism tests compare bit for bit.
     """
 
     per_dimm: list
@@ -187,7 +186,6 @@ class TensorNode:
         instr: Instruction,
         refresh_enabled: bool = True,
         simulate_dimms: int | None = 1,
-        jobs: int | None = None,
     ) -> NodeExecStats:
         """Execute one instruction and measure its node-level latency.
 
@@ -198,11 +196,9 @@ class TensorNode:
         reuses that service time for the rest (pass ``None`` to simulate
         every DIMM — tests use this to verify the streams really are
         identical in length); a value outside ``1..num_dimms`` raises
-        ``ValueError``.  ``jobs`` is as for :meth:`broadcast_timed_batch`.
+        ``ValueError``.
         """
-        return self.broadcast_timed_batch(
-            [instr], refresh_enabled, simulate_dimms, jobs
-        )[0]
+        return self.broadcast_timed_batch([instr], refresh_enabled, simulate_dimms)[0]
 
     def _simulated(self, simulate_dimms: int | None) -> int:
         """How many DIMMs a timed broadcast cycle-simulates."""
@@ -231,39 +227,22 @@ class TensorNode:
         instrs: list[Instruction],
         refresh_enabled: bool = True,
         simulate_dimms: int | None = 1,
-        jobs: int | None = None,
     ) -> list[NodeExecStats]:
         """Execute an instruction sequence with cycle-level timing.
 
         Every (instruction, simulated DIMM) drain is an independent timing
-        domain (controllers reset between instructions), described
-        symbolically and handed to one :class:`repro.dram.memo.DrainBatch`.
-        At ``jobs > 1`` (default: ``$REPRO_JOBS``, else 1) the batch ships
-        the large ones to the process pool, and an identical description
-        already in flight (the rank-interleaved layout gives every DIMM the
-        same local stream) shares its worker call; a lone drain stays
-        in-process.  The functional execution, which mutates the node's
-        words, stays in this process and runs while the workers drain.
-        Operation order is per instruction: describe every simulated DIMM,
-        then execute node-wide.  Each trace is defined against the storage
-        before its instruction runs, so functional state, exec stats and
-        DRAM stats are bit-identical at every worker count.
+        domain, described symbolically and drained through
+        :func:`repro.dram.memo.drain` (:meth:`TensorDimm.dram_stats`); the
+        rank-interleaved layout gives every DIMM the same local stream, so
+        the memo answers all but the first DIMM of an instruction.
+        Operation order is per instruction: drain every simulated DIMM,
+        then execute node-wide, so each trace is defined against the
+        storage before its instruction runs.
         """
-        limit = self._simulated(simulate_dimms)
-        batch = DrainBatch(jobs if len(instrs) * limit > 1 else 1)
-        configs = [
-            dimm.timed_controller_config(refresh_enabled)
-            for dimm in self.dimms[:limit]
-        ]
-        executed = []
+        dimms = self.dimms[: self._simulated(simulate_dimms)]
+        results = []
         for instr in instrs:
             self.instructions_executed += 1
-            for dimm, config in zip(self.dimms, configs):
-                batch.submit(config, dimm.nmp.describe(instr))
-            executed.append(self._execute(instr))
-        drained = batch.results()
-        n = len(configs)
-        return [
-            self._timed_result(per_dimm, drained[k * n : (k + 1) * n])
-            for k, per_dimm in enumerate(executed)
-        ]
+            drained = [dimm.dram_stats(instr, refresh_enabled) for dimm in dimms]
+            results.append(self._timed_result(self._execute(instr), drained))
+        return results

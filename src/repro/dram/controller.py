@@ -30,8 +30,7 @@ bit-identical :class:`ControllerStats` in every configuration.
 Requests enter as whole columnar traces
 (:meth:`MemoryController.enqueue_batch`, the only way in).  Enqueueing
 checks a trace and labels it with sequence numbers; the controller keeps
-it until a drain starts, so a drain that is served from elsewhere (a memo
-hit, a worker) never decodes it.  The drain decodes its pending traces in
+it until a drain starts.  The drain decodes its pending traces in
 one vectorized pass each into a **columnar backlog** (:class:`_Backlog`:
 array chunks of decoded coordinates, arrivals, and sequence numbers);
 per-request Python objects are only materialized when the scheduler
@@ -59,7 +58,7 @@ reference); ``REPRO_REFERENCE=1`` turns it off.  See PERF.md.
 A controller can describe itself as a :class:`ControllerConfig` — a frozen,
 picklable, hashable snapshot of everything its constructor needs — which
 keys the timing memo and lets :func:`repro.dram.memo.drain` rebuild the
-controller once per process, worker processes included.  Because sequence
+controller once per process.  Because sequence
 numbers only break ties *relative* to each other within one controller, a
 drain on a rebuilt controller is bit-identical to draining the original.
 """
@@ -433,13 +432,11 @@ class MemoryController:
         self.reset()
 
     def reset(self) -> None:
-        """Restore pristine post-construction state (queues, banks, stats).
+        """Restore the post-construction state (queues, banks, stats).
 
         Much cheaper than building a new controller — the organization,
         mapping (with its cached field layout), and timing are reused — and
-        it builds no rank or bank state: the next drain does (:attr:`ranks`),
-        so a reset whose drain is adopted from elsewhere (:meth:`adopt_run`)
-        costs a few attribute writes.
+        it builds no rank or bank state: the next drain does (:attr:`ranks`).
         """
         self._ranks: list[Rank] | None = None
         self.stats = ControllerStats()
@@ -518,18 +515,15 @@ class MemoryController:
         schedules exactly like enqueueing it whole, and traces queued on
         different controllers keep their enqueue order.  The trace itself
         is decoded only when a drain starts, in one vectorized pass
-        (:meth:`_decode_pending`): a drain adopted from elsewhere never
-        decodes it.  Per-record Python objects are only materialized later
-        still, at admission time (and never for records a hit phase retires
-        straight from the backlog).
+        (:meth:`_decode_pending`).  Per-record Python objects are only
+        materialized later still, at admission time (and never for records
+        a hit phase retires straight from the backlog).
 
         ``completions``, if given, is a caller-owned int64 array of
         ``len(trace)``: this controller's :meth:`run_to_completion` writes
         each record's burst-end cycle at the record's trace position.  A
-        drain adopted from elsewhere (:meth:`adopt_run`, a memo hit or a
-        worker-side drain) does not fill it.  A bad address or a
-        ``completions`` of the wrong shape or dtype raises ``ValueError``
-        before anything is queued.
+        bad address or a ``completions`` of the wrong shape or dtype raises
+        ``ValueError`` before anything is queued.
         """
         n = len(trace)
         if completions is not None and (
@@ -598,20 +592,6 @@ class MemoryController:
             row_policy=self.row_policy,
         )
 
-    def adopt_run(self, stats: ControllerStats) -> None:
-        """Adopt the result of a drain that ran elsewhere.
-
-        Used after a memo hit or a worker-side drain of this controller's
-        backlog: leaves the controller in the same observable state as if
-        :meth:`run_to_completion` had returned ``stats`` itself — empty
-        queues, final statistics, clock at the finish cycle.  Like
-        :meth:`reset` it builds no bank state; a later drain or read of
-        :attr:`ranks` finds every bank closed.
-        """
-        self.reset()
-        self.stats = stats
-        self._now = stats.finish_cycle
-
     @property
     def pending(self) -> int:
         return (
@@ -622,17 +602,6 @@ class MemoryController:
             + len(self._write_q)
             + len(self._write_staged)
         )
-
-    @property
-    def pristine(self) -> bool:
-        """True until a drain has run (clock at zero, statistics empty).
-
-        A warm controller's next drain continues from its accumulated
-        clock/bank/stats state, so its result is *not* a pure function of
-        ``(config, pending traces)`` — the timing memo must only serve and
-        record drains of pristine controllers.
-        """
-        return self._now == 0 and self.stats == ControllerStats()
 
     def elapsed_seconds(self) -> float:
         return self.timing.cycles_to_seconds(self.stats.finish_cycle)

@@ -6,13 +6,15 @@ consecutive 64 B blocks interleaved across channels (the standard layout
 that time-multiplexes each channel across all the DIMMs behind it —
 Section 4.2's "fixed bandwidth per channel" argument).  Traffic arrives
 as a :class:`~repro.dram.trace.OpTraffic` description, never as a
-whole-system trace.  Every pristine channel drains its share through one
-:class:`~repro.dram.memo.DrainBatch`, which owns the memo protocol and the
-in-process vs pool decision: channels whose shares have equal keys share
-one drain, and a share is built in closed form only when it drains.
+whole-system trace.  Every channel drains its share through
+:func:`repro.dram.memo.drain`, which owns the memo protocol: channels
+whose shares have equal keys share one drain, and a share is built in
+closed form only when it drains.  All channels have one controller
+configuration, so the system holds that configuration, not a controller
+per channel.
 
 TensorDIMMs do *not* use this class for their NMP-local traffic; each
-TensorDIMM owns a private single-channel controller (see
+TensorDIMM has a single-channel controller of its own (see
 :mod:`repro.core.tensordimm`), which is exactly why the node's aggregate
 bandwidth scales with the DIMM count.
 """
@@ -20,8 +22,8 @@ bandwidth scales with the DIMM count.
 from dataclasses import dataclass
 
 from .controller import ControllerStats, MemoryController
-from .mapping import AddressMapping, DramOrganization
-from .memo import DrainBatch
+from .mapping import DramOrganization
+from .memo import drain
 from .timing import DDR4_3200, DramTiming
 from .trace import OpTraffic
 
@@ -73,18 +75,15 @@ class DramSystem:
         self.num_channels = channels
         self.timing = timing
         self.organization = organization or DramOrganization(ranks=4)
-        self.controllers = []
-        for _ in range(channels):
-            mapping = mapping_factory(self.organization) if mapping_factory else None
-            self.controllers.append(
-                MemoryController(
-                    timing,
-                    organization=self.organization,
-                    mapping=mapping,
-                    refresh_enabled=refresh_enabled,
-                    window=window,
-                )
-            )
+        #: Every channel's controller configuration (the constructor
+        #: checks the arguments, so a bad ``window`` raises here).
+        self.config = MemoryController(
+            timing,
+            organization=self.organization,
+            mapping=mapping_factory(self.organization) if mapping_factory else None,
+            refresh_enabled=refresh_enabled,
+            window=window,
+        ).snapshot_config()
         self._pending: OpTraffic | None = None
 
     @property
@@ -133,58 +132,39 @@ class DramSystem:
             )
         self._pending = traffic
 
-    def run(self, jobs: int | None = None) -> SystemStats:
-        """Drain every channel and aggregate the results.
+    def run(self) -> SystemStats:
+        """Drain every channel's share of the pending description
+        (:meth:`enqueue_traffic`) and aggregate the results.
 
         Channels share no timing state (separate command/address and data
         wires), so they are simulated independently; the elapsed time is the
-        slowest channel's finish time.
-
-        A pristine channel with nothing queued drains its share of the
-        pending description (:meth:`enqueue_traffic`) through a
-        :class:`~repro.dram.memo.DrainBatch`, keyed by
-        :meth:`~repro.dram.trace.OpTraffic.share_key`: word ``w`` goes to
-        channel ``w % C`` at local word ``w // C``, and a share whose key
-        was drained before (on any channel, by any system) adopts the
-        memoized stats without being built.  At ``jobs > 1`` (default:
-        ``$REPRO_JOBS``, else 1) a large share ships to the process pool as
-        its description.  The per-channel ``ControllerStats`` are
-        bit-identical at every worker count.  A warm controller continues
-        from its accumulated state, and one holding records queued with
-        ``enqueue_batch`` drains them too, so such a channel queues its
-        share and drains in place, outside the memo.
+        slowest channel's finish time.  Each channel drains on its own,
+        from a reset controller, through :func:`~repro.dram.memo.drain`,
+        keyed by :meth:`~repro.dram.trace.OpTraffic.share_key`: word ``w``
+        goes to channel ``w % C`` at local word ``w // C``, and a share
+        whose key was drained before (on any channel, by any system) is
+        answered from the memo without being built.  A run consumes the
+        description, so each run is a pure function of it.
         """
         traffic, self._pending = self._pending, None
         channels = self.num_channels
-        # A lone channel has nothing to overlap its drain with.
-        batch = DrainBatch(jobs if channels > 1 else 1)
-        stats: list[ControllerStats | None] = []
-        batched = []
-        shipped = 0 if traffic is None else traffic.records
-        for channel, controller in enumerate(self.controllers):
-            if traffic is not None and controller.pristine and not controller.pending:
-                batch.submit(controller.snapshot_config(), traffic, channel, channels, controller)
-                batched.append(channel)
-                stats.append(None)
-                continue
-            if traffic is not None:
-                share = traffic.share(channel, channels)
-                shipped -= len(share)
-                controller.enqueue_batch(share)
-            stats.append(controller.run_to_completion())
-        results = batch.results()
-        for channel, s in zip(batched, results):
-            stats[channel] = s
-        # Drains that saw only their channels' shares must account for
-        # exactly those channels' requests.
-        drained = sum(s.accesses for s in results)
-        if drained != shipped:
-            raise RuntimeError(
-                f"channels {batched} drained {drained} requests but were "
-                f"shipped {shipped}: independent-channel invariant violated"
-            )
+        if traffic is None:
+            stats = [ControllerStats() for _ in range(channels)]
+        else:
+            stats = [drain(self.config, traffic, c, channels) for c in range(channels)]
+            # Drains that saw only their channels' shares must account for
+            # exactly the description's requests.
+            drained = sum(s.accesses for s in stats)
+            if drained != traffic.records:
+                raise RuntimeError(
+                    f"channels {list(range(channels))} drained {drained} requests "
+                    f"but their shares hold {traffic.records}: "
+                    "independent-channel invariant violated"
+                )
         return SystemStats(
             total_bytes=sum(s.total_bytes for s in stats),
-            elapsed_seconds=max(c.elapsed_seconds() for c in self.controllers),
+            elapsed_seconds=self.config.timing.cycles_to_seconds(
+                max(s.finish_cycle for s in stats)
+            ),
             channel_stats=stats,
         )

@@ -7,6 +7,7 @@ NVLink-v2-attached GPU reaches 150 GB/s through NVSwitch — the ~9x gap that
 drives the TensorNode placement argument.
 """
 
+import math
 from dataclasses import dataclass, replace
 
 from ..config import NVLINK2_GPU_BANDWIDTH, NVLINK2_LINK_BANDWIDTH, PCIE3_X16_BANDWIDTH
@@ -21,10 +22,10 @@ class Link:
     latency: float  # seconds of fixed per-transfer overhead
 
     def __post_init__(self):
-        if self.bandwidth <= 0:
-            raise ValueError("bandwidth must be positive")
-        if self.latency < 0:
-            raise ValueError("latency cannot be negative")
+        if not (math.isfinite(self.bandwidth) and self.bandwidth > 0):
+            raise ValueError(f"bandwidth must be finite and positive, got {self.bandwidth}")
+        if not (math.isfinite(self.latency) and self.latency >= 0):
+            raise ValueError(f"latency must be finite and non-negative, got {self.latency}")
 
     def transfer_time(self, num_bytes: int) -> float:
         """Seconds to move ``num_bytes`` over this link."""

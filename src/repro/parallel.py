@@ -1,32 +1,30 @@
-"""Parallel execution engine: a persistent process pool for independent work.
+"""Parallel execution engine: a persistent process pool for design-point sweeps.
 
 TensorDIMM's premise is rank-level parallelism — K DIMMs (and, on the
-baseline, N channels) each owning an independent timing domain — yet a
-single Python process can only drain those domains one after another.
-This module keeps a persistent pool of worker processes for two clients:
-
-* **Drain fan-out**: :class:`repro.dram.memo.DrainBatch`, the one way a
-  caller drains, ships the drains it cannot answer in-process to
-  :func:`get_executor`'s pool.
-* **Sweep fan-out** (:func:`parallel_map`): an ordered ``map`` over a
-  process pool for design-point grids (CLI figures, ablations).
-  Workloads seed their RNGs from the item itself
-  (``np.random.default_rng(seed)`` inside the worker), so results are
-  independent of which worker runs which point.
+baseline, N channels) each owning an independent timing domain.  Inside
+one design point the timing memo already collapses those domains: the
+rank-interleaved layout gives every DIMM (and every CPU channel of a
+Fig. 11/12 point) the same local stream, so a point drains once, in
+process (:func:`repro.dram.memo.drain`).  What is left to spread over
+processes is the grid of independent design points, and that is this
+module's one client, :func:`parallel_map`: an ordered ``map`` over a
+process pool for design-point grids (CLI figures, ablations, analytic
+grids).  Workloads seed their RNGs from the item itself
+(``np.random.default_rng(seed)`` inside the worker), so results are
+independent of which worker runs which point.
 
 Worker counts resolve through :func:`resolve_jobs`: an explicit ``jobs=``
 argument wins, then the ``REPRO_JOBS`` environment variable, then 1
-(sequential).  ``jobs=0`` (or any value < 1) means "use every CPU".  Work
-too small for IPC to pay off stays in-process (tiny drains, lone drains,
-one-item maps), so sprinkling ``jobs=`` through call sites never
-pessimizes tiny runs.
+(sequential).  ``jobs=0`` (or any value < 1) means "use every CPU".  A
+one-item map stays in-process.
 
 Pools are created lazily, keyed by multiprocessing start method, and kept
 alive for the life of the process (each worker keeps its controllers and
-its memo between tasks).  ``fork`` is the default where available; tests also
-exercise ``spawn`` to prove payloads carry everything they need.  The
-pool machinery (``multiprocessing``, ``concurrent.futures``) is imported
-only when a pool is asked for, so a sequential run pays nothing for it.
+its memo between points).  ``fork`` is the default where available; tests
+also exercise ``spawn`` to prove payloads carry everything they need.
+The pool machinery (``multiprocessing``, ``concurrent.futures``) is
+imported only when a pool is asked for, so a sequential run pays nothing
+for it.
 """
 
 import atexit
@@ -80,8 +78,9 @@ def get_executor(jobs: int, start_method: str | None = None) -> "ProcessPoolExec
 
     Reusing one pool across calls is what lets workers amortize controller
     construction: :func:`repro.dram.memo.drain` keeps one controller per
-    configuration for the worker's lifetime.  Asking for more workers than an existing pool has replaces
-    it; asking for fewer reuses the bigger pool.
+    configuration for the worker's lifetime.  Asking for more workers than
+    an existing pool has replaces it; asking for fewer reuses the bigger
+    pool.
     """
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor

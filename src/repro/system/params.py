@@ -1,6 +1,8 @@
 """Shared system parameters for the five design points (Section 5 setup)."""
 
-from dataclasses import dataclass, field, replace
+import math
+from dataclasses import dataclass, replace
+from numbers import Integral
 
 from ..compute.cpu import XEON
 from ..compute.device import DeviceSpec
@@ -36,6 +38,24 @@ class SystemParams:
     gpu_framework_overhead: float = 15e-6
     #: TensorISA dispatch cost per instruction (rides on a kernel launch).
     instruction_overhead: float = 2e-6
+
+    def __post_init__(self):
+        for name in ("node_dimms", "pool_channels"):
+            value = getattr(self, name)
+            if not isinstance(value, Integral) or isinstance(value, bool) or value < 1:
+                raise ValueError(f"{name} must be a positive integer, got {value!r}")
+        if not (math.isfinite(self.dimm_bandwidth) and self.dimm_bandwidth > 0):
+            raise ValueError(
+                f"dimm_bandwidth must be finite and positive, got {self.dimm_bandwidth}"
+            )
+        for name in ("node_stream_efficiency", "pool_stream_efficiency"):
+            value = getattr(self, name)
+            if not 0 < value <= 1:
+                raise ValueError(f"{name} must be in (0, 1], got {value}")
+        for name in ("cpu_framework_overhead", "gpu_framework_overhead", "instruction_overhead"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be finite and non-negative, got {value}")
 
     @property
     def node_bandwidth(self) -> float:

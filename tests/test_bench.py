@@ -274,8 +274,8 @@ class TestBenchPerfBaselineGuard:
         assert "gather_cold" in failures[0]
 
     def test_only_cold_entries_participate(self, tmp_path):
-        # node_gather (a warm/parallel entry) regressing must not fail the
-        # guard — its number depends on host CPU count and memo state.
+        # node_gather (a memo-warm entry) regressing must not fail the
+        # guard — its number depends on memo state.
         bp = _load_bench_perf()
         report = {"entries": [{"workload": "node_gather", "req_per_sec": 1.0}]}
         assert bp.check_baseline(report, self._committed(tmp_path), 0.30) == []

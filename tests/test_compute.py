@@ -40,6 +40,25 @@ class TestDeviceSpec:
         with pytest.raises(ValueError):
             make_device(mem_bandwidth=-1)
 
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("peak_flops", float("nan")),
+            ("peak_flops", float("inf")),
+            ("mem_bandwidth", float("nan")),
+            ("mem_bandwidth", float("inf")),
+            ("kernel_overhead", -1.0),
+            ("kernel_overhead", float("nan")),
+            ("kernel_overhead", float("inf")),
+        ],
+    )
+    def test_non_finite_or_negative_field_named(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            make_device(**{field: value})
+
+    def test_zero_kernel_overhead_accepted(self):
+        assert make_device(kernel_overhead=0.0).kernel_time(0, 0) == 0.0
+
     def test_invalid_efficiency(self):
         with pytest.raises(ValueError):
             make_device(gather_efficiency=0.0)

@@ -26,6 +26,21 @@ class TestTableManagement:
         with pytest.raises(ValueError):
             TensorDimmRuntime(small_node, timing_mode="warp-speed")
 
+    @pytest.mark.parametrize("efficiency", [float("nan"), 0.0, -0.5, 2.0, float("inf")])
+    def test_stream_efficiency_outside_unit_interval_rejected(self, small_node, efficiency):
+        with pytest.raises(ValueError, match="stream_efficiency"):
+            TensorDimmRuntime(small_node, stream_efficiency=efficiency)
+
+    @pytest.mark.parametrize("jobs", [None, 1])
+    def test_in_process_jobs_accepted(self, small_node, jobs):
+        assert TensorDimmRuntime(small_node, timing_mode="cycle", jobs=jobs).launches == []
+
+    @pytest.mark.parametrize("jobs", [2, 0, -1, True, 1.0, "1"])
+    def test_other_jobs_rejected(self, small_node, jobs):
+        # Timed drains always run in-process.
+        with pytest.raises(ValueError, match="jobs"):
+            TensorDimmRuntime(small_node, timing_mode="cycle", jobs=jobs)
+
 
 class TestGather:
     def test_matches_numpy_fancy_indexing(self, runtime, small_node, table_data, rng):

@@ -7,14 +7,12 @@ from repro.bench.figure11 import AVERAGE_NUM, EMBEDDING_DIM, LOOKUPS_PER_SAMPLE
 from repro.core.address_map import EmbeddingLayout
 from repro.dram.bank import Rank
 from repro.dram.controller import ControllerStats
+from repro.dram import memo
 from repro.dram.mapping import AddressMapping
-from repro.dram.memo import DrainBatch
 from repro.dram.system import DramSystem
 from repro.dram.timing import DDR4_3200
-from repro.dram.trace import average_traffic, reduce_traffic, streaming_buffer
+from repro.dram.trace import average_traffic, reduce_traffic
 from repro.env import reference_mode
-
-from trace_oracles import enqueue_routed
 
 
 class TestRouting:
@@ -56,6 +54,10 @@ class TestRouting:
         with pytest.raises(ValueError):
             DramSystem(channels=0)
 
+    def test_empty_window_raises_at_construction(self):
+        with pytest.raises(ValueError, match="window must be at least 1"):
+            DramSystem(window=0)
+
 
 class TestEnqueueTraceValidation:
     """``enqueue_traffic`` checks a description against the system capacity
@@ -68,8 +70,7 @@ class TestEnqueueTraceValidation:
         traffic = reduce_traffic(0, 64 * 64, bad, 1)
         with pytest.raises(ValueError, match=f"address {bad:#x} outside system"):
             system.enqueue_traffic(traffic)
-        assert [c.pending for c in system.controllers] == [0] * 8
-        # Nothing is held either: the next description is accepted.
+        # Nothing is held: the next description is accepted and runs alone.
         system.enqueue_traffic(reduce_traffic(0, 64 * 64, 128 * 64, 8))
         assert system.run().total_bytes == 24 * 64
 
@@ -85,9 +86,9 @@ class TestEnqueueTraceValidation:
         with pytest.raises(ValueError, match="already holds traffic"):
             system.enqueue_traffic(reduce_traffic(0, 64 * 64, 128 * 64, 8))
         assert system.run().total_bytes == 24 * 64
-        # ``run`` took the description; warm controllers count both runs.
+        # ``run`` took the description; the next run drains only its own.
         system.enqueue_traffic(reduce_traffic(0, 64 * 64, 128 * 64, 8))
-        assert system.run().total_bytes == 2 * 24 * 64
+        assert system.run().total_bytes == 24 * 64
 
     def test_empty_trace_is_a_no_op(self):
         system = DramSystem(channels=2)
@@ -95,21 +96,27 @@ class TestEnqueueTraceValidation:
         assert system.run().total_bytes == 0
 
 
+class _WrongMemo:
+    """A memo whose every lookup answers a one-read drain."""
+
+    def lookup(self, config, key):
+        return ControllerStats(reads=1)
+
+    def store(self, config, key, stats):
+        pass
+
+
 class TestShippedDrainCheck:
     def test_worker_stats_for_the_wrong_trace_raise(self, monkeypatch):
-        # Worker results that account for other requests than the channels
-        # shipped are refused with an error that survives ``python -O``.
-        monkeypatch.setattr("repro.dram.memo.MIN_TASK_RECORDS", 0)
-        monkeypatch.setattr(DrainBatch, "submit", lambda self, *args: None)
-        monkeypatch.setattr(
-            DrainBatch, "results", lambda self: [ControllerStats(reads=1), ControllerStats(reads=2)]
-        )
+        # Memo entries that account for other requests than the channels'
+        # shares hold are refused with an error that survives ``python -O``.
+        monkeypatch.setattr(memo, "TIMING_MEMO", _WrongMemo())
         system = DramSystem(channels=2)
         system.enqueue_traffic(average_traffic(0, 1, 64 * 64, 2))  # 2 records a channel
         with pytest.raises(
-            RuntimeError, match=r"channels \[0, 1\] drained 3 requests but were shipped 4"
+            RuntimeError, match=r"channels \[0, 1\] drained 2 requests but their shares hold 4"
         ):
-            system.run(jobs=2)
+            system.run()
 
 
 class TestAggregates:
@@ -124,7 +131,7 @@ class TestAggregates:
 
     def test_streaming_uses_all_channels(self):
         system = DramSystem(channels=4, refresh_enabled=False)
-        enqueue_routed(system, streaming_buffer(0, 8000))
+        system.enqueue_traffic(average_traffic(0, 1, 1 << 22, 4000))
         stats = system.run()
         for channel in stats.channel_stats:
             assert channel.accesses == 2000
@@ -133,13 +140,13 @@ class TestAggregates:
         results = {}
         for channels in (1, 4):
             system = DramSystem(channels=channels, refresh_enabled=False)
-            enqueue_routed(system, streaming_buffer(0, channels * 4000))
+            system.enqueue_traffic(average_traffic(0, 1, 1 << 22, channels * 2000))
             results[channels] = system.run().bandwidth
         assert results[4] > 3.5 * results[1]
 
     def test_total_bytes_aggregated(self):
         system = DramSystem(channels=2)
-        enqueue_routed(system, streaming_buffer(0, 100))
+        system.enqueue_traffic(average_traffic(0, 1, 1 << 22, 50))
         stats = system.run()
         assert stats.total_bytes == 6400
 
@@ -151,19 +158,19 @@ class TestAggregates:
 
     def test_row_hit_rate_reported(self):
         system = DramSystem(channels=2)
-        enqueue_routed(system, streaming_buffer(0, 2000))
+        system.enqueue_traffic(average_traffic(0, 1, 1 << 22, 1000))
         stats = system.run()
         assert stats.row_hit_rate > 0.9
 
     def test_mean_read_latency_positive(self):
         system = DramSystem(channels=2)
-        enqueue_routed(system, streaming_buffer(0, 200))
+        system.enqueue_traffic(average_traffic(0, 1, 1 << 22, 100))
         stats = system.run()
         assert stats.mean_read_latency_cycles > 0
 
 
 class TestWorkOnlyForDrainsThatRun:
-    """A channel whose drain is adopted from the trace memo neither decodes
+    """A channel whose drain the trace memo answers neither decodes
     its trace nor builds rank and bank state; with the memos off
     (``REPRO_REFERENCE=1``) every channel does both."""
 
@@ -189,7 +196,7 @@ class TestWorkOnlyForDrainsThatRun:
         system = DramSystem(channels=8)
         system.enqueue_traffic(traffic)
         assert decoded == [] and ranks_built == []
-        result = system.run(jobs=1)
+        result = system.run()
         drains = 8 if reference_mode() else 1
         share = words * (AVERAGE_NUM + 1) // 8
         assert decoded == [share] * drains
@@ -197,4 +204,3 @@ class TestWorkOnlyForDrainsThatRun:
         if not reference_mode():
             assert (timing_memo.hits, timing_memo.misses) == (7, 1)
         assert [s.accesses for s in result.channel_stats] == [share] * 8
-        assert all(c.pending == 0 for c in system.controllers)

@@ -23,6 +23,19 @@ class TestLink:
         with pytest.raises(ValueError):
             Link("bad", 1e9, -1.0)
 
+    @pytest.mark.parametrize(
+        "field,args",
+        [
+            ("bandwidth", (float("nan"), 0.0)),
+            ("bandwidth", (float("inf"), 0.0)),
+            ("latency", (1e9, float("nan"))),
+            ("latency", (1e9, float("inf"))),
+        ],
+    )
+    def test_non_finite_link_rejected(self, field, args):
+        with pytest.raises(ValueError, match=field):
+            Link("bad", *args)
+
     def test_nvlink_vs_pcie_ratio(self):
         # Section 2.2: NVLink-attached GPUs move data ~9x faster than PCIe.
         ratio = NVLINK2_GPU.bandwidth / PCIE3_X16.bandwidth

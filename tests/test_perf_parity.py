@@ -54,7 +54,7 @@ from trace_oracles import (
     average_trace,
     concat,
     enqueue_records,
-    enqueue_routed,
+    drain_routed,
     gather_trace,
     records,
     reduce_trace,
@@ -198,13 +198,8 @@ class TestSyntheticTrafficParity:
 class TestDramSystemParity:
     """``DramSystem.enqueue_traffic`` against per-record routing: every
     record of the builder's whole-system trace sent through
-    :meth:`DramSystem.route`, and each channel's records queued as one
-    buffer on its controller."""
-
-    @staticmethod
-    def _routed_scalar(system, trace):
-        enqueue_routed(system, trace)
-        return system.run()
+    :meth:`DramSystem.route`, and each channel's records drained as one
+    buffer on a controller of the system's configuration."""
 
     @staticmethod
     def _figure11_cpu(op, batch=2):
@@ -226,13 +221,14 @@ class TestDramSystemParity:
     @pytest.mark.parametrize("op", ["GATHER", "REDUCE", "AVERAGE"])
     def test_figure11_cpu_matches_per_record_routing(self, op):
         traffic, trace = self._figure11_cpu(op)
-        golden = self._routed_scalar(DramSystem(channels=8), trace)
-        fast = DramSystem(channels=8)
-        fast.enqueue_traffic(traffic)
-        result = fast.run()
-        assert result.channel_stats == golden.channel_stats
-        assert result.total_bytes == golden.total_bytes
-        assert result.elapsed_seconds == golden.elapsed_seconds
+        system = DramSystem(channels=8)
+        golden = drain_routed(system, trace)
+        system.enqueue_traffic(traffic)
+        result = system.run()
+        assert result.channel_stats == golden
+        assert result.total_bytes == sum(s.total_bytes for s in golden)
+        finish = max(s.finish_cycle for s in golden)
+        assert result.elapsed_seconds == system.config.timing.cycles_to_seconds(finish)
 
     @pytest.mark.parametrize("op", ["GATHER", "REDUCE", "AVERAGE"])
     def test_figure11_cpu_channels_match_scan_oracle(self, op, timing_memo):
@@ -243,7 +239,7 @@ class TestDramSystemParity:
         # stream (in the whole-system trace, for AVERAGE, they interleave
         # differently per channel), so all eight channels have one share
         # key: the point builds one share and drains it once, and the
-        # other seven channels adopt the memoized stats.
+        # other seven channels are answered from the memo.
         traffic, trace = self._figure11_cpu(op)
         system = DramSystem(channels=8)
         assert system.organization.ranks == 4
@@ -252,9 +248,7 @@ class TestDramSystemParity:
         assert len(layouts) == (8 if op == "AVERAGE" else 1)
         assert len({traffic.share_key(c, 8) for c in range(8)}) == 1
         system.enqueue_traffic(traffic)
-        oracles = [
-            ScanController.from_config(c.snapshot_config()) for c in system.controllers
-        ]
+        oracles = [ScanController.from_config(system.config) for _ in range(8)]
         constructions = TraceBuffer.constructions
         result = system.run()
         if not reference_mode():
@@ -1018,7 +1012,7 @@ class TestHitPhaseReorders:
         else:
             # One channel's share of a Fig. 11 CPU REDUCE (8 x 4 ranks).
             words = 1024
-            config = DramSystem(channels=8).controllers[0].snapshot_config()
+            config = DramSystem(channels=8).config
             trace = reduce_traffic(0, words * 64, 2 * words * 64, words).share(0, 8)
         reads = ~trace.is_write
         return config, TraceBuffer(trace.addr[reads], False, trace.cycle[reads])

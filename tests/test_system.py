@@ -209,3 +209,46 @@ class TestPipelineHelpers:
         small, _ = tdimm_node_time(FACEBOOK, 64, DEFAULT_PARAMS)
         big, _ = tdimm_node_time(FACEBOOK, 64, DEFAULT_PARAMS.with_node_dimms(128))
         assert big < small
+
+
+class TestSystemParamsValidation:
+    """A bad platform parameter raises ``ValueError`` naming the field,
+    instead of a NaN, negative or ``ZeroDivisionError`` latency later."""
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("node_dimms", 0),
+            ("node_dimms", -4),
+            ("node_dimms", 2.5),
+            ("node_dimms", True),
+            ("pool_channels", 0),
+            ("pool_channels", 8.0),
+            ("dimm_bandwidth", 0.0),
+            ("dimm_bandwidth", -1e9),
+            ("dimm_bandwidth", float("nan")),
+            ("dimm_bandwidth", float("inf")),
+            ("node_stream_efficiency", float("nan")),
+            ("node_stream_efficiency", 0.0),
+            ("node_stream_efficiency", 1.5),
+            ("pool_stream_efficiency", 0.0),
+            ("pool_stream_efficiency", float("nan")),
+            ("cpu_framework_overhead", -1e-6),
+            ("gpu_framework_overhead", float("inf")),
+            ("instruction_overhead", -1.0),
+            ("instruction_overhead", float("nan")),
+        ],
+    )
+    def test_bad_field_named(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            SystemParams(**{field: value})
+
+    def test_with_node_dimms_checks_too(self):
+        with pytest.raises(ValueError, match="node_dimms"):
+            DEFAULT_PARAMS.with_node_dimms(0)
+
+    def test_zero_overheads_accepted(self):
+        params = SystemParams(
+            cpu_framework_overhead=0.0, gpu_framework_overhead=0.0, instruction_overhead=0.0
+        )
+        assert params.node_dimms == DEFAULT_PARAMS.node_dimms

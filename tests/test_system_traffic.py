@@ -31,11 +31,11 @@ from repro.dram.trace import OpTraffic, average_traffic, gather_traffic, reduce_
 from repro.env import reference_mode
 
 from trace_oracles import (
-    average_trace, gather_trace, reduce_trace, routed_shares, streams, to_buffer,
+    average_trace, drain_routed, gather_trace, reduce_trace, routed_shares, streams,
+    to_buffer,
 )
 
-#: One system per channel count: building 8 controllers per example would
-#: dominate the property run.
+#: One system per channel count, shared by every example.
 _SYSTEMS = {c: DramSystem(channels=c) for c in (1, 2, 3, 8)}
 
 
@@ -194,15 +194,10 @@ class TestShares:
         keys = {traffic.share_key(c, channels) for c in range(channels)}
         constructions = TraceBuffer.constructions
         with mock.patch.object(memo, "TIMING_MEMO", memo.TimingMemo()):
-            result = system.run(jobs=1)
+            result = system.run()
         built = channels if reference_mode() else len(keys)
         assert TraceBuffer.constructions - constructions == built
-        config = system.controllers[0].snapshot_config()
-        for stats, golden in zip(result.channel_stats, routed_shares(system, trace)):
-            controller = config.build()
-            if golden is not None:
-                controller.enqueue_batch(golden)
-            assert stats == controller.run_to_completion()
+        assert result.channel_stats == drain_routed(system, trace)
 
 
 class TestOutOfRange:
@@ -220,7 +215,6 @@ class TestOutOfRange:
         bad = replace(traffic, bases=traffic.bases[:-1] + (out,))
         with pytest.raises(ValueError, match="outside system capacity"):
             system.enqueue_traffic(bad)
-        assert all(c.pending == 0 for c in system.controllers)
         assert system.run().total_bytes == 0
 
 

@@ -9,7 +9,7 @@ of the config and the share (the parity, determinism, and description
 suites pin the purity); these tests pin the cache mechanics: keying, copy
 semantics, LRU eviction, reference mode, the lookup order of
 :func:`~repro.dram.memo.drain`, and every consumer (TensorDimm,
-DramSystem, the parallel drain fan-out).
+TensorNode, DramSystem).
 
 The suite-wide autouse fixture replaces the memo with a null memo; tests
 here opt back in through the ``timing_memo`` fixture.
@@ -25,7 +25,7 @@ from repro.core.tensornode import TensorNode
 from repro.dram import memo
 from repro.dram.command import TraceBuffer
 from repro.dram.controller import MemoryController
-from repro.dram.memo import DrainBatch, TimingMemo, drain
+from repro.dram.memo import TimingMemo, drain
 from repro.dram.system import DramSystem
 from repro.dram.timing import DDR4_3200
 from repro.dram.trace import average_traffic, gather_traffic
@@ -81,6 +81,11 @@ class TestTimingMemoMechanics:
         monkeypatch.setenv(REFERENCE_ENV_VAR, "1")
         assert timing_memo.lookup(config, _key()) is None
         assert timing_memo.misses == 0  # disabled lookups do not count
+
+    @pytest.mark.parametrize("max_entries", [0, -1, 1.5, True, "3"])
+    def test_capacity_must_be_a_positive_integer(self, max_entries):
+        with pytest.raises(ValueError, match="max_entries"):
+            TimingMemo(max_entries=max_entries)
 
     def test_lru_eviction_prefers_stale_entries(self, timing_memo):
         cache = TimingMemo(max_entries=2)
@@ -158,69 +163,28 @@ class TestDramSystemIntegration:
         assert again.channel_stats == golden.channel_stats
         assert again.elapsed_seconds == golden.elapsed_seconds
 
-    def test_directly_fed_controller_drains_outside_memo(self, timing_memo):
-        def fed_system():
-            # One controller also gets a record behind the system's back:
-            # that channel queues its share behind the record and drains in
-            # place, neither reading nor storing the memo.
-            system = self._loaded_system()
-            system.controllers[0].enqueue_batch(
-                TraceBuffer(np.zeros(1, dtype=np.int64), np.zeros(1, dtype=bool))
-            )
-            return system
-
-        system = fed_system()
-        config = system.controllers[0].snapshot_config()
-        result = system.run()
-        # Only the clean channel consulted the memo, and missed.
-        assert (timing_memo.hits, timing_memo.misses, len(timing_memo)) == (0, 1, 1)
-        fresh = config.build()
-        fresh.enqueue_batch(TraceBuffer(np.zeros(1, dtype=np.int64), np.zeros(1, dtype=bool)))
-        fresh.enqueue_batch(average_traffic(0, 1, 1 << 22, 1000).share(0, 2))
-        assert result.channel_stats[0] == fresh.run_to_completion()
-        assert result.channel_stats[0].accesses == 1001
-        again = fed_system().run()
-        assert (timing_memo.hits, timing_memo.misses, len(timing_memo)) == (1, 1, 1)
-        assert again.channel_stats == result.channel_stats
-
 
 class TestParallelIntegration:
-    def test_replay_traces_parent_side_hits(self, timing_memo, monkeypatch):
-        monkeypatch.setattr("repro.dram.memo.MIN_TASK_RECORDS", 0)
-        config = _config()
-        traffic = _traffic(n=450)
-        batch = DrainBatch(jobs=2)
-        batch.submit(config, traffic)
-        batch.submit(config, traffic)  # shares the first task's worker call
-        first = batch.results()
-        assert first[0] == first[1] and first[0] is not first[1]
-        assert timing_memo.misses == 2 and len(timing_memo) == 1
-        again = DrainBatch(jobs=2)
-        again.submit(config, traffic)  # answered by the parent's memo
-        assert again.results() == first[:1]
-        assert timing_memo.hits == 1
-
-    def test_broadcast_timed_batch_dedups_identical_dimm_traces(
-        self, timing_memo, monkeypatch
-    ):
-        monkeypatch.setattr("repro.dram.memo.MIN_TASK_RECORDS", 0)
+    def test_broadcast_timed_batch_dedups_identical_dimm_traces(self, timing_memo):
+        # The rank-interleaved layout gives all four DIMMs one description:
+        # the first drains it and the other three are memo hits.
         node = TensorNode(num_dimms=4, capacity_words_per_dimm=1 << 14)
         instr = reduce(0, 4 * 1024, 4 * 2048, 300)
-        parallel = node.broadcast_timed_batch(
-            [instr], simulate_dimms=None, jobs=2
-        )[0]
-        timing_memo.clear()
-        sequential = TensorNode(
-            num_dimms=4, capacity_words_per_dimm=1 << 14
-        ).broadcast_timed_batch([instr], simulate_dimms=None, jobs=1)[0]
-        assert parallel.dram_per_dimm == sequential.dram_per_dimm
-        assert parallel.seconds == sequential.seconds
+        deduped = node.broadcast_timed_batch([instr], simulate_dimms=None)[0]
+        assert (timing_memo.hits, timing_memo.misses, len(timing_memo)) == (3, 1, 1)
+        # Every DIMM's own description, drained outside the memo.
+        golden = []
+        for dimm in TensorNode(num_dimms=4, capacity_words_per_dimm=1 << 14).dimms:
+            controller = dimm.timed_controller_config().build()
+            controller.enqueue_batch(dimm.nmp.describe(instr).share(0, 1))
+            golden.append(controller.run_to_completion())
+        assert deduped.dram_per_dimm == golden
 
 
 class TestWarmControllerSoundness:
-    """The memo must only serve/record drains of *pristine* controllers: a
-    warm controller's next drain continues from accumulated clock/stats
-    state and is not a pure function of its share."""
+    """A system run is a pure function of its description: a second run on
+    the same system drains afresh, so the memo may serve it, and it stores
+    nothing but that one drain."""
 
     @staticmethod
     def _traffic():
@@ -228,44 +192,28 @@ class TestWarmControllerSoundness:
         return average_traffic(0, 1, 1 << 22, 500)
 
     def test_second_run_on_same_system_not_served_stale(self, timing_memo):
-        warm = DramSystem(channels=2)
-        warm.enqueue_traffic(self._traffic())
-        warm.run()
-        warm.enqueue_traffic(self._traffic())
-        cached_result = warm.run()  # warm drain: must NOT hit the memo
-        # Reference system with an identical memo history (cleared before
-        # its first run, so both systems adopt/drain the same channels);
-        # its second run drains for real because its controllers are warm.
-        timing_memo.clear()
-        cold = DramSystem(channels=2)
-        cold.enqueue_traffic(self._traffic())
-        cold.run()
-        cold.enqueue_traffic(self._traffic())
-        timing_memo.clear()  # force the reference through the real engine
-        golden = cold.run()
-        assert cached_result.channel_stats == golden.channel_stats
-        assert cached_result.elapsed_seconds == golden.elapsed_seconds
+        system = DramSystem(channels=2)
+        system.enqueue_traffic(self._traffic())
+        system.run()
+        system.enqueue_traffic(self._traffic())
+        served = system.run()
+        assert (timing_memo.hits, timing_memo.misses) == (3, 1)
+        # Each channel's share drained on a fresh controller, outside the memo.
+        for channel, stats in enumerate(served.channel_stats):
+            controller = system.config.build()
+            controller.enqueue_batch(self._traffic().share(channel, 2))
+            assert stats == controller.run_to_completion()
 
     def test_warm_drain_does_not_poison_cache(self, timing_memo):
         warm = DramSystem(channels=2)
         warm.enqueue_traffic(self._traffic())
         warm.run()
         warm.enqueue_traffic(self._traffic())
-        warm.run()  # accumulated stats must not be stored under the share key
+        warm.run()  # must not store anything but one channel's drain
         fresh = DramSystem(channels=2)
         fresh.enqueue_traffic(self._traffic())
         result = fresh.run()
         assert all(s.accesses == 500 for s in result.channel_stats)
-
-    def test_warm_channel_neither_reads_nor_stores_the_memo(self, timing_memo):
-        system = DramSystem(channels=2)
-        system.enqueue_traffic(self._traffic())
-        system.run()
-        assert (timing_memo.hits, timing_memo.misses, len(timing_memo)) == (1, 1, 1)
-        system.enqueue_traffic(self._traffic())
-        result = system.run()
-        assert (timing_memo.hits, timing_memo.misses, len(timing_memo)) == (1, 1, 1)
-        assert all(s.accesses == 1000 for s in result.channel_stats)
 
     def test_warm_run_does_not_depend_on_memo_hits(self, timing_memo):
         def warm_second_run():
@@ -275,23 +223,13 @@ class TestWarmControllerSoundness:
                 result = system.run()
             return result
 
-        # The first system drains channel 0 for real and adopts channel 1
-        # from the memo; the second system adopts both.
+        # The first system drains channel 0 for real and answers the rest
+        # from the memo; the second system answers every channel from it.
         first = warm_second_run()
         assert timing_memo.misses == 1
         second = warm_second_run()
         assert timing_memo.misses == 1
         assert second.channel_stats == first.channel_stats
-
-    def test_pristine_flag(self):
-        mc = MemoryController(DDR4_3200)
-        assert mc.pristine
-        mc.enqueue_batch(_traffic(100).share(0, 1))
-        assert mc.pristine  # enqueueing alone does not warm it
-        mc.run_to_completion()
-        assert not mc.pristine
-        mc.reset()
-        assert mc.pristine
 
 
 def _described_reduce(count=300, dimms=2):
@@ -390,32 +328,25 @@ class TestDescriptorReplay:
         assert drain(config, descriptor) == golden  # memo hit
         assert timing_memo.hits == 1
 
-    def test_broadcast_batch_parallel_ships_descriptors(
-        self, timing_memo, monkeypatch
-    ):
-        monkeypatch.setattr("repro.dram.memo.MIN_TASK_RECORDS", 0)
+    def test_broadcast_batch_parallel_ships_descriptors(self, timing_memo):
         node = TensorNode(num_dimms=4, capacity_words_per_dimm=1 << 14)
         instr = reduce(0, 4 * 1024, 4 * 2048, 300)
-        parallel = node.broadcast_timed_batch(
-            [instr], simulate_dimms=None, jobs=2
-        )[0]
-        # All four DIMMs share one descriptor: one IPC round trip, and the
-        # collection stored it once.
+        first = node.broadcast_timed_batch([instr], simulate_dimms=None)[0]
+        # All four DIMMs share one descriptor, stored once.
         assert len(timing_memo) == 1
         timing_memo.clear()
-        sequential = TensorNode(
+        again = TensorNode(
             num_dimms=4, capacity_words_per_dimm=1 << 14
-        ).broadcast_timed_batch([instr], simulate_dimms=None, jobs=1)[0]
-        assert parallel.dram_per_dimm == sequential.dram_per_dimm
-        assert parallel.seconds == sequential.seconds
+        ).broadcast_timed_batch([instr], simulate_dimms=None)[0]
+        assert first.dram_per_dimm == again.dram_per_dimm
+        assert first.seconds == again.seconds
 
-    def test_second_parallel_batch_is_pure_hits(self, timing_memo, monkeypatch):
-        monkeypatch.setattr("repro.dram.memo.MIN_TASK_RECORDS", 0)
+    def test_second_parallel_batch_is_pure_hits(self, timing_memo):
         node = TensorNode(num_dimms=4, capacity_words_per_dimm=1 << 14)
         instr = reduce(0, 4 * 1024, 4 * 2048, 300)
-        first = node.broadcast_timed_batch([instr], simulate_dimms=None, jobs=2)[0]
+        first = node.broadcast_timed_batch([instr], simulate_dimms=None)[0]
         constructions = TraceBuffer.constructions
-        second = node.broadcast_timed_batch([instr], simulate_dimms=None, jobs=2)[0]
+        second = node.broadcast_timed_batch([instr], simulate_dimms=None)[0]
         assert TraceBuffer.constructions == constructions  # zero materialization
         assert second.dram_per_dimm == first.dram_per_dimm
 
@@ -439,11 +370,10 @@ class TestDrainLookupOrder:
         assert TraceBuffer.constructions - constructions == 3
         assert (timing_memo.hits, timing_memo.misses) == (21, 3)
 
-    @pytest.mark.parametrize("jobs,drained_here", [(1, 11), (2, 9)])
+    @pytest.mark.parametrize("jobs,drained_here", [(1, 11), (None, 11)])
     def test_cycle_runtime_forward_and_combine(
         self, timing_memo, monkeypatch, jobs, drained_here
     ):
-        monkeypatch.setattr("repro.dram.memo.MIN_TASK_RECORDS", 0)
         drains = []
         run = MemoryController.run_to_completion
 
@@ -472,8 +402,6 @@ class TestDrainLookupOrder:
                 node.allocator.free(name)
         # Batch 1 misses all 8 instructions; batch 2 re-issues the 3
         # AVERAGEs and 2 REDUCEs on the same bases (hits) and 3 GATHERs
-        # with new indices (misses).  Every drain is looked up in this
-        # process, at any worker count; at jobs=2 the first combine's two
-        # REDUCEs are drained by the workers, the other misses here.
+        # with new indices (misses).  Every drain runs in this process.
         assert (timing_memo.hits, timing_memo.misses) == (5, 11)
         assert len(drains) == drained_here

@@ -16,7 +16,6 @@ claims:
 import numpy as np
 import pytest
 
-from repro import parallel
 from repro.core.isa import Instruction, Opcode, ReduceOp, average, gather, reduce, update
 from repro.core.tensordimm import TensorDimm
 from repro.core.tensornode import TensorNode
@@ -238,14 +237,11 @@ class TestZeroMaterialization:
 
 class TestKillSwitch:
     """``REPRO_REFERENCE`` unset vs ``=1`` (no memo, no hit phase)
-    must be bit-identical on every timed path, in-process and pooled."""
+    must be bit-identical on every timed path."""
 
     @pytest.fixture(autouse=True)
-    def _memo_on(self, timing_memo, monkeypatch):
+    def _memo_on(self, timing_memo):
         self.memo = timing_memo
-        monkeypatch.setattr("repro.dram.memo.MIN_TASK_RECORDS", 0)
-        yield
-        parallel.shutdown()
 
     def _unset_and_reference(self, monkeypatch, run):
         """``run()`` with the switch unset, then set; leaves it unset."""
@@ -254,7 +250,6 @@ class TestKillSwitch:
             if flag is not None:
                 monkeypatch.setenv(REFERENCE_ENV_VAR, flag)
             self.memo.clear()
-            parallel.shutdown()  # pool workers read the switch at fork
             results.append(run())
         monkeypatch.delenv(REFERENCE_ENV_VAR)
         return results
@@ -281,35 +276,27 @@ class TestKillSwitch:
             assert a.seconds == b.seconds
             assert a.exec_stats == b.exec_stats
 
-    def _run_node(self, jobs):
+    def _run_node(self):
         node = TensorNode(num_dimms=4, capacity_words_per_dimm=1 << 16)
         rng = np.random.default_rng(5)
         idx = rng.integers(0, 300, size=100).astype(np.int32)
         alloc = node.alloc_indices("idx", 100)
         node.write_indices(alloc, idx)
         instr = gather(0, alloc.base_word, 4 * 9000, 100, words_per_slice=1)
-        return node.broadcast_timed_batch(
-            [instr, instr], simulate_dimms=None, jobs=jobs
-        )
+        return node.broadcast_timed_batch([instr, instr], simulate_dimms=None)
 
     def test_broadcast_timed_batch_bit_identical(self, monkeypatch):
-        for jobs in (1, 2):
-            on, off = self._unset_and_reference(
-                monkeypatch, lambda: self._run_node(jobs)
-            )
-            for a, b in zip(on, off):
-                assert a.dram_per_dimm == b.dram_per_dimm
-                assert a.seconds == b.seconds
+        on, off = self._unset_and_reference(monkeypatch, self._run_node)
+        for a, b in zip(on, off):
+            assert a.dram_per_dimm == b.dram_per_dimm
+            assert a.seconds == b.seconds
 
-    def _run_system(self, jobs):
+    def _run_system(self):
         system = DramSystem(channels=2)
         system.enqueue_traffic(reduce_traffic(0, 1 << 20, 1 << 21, 1200))
-        return system.run(jobs=jobs)
+        return system.run()
 
     def test_dram_system_run_bit_identical(self, monkeypatch):
-        for jobs in (1, 2):
-            on, off = self._unset_and_reference(
-                monkeypatch, lambda: self._run_system(jobs)
-            )
-            assert on.channel_stats == off.channel_stats
-            assert on.elapsed_seconds == off.elapsed_seconds
+        on, off = self._unset_and_reference(monkeypatch, self._run_system)
+        assert on.channel_stats == off.channel_stats
+        assert on.elapsed_seconds == off.elapsed_seconds

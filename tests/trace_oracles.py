@@ -143,19 +143,24 @@ def routed_shares(system, trace: TraceBuffer) -> list[TraceBuffer | None]:
     records): the per-record reference for
     :meth:`~repro.dram.trace.OpTraffic.share`.  Every address is routed
     before any share is built, so a bad one raises ``ValueError`` first."""
-    routed = [[] for _ in system.controllers]
+    routed = [[] for _ in range(system.num_channels)]
     for r in records(trace):
         channel, local = system.route(r.addr)
         routed[channel].append(Record(r.cycle, local, r.is_write))
     return [to_buffer(share) if share else None for share in routed]
 
 
-def enqueue_routed(system, trace: TraceBuffer) -> None:
-    """Queue a system-address trace on a ``DramSystem`` by per-record
-    routing, each channel's records as one buffer in trace order."""
-    for controller, share in zip(system.controllers, routed_shares(system, trace)):
+def drain_routed(system, trace: TraceBuffer) -> list:
+    """Each channel's ``ControllerStats`` for a system-address trace routed
+    one record at a time, each channel's records drained as one buffer in
+    trace order on a fresh controller of the system's configuration."""
+    stats = []
+    for share in routed_shares(system, trace):
+        controller = system.config.build()
         if share is not None:
             controller.enqueue_batch(share)
+        stats.append(controller.run_to_completion())
+    return stats
 
 
 def enqueue_records(controller, trace, completions=None) -> None:
