@@ -39,10 +39,10 @@ class DeviceSpec:
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be finite and positive, got {value}")
-        if not (math.isfinite(self.kernel_overhead) and self.kernel_overhead >= 0):
-            raise ValueError(
-                f"kernel_overhead must be finite and non-negative, got {self.kernel_overhead}"
-            )
+        for name in ("kernel_overhead", "gemm_ramp_flops"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be finite and non-negative, got {value}")
         for name in ("gather_efficiency", "stream_efficiency", "gemm_efficiency"):
             value = getattr(self, name)
             if not 0 < value <= 1:

@@ -5,8 +5,8 @@ from ..lazy import lazy_exports
 __getattr__, __dir__ = lazy_exports(globals(), {
     "address_map": ("EmbeddingLayout", "chunks_for_dim"),
     "allocator": ("Allocation", "NodeAllocator", "OutOfNodeMemory"),
-    "isa": ("Instruction", "Opcode", "ReduceOp", "average", "gather", "reduce", "update"),
-    "nmp_core": ("NmpCore", "NmpExecStats", "SramQueue", "VectorAlu", "required_queue_bytes"),
+    "isa": ("Instruction", "Opcode", "ReduceOp", "average", "gather", "reduce"),
+    "nmp_core": ("NmpCore", "NmpExecStats", "required_queue_bytes"),
     "runtime": ("KernelLaunch", "TensorDimmRuntime"),
     "tensordimm": ("TensorDimm", "TimedExecution"),
     "tensornode": ("NodeExecStats", "TensorNode"),
@@ -24,16 +24,13 @@ __all__ = [
     "Opcode",
     "OutOfNodeMemory",
     "ReduceOp",
-    "SramQueue",
     "TensorDimm",
     "TensorDimmRuntime",
     "TensorNode",
     "TimedExecution",
-    "VectorAlu",
     "average",
     "chunks_for_dim",
     "gather",
     "reduce",
     "required_queue_bytes",
-    "update",
 ]

@@ -25,18 +25,11 @@ from enum import IntEnum
 
 
 class Opcode(IntEnum):
-    """Primary TensorISA opcodes (Fig. 8).
-
-    ``UPDATE`` is this repo's extension beyond the paper: a near-memory
-    scatter-update for embedding-table training (the follow-on direction
-    the paper motivates — only the reduced gradients cross the wire, and
-    the read-modify-write of table rows stays inside the TensorDIMM).
-    """
+    """Primary TensorISA opcodes (Fig. 8)."""
 
     GATHER = 1
     REDUCE = 2
     AVERAGE = 3
-    UPDATE = 4
 
 
 class ReduceOp(IntEnum):
@@ -197,34 +190,6 @@ def reduce(
         aux=input2_base,
         output_base=output_base,
         count=words_per_dimm,
-        subop=op,
-    )
-
-
-def update(
-    grad_base: int,
-    index_base: int,
-    table_base: int,
-    num_updates: int,
-    words_per_slice: int = 1,
-    op: ReduceOp = ReduceOp.SUM,
-) -> Instruction:
-    """Build an UPDATE (training extension; see :class:`Opcode`).
-
-    Scatters ``num_updates`` pre-scaled gradient rows at ``grad_base`` into
-    the table at ``table_base`` using the (replicated, DIMM-local) index
-    buffer at ``index_base``.  ``op`` is SUM to accumulate or SUB for a
-    plain SGD step with positively-scaled gradients.
-    """
-    if op not in (ReduceOp.SUM, ReduceOp.SUB):
-        raise ValueError("UPDATE supports only SUM and SUB")
-    return Instruction(
-        opcode=Opcode.UPDATE,
-        input_base=grad_base,
-        aux=index_base,
-        output_base=table_base,
-        count=num_updates,
-        words_per_slice=words_per_slice,
         subop=op,
     )
 

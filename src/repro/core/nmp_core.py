@@ -9,9 +9,16 @@ One NMP core sits in each TensorDIMM's buffer device and contains:
   whose one-channel share is the trace that
   :mod:`repro.core.tensordimm` drains through the cycle-level controller,
 * two input SRAM queues (A, B) and one output queue (C), each sized by the
-  bandwidth-delay product rule of Section 4.2 (25.6 GB/s x 20 ns = 512 B),
+  bandwidth-delay product rule of Section 4.2 (25.6 GB/s x 20 ns = 512 B,
+  :func:`required_queue_bytes`),
 * a 16-lane vector ALU clocked at 150 MHz that performs the element-wise
   arithmetic.
+
+The queues and the ALU are sized and costed here, not modelled as
+objects: the kernels compute each lane-wise op in one NumPy call, each
+instruction's :class:`NmpExecStats` carries its ALU cycles
+(:func:`alu_mean_cycles` for AVERAGE), and the queues decouple DRAM from
+the ALU, so an instruction takes the slower of the two streams.
 
 The functional semantics follow the pseudo code of Fig. 9 exactly, with the
 ``words_per_slice`` generalisation for embeddings wider than
@@ -21,8 +28,7 @@ as kernels over the memory of ``k`` lock-stepped cores
 once over all of its DIMMs, and a lone core is the ``k = 1`` case.
 """
 
-from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,7 +37,6 @@ from ..config import (
     DIMM_PEAK_BANDWIDTH,
     ELEMS_PER_WORD,
     NMP_ALU_CLOCK_HZ,
-    NMP_ALU_LANES,
     NMP_QUEUE_DELAY_S,
 )
 from ..dram.storage import WordStorage
@@ -44,37 +49,6 @@ def required_queue_bytes(
 ) -> int:
     """SRAM queue capacity by the bandwidth-delay product rule (Section 4.2)."""
     return int(bandwidth * delay)
-
-
-class SramQueue:
-    """A bounded FIFO of 64 B words with high-water-mark tracking."""
-
-    def __init__(self, capacity_bytes: int = 512):
-        if capacity_bytes < ACCESS_GRANULARITY:
-            raise ValueError("queue must hold at least one 64 B word")
-        self.capacity_words = capacity_bytes // ACCESS_GRANULARITY
-        self._entries: deque[np.ndarray] = deque()
-        self.high_water_words = 0
-        self.total_pushed = 0
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    @property
-    def full(self) -> bool:
-        return len(self._entries) >= self.capacity_words
-
-    def push(self, word: np.ndarray) -> None:
-        if self.full:
-            raise OverflowError("SRAM queue overflow")
-        self._entries.append(word)
-        self.total_pushed += 1
-        self.high_water_words = max(self.high_water_words, len(self._entries))
-
-    def pop(self) -> np.ndarray:
-        if not self._entries:
-            raise IndexError("SRAM queue underflow")
-        return self._entries.popleft()
 
 
 #: The ALU's element-wise operations, lane by lane in FP32.
@@ -94,59 +68,16 @@ def _alu_op(op: ReduceOp):
     return fn
 
 
-class VectorAlu:
-    """The 16-wide, 150 MHz vector ALU.
+def alu_mean_cycles(outputs: int, group: int) -> int:
+    """ALU cycles of ``outputs`` ``group``-way averages.
 
-    Each cycle it consumes one pair of 64 B operands and produces one 64 B
-    result (16 FP32 lanes).  ``busy_cycles`` accumulates across calls so a
-    TensorDIMM can report ALU utilisation.
+    The ALU pops a *pair* of 64 B operands per cycle (Section 4.2), so an
+    N-way accumulation costs ceil(N/2) cycles of input consumption plus
+    one divide cycle per output word.  Note this still leaves AVERAGE
+    partly compute-bound at full DRAM bandwidth — a property the paper's
+    GPU-based emulation cannot expose.
     """
-
-    def __init__(self, lanes: int = NMP_ALU_LANES, clock_hz: float = NMP_ALU_CLOCK_HZ):
-        if lanes != ELEMS_PER_WORD:
-            raise ValueError(
-                f"ALU lanes must match the 64 B access granularity "
-                f"({ELEMS_PER_WORD} FP32 lanes), got {lanes}"
-            )
-        self.lanes = lanes
-        self.clock_hz = clock_hz
-        self.busy_cycles = 0
-
-    def elementwise(self, a: np.ndarray, b: np.ndarray, op: ReduceOp) -> np.ndarray:
-        """Apply ``op`` lane-wise to word arrays of shape (n, 16)."""
-        a = np.asarray(a, dtype=np.float32)
-        b = np.asarray(b, dtype=np.float32)
-        if a.shape != b.shape:
-            raise ValueError(f"operand shape mismatch: {a.shape} vs {b.shape}")
-        fn = _alu_op(op)
-        self.busy_cycles += a.reshape(-1, self.lanes).shape[0]
-        return fn(a, b)
-
-    def accumulate_mean(self, groups: np.ndarray) -> np.ndarray:
-        """Average over axis 1 of a (n, group, 16) word array.
-
-        The ALU pops a *pair* of 64 B operands per cycle (Section 4.2), so
-        an N-way accumulation costs ceil(N/2) cycles of input consumption
-        plus one divide cycle per output word.  Note this still leaves
-        AVERAGE partly compute-bound at full DRAM bandwidth — a property
-        the paper's GPU-based emulation cannot expose.
-        """
-        groups = np.asarray(groups, dtype=np.float32)
-        if groups.ndim != 3:
-            raise ValueError("expected (outputs, group, lanes) array")
-        self.busy_cycles += self.mean_cycles(groups.shape[0], groups.shape[1])
-        return groups.mean(axis=1, dtype=np.float32)
-
-    @staticmethod
-    def mean_cycles(outputs: int, group: int) -> int:
-        """ALU cycles of ``outputs`` ``group``-way averages (see above)."""
-        return outputs * (-(-group // 2)) + outputs
-
-    def seconds(self, cycles: int | None = None) -> float:
-        """Wall-clock time of ``cycles`` ALU cycles (default: all so far)."""
-        if cycles is None:
-            cycles = self.busy_cycles
-        return cycles / self.clock_hz
+    return outputs * (-(-group // 2)) + outputs
 
 
 @dataclass
@@ -172,14 +103,10 @@ class NmpExecStats:
             raise ValueError("bandwidth must be positive")
         return self.dram_bytes / effective_bandwidth
 
-    def alu_seconds(self, clock_hz: float = NMP_ALU_CLOCK_HZ) -> float:
-        return self.alu_cycles / clock_hz
+    def alu_seconds(self) -> float:
+        return self.alu_cycles / NMP_ALU_CLOCK_HZ
 
-    def pipelined_seconds(
-        self,
-        effective_bandwidth: float,
-        clock_hz: float = NMP_ALU_CLOCK_HZ,
-    ) -> float:
+    def pipelined_seconds(self, effective_bandwidth: float) -> float:
         """Instruction time with DRAM and ALU fully overlapped.
 
         The queues decouple the two, so the slower of the two streams sets
@@ -187,7 +114,7 @@ class NmpExecStats:
         which is why the modest 150 MHz ALU never becomes the bottleneck at
         25.6 GB/s (Section 4.2's sizing argument).
         """
-        return max(self.dram_seconds(effective_bandwidth), self.alu_seconds(clock_hz))
+        return max(self.dram_seconds(effective_bandwidth), self.alu_seconds())
 
 
 # -- functional execution: one kernel per opcode over k cores' memory ----------
@@ -311,56 +238,14 @@ def _execute_average(words, instr, node_dim):
         Opcode.AVERAGE,
         words_read=count * group,
         words_written=count,
-        alu_cycles=VectorAlu.mean_cycles(count, group),
+        alu_cycles=alu_mean_cycles(count, group),
     )
-
-
-def _execute_update(words, instr, node_dim):
-    """UPDATE (extension): scatter pre-scaled gradients into a table.
-
-    ``table[idx[i]] (+|-)= grad[i]`` for ``count`` gradient rows, with
-    duplicate indices accumulating sequentially (scatter-add).  The
-    read-modify-write of each table slice happens entirely inside each
-    DIMM; only the gradients crossed the interconnect.
-    """
-    if instr.subop not in (ReduceOp.SUM, ReduceOp.SUB):
-        raise ValueError("UPDATE supports only SUM and SUB")
-    rows = _index_rows(words, instr)
-    wps = instr.words_per_slice
-    grad = local_base(instr.input_base, node_dim)
-    targets = _slice_words(words, local_base(instr.output_base, node_dim), rows, wps)
-    n = len(targets)
-    check_range(words, grad, n)
-    k = words.shape[1]
-    grads = words[grad : grad + n]
-    if instr.subop == ReduceOp.SUB:
-        grads = -grads
-    # Duplicate rows accumulate (scatter-add): fold the gradients of
-    # identical target words together, then read-modify-write once.  Each
-    # target word belongs to one core, and np.add.at folds in gradient
-    # order, so every core sums exactly as it would alone.
-    touched, inverse = np.unique(targets.reshape(-1), return_inverse=True)
-    delta = np.zeros((len(touched), ELEMS_PER_WORD), dtype=np.float32)
-    np.add.at(delta, inverse, grads.reshape(-1, ELEMS_PER_WORD))
-    local, core = np.divmod(touched, k)
-    words[local, core] = words[local, core] + delta
-    index_words = -(-instr.count // ELEMS_PER_WORD)
-    return [
-        NmpExecStats(
-            opcode=Opcode.UPDATE,
-            words_read=n + int(written) + index_words,
-            words_written=int(written),
-            alu_cycles=n,
-        )
-        for written in np.bincount(core, minlength=k)
-    ]
 
 
 _KERNELS = {
     Opcode.GATHER: _execute_gather,
     Opcode.REDUCE: _execute_reduce,
     Opcode.AVERAGE: _execute_average,
-    Opcode.UPDATE: _execute_update,
 }
 
 
@@ -377,15 +262,14 @@ def execute_broadcast(
     replicated index buffer.  Every operand of every core is checked
     before the first write, so the instruction either runs everywhere or
     raises with the memory untouched.  Returns one :class:`NmpExecStats`
-    per core; each core's ALU busy cycles and storage version advance as
-    if it had run alone.
+    per core; each core's storage version advances as if it had run
+    alone.
     """
     kernel = _KERNELS.get(instr.opcode)
     if kernel is None:
         raise ValueError(f"unknown opcode {instr.opcode}")
     per_core = kernel(words, instr, cores[0].node_dim)
-    for core, stats in zip(cores, per_core):
-        core.alu.busy_cycles += stats.alu_cycles
+    for core in cores:
         core.storage.version += 1
     return per_core
 
@@ -399,10 +283,6 @@ class NmpCore:
         self.dimm_id = dimm_id
         self.node_dim = node_dim
         self.storage = storage
-        self.alu = VectorAlu()
-        self.queue_a = SramQueue(required_queue_bytes())
-        self.queue_b = SramQueue(required_queue_bytes())
-        self.queue_out = SramQueue(required_queue_bytes())
 
     def _local_base(self, node_word: int) -> int:
         return local_base(node_word, self.node_dim)
@@ -415,9 +295,9 @@ class NmpCore:
         """The instruction's DRAM traffic on this DIMM, as an
         :class:`~repro.dram.trace.OpTraffic` in DIMM-local words.
 
-        No trace is built: O(1) for REDUCE and AVERAGE, O(count) for GATHER
-        and UPDATE, whose traffic reads the replicated index buffer first
-        and carries the indices as its rows (so describe before the
+        No trace is built: O(1) for REDUCE and AVERAGE, O(count) for GATHER,
+        whose traffic reads the replicated index buffer first and carries
+        the indices as its rows (so describe before the
         instruction runs).  The instruction's trace is the description's
         one-channel share, and equal descriptions have byte-identical
         shares, so ``(ControllerConfig, traffic.share_key(0, 1))`` keys it

@@ -20,9 +20,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..config import ELEMS_PER_WORD, NMP_STREAM_EFFICIENCY
+from ..config import NMP_STREAM_EFFICIENCY
 from .address_map import EmbeddingLayout
-from .isa import Instruction, ReduceOp, average, gather, reduce, update
+from .isa import Instruction, ReduceOp, average, gather, reduce
 from .tensornode import NodeExecStats, TensorNode
 
 
@@ -208,61 +208,6 @@ class TensorDimmRuntime:
                 reduce(acc.base_word, extra.base_word, acc.base_word, words, op)
             )
         return acc, self._run(name, instructions)
-
-    # -- training extension -----------------------------------------------------------
-
-    def embedding_backward(
-        self,
-        table: EmbeddingLayout,
-        indices: np.ndarray,
-        grad: np.ndarray,
-        learning_rate: float = 1.0,
-        name: str | None = None,
-    ) -> KernelLaunch:
-        """SGD step on an embedding table, executed near-memory (UPDATE).
-
-        ``indices`` are the forward lookups: shape (batch,) for one-hot or
-        (batch, fanin) for mean-pooled multi-hot; ``grad`` is the gradient
-        of the pooled output, shape (batch, dim).  Mean pooling distributes
-        ``grad / fanin`` to every member of the group (the standard
-        embedding-bag backward).  Gradients are pre-scaled by the learning
-        rate on the host so the UPDATE instruction carries no immediate.
-        """
-        indices = np.asarray(indices, dtype=np.int32)
-        grad = np.asarray(grad, dtype=np.float32)
-        if indices.ndim == 1:
-            expanded, scale = indices, 1.0
-            per_lookup = np.repeat(grad[:, None, :], 1, axis=1).reshape(-1, grad.shape[-1])
-        elif indices.ndim == 2:
-            fanin = indices.shape[1]
-            expanded = indices.reshape(-1)
-            per_lookup = np.repeat(grad[:, None, :], fanin, axis=1).reshape(
-                -1, grad.shape[-1]
-            ) / fanin
-        else:
-            raise ValueError("indices must be (batch,) or (batch, fanin)")
-        if per_lookup.shape != (expanded.size, table.embedding_dim):
-            raise ValueError(
-                f"gradient shape {grad.shape} does not match "
-                f"{indices.shape} lookups into a dim-{table.embedding_dim} table"
-            )
-        if expanded.min() < 0 or expanded.max() >= table.rows:
-            raise IndexError("lookup index outside the table")
-        name = name or self._fresh_name("update")
-        scaled = (-learning_rate * per_lookup).astype(np.float32)
-        grad_tensor = self.node.alloc_tensor(name, expanded.size, table.embedding_dim)
-        self.node.write_tensor(grad_tensor, scaled)
-        index_alloc = self.node.alloc_indices(f"{name}.idx", expanded.size)
-        self.node.write_indices(index_alloc, expanded)
-        instr = update(
-            grad_base=grad_tensor.base_word,
-            index_base=index_alloc.base_word,
-            table_base=table.base_word,
-            num_updates=expanded.size,
-            words_per_slice=table.words_per_slice,
-            op=ReduceOp.SUM,  # gradients arrive pre-negated
-        )
-        return self._run(name, [instr])
 
     # -- high-level embedding layer ---------------------------------------------------
 

@@ -159,7 +159,7 @@ class TensorDimm:
         """Instruction time: the slower of the DRAM drain and the ALU."""
         return max(
             self.timing.cycles_to_seconds(dram_stats.finish_cycle),
-            exec_stats.alu_seconds(self.nmp.alu.clock_hz),
+            exec_stats.alu_seconds(),
         )
 
     def write_slice(self, local_word: int, payload: np.ndarray) -> None:

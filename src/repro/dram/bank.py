@@ -133,17 +133,24 @@ class Rank:
         """Perform an all-bank refresh starting no earlier than ``cycle``.
 
         Returns the cycle at which the rank becomes usable again.  Any open
-        banks are precharged first (honouring their tRAS/tRTP/tWR limits).
+        banks are precharged first (honouring their tRAS/tRTP/tWR limits),
+        and REF waits for every closed bank's precharge to settle: a
+        closed-page auto-precharge closes its bank at the column command
+        with a PRE cycle that may lie in the future.
         """
         t = self.timing
         start = cycle
+        settled = cycle
         any_open = False
         for bank in self.iter_banks():
             if bank.is_open:
                 any_open = True
                 start = max(start, bank.earliest_pre)
+            else:
+                settled = max(settled, bank.earliest_act)
         if any_open:
             start += t.rp  # precharge-all settles before REF
+        start = max(start, settled)
         done = start + t.rfc
         for bank in self.iter_banks():
             bank.open_row = -1

@@ -7,9 +7,8 @@ streams the same way, as an :class:`OpTraffic`: the CPU baseline's
 GATHER/REDUCE/AVERAGE over a channel-interleaved system address space
 (:func:`gather_traffic`, :func:`reduce_traffic`, :func:`average_traffic`),
 and a TensorISA instruction on one TensorDIMM
-(:meth:`repro.core.nmp_core.NmpCore.describe`), whose index-buffer reads,
-``words_per_slice``-strided AVERAGE inputs and UPDATE read-modify-writes
-the same type carries.
+(:meth:`repro.core.nmp_core.NmpCore.describe`), whose index-buffer reads
+and ``words_per_slice``-strided AVERAGE inputs the same type carries.
 
 A description builds no trace up front.  :meth:`OpTraffic.share` builds one
 channel's share of it as a :class:`~repro.dram.command.TraceBuffer`, its
@@ -31,7 +30,7 @@ from .command import TraceBuffer
 WORD_BYTES = 64
 
 #: How many word addresses each op's ``bases`` holds, in order.
-_BASES = {"GATHER": 2, "REDUCE": 3, "AVERAGE": 2, "UPDATE": 2}
+_BASES = {"GATHER": 2, "REDUCE": 3, "AVERAGE": 2}
 
 
 def streaming_buffer(
@@ -66,12 +65,11 @@ class OpTraffic:
 
     A few integers over a flat space of 64 B words: the ``bases`` (word
     addresses: GATHER ``(table, output)``, REDUCE ``(input1, input2,
-    output)``, AVERAGE ``(input, output)``, UPDATE ``(gradients, table)``),
-    ``num_words`` (GATHER and UPDATE rows, REDUCE words, AVERAGE output
-    rows), ``row_words`` (the words of one row; AVERAGE's group members are
-    whole rows, so its inputs are strided by it) and ``average_num``.
-    GATHER and UPDATE carry their ``rows``; they enter equality and hashing
-    through their SHA-1 ``rows_digest`` only.  ``index_base``, when set, is
+    output)``, AVERAGE ``(input, output)``), ``num_words`` (GATHER rows,
+    REDUCE words, AVERAGE output rows), ``row_words`` (the words of one
+    row; AVERAGE's group members are whole rows, so its inputs are strided
+    by it) and ``average_num``.  GATHER carries its ``rows``; they enter
+    equality and hashing through their SHA-1 ``rows_digest`` only.  ``index_base``, when set, is
     the word address of the int32 index buffer the op reads first (an NMP
     instruction reads its indices from DRAM; the CPU baseline's do not
     count).
@@ -80,8 +78,7 @@ class OpTraffic:
     table and writes the output run; REDUCE reads ``input1[i]`` then
     ``input2[i]`` and writes the output run; AVERAGE reads word ``k`` of
     each of its ``average_num`` input rows for output word ``k`` of a row
-    and writes the output run; UPDATE reads ``gradient[i]`` then the table
-    word it updates, and writes that table word.
+    and writes the output run.
 
     The constructor checks every field and raises ``ValueError`` naming
     the field it refuses.
@@ -119,11 +116,10 @@ class OpTraffic:
         if not _is_int(self.average_num) or self.average_num < 1:
             refuse("average_num", "must be a positive integer")
         if self.index_base is not None and (
-            op not in ("GATHER", "UPDATE") or not _is_int(self.index_base)
-            or self.index_base < 0
+            op != "GATHER" or not _is_int(self.index_base) or self.index_base < 0
         ):
-            refuse("index_base", "must be a word address, and only GATHER and UPDATE read indices")
-        if op in ("GATHER", "UPDATE"):
+            refuse("index_base", "must be a word address, and only GATHER reads indices")
+        if op == "GATHER":
             rows = np.asarray(self.rows if self.rows is not None else ())
             if rows.ndim != 1 or len(rows) != self.num_words or (
                 rows.size and rows.dtype.kind not in "iu"
@@ -135,7 +131,7 @@ class OpTraffic:
             digest = hashlib.sha1(rows.tobytes(), usedforsecurity=False).digest()
             object.__setattr__(self, "rows_digest", digest)
         elif self.rows is not None:
-            refuse("rows", "are only for GATHER and UPDATE")
+            refuse("rows", "are only for GATHER")
 
     @property
     def key(self) -> tuple:
@@ -155,27 +151,21 @@ class OpTraffic:
     @property
     def records(self) -> int:
         """How many 64 B transactions the traffic holds, reads and writes."""
-        row_reads = {"GATHER": 1, "REDUCE": 2, "UPDATE": 2}.get(self.op, self.average_num)
+        row_reads = {"GATHER": 1, "REDUCE": 2}.get(self.op, self.average_num)
         return self._index_words() + self.num_words * self.row_words * (row_reads + 1)
-
-    def _table(self) -> int:
-        return self.bases[0] if self.op == "GATHER" else self.bases[1]
 
     def word_span(self) -> tuple[int, int]:
         """The lowest and highest word the traffic touches (``(0, -1)`` when
         it touches none)."""
         n, rw = self.num_words, self.row_words
-        if self.op == "UPDATE":
-            runs = [(self.bases[0], n * rw)]
-        else:
-            runs = [(self.bases[-1], n * rw)]
+        runs = [(self.bases[-1], n * rw)]
         if self.op == "REDUCE":
             runs += [(base, n) for base in self.bases[:2]]
         elif self.op == "AVERAGE":
             runs.append((self.bases[0], n * rw * self.average_num))
         elif n:
-            runs.append((self._table() + int(self.rows.min()) * rw, 1))
-            runs.append((self._table() + int(self.rows.max()) * rw, rw))
+            runs.append((self.bases[0] + int(self.rows.min()) * rw, 1))
+            runs.append((self.bases[0] + int(self.rows.max()) * rw, rw))
         if self.index_base is not None:
             runs.append((self.index_base, self._index_words()))
         runs = [(base, length) for base, length in runs if length > 0]
@@ -186,33 +176,25 @@ class OpTraffic:
     def _streams(self) -> tuple[np.ndarray, np.ndarray]:
         """The whole read stream and write stream, as word addresses."""
         n, rw, group = self.num_words, self.row_words, self.average_num
-        if self.op in ("GATHER", "UPDATE"):
-            table_words = (
-                (self._table() + self.rows * rw)[:, None] + np.arange(rw, dtype=np.int64)
-            ).reshape(-1)
         if self.op == "GATHER":
-            reads = table_words
+            reads = (self.bases[0] + self.rows * rw)[:, None] + np.arange(rw, dtype=np.int64)
         elif self.op == "REDUCE":
             reads = np.stack([_run_words((base, n)) for base in self.bases[:2]], axis=1)
-        elif self.op == "AVERAGE":
+        else:
             # [row, word, member]: word k of member j of output row r.
             rows = np.arange(n, dtype=np.int64)[:, None, None] * group
             members = np.arange(group, dtype=np.int64)
             reads = self.bases[0] + (rows + members) * rw + np.arange(rw, dtype=np.int64)[:, None]
-        else:
-            reads = np.stack([_run_words((self.bases[0], n * rw)), table_words], axis=1)
         reads = reads.reshape(-1)
         if self.index_base is not None:
             reads = np.concatenate([_run_words((self.index_base, self._index_words())), reads])
-        if self.op == "UPDATE":
-            return reads, table_words
         return reads, _run_words((self.bases[-1], n * rw))
 
     def _plan(self, channel: int, channels: int) -> tuple | None:
         """``channel``'s share in closed form, as a hashable ``(op, read
         plan, write run)``; None when only the whole streams give it (one
-        channel, index reads, UPDATE, or AVERAGE rows wider than a word)."""
-        if channels == 1 or self.index_base is not None or self.op == "UPDATE":
+        channel, index reads, or AVERAGE rows wider than a word)."""
+        if channels == 1 or self.index_base is not None:
             return None
         if self.op == "AVERAGE":
             if self.row_words != 1:

@@ -4,8 +4,10 @@
 node's DIMMs (:func:`repro.core.nmp_core.execute_broadcast`).  This module
 keeps the original one-DIMM-at-a-time form as the oracle it is compared
 against: :func:`execute` runs one instruction on one :class:`NmpCore`
-through its own :class:`~repro.dram.storage.WordStorage` and ALU, exactly
-as each DIMM did before the node-wide kernels existed.
+through its own :class:`~repro.dram.storage.WordStorage`, exactly as each
+DIMM did before the node-wide kernels existed.  It keeps its own table of
+the ALU's lane-wise ops and its own ALU cycle costs, so it does not share
+them with the code it checks.
 
 It also keeps the per-DIMM scatter/gather of an :class:`EmbeddingLayout`
 (:func:`scatter`, :func:`gather_slices`), the reference for the node's
@@ -28,9 +30,17 @@ def execute(core: NmpCore, instr: Instruction) -> NmpExecStats:
         return _execute_reduce(core, instr)
     if instr.opcode == Opcode.AVERAGE:
         return _execute_average(core, instr)
-    if instr.opcode == Opcode.UPDATE:
-        return _execute_update(core, instr)
     raise ValueError(f"unknown opcode {instr.opcode}")
+
+
+#: The ALU's lane-wise FP32 operations (REDUCE's ``subop``).
+_OPS = {
+    ReduceOp.SUM: np.add,
+    ReduceOp.SUB: np.subtract,
+    ReduceOp.MUL: np.multiply,
+    ReduceOp.MAX: np.maximum,
+    ReduceOp.MIN: np.minimum,
+}
 
 
 def _index_rows(core: NmpCore, instr: Instruction) -> np.ndarray:
@@ -67,14 +77,13 @@ def _execute_reduce(core: NmpCore, instr: Instruction) -> NmpExecStats:
     count = instr.count
     a = core.storage.read_range(in1, count)
     b = core.storage.read_range(in2, count)
-    alu_before = core.alu.busy_cycles
-    result = core.alu.elementwise(a, b, instr.subop)
-    core.storage.write_words(out, result)
+    core.storage.write_words(out, _OPS[instr.subop](a, b))
+    # One pair of operands in, one result out, per ALU cycle.
     return NmpExecStats(
         opcode=Opcode.REDUCE,
         words_read=2 * count,
         words_written=count,
-        alu_cycles=core.alu.busy_cycles - alu_before,
+        alu_cycles=count,
     )
 
 
@@ -90,47 +99,15 @@ def _execute_average(core: NmpCore, instr: Instruction) -> NmpExecStats:
         )
     out_rows = count // wps
     words = core.storage.read_range(src, count * group)
-    alu_before = core.alu.busy_cycles
     grouped = words.reshape(out_rows, group, wps, ELEMS_PER_WORD)
-    result = core.alu.accumulate_mean(
-        grouped.transpose(0, 2, 1, 3).reshape(count, group, ELEMS_PER_WORD)
-    )
-    core.storage.write_words(out, result)
+    groups = grouped.transpose(0, 2, 1, 3).reshape(count, group, ELEMS_PER_WORD)
+    core.storage.write_words(out, groups.mean(axis=1, dtype=np.float32))
+    # Per output word: one cycle per pair of group members, then a divide.
     return NmpExecStats(
         opcode=Opcode.AVERAGE,
         words_read=count * group,
         words_written=count,
-        alu_cycles=core.alu.busy_cycles - alu_before,
-    )
-
-
-def _execute_update(core: NmpCore, instr: Instruction) -> NmpExecStats:
-    if instr.subop not in (ReduceOp.SUM, ReduceOp.SUB):
-        raise ValueError("UPDATE supports only SUM and SUB")
-    rows = _index_rows(core, instr)
-    wps = instr.words_per_slice
-    grad_local = core._local_base(instr.input_base)
-    table_local = core._local_base(instr.output_base)
-    grads = core.storage.read_range(grad_local, instr.count * wps)
-    grads = grads.reshape(instr.count, wps, ELEMS_PER_WORD)
-    if instr.subop == ReduceOp.SUB:
-        grads = -grads
-    targets = (
-        table_local
-        + rows.astype(np.int64)[:, None] * wps
-        + np.arange(wps)[None, :]
-    ).reshape(-1)
-    touched, inverse = np.unique(targets, return_inverse=True)
-    delta = np.zeros((len(touched), ELEMS_PER_WORD), dtype=np.float32)
-    np.add.at(delta, inverse, grads.reshape(-1, ELEMS_PER_WORD))
-    core.storage.write_scattered(touched, core.storage.read_words(touched) + delta)
-    core.alu.busy_cycles += instr.count * wps
-    index_words = -(-instr.count // ELEMS_PER_WORD)
-    return NmpExecStats(
-        opcode=Opcode.UPDATE,
-        words_read=instr.count * wps + len(touched) + index_words,
-        words_written=len(touched),
-        alu_cycles=instr.count * wps,
+        alu_cycles=count * ((group + 1) // 2) + count,
     )
 
 

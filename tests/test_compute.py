@@ -50,6 +50,9 @@ class TestDeviceSpec:
             ("kernel_overhead", -1.0),
             ("kernel_overhead", float("nan")),
             ("kernel_overhead", float("inf")),
+            ("gemm_ramp_flops", float("nan")),
+            ("gemm_ramp_flops", -1e7),
+            ("gemm_ramp_flops", float("inf")),
         ],
     )
     def test_non_finite_or_negative_field_named(self, field, value):

@@ -15,6 +15,11 @@ from repro.core.isa import (
 )
 
 
+class TestOpcodes:
+    def test_the_three_primitives_of_fig8(self):
+        assert {op.name: op.value for op in Opcode} == {"GATHER": 1, "REDUCE": 2, "AVERAGE": 3}
+
+
 class TestBuilders:
     def test_gather_fields(self):
         instr = gather(table_base=64, index_base=10, output_base=128, num_lookups=32)
@@ -89,6 +94,12 @@ class TestEncoding:
     def test_decode_rejects_negative(self):
         with pytest.raises(ValueError):
             Instruction.decode(-1)
+
+    @pytest.mark.parametrize("opcode", [0, 4])
+    def test_decode_rejects_unknown_opcode(self, opcode):
+        word = reduce(4096, 8192, 12288, 500).encode()
+        with pytest.raises(ValueError):
+            Instruction.decode(word & ~0xFF | opcode)
 
     def test_known_encoding_round_trip(self):
         instr = reduce(4096, 8192, 12288, 500, ReduceOp.MAX)

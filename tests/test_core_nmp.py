@@ -1,19 +1,13 @@
-"""Tests for the NMP core: ALU, SRAM queues, and instruction execution."""
+"""Tests for the NMP core: queue sizing, ALU cost, and instruction execution."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.config import DIMM_PEAK_BANDWIDTH, NMP_ALU_CLOCK_HZ
+from repro.config import DIMM_PEAK_BANDWIDTH, ELEMS_PER_WORD, NMP_ALU_CLOCK_HZ, NMP_ALU_LANES
 from repro.core.isa import Opcode, ReduceOp, average, gather, reduce
-from repro.core.nmp_core import (
-    NmpCore,
-    NmpExecStats,
-    SramQueue,
-    VectorAlu,
-    required_queue_bytes,
-)
+from repro.core.nmp_core import NmpCore, NmpExecStats, alu_mean_cycles, required_queue_bytes
 from repro.dram.storage import WordStorage
 
 
@@ -26,87 +20,16 @@ class TestQueueSizing:
         assert required_queue_bytes(51.2e9, 20e-9) == 1024
 
 
-class TestSramQueue:
-    def test_minimum_capacity(self):
-        with pytest.raises(ValueError):
-            SramQueue(32)
-
-    def test_capacity_in_words(self):
-        assert SramQueue(512).capacity_words == 8
-
-    def test_push_pop_fifo_order(self):
-        q = SramQueue(512)
-        q.push(np.full(16, 1.0))
-        q.push(np.full(16, 2.0))
-        assert q.pop()[0] == 1.0
-        assert q.pop()[0] == 2.0
-
-    def test_overflow(self):
-        q = SramQueue(128)  # 2 words
-        q.push(np.zeros(16))
-        q.push(np.zeros(16))
-        with pytest.raises(OverflowError):
-            q.push(np.zeros(16))
-
-    def test_underflow(self):
-        with pytest.raises(IndexError):
-            SramQueue(512).pop()
-
-    def test_high_water_mark(self):
-        q = SramQueue(512)
-        for _ in range(5):
-            q.push(np.zeros(16))
-        q.pop()
-        assert q.high_water_words == 5
-
-
 class TestVectorAlu:
+    """The 16-lane, 150 MHz ALU as the simulator costs it."""
+
     def test_requires_16_lanes(self):
-        with pytest.raises(ValueError):
-            VectorAlu(lanes=8)
-
-    @pytest.mark.parametrize(
-        "op,fn",
-        [
-            (ReduceOp.SUM, np.add),
-            (ReduceOp.SUB, np.subtract),
-            (ReduceOp.MUL, np.multiply),
-            (ReduceOp.MAX, np.maximum),
-            (ReduceOp.MIN, np.minimum),
-        ],
-    )
-    def test_elementwise_matches_numpy(self, op, fn, rng):
-        alu = VectorAlu()
-        a = rng.standard_normal((10, 16)).astype(np.float32)
-        b = rng.standard_normal((10, 16)).astype(np.float32)
-        np.testing.assert_allclose(alu.elementwise(a, b, op), fn(a, b), rtol=1e-6)
-
-    def test_elementwise_shape_mismatch(self):
-        alu = VectorAlu()
-        with pytest.raises(ValueError):
-            alu.elementwise(np.zeros((2, 16)), np.zeros((3, 16)), ReduceOp.SUM)
-
-    def test_elementwise_counts_cycles(self):
-        alu = VectorAlu()
-        alu.elementwise(np.zeros((10, 16)), np.zeros((10, 16)), ReduceOp.SUM)
-        assert alu.busy_cycles == 10
-
-    def test_accumulate_mean_matches_numpy(self, rng):
-        alu = VectorAlu()
-        groups = rng.standard_normal((4, 25, 16)).astype(np.float32)
-        np.testing.assert_allclose(
-            alu.accumulate_mean(groups), groups.mean(axis=1), rtol=1e-5
-        )
+        # One lane per FP32 element of a 64 B access.
+        assert NMP_ALU_LANES == ELEMS_PER_WORD
 
     def test_accumulate_mean_cycle_count(self):
-        alu = VectorAlu()
-        alu.accumulate_mean(np.zeros((4, 25, 16), dtype=np.float32))
         # ceil(25/2) pair-pops per output plus one divide per output.
-        assert alu.busy_cycles == 4 * 13 + 4
-
-    def test_seconds_at_150mhz(self):
-        alu = VectorAlu()
-        assert alu.seconds(150) == pytest.approx(1e-6)
+        assert alu_mean_cycles(4, 25) == 4 * 13 + 4
 
     def test_alu_throughput_exceeds_reduce_demand(self):
         """Section 4.2's sizing argument: at 25.6 GB/s, REDUCE feeds the ALU

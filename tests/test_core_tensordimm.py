@@ -83,4 +83,4 @@ class TestNmpMode:
         """Node time can never undercut the ALU's streaming rate."""
         dimm = TensorDimm(0, 2, capacity_words=1 << 13)
         timed = dimm.execute_timed(reduce(0, 2048, 4096, 1000))
-        assert timed.seconds >= timed.exec_stats.alu_seconds(dimm.nmp.alu.clock_hz)
+        assert timed.seconds >= timed.exec_stats.alu_seconds()

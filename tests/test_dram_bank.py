@@ -1,12 +1,18 @@
 """Tests for the bank and rank state machines."""
 
+import itertools
+
 import numpy as np
 import pytest
 
 from repro.dram.bank import Bank, Rank
+from repro.dram.command import TraceBuffer
+from repro.dram.controller import MemoryController
+from repro.dram.mapping import RANK_INTERLEAVED_ORDER, AddressMapping, DramOrganization
 from repro.dram.timing import DDR4_3200
 
 import scan_oracle
+from scan_oracle import ScanController
 
 T = DDR4_3200
 
@@ -170,6 +176,63 @@ class TestRefresh:
         done = rank.refresh(cycle=10_000)
         # Must honour tRAS of the open bank plus tRP before REF.
         assert done >= 9_990 + T.ras + T.rp + T.rfc
+
+    def test_refresh_waits_for_a_pending_auto_precharge(self):
+        """A closed-page auto-precharge closes its bank at the column
+        command, with a PRE cycle that may lie after the REF's cycle."""
+        rank = Rank(T, 4, 4)
+        bank = rank.bank(0, 0)
+        bank.activate(5, 0, T)
+        bank.read(T.rcd, T)
+        pre = bank.earliest_pre
+        assert pre == 52  # tRAS binds, not RD + tRTP
+        bank.precharge(pre, T)
+        done = rank.refresh(cycle=23)
+        assert done - T.rfc >= pre + T.rp
+
+    @pytest.mark.parametrize("row_policy", ["open", "closed"])
+    def test_drain_never_refreshes_before_a_precharge_settles(self, row_policy, monkeypatch):
+        """Sparse random 4-rank traffic: every REF starts at least tRP after
+        the last PRE of each of its rank's banks.  The drain inlines its
+        explicit PREs, so the spy sees only its auto-precharges; the scan
+        oracle, which the drain matches stat for stat, shows the spy every
+        PRE.  Closed page, REFs must have come while a PRE was pending."""
+        last_pre = {}
+        refreshes = []
+        pending = []
+        precharge, refresh = Bank.precharge, Rank.refresh
+
+        def spy_precharge(bank, cycle, timing):
+            last_pre[id(bank)] = cycle
+            precharge(bank, cycle, timing)
+
+        def spy_refresh(rank, cycle):
+            rp = rank.timing.rp
+            settle = max(last_pre.get(id(b), -rp) for b in rank.iter_banks()) + rp
+            pending.append(cycle < settle)
+            done = refresh(rank, cycle)
+            refreshes.append((done - rank.timing.rfc, settle))
+            return done
+
+        monkeypatch.setattr(Bank, "precharge", spy_precharge)
+        monkeypatch.setattr(Rank, "refresh", spy_refresh)
+        org = DramOrganization(ranks=4)
+        mapping = AddressMapping(org, order=RANK_INTERLEAVED_ORDER)
+        for seed in range(6):
+            rng = np.random.default_rng(seed)
+            n = 600
+            addrs = rng.integers(0, 1 << 22, size=n) * 64
+            arrivals = np.sort(rng.integers(0, 8 * T.refi, size=n))
+            trace = TraceBuffer(addrs, rng.random(n) < 0.3, arrivals)
+            for window, build in itertools.product((8, 32), (MemoryController, ScanController)):
+                mc = build(T, org, mapping, window=window, row_policy=row_policy)
+                last_pre.clear()  # a new controller's banks may reuse ids
+                mc.enqueue_batch(trace)
+                mc.run_to_completion()
+        assert len(refreshes) >= 96
+        assert [(start, settle) for start, settle in refreshes if start < settle] == []
+        if row_policy == "closed":
+            assert any(pending)
 
     def test_refresh_schedules_next_interval(self):
         rank = Rank(T, 4, 4)

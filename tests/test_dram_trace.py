@@ -100,7 +100,7 @@ ROWS = np.array([1, 2])
         (lambda: OpTraffic("AVERAGE", (0, 1.5), 2), "bases"),
         (lambda: OpTraffic("AVERAGE", (0, 64), 2.0), "num_words"),
         (lambda: OpTraffic("AVERAGE", (0, 64), 2, index_base=9), "index_base"),
-        (lambda: OpTraffic("UPDATE", (0, 64), 2, index_base=-1, rows=ROWS), "index_base"),
+        (lambda: OpTraffic("GATHER", (0, 64), 2, index_base=-1, rows=ROWS), "index_base"),
         (lambda: OpTraffic("SCATTER", (0, 64), 2), "op"),
     ],
 )

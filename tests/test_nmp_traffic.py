@@ -1,7 +1,7 @@
 """Property test: an NMP instruction's traffic description against the
 per-instruction trace oracle.
 
-Hypothesis draws GATHER, REDUCE, AVERAGE and UPDATE instructions with any
+Hypothesis draws GATHER, REDUCE and AVERAGE instructions with any
 ``words_per_slice``, bases, duplicate rows and index counts that leave the
 last index word partly filled.  For each, ``NmpCore.describe(instr)`` must
 give a one-channel share with the read stream and the write stream of
@@ -16,7 +16,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.isa import average, gather, reduce, update
+from repro.core.isa import average, gather, reduce
 from repro.core.tensordimm import TensorDimm
 
 from scan_oracle import ScanController
@@ -28,10 +28,10 @@ INDEX_BASE = 7000  # local word of the replicated index buffer
 
 @st.composite
 def instructions(draw):
-    """``(dimm, instr)``: a fresh DIMM and one instruction on it; GATHER and
-    UPDATE find their indices already written."""
+    """``(dimm, instr)``: a fresh DIMM and one instruction on it; GATHER
+    finds its indices already written."""
     dimm = TensorDimm(0, ND, capacity_words=1 << 13)
-    op = draw(st.sampled_from(["GATHER", "REDUCE", "AVERAGE", "UPDATE"]))
+    op = draw(st.sampled_from(["GATHER", "REDUCE", "AVERAGE"]))
     wps = draw(st.integers(1, 4))
     first = ND * draw(st.integers(0, 400))
     second = ND * (1000 + draw(st.integers(0, 400)))
@@ -45,9 +45,7 @@ def instructions(draw):
     # of 16 leave the last index word partly filled.
     rows = draw(st.lists(st.integers(0, 11), min_size=1, max_size=50))
     dimm.write_indices(INDEX_BASE, np.array(rows, dtype=np.int32))
-    if op == "GATHER":
-        return dimm, gather(first, INDEX_BASE, out, len(rows), wps)
-    return dimm, update(second, INDEX_BASE, first, len(rows), wps)
+    return dimm, gather(first, INDEX_BASE, out, len(rows), wps)
 
 
 @settings(max_examples=80, deadline=None)

@@ -96,7 +96,7 @@ def test_figure11_bandwidth_utilization(timing_memo):
     )
     assert result.values[("CPU", "GATHER", 96)] > 0.5 * result.cpu_peak
 
-    # Reproduction note (NmpCore.accumulate_mean): a faithful 150 MHz pair-per-cycle
+    # Reproduction note (nmp_core.alu_mean_cycles): a faithful 150 MHz pair-per-cycle
     # ALU leaves AVERAGE partly compute-bound, unlike the paper's GPU-based
     # emulation — it still beats the CPU by a wide margin.
     assert (

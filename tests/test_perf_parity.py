@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.isa import average, gather, reduce, update
+from repro.core.isa import average, gather, reduce
 from repro.core.nmp_core import NmpCore
 from repro.core.tensordimm import TensorDimm
 from repro.bench import ablation
@@ -79,7 +79,6 @@ OPCODE_CASES = {
     "gather": gather(0, 30000, 2 * 4000, 100, words_per_slice=3),
     "reduce": reduce(0, 2 * 1000, 2 * 2000, 300),
     "average": average(0, 5, 2 * 3000, 60, words_per_slice=3),
-    "update": update(2 * 1000, 30000, 0, 100, words_per_slice=2),
 }
 
 
@@ -121,7 +120,7 @@ class TestOpcodeTraceParity:
         fast = run_batch_indexed(trace, refresh_enabled=False)
         assert fast == golden
 
-    @pytest.mark.parametrize("name", ["gather", "update"])
+    @pytest.mark.parametrize("name", ["gather", "reduce"])
     def test_parity_closed_page(self, name):
         core = seeded_core(seed=13)
         trace = instr_trace(core, OPCODE_CASES[name])

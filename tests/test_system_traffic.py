@@ -4,8 +4,8 @@ against per-record routing of whole-system traces.
 Each channel's share must carry the read stream and the write stream that
 :meth:`DramSystem.route`, record by record, hands that channel: the CPU
 ops' closed-form shares against their generators' traces, and the shares
-selected from the whole streams (index reads, UPDATE, AVERAGE rows wider
-than a word) against the one-channel share, which
+selected from the whole streams (index reads, AVERAGE rows wider than a
+word) against the one-channel share, which
 ``tests/test_nmp_traffic.py`` checks against the NMP instruction oracle.
 Equal share keys must mean byte-identical shares, within one description
 and across descriptions, because the timing memo is keyed by the share key
@@ -46,8 +46,8 @@ def cases(draw):
     Aligned cases put every base, the GATHER row width and the REDUCE and
     AVERAGE word counts on multiples of ``channels`` words; the others
     draw any base, any row width and odd word counts.  Unaligned cases also
-    draw the traffic only an NMP instruction has (index reads, UPDATE,
-    AVERAGE rows wider than a word), whose shares have no closed form."""
+    draw the traffic only an NMP instruction has (index reads, AVERAGE rows
+    wider than a word), whose shares have no closed form."""
     channels = draw(st.sampled_from(sorted(_SYSTEMS)))
     aligned = draw(st.booleans())
     unit = channels if aligned else 1
@@ -61,7 +61,7 @@ def cases(draw):
         return draw(st.integers(low, high)) * 2 + 1
 
     if not aligned and draw(st.booleans()):
-        op = draw(st.sampled_from(["GATHER", "UPDATE", "AVERAGE"]))
+        op = draw(st.sampled_from(["GATHER", "AVERAGE"]))
         rows = draw(st.lists(st.integers(0, 40), max_size=40))
         fields = {"row_words": draw(st.integers(1, 5))}
         if op == "AVERAGE":
@@ -207,8 +207,8 @@ class TestOutOfRange:
         channels, _, traffic, _ = case
         system = DramSystem(channels=channels)
         write_words = traffic.num_words * traffic.row_words
-        # The last base starts the written run (UPDATE writes table rows).
-        assume(write_words and traffic.op != "UPDATE")
+        # The last base starts the written run.
+        assume(write_words)
         spill %= write_words
         words = system.capacity_bytes // 64
         out = -1 - spill if negative else words - spill

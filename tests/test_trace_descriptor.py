@@ -16,7 +16,7 @@ claims:
 import numpy as np
 import pytest
 
-from repro.core.isa import Instruction, Opcode, ReduceOp, average, gather, reduce, update
+from repro.core.isa import Instruction, Opcode, ReduceOp, average, gather, reduce
 from repro.core.tensordimm import TensorDimm
 from repro.core.tensornode import TensorNode
 from repro.dram.command import TraceBuffer
@@ -79,20 +79,6 @@ class TestExpandParity:
             average(0, group, ND * 40000, count, words_per_slice=wps),
         )
 
-    @pytest.mark.parametrize("seed", range(8))
-    def test_update_with_duplicate_rows(self, seed):
-        rng = np.random.default_rng(4000 + seed)
-        dimm = _dimm()
-        wps = int(rng.integers(1, 4))
-        count = int(rng.integers(1, 400))
-        # Tiny row space forces duplicate target rows (scatter-add case).
-        idx = rng.integers(0, 32, size=count).astype(np.int32)
-        dimm.write_indices(45000, idx)
-        _roundtrip(
-            dimm,
-            update(ND * 20000, 45000, 0, count, words_per_slice=wps),
-        )
-
     def test_gather_single_lookup_and_full_word_tail(self):
         dimm = _dimm()
         for count in (1, 16, 17, 32):
@@ -153,7 +139,6 @@ class TestDescriptorKeys:
                 gather(0, 40000, ND * 50000, 10),
                 reduce(0, ND * 8000, ND * 16000, 10),
                 average(0, 2, ND * 40000, 10),
-                update(ND * 20000, 40000, 0, 10),
             )
         ]
         assert len(set(descriptors)) == len(descriptors)
@@ -263,7 +248,6 @@ class TestKillSwitch:
             gather(0, 40000, ND * 50000, 200, words_per_slice=2),
             reduce(0, ND * 8000, ND * 16000, 400),
             average(0, 4, ND * 40000, 120, words_per_slice=2),
-            update(ND * 20000, 40000, 0, 150, words_per_slice=2),
         ]
         # Repeats exercise the hit path when the memo is on.
         return [dimm.execute_timed(i) for i in instrs + instrs]

@@ -185,10 +185,9 @@ def nmp_trace(core, instr) -> TraceBuffer:
     """
     word = ACCESS_GRANULARITY
     index_words = -(-instr.count // ELEMS_PER_WORD)
-    if instr.opcode in (Opcode.GATHER, Opcode.UPDATE):
+    if instr.opcode == Opcode.GATHER:
         indices = core.storage.read_indices(instr.index_base, index_words)
         rows = indices[: instr.count].astype(np.int64)
-    if instr.opcode == Opcode.GATHER:
         wps = instr.words_per_slice
         table_local = core._local_base(instr.table_base)
         out_local = core._local_base(instr.output_base)
@@ -225,23 +224,5 @@ def nmp_trace(core, instr) -> TraceBuffer:
         reads = src + ((row * group)[:, None] + np.arange(group, dtype=np.int64)) * wps + k[:, None]
         addrs = np.concatenate([reads, (out + i)[:, None]], axis=1).reshape(-1)
         is_write = np.tile(np.append(np.zeros(group, dtype=bool), True), instr.count)
-        return TraceBuffer(addrs * word, is_write)
-    if instr.opcode == Opcode.UPDATE:
-        wps = instr.words_per_slice
-        grad_local = core._local_base(instr.input_base)
-        table_local = core._local_base(instr.output_base)
-        idx_addrs = instr.index_base + np.arange(index_words, dtype=np.int64)
-        offsets = np.arange(wps, dtype=np.int64)
-        # Per (row, word): gradient read, table read, table write.
-        grad = (grad_local + np.arange(len(rows), dtype=np.int64) * wps)[:, None] + offsets
-        target = (table_local + rows * wps)[:, None] + offsets
-        body = np.stack([grad, target, target], axis=2).reshape(-1)
-        addrs = np.concatenate([idx_addrs, body])
-        is_write = np.concatenate(
-            [
-                np.zeros(index_words, dtype=bool),
-                np.tile(np.array([False, False, True]), len(rows) * wps),
-            ]
-        )
         return TraceBuffer(addrs * word, is_write)
     raise ValueError(f"unknown opcode {instr.opcode}")
