@@ -46,8 +46,10 @@ Two families of entries:
   description; with the memo off all 8 channels drain), and
   ``dimm_gather_random_cold`` for one DIMM's share of the node_embedding
   GATHER (one rank, random rows, row conflicts throughout).  These track the non-memoized engine across
-  PRs — and are what the CI regression guard (``--check-baseline``)
-  compares against the committed JSON, failing on a >30 % req/s drop.
+  PRs.  Each also records ``scaled_seconds``/``scaled_req_per_sec``,
+  scaled by the host-speed probe run around each sample; the CI
+  regression guard (``--check-baseline``) compares those scaled rates
+  against the committed JSON, failing on a >30 % drop.
 * ``node_functional`` — functional execution alone: one
   ``node_embedding``-shaped batch (4 GATHERs of 64 x 25 lookups, 4
   AVERAGEs over 25, the 3-REDUCE combine) through ``TensorNode.broadcast``
@@ -363,21 +365,27 @@ def _cold_entry(name, fn, smoke: bool, **kwargs) -> dict:
 
     Best-of-REPEATS even in smoke mode: the cold entries feed the CI
     regression guard, and a single noisy sample on a shared runner must
-    not fail (or vacuously pass) the build.
+    not fail (or vacuously pass) the build.  Each sample is also scaled
+    by the host-speed probe run around it (``scaled_seconds``, as the
+    artefact entries), so ``scaled_req_per_sec`` compares across days.
     """
     fn(**kwargs)  # warmup: allocations, numpy caches (memos stay cold by design)
     best = None
     for _ in range(REPEATS):
+        before = probe_seconds()
         requests, seconds = fn(**kwargs)
-        if best is None or seconds < best[1]:
-            best = (requests, seconds)
-    requests, seconds = best
+        scaled = seconds * speed_scale(before, probe_seconds())
+        if best is None or scaled < best[2]:
+            best = (requests, seconds, scaled)
+    requests, seconds, scaled = best
     return {
         "workload": name,
         "instructions": kwargs.get("instructions", 4),
         "requests": requests,
         "wall_seconds": round(seconds, 4),
         "req_per_sec": round(requests / seconds, 1),
+        "scaled_seconds": round(scaled, 4),
+        "scaled_req_per_sec": round(requests / scaled, 1),
         "caches_disabled": True,
     }
 
@@ -835,12 +843,15 @@ def run(jobs: int | None = None, smoke: bool = False) -> dict:
 
 
 def check_baseline(report: dict, baseline_path: Path, tolerance: float) -> list[str]:
-    """Cold-path regression guard: compare req/s against the committed JSON.
+    """Cold-path regression guard: compare probe-scaled req/s against the
+    committed JSON.
 
     Only the memo-cold entries participate — they measure the real engine
     per instruction (same per-instruction shapes in smoke mode, just fewer
-    repeats), so their req/s is host-comparable.  Returns a list of
-    human-readable failures (empty = within tolerance).
+    repeats).  Each side's rate is its ``scaled_req_per_sec`` (host req/s
+    for an entry recorded without one), so a fast or slow host day moves
+    neither.  Returns a list of human-readable failures (empty = within
+    tolerance).
     """
     committed = json.loads(Path(baseline_path).read_text())
     by_name = {e["workload"]: e for e in committed["entries"]}
@@ -850,12 +861,11 @@ def check_baseline(report: dict, baseline_path: Path, tolerance: float) -> list[
         base = by_name.get(name)
         if name not in COLD_WORKLOADS or base is None:
             continue
-        floor = base["req_per_sec"] * (1.0 - tolerance)
-        if entry["req_per_sec"] < floor:
+        rate, base_rate = (e.get("scaled_req_per_sec", e["req_per_sec"]) for e in (entry, base))
+        if rate < base_rate * (1.0 - tolerance):
             failures.append(
-                f"{name}: {entry['req_per_sec']:,.0f} req/s is more than "
-                f"{tolerance:.0%} below the committed "
-                f"{base['req_per_sec']:,.0f} req/s"
+                f"{name}: {rate:,.0f} scaled req/s is more than "
+                f"{tolerance:.0%} below the committed {base_rate:,.0f} scaled req/s"
             )
     return failures
 

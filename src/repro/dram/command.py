@@ -1,36 +1,6 @@
-"""DRAM trace types and the request sequence counter shared across the simulator."""
+"""The simulator's columnar DRAM trace type."""
 
 import numpy as np
-
-
-class _SeqCounter:
-    """Process-wide request sequence counter.  FR-FCFS breaks ties by age,
-    so every record a controller queues — one whole trace per
-    ``enqueue_batch`` call — draws its sequence number from this one
-    monotonic source."""
-
-    __slots__ = ("value",)
-
-    def __init__(self):
-        self.value = 0
-
-
-_seq_counter = _SeqCounter()
-
-
-def reserve_seq_block(n: int) -> int:
-    """Reserve ``n`` consecutive sequence numbers; returns the first.
-
-    O(1) regardless of ``n`` — the enqueue path labels a whole columnar
-    trace with ``base + arange(n)`` instead of drawing numbers one by one."""
-    base = _seq_counter.value
-    _seq_counter.value = base + n
-    return base
-
-
-def seq_ceiling() -> int:
-    """The next sequence number: every number drawn so far lies below it."""
-    return _seq_counter.value
 
 
 def _frozen(column: np.ndarray) -> np.ndarray:

@@ -29,14 +29,17 @@ bit-identical :class:`ControllerStats` in every configuration.
 
 Requests enter as whole columnar traces
 (:meth:`MemoryController.enqueue_batch`, the only way in).  Enqueueing
-checks a trace and labels it with sequence numbers; the controller keeps
-it until a drain starts.  The drain decodes its pending traces in
-one vectorized pass each into a **columnar backlog** (:class:`_Backlog`:
-array chunks of decoded coordinates, arrivals, and sequence numbers);
-per-request Python objects are only materialized when the scheduler
-admits them into its working window.  The rank and bank state is
-likewise built by the first drain after a reset.  A caller that needs
-per-record completion cycles passes its own array to ``enqueue_batch``.
+checks a trace; the controller keeps it until a drain starts.  The drain
+decodes its pending traces once into one **index space** of plain-list
+columns (arrival, rank, bankgroup, row, flat bank): reads take indices
+``[0, nr)`` and writes ``[nr, n)``, each in enqueue order, and a queued
+request is just its index.  Index order is age order within a direction,
+and candidates only ever compete within one direction, so the index is the
+FR-FCFS tie key.  The not-yet-admitted backlog of a direction is a pointer
+into its index range, and admission walks it while ``arrival[i] <= now``.
+The rank and bank state is likewise built by the first drain after a reset.
+A caller that needs per-record completion cycles passes its own array to
+``enqueue_batch``.
 
 On top of the indexed scheduler sits the **hit phase**: embedding traffic
 is streaming by construction, so drains spend most of their time issuing
@@ -48,7 +51,7 @@ walk: each bankgroup's oldest entry is its candidate, ready at the max of
 its bank warms up) tRCD, and the earliest ready, then the oldest, wins —
 exact FR-FCFS.  Wherever the oldest entry keeps winning, the phase retires
 the run in closed form (:meth:`MemoryController._stretch`), backlog
-records that were never materialized included.  The phase ends one
+records that were never admitted included.  The phase ends one
 command before a non-hit or other-rank record is admitted, the next
 refresh, the write level reaching ``write_high`` (read phase) or falling
 to ``write_low`` with reads queued (write phase); it never runs on a staged
@@ -58,35 +61,27 @@ reference); ``REPRO_REFERENCE=1`` turns it off.  See PERF.md.
 A controller can describe itself as a :class:`ControllerConfig` — a frozen,
 picklable, hashable snapshot of everything its constructor needs — which
 keys the timing memo and lets :func:`repro.dram.memo.drain` rebuild the
-controller once per process.  Because sequence
-numbers only break ties *relative* to each other within one controller, a
-drain on a rebuilt controller is bit-identical to draining the original.
+controller once per process.  A drain depends only on the controller's
+state and the traces queued since the last drain, so a drain on a rebuilt
+controller is bit-identical to draining the original.
 """
 
-from collections import deque
+from bisect import insort
 from dataclasses import dataclass
-from operator import attrgetter
 
 import numpy as np
 
 from ..env import reference_mode
 from .bank import Rank
-from .command import TraceBuffer, reserve_seq_block, seq_ceiling
+from .command import TraceBuffer
 from .mapping import AddressMapping, DramOrganization
 from .timing import DramTiming
 from .trace import _is_int
 
-_by_seq = attrgetter("seq")
+_put = insort  # file a candidate in its class, keeping index order
 _take = list.remove  # take a candidate out of its class
-
-
-def _put(members: list, entry) -> None:
-    """File ``entry`` in class ``members``, keeping it in sequence order."""
-    seq = entry.seq
-    i = len(members)
-    while i and members[i - 1].seq > seq:
-        i -= 1
-    members.insert(i, entry)
+#: Past every arrival and issue cycle; arrival cycles must lie below it.
+_NEVER = 1 << 62
 
 
 @dataclass
@@ -172,159 +167,17 @@ class ControllerConfig:
         )
 
 
-class _Entry:
-    """A queued request: decoded coordinates plus scheduling bookkeeping.
-
-    ``done`` is the caller's completions array when the request's trace was
-    enqueued with one (else ``None``), and ``pos`` the request's position
-    in that trace: issuing the column command writes the burst-end cycle to
-    ``done[pos]``.  ``qpos`` is the entry's position in the working queue,
-    maintained so the indexed scheduler can swap-pop in O(1), and ``state``
-    its bank's :class:`Bank`, set at admission.
-    """
-
-    __slots__ = (
-        "is_write", "arrival", "rank", "bankgroup", "bank", "row", "flat", "seq",
-        "needed_act", "needed_pre", "done", "pos", "qpos", "state",
-    )
-
-    def __init__(self, is_write, arrival, rank, bankgroup, bank, row, flat, seq):
-        self.is_write = is_write
-        self.arrival = arrival
-        self.rank = rank
-        self.bankgroup = bankgroup
-        self.bank = bank
-        self.row = row
-        self.flat = flat
-        self.seq = seq
-        self.needed_act = False
-        self.needed_pre = False
-        self.done = None
-        self.pos = -1
-        self.qpos = -1
-        self.state = None
-
-
-class _BacklogChunk:
-    """One direction's share of one enqueued trace, stored columnar.
-
-    The record columns are parallel int64 numpy arrays of arrival cycles
-    and decoded coordinates (the drain needs no byte address or column).
-    ``done`` is the caller's completions array (or ``None``) and ``pos``
-    the records' positions in the enqueued trace, set only together with
-    ``done``.  ``start`` is the consumed head offset — records before it
-    have been admitted or issued by a hit phase's closed form.  ``_py``
-    holds plain-list mirrors of the record columns, materialized lazily the
-    first time a record is popped one at a time (admission), so per-record
-    pops cost list indexing instead of numpy scalar extraction.  (Columns, not one tuple per
-    record: a pop costs about the same, and a chunk that hit phases mostly
-    retire straight from the arrays is cheaper to mirror.)
-    """
-
-    __slots__ = (
-        "arrival", "rank", "bankgroup", "bank", "row", "flat", "seq",
-        "done", "pos", "start", "n", "_py",
-    )
-
-    def __init__(self, arrival, rank, bankgroup, bank, row, flat, seq, done=None, pos=None):
-        self.arrival = arrival
-        self.rank = rank
-        self.bankgroup = bankgroup
-        self.bank = bank
-        self.row = row
-        self.flat = flat
-        self.seq = seq
-        self.done = done
-        self.pos = pos
-        self.start = 0
-        self.n = len(seq)
-        self._py = None
-
-    def materialize(self):
-        if self._py is None:
-            self._py = tuple(
-                column.tolist()
-                for column in (
-                    self.arrival, self.rank, self.bankgroup, self.bank, self.row,
-                    self.flat, self.seq,
-                )
-            )
-        return self._py
-
-
-class _Backlog:
-    """A direction's pending requests: a FIFO of columnar chunks.
-
-    Scheduling-wise this is the same seq-ordered FIFO the old
-    ``deque[_Entry]`` was, but records stay columnar until admission
-    materializes them — and a hit phase can classify and retire whole runs
-    with array arithmetic, never materializing them at all.
-    """
-
-    __slots__ = ("chunks", "length", "is_write")
-
-    def __init__(self, is_write: bool):
-        self.chunks: deque[_BacklogChunk] = deque()
-        self.length = 0
-        self.is_write = is_write
-
-    def __len__(self) -> int:
-        return self.length
-
-    def append_chunk(self, chunk: _BacklogChunk) -> None:
-        if chunk.n:
-            self.chunks.append(chunk)
-            self.length += chunk.n
-
-    def head_arrival(self) -> int:
-        """Arrival cycle of the oldest pending record (backlog non-empty)."""
-        chunk = self.chunks[0]
-        if chunk._py is not None:
-            return chunk._py[0][chunk.start]
-        return int(chunk.arrival[chunk.start])
-
-    def popleft(self) -> _Entry:
-        """Materialize and remove the oldest pending record."""
-        chunk = self.chunks[0]
-        py = chunk._py
-        if py is None:
-            py = chunk.materialize()
-        arrival, rank, bankgroup, bank, row, flat, seq = py
-        i = chunk.start
-        entry = _Entry(
-            self.is_write, arrival[i], rank[i], bankgroup[i], bank[i], row[i], flat[i], seq[i]
-        )
-        if chunk.done is not None:
-            entry.done = chunk.done
-            entry.pos = chunk.pos[i]
-        chunk.start = i + 1
-        if chunk.start == chunk.n:
-            self.chunks.popleft()
-        self.length -= 1
-        return entry
-
-    def consume(self, count: int) -> None:
-        """Drop the oldest ``count`` records (already issued in closed form)."""
-        self.length -= count
-        while count:
-            chunk = self.chunks[0]
-            take = min(count, chunk.n - chunk.start)
-            chunk.start += take
-            count -= take
-            if chunk.start == chunk.n:
-                self.chunks.popleft()
-
-
-def _file(classes: tuple, entries: list, g: int, open_row: int, put) -> None:
+def _file(classes: tuple, entries: list, g: int, open_row: int, put, row: list) -> None:
     """File one bank's candidates in one direction's ``(col, act, pre)``
     classes (``put`` is :data:`_put`), or take them out (:data:`_take`).
 
-    ``entries`` is the bank's non-empty entry list, oldest first, and ``g``
-    its flat bankgroup.  With row ``open_row`` open, the bank's oldest row
-    hit is a member of column class ``col[g]`` and its oldest non-hit of
-    the PRE class; precharged (``open_row < 0``), its oldest entry is a
-    member of ACT class ``act[g]``.  Taking them out must use the open row
-    they were filed under, so it runs before the bank's row changes.
+    ``entries`` is the bank's non-empty list of queued indices, oldest
+    first, ``g`` its flat bankgroup and ``row`` the drain's row column.
+    With row ``open_row`` open, the bank's oldest row hit is a member of
+    column class ``col[g]`` and its oldest non-hit of the PRE class;
+    precharged (``open_row < 0``), its oldest entry is a member of ACT
+    class ``act[g]``.  Taking them out must use the open row they were
+    filed under, so it runs before the bank's row changes.
     """
     col, act, pre = classes
     if open_row < 0:
@@ -332,7 +185,7 @@ def _file(classes: tuple, entries: list, g: int, open_row: int, put) -> None:
         return
     hit = miss = False
     for x in entries:
-        if x.row == open_row:
+        if row[x] == open_row:
             if not hit:
                 put(col[g], x)
                 hit = True
@@ -345,15 +198,15 @@ def _file(classes: tuple, entries: list, g: int, open_row: int, put) -> None:
                 return
 
 
-def _refile(directions: tuple, flat: int, g: int, old_row: int, new_row: int) -> None:
+def _refile(directions: tuple, flat: int, g: int, old_row: int, new_row: int, row: list) -> None:
     """Move bank ``flat``'s candidates in both directions (``(lists,
     classes)`` pairs) from the classes of open row ``old_row`` to those of
     ``new_row`` (-1: precharged)."""
     for lists, classes in directions:
         entries = lists[flat]
         if entries:
-            _file(classes, entries, g, old_row, _take)
-            _file(classes, entries, g, new_row, _put)
+            _file(classes, entries, g, old_row, _take, row)
+            _file(classes, entries, g, new_row, _put, row)
 
 
 def _load_floors(floors: tuple, ranks: list, r: int) -> None:
@@ -440,17 +293,10 @@ class MemoryController:
         """
         self._ranks: list[Rank] | None = None
         self.stats = ControllerStats()
-        self._read_backlog = _Backlog(False)
-        self._write_backlog = _Backlog(True)
         # The traces queued since the last drain, in enqueue order, each
-        # with its first sequence number and its completions array; the
-        # drain decodes them (:meth:`_decode_pending`).
-        self._pending_traces: list[tuple[TraceBuffer, int, np.ndarray | None]] = []
+        # with its completions array; the drain decodes them (:meth:`_decode`).
+        self._pending_traces: list[tuple[TraceBuffer, np.ndarray | None]] = []
         self._pending_records = 0
-        self._read_q: list[_Entry] = []
-        self._write_q: list[_Entry] = []
-        # Admitted writes waiting behind the write window, oldest first.
-        self._write_staged: deque[_Entry] = deque()
         if self._index is not None:
             for members in self._index:
                 members.clear()
@@ -489,7 +335,7 @@ class MemoryController:
 
     def _build_index(self) -> None:
         """Allocate each direction's class index: every bank's queued
-        entries, oldest first, and its ``(col, act, pre)`` candidate classes
+        indices, oldest first, and its ``(col, act, pre)`` candidate classes
         (see :func:`_file`)."""
         org = self.organization
         groups = org.ranks * org.bankgroups
@@ -509,21 +355,17 @@ class MemoryController:
         """Check and queue a whole columnar trace.
 
         ``trace`` is a :class:`TraceBuffer`; its ``cycle`` column gives each
-        record's arrival cycle.  The records join the direction backlogs in
-        trace order, with sequence numbers drawn from the shared counter
-        here, at enqueue time, so enqueueing a trace in several pieces
-        schedules exactly like enqueueing it whole, and traces queued on
-        different controllers keep their enqueue order.  The trace itself
-        is decoded only when a drain starts, in one vectorized pass
-        (:meth:`_decode_pending`).  Per-record Python objects are only
-        materialized later still, at admission time (and never for records
-        a hit phase retires straight from the backlog).
+        record's arrival cycle.  The records join their direction's backlog
+        in trace order, after every record queued before them, so enqueueing
+        a trace in several pieces schedules exactly like enqueueing it
+        whole.  The trace is decoded only when a drain starts.
 
         ``completions``, if given, is a caller-owned int64 array of
         ``len(trace)``: this controller's :meth:`run_to_completion` writes
         each record's burst-end cycle at the record's trace position.  A
-        bad address or a ``completions`` of the wrong shape or dtype raises
-        ``ValueError`` before anything is queued.
+        bad address, an arrival cycle outside ``[0, 2**62)``, or a
+        ``completions`` of the wrong shape or dtype raises ``ValueError``
+        before anything is queued.
         """
         n = len(trace)
         if completions is not None and (
@@ -535,48 +377,50 @@ class MemoryController:
         if n == 0:
             return
         addr = trace.addr
-        if addr.min() < 0 or addr.max() >= self.organization.capacity_bytes:
-            bad = addr[(addr < 0) | (addr >= self.organization.capacity_bytes)][0]
+        capacity = self.organization.capacity_bytes
+        if addr.min() < 0 or addr.max() >= capacity:
+            bad = addr[(addr < 0) | (addr >= capacity)][0]
             raise ValueError(
-                f"address {int(bad):#x} outside channel capacity "
-                f"{self.organization.capacity_bytes:#x}"
+                f"address {int(bad):#x} outside channel capacity {capacity:#x}"
             )
-        self._pending_traces.append((trace, reserve_seq_block(n), completions))
+        cycle = trace.cycle
+        if cycle.min() < 0 or cycle.max() >= _NEVER:
+            bad = cycle[(cycle < 0) | (cycle >= _NEVER)][0]
+            raise ValueError(f"cycle {int(bad)} outside [0, 2**62)")
+        self._pending_traces.append((trace, completions))
         self._pending_records += n
 
-    def _decode_pending(self) -> None:
-        """Decode the traces queued since the last drain into the direction
-        backlogs, in enqueue order, and forget them.  Every drain, the scan
-        oracle's included, starts here."""
+    def _decode(self) -> tuple:
+        """Decode the traces queued since the last drain into the drain's
+        index space, and forget them.
+
+        Returns ``(cols, nr, targets)``: ``cols`` is an int64 array of rows
+        ``(arrival, rank, bankgroup, row, flat bank)`` over every record,
+        reads (indices ``[0, nr)``) then writes, each in enqueue order, and
+        ``targets`` lists ``(completions, positions, first index)`` for each
+        direction's share of each trace enqueued with a completions array.
+        """
         org = self.organization
-        for trace, seq0, completions in self._pending_traces:
-            coords = self.mapping.decode_batch(trace.addr)
-            seqs = seq0 + np.arange(len(trace), dtype=np.int64)
-            flats = (
-                coords["rank"] * org.bankgroups + coords["bankgroup"]
-            ) * org.banks_per_group + coords["bank"]
+        parts = ([], [])  # reads, writes
+        targets = ([], [])
+        sizes = [0, 0]
+        for trace, completions in self._pending_traces:
+            c = self.mapping.decode_batch(trace.addr)
+            flat = (c["rank"] * org.bankgroups + c["bankgroup"]) * org.banks_per_group + c["bank"]
+            block = np.stack((trace.cycle, c["rank"], c["bankgroup"], c["row"], flat))
             is_write = trace.is_write
-            for backlog, mask in (
-                (self._read_backlog, ~is_write),
-                (self._write_backlog, is_write),
-            ):
-                if not mask.any():
-                    continue
-                backlog.append_chunk(
-                    _BacklogChunk(
-                        trace.cycle[mask],
-                        coords["rank"][mask],
-                        coords["bankgroup"][mask],
-                        coords["bank"][mask],
-                        coords["row"][mask],
-                        flats[mask],
-                        seqs[mask],
-                        completions,
-                        None if completions is None else np.flatnonzero(mask),
-                    )
-                )
+            for d, mask in enumerate((~is_write, is_write)):
+                part = block[:, mask]
+                parts[d].append(part)
+                if completions is not None:
+                    targets[d].append((completions, np.flatnonzero(mask), sizes[d]))
+                sizes[d] += part.shape[1]
         self._pending_traces.clear()
         self._pending_records = 0
+        nr = sizes[0]
+        cols = np.concatenate(parts[0] + parts[1], axis=1) if parts[0] else np.zeros((5, 0), np.int64)
+        targets = targets[0] + [(done, pos, nr + first) for done, pos, first in targets[1]]
+        return cols, nr, targets
 
     def snapshot_config(self) -> ControllerConfig:
         """Freeze this controller's construction parameters (see
@@ -594,14 +438,8 @@ class MemoryController:
 
     @property
     def pending(self) -> int:
-        return (
-            self._pending_records
-            + len(self._read_backlog)
-            + len(self._write_backlog)
-            + len(self._read_q)
-            + len(self._write_q)
-            + len(self._write_staged)
-        )
+        """Records queued since the last drain (a drain services them all)."""
+        return self._pending_records
 
     def elapsed_seconds(self) -> float:
         return self.timing.cycles_to_seconds(self.stats.finish_cycle)
@@ -611,47 +449,27 @@ class MemoryController:
 
         FR-FCFS over per-bank indexed queues, restructured for throughput:
 
-        * at most two candidates per bank with entries — within a bank every
-          row-hit entry shares one earliest-issue cycle and every non-hit
-          entry shares another (readiness depends only on bank/rank/bus
-          state; an admitted entry's arrival is already in the past), so the
-          oldest entry of each kind dominates its peers under the
-          (ready, column-first, age) FR-FCFS key;
-        * each direction files its candidates in **classes** that share
-          every readiness term but their bank's (:func:`_file`): per
-          bankgroup a column class (its bankgroup and rank column floors,
-          the data bus with tRTRS, the command floor) and an ACT class (its
-          bankgroup and rank ACT floors, the command floor), and one PRE
-          class (the command floor).  A member is ready at the max of its
-          class term and its bank's term, read live from :class:`Bank`, so
-          a class's best is its oldest member whose bank term has passed the
-          class term, and a step walks only the classes that can still beat
-          the best candidate so far, in ranks that hold entries of the
-          direction;
-        * the classes follow every command: admission appends (an admitted
-          entry is its direction's youngest), a column command files its
-          bank's next row hit, an ACT or PRE re-files the bank in both
-          directions, and a refresh or a hit phase's end files afresh;
+        * a request is an index into the drain's columns (module
+          docstring); each direction's admitted entries are counted, not
+          listed, and its backlog is the index range past a pointer;
+        * each direction files at most two candidates per bank (its oldest
+          row hit and oldest non-hit) in **classes** that share every
+          readiness term but their bank's (:func:`_file`), and a step walks
+          only the classes that can still beat the best candidate so far,
+          in ranks that hold entries of the direction;
         * rank and bankgroup readiness floors are incremental: loaded from
           :meth:`Rank.floors` on entry and after each hit phase, and raised
           by ``max`` as each ACT or column command issues;
         * candidates compare on ready cycle, then on one integer tie key:
-          a column command's key is its sequence number, a row command's is
-          its sequence number plus :func:`seq_ceiling` at drain start.
-          Every queued number lies below the ceiling, so the key orders
-          column before row commands and, within each, older before younger
-          — the FR-FCFS (pref, seq) order, for any sequence numbers;
+          a column command's key is its index, a row command's is its
+          index plus the drain's record count, which orders column before
+          row commands and, within each, older before younger;
         * writes are scheduled only from the ``window`` oldest admitted
           entries; when ``write_high > window`` the younger admitted writes
-          wait in a FIFO staging deque, count towards the watermarks, and
-          refill the window, oldest first, before the backlog does;
+          are staged (``[w_adm, w_fetch)``), count towards the watermarks,
+          and refill the window, oldest first, before the backlog does;
         * while every candidate of the chosen direction is a row hit in one
-          rank, the drain runs a **hit phase** (module docstring, PERF.md);
-          the classes show that in O(1) after each column command;
-        * admission, refresh, queue arbitration, candidate selection, and
-          command issue (ACT and PRE included) are inlined into one loop
-          with the mutable state (clock, bus, stats counters) and timing
-          constants held in locals and written back once at the end.
+          rank, the drain runs a **hit phase** (module docstring, PERF.md).
         """
         t = self.timing
         stats = self.stats
@@ -659,17 +477,24 @@ class MemoryController:
         write_high = self.write_high
         write_low = self.write_low
         closed_policy = self.row_policy == "closed"
-        self._decode_pending()
+        cols, nr, targets = self._decode()
+        n = cols.shape[1]
+        arrival, rank_of, bg_of, row_of, flat_of = cols.tolist()
+        arrival.append(_NEVER)  # stops the write admission walk at n
         ranks = self.ranks
         flat_bank = self._flat_bank
         flat_rank = self._flat_rank
         flat_bgflat = self._flat_bgflat
+        bank_of = list(map(flat_bank.__getitem__, flat_of))
+        needed_act = bytearray(n)
+        needed_pre = bytearray(n)
+        done = [0] * n if targets else None
+        # What the helpers read: the drain's columns as arrays and lists.
+        self._cols = cols
+        self._columns = (arrival, rank_of, bg_of, row_of, flat_of)
+        self._needed = (needed_act, needed_pre)
+        self._done = done
         bg_count = self.organization.bankgroups
-        read_backlog = self._read_backlog
-        write_backlog = self._write_backlog
-        read_q = self._read_q
-        write_q = self._write_q
-        # The class index of each direction; a drain starts with both empty.
         if self._index is None:
             self._build_index()
         read_lists = self._read_lists
@@ -681,14 +506,17 @@ class MemoryController:
         # How many of each direction's queued entries each rank holds.
         read_live = [0] * len(ranks)
         write_live = [0] * len(ranks)
-        read_index = (read_q, read_lists, read_classes, read_live)
-        write_index = (write_q, write_lists, write_classes, write_live)
         directions = ((read_lists, read_classes), (write_lists, write_classes))
-        # Only a write queue that can outgrow the window needs the staging
-        # deque; the default configuration never enters its branches.
+        # Admission pointers: reads [r_adm, nr) and writes [w_fetch, n) are
+        # not admitted yet, writes [w_adm, w_fetch) are staged.  read_n and
+        # write_n count the admitted entries in each window.
+        r_adm = 0
+        w_adm = w_fetch = nr
+        read_n = write_n = 0
+        # Only a write queue that can outgrow the window stages writes; the
+        # default configuration never enters its branches.
         staging = window < write_high
         write_cap = window if staging else write_high
-        staged = self._write_staged
         t_cl = self._t_cl
         t_cwl = self._t_cwl
         t_burst = self._t_burst
@@ -699,8 +527,7 @@ class MemoryController:
         t_ras = t.ras
         t_rc = t.rc
         t_rp = t.rp
-        big = 1 << 62
-        row_key = seq_ceiling()  # added to a row command's tie key
+        big = _NEVER
         n_ranks = len(ranks)
         # Incremental readiness floors (see PERF.md): each earliest RD/WR/ACT
         # bound split into a rank-wide part (indexed by rank) and a
@@ -759,100 +586,89 @@ class MemoryController:
         finish = stats.finish_cycle
         latency_sum = stats.read_latency_sum
 
-        pending = self.pending
+        pending = n
         while pending or phase:
             # -- admission --------------------------------------------------
             # An admitted entry is the youngest of its direction: it joins
             # the end of its bank's list and, when it is the bank's first
-            # entry of its kind, the end of its class.
-            while (
-                len(read_q) < window
-                and read_backlog.length
-                and read_backlog.head_arrival() <= now
-            ):
-                entry = read_backlog.popleft()
-                entry.qpos = len(read_q)
-                read_q.append(entry)
-                flat = entry.flat
-                bank = entry.state = flat_bank[flat]
-                open_row = bank.open_row
+            # entry of its kind, the end of its class.  In a phase of its
+            # direction it joins its bankgroup's heads instead (the bank
+            # lists are rebuilt when the phase ends), and anything but a row
+            # hit in the phase rank ends the phase.
+            while read_n < window and r_adm < nr and arrival[r_adm] <= now:
+                i = r_adm
+                r_adm += 1
+                read_n += 1
+                open_row = bank_of[i].open_row
+                row = row_of[i]
                 if phase and not phase_write:
-                    # A read phase indexes its window by bankgroup; the bank
-                    # lists are rebuilt when it ends.
-                    if entry.rank == phase_rank and entry.row == open_row:
-                        heads[entry.bankgroup].append(entry)
-                    else:
+                    heads[bg_of[i]].append(i)
+                    if row != open_row or rank_of[i] != phase_rank:
                         phase_end = True
                     continue
+                flat = flat_of[i]
                 entries = read_lists[flat]
                 if open_row < 0:
                     if not entries:
-                        read_act[flat_bgflat[flat]].append(entry)
-                elif entry.row == open_row:
+                        read_act[flat_bgflat[flat]].append(i)
+                elif row == open_row:
                     for x in entries:
-                        if x.row == open_row:
+                        if row_of[x] == open_row:
                             break
                     else:
-                        read_col[flat_bgflat[flat]].append(entry)
+                        read_col[flat_bgflat[flat]].append(i)
                 else:
                     for x in entries:
-                        if x.row != open_row:
+                        if row_of[x] != open_row:
                             break
                     else:
-                        read_pre.append(entry)
-                entries.append(entry)
-                read_live[entry.rank] += 1
-            while len(write_q) < write_cap and (
-                staged or (write_backlog.length and write_backlog.head_arrival() <= now)
-            ):
-                # Staged writes are older than the whole backlog: a write
-                # completion's free window slot goes to the oldest of them.
-                entry = staged.popleft() if staged else write_backlog.popleft()
-                entry.qpos = len(write_q)
-                write_q.append(entry)
-                flat = entry.flat
-                bank = entry.state = flat_bank[flat]
-                open_row = bank.open_row
+                        read_pre.append(i)
+                entries.append(i)
+                read_live[rank_of[i]] += 1
+            # Staged writes are older than the whole backlog: a write
+            # completion's free window slot goes to the oldest of them.
+            while write_n < write_cap and (w_adm < w_fetch or arrival[w_adm] <= now):
+                i = w_adm
+                w_adm += 1
+                if w_fetch < w_adm:
+                    w_fetch = w_adm
+                write_n += 1
+                open_row = bank_of[i].open_row
+                row = row_of[i]
                 if phase and phase_write:
-                    if entry.rank == phase_rank and entry.row == open_row:
-                        heads[entry.bankgroup].append(entry)
-                    else:
+                    heads[bg_of[i]].append(i)
+                    if row != open_row or rank_of[i] != phase_rank:
                         phase_end = True
                     continue
+                flat = flat_of[i]
                 entries = write_lists[flat]
                 if open_row < 0:
                     if not entries:
-                        write_act[flat_bgflat[flat]].append(entry)
-                elif entry.row == open_row:
+                        write_act[flat_bgflat[flat]].append(i)
+                elif row == open_row:
                     for x in entries:
-                        if x.row == open_row:
+                        if row_of[x] == open_row:
                             break
                     else:
-                        write_col[flat_bgflat[flat]].append(entry)
+                        write_col[flat_bgflat[flat]].append(i)
                 else:
                     for x in entries:
-                        if x.row != open_row:
+                        if row_of[x] != open_row:
                             break
                     else:
-                        write_pre.append(entry)
-                entries.append(entry)
-                write_live[entry.rank] += 1
+                        write_pre.append(i)
+                entries.append(i)
+                write_live[rank_of[i]] += 1
             if staging:
-                while (
-                    len(write_q) + len(staged) < write_high
-                    and write_backlog.length
-                    and write_backlog.head_arrival() <= now
-                ):
-                    staged.append(write_backlog.popleft())
+                while write_n + w_fetch - w_adm < write_high and arrival[w_fetch] <= now:
+                    w_fetch += 1
             # -- hit phase --------------------------------------------------
             if phase:
                 if phase_write:
-                    queue = write_q
-                    ended = not write_q or (len(write_q) <= write_low and read_q)
+                    ended = not write_n or (write_n <= write_low and read_n)
                 else:
-                    queue = read_q
-                    ended = not read_q or (
-                        len(write_q) + len(staged) if staging else len(write_q)
+                    ended = not read_n or (
+                        write_n + w_fetch - w_adm if staging else write_n
                     ) >= write_high
                 if not (ended or phase_end or now >= next_refresh):
                     floor = prev + pace
@@ -861,30 +677,55 @@ class MemoryController:
                     if (
                         floor >= warm_at
                         and seq_run >= retry
-                        and (write_backlog if phase_write else read_backlog).length >= phase_cap
+                        and (n - w_fetch if phase_write else nr - r_adm) >= phase_cap
                     ):
                         # Once the rank's banks are warm, try to retire what
                         # follows in closed form, if at least another
-                        # window's worth of records is queued.
-                        done = self._stretch(heads, phase_write, phase_rank, bgf, floor, now)
+                        # window's worth of records is queued.  The run
+                        # stops at the next refresh and at the next
+                        # admission of the other direction.
+                        bound = next_refresh
+                        if phase_write:
+                            fetch, end, count = w_fetch, n, write_n
+                            keep = write_low if read_n else 0
+                            if read_n < window and r_adm < nr and arrival[r_adm] < bound:
+                                bound = arrival[r_adm]
+                        else:
+                            fetch, end, count = r_adm, nr, read_n
+                            keep = 0
+                            if (
+                                (write_n + w_fetch - w_adm if staging else write_n) < write_high
+                                and arrival[w_fetch] < bound
+                            ):
+                                bound = arrival[w_fetch]
+                        done_run = self._stretch(
+                            heads, phase_write, phase_rank, bgf, floor, now,
+                            fetch, end, phase_cap, keep, bound,
+                        )
                         seq_run = 0
                         # An oldest entry that is not ready yet is checked
                         # again after the next command that goes to the
                         # oldest entry (a test of the group heads); any
                         # other break waits for the window to turn over in
-                        # sequence order.
-                        retry = 1 if done == 0 else phase_cap
-                        if done.__class__ is tuple:
-                            m, prev, s_hits, s_misses, s_conflicts, s_lat = done
+                        # index order.
+                        retry = 1 if done_run == 0 else phase_cap
+                        if done_run.__class__ is tuple:
+                            m, prev, s_hits, s_misses, s_conflicts, s_lat = done_run
                             now = prev
                             issued += m
                             pending -= m
                             n_hits += s_hits
                             n_misses += s_misses
                             n_conflicts += s_conflicts
+                            # The window goes first, then the backlog.
+                            absorbed = m - count if m > count else 0
                             if phase_write:
+                                write_n = count - m + absorbed
+                                w_adm = w_fetch = w_fetch + absorbed
                                 n_writes += m
                             else:
+                                read_n = count - m + absorbed
+                                r_adm += absorbed
                                 n_reads += m
                                 latency_sum += s_lat
                             continue
@@ -893,65 +734,58 @@ class MemoryController:
                     # of the floor, its bankgroup's floor and its bank's
                     # tRCD, so in a bankgroup whose oldest entry's bank is
                     # warm that entry wins the group.
-                    best = None
-                    best_ready = best_seq = oldest = big
+                    best = oldest = best_ready = big
                     for g, group in enumerate(heads):
                         if not group:
                             continue
-                        entry = group[0]
-                        s = entry.seq
-                        if s < oldest:
-                            oldest = s
+                        i = group[0]
+                        if i < oldest:
+                            oldest = i
                         ready = bgf[g]
                         if ready < floor:
                             ready = floor
-                        if flat_bank[entry.flat].earliest_col > ready:
+                        if bank_of[i].earliest_col > ready:
                             # Its bank is still warming up: a younger entry
                             # of a warm bank in the group may go first.
                             group_ready = ready
                             ready = big
                             for x in group:
-                                v = flat_bank[x.flat].earliest_col
+                                v = bank_of[x].earliest_col
                                 if v < group_ready:
                                     v = group_ready
                                 if v < ready:
                                     ready = v
-                                    entry = x
-                            s = entry.seq
-                        if ready < best_ready or (ready == best_ready and s < best_seq):
+                                    i = x
+                        if ready < best_ready or (ready == best_ready and i < best):
                             best_ready = ready
-                            best_seq = s
-                            best = entry
-                    entry = best
+                            best = i
+                    i = best
                     when = best_ready
-                    g = entry.bankgroup
+                    g = bg_of[i]
                     group = heads[g]
-                    if group[0] is entry:
+                    if group[0] == i:
                         del group[0]
                     else:
-                        group.remove(entry)
-                    seq_run = seq_run + 1 if best_seq == oldest else 0
-                    i = entry.qpos
-                    last = queue[-1]
-                    queue[i] = last
-                    last.qpos = i
-                    queue.pop()
+                        group.remove(i)
+                    seq_run = seq_run + 1 if i == oldest else 0
                     now = prev = when
                     bgf[g] = when + ccd_l
-                    bank = flat_bank[entry.flat]
+                    bank = bank_of[i]
                     burst_end = when + phase_tail
                     if phase_write:
+                        write_n -= 1
                         n_writes += 1
                     else:
+                        read_n -= 1
                         n_reads += 1
-                        latency_sum += burst_end - entry.arrival
+                        latency_sum += burst_end - arrival[i]
                     if when + phase_gate > bank.earliest_pre:
                         bank.earliest_pre = when + phase_gate
-                    if entry.done is not None:
-                        entry.done[entry.pos] = burst_end
-                    if entry.needed_pre:
+                    if done is not None:
+                        done[i] = burst_end
+                    if needed_pre[i]:
                         n_conflicts += 1
-                    elif entry.needed_act:
+                    elif needed_act[i]:
                         n_misses += 1
                     else:
                         n_hits += 1
@@ -985,20 +819,21 @@ class MemoryController:
                         if bgf[g] > entry_floors[r * bg_count + g]:
                             by_group[g] = bgf[g] - ccd_l
                     _load_floors(floors, ranks, r)
-                self._index_window(*(write_index if phase_write else read_index))
+                queued = sorted([i for group in heads for i in group])
+                if phase_write:
+                    self._index_window(write_lists, write_classes, queued, write_live)
+                else:
+                    self._index_window(read_lists, read_classes, queued, read_live)
                 if not pending:
                     break
-            if not read_q and not write_q:
-                # Nothing admitted: jump to the next arrival.
-                arrival = big
-                if read_backlog.length:
-                    arrival = read_backlog.head_arrival()
-                if write_backlog.length:
-                    w_arrival = write_backlog.head_arrival()
-                    if w_arrival < arrival:
-                        arrival = w_arrival
-                if arrival > now:
-                    now = arrival
+            if not read_n and not write_n:
+                # Nothing admitted (and so nothing staged): jump to the next
+                # arrival.
+                v = arrival[w_fetch]
+                if r_adm < nr and arrival[r_adm] < v:
+                    v = arrival[r_adm]
+                if v > now:
+                    now = v
                 continue
             # -- refresh ----------------------------------------------------
             if now >= next_refresh:
@@ -1008,22 +843,21 @@ class MemoryController:
                         n_refs += 1
                 next_refresh = min(rank.next_refresh for rank in ranks)
                 # The refreshed ranks' banks all closed.
-                self._index_window(*read_index)
-                self._index_window(*write_index)
+                self._index_window(read_lists, read_classes)
+                self._index_window(write_lists, write_classes)
             # -- queue arbitration (write-drain watermarks) -----------------
-            write_level = len(write_q) + len(staged) if staging else len(write_q)
+            write_level = write_n + w_fetch - w_adm if staging else write_n
             if draining:
-                if write_level <= write_low and read_q:
+                if write_level <= write_low and read_n:
                     draining = False
-            elif not read_q or write_level >= write_high:
-                draining = bool(write_q) or write_backlog.length > 0
-            if draining and write_q:
+            elif not read_n or write_level >= write_high:
+                draining = write_n > 0 or w_fetch < n
+            if draining and write_n:
                 is_write_q = True
             else:
-                is_write_q = not read_q
+                is_write_q = not read_n
             floor = cmd_free if cmd_free > now else now
             if is_write_q:
-                queue = write_q
                 lists = write_lists
                 col, act, pre = write_classes
                 other_lists = read_lists
@@ -1033,7 +867,6 @@ class MemoryController:
                 rank_col = rank_wr
                 bg_col = bg_wr
             else:
-                queue = read_q
                 lists = read_lists
                 col, act, pre = read_classes
                 other_lists = write_lists
@@ -1049,7 +882,7 @@ class MemoryController:
             # that term and ends the walk (younger members cannot beat it),
             # and the members before it are ready at their bank terms.
             best_ready = best_key = big
-            best_entry = None
+            best = -1
             for r, bgs in rank_bgs:
                 if not live[r]:
                     continue
@@ -1069,57 +902,57 @@ class MemoryController:
                         term = bg_col[g]
                         if term < term_c:
                             term = term_c
-                        if term < best_ready or (term == best_ready and members[0].seq < best_key):
+                        if term < best_ready or (term == best_ready and members[0] < best_key):
                             for e in members:
-                                ready = e.state.earliest_col
+                                ready = bank_of[e].earliest_col
                                 if ready <= term:
-                                    if term < best_ready or e.seq < best_key:
-                                        best_ready, best_key, best_entry = term, e.seq, e
+                                    if term < best_ready or e < best_key:
+                                        best_ready, best_key, best = term, e, e
                                     break
-                                if ready < best_ready or (ready == best_ready and e.seq < best_key):
-                                    best_ready, best_key, best_entry = ready, e.seq, e
+                                if ready < best_ready or (ready == best_ready and e < best_key):
+                                    best_ready, best_key, best = ready, e, e
                     members = act[g]
                     if members:
                         term = bg_act[g]
                         if term < term_a:
                             term = term_a
                         if term < best_ready or (
-                            term == best_ready and members[0].seq + row_key < best_key
+                            term == best_ready and members[0] + n < best_key
                         ):
                             for e in members:
-                                ready = e.state.earliest_act
-                                key = e.seq + row_key
+                                ready = bank_of[e].earliest_act
+                                key = e + n
                                 if ready <= term:
                                     if term < best_ready or key < best_key:
-                                        best_ready, best_key, best_entry = term, key, e
+                                        best_ready, best_key, best = term, key, e
                                     break
                                 if ready < best_ready or (ready == best_ready and key < best_key):
-                                    best_ready, best_key, best_entry = ready, key, e
-            if pre and (floor < best_ready or pre[0].seq + row_key < best_key):
+                                    best_ready, best_key, best = ready, key, e
+            if pre and (floor < best_ready or pre[0] + n < best_key):
                 for e in pre:
-                    ready = e.state.earliest_pre
-                    key = e.seq + row_key
+                    ready = bank_of[e].earliest_pre
+                    key = e + n
                     if ready <= floor:
                         if floor < best_ready or key < best_key:
-                            best_ready, best_key, best_entry = floor, key, e
+                            best_ready, best_key, best = floor, key, e
                         break
                     if ready < best_ready or (ready == best_ready and key < best_key):
-                        best_ready, best_key, best_entry = ready, key, e
+                        best_ready, best_key, best = ready, key, e
             # -- issue ------------------------------------------------------
-            entry = best_entry
+            i = best
             when = best_ready
-            flat = entry.flat
-            bank = entry.state
+            flat = flat_of[i]
+            bank = bank_of[i]
             rank = flat_rank[flat]
-            bg = entry.bankgroup
-            r = entry.rank
+            bg = bg_of[i]
+            r = rank_of[i]
             g = flat_bgflat[flat]
             if when > now:
                 now = when
             cmd_free = when + 1
             row = bank.open_row
             if row < 0:  # ACT
-                bank.open_row = row = entry.row
+                bank.open_row = row = row_of[i]
                 bank.earliest_col = when + t_rcd
                 v = when + t_ras
                 if v > bank.earliest_pre:
@@ -1141,48 +974,48 @@ class MemoryController:
                 if v > bg_act[g]:
                     bg_act[g] = v
                 n_acts += 1
-                entry.needed_act = True
+                needed_act[i] = 1
                 # The bank's oldest entry (this one) becomes its oldest row
                 # hit, its oldest non-hit a PRE candidate; the other
                 # direction's entries in the bank are filed afresh.
-                act[g].remove(entry)
-                _put(col[g], entry)
+                act[g].remove(i)
+                _put(col[g], i)
                 for x in lists[flat]:
-                    if x.row != row:
+                    if row_of[x] != row:
                         _put(pre, x)
                         break
                 entries = other_lists[flat]
                 if entries:
-                    _file(other_classes, entries, g, -1, _take)
-                    _file(other_classes, entries, g, row, _put)
+                    _file(other_classes, entries, g, -1, _take, row_of)
+                    _file(other_classes, entries, g, row, _put, row_of)
                 continue
-            if row != entry.row:  # PRE
+            if row != row_of[i]:  # PRE
                 # The bank's entries compete for an ACT again.
                 entries = lists[flat]
-                pre.remove(entry)
+                pre.remove(i)
                 for x in entries:
-                    if x.row == row:
+                    if row_of[x] == row:
                         col[g].remove(x)
                         break
                 _put(act[g], entries[0])
                 entries = other_lists[flat]
                 if entries:
-                    _file(other_classes, entries, g, row, _take)
-                    _file(other_classes, entries, g, -1, _put)
+                    _file(other_classes, entries, g, row, _take, row_of)
+                    _file(other_classes, entries, g, -1, _put, row_of)
                 bank.open_row = -1
                 v = when + t_rp
                 if v > bank.earliest_act:
                     bank.earliest_act = v
                 n_pres += 1
-                entry.needed_pre = True
+                needed_pre[i] = 1
                 continue
             # Column command: the request completes after its data burst.
             burst_end = when + data_offset + t_burst
             bus_free = burst_end
-            bus_rank = entry.rank
+            bus_rank = r
             bus_cycles += t_burst
-            if entry.done is not None:
-                entry.done[entry.pos] = burst_end
+            if done is not None:
+                done[i] = burst_end
             if burst_end > finish:
                 finish = burst_end
             if is_write_q:
@@ -1204,6 +1037,8 @@ class MemoryController:
                 if v > bg_rd[g]:
                     bg_rd[g] = v
                 n_writes += 1
+                write_n -= 1
+                count = write_n
             else:
                 ep = when + t_rtp  # RD gates the next PRE on this bank
                 if ep > bank.earliest_pre:
@@ -1220,34 +1055,31 @@ class MemoryController:
                 if v > bg_rd[g]:
                     bg_rd[g] = v
                 n_reads += 1
-                latency_sum += burst_end - entry.arrival
-            if entry.needed_pre:
+                latency_sum += burst_end - arrival[i]
+                read_n -= 1
+                count = read_n
+            if needed_pre[i]:
                 n_conflicts += 1
-            elif entry.needed_act:
+            elif needed_act[i]:
                 n_misses += 1
             else:
                 n_hits += 1
-            # The completed entry leaves the queue by swap-pop, and its bank
-            # list and column class in order; the bank's next row hit, if
-            # any, takes its place in the class.
-            i = entry.qpos
-            last = queue[-1]
-            queue[i] = last
-            last.qpos = i
-            queue.pop()
+            # The completed entry leaves its bank list and column class in
+            # order; the bank's next row hit, if any, takes its place in the
+            # class.
             entries = lists[flat]
-            entries.remove(entry)
+            entries.remove(i)
             members = col[g]
-            members.remove(entry)
+            members.remove(i)
             for x in entries:
-                if x.row == row:
+                if row_of[x] == row:
                     _put(members, x)
                     break
             live[r] -= 1
             pending -= 1
             if closed_policy:
                 # Auto-precharge: the bank closes as soon as tRTP/tWR allows.
-                _refile(directions, flat, g, row, -1)
+                _refile(directions, flat, g, row, -1, row_of)
                 bank.precharge(bank.earliest_pre, t)
                 n_pres += 1
             elif (
@@ -1255,8 +1087,8 @@ class MemoryController:
                 and not pre
                 and draining == is_write_q
                 and not (staging and is_write_q)
-                and live[r] == len(queue)
-                and queue
+                and count
+                and live[r] == count
                 and not any(act)
             ):
                 # Every candidate of this direction is a row hit in rank r:
@@ -1271,18 +1103,22 @@ class MemoryController:
                 phase_tail = data_offset + t_burst
                 phase_gate = t_w2p if is_write_q else t_rtp
                 rank_floor = rank_col[r]
+                base = r * banks_per_rank
                 warm_at = max(
                     b.earliest_col
-                    for b in flat_bank[r * banks_per_rank : (r + 1) * banks_per_rank]
+                    for b in flat_bank[base : base + banks_per_rank]
                     if b.open_row >= 0
                 )
                 lo = r * bg_count
                 bgf = bg_col[lo : lo + bg_count]
                 heads = [[] for _ in range(bg_count)]
-                for e in sorted(queue, key=_by_seq):
-                    heads[e.bankgroup].append(e)
+                for x in sorted([x for entries in lists[base : base + banks_per_rank] for x in entries]):
+                    heads[bg_of[x]].append(x)
 
         # -- write back ----------------------------------------------------
+        for completions, positions, first in targets:
+            completions[positions] = done[first : first + len(positions)]
+        self._cols = self._columns = self._needed = self._done = None
         self._now = now
         self._cmd_free = cmd_free
         self._bus_free = bus_free
@@ -1301,25 +1137,32 @@ class MemoryController:
         stats.finish_cycle = finish if finish > now else now
         return stats
 
-    def _index_window(self, queue: list, lists: list, classes: tuple, live: list) -> None:
-        """Index one direction's window afresh: its bank lists from
-        ``queue``, oldest first, its entries per rank in ``live``, and its
-        classes from the lists and the banks' open rows.  Whatever they
-        held is dropped first, so a hit phase, which issues without touching
-        them, ends with one call, and so does a refresh, which closes banks."""
-        for members in (*lists, *classes[0], *classes[1], classes[2]):
+    def _index_window(self, lists: list, classes: tuple, queued=None, live=None) -> None:
+        """File one direction's classes afresh from its bank lists and the
+        banks' open rows, first rebuilding the lists and the per-rank
+        counts ``live`` from ``queued`` (its queued indices, oldest first)
+        when given.  Whatever the classes held is dropped, so a hit phase,
+        which issues without touching the lists, ends with one call, and so
+        does a refresh, which closes banks."""
+        col, act, pre = classes
+        for members in (*col, *act, pre):
             members.clear()
-        live[:] = [0] * len(live)
-        for entry in sorted(queue, key=_by_seq):
-            lists[entry.flat].append(entry)
-            live[entry.rank] += 1
+        if queued is not None:
+            for entries in lists:
+                entries.clear()
+            live[:] = [0] * len(live)
+            flat_of, rank_of = self._columns[4], self._columns[1]
+            for i in queued:
+                lists[flat_of[i]].append(i)
+                live[rank_of[i]] += 1
+        row = self._columns[3]
         flat_bank = self._flat_bank
         flat_bgflat = self._flat_bgflat
         for flat, entries in enumerate(lists):
             if entries:
-                _file(classes, entries, flat_bgflat[flat], flat_bank[flat].open_row, _put)
+                _file(classes, entries, flat_bgflat[flat], flat_bank[flat].open_row, _put, row)
 
-    def _stretch(self, heads, is_write, r0, bgf, floor, now):
+    def _stretch(self, heads, is_write, r0, bgf, floor, now, fetch, end, cap, keep, bound):
         """Issue, in closed form, the longest run of a hit phase's next
         commands that each go to the oldest window entry.
 
@@ -1328,94 +1171,69 @@ class MemoryController:
         row hit, every open bank of ``r0`` is past tRCD (no ACT issues in a
         phase, so every record below is ready as far as its bank goes), the
         next command issues no earlier than ``floor``, and bankgroup ``g``'s
-        no earlier than ``bgf[g]``.  The run is the window
-        in sequence order, then the backlog's prefix of row hits in ``r0``
-        that have arrived by ``now``, read in blocks that grow sixteenfold
-        while the run holds (numpy work in proportion to the run).  Its
-        ``i``-th record is the oldest candidate at step ``i``, and wins if
-        no candidate is ready before it: always in a one-bankgroup run,
-        whose commands follow ``max(floor, bgf)`` at ``max(burst, tCCD_S,
-        tCCD_L)`` intervals; otherwise when it is ready at the floor,
-        ``previous + max(burst, tCCD_S)``, i.e. when ``bgf``, then its
-        group's previous command + tCCD_L, is reached by then.  The
-        run stops before the step that admits a record it does not hold,
-        with the write low watermark's entries still queued (write phase),
-        and after the first command issued at or past the next refresh or
-        the next admission of the other direction.
+        no earlier than ``bgf[g]``.  The run is the window in index order,
+        then the prefix of the direction's backlog ``[fetch, end)`` that is
+        row hits in ``r0`` arrived by ``now``, read in blocks that grow
+        sixteenfold while the run holds (numpy work in proportion to the
+        run).  Its ``i``-th record is the oldest candidate at step ``i``,
+        and wins if no candidate is ready before it: always in a
+        one-bankgroup run, whose commands follow ``max(floor, bgf)`` at
+        ``max(burst, tCCD_S, tCCD_L)`` intervals; otherwise when it is ready
+        at the floor, ``previous + max(burst, tCCD_S)``, i.e. when ``bgf``,
+        then its group's previous command + tCCD_L, is reached by then.
+        The run stops before the step that admits a record it does not hold
+        into a window of ``cap``, with ``keep`` entries still queued, and
+        after the first command issued at or past ``bound`` (the next
+        refresh or admission of the other direction).
 
         Returns ``(m, last_when, hits, misses, conflicts, latency)`` after
-        retiring the ``m`` commands from the window, backlog, ``bgf``, the
-        banks' ``earliest_pre`` and the completion arrays; when no command
-        qualifies, the number of leading records that held (0: the oldest
+        retiring the ``m`` commands from ``heads``, ``bgf``, the banks'
+        ``earliest_pre`` and the completion cycles; the caller moves its
+        window count and backlog pointer.  When no command qualifies it
+        returns the number of leading records that held (0: the oldest
         entry is not ready at the floor).
         """
         flat_bank = self._flat_bank
         ccd_l = self.timing.ccd_l
         pace = self._pace
-        read_q, write_q = self._read_q, self._write_q
-        if is_write:
-            queue, backlog, other = write_q, self._write_backlog, self._read_backlog
-            cap = self.write_high
-            keep = self.write_low if read_q else 0
-            other_room = len(read_q) < self.window
-        else:
-            queue, backlog, other = read_q, self._read_backlog, self._write_backlog
-            cap = self.window
-            keep = 0
-            other_room = len(write_q) + len(self._write_staged) < self.write_high
-        bound = min(rank.next_refresh for rank in self._ranks)
-        if other_room and other.length:
-            bound = min(bound, other.head_arrival())
+        bg_of = self._columns[2]
         groups = [group for group in heads if group]
         if len(groups) == 1:
             entries = groups[0]
         else:
             # The oldest entry first (no sort), then the whole window.
-            e = min((group[0] for group in groups), key=_by_seq)
-            if bgf[e.bankgroup] > floor:
+            if bgf[bg_of[min(group[0] for group in groups)]] > floor:
                 return 0
-            entries = sorted((e for group in groups for e in group), key=_by_seq)
+            entries = sorted([i for group in groups for i in group])
             group_floor = list(bgf)
             when = floor
             for i, e in enumerate(entries):
-                g = e.bankgroup
+                g = bg_of[e]
                 if group_floor[g] > when:
                     return i
                 group_floor[g] = when + ccd_l
                 when += pace
+        arrival, rank, bankgroup, row, flat = self._cols
         q_n = len(entries)
-        g0 = entries[0].bankgroup
+        window = np.array(entries, dtype=np.int64)
+        g0 = bg_of[entries[0]]
         nflats = len(flat_bank)
         open_rows = np.fromiter((b.open_row for b in flat_bank), np.int64, nflats)
-        window_flats = np.array([e.flat for e in entries], np.int64)
-        window_bgs = np.array([e.bankgroup for e in entries], np.int64)
+        window_flats = flat[window]
+        window_bgs = bankgroup[window]
+        remaining = end - fetch
         best = None
         block = cap
         while True:
-            flat_parts, bg_parts, arr_parts = [window_flats], [window_bgs], []
-            absorbed = 0
-            for chunk in backlog.chunks:
-                end = min(chunk.n, chunk.start + block - absorbed)
-                sl = slice(chunk.start, end)
-                flats_c = chunk.flat[sl]
-                ok = (
-                    (chunk.rank[sl] == r0)
-                    & (chunk.arrival[sl] <= now)
-                    & (chunk.row[sl] == open_rows[flats_c])
-                )
-                k = end - chunk.start if ok.all() else int(np.argmax(~ok))
-                if k:
-                    flat_parts.append(flats_c[:k])
-                    bg_parts.append(chunk.bankgroup[sl][:k])
-                    arr_parts.append(chunk.arrival[sl][:k])
-                    absorbed += k
-                if k < end - chunk.start or absorbed == block:
-                    break
+            sl = slice(fetch, min(end, fetch + block))
+            flats_c = flat[sl]
+            ok = (rank[sl] == r0) & (arrival[sl] <= now) & (row[sl] == open_rows[flats_c])
+            absorbed = len(ok) if ok.all() else int(np.argmax(~ok))
             total = q_n + absorbed
             # The next record is admitted at step total - cap + 1.
-            k_max = min(total - cap + 1 if absorbed < backlog.length else total, total - keep)
-            flats = np.concatenate(flat_parts)
-            bgs = np.concatenate(bg_parts)
+            k_max = min(total - cap + 1 if absorbed < remaining else total, total - keep)
+            flats = np.concatenate((window_flats, flats_c[:absorbed]))
+            bgs = np.concatenate((window_bgs, bankgroup[sl][:absorbed]))
             steps = np.arange(total, dtype=np.int64)
             if (bgs == g0).all():
                 when = max(floor, bgf[g0]) + steps * max(pace, ccd_l)
@@ -1431,47 +1249,38 @@ class MemoryController:
             # Command i issues at a step whose clock is when[i - 1].
             m = min(held, k_max, int(np.searchsorted(when, bound)) + 1)
             if best is None or m > best[0]:
-                best = (m, when, flats, bgs, arr_parts)
-            if not (held == total == m + cap - 1 and absorbed == block < backlog.length):
+                best = (m, when, flats, bgs)
+            if not (held == total == m + cap - 1 and absorbed == block < remaining):
                 break
             block *= 16
-        m, when, flats, bgs, arr_parts = best
+        m, when, flats, bgs = best
         if m < 1:
             return held
         when = when[:m]
         flats = flats[:m]
         last_when = int(when[-1])
         tail = (self._t_cwl if is_write else self._t_cl) + self._t_burst
+        done = self._done
         # -- retire the window part ----------------------------------------
         n_w = min(m, q_n)
         retired = entries[:n_w]
-        for i, e in enumerate(retired):
-            if e.done is not None:
-                e.done[e.pos] = int(when[i]) + tail
-        conflicts = sum(e.needed_pre for e in retired)
-        misses = sum(e.needed_act and not e.needed_pre for e in retired)
+        needed_act, needed_pre = self._needed
+        conflicts = sum(needed_pre[e] for e in retired)
+        misses = sum(needed_act[e] and not needed_pre[e] for e in retired)
         hits = m - conflicts - misses
-        latency = int(when.sum()) + m * tail - sum(e.arrival for e in retired)
-        cutoff = retired[-1].seq
+        latency = int(when.sum()) + m * tail - int(arrival[window[:n_w]].sum())
+        if done is not None:
+            for k, e in enumerate(retired):
+                done[e] = int(when[k]) + tail
+        cutoff = retired[-1]
         for group in heads:
-            group[:] = [e for e in group if e.seq > cutoff]
-        queue[:] = [e for e in queue if e.seq > cutoff]
-        for i, e in enumerate(queue):
-            e.qpos = i
+            group[:] = [e for e in group if e > cutoff]
         # -- retire the backlog part ---------------------------------------
         n_b = m - n_w
         if n_b:
-            latency -= int(np.concatenate(arr_parts)[:n_b].sum())
-            offset = n_w
-            for chunk in backlog.chunks:
-                take = min(m - offset, chunk.n - chunk.start)
-                if chunk.done is not None:
-                    lo = chunk.start
-                    chunk.done[chunk.pos[lo : lo + take]] = when[offset : offset + take] + tail
-                offset += take
-                if offset == m:
-                    break
-            backlog.consume(n_b)
+            latency -= int(arrival[fetch : fetch + n_b].sum())
+            if done is not None:
+                done[fetch : fetch + n_b] = (when[n_w:] + tail).tolist()
         # -- bank and bankgroup history ------------------------------------
         gate = self._t_w2p if is_write else self._t_rtp
         last_per_flat = np.full(nflats, -1, dtype=np.int64)

@@ -6,30 +6,49 @@ each entry in the scheduling window (the first ``window`` entries of the
 active queue, in admission order) with the scalar rank constraints below,
 and issues the entry with the smallest ``(ready, column-first, age)`` key.
 Admission, queue arbitration and refresh are written out plainly, one
-helper each.  It shares the controller's backlog, bank and rank state and
-its ``enqueue_batch`` (and decodes the queued traces through the same
-``_decode_pending`` hook when a drain starts), so a test can fill both
-controllers the same way and compare the :class:`ControllerStats` (and
-completion cycles) they return.
+helper each.  It shares the controller's bank and rank state and its
+``enqueue_batch`` checks, but keeps its own requests: one
+:class:`Request` object per record, in a FIFO backlog per direction, each
+labelled with a per-controller sequence number in enqueue order.  A test
+can fill both controllers the same way and compare the
+:class:`ControllerStats` (and completion cycles) they return.
 It also queues records one at a time (:meth:`ScanController.enqueue_record`),
-with scalar decode and sequence labelling, as the reference for the
-vectorized ``enqueue_batch``.
+with scalar decode, as the reference for the vectorized ``enqueue_batch``.
 
 :func:`earliest_act`, :func:`earliest_read` and :func:`earliest_write` are
 the scalar forms of :meth:`Rank.floors`: each gives one bankgroup's bound
 straight from the rank's command history.
 """
 
-import numpy as np
+from collections import deque
 
 from repro.dram.bank import Rank
-from repro.dram.command import reserve_seq_block
-from repro.dram.controller import (
-    ControllerConfig,
-    ControllerStats,
-    MemoryController,
-    _BacklogChunk,
-)
+from repro.dram.controller import ControllerConfig, ControllerStats, MemoryController
+
+
+class Request:
+    """One queued record: decoded coordinates plus scheduling bookkeeping.
+
+    ``done`` is the caller's completions array (or ``None``) and ``pos``
+    the record's position in it."""
+
+    __slots__ = (
+        "is_write", "arrival", "rank", "bankgroup", "bank", "row", "seq",
+        "needed_act", "needed_pre", "done", "pos",
+    )
+
+    def __init__(self, is_write, arrival, rank, bankgroup, bank, row, seq, done, pos):
+        self.is_write = is_write
+        self.arrival = arrival
+        self.rank = rank
+        self.bankgroup = bankgroup
+        self.bank = bank
+        self.row = row
+        self.seq = seq
+        self.needed_act = False
+        self.needed_pre = False
+        self.done = done
+        self.pos = pos
 
 
 def earliest_act(rank: Rank, bankgroup: int) -> int:
@@ -79,14 +98,50 @@ class ScanController(MemoryController):
             row_policy=config.row_policy,
         )
 
+    def reset(self) -> None:
+        super().reset()
+        self._read_backlog: deque[Request] = deque()
+        self._write_backlog: deque[Request] = deque()
+        self._read_q: list[Request] = []
+        self._write_q: list[Request] = []
+        self._seq = 0
+
+    @property
+    def pending(self) -> int:
+        return (
+            self._pending_records
+            + len(self._read_backlog)
+            + len(self._write_backlog)
+            + len(self._read_q)
+            + len(self._write_q)
+        )
+
+    def _push(self, is_write, arrival, c, done, pos) -> None:
+        request = Request(
+            is_write, arrival, c["rank"], c["bankgroup"], c["bank"], c["row"], self._seq, done, pos
+        )
+        self._seq += 1
+        (self._write_backlog if is_write else self._read_backlog).append(request)
+
+    def _take_pending(self) -> None:
+        """Move the traces ``enqueue_batch`` queued into the backlogs, one
+        :class:`Request` per record, in enqueue order."""
+        for trace, completions in self._pending_traces:
+            coords = {k: v.tolist() for k, v in self.mapping.decode_batch(trace.addr).items()}
+            is_write, cycle = trace.is_write.tolist(), trace.cycle.tolist()
+            for pos in range(len(trace)):
+                c = {name: column[pos] for name, column in coords.items()}
+                self._push(is_write[pos], cycle[pos], c, completions, pos)
+        self._pending_traces.clear()
+        self._pending_records = 0
+
     def enqueue_record(self, addr, is_write, arrival=0, completions=None, pos=-1) -> None:
         """Queue one record: the per-record reference for ``enqueue_batch``.
 
-        Scalar :meth:`AddressMapping.decode`, one sequence number drawn with
-        ``reserve_seq_block(1)`` and a one-record backlog chunk.  With
-        ``completions``, the drain writes the record's burst-end cycle to
-        ``completions[pos]``.  Traces queued before it with
-        ``enqueue_batch`` are decoded first, so the backlog stays in enqueue
+        Scalar :meth:`AddressMapping.decode` and the next sequence number.
+        With ``completions``, the drain writes the record's burst-end cycle
+        to ``completions[pos]``.  Traces queued before it with
+        ``enqueue_batch`` join the backlogs first, so they stay in enqueue
         order.
         """
         org = self.organization
@@ -94,20 +149,11 @@ class ScanController(MemoryController):
             raise ValueError(
                 f"address {addr:#x} outside channel capacity {org.capacity_bytes:#x}"
             )
-        c = self.mapping.decode(addr)
-        flat = (c["rank"] * org.bankgroups + c["bankgroup"]) * org.banks_per_group + c["bank"]
-        seq = reserve_seq_block(1)
-        self._decode_pending()
-        columns = (arrival, c["rank"], c["bankgroup"], c["bank"], c["row"], flat, seq)
-        chunk = _BacklogChunk(
-            *(np.array([v], dtype=np.int64) for v in columns),
-            completions,
-            None if completions is None else np.array([pos], dtype=np.int64),
-        )
-        (self._write_backlog if is_write else self._read_backlog).append_chunk(chunk)
+        self._take_pending()
+        self._push(is_write, arrival, self.mapping.decode(addr), completions, pos)
 
     def run_to_completion(self) -> ControllerStats:
-        self._decode_pending()
+        self._take_pending()
         while self.pending:
             self._admit()
             if not self._read_q and not self._write_q:
@@ -120,25 +166,19 @@ class ScanController(MemoryController):
     # -- admission -----------------------------------------------------------
 
     def _next_arrival(self) -> int:
-        candidates = []
-        if self._read_backlog:
-            candidates.append(self._read_backlog.head_arrival())
-        if self._write_backlog:
-            candidates.append(self._write_backlog.head_arrival())
+        candidates = [b[0].arrival for b in (self._read_backlog, self._write_backlog) if b]
         return min(candidates) if candidates else self._now
 
     def _admit(self) -> None:
-        """Move arrived backlog entries into the working queues: reads up to
-        the window, writes up to the high watermark."""
+        """Move arrived backlog entries into the working queues, oldest
+        first: reads up to the window, writes up to the high watermark."""
         now = self._now
-        backlog = self._read_backlog
-        queue = self._read_q
-        while len(queue) < self.window and backlog and backlog.head_arrival() <= now:
-            queue.append(backlog.popleft())
-        backlog = self._write_backlog
-        queue = self._write_q
-        while len(queue) < self.write_high and backlog and backlog.head_arrival() <= now:
-            queue.append(backlog.popleft())
+        for backlog, queue, cap in (
+            (self._read_backlog, self._read_q, self.window),
+            (self._write_backlog, self._write_q, self.write_high),
+        ):
+            while len(queue) < cap and backlog and backlog[0].arrival <= now:
+                queue.append(backlog.popleft())
 
     # -- scheduling ----------------------------------------------------------
 

@@ -273,6 +273,21 @@ class TestBenchPerfBaselineGuard:
         assert len(failures) == 1
         assert "gather_cold" in failures[0]
 
+    def test_scaled_rates_are_compared(self, tmp_path):
+        # A slow host day halves host req/s but not the probe-scaled rate;
+        # a real slowdown halves the scaled rate too.
+        import json
+
+        bp = _load_bench_perf()
+        path = tmp_path / "BENCH_perf.json"
+        base = {"workload": "gather_cold", "req_per_sec": 100_000.0, "scaled_req_per_sec": 90_000.0}
+        path.write_text(json.dumps({"entries": [base]}))
+        slow_day = {"workload": "gather_cold", "req_per_sec": 50_000.0, "scaled_req_per_sec": 88_000.0}
+        assert bp.check_baseline({"entries": [slow_day]}, path, 0.30) == []
+        slower = {"workload": "gather_cold", "req_per_sec": 100_000.0, "scaled_req_per_sec": 45_000.0}
+        failures = bp.check_baseline({"entries": [slower]}, path, 0.30)
+        assert len(failures) == 1 and "scaled" in failures[0]
+
     def test_only_cold_entries_participate(self, tmp_path):
         # node_gather (a memo-warm entry) regressing must not fail the
         # guard — its number depends on memo state.

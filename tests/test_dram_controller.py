@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.dram.command import TraceBuffer, seq_ceiling
+from repro.dram.command import TraceBuffer
 from repro.dram.controller import ControllerStats, MemoryController
 from repro.dram.timing import DDR4_2400, DDR4_3200
 from repro.dram.trace import reduce_traffic, streaming_buffer
@@ -387,8 +387,7 @@ class TestPendingTrace:
 
 
 class TestDeferredDecode:
-    """``enqueue_batch`` checks a trace and draws its sequence numbers at
-    once; the drain decodes it."""
+    """``enqueue_batch`` checks a trace at once; the drain decodes it."""
 
     def test_interleaved_enqueues_drain_like_the_scan_oracle(self):
         from scan_oracle import ScanController
@@ -405,11 +404,8 @@ class TestDeferredDecode:
         ]
         fast = [make_controller(), make_controller()]
         oracles = [ScanController(DDR4_3200), ScanController(DDR4_3200)]
-        before = seq_ceiling()
         for i, trace in enumerate(traces):
             fast[i % 2].enqueue_batch(trace)
-        # Every record was labelled at enqueue time, before any decode.
-        assert seq_ceiling() - before == 1200
         assert [mc.pending for mc in fast] == [600, 600]
         for i, trace in enumerate(traces):
             enqueue_records(oracles[i % 2], trace)
@@ -417,6 +413,33 @@ class TestDeferredDecode:
         for k in (1, 0):
             assert fast[k].run_to_completion() == oracles[k].run_to_completion()
             assert fast[k].pending == 0
+
+    def test_pieces_drain_like_whole_across_drains(self):
+        # Each drain numbers its records afresh, reads then writes in
+        # enqueue order: a trace enqueued in pieces drains like the whole
+        # trace, and so does a second drain on the same controller.
+        from scan_oracle import ScanController
+        from trace_oracles import enqueue_records
+
+        rng = np.random.default_rng(9)
+        pieces, whole, oracle = make_controller(), make_controller(), ScanController(DDR4_3200)
+        for _ in range(2):
+            trace = TraceBuffer(
+                rng.integers(0, 1 << 12, 900) * 64,
+                rng.random(900) < 0.4,
+                np.sort(rng.integers(0, 9000, 900)) + pieces.stats.finish_cycle,
+            )
+            done = {mc: np.full(900, -1, dtype=np.int64) for mc in (pieces, whole, oracle)}
+            for lo, hi in ((0, 250), (250, 251), (251, 900)):
+                part = TraceBuffer(trace.addr[lo:hi], trace.is_write[lo:hi], trace.cycle[lo:hi])
+                pieces.enqueue_batch(part, completions=done[pieces][lo:hi])
+            whole.enqueue_batch(trace, completions=done[whole])
+            enqueue_records(oracle, trace, done[oracle])
+            expected = oracle.run_to_completion()
+            assert pieces.run_to_completion() == expected
+            assert whole.run_to_completion() == expected
+            assert np.array_equal(done[pieces], done[oracle])
+            assert np.array_equal(done[whole], done[oracle])
 
     @pytest.mark.parametrize("bad", ["negative", "past-capacity"])
     def test_bad_address_raises_at_enqueue(self, bad):
@@ -426,6 +449,24 @@ class TestDeferredDecode:
             mc.enqueue_batch(TraceBuffer(np.array([0, 64, addr]), False))
         assert mc.pending == 0
         assert mc.run_to_completion() == ControllerStats()
+
+    @pytest.mark.parametrize(
+        "cycles, bad",
+        [([0, 5, -500], -500), ([-1, 5, 3], -1), ([0, 2**62 + 5], 2**62 + 5), ([2**62, 0], 2**62)],
+        ids=["negative", "minus-one", "past-sentinel", "sentinel"],
+    )
+    def test_bad_cycle_raises_at_enqueue(self, cycles, bad):
+        # A negative arrival would count towards the read latency, and one
+        # at or past the drain's 2**62 sentinel would never be admitted.
+        mc = make_controller()
+        mc.enqueue_batch(streaming_buffer(0, 4))
+        trace = TraceBuffer(np.arange(len(cycles)) * 64, False, cycles)
+        with pytest.raises(ValueError, match=f"cycle {bad} "):
+            mc.enqueue_batch(trace)
+        assert mc.pending == 4
+        good = make_controller()
+        good.enqueue_batch(streaming_buffer(0, 4))
+        assert mc.run_to_completion() == good.run_to_completion()
 
     def test_failed_enqueue_keeps_earlier_traces(self):
         mc = make_controller()

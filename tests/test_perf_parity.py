@@ -23,10 +23,9 @@ from repro.core.tensordimm import TensorDimm
 from repro.bench import ablation
 from repro.bench.figure11 import AVERAGE_NUM, LOOKUPS_PER_SAMPLE, TABLE_ROWS
 from repro.core.address_map import EmbeddingLayout
-from repro.dram import command as command_module
 from repro.dram import controller as controller_module
 from repro.dram.bank import Rank
-from repro.dram.command import TraceBuffer, reserve_seq_block
+from repro.dram.command import TraceBuffer
 from repro.dram.controller import MemoryController
 from repro.dram.mapping import (
     BANK_INTERLEAVED_ORDER,
@@ -806,19 +805,16 @@ class TestLeanStepParity:
         return TraceBuffer(addrs, np.full(n, is_write), np.asarray(cycles, dtype=np.int64))
 
     @staticmethod
-    def _drain(cls, parts, gap=0, **kw):
-        """Enqueue ``parts`` one ``enqueue_batch`` call each, advancing the
-        sequence counter by ``gap`` between them, and drain."""
+    def _drain(cls, parts, **kw):
+        """Enqueue ``parts`` one ``enqueue_batch`` call each, and drain."""
         mc = cls(DDR4_3200, **kw)
-        for i, part in enumerate(parts):
-            if i and gap:
-                reserve_seq_block(gap)
+        for part in parts:
             mc.enqueue_batch(part)
         return mc.run_to_completion()
 
     @staticmethod
     def _lists(mc, is_write):
-        """The direction's bank lists (queued entries per flat bank)."""
+        """The direction's bank lists (queued indices per flat bank)."""
         return mc._write_lists if is_write else mc._read_lists
 
     @staticmethod
@@ -860,21 +856,26 @@ class TestLeanStepParity:
         flat_a = 0
         mc = MemoryController(DDR4_3200, **kw)
         refills = []
-        popleft = controller_module._Backlog.popleft
 
-        def spy(backlog):
-            entry = popleft(backlog)
-            if entry.flat == flat_a:
-                refills.append(not self._lists(mc, is_write)[flat_a])
-            return entry
+        class BankList(list):
+            # Bank A's list: records, for each index it files, whether the
+            # list held no older entry of A then.
+            def append(self, i):
+                refills.append((i, not self))
+                super().append(i)
 
-        monkeypatch.setattr(controller_module._Backlog, "popleft", spy)
+        mc.ranks
+        mc._build_index()
+        self._lists(mc, is_write)[flat_a] = BankList()
         mc.enqueue_batch(trace)
         fast = mc.run_to_completion()
-        monkeypatch.undo()
-        # A's first admission finds its list empty; a later one finds it
-        # emptied again.
-        assert refills[0] and any(refills[1:])
+        # A's first record finds its list empty, and so does the first
+        # record of its second group (index 44): the list emptied and
+        # refilled.
+        first = {}
+        for i, empty in refills:
+            first.setdefault(i, empty)
+        assert first[0] and first[44]
         assert fast == self._drain(ScanController, [trace], **kw)
 
     @pytest.mark.parametrize("is_write", [False, True], ids=["reads", "writes"])
@@ -888,11 +889,12 @@ class TestLeanStepParity:
         cleared = []
         stretch = MemoryController._stretch
 
-        def spy(ctrl, heads, is_write_q, *args):
-            result = stretch(ctrl, heads, is_write_q, *args)
-            queue = ctrl._write_q if is_write_q else ctrl._read_q
-            if result.__class__ is tuple and not queue:
-                cleared.append(ctrl.pending)
+        def spy(ctrl, heads, is_write_q, r0, bgf, floor, now, fetch, end, *args):
+            queued = sum(map(len, heads))
+            result = stretch(ctrl, heads, is_write_q, r0, bgf, floor, now, fetch, end, *args)
+            if result.__class__ is tuple and not any(heads):
+                # The records of the direction's backlog left behind.
+                cleared.append(end - fetch - max(0, result[0] - queued))
             return result
 
         monkeypatch.setattr(MemoryController, "_stretch", spy)
@@ -917,13 +919,13 @@ class TestLeanStepParity:
         emptied = []
         index_window = MemoryController._index_window
 
-        def spy(ctrl, queue, lists, *args):
+        def spy(ctrl, lists, classes, queued=None, live=None):
             # At a phase's end ``lists`` still hold the entries the phase
             # started with; the call re-indexes the window left.
             before = {flat for flat, entries in enumerate(lists) if entries}
-            index_window(ctrl, queue, lists, *args)
-            if queue:
-                emptied.append(len(before - {e.flat for e in queue}))
+            index_window(ctrl, lists, classes, queued, live)
+            if queued:
+                emptied.append(len(before - {ctrl._columns[4][i] for i in queued}))
 
         monkeypatch.setattr(MemoryController, "_index_window", spy)
         mc.enqueue_batch(trace)
@@ -970,12 +972,11 @@ class TestLeanStepParity:
 
     @pytest.mark.parametrize("is_write", [False, True], ids=["reads", "writes"])
     @pytest.mark.parametrize("ranks", [1, 4])
-    def test_tie_key_exact_for_any_sequence_numbers(self, ranks, is_write, monkeypatch):
-        # Sequence numbers only order requests; the drain must not depend
-        # on their size.  The second half of the trace is enqueued after the
-        # process-wide counter jumped past 2**41, so its numbers exceed any
-        # fixed row-command offset below 2**41 plus the first half's.
-        monkeypatch.setattr(command_module._seq_counter, "value", 0)
+    def test_tie_key_exact_across_pieces_and_drains(self, ranks, is_write):
+        # A drain's tie keys are its own record indices.  The trace enqueued
+        # in two pieces drains like the whole trace, and the same traffic
+        # drained twice on one controller, whose second drain numbers its
+        # records from 0 again, drains like the scan oracle's two drains.
         mapping, kw = self._config(ranks)
         rng = np.random.default_rng(50 + ranks)
         n = 800
@@ -987,11 +988,19 @@ class TestLeanStepParity:
             TraceBuffer(trace.addr[s], trace.is_write[s], trace.cycle[s])
             for s in (slice(0, n // 2), slice(n // 2, n))
         ]
-        fresh = self._drain(MemoryController, parts, **kw)
-        gapped = self._drain(MemoryController, parts, gap=1 << 41, **kw)
-        assert command_module.seq_ceiling() > 1 << 41
-        assert gapped == fresh
-        assert fresh == self._drain(ScanController, parts, **kw)
+        whole = self._drain(MemoryController, [trace], **kw)
+        assert self._drain(MemoryController, parts, **kw) == whole
+        assert whole == self._drain(ScanController, [trace], **kw)
+        runs = []
+        for cls in (MemoryController, ScanController):
+            mc = cls(DDR4_3200, **kw)
+            drains = []
+            for _ in range(2):
+                mc.enqueue_batch(trace)
+                drains.append(replace(mc.run_to_completion()))
+            runs.append(drains)
+        assert runs[0] == runs[1]
+        assert runs[0][1].accesses == 2 * n
 
 
 class TestHitPhaseReorders:
@@ -1249,12 +1258,12 @@ class TestClassIndexParity:
         seen = []
         file = controller_module._file
 
-        def spy(classes, entries, g, open_row, put):
+        def spy(classes, entries, g, open_row, put, row):
             # Only an ACT takes a bank's candidates out of an ACT class: the
             # other direction's, before filing them under the new row.
             if put is controller_module._take and open_row < 0:
                 seen.append(classes)
-            file(classes, entries, g, open_row, put)
+            file(classes, entries, g, open_row, put, row)
 
         monkeypatch.setattr(controller_module, "_file", spy)
         mc, _ = self._run(self._trace(mapping, coords, writes), **kw)
@@ -1304,11 +1313,11 @@ class TestClassIndexParity:
             seen.append(None)  # the classes are checked as they are re-filed
             return refresh(rank, cycle)
 
-        def spy(ctrl, queue, lists, classes, live):
+        def spy(ctrl, lists, classes, *args):
             if seen and seen[-1] is None and classes is self._classes(ctrl, is_write):
                 col, act, pre = classes
                 seen[-1] = any(col) and any(act) and bool(pre)
-            index_window(ctrl, queue, lists, classes, live)
+            index_window(ctrl, lists, classes, *args)
 
         monkeypatch.setattr(Rank, "refresh", spy_refresh)
         monkeypatch.setattr(MemoryController, "_index_window", spy)
@@ -1332,9 +1341,9 @@ class TestClassIndexParity:
         both = []
         refile = controller_module._refile
 
-        def spy(directions, flat, g, old_row, new_row):
+        def spy(directions, flat, g, old_row, new_row, row):
             both.append(all(lists[flat] for lists, _ in directions))
-            refile(directions, flat, g, old_row, new_row)
+            refile(directions, flat, g, old_row, new_row, row)
 
         monkeypatch.setattr(controller_module, "_refile", spy)
         mc, _ = self._run(self._trace(mapping, coords, writes), **kw)
@@ -1359,11 +1368,12 @@ class TestClassIndexParity:
         ties = []
         index_window = MemoryController._index_window
 
-        def spy(ctrl, queue, lists, classes, live):
-            index_window(ctrl, queue, lists, classes, live)
+        def spy(ctrl, lists, classes, *args):
+            index_window(ctrl, lists, classes, *args)
             if classes is self._classes(ctrl, is_write):
+                bank = [ctrl._flat_bank[f] for f in ctrl._columns[4]]
                 ties.extend(
-                    len(members) > 1 and len({e.state.earliest_act for e in members}) == 1
+                    len(members) > 1 and len({bank[e].earliest_act for e in members}) == 1
                     for members in classes[1]
                 )
 
@@ -1403,3 +1413,127 @@ class TestClassIndexParity:
         ]
         cycles = np.sort(rng.integers(0, pace * n + 1, n))
         self._run(self._trace(mapping, coords, rng.random(n) < write_share, cycles), **kw)
+
+
+class TestAdmissionParity:
+    """A drain numbers its records reads first, then writes, each in
+    enqueue order, and admits them by walking a pointer per direction.
+    Each case drives one situation that admission must get right and
+    requires the scan oracle's stats and completion cycles at 1 and 4
+    ranks."""
+
+    _config = staticmethod(TestLeanStepParity._config)
+    _trace = staticmethod(TestHitPhaseParity._trace)
+
+    @staticmethod
+    def _run(drains, **kw):
+        """Drain each of ``drains`` (a list of traces, each enqueued with a
+        completions array unless it is wrapped in a 1-tuple) on one
+        controller and on the scan oracle, without a reset between drains;
+        return the controller and its completion arrays."""
+        mc = MemoryController(DDR4_3200, **kw)
+        oracle = ScanController(DDR4_3200, **kw)
+        dones = []
+        for traces in drains:
+            for trace in traces:
+                if isinstance(trace, tuple):
+                    mc.enqueue_batch(trace[0])
+                    enqueue_records(oracle, trace[0])
+                    continue
+                done = np.full(len(trace), -1, dtype=np.int64)
+                expected = np.full(len(trace), -1, dtype=np.int64)
+                mc.enqueue_batch(trace, completions=done)
+                enqueue_records(oracle, trace, expected)
+                dones.append((done, expected))
+            assert replace(mc.run_to_completion()) == oracle.run_to_completion()
+            assert mc.pending == 0
+        for done, expected in dones:
+            assert (done >= 0).all()
+            assert np.array_equal(done, expected)
+        return mc, [done for done, _ in dones]
+
+    @staticmethod
+    def _random(mapping, ranks, n, seed, write_share=0.4, start=0, pace=7):
+        rng = np.random.default_rng(seed)
+        coords = [
+            tuple(int(v) for v in c)
+            for c in rng.integers([0, 0, 0, 0, 0], [ranks, 4, 4, 6, 128], (n, 5))
+        ]
+        cycles = start + np.sort(rng.integers(0, pace * n + 1, n))
+        return TestHitPhaseParity._trace(mapping, coords, rng.random(n) < write_share, cycles)
+
+    @pytest.mark.parametrize("ranks", [1, 4])
+    def test_two_drains_without_reset(self, ranks):
+        # The second drain's index space starts at 0 again, on banks and
+        # rank history the first drain left.
+        mapping, kw = self._config(ranks)
+        first = self._random(mapping, ranks, 700, 1)
+        second = self._random(mapping, ranks, 700, 2, start=20000)
+        mc, _ = self._run([[first], [second]], **kw)
+        assert mc.stats.accesses == 1400
+
+    @pytest.mark.parametrize("ranks", [1, 4])
+    def test_completions_from_two_traces_one_without_an_array(self, ranks):
+        mapping, kw = self._config(ranks)
+        traces = [self._random(mapping, ranks, 500, seed) for seed in (3, 4, 5)]
+        _, dones = self._run([[traces[0], (traces[1],), traces[2]]], **kw)
+        assert len(dones) == 2
+
+    @pytest.mark.parametrize("is_write", [False, True], ids=["reads-only", "writes-only"])
+    @pytest.mark.parametrize("ranks", [1, 4])
+    def test_one_direction_drain(self, ranks, is_write):
+        mapping, kw = self._config(ranks)
+        trace = self._random(mapping, ranks, 900, 6, write_share=float(is_write))
+        assert trace.writes == (900 if is_write else 0)
+        mc, _ = self._run([[trace]], **kw)
+        assert (mc.stats.writes if is_write else mc.stats.reads) == 900
+
+    @pytest.mark.parametrize("ranks", [1, 4])
+    def test_staging_with_late_writes(self, ranks):
+        # window < write_high: admitted writes beyond the window wait in
+        # the staging range while more writes keep arriving.
+        mapping, kw = self._config(ranks)
+        kw.update(window=6, write_high_watermark=20, write_low_watermark=3)
+        early = self._random(mapping, ranks, 400, 7, write_share=0.3, pace=2)
+        late = self._random(mapping, ranks, 400, 8, write_share=0.9, start=600, pace=3)
+        mc, _ = self._run([[early, late]], **kw)
+        assert mc.stats.writes > 300
+
+    @pytest.mark.parametrize("ranks", [1, 4])
+    def test_arrival_lands_while_the_phase_absorbs(self, ranks, monkeypatch):
+        # Row-hit reads arriving one per cycle, faster than they issue, and
+        # a write arriving mid-run: the closed form absorbs only what has
+        # arrived and stops at the write's admission.
+        mapping, kw = self._config(ranks)
+        hits = TestHitPhaseParity._hits(ranks, 3000)
+        write = [(0, 0, 0, 3, 0)]
+        trace = concat(
+            [
+                self._trace(mapping, hits, False, np.arange(3000)),
+                self._trace(mapping, write, True, 5000),
+            ]
+        )
+        bounds = []
+        stretch = MemoryController._stretch
+
+        def spy(ctrl, *args):
+            result = stretch(ctrl, *args)
+            if result.__class__ is tuple:
+                bounds.append(args[-1])
+            return result
+
+        monkeypatch.setattr(MemoryController, "_stretch", spy)
+        self._run([[trace]], **kw)
+        monkeypatch.undo()
+        if not reference_mode():
+            assert len(bounds) > 1 and 5000 in bounds
+
+    @pytest.mark.parametrize("ranks", [1, 4])
+    def test_decreasing_cycles_hold_ready_records(self, ranks):
+        # A record due at cycle 4,000 heads the read FIFO; the younger
+        # records behind it arrived at cycle 10 but wait for it.
+        mapping, kw = self._config(ranks)
+        coords = TestHitPhaseParity._hits(ranks, 200)
+        cycles = np.array([0] * 50 + [4000] + [10] * 149)
+        _, (done,) = self._run([[self._trace(mapping, coords, False, cycles)]], **kw)
+        assert done[51:].min() > 4000
