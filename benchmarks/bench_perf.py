@@ -57,8 +57,9 @@ Two families of entries:
   against NumPy before the entry is written.
 * ``figure11_full`` / ``figure12_full`` / ``ablations`` / ``evaluate_all``
   / ``analytic`` — **end-to-end** artefact entries: the wall time of
-  ``python -m repro <command> --jobs 1`` in a fresh interpreter (so every
-  memo starts empty), import included, the child's peak RSS
+  ``python -m repro <command>`` in a fresh interpreter (so every memo
+  starts empty; figures 11 and 12, the only commands with a pool, run
+  with ``--jobs 1``), import included, the child's peak RSS
   (``os.wait4`` rusage) and a SHA-256 of its stdout.  ``evaluate_all``
   runs ``evaluate`` once per workload, and ``analytic`` runs all eleven
   commands of the analytic system model (figures 3, 4 and 13-16, table 3
@@ -504,7 +505,7 @@ def _node_functional_entry(smoke: bool) -> dict:
     return {"workload": "node_functional", "points": points, "checked": True}
 
 
-# -- end-to-end artefacts (fresh interpreter, --jobs 1) ------------------------
+# -- end-to-end artefacts (fresh interpreter, in-process) ----------------------
 
 _EVALUATE = [["evaluate", name] for name in sorted(WORKLOADS_BY_NAME)]
 
@@ -529,12 +530,12 @@ def _golden(args: list) -> Path:
 
 
 def _cli_args(args: list, smoke: bool) -> list:
-    """The ``python -m repro`` arguments an artefact entry runs (``table``
-    has no ``--jobs``: it simulates nothing; only the cycle-level figures
-    have a ``--quick`` sweep)."""
-    jobs = [] if args[0] == "table" else ["--jobs", "1"]
-    quick = ["--quick"] if smoke and args in (["figure", "11"], ["figure", "12"]) else []
-    return [*args, *jobs, *quick]
+    """The ``python -m repro`` arguments an artefact entry runs: only the
+    cycle-level figures take ``--jobs`` and have a ``--quick`` sweep; every
+    other command runs in-process."""
+    if args not in (["figure", "11"], ["figure", "12"]):
+        return list(args)
+    return [*args, "--jobs", "1", *(["--quick"] if smoke else [])]
 
 
 #: Runs one command and reports its wall seconds, its ``os.wait4`` peak RSS
@@ -772,7 +773,7 @@ def _node_reduce_setup(dimms=8, count=3000):
     return _node_reduce_instr(dimms, count)
 
 
-def run(jobs: int | None = None, smoke: bool = False) -> dict:
+def run(jobs: int = 1, smoke: bool = False) -> dict:
     jobs = resolve_jobs(jobs)
     entries = []
     for name, fn in WORKLOADS.items():
@@ -895,9 +896,9 @@ def read_tolerance() -> float:
 def main(argv=None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
-        "--jobs", type=int, default=None, metavar="N",
+        "--jobs", type=int, default=1, metavar="N",
         help="worker processes for the sweep entry's parallel run "
-        "(default: $REPRO_JOBS, else 1; 0 = all CPUs)",
+        "(default 1; 0 = all CPUs)",
     )
     parser.add_argument(
         "--smoke", action="store_true",

@@ -208,22 +208,18 @@ STUDIES = {
 }
 
 
-def _run_study(task):
-    """Run one named study (process-pool work item; seeds live inside)."""
-    name, kwargs = task
-    return STUDIES[name](**kwargs)
-
-
-def run_all(jobs: int | None = None, overrides: dict | None = None) -> dict:
-    """Run every ablation study, optionally fanned out over the process
-    pool (each study is an independent, internally seeded simulation).
+def run_all(overrides: dict | None = None) -> dict:
+    """Run every ablation study in-process (each is internally seeded).
 
     ``overrides`` maps study name -> keyword arguments (e.g. smaller sizes
-    for a quick CLI run).
+    for a quick CLI run); a name that is not in :data:`STUDIES` raises
+    :class:`ValueError`.
     """
-    from ..parallel import parallel_map
-
     overrides = overrides or {}
-    tasks = [(name, overrides.get(name, {})) for name in STUDIES]
-    results = parallel_map(_run_study, tasks, jobs=jobs, chunksize=1)
-    return dict(zip(STUDIES, results))
+    unknown = sorted(set(overrides) - set(STUDIES))
+    if unknown:
+        raise ValueError(
+            f"unknown ablation studies in overrides: {', '.join(unknown)}; "
+            f"known: {', '.join(STUDIES)}"
+        )
+    return {name: study(**overrides.get(name, {})) for name, study in STUDIES.items()}

@@ -42,13 +42,12 @@ def run(
     workloads=ALL_WORKLOADS,
     batches=BATCHES,
     params: SystemParams = DEFAULT_PARAMS,
-    jobs: int | None = None,
 ) -> Figure4Result:
     """Evaluate the two baselines against GPU-only."""
     values = {}
     for config in workloads:
         for batch in batches:
-            norm = normalized_performance(config, batch, params, jobs=jobs)
+            norm = normalized_performance(config, batch, params)
             for design in DESIGNS:
                 values[(config.name, batch, design)] = norm[design]
     return Figure4Result(values=values)

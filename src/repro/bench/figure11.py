@@ -128,7 +128,7 @@ def _sweep_point(task) -> float:
 def sweep_grid(points, jobs: int | None = None) -> dict:
     """Cycle-simulate ``(system, width, op, batch, dim)`` points, optionally
     fanned out ``jobs``-wide over the process pool (Fig. 11/12 share this)."""
-    bandwidths = parallel_map(_sweep_point, points, jobs=jobs, chunksize=1)
+    bandwidths = parallel_map(_sweep_point, points, jobs=jobs)
     return dict(zip([tuple(p) for p in points], bandwidths))
 
 
@@ -142,7 +142,7 @@ def run(
 ) -> Figure11Result:
     """Sweep batch size for every op on both memory systems.
 
-    ``jobs`` (default: ``$REPRO_JOBS``, else 1) runs the design-point grid
+    ``jobs`` (default 1; 0 = all CPUs) runs the design-point grid
     N-wide; every point is an independent cycle-level simulation.
     """
     points = []

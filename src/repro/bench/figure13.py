@@ -53,12 +53,11 @@ def run(
     workloads=ALL_WORKLOADS,
     batch: int = BATCH,
     params: SystemParams = DEFAULT_PARAMS,
-    jobs: int | None = None,
 ) -> Figure13Result:
     """Evaluate all five design points at batch 64."""
     breakdowns = {}
     for config in workloads:
-        for design, result in evaluate_all(config, batch, params, jobs=jobs).items():
+        for design, result in evaluate_all(config, batch, params).items():
             breakdowns[(config.name, design)] = result
     return Figure13Result(breakdowns=breakdowns)
 

@@ -49,10 +49,13 @@ def run(
 ) -> Figure14Result:
     """Evaluate every design point across workloads and batch sizes.
 
-    ``jobs`` fans the (workload x batch x design) grid out over the
-    process pool (see :mod:`repro.parallel`); the default is sequential.
+    The grid runs in-process.  ``jobs`` accepts only ``None`` or ``1``
+    (callers that still pass ``jobs=1``); any other value raises
+    :class:`ValueError`.
     """
-    grid = evaluate_grid(workloads, batches, DESIGN_NAMES, params, jobs=jobs)
+    if not (jobs is None or (type(jobs) is int and jobs == 1)):
+        raise ValueError(f"jobs must be None or 1 (the grid runs in-process), got {jobs!r}")
+    grid = evaluate_grid(workloads, batches, DESIGN_NAMES, params)
     values = {}
     totals = {}
     for config in workloads:

@@ -47,19 +47,12 @@ def run(
     scales=SCALES,
     batches=BATCHES,
     params: SystemParams = DEFAULT_PARAMS,
-    jobs: int | None = None,
 ) -> Figure15Result:
-    """Sweep embedding scale and measure TDIMM's speedups.
-
-    ``jobs`` fans the (scale x workload x batch x design) grid out over
-    the process pool; the default is sequential.
-    """
+    """Sweep embedding scale and measure TDIMM's speedups."""
     scaled_configs = [
         config.scaled_embedding(scale) for scale in scales for config in workloads
     ]
-    grid = evaluate_grid(
-        scaled_configs, batches, ("TDIMM",) + BASELINES, params, jobs=jobs
-    )
+    grid = evaluate_grid(scaled_configs, batches, ("TDIMM",) + BASELINES, params)
     speedups = {}
     for scale in scales:
         for config in workloads:

@@ -56,7 +56,6 @@ def run(
     scales=SCALES,
     batch: int = BATCH,
     params: SystemParams = DEFAULT_PARAMS,
-    jobs: int | None = None,
 ) -> Figure16Result:
     """Sweep the node<->GPU link bandwidth for PMEM and TDIMM."""
     reference_bw = max(bandwidths)
@@ -69,13 +68,12 @@ def run(
                     scaled,
                     batch,
                     params.with_node_link(NVLINK2_GPU.scaled(reference_bw)),
-                    jobs=jobs,
                 )[d].total
                 for d in DESIGNS
             }
             for bandwidth in bandwidths:
                 link_params = params.with_node_link(NVLINK2_GPU.scaled(bandwidth))
-                results = evaluate_all(scaled, batch, link_params, jobs=jobs)
+                results = evaluate_all(scaled, batch, link_params)
                 for design in DESIGNS:
                     values[(design, bandwidth, scale, config.name)] = (
                         reference[design] / results[design].total

@@ -6,13 +6,13 @@ Usage::
     python -m repro figure 14
     python -m repro figure 11 --quick --jobs 8
     python -m repro table 3
-    python -m repro ablations --jobs 4
+    python -m repro ablations
     python -m repro evaluate Facebook --batch 64
 
-Experiments whose design-point grids are cycle-simulated (figures 11/12,
-the ablations) accept ``--jobs N`` to fan the grid out over N worker
-processes (see :mod:`repro.parallel`); the ``REPRO_JOBS`` environment
-variable sets the default for every command.
+Only the cycle-simulated figures (11 and 12) accept ``--jobs N``, which
+fans their design-point grid out over N worker processes (see
+:mod:`repro.parallel`; default 1, 0 = all CPUs).  Every other command
+runs in-process.
 """
 
 import argparse
@@ -50,12 +50,13 @@ def _cmd_figure(args) -> int:
         known = ", ".join(sorted(_FIGURES, key=int))
         print(f"unknown figure {args.number!r}; known: {known}", file=sys.stderr)
         return 2
-    if args.quick and args.number not in ("11", "12"):
-        print(
-            f"--quick trims only figures 11 and 12, not figure {args.number}",
-            file=sys.stderr,
-        )
-        return 2
+    for option, given in (("--quick", args.quick), ("--jobs", args.jobs is not None)):
+        if given and args.number not in ("11", "12"):
+            print(
+                f"{option} applies only to figures 11 and 12, not figure {args.number}",
+                file=sys.stderr,
+            )
+            return 2
     module = importlib.import_module(f".bench.{_FIGURES[args.number][0]}", __package__)
     kwargs = {}
     if args.quick and args.number == "11":
@@ -63,7 +64,7 @@ def _cmd_figure(args) -> int:
     if args.quick and args.number == "12":
         kwargs["ops"] = ("GATHER", "REDUCE")
         kwargs["batch"] = 48
-    if args.number != "3":  # every design-point/cycle sweep is jobs-aware
+    if args.jobs is not None:
         kwargs["jobs"] = args.jobs
     result = module.run(**kwargs)
     print(module.format_table(result))
@@ -83,9 +84,7 @@ def _cmd_table(args) -> int:
 def _cmd_ablations(args) -> int:
     from .bench import ablation
 
-    results = ablation.run_all(
-        jobs=args.jobs, overrides={"cpu_cache": {"accesses": 8000}}
-    )
+    results = ablation.run_all(overrides={"cpu_cache": {"accesses": 8000}})
     mapping = results["address_mapping"]
     print(f"address mapping: interleaved {mapping.interleaved / 1e9:.1f} GB/s vs "
           f"whole-row {mapping.whole_row / 1e9:.1f} GB/s ({mapping.advantage:.2f}x)")
@@ -115,7 +114,7 @@ def _cmd_evaluate(args) -> int:
         print(exc.args[0], file=sys.stderr)
         return 2
     config = config.scaled_embedding(args.scale)
-    results = evaluate_all(config, args.batch, jobs=args.jobs)
+    results = evaluate_all(config, args.batch)
     table = Table(
         f"{config.name} @ batch {args.batch}, embedding dim {config.embedding_dim}",
         ["design", "lookup (us)", "memcpy (us)", "compute (us)", "other (us)",
@@ -144,24 +143,24 @@ def _positive_int(text: str) -> int:
     return int(text)
 
 
+def _jobs(text: str) -> int:
+    """argparse ``type`` for ``--jobs``: a count, or 0 for every CPU."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(
+            f"must be a non-negative integer (0 = all CPUs), got {text!r}"
+        )
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
         description="TensorDIMM reproduction experiment runner",
         epilog=(
-            "Set REPRO_JOBS=N to fan cycle-level sweeps out over N worker "
-            "processes by default (equivalent to passing --jobs N; "
-            "--jobs 0 means all CPUs)."
+            "Figures 11 and 12 take --jobs N to run their cycle-level sweep "
+            "over N worker processes (0 means all CPUs); every other command "
+            "runs in-process."
         ),
-    )
-    jobs_opts = argparse.ArgumentParser(add_help=False)
-    jobs_opts.add_argument(
-        "--jobs",
-        type=int,
-        default=None,
-        metavar="N",
-        help="worker processes for simulation sweeps "
-        "(default: $REPRO_JOBS, else sequential; 0 = all CPUs)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -169,12 +168,17 @@ def build_parser() -> argparse.ArgumentParser:
         fn=_cmd_list
     )
 
-    figure = sub.add_parser(
-        "figure", help="regenerate a paper figure", parents=[jobs_opts]
-    )
+    figure = sub.add_parser("figure", help="regenerate a paper figure")
     figure.add_argument("number", help="figure number (3, 4, 11-16)")
     figure.add_argument(
         "--quick", action="store_true", help="trimmed sweep (figures 11 and 12)"
+    )
+    figure.add_argument(
+        "--jobs",
+        type=_jobs,
+        metavar="N",
+        help="worker processes for the sweep (figures 11 and 12; "
+        "default 1, 0 = all CPUs)",
     )
     figure.set_defaults(fn=_cmd_figure)
 
@@ -182,13 +186,11 @@ def build_parser() -> argparse.ArgumentParser:
     tbl.add_argument("number", help="table number (3)")
     tbl.set_defaults(fn=_cmd_table)
 
-    sub.add_parser(
-        "ablations", help="run the ablation studies", parents=[jobs_opts]
-    ).set_defaults(fn=_cmd_ablations)
-
-    ev = sub.add_parser(
-        "evaluate", help="evaluate one workload", parents=[jobs_opts]
+    sub.add_parser("ablations", help="run the ablation studies").set_defaults(
+        fn=_cmd_ablations
     )
+
+    ev = sub.add_parser("evaluate", help="evaluate one workload")
     ev.add_argument("workload", help="NCF | YouTube | Fox | Facebook")
     ev.add_argument("--batch", type=_positive_int, default=64)
     ev.add_argument(

@@ -20,8 +20,9 @@ controller for the configuration.  Hits hand back a fresh copy of the
 stored stats.
 
 Drains always run in-process.  The only process-level fan-out is
-:func:`repro.parallel.parallel_map` over independent design points; a
-worker drains its points through its own copy of this module.
+:func:`repro.parallel.parallel_map` over Fig. 11/12 design points
+(:func:`repro.bench.figure11.sweep_grid`); a worker drains its points
+through its own copy of this module.
 
 ``REPRO_REFERENCE=1`` (:func:`repro.env.reference_mode`) turns the memo
 off, together with the controller's hit phase.

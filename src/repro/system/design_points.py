@@ -36,22 +36,9 @@ def evaluate_all(
     config: RecSysConfig,
     batch: int,
     params: SystemParams = DEFAULT_PARAMS,
-    jobs: int | None = None,
 ) -> dict[str, LatencyBreakdown]:
-    """Evaluate every design point on one workload/batch.
-
-    ``jobs`` fans the independent evaluations out across the process pool
-    (see :func:`repro.system.pipeline.sweep_points`); the default honours
-    ``$REPRO_JOBS``, else stays in-process.
-    """
-    from ..parallel import resolve_jobs
-
-    if resolve_jobs(jobs) < 2:
-        return {name: fn(config, batch, params) for name, fn in DESIGN_POINTS.items()}
-    from .pipeline import sweep_points
-
-    points = [(name, config, batch) for name in DESIGN_NAMES]
-    return dict(zip(DESIGN_NAMES, sweep_points(points, params, jobs=jobs)))
+    """Evaluate every design point on one workload/batch."""
+    return {name: fn(config, batch, params) for name, fn in DESIGN_POINTS.items()}
 
 
 def evaluate_grid(
@@ -59,23 +46,18 @@ def evaluate_grid(
     batches,
     designs=DESIGN_NAMES,
     params: SystemParams = DEFAULT_PARAMS,
-    jobs: int | None = None,
 ) -> dict[tuple, LatencyBreakdown]:
-    """Evaluate a whole (workload x batch x design) grid, optionally N-wide.
+    """Evaluate a whole (workload x batch x design) grid.
 
     Returns results keyed ``(config.name, batch, design)``; the figure
-    harnesses (Fig. 14/15) and ablation sweeps are all shaped like this.
+    harnesses (Fig. 14/15) are shaped like this.
     """
-    from .pipeline import sweep_points
-
-    keys = []
-    points = []
-    for config in configs:
-        for batch in batches:
-            for design in designs:
-                keys.append((config.name, batch, design))
-                points.append((design, config, batch))
-    return dict(zip(keys, sweep_points(points, params, jobs=jobs)))
+    return {
+        (config.name, batch, design): evaluate(design, config, batch, params)
+        for config in configs
+        for batch in batches
+        for design in designs
+    }
 
 
 def normalized_performance(
@@ -83,9 +65,8 @@ def normalized_performance(
     batch: int,
     params: SystemParams = DEFAULT_PARAMS,
     reference: str = "GPU-only",
-    jobs: int | None = None,
 ) -> dict[str, float]:
     """Performance of every design normalised to ``reference`` (Fig. 4/14)."""
-    results = evaluate_all(config, batch, params, jobs=jobs)
+    results = evaluate_all(config, batch, params)
     ref = results[reference]
     return {name: r.normalized_to(ref) for name, r in results.items()}

@@ -16,7 +16,7 @@ from ..compute.device import DeviceSpec
 from ..compute.kernels import concat_time, gather_time, mlp_time, pooling_time
 from ..config import BYTES_PER_ELEMENT
 from ..models.recsys import RecSysConfig
-from .params import DEFAULT_PARAMS, SystemParams
+from .params import SystemParams
 
 
 def dnn_time(device: DeviceSpec, config: RecSysConfig, batch: int) -> float:
@@ -57,30 +57,6 @@ def host_lookup_time(device: DeviceSpec, config: RecSysConfig, batch: int) -> fl
 def index_bytes(config: RecSysConfig, batch: int) -> int:
     """Size of the sparse-index payload shipped with the request."""
     return batch * config.lookups_per_sample() * BYTES_PER_ELEMENT
-
-
-def _evaluate_point(task):
-    """Evaluate one (design, config, batch, params) point (pool work item)."""
-    from .design_points import evaluate  # local: design modules import us
-
-    design, config, batch, params = task
-    return evaluate(design, config, batch, params)
-
-
-def sweep_points(points, params: SystemParams | None = None, jobs: int | None = None) -> list:
-    """Evaluate a grid of ``(design, config, batch)`` points, optionally
-    fanned out over the process pool of :mod:`repro.parallel`.
-
-    This is the shared driver behind whole-figure design-point grids
-    (Fig. 4/14/15 sweeps, the CLI ``evaluate`` command): every point is an
-    independent closed-form pipeline evaluation, so ``jobs`` workers chew
-    an N-point grid N-wide.  Results come back in point order.
-    """
-    from ..parallel import parallel_map
-
-    params = params or DEFAULT_PARAMS
-    tasks = [(design, config, batch, params) for design, config, batch in points]
-    return parallel_map(_evaluate_point, tasks, jobs=jobs)
 
 
 def tdimm_node_time(

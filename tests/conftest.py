@@ -25,9 +25,10 @@ def _isolate_timing_memo(monkeypatch):
     """Replace the timing memo with a :class:`NullMemo` for every test by
     default.
 
-    The determinism suites compare sequential against parallel (and fast
-    against reference) runs; a warm memo would let the second run
-    short-circuit and the comparison would stop testing anything.  Tests
+    The determinism suites compare in-process against pooled Fig. 11/12
+    sweep points (and fast against reference) runs; a warm memo would let
+    the second run short-circuit and the comparison would stop testing
+    anything.  Tests
     that exercise the memo itself put the real one back via
     ``timing_memo``.  ``REPRO_REFERENCE`` passes through from the
     environment, so ``REPRO_REFERENCE=1 pytest tests/test_perf_parity.py``

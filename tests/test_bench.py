@@ -232,6 +232,27 @@ class TestAblations:
         result = ablation.page_policy(num_words=3000)
         assert result.open_advantage > 1.5
 
+    def test_overrides_reach_their_study(self, monkeypatch):
+        calls = {}
+
+        def recorder(name):
+            return lambda **kwargs: calls.setdefault(name, kwargs)
+
+        monkeypatch.setattr(ablation, "STUDIES", {n: recorder(n) for n in ablation.STUDIES})
+        results = ablation.run_all(overrides={"cpu_cache": {"accesses": 10}})
+        assert list(results) == list(ablation.STUDIES)
+        assert calls["cpu_cache"] == {"accesses": 10}
+        assert calls["scheduler"] == {}
+
+    def test_unknown_override_refused_before_any_study_runs(self, monkeypatch):
+        # A misspelt study name must not drop its override silently.
+        def ran(**kwargs):
+            raise AssertionError("a study ran")
+
+        monkeypatch.setattr(ablation, "STUDIES", dict.fromkeys(ablation.STUDIES, ran))
+        with pytest.raises(ValueError, match="overrides: cpu_cach;"):
+            ablation.run_all(overrides={"cpu_cach": {"accesses": 10}})
+
 
 def _load_bench_perf():
     """Import benchmarks/bench_perf.py by path (it is not a package)."""
@@ -309,7 +330,10 @@ class TestBenchPerfBaselineGuard:
             "figure", "12", "--jobs", "1", "--quick"
         ]
         assert bp._cli_args(["figure", "12"], smoke=False) == ["figure", "12", "--jobs", "1"]
-        assert bp._cli_args(["ablations"], smoke=True) == ["ablations", "--jobs", "1"]
+        # Only the cycle-level figures take --jobs; the rest run in-process.
+        assert bp._cli_args(["ablations"], smoke=True) == ["ablations"]
+        assert bp._cli_args(["figure", "14"], smoke=False) == ["figure", "14"]
+        assert bp._cli_args(["evaluate", "NCF"], smoke=True) == ["evaluate", "NCF"]
 
     def test_every_artefact_command_has_a_golden(self):
         bp = _load_bench_perf()

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.cli import main
+from repro.cli import build_parser, main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -75,6 +75,23 @@ class TestFigures:
         assert captured.out == ""
         assert "figures 11 and 12" in captured.err
 
+    @pytest.mark.parametrize("number", ["3", "4", "13", "14", "15", "16"])
+    def test_jobs_refused_where_nothing_fans_out(self, number, capsys):
+        assert main(["figure", number, "--jobs", "5"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "figures 11 and 12" in captured.err
+
+    @pytest.mark.parametrize("value", ["-4", "two", "1.5"])
+    def test_bad_jobs_is_a_usage_error(self, value, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["figure", "11", "--quick", "--jobs", value])
+        assert exc.value.code == 2
+        assert "argument --jobs: must be a non-negative integer" in capsys.readouterr().err
+
+    def test_jobs_zero_means_all_cpus(self):
+        assert build_parser().parse_args(["figure", "11", "--jobs", "0"]).jobs == 0
+
     def test_table_3(self, capsys):
         assert main(["table", "3"]) == 0
         assert "FPU" in capsys.readouterr().out
@@ -92,6 +109,16 @@ class TestGoldens:
     def test_analytic_artefact_matches_golden(self, argv, capsys):
         assert main(argv) == 0
         assert capsys.readouterr().out == golden(argv)
+
+
+@pytest.mark.parametrize(
+    "argv", [["ablations"], ["evaluate", "NCF"]], ids=" ".join
+)
+def test_in_process_commands_have_no_jobs_option(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--jobs", "1"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --jobs 1" in capsys.readouterr().err
 
 
 class TestAblations:

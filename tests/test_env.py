@@ -2,12 +2,11 @@
 
 import pytest
 
-from repro import env, parallel
+from repro import env
 from repro.env import read_env
 
 #: Every variable the package reads, with the function that parses it.
 READERS = {
-    "REPRO_JOBS": parallel.resolve_jobs,
     "REPRO_REFERENCE": env.reference_mode,
 }
 
@@ -57,8 +56,6 @@ class TestPackageVariables:
     @pytest.mark.parametrize(
         "name,raw,expected",
         [
-            ("REPRO_JOBS", "1", 1),
-            ("REPRO_JOBS", "4", 4),
             ("REPRO_REFERENCE", "0", False),
             ("REPRO_REFERENCE", "off", False),
             ("REPRO_REFERENCE", "false", False),

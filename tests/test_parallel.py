@@ -1,7 +1,8 @@
 """Tests for the process-pool execution engine (repro.parallel).
 
-The pool has one client, :func:`repro.parallel.parallel_map`, over
-independent design points; timed drains always run in-process.  The
+The pool has one client, :func:`repro.bench.figure11.sweep_grid`, which
+hands Fig. 11/12 design points to :func:`repro.parallel.parallel_map`;
+timed drains always run in-process.  The
 engine's contract is *bit-identity*: a timing domain (one drain, a
 DramSystem, a TensorNode broadcast) run in a pool worker must produce
 exactly the stats it produces in-process, at every worker count and under
@@ -21,34 +22,35 @@ from repro.dram.memo import drain
 from repro.dram.system import DramSystem
 from repro.dram.timing import DDR4_3200
 from repro.dram.trace import average_traffic, gather_traffic, reduce_traffic
-from repro.models.model_zoo import YOUTUBE
+
+
+BAD_JOBS = pytest.mark.parametrize("jobs", [-1, -4, True, False, 2.0, "2"])
 
 
 class TestResolveJobs:
     def test_default_is_sequential(self, monkeypatch):
-        monkeypatch.delenv(parallel.JOBS_ENV_VAR, raising=False)
+        # The environment has no say: ``jobs=`` is the only way to ask.
+        monkeypatch.setenv("REPRO_JOBS", "4")
         assert parallel.resolve_jobs() == 1
 
     def test_explicit_wins(self):
         assert parallel.resolve_jobs(3) == 3
-
-    def test_env_var_default(self, monkeypatch):
-        monkeypatch.setenv(parallel.JOBS_ENV_VAR, "5")
-        assert parallel.resolve_jobs() == 5
 
     def test_zero_means_all_cpus(self):
         import os
 
         assert parallel.resolve_jobs(0) == (os.cpu_count() or 1)
 
-    def test_garbage_env_rejected(self, monkeypatch):
-        monkeypatch.setenv(parallel.JOBS_ENV_VAR, "many")
-        with pytest.raises(ValueError, match="REPRO_JOBS"):
-            parallel.resolve_jobs()
+    @BAD_JOBS
+    def test_bad_value_names_jobs(self, jobs):
+        with pytest.raises(ValueError, match="jobs"):
+            parallel.resolve_jobs(jobs)
 
-    def test_workers_never_nest(self, monkeypatch):
-        monkeypatch.setenv(parallel._WORKER_ENV_VAR, "1")
-        assert parallel.resolve_jobs(8) == 1
+    @BAD_JOBS
+    def test_sweep_refuses_bad_value_before_running(self, jobs):
+        # Even a one-point sweep, which never starts a pool, checks it.
+        with pytest.raises(ValueError, match="jobs"):
+            figure11.sweep_grid([("CPU", 8, "GATHER", 2, 512)], jobs=jobs)
 
 
 def _drain_task(task):
@@ -204,12 +206,10 @@ class TestTensorNodeParallel:
 
 
 class TestExplicitSequentialWins:
-    """Timed drains stay in-process even when REPRO_JOBS is set."""
+    """Timed drains stay in-process: they never reach the pool."""
 
     @pytest.fixture
     def no_pool(self, monkeypatch):
-        monkeypatch.setenv(parallel.JOBS_ENV_VAR, "4")
-
         def boom(*args, **kwargs):
             raise AssertionError("process pool used by a timed drain")
 
@@ -268,10 +268,8 @@ class TestOneRoutingRule:
     through one rule: :func:`~repro.dram.memo.drain`, in-process."""
 
     @CALLERS
-    @pytest.mark.parametrize("env_jobs", ["1", "2"], ids=["jobs1", "jobs2"])
-    def test_in_process_starts_no_pool(self, caller, env_jobs, monkeypatch):
+    def test_in_process_starts_no_pool(self, caller):
         parallel.shutdown()
-        monkeypatch.setenv(parallel.JOBS_ENV_VAR, env_jobs)
         assert caller() == caller(direct=True)
         assert parallel._EXECUTORS == {}
 
@@ -297,25 +295,6 @@ class TestOneRoutingRule:
         assert (timing_memo.hits, timing_memo.misses, len(timing_memo)) == expected
 
 
-class TestEnvDefaultHonoured:
-    def test_evaluate_all_routes_through_pool(self, monkeypatch):
-        from repro.system.design_points import evaluate_all
-
-        sequential = evaluate_all(YOUTUBE, 32, jobs=1)
-        calls = []
-        real = parallel.get_executor
-
-        def spy(jobs, start_method=None):
-            calls.append(jobs)
-            return real(jobs, start_method)
-
-        monkeypatch.setattr(parallel, "get_executor", spy)
-        monkeypatch.setenv(parallel.JOBS_ENV_VAR, "2")
-        pooled = evaluate_all(YOUTUBE, 32)
-        assert calls == [2]
-        assert pooled == sequential
-
-
 def _rng_point(seed):
     """Sweep point whose result depends only on the seed handed over."""
     rng = np.random.default_rng(seed)
@@ -331,3 +310,8 @@ class TestParallelMap:
 
     def test_single_item_stays_inprocess(self):
         assert parallel.parallel_map(_rng_point, [7], jobs=4) == [_rng_point(7)]
+
+    @BAD_JOBS
+    def test_bad_jobs_refused(self, jobs):
+        with pytest.raises(ValueError, match="jobs"):
+            parallel.parallel_map(_rng_point, [7], jobs=jobs)

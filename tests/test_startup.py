@@ -11,6 +11,7 @@ most of the package already.
 """
 
 import ast
+import functools
 import importlib
 import os
 import subprocess
@@ -37,8 +38,17 @@ DEPENDENCIES = {"numpy", "repro"}
 #: Modules of the cycle-level model that no analytic command may load.
 CYCLE_LEVEL = ("repro.dram.controller", "repro.dram.cache")
 
+#: Every command but figures 11 and 12: each runs in-process.
+IN_PROCESS = [
+    *(("figure", n) for n in ("3", "4", "13", "14", "15", "16")),
+    ("table", "3"),
+    ("evaluate", "NCF"),
+    ("ablations",),
+]
 
-def imported_modules(*argv: str) -> set[str]:
+
+@functools.cache
+def imported_modules(*argv: str) -> frozenset[str]:
     """Every module ``python -m repro <argv>`` imports, read from
     ``-X importtime``, which lists each import on stderr."""
     env = dict(os.environ, PYTHONPATH=str(SRC))
@@ -46,11 +56,11 @@ def imported_modules(*argv: str) -> set[str]:
         [sys.executable, "-X", "importtime", "-m", "repro", *argv],
         env=env, capture_output=True, text=True, check=True,
     )
-    return {
+    return frozenset(
         line.rpartition("|")[2].strip()
         for line in done.stderr.splitlines()
         if line.startswith("import time:")
-    }
+    )
 
 
 class TestImportBoundary:
@@ -65,8 +75,16 @@ class TestImportBoundary:
         assert sorted(modules & set(CYCLE_LEVEL)) == []
 
     def test_cycle_level_figure_loads_the_controller(self):
-        """The check above can fail: a cycle-level figure does import it."""
-        assert "repro.dram.controller" in imported_modules("figure", "11", "--quick")
+        """The checks here can fail: a cycle-level figure imports the
+        controller and the process pool."""
+        modules = imported_modules("figure", "11", "--quick")
+        assert {"repro.dram.controller", "repro.parallel"} <= modules
+
+    @pytest.mark.parametrize("argv", IN_PROCESS, ids=" ".join)
+    def test_only_the_cycle_level_figures_load_the_pool(self, argv):
+        modules = imported_modules(*argv)
+        assert "repro.cli" in modules
+        assert "repro.parallel" not in modules
 
 
 @pytest.mark.parametrize("name", PACKAGES)
