@@ -268,8 +268,11 @@ class TestOneRoutingRule:
     through one rule: :func:`~repro.dram.memo.drain`, in-process."""
 
     @CALLERS
-    def test_in_process_starts_no_pool(self, caller):
+    @pytest.mark.parametrize("env_jobs", ["1", "2"], ids=["jobs1", "jobs2"])
+    def test_in_process_starts_no_pool(self, caller, env_jobs, monkeypatch):
+        # A leftover REPRO_JOBS (no longer read) must not start a pool.
         parallel.shutdown()
+        monkeypatch.setenv("REPRO_JOBS", env_jobs)
         assert caller() == caller(direct=True)
         assert parallel._EXECUTORS == {}
 
